@@ -168,19 +168,12 @@ func Cases(reg *metrics.Registry) []Case {
 				hist.Absorb(synd)
 			}
 		}},
-		{"threshold-cell-d3", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				core.ThresholdIn(reg, []float64{1e-3}, []int{3}, 4, 1)
-			}
-		}},
 		{"threshold-cell-d3-batched", func(b *testing.B) {
-			// The same cell as threshold-cell-d3 through the lane-batched
-			// Pauli-frame engine; the two cases side by side track the
-			// batching speedup on every run.
+			// One d=3 threshold cell through the lane-batched Pauli-frame
+			// engine, the only threshold engine.
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				core.ThresholdBatched(reg, nil, []float64{1e-3}, []int{3}, 4, 1, core.SweepObs{})
+				core.ThresholdObserved(reg, nil, []float64{1e-3}, []int{3}, 4, 1, core.SweepObs{})
 			}
 		}},
 		{"threshold-cell-d5-batched", func(b *testing.B) {
@@ -188,7 +181,7 @@ func Cases(reg *metrics.Registry) []Case {
 			// made too slow to track per-push.
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				core.ThresholdBatched(reg, nil, []float64{1e-3}, []int{5}, 4, 1, core.SweepObs{})
+				core.ThresholdObserved(reg, nil, []float64{1e-3}, []int{5}, 4, 1, core.SweepObs{})
 			}
 		}},
 		{"events-off-observe", func(b *testing.B) {

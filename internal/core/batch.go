@@ -14,12 +14,12 @@ import (
 	"quest/internal/tracing"
 )
 
-// This file is the batched counterpart of logicalFailRateObserved: the same
-// windowed-decode memory experiment, restructured so that per-trial setup is
-// compiled once per cell and the per-trial fault state is bit-sliced across a
-// 64-trial lane.
+// This file is the threshold sweep's trial engine: the windowed-decode
+// memory experiment, structured so that per-trial setup is compiled once per
+// cell and the per-trial fault state is bit-sliced across a 64-trial lane.
 //
-// The scalar engine re-simulates the full stabilizer tableau every trial.
+// The reference formulation (the scalar oracle in threshold_oracle_test.go)
+// re-simulates the full stabilizer tableau through the AWG unit every trial.
 // But after the first (discarded) clean extraction cycle projects the state,
 // every subsequent ancilla measurement outcome is deterministic: Pauli faults
 // flip outcomes without introducing randomness, the clean-syndrome reference
@@ -282,43 +282,14 @@ func (tp *thresholdProgram) runLane(p float64, seeds []uint64, ctx mc.BatchCtx, 
 	}
 }
 
-// ThresholdBatched is ThresholdObserved on the batched engine: identical
-// cells, seeds, observers, sharding and rows, ≥10× the trial throughput.
-// The scalar ThresholdObserved stays in-tree as the cross-check oracle; the
-// equivalence tests run both and compare Results, ledger bytes and heat
-// JSON. The error reports a sharding or resume mismatch, as in the scalar
-// entry point.
-func ThresholdBatched(reg *metrics.Registry, tr *tracing.Tracer, rates []float64, distances []int,
-	trials, workers int, obs SweepObs) ([]ThresholdRow, error) {
-	var rows []ThresholdRow
-	for _, p := range rates {
-		for _, d := range distances {
-			res, ran, err := logicalFailRateBatched(reg, tr, d, p, trials, workers, obs)
-			if err != nil {
-				return rows, err
-			}
-			if !ran {
-				continue
-			}
-			rows = append(rows, ThresholdRow{
-				PhysRate: p,
-				Distance: d,
-				FailRate: res.Rate,
-				WilsonLo: res.WilsonLo,
-				WilsonHi: res.WilsonHi,
-				Trials:   res.Trials,
-			})
-		}
-	}
-	return rows, nil
-}
-
-// logicalFailRateBatched mirrors logicalFailRateObserved cell for cell: same
-// cell seed, same cell name, same observer wiring — only the trial engine
-// differs. Resume replays completed cells verbatim like the scalar path; a
-// partially-recorded cell is re-executed from scratch (RunBatch claims
-// whole 64-trial lanes, so a ragged prior prefix would split one), which
-// costs time but not bytes — outcomes are pure functions of the seeds.
+// logicalFailRateBatched runs one threshold cell: `trials` independent noisy
+// memory experiments at distance d and physical rate p, decoded with a
+// d-round window. The noise model is noise.Uniform(p) — every location
+// including preparation fails at p, the paper's single-rate convention.
+// Resume replays completed cells verbatim, and a partially-recorded cell's
+// leading trials reach RunBatch as Prior, so only its unrecorded trials
+// execute. ran=false means the cell belongs to another shard; err reports a
+// resume/shard mismatch (trial-level failures stay inside the Result).
 func logicalFailRateBatched(reg *metrics.Registry, tr *tracing.Tracer, d int, p float64,
 	trials, workers int, obs SweepObs) (mc.Result, bool, error) {
 	cell := mc.Seed(ExperimentSeed, mc.F64(p), uint64(d))
@@ -336,6 +307,7 @@ func logicalFailRateBatched(reg *metrics.Registry, tr *tracing.Tracer, d int, p 
 	tp := thresholdProgramFor(d)
 	heat := obs.collector(tp.lat.Rows, tp.lat.Cols)
 	mobs := obs.observers(name, heat)
+	mobs.Prior = plan.prior
 	res := mc.RunBatch(trials, workers, cell, reg, tr, mobs,
 		func(_ int, seeds []uint64, ctx mc.BatchCtx, out []mc.Outcome) {
 			tp.runLane(p, seeds, ctx, out)

@@ -73,14 +73,14 @@ func TestThresholdCellsDecorrelated(t *testing.T) {
 func TestMetricsObservationDoesNotPerturbResults(t *testing.T) {
 	rates := []float64{2e-3}
 	distances := []int{3}
-	off := ThresholdIn(nil, rates, distances, 60, 2)
+	off, _ := ThresholdObserved(nil, nil, rates, distances, 60, 2, SweepObs{})
 	reg := metrics.New()
-	on := ThresholdIn(reg, rates, distances, 60, 2)
+	on, _ := ThresholdObserved(reg, nil, rates, distances, 60, 2, SweepObs{})
 	if !reflect.DeepEqual(off, on) {
 		t.Errorf("threshold rows differ with metrics on:\n off: %+v\n on:  %+v", off, on)
 	}
 	reg2 := metrics.New()
-	onPar := ThresholdIn(reg2, rates, distances, 60, 8)
+	onPar, _ := ThresholdObserved(reg2, nil, rates, distances, 60, 8, SweepObs{})
 	if !reflect.DeepEqual(off, onPar) {
 		t.Errorf("threshold rows differ with metrics on at workers=8:\n off: %+v\n on:  %+v", off, onPar)
 	}

@@ -10,7 +10,6 @@ import (
 	"quest/internal/distill"
 	"quest/internal/dram"
 	"quest/internal/jj"
-	"quest/internal/mc"
 	"quest/internal/metrics"
 	"quest/internal/microcode"
 	"quest/internal/noise"
@@ -459,29 +458,9 @@ type ThresholdRow struct {
 // for any worker count because every trial is seeded from
 // (ExperimentSeed, p, d, trial) alone.
 func Threshold(rates []float64, distances []int, trials, workers int) []ThresholdRow {
-	return ThresholdIn(nil, rates, distances, trials, workers)
-}
-
-// ThresholdIn is Threshold with trial instrumentation aggregated into reg via
-// per-worker metrics shards (nil reg skips instrumentation entirely). Rows
-// are bit-identical with and without a registry: instruments only observe the
-// decode path, they never feed back into trial outcomes.
-func ThresholdIn(reg *metrics.Registry, rates []float64, distances []int, trials, workers int) []ThresholdRow {
 	// An empty SweepObs never shards or resumes, so no error is possible.
-	rows, _ := ThresholdObserved(reg, nil, rates, distances, trials, workers, SweepObs{})
+	rows, _ := ThresholdObserved(nil, nil, rates, distances, trials, workers, SweepObs{})
 	return rows
-}
-
-// logicalFailRate runs `trials` independent noisy memory experiments at
-// distance d and physical rate p, decoding with a d-round window. The noise
-// model is noise.Uniform(p) — every location including preparation fails at
-// p, the paper's single-rate convention (an earlier version dropped the
-// Prep channel and under-reported failure rates; see CHANGES.md). The body
-// lives in logicalFailRateObserved (observe.go) with all hooks nil-gated.
-func logicalFailRate(reg *metrics.Registry, d int, p float64, trials, workers int) mc.Result {
-	// An empty SweepObs never shards or resumes: the cell always runs.
-	res, _, _ := logicalFailRateObserved(reg, nil, d, p, trials, workers, SweepObs{})
-	return res
 }
 
 // MemoryRow is one operating point of the machine-level logical memory

@@ -3,21 +3,16 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 
-	"quest/internal/awg"
 	"quest/internal/bwprofile"
-	"quest/internal/clifford"
 	"quest/internal/compiler"
-	"quest/internal/decoder"
 	"quest/internal/heatmap"
 	"quest/internal/isa"
 	"quest/internal/ledger"
 	"quest/internal/mc"
 	"quest/internal/metrics"
 	"quest/internal/noise"
-	"quest/internal/surface"
 	"quest/internal/tracing"
 )
 
@@ -255,19 +250,21 @@ func errString(err error) string {
 	return err.Error()
 }
 
-// ThresholdObserved is ThresholdIn with tracing and the SweepObs hooks:
-// per-cell ledger records, defect/matched-chain heatmaps, optional CI early
-// stop (rows then report the effective trial count), live progress, cell
-// sharding and checkpoint resume. Rows remain bit-identical for any worker
-// count, with or without observation; under a Shard only the owned cells
-// produce rows (in sweep order). The error reports a sharding or resume
-// mismatch — never a trial-level failure, which stays in its row as before.
+// ThresholdObserved is Threshold with trial instrumentation aggregated into
+// reg (nil skips it), tracing and the SweepObs hooks: per-cell ledger
+// records, defect/matched-chain heatmaps, optional CI early stop (rows then
+// report the effective trial count), live progress, cell sharding and
+// checkpoint resume. Cells run on the lane-batched Pauli-frame engine
+// (batch.go). Rows remain bit-identical for any worker count, with or
+// without observation; under a Shard only the owned cells produce rows (in
+// sweep order). The error reports a sharding or resume mismatch — never a
+// trial-level failure, which stays in its row as before.
 func ThresholdObserved(reg *metrics.Registry, tr *tracing.Tracer, rates []float64, distances []int,
 	trials, workers int, obs SweepObs) ([]ThresholdRow, error) {
 	var rows []ThresholdRow
 	for _, p := range rates {
 		for _, d := range distances {
-			res, ran, err := logicalFailRateObserved(reg, tr, d, p, trials, workers, obs)
+			res, ran, err := logicalFailRateBatched(reg, tr, d, p, trials, workers, obs)
 			if err != nil {
 				return rows, err
 			}
@@ -396,77 +393,4 @@ func MachineMemoryObserved(reg *metrics.Registry, tr *tracing.Tracer, physRate f
 		Trials:   res.Trials,
 	}
 	return row, true, res.Err
-}
-
-// logicalFailRateObserved is the single implementation behind
-// logicalFailRate and ThresholdObserved: the windowed-decode memory
-// experiment with every observation hook nil-gated. ran=false means the
-// cell belongs to another shard; err reports a resume/shard mismatch
-// (trial-level failures stay inside the Result as before).
-func logicalFailRateObserved(reg *metrics.Registry, tr *tracing.Tracer, d int, p float64,
-	trials, workers int, obs SweepObs) (mc.Result, bool, error) {
-	cell := mc.Seed(ExperimentSeed, mc.F64(p), uint64(d))
-	name := fmt.Sprintf("threshold p=%g d=%d", p, d)
-	plan, err := obs.beginCell(name, cell, trials)
-	if err != nil {
-		return mc.Result{}, true, err
-	}
-	if plan.skip {
-		return mc.Result{}, false, nil
-	}
-	if plan.replayed != nil {
-		return *plan.replayed, true, nil
-	}
-	lat := surface.NewPlanar(d)
-	words := surface.CompileCycle(lat, surface.Steane, nil)
-	heat := obs.collector(lat.Rows, lat.Cols)
-	mobs := obs.observers(name, heat)
-	mobs.Prior = plan.prior
-	res := mc.RunObserved(trials, workers, cell, reg, tr, mobs,
-		func(trial int, seed uint64, ctx mc.TrialCtx) mc.Outcome {
-			tb := clifford.New(lat.NumQubits(), rand.New(rand.NewSource(int64(mc.Derive(seed, 0)))))
-			inj := noise.NewInjector(noise.Uniform(p), int64(mc.Derive(seed, 1)))
-			noisy := awg.New(tb, inj)
-			clean := awg.New(tb, nil)
-			run := func(u *awg.ExecutionUnit) map[int]int {
-				synd := make(map[int]int)
-				u.MeasSink = func(q, bit int) { synd[q] = bit }
-				for _, w := range words {
-					u.ExecuteWord(w)
-				}
-				return synd
-			}
-			hist := decoder.NewHistory(lat)
-			frame := decoder.NewPauliFrame()
-			win := decoder.NewWindowDecoder(decoder.NewGlobalDecoder(lat), d)
-			if ctx.Shard != nil {
-				win.SetInstr(decoder.NewInstr(ctx.Shard))
-			}
-			if ctx.Trace != nil {
-				win.SetTracer(ctx.Trace, 0)
-			}
-			if ctx.Heat != nil {
-				hist.SetHeat(ctx.Heat)
-				win.SetHeat(ctx.Heat)
-			}
-			run(clean)
-			hist.Absorb(run(clean))
-			// The noisy-round count tracks the code distance: the window
-			// decoder is d rounds deep, so fewer rounds would never fill —
-			// let alone exercise — a d=5 or d=7 cell's own decode window.
-			for round := 0; round < d; round++ {
-				inj.SetLocation(round, 0)
-				win.Absorb(hist.Absorb(run(noisy)), frame)
-			}
-			win.Absorb(hist.Absorb(run(clean)), frame)
-			win.Flush(frame)
-			logZ := lat.LogicalZ()
-			raw := tb.MeasureObservable(nil, logZ)
-			want := 1 - 2*frame.ParityOn(logZ, true)
-			return mc.Outcome{Fail: raw != 0 && raw != want}
-		})
-	if err := obs.closeCell(name, map[string]float64{"p": p, "d": float64(d)}, cell, trials, res); err != nil {
-		return res, true, err
-	}
-	return res, true, nil
 }

@@ -28,9 +28,9 @@ func shardedSweep(t *testing.T, index, count, trials int, batched bool) ([]byte,
 	obs := SweepObs{Ledger: lw, Shard: shard}
 	var rows []ThresholdRow
 	if batched {
-		rows, err = ThresholdBatched(nil, nil, []float64{2e-3, 4e-3}, []int{3}, trials, 4, obs)
-	} else {
 		rows, err = ThresholdObserved(nil, nil, []float64{2e-3, 4e-3}, []int{3}, trials, 4, obs)
+	} else {
+		rows, err = thresholdScalar(nil, nil, []float64{2e-3, 4e-3}, []int{3}, trials, 4, obs)
 	}
 	if err != nil {
 		t.Fatalf("threshold sweep: %v", err)
@@ -51,8 +51,9 @@ func shardedSweep(t *testing.T, index, count, trials int, batched bool) ([]byte,
 
 // TestShardedSweepMergesByteIdentical is the tentpole invariant: N sharded
 // processes produce N complete ledgers that merge into bytes identical to
-// the 1-process run, for both trial engines, with the shard cursor spanning
-// the threshold and memory entry points exactly as questbench wires it.
+// the 1-process run, for the engine and the scalar oracle, with the shard
+// cursor spanning the threshold and memory entry points exactly as
+// questbench wires it.
 func TestShardedSweepMergesByteIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name    string

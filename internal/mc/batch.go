@@ -45,6 +45,12 @@ type BatchFn func(start int, seeds []uint64, ctx BatchCtx, out []Outcome)
 // ledgers for any worker count and for either engine (pinned by the core
 // scalar-vs-batched equivalence tests).
 //
+// Observers.Prior is honoured at trial granularity: lanes tile
+// [len(Prior), trials) in LaneWidth steps, so a resumed cell executes
+// exactly its unrecorded trials even when len(Prior) is not a LaneWidth
+// multiple. Outcomes are pure functions of TrialSeed(cellSeed, t), so where
+// a lane starts cannot change any of them.
+//
 // Observational differences from the scalar engine are confined to wall-clock
 // instruments: the mc.trial.ns histogram observes the lane duration amortized
 // per trial, and under CI early stop whole in-flight lanes (up to LaneWidth-1
@@ -56,7 +62,11 @@ func RunBatch(trials, workers int, cellSeed uint64, reg *metrics.Registry, tr *t
 	if trials <= 0 {
 		return Result{}
 	}
-	lanes := (trials + LaneWidth - 1) / LaneWidth
+	prior := len(obs.Prior)
+	if prior > trials {
+		prior = trials
+	}
+	lanes := (trials - prior + LaneWidth - 1) / LaneWidth
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -64,11 +74,19 @@ func RunBatch(trials, workers int, cellSeed uint64, reg *metrics.Registry, tr *t
 		workers = lanes
 	}
 	outcomes := make([]Outcome, trials)
+	copy(outcomes, obs.Prior[:prior])
 	var nextLane atomic.Int64
 	var wg sync.WaitGroup
 	shards := make([]*metrics.Registry, workers)
 	traces := makeTraceShards(tr, workers)
 	st := newStopState(obs.CIWidth, obs.MinTrials, trials)
+	if st != nil {
+		// As in run: a converged prior prefix drops stopAt below the first
+		// live trial before any worker starts, so no lane is claimed.
+		for t := 0; t < prior; t++ {
+			st.observe(t, outcomes[t].Fail)
+		}
+	}
 	prog := newProgressState(obs.Progress, obs.ProgressEvery, trials, st)
 	heatParent := obs.Heat
 	heatShards := makeHeatShards(heatParent, trials)
@@ -100,7 +118,7 @@ func RunBatch(trials, workers int, cellSeed uint64, reg *metrics.Registry, tr *t
 				if l >= lanes {
 					return
 				}
-				lo := l * LaneWidth
+				lo := prior + l*LaneWidth
 				if st != nil && lo >= int(st.stopAt.Load()) {
 					return
 				}
@@ -175,7 +193,7 @@ func RunBatch(trials, workers int, cellSeed uint64, reg *metrics.Registry, tr *t
 			busy += b
 		}
 		reg.Gauge("mc.worker_busy_ns").Set(float64(busy))
-		if elapsed > 0 {
+		if elapsed > 0 && workers > 0 {
 			reg.Gauge("mc.trials_per_sec").Set(float64(effective) / elapsed.Seconds())
 			reg.Gauge("mc.worker_utilization").Set(
 				float64(busy) / (float64(elapsed) * float64(workers)))

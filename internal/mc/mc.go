@@ -246,9 +246,8 @@ type Observers struct {
 	// ledger bytes identical to a full re-run — it only skips the work.
 	// Prefixes longer than the trial budget are truncated. Replayed trials
 	// are invisible to the wall-clock instruments (mc.trials counts only
-	// executed trials) and contribute empty heat shards; RunBatch ignores
-	// Prior entirely (its callers re-execute whole cells instead, which is
-	// slower but byte-identical).
+	// executed trials) and contribute empty heat shards. RunBatch honours
+	// Prior the same way, starting its first lane at len(Prior).
 	Prior []Outcome
 }
 
@@ -445,8 +444,8 @@ func run(trials, workers int, cellSeed uint64, reg *metrics.Registry, tr *tracin
 	shards := make([]*metrics.Registry, workers)
 	// nil when tracing is off, and assigned exactly once so the goroutine
 	// closure captures the header by value: the untraced RunWith path stays
-	// allocation-identical to the pre-tracing engine, which the committed
-	// benchmark baseline counts exactly (threshold-cell-d3 allocs/op).
+	// allocation-identical to the pre-tracing engine, which
+	// TestRunWithAllocs counts exactly.
 	traces := makeTraceShards(tr, workers)
 	// Observer state is nil when the corresponding Observers field is off,
 	// and every local here is assigned exactly once so the goroutine
@@ -566,7 +565,9 @@ func run(trials, workers int, cellSeed uint64, reg *metrics.Registry, tr *tracin
 			busy += b
 		}
 		reg.Gauge("mc.worker_busy_ns").Set(float64(busy))
-		if elapsed > 0 {
+		// A prior covering the whole budget leaves no worker, and 0/0
+		// utilization would poison the JSON export with NaN.
+		if elapsed > 0 && workers > 0 {
 			reg.Gauge("mc.trials_per_sec").Set(float64(effective) / elapsed.Seconds())
 			reg.Gauge("mc.worker_utilization").Set(
 				float64(busy) / (float64(elapsed) * float64(workers)))

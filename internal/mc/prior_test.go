@@ -1,9 +1,12 @@
 package mc
 
 import (
+	"math"
 	"reflect"
 	"sync/atomic"
 	"testing"
+
+	"quest/internal/metrics"
 )
 
 // priorFn is a deterministic trial body that also counts executions.
@@ -83,6 +86,80 @@ func TestPriorFeedsCIStop(t *testing.T) {
 		o.Prior = outs[:prior]
 		var resumedCalls atomic.Int64
 		got := RunObserved(budget, 4, 0xc0ffee, nil, nil, o, priorFn(&resumedCalls))
+		if got != want {
+			t.Errorf("prior=%d: Result %+v != uninterrupted %+v", prior, got, want)
+		}
+		if prior >= want.Trials && resumedCalls.Load() != 0 {
+			t.Errorf("prior=%d covers the stop point but %d trials executed", prior, resumedCalls.Load())
+		}
+	}
+}
+
+// priorBatchFn is priorFn in lane form. It counts executed trials and flags
+// any lane that reaches below the prior prefix.
+func priorBatchFn(t *testing.T, prior int, calls *atomic.Int64) BatchFn {
+	return func(start int, seeds []uint64, ctx BatchCtx, out []Outcome) {
+		if start < prior {
+			t.Errorf("prior=%d: lane at trial %d re-executes a recorded trial", prior, start)
+		}
+		calls.Add(int64(len(seeds)))
+		for i, seed := range seeds {
+			out[i] = Outcome{Fail: seed%3 == 0}
+		}
+	}
+}
+
+// TestRunBatchPriorSkipsExecution is TestPriorSkipsExecution for the lane
+// engine: the first lane starts at len(Prior), wherever that falls relative
+// to a LaneWidth boundary, so only unrecorded trials execute and mc.trials
+// counts exactly those, while the Result and Sink stream match the full run.
+func TestRunBatchPriorSkipsExecution(t *testing.T) {
+	const trials = 3*LaneWidth + 9
+	outs, want := recordOutcomes(trials)
+	for _, prior := range []int{1, LaneWidth - 1, LaneWidth, LaneWidth + 1, trials} {
+		var calls atomic.Int64
+		var sunk []Outcome
+		reg := metrics.New()
+		got := RunBatch(trials, 4, 0xc0ffee, reg, nil, Observers{
+			Prior: outs[:prior],
+			Sink:  func(trial int, seed uint64, out Outcome) { sunk = append(sunk, out) },
+		}, priorBatchFn(t, prior, &calls))
+		if got != want {
+			t.Errorf("prior=%d: Result %+v != full run %+v", prior, got, want)
+		}
+		if int(calls.Load()) != trials-prior {
+			t.Errorf("prior=%d: executed %d trials, want %d", prior, calls.Load(), trials-prior)
+		}
+		if n := reg.Counter("mc.trials").Value(); n != uint64(trials-prior) {
+			t.Errorf("prior=%d: mc.trials = %d, want %d", prior, n, trials-prior)
+		}
+		if u := reg.Gauge("mc.worker_utilization").Value(); math.IsNaN(u) {
+			t.Errorf("prior=%d: mc.worker_utilization is NaN", prior)
+		}
+		if !reflect.DeepEqual(sunk, outs) {
+			t.Errorf("prior=%d: Sink stream differs from the full run's", prior)
+		}
+	}
+}
+
+// TestRunBatchPriorFeedsCIStop is TestPriorFeedsCIStop for the lane engine:
+// the prior prefix reaches the stop frontier before any lane is claimed, so
+// a resumed run stops where the uninterrupted one did, and a prefix that has
+// already converged claims no lane at all.
+func TestRunBatchPriorFeedsCIStop(t *testing.T) {
+	const budget = 300
+	obs := Observers{CIWidth: 0.2}
+	var calls atomic.Int64
+	want := RunObserved(budget, 4, 0xc0ffee, nil, nil, obs, priorFn(&calls))
+	if want.Trials >= budget {
+		t.Fatalf("ci-stop never fired (%d trials); widen the test margin", want.Trials)
+	}
+	outs, _ := recordOutcomes(budget)
+	for _, prior := range []int{want.Trials / 2, want.Trials, budget} {
+		o := obs
+		o.Prior = outs[:prior]
+		var resumedCalls atomic.Int64
+		got := RunBatch(budget, 4, 0xc0ffee, nil, nil, o, priorBatchFn(t, prior, &resumedCalls))
 		if got != want {
 			t.Errorf("prior=%d: Result %+v != uninterrupted %+v", prior, got, want)
 		}
