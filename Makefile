@@ -1,7 +1,7 @@
 # Convenience targets for the QuEST reproduction.
 #
 # Observability / CI targets:
-#   make bench-json   regenerate BENCH_PR6.json, the committed benchmark
+#   make bench-json   regenerate BENCH_PR13.json, the committed benchmark
 #                     baseline tools/benchdiff compares CI runs against
 #   make benchdiff    compare a fresh suite run against the committed baseline
 #   make trace-smoke  run a tiny traced sim and validate the Perfetto JSON
@@ -80,12 +80,12 @@ bench:
 # Regenerate the committed benchmark baseline (schema quest-bench/1; see
 # internal/benchsuite). Run on a quiet machine; CI compares against this file.
 bench-json:
-	$(GO) run ./cmd/questbench -bench-json BENCH_PR6.json
+	$(GO) run ./cmd/questbench -bench-json BENCH_PR13.json
 
 # Compare a fresh suite run against the committed baseline (>30% ns/op fails).
 benchdiff:
 	$(GO) run ./cmd/questbench -bench-json /tmp/quest_bench_current.json
-	$(GO) run ./tools/benchdiff BENCH_PR6.json /tmp/quest_bench_current.json
+	$(GO) run ./tools/benchdiff BENCH_PR13.json /tmp/quest_bench_current.json
 
 # Run a tiny traced simulation and validate the emitted Perfetto JSON —
 # the same check CI's trace-smoke job runs.

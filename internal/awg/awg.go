@@ -116,6 +116,11 @@ func (u *ExecutionUnit) Fire() {
 	if !u.Ready() {
 		panic("awg: fire with unlatched switches (lock-step violation)")
 	}
+	u.fire()
+}
+
+// fire executes the latched select registers, every switch latched.
+func (u *ExecutionUnit) fire() {
 	u.fireCount++
 	if u.timing != nil {
 		max := u.timing.IdleNs
@@ -202,9 +207,7 @@ func (u *ExecutionUnit) Fire() {
 			panic(fmt.Sprintf("awg: unhandled opcode %s on qubit %d", op, q))
 		}
 	}
-	for q := range u.latched {
-		u.latched[q] = false
-	}
+	clear(u.latched)
 }
 
 func (u *ExecutionUnit) afterGate1(q int) {
@@ -242,11 +245,19 @@ func (u *ExecutionUnit) Stats() (latches, fires, measurements uint64) {
 }
 
 // ExecuteWord latches and fires a complete VLIW word — one lock-step
-// sub-cycle. Measurements flow to MeasSink.
+// sub-cycle. Measurements flow to MeasSink. The word is copied straight into
+// the select registers: one word latches every switch exactly once.
 func (u *ExecutionUnit) ExecuteWord(w isa.VLIW) {
-	if w.Len() != u.n {
+	if w.Len() != u.n || len(w.Pairs) != u.n {
 		panic(fmt.Sprintf("awg: word width %d != matrix width %d", w.Len(), u.n))
 	}
-	u.LatchWord(w)
-	u.Fire()
+	for q, l := range u.latched {
+		if l {
+			panic(fmt.Sprintf("awg: double latch on qubit %d before fire", q))
+		}
+	}
+	copy(u.selects, w.Ops)
+	copy(u.pairs, w.Pairs)
+	u.latchCount += uint64(u.n)
+	u.fire()
 }

@@ -97,6 +97,40 @@ func TestDoubleLatchPanics(t *testing.T) {
 	u.Latch(isa.MicroOp{Op: isa.OpZ, Qubit: 0})
 }
 
+func TestExecuteWordOverLatchPanics(t *testing.T) {
+	u := newUnit(2, 1, nil)
+	u.Latch(isa.MicroOp{Op: isa.OpX, Qubit: 1})
+	defer func() {
+		if recover() == nil {
+			t.Error("ExecuteWord over a pending latch did not panic")
+		}
+	}()
+	u.ExecuteWord(isa.NewVLIW(2))
+}
+
+// TestExecuteWordAllocs pins a noiseless sub-cycle — prep, CNOT, CZ,
+// one-qubit gates and measurements latched straight from the word — at zero
+// allocations.
+func TestExecuteWordAllocs(t *testing.T) {
+	u := newUnit(8, 1, nil)
+	u.MeasSink = func(int, int) {}
+	w := isa.NewVLIW(8)
+	w.Set(0, isa.OpPrepPlus)
+	w.SetPair(1, isa.OpCNOTControl, 2)
+	w.SetPair(2, isa.OpCNOTTarget, 1)
+	w.SetPair(3, isa.OpCZ, 4)
+	w.SetPair(4, isa.OpCZ, 3)
+	w.Set(5, isa.OpH)
+	w.Set(6, isa.OpMeasZ)
+	w.Set(7, isa.OpMeasX)
+	if a := testing.AllocsPerRun(100, func() { u.ExecuteWord(w) }); a != 0 {
+		t.Errorf("ExecuteWord: %v allocs/op, want 0", a)
+	}
+	if latches, fires, _ := u.Stats(); latches != 8*fires {
+		t.Errorf("latches %d for %d fires of an 8-switch word", latches, fires)
+	}
+}
+
 func TestMeasurementsReachSink(t *testing.T) {
 	u := newUnit(2, 1, nil)
 	var got []int

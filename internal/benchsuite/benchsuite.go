@@ -2,7 +2,7 @@
 // from inside a normal binary (cmd/questbench -bench-json) and renders the
 // results as a stable, schema-versioned JSON report. CI runs the suite on
 // every push and tools/benchdiff compares the report against the committed
-// baseline (BENCH_PR2.json at the repo root), so a decoder or machine-loop
+// baseline (BENCH_PR13.json at the repo root), so a decoder or machine-loop
 // regression shows up as a failed check instead of a surprise in the next
 // paper-scale sweep.
 //
@@ -210,6 +210,20 @@ func Cases(reg *metrics.Registry) []Case {
 		{"machine-step-cycle", func(b *testing.B) {
 			cfg := core.DefaultMachineConfig()
 			nm := noise.Uniform(1e-4)
+			cfg.Noise = &nm
+			cfg.Metrics = reg
+			m := core.NewMachine(cfg)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m.Master().StepCycle()
+			}
+		}},
+		{"machine-step-cycle-d5x4", func(b *testing.B) {
+			// The questsim ghz shape: 4 tiles of 2 patches at d=5, whose
+			// cycle cost is dominated by the per-tile stabilizer substrate.
+			cfg := core.DefaultMachineConfig()
+			cfg.Tiles, cfg.Distance = 4, 5
+			nm := noise.Uniform(1e-3)
 			cfg.Noise = &nm
 			cfg.Metrics = reg
 			m := core.NewMachine(cfg)

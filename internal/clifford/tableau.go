@@ -1,14 +1,18 @@
-// Package clifford implements an Aaronson–Gottesman (CHP) stabilizer tableau
-// simulator. It is the quantum substrate of this repository: surface-code
-// syndrome-extraction circuits are pure Clifford circuits, so a stabilizer
-// simulator executes exactly the instruction streams the control processor
-// issues, at polynomial cost, while modelling genuine quantum behaviour
-// (entanglement, measurement back-action, random outcomes).
+// Package clifford implements the stabilizer substrate of this repository.
+// Surface-code syndrome-extraction circuits are pure Clifford circuits, so a
+// stabilizer simulator executes exactly the instruction streams the control
+// processor issues, at polynomial cost, while modelling genuine quantum
+// behaviour (entanglement, measurement back-action, random outcomes).
 //
-// The tableau stores n destabilizer and n stabilizer generators as rows of
-// bit-packed X and Z Pauli indicators plus a sign bit. All gate updates are
-// O(n) and measurements are O(n²) worst case, which comfortably covers the
-// code distances exercised here (hundreds to a few thousand qubits).
+// The tableau is kept inverted, as in Gidney's Stim (Quantum 5, 497, 2021).
+// For a state U|0...0> it stores, for every qubit q, the images U†X_qU and
+// U†Z_qU as rows of bit-packed X and Z Pauli indicators plus a sign bit. A
+// gate G turns U into GU and so rewrites only the rows of its own qubits,
+// each as a product of at most two rows: every gate, and every measurement
+// whose outcome is determined, costs O(n/64) words. A random measurement
+// collapses the state by column operations on all rows, O(n·w) bit updates
+// for an image of X-weight w. The outcome streams are pinned, draw for draw,
+// to the Aaronson–Gottesman (CHP) tableau kept as the test oracle.
 package clifford
 
 import (
@@ -18,15 +22,16 @@ import (
 )
 
 // Tableau is the stabilizer state of n qubits. The zero value is not usable;
-// create one with New. Rows 0..n-1 are destabilizers, rows n..2n-1 are
-// stabilizers; row 2n is scratch space for deterministic measurements.
+// create one with New. Row q is the image of X_q and row n+q the image of
+// Z_q; row 2n is scratch space and row 2n+1 holds MeasureObservable's
+// operator.
 type Tableau struct {
 	n     int
 	words int // uint64 words per row half
-	// x[r] and z[r] are the X/Z indicator bit vectors of row r.
-	x [][]uint64
-	z [][]uint64
-	r []uint8 // sign bit per row (0 => +1, 1 => -1)
+	// x and z hold the rows back to back: row i's X/Z indicator bit vectors
+	// are x[i*words:(i+1)*words] and z[i*words:(i+1)*words].
+	x, z []uint64
+	r    []uint8 // sign bit per row (0 => +1, 1 => -1)
 
 	rng *rand.Rand
 }
@@ -41,18 +46,15 @@ func New(n int, rng *rand.Rand) *Tableau {
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
 	}
+	words := (n + 63) / 64
+	rows := 2*n + 2
 	t := &Tableau{
 		n:     n,
-		words: (n + 63) / 64,
+		words: words,
+		x:     make([]uint64, rows*words),
+		z:     make([]uint64, rows*words),
+		r:     make([]uint8, rows),
 		rng:   rng,
-	}
-	rows := 2*n + 1
-	t.x = make([][]uint64, rows)
-	t.z = make([][]uint64, rows)
-	t.r = make([]uint8, rows)
-	for i := range t.x {
-		t.x[i] = make([]uint64, t.words)
-		t.z[i] = make([]uint64, t.words)
 	}
 	t.Reset()
 	return t
@@ -73,33 +75,24 @@ func (t *Tableau) SetRNG(rng *rand.Rand) {
 	t.rng = rng
 }
 
-// Reset returns the state to |0...0>: destabilizer i = X_i, stabilizer i = Z_i.
+// Reset returns the state to |0...0>: U is the identity, so X_q and Z_q are
+// their own images.
 func (t *Tableau) Reset() {
-	for i := range t.x {
-		clear(t.x[i])
-		clear(t.z[i])
-		t.r[i] = 0
-	}
-	for i := 0; i < t.n; i++ {
-		t.setX(i, i, true)     // destabilizer row i is X_i
-		t.setZ(i+t.n, i, true) // stabilizer row i is Z_i
+	clear(t.x)
+	clear(t.z)
+	clear(t.r)
+	for q := 0; q < t.n; q++ {
+		t.x[q*t.words+q>>6] |= bit(q)
+		t.z[(t.n+q)*t.words+q>>6] |= bit(q)
 	}
 }
 
-func (t *Tableau) setX(row, q int, v bool) {
-	if v {
-		t.x[row][q>>6] |= 1 << (uint(q) & 63)
-	} else {
-		t.x[row][q>>6] &^= 1 << (uint(q) & 63)
-	}
-}
+func bit(q int) uint64 { return 1 << (uint(q) & 63) }
 
-func (t *Tableau) setZ(row, q int, v bool) {
-	if v {
-		t.z[row][q>>6] |= 1 << (uint(q) & 63)
-	} else {
-		t.z[row][q>>6] &^= 1 << (uint(q) & 63)
-	}
+// row returns row i's X and Z indicator words.
+func (t *Tableau) row(i int) (x, z []uint64) {
+	o := i * t.words
+	return t.x[o : o+t.words], t.z[o : o+t.words]
 }
 
 func (t *Tableau) checkQubit(q int) {
@@ -108,201 +101,183 @@ func (t *Tableau) checkQubit(q int) {
 	}
 }
 
-// H applies a Hadamard gate to qubit q.
+// mul multiplies row h by row i on the right (h ← h·i, ignoring h's sign)
+// and returns the power of i the product picked up, plus 2 for a negative
+// row i. The phase is CHP's g function summed over all qubits word-wise:
+// g(x1,z1,x2,z2) is the exponent of i in the product of the single-qubit
+// Paulis x1z1 · x2z2 (x=z=1 is Y), counted as +1 and -1 contributions.
+func (t *Tableau) mul(h, i int) int {
+	hx, hz := t.row(h)
+	ix, iz := t.row(i)
+	e := 2 * int(t.r[i])
+	for w := range hx {
+		x1, z1, x2, z2 := hx[w], hz[w], ix[w], iz[w]
+		// +1: Y·Z, X·Y, Z·X.  -1: Y·X, X·Z, Z·Y.
+		e += bits.OnesCount64(x1&z1&z2&^x2|x1&^z1&x2&z2|z1&^x1&x2&^z2) -
+			bits.OnesCount64(x1&z1&x2&^z2|x1&^z1&z2&^x2|z1&^x1&x2&z2)
+		hx[w], hz[w] = x1^x2, z1^z2
+	}
+	return e
+}
+
+// mulRow sets row h to i^ph · h · i. The product must be Hermitian, so the
+// total power of i is even and becomes h's sign.
+func (t *Tableau) mulRow(h, i, ph int) {
+	e := t.mul(h, i) + ph + 2*int(t.r[h])
+	t.r[h] = uint8(e>>1) & 1
+}
+
+// H applies a Hadamard gate to qubit q: HX_qH = Z_q, so the two images of q
+// swap.
 func (t *Tableau) H(q int) {
 	t.checkQubit(q)
-	w, b := q>>6, uint(q)&63
-	mask := uint64(1) << b
-	for i := 0; i < 2*t.n; i++ {
-		xi := t.x[i][w] & mask
-		zi := t.z[i][w] & mask
-		// r ^= x*z
-		if xi != 0 && zi != 0 {
-			t.r[i] ^= 1
-		}
-		// swap x and z bits
-		t.x[i][w] = t.x[i][w]&^mask | zi
-		t.z[i][w] = t.z[i][w]&^mask | xi
+	ax, az := t.row(q)
+	bx, bz := t.row(t.n + q)
+	for w := range ax {
+		ax[w], bx[w] = bx[w], ax[w]
+		az[w], bz[w] = bz[w], az[w]
 	}
+	t.r[q], t.r[t.n+q] = t.r[t.n+q], t.r[q]
 }
 
-// S applies the phase gate S to qubit q.
+// S applies the phase gate S to qubit q: S†X_qS = -iX_qZ_q.
 func (t *Tableau) S(q int) {
 	t.checkQubit(q)
-	w, b := q>>6, uint(q)&63
-	mask := uint64(1) << b
-	for i := 0; i < 2*t.n; i++ {
-		xi := t.x[i][w] & mask
-		zi := t.z[i][w] & mask
-		if xi != 0 && zi != 0 {
-			t.r[i] ^= 1
-		}
-		t.z[i][w] ^= xi
-	}
+	t.mulRow(q, t.n+q, 3)
 }
 
-// SDagger applies the inverse phase gate. S† = S·Z up to global phase, and on
-// the tableau S† = S applied three times; we implement it directly: S†: X→-Y,
-// which equals applying Z then S.
+// SDagger applies the inverse phase gate: SX_qS† = iX_qZ_q.
 func (t *Tableau) SDagger(q int) {
-	t.Z(q)
-	t.S(q)
+	t.checkQubit(q)
+	t.mulRow(q, t.n+q, 1)
 }
 
-// X applies Pauli-X to qubit q (bit flip). Stabilizer rows anticommuting with
-// X_q (those with a Z component on q) flip sign.
+// X applies Pauli-X to qubit q (bit flip): XZ_qX = -Z_q.
 func (t *Tableau) X(q int) {
 	t.checkQubit(q)
-	w := q >> 6
-	mask := uint64(1) << (uint(q) & 63)
-	for i := 0; i < 2*t.n; i++ {
-		if t.z[i][w]&mask != 0 {
-			t.r[i] ^= 1
-		}
-	}
+	t.r[t.n+q] ^= 1
 }
 
-// Z applies Pauli-Z to qubit q (phase flip).
+// Z applies Pauli-Z to qubit q (phase flip): ZX_qZ = -X_q.
 func (t *Tableau) Z(q int) {
 	t.checkQubit(q)
-	w := q >> 6
-	mask := uint64(1) << (uint(q) & 63)
-	for i := 0; i < 2*t.n; i++ {
-		if t.x[i][w]&mask != 0 {
-			t.r[i] ^= 1
-		}
-	}
+	t.r[q] ^= 1
 }
 
-// Y applies Pauli-Y to qubit q.
+// Y applies Pauli-Y to qubit q, which negates both X_q and Z_q.
 func (t *Tableau) Y(q int) {
 	t.checkQubit(q)
-	w := q >> 6
-	mask := uint64(1) << (uint(q) & 63)
-	for i := 0; i < 2*t.n; i++ {
-		// Y anticommutes with both pure-X and pure-Z rows.
-		if (t.x[i][w]&mask != 0) != (t.z[i][w]&mask != 0) {
-			t.r[i] ^= 1
-		}
-	}
+	t.r[q] ^= 1
+	t.r[t.n+q] ^= 1
 }
 
-// CNOT applies a controlled-NOT with control c and target tq.
+// CNOT applies a controlled-NOT with control c and target tq. It maps X_c to
+// X_cX_tq and Z_tq to Z_cZ_tq and leaves X_tq and Z_c alone.
 func (t *Tableau) CNOT(c, tq int) {
 	t.checkQubit(c)
 	t.checkQubit(tq)
 	if c == tq {
 		panic("clifford: CNOT control equals target")
 	}
-	cw, cb := c>>6, uint(c)&63
-	tw, tb := tq>>6, uint(tq)&63
-	for i := 0; i < 2*t.n; i++ {
-		xc := t.x[i][cw] >> cb & 1
-		zc := t.z[i][cw] >> cb & 1
-		xt := t.x[i][tw] >> tb & 1
-		zt := t.z[i][tw] >> tb & 1
-		// r ^= xc*zt*(xt ^ zc ^ 1)
-		if xc&zt == 1 && xt^zc^1 == 1 {
-			t.r[i] ^= 1
-		}
-		// xt ^= xc ; zc ^= zt
-		t.x[i][tw] ^= xc << tb
-		t.z[i][cw] ^= zt << cb
-	}
+	t.mulRow(c, tq, 0)
+	t.mulRow(t.n+tq, t.n+c, 0)
 }
 
-// CZ applies a controlled-Z between qubits a and b (H on b, CNOT a→b, H on b).
+// CZ applies a controlled-Z between qubits a and b. It maps X_a to X_aZ_b and
+// X_b to Z_aX_b and leaves both Z images alone.
 func (t *Tableau) CZ(a, b int) {
-	t.H(b)
-	t.CNOT(a, b)
-	t.H(b)
-}
-
-// rowsum multiplies row h by row i (h ← i·h), tracking the sign via the
-// standard CHP phase function g.
-func (t *Tableau) rowsum(h, i int) {
-	// Sum of g over all qubits, computed word-wise. g counts the exponent of
-	// i in the product of two Pauli operators; we only need the result mod 4
-	// where the row phases contribute 2*r.
-	var sum int
-	for w := 0; w < t.words; w++ {
-		x1, z1 := t.x[i][w], t.z[i][w]
-		x2, z2 := t.x[h][w], t.z[h][w]
-		// g per bit:
-		//  (x1,z1)=(0,0): 0
-		//  (1,1): z2 - x2
-		//  (1,0): z2*(2*x2-1)
-		//  (0,1): x2*(1-2*z2)
-		// We count +1 and -1 contributions separately.
-		// case (1,1): +1 when z2=1,x2=0 ; -1 when x2=1,z2=0
-		c11p := x1 & z1 & z2 &^ x2
-		c11m := x1 & z1 & x2 &^ z2
-		// case (1,0): +1 when x2=1,z2=1 ; -1 when z2=1,x2=0... wait:
-		// z2*(2*x2-1): z2=1,x2=1 => +1 ; z2=1,x2=0 => -1 ; z2=0 => 0
-		c10p := x1 &^ z1 & z2 & x2
-		c10m := x1 &^ z1 & z2 &^ x2
-		// case (0,1): x2*(1-2*z2): x2=1,z2=0 => +1 ; x2=1,z2=1 => -1
-		c01p := z1 &^ x1 & x2 &^ z2
-		c01m := z1 &^ x1 & x2 & z2
-		sum += bits.OnesCount64(c11p) + bits.OnesCount64(c10p) + bits.OnesCount64(c01p)
-		sum -= bits.OnesCount64(c11m) + bits.OnesCount64(c10m) + bits.OnesCount64(c01m)
+	t.checkQubit(a)
+	t.checkQubit(b)
+	if a == b {
+		panic("clifford: CZ on a single qubit")
 	}
-	tot := sum + 2*int(t.r[h]) + 2*int(t.r[i])
-	// tot mod 4 is always 0 or 2 for valid stabilizer products.
-	if m := ((tot % 4) + 4) % 4; m == 2 {
-		t.r[h] = 1
-	} else {
-		t.r[h] = 0
-	}
-	for w := 0; w < t.words; w++ {
-		t.x[h][w] ^= t.x[i][w]
-		t.z[h][w] ^= t.z[i][w]
-	}
+	t.mulRow(a, t.n+b, 0)
+	t.mulRow(b, t.n+a, 0)
 }
 
 // MeasureZ measures qubit q in the computational basis and returns the
 // outcome bit. Random outcomes consume one bit from the tableau's rng.
+//
+// The outcome is determined exactly when the image of Z_q has no X
+// component: it is then ±Z-only, which fixes |0...0>, and its sign is the
+// outcome. Otherwise the state collapses. With pivot p, the image's lowest X
+// position, gates that leave |0...0> alone are prepended to U: CNOTs from p
+// clear the image's other X positions and an S turns a Y at p into X. A
+// prepended H then maps the image to ±Z-only, which projects the state onto
+// an eigenstate of Z_q; a prepended X flips it to the drawn outcome.
 func (t *Tableau) MeasureZ(q int) int {
 	t.checkQubit(q)
-	w := q >> 6
-	mask := uint64(1) << (uint(q) & 63)
-	// Look for a stabilizer row with an X component on q: outcome is random.
-	p := -1
-	for i := t.n; i < 2*t.n; i++ {
-		if t.x[i][w]&mask != 0 {
-			p = i
+	zq := t.n + q
+	qx, qz := t.row(zq)
+	pw := -1
+	for w, v := range qx {
+		if v != 0 {
+			pw = w
 			break
 		}
 	}
-	if p >= 0 {
-		// Random outcome. All other rows with x bit set get multiplied by p.
-		for i := 0; i < 2*t.n; i++ {
-			if i != p && t.x[i][w]&mask != 0 {
-				t.rowsum(i, p)
+	if pw < 0 {
+		return int(t.r[zq])
+	}
+	pm := qx[pw] & -qx[pw]
+	// The CNOT targets, kept in the scratch row while the rows change.
+	kx, _ := t.row(2 * t.n)
+	copy(kx, qx)
+	kx[pw] &^= pm
+	// Whether the image carries Y at p once the CNOTs have run.
+	y := qz[pw]&pm != 0
+	for w, k := range kx {
+		y = y != (bits.OnesCount64(qz[w]&k)&1 == 1)
+	}
+	// Prepending V conjugates every row by V: the updates below are CHP's
+	// column rules for CNOT(p,k), S† and H at p.
+	for i := 0; i < 2*t.n; i++ {
+		x, z := t.row(i)
+		xp, zp := x[pw]&pm != 0, z[pw]&pm != 0
+		s := t.r[i]
+		for w, k := range kx {
+			if !xp {
+				zp = zp != (bits.OnesCount64(z[w]&k)&1 == 1)
+				continue
+			}
+			for m := k; m != 0; m &= m - 1 {
+				km := m & -m
+				zk := z[w]&km != 0
+				if zk && (x[w]&km != 0) == zp {
+					s ^= 1
+				}
+				x[w] ^= km
+				zp = zp != zk
 			}
 		}
-		// Destabilizer p-n becomes old stabilizer p; stabilizer p becomes ±Z_q.
-		copy(t.x[p-t.n], t.x[p])
-		copy(t.z[p-t.n], t.z[p])
-		t.r[p-t.n] = t.r[p]
-		clear(t.x[p])
-		clear(t.z[p])
-		t.setZ(p, q, true)
-		out := uint8(t.rng.Intn(2))
-		t.r[p] = out
-		return int(out)
+		if y && xp {
+			if !zp {
+				s ^= 1
+			}
+			zp = !zp
+		}
+		if xp && zp {
+			s ^= 1
+		}
+		x[pw] &^= pm
+		z[pw] &^= pm
+		if zp {
+			x[pw] |= pm
+		}
+		if xp {
+			z[pw] |= pm
+		}
+		t.r[i] = s
 	}
-	// Deterministic outcome: accumulate into scratch row 2n.
-	s := 2 * t.n
-	clear(t.x[s])
-	clear(t.z[s])
-	t.r[s] = 0
-	for i := 0; i < t.n; i++ {
-		if t.x[i][w]&mask != 0 { // destabilizer i anticommutes with Z_q
-			t.rowsum(s, i+t.n)
+	out := uint8(t.rng.Intn(2))
+	if t.r[zq] != out {
+		for i := 0; i < 2*t.n; i++ {
+			if t.z[i*t.words+pw]&pm != 0 {
+				t.r[i] ^= 1
+			}
 		}
 	}
-	return int(t.r[s])
+	return int(out)
 }
 
 // MeasureX measures qubit q in the X basis (H, MeasureZ, H).
@@ -329,8 +304,7 @@ func (t *Tableau) Prep1(q int) {
 
 // PrepPlus projects qubit q to |+>.
 func (t *Tableau) PrepPlus(q int) {
-	Prep := t.MeasureX(q)
-	if Prep == 1 {
+	if t.MeasureX(q) == 1 {
 		t.Z(q)
 	}
 }
@@ -339,26 +313,13 @@ func (t *Tableau) PrepPlus(q int) {
 // 0 if the outcome would be random. It does not disturb the state.
 func (t *Tableau) ExpectationZ(q int) int {
 	t.checkQubit(q)
-	w := q >> 6
-	mask := uint64(1) << (uint(q) & 63)
-	for i := t.n; i < 2*t.n; i++ {
-		if t.x[i][w]&mask != 0 {
+	x, _ := t.row(t.n + q)
+	for _, v := range x {
+		if v != 0 {
 			return 0
 		}
 	}
-	s := 2 * t.n
-	clear(t.x[s])
-	clear(t.z[s])
-	t.r[s] = 0
-	for i := 0; i < t.n; i++ {
-		if t.x[i][w]&mask != 0 {
-			t.rowsum(s, i+t.n)
-		}
-	}
-	if t.r[s] == 1 {
-		return -1
-	}
-	return +1
+	return 1 - 2*int(t.r[t.n+q])
 }
 
 // Pauli is a single-qubit Pauli error used for noise injection.
@@ -402,78 +363,59 @@ func (t *Tableau) ApplyPauli(q int, p Pauli) {
 	}
 }
 
-// StabilizerSign returns the sign bit of stabilizer generator i (0 => +1).
-func (t *Tableau) StabilizerSign(i int) uint8 {
-	if i < 0 || i >= t.n {
-		panic(fmt.Sprintf("clifford: stabilizer index %d out of range", i))
-	}
-	return t.r[i+t.n]
-}
-
 // MeasureObservable measures the expectation of a multi-qubit Pauli product
 // without disturbing the state, returning +1/-1 if deterministic, 0 if
 // random. xs and zs list qubits carrying X and Z factors respectively (a
-// qubit in both lists carries Y up to phase). It is used by tests to check
-// logical operators of encoded states.
+// qubit in both lists carries Y). It is used by tests to check logical
+// operators of encoded states.
+//
+// The observable's image is the product of its factors' images, built in the
+// scratch row; like MeasureZ it is deterministic exactly when the image has
+// no X component, and its phase is then the eigenvalue.
 func (t *Tableau) MeasureObservable(xs, zs []int) int {
-	// Build the observable as bit vectors.
-	ox := make([]uint64, t.words)
-	oz := make([]uint64, t.words)
+	s := 2 * t.n
+	sx, sz := t.row(s)
+	ox, oz := t.row(s + 1)
+	clear(sx)
+	clear(sz)
+	clear(ox)
+	clear(oz)
 	for _, q := range xs {
 		t.checkQubit(q)
-		ox[q>>6] |= 1 << (uint(q) & 63)
+		ox[q>>6] |= bit(q)
 	}
 	for _, q := range zs {
 		t.checkQubit(q)
-		oz[q>>6] |= 1 << (uint(q) & 63)
+		oz[q>>6] |= bit(q)
 	}
-	// The observable is deterministic iff it commutes with every stabilizer.
-	// Symplectic product: x1·z2 + z1·x2 mod 2.
-	anticommutes := func(row int) bool {
-		c := 0
-		for w := 0; w < t.words; w++ {
-			c += bits.OnesCount64(t.x[row][w]&oz[w]) + bits.OnesCount64(t.z[row][w]&ox[w])
+	e := 0 // power of i in front of the image
+	for w := range ox {
+		for m := ox[w] | oz[w]; m != 0; m &= m - 1 {
+			q, b := w<<6|bits.TrailingZeros64(m), m&-m
+			if ox[w]&b != 0 {
+				e += t.mul(s, q)
+			}
+			if oz[w]&b != 0 {
+				e += t.mul(s, t.n+q)
+				if ox[w]&b != 0 {
+					e++ // Y = iXZ
+				}
+			}
 		}
-		return c%2 == 1
 	}
-	for i := t.n; i < 2*t.n; i++ {
-		if anticommutes(i) {
+	for _, v := range sx {
+		if v != 0 {
 			return 0
 		}
 	}
-	// Deterministic: express the observable as a product of stabilizers using
-	// the destabilizer pairing, accumulating in the scratch row.
-	s := 2 * t.n
-	clear(t.x[s])
-	clear(t.z[s])
-	t.r[s] = 0
-	for i := 0; i < t.n; i++ {
-		if anticommutes(i) { // destabilizer i pairs with stabilizer i
-			t.rowsum(s, i+t.n)
-		}
-	}
-	// The scratch row should now equal the observable up to sign.
-	for w := 0; w < t.words; w++ {
-		if t.x[s][w] != ox[w] || t.z[s][w] != oz[w] {
-			return 0 // observable not in the stabilizer group
-		}
-	}
-	if t.r[s] == 1 {
-		return -1
-	}
-	return +1
+	return 1 - e&2
 }
 
 // Clone returns an independent deep copy sharing the rng source.
 func (t *Tableau) Clone() *Tableau {
-	c := &Tableau{n: t.n, words: t.words, rng: t.rng}
-	c.x = make([][]uint64, len(t.x))
-	c.z = make([][]uint64, len(t.z))
-	c.r = make([]uint8, len(t.r))
-	copy(c.r, t.r)
-	for i := range t.x {
-		c.x[i] = append([]uint64(nil), t.x[i]...)
-		c.z[i] = append([]uint64(nil), t.z[i]...)
-	}
-	return c
+	c := *t
+	c.x = append([]uint64(nil), t.x...)
+	c.z = append([]uint64(nil), t.z...)
+	c.r = append([]uint8(nil), t.r...)
+	return &c
 }

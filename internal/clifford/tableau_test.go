@@ -349,28 +349,9 @@ func TestPanicsOnBadInput(t *testing.T) {
 	expectPanic("qubit out of range", func() { tb.H(5) })
 	expectPanic("negative qubit", func() { tb.MeasureZ(-1) })
 	expectPanic("cnot self", func() { tb.CNOT(1, 1) })
+	expectPanic("cz self", func() { tb.CZ(1, 1) })
 	expectPanic("zero qubits", func() { New(0, nil) })
 	expectPanic("bad pauli", func() { tb.ApplyPauli(0, Pauli(9)) })
-}
-
-func TestStabilizerSignTracksErrors(t *testing.T) {
-	tb := newT(2, 1)
-	if tb.StabilizerSign(0) != 0 {
-		t.Error("fresh stabilizer sign nonzero")
-	}
-	tb.X(0)
-	if tb.StabilizerSign(0) != 1 {
-		t.Error("X error did not flip Z0 stabilizer sign")
-	}
-	expectPanic := func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("StabilizerSign out of range: no panic")
-			}
-		}()
-		tb.StabilizerSign(5)
-	}
-	expectPanic()
 }
 
 // TestRepetitionCodeSyndrome encodes one logical bit across three qubits and

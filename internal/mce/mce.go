@@ -159,6 +159,14 @@ type MCE struct {
 	replayQ   []isa.LogicalInstr
 	braids    []*braid
 	busyPatch map[int]bool
+	// usedPatch marks the patches an instruction claimed or blocked in the
+	// cycle being issued. Target and Arg are bytes, so it covers every
+	// patch number a queued instruction can name, in the tile or not.
+	usedPatch [256]bool
+	// farQueued counts queued instructions that name a patch outside the
+	// tile (mask opcodes and cache bodies are not range-checked). While it
+	// is zero, a cycle whose every patch is used can stop its issue scan.
+	farQueued int
 
 	magicStates int
 
@@ -295,6 +303,7 @@ func (m *MCE) Reset(seed int64, reg *metrics.Registry, tr *tracing.Tracer, heat 
 	m.buffer = m.buffer[:0]
 	clear(m.cache)
 	m.replayQ = m.replayQ[:0]
+	m.farQueued = 0
 	m.braids = m.braids[:0]
 	clear(m.busyPatch)
 	m.magicStates = 0
@@ -364,6 +373,11 @@ func (m *MCE) Enqueue(in isa.LogicalInstr) error {
 		for r := 0; r < reps; r++ {
 			m.replayQ = append(m.replayQ, body...)
 		}
+		for _, b := range body {
+			if m.far(b) {
+				m.farQueued += reps
+			}
+		}
 		m.cacheHits += uint64(reps)
 		m.in.cacheHits.Add(uint64(reps))
 		if m.bw != nil {
@@ -393,6 +407,9 @@ func (m *MCE) Enqueue(in isa.LogicalInstr) error {
 		return fmt.Errorf("mce: instruction buffer full (%d)", m.cfg.BufferCapacity)
 	}
 	m.buffer = append(m.buffer, in)
+	if m.far(in) {
+		m.farQueued++
+	}
 	m.in.logicalEnqueued.Inc()
 	m.in.bufferOccupancy.Set(float64(len(m.buffer)))
 	return nil
@@ -460,6 +477,15 @@ func (m *MCE) StepCycle() CycleReport {
 	start := time.Now() //quest:allow(seedsrc) wall-clock latency metric only; the value never reaches simulation state
 	stallBefore := m.stalledT
 	rep := CycleReport{Cycle: m.cycle}
+	m.beginCycle(&rep)
+	m.runCycle(&rep, m.issueLogical(&rep), stallBefore)
+	m.in.cycleNs.Observe(float64(time.Since(start)))
+	return rep
+}
+
+// beginCycle opens a cycle: it stamps the noise location, clears the
+// per-cycle measurement maps and advances in-flight braids (step 1).
+func (m *MCE) beginCycle(rep *CycleReport) {
 	if m.inj != nil {
 		m.inj.SetLocation(m.cycle, 0)
 	}
@@ -470,11 +496,13 @@ func (m *MCE) StepCycle() CycleReport {
 	clear(m.pendingData)
 
 	// 1. Advance in-flight braids by one mask step each.
-	m.stepBraids(&rep)
+	m.stepBraids(rep)
+}
 
-	// 2. Issue new logical instructions to free patches.
-	overlay := m.issueLogical(&rep)
-
+// runCycle completes a cycle whose logical instructions were issued (step
+// 2) into overlay: it replays the microcode, completes measurements, decodes
+// and accounts the cycle.
+func (m *MCE) runCycle(rep *CycleReport, overlay []isa.MicroOp, stallBefore uint64) {
 	// 3. Replay the QECC microcode under the current mask; the first
 	// sub-cycle carries the logical overlay in the slots the mask freed.
 	words := m.store.ReplayCycle(m.mask)
@@ -493,7 +521,7 @@ func (m *MCE) StepCycle() CycleReport {
 
 	// 4. Complete transverse measurements: majority over the patch's
 	// logical-Z (or X) support with frame parity applied.
-	m.completeMeasurements(&rep)
+	m.completeMeasurements(rep)
 
 	// 5. Difference syndromes into defects and decode locally; residuals
 	// escalate to the master controller.
@@ -536,8 +564,6 @@ func (m *MCE) StepCycle() CycleReport {
 	m.in.defectsLocal.Add(uint64(rep.DefectsLocal))
 	m.in.defectsEscalated.Add(uint64(len(residual)))
 	m.in.bufferOccupancy.Set(float64(len(m.buffer)))
-	m.in.cycleNs.Observe(float64(time.Since(start)))
-	return rep
 }
 
 func (m *MCE) stepBraids(rep *CycleReport) {
@@ -569,46 +595,68 @@ func (m *MCE) stepBraids(rep *CycleReport) {
 
 // issueLogical pops ready instructions (replay queue first — cached loops
 // have priority so factory pipelines never starve) and returns the physical
-// overlay for this cycle's first sub-cycle.
+// overlay for this cycle's first sub-cycle. Its cost is the scanned prefix of
+// the queues, not their depth: the scan stops once issueWidth instructions
+// started, or once every patch is used and no queued instruction names a
+// patch outside the tile, since nothing further can issue or move.
 func (m *MCE) issueLogical(rep *CycleReport) []isa.MicroOp {
 	var overlay []isa.MicroOp
-	issued := 0
-	usedPatch := map[int]bool{}
-	take := func(queue *[]isa.LogicalInstr) {
-		var rest []isa.LogicalInstr
-		for _, in := range *queue {
-			if issued >= issueWidth {
-				rest = append(rest, in)
-				continue
+	issued, used, np := 0, 0, m.cfg.Layout.NumPatches()
+	clear(m.usedPatch[:])
+	use := func(p int) {
+		if !m.usedPatch[p] {
+			m.usedPatch[p] = true
+			if p < np {
+				used++
 			}
+		}
+	}
+	take := func(queue *[]isa.LogicalInstr) {
+		q := *queue
+		kept, i := 0, 0
+		for ; i < len(q) && issued < issueWidth && (used < np || m.farQueued > 0); i++ {
+			in := q[i]
 			// One instruction per patch per cycle; later instructions for a
 			// used patch also wait, preserving program order per patch.
 			p1, p2 := int(in.Target), -1
 			if in.Op == isa.LCNOT {
 				p2 = int(in.Arg)
 			}
-			if usedPatch[p1] || (p2 >= 0 && usedPatch[p2]) {
-				rest = append(rest, in)
+			if m.usedPatch[p1] || (p2 >= 0 && m.usedPatch[p2]) {
+				q[kept] = in
+				kept++
 				continue
 			}
 			ok, ops := m.tryIssue(in, rep)
+			use(p1) // on failure too: nothing later may jump it
 			if !ok {
-				rest = append(rest, in)
-				usedPatch[p1] = true // preserve order: nothing later may jump it
+				q[kept] = in
+				kept++
 				continue
 			}
-			usedPatch[p1] = true
 			if p2 >= 0 {
-				usedPatch[p2] = true
+				use(p2)
+			}
+			if m.far(in) {
+				m.farQueued--
 			}
 			overlay = append(overlay, ops...)
 			issued++
 		}
-		*queue = rest
+		// The scanned prefix q[:i] kept its waiting entries in q[:kept]; move
+		// them up against the unscanned tail, in order, and drop the rest.
+		copy(q[i-kept:i], q[:kept])
+		*queue = q[i-kept:]
 	}
 	take(&m.replayQ)
 	take(&m.buffer)
 	return overlay
+}
+
+// far reports whether in names a patch outside the tile.
+func (m *MCE) far(in isa.LogicalInstr) bool {
+	np := m.cfg.Layout.NumPatches()
+	return int(in.Target) >= np || (in.Op == isa.LCNOT && int(in.Arg) >= np)
 }
 
 // tryIssue attempts to start one logical instruction this cycle.

@@ -1,6 +1,6 @@
 // Command benchdiff compares two benchsuite JSON reports (see
 // internal/benchsuite) and fails when a benchmark regressed beyond the
-// allowed ratio. CI runs it with the committed baseline (BENCH_PR6.json)
+// allowed ratio. CI runs it with the committed baseline (BENCH_PR13.json)
 // against a fresh report from `questbench -bench-json`, turning decoder and
 // machine-loop slowdowns into failing checks.
 //
