@@ -7,10 +7,10 @@
 #   make trace-smoke  run a tiny traced sim and validate the Perfetto JSON
 #   make ledger-smoke run a small ledgered+heatmapped sweep and validate the
 #                     JSONL with ledgercheck
-#   make shard-smoke  prove process-count independence: a 2-process sharded
-#                     sweep merged with ledgermerge and a run resumed from a
-#                     truncated ledger must both be byte-identical (cmp) to
-#                     the 1-process run
+#   make shard-smoke  prove process-count independence: 2-process sharded
+#                     threshold and memory sweeps merged with ledgermerge,
+#                     and runs resumed from truncated ledgers, must all be
+#                     byte-identical (cmp) to the 1-process runs
 #   make events-smoke run a 2-shard sweep streaming live quest-events/1
 #                     telemetry, validate both streams with questtop -check,
 #                     render the fleet view, and prove events are a pure
@@ -103,15 +103,17 @@ ledger-smoke:
 	$(GO) run ./tools/ledgercheck -min-cells 6 -min-trials 60 /tmp/quest_ledger_smoke.jsonl
 
 # Prove process-count independence end to end — the same checks CI's
-# shard-smoke job runs. A 2-process sharded threshold sweep (deliberately
-# run with different -workers per shard) is merged by tools/ledgermerge and
-# cmp(1)'d byte-for-byte against the 1-process ledger; then the 1-process
-# ledger is truncated mid-cell with a torn final line (what a crash leaves)
-# and a -resume run must reconverge to the same bytes. The cut keeps the
-# header, cell 0 (100 trials + summary) and 70 trials of cell 1, so the
-# resumed cell's first lane starts past a 64-trial lane boundary. All
-# artifacts match the ledger-shard-*.jsonl pattern covered by .gitignore and
-# `make clean`.
+# shard-smoke job runs, once per runner. A 2-process sharded sweep
+# (deliberately run with different -workers per shard) is merged by
+# tools/ledgermerge and cmp(1)'d byte-for-byte against the 1-process ledger;
+# then the 1-process ledger is truncated mid-cell with a torn final line
+# (what a crash leaves) and a -resume run must reconverge to the same bytes.
+# The threshold sweep runs on mc.RunBatch: its cut keeps the header, cell 0
+# (100 trials + summary) and 70 trials of cell 1, so the resumed cell's
+# first lane starts past a 64-trial lane boundary. The memory sweep runs on
+# mc.Run, one trial per claim: its cut keeps the header, cell 0 (30 trials +
+# summary) and 12 trials of cell 1. All artifacts match the
+# ledger-shard-*.jsonl pattern covered by .gitignore and `make clean`.
 shard-smoke:
 	$(GO) run ./cmd/questbench -trials 100 -workers 4 -ledger ledger-shard-full.jsonl threshold
 	$(GO) run ./cmd/questbench -trials 100 -workers 2 -shard 0/2 -ledger ledger-shard-0.jsonl threshold
@@ -125,6 +127,18 @@ shard-smoke:
 		-ledger ledger-shard-resumed.jsonl threshold
 	cmp ledger-shard-resumed.jsonl ledger-shard-full.jsonl
 	$(GO) run ./tools/ledgercheck -min-cells 6 -min-trials 600 ledger-shard-resumed.jsonl
+	$(GO) run ./cmd/questbench -trials 30 -workers 4 -ledger ledger-shard-mem-full.jsonl memory
+	$(GO) run ./cmd/questbench -trials 30 -workers 2 -shard 0/2 -ledger ledger-shard-mem-0.jsonl memory
+	$(GO) run ./cmd/questbench -trials 30 -workers 3 -shard 1/2 -ledger ledger-shard-mem-1.jsonl memory
+	$(GO) run ./tools/ledgermerge -o ledger-shard-mem-merged.jsonl ledger-shard-mem-0.jsonl ledger-shard-mem-1.jsonl
+	cmp ledger-shard-mem-merged.jsonl ledger-shard-mem-full.jsonl
+	$(GO) run ./tools/ledgercheck -min-cells 3 -min-trials 90 ledger-shard-mem-merged.jsonl
+	head -n 44 ledger-shard-mem-full.jsonl > ledger-shard-mem-crash.jsonl
+	printf '{"record":"trial","cell":"mem' >> ledger-shard-mem-crash.jsonl
+	$(GO) run ./cmd/questbench -trials 30 -workers 3 -resume ledger-shard-mem-crash.jsonl \
+		-ledger ledger-shard-mem-resumed.jsonl memory
+	cmp ledger-shard-mem-resumed.jsonl ledger-shard-mem-full.jsonl
+	$(GO) run ./tools/ledgercheck -min-cells 3 -min-trials 90 ledger-shard-mem-resumed.jsonl
 
 # Live-telemetry smoke — the same checks CI's events-smoke job runs. A
 # 2-shard ledgered sweep streams quest-events/1 snapshots; questtop -check

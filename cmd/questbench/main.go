@@ -374,7 +374,7 @@ func shardReg() *metrics.Registry {
 }
 
 func threshold() {
-	trows, err := core.ThresholdObserved(shardReg(), obs.Tracer(),
+	trows, err := core.Threshold(shardReg(), obs.Tracer(),
 		[]float64{2e-3, 1e-3, 5e-4}, []int{3, 5}, trialsOr(200), *flagWorkers, sweep)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "threshold experiment failed:", err)
@@ -395,7 +395,7 @@ func threshold() {
 func memory() {
 	var rows [][]string
 	for _, p := range []float64{0, 1e-4, 5e-4} {
-		r, ran, err := core.MachineMemoryObserved(shardReg(), obs.Tracer(), p, 8, trialsOr(40), *flagWorkers, sweep)
+		r, ran, err := core.MachineMemory(shardReg(), obs.Tracer(), p, 8, trialsOr(40), *flagWorkers, sweep)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "memory experiment failed:", err)
 			obs.Finish()

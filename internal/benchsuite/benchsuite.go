@@ -173,7 +173,7 @@ func Cases(reg *metrics.Registry) []Case {
 			// engine, the only threshold engine.
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				core.ThresholdObserved(reg, nil, []float64{1e-3}, []int{3}, 4, 1, core.SweepObs{})
+				core.Threshold(reg, nil, []float64{1e-3}, []int{3}, 4, 1, core.SweepObs{})
 			}
 		}},
 		{"threshold-cell-d5-batched", func(b *testing.B) {
@@ -181,7 +181,7 @@ func Cases(reg *metrics.Registry) []Case {
 			// made too slow to track per-push.
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				core.ThresholdObserved(reg, nil, []float64{1e-3}, []int{5}, 4, 1, core.SweepObs{})
+				core.Threshold(reg, nil, []float64{1e-3}, []int{5}, 4, 1, core.SweepObs{})
 			}
 		}},
 		{"events-off-observe", func(b *testing.B) {

@@ -25,7 +25,7 @@ func thresholdSweep(t *testing.T, batched bool, workers, trials int, ciWidth flo
 	var rows []ThresholdRow
 	var serr error
 	if batched {
-		rows, serr = ThresholdObserved(nil, nil, rates, distances, trials, workers, obs)
+		rows, serr = Threshold(nil, nil, rates, distances, trials, workers, obs)
 	} else {
 		rows, serr = thresholdScalar(nil, nil, rates, distances, trials, workers, obs)
 	}
@@ -99,7 +99,7 @@ func TestThresholdRoundsTrackDistance(t *testing.T) {
 		for _, batched := range []bool{false, true} {
 			reg := metrics.New()
 			if batched {
-				_, _ = ThresholdObserved(reg, nil, []float64{2e-3}, []int{d}, 1, 1, SweepObs{})
+				_, _ = Threshold(reg, nil, []float64{2e-3}, []int{d}, 1, 1, SweepObs{})
 			} else {
 				_, _ = thresholdScalar(reg, nil, []float64{2e-3}, []int{d}, 1, 1, SweepObs{})
 			}

@@ -368,7 +368,7 @@ func TestMachineWithNoCAndUnionFindWindow(t *testing.T) {
 }
 
 func TestThresholdExperiment(t *testing.T) {
-	rows := Threshold([]float64{1e-3}, []int{3, 5}, 120, 0)
+	rows, _ := Threshold(nil, nil, []float64{1e-3}, []int{3, 5}, 120, 0, SweepObs{})
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -386,7 +386,7 @@ func TestThresholdExperiment(t *testing.T) {
 
 func TestMachineMemoryExperiment(t *testing.T) {
 	// Noiseless: zero failures, ever.
-	clean, err := MachineMemory(0, 6, 10, 0)
+	clean, _, err := MachineMemory(nil, nil, 0, 6, 10, 0, SweepObs{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +394,7 @@ func TestMachineMemoryExperiment(t *testing.T) {
 		t.Fatalf("noiseless memory failed %d/10 trials", clean.Failures)
 	}
 	// Low noise through the full machine decode path: failures stay rare.
-	noisy, err := MachineMemory(2e-4, 6, 50, 0)
+	noisy, _, err := MachineMemory(nil, nil, 2e-4, 6, 50, 0, SweepObs{})
 	if err != nil {
 		t.Fatal(err)
 	}

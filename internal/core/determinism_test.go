@@ -13,8 +13,8 @@ import (
 func TestThresholdWorkerCountInvariant(t *testing.T) {
 	rates := []float64{2e-3, 1e-3}
 	distances := []int{3}
-	serial := Threshold(rates, distances, 60, 1)
-	parallel := Threshold(rates, distances, 60, 8)
+	serial, _ := Threshold(nil, nil, rates, distances, 60, 1, SweepObs{})
+	parallel, _ := Threshold(nil, nil, rates, distances, 60, 8, SweepObs{})
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Errorf("threshold rows differ across worker counts:\n workers=1: %+v\n workers=8: %+v",
 			serial, parallel)
@@ -24,11 +24,11 @@ func TestThresholdWorkerCountInvariant(t *testing.T) {
 // TestMachineMemoryWorkerCountInvariant: same guarantee through the whole
 // machine — master dispatch, MCE replay, local + windowed global decode.
 func TestMachineMemoryWorkerCountInvariant(t *testing.T) {
-	serial, err := MachineMemory(5e-4, 4, 20, 1)
+	serial, _, err := MachineMemory(nil, nil, 5e-4, 4, 20, 1, SweepObs{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := MachineMemory(5e-4, 4, 20, 8)
+	parallel, _, err := MachineMemory(nil, nil, 5e-4, 4, 20, 8, SweepObs{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestMachineMemoryWorkerCountInvariant(t *testing.T) {
 // with per-cell mixing the failure *sets* should differ whenever failures
 // occur at all.
 func TestThresholdCellsDecorrelated(t *testing.T) {
-	rows := Threshold([]float64{5e-3, 4e-3}, []int{3}, 80, 0)
+	rows, _ := Threshold(nil, nil, []float64{5e-3, 4e-3}, []int{3}, 80, 0, SweepObs{})
 	if rows[0].FailRate == 0 || rows[1].FailRate == 0 {
 		t.Skip("no failures at these rates; cannot compare patterns")
 	}
@@ -73,14 +73,14 @@ func TestThresholdCellsDecorrelated(t *testing.T) {
 func TestMetricsObservationDoesNotPerturbResults(t *testing.T) {
 	rates := []float64{2e-3}
 	distances := []int{3}
-	off, _ := ThresholdObserved(nil, nil, rates, distances, 60, 2, SweepObs{})
+	off, _ := Threshold(nil, nil, rates, distances, 60, 2, SweepObs{})
 	reg := metrics.New()
-	on, _ := ThresholdObserved(reg, nil, rates, distances, 60, 2, SweepObs{})
+	on, _ := Threshold(reg, nil, rates, distances, 60, 2, SweepObs{})
 	if !reflect.DeepEqual(off, on) {
 		t.Errorf("threshold rows differ with metrics on:\n off: %+v\n on:  %+v", off, on)
 	}
 	reg2 := metrics.New()
-	onPar, _ := ThresholdObserved(reg2, nil, rates, distances, 60, 8, SweepObs{})
+	onPar, _ := Threshold(reg2, nil, rates, distances, 60, 8, SweepObs{})
 	if !reflect.DeepEqual(off, onPar) {
 		t.Errorf("threshold rows differ with metrics on at workers=8:\n off: %+v\n on:  %+v", off, onPar)
 	}
@@ -104,12 +104,12 @@ func TestMetricsObservationDoesNotPerturbResults(t *testing.T) {
 // TestMachineMemoryMetricsInvariant: the same feedback-free contract through
 // the full machine path, where every trial machine records into a shard.
 func TestMachineMemoryMetricsInvariant(t *testing.T) {
-	off, err := MachineMemoryIn(nil, 5e-4, 4, 12, 2)
+	off, _, err := MachineMemory(nil, nil, 5e-4, 4, 12, 2, SweepObs{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := metrics.New()
-	on, err := MachineMemoryIn(reg, 5e-4, 4, 12, 3)
+	on, _, err := MachineMemory(reg, nil, 5e-4, 4, 12, 3, SweepObs{})
 	if err != nil {
 		t.Fatal(err)
 	}

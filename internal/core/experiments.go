@@ -10,7 +10,6 @@ import (
 	"quest/internal/distill"
 	"quest/internal/dram"
 	"quest/internal/jj"
-	"quest/internal/metrics"
 	"quest/internal/microcode"
 	"quest/internal/noise"
 	"quest/internal/surface"
@@ -451,18 +450,6 @@ type ThresholdRow struct {
 	Trials             int
 }
 
-// Threshold sweeps physical error rates and code distances through the full
-// decode path: noisy syndrome extraction, d-round space-time windowed
-// matching, Pauli-frame verification against ground truth. Trials fan out
-// over `workers` goroutines (<=0 means GOMAXPROCS); rows are bit-identical
-// for any worker count because every trial is seeded from
-// (ExperimentSeed, p, d, trial) alone.
-func Threshold(rates []float64, distances []int, trials, workers int) []ThresholdRow {
-	// An empty SweepObs never shards or resumes, so no error is possible.
-	rows, _ := ThresholdObserved(nil, nil, rates, distances, trials, workers, SweepObs{})
-	return rows
-}
-
 // MemoryRow is one operating point of the machine-level logical memory
 // experiment: unlike Threshold (which drives the decoder directly), this one
 // goes through the whole machine — master dispatch, MCE issue, microcode
@@ -478,25 +465,6 @@ type MemoryRow struct {
 
 // FailRate returns the measured logical failure fraction.
 func (r MemoryRow) FailRate() float64 { return float64(r.Failures) / float64(r.Trials) }
-
-// MachineMemory runs the end-to-end memory experiment, fanning trials over
-// `workers` goroutines (<=0 means GOMAXPROCS). Each trial builds its own
-// machine seeded from (ExperimentSeed, physRate, rounds, trial), so the row
-// is bit-identical for any worker count and uncorrelated with the
-// Threshold sweep's fault patterns.
-func MachineMemory(physRate float64, rounds, trials, workers int) (MemoryRow, error) {
-	return MachineMemoryIn(nil, physRate, rounds, trials, workers)
-}
-
-// MachineMemoryIn is MachineMemory with every trial machine recording into a
-// per-worker metrics shard, all merged into reg after the pool drains (nil reg
-// skips instrumentation). The row is bit-identical with and without a
-// registry.
-func MachineMemoryIn(reg *metrics.Registry, physRate float64, rounds, trials, workers int) (MemoryRow, error) {
-	// An empty SweepObs never shards or resumes: the cell always runs.
-	row, _, err := MachineMemoryObserved(reg, nil, physRate, rounds, trials, workers, SweepObs{})
-	return row, err
-}
 
 // SyndromeRow compares upstream decode traffic against downstream
 // instruction traffic on the running machine — the two classes sharing the

@@ -13,7 +13,7 @@ import (
 )
 
 // memoryTrialFor drives one machine through the memory-experiment trial
-// sequence (the MachineMemoryObserved body) and returns the measured logical
+// sequence (the MachineMemory body) and returns the measured logical
 // bit.
 func memoryTrialFor(t *testing.T, m *Machine, rounds int) int {
 	t.Helper()
@@ -55,7 +55,7 @@ func memoryMachineConfig(seed int64, reg *metrics.Registry, heat *heatmap.Set, p
 }
 
 // TestMachineResetMatchesFresh pins the pooled-machine contract behind
-// MachineMemoryObserved: a machine that has already run a full trial and is
+// MachineMemory: a machine that has already run a full trial and is
 // then Reset to a new seed must be observationally identical to a machine
 // freshly built with that seed — same logical outcome, same deterministic
 // instruments (counters, gauges, histogram observation counts; sums are wall

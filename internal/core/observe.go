@@ -55,8 +55,7 @@ func (s *Shard) claim() bool {
 // SweepObs bundles the experiment-observability hooks a sweep driver wires
 // through the Monte-Carlo engine: a run ledger, spatial heat collection,
 // adaptive CI early stop, and a live progress sink. The zero value observes
-// nothing — Threshold/MachineMemory delegate here with it, so there is
-// exactly one sweep implementation.
+// nothing.
 //
 // Everything written through these hooks is worker-count independent: the
 // ledger and the CI-stop decision are pure functions of trial-ordered
@@ -250,16 +249,20 @@ func errString(err error) string {
 	return err.Error()
 }
 
-// ThresholdObserved is Threshold with trial instrumentation aggregated into
-// reg (nil skips it), tracing and the SweepObs hooks: per-cell ledger
-// records, defect/matched-chain heatmaps, optional CI early stop (rows then
-// report the effective trial count), live progress, cell sharding and
-// checkpoint resume. Cells run on the lane-batched Pauli-frame engine
-// (batch.go). Rows remain bit-identical for any worker count, with or
-// without observation; under a Shard only the owned cells produce rows (in
-// sweep order). The error reports a sharding or resume mismatch — never a
-// trial-level failure, which stays in its row as before.
-func ThresholdObserved(reg *metrics.Registry, tr *tracing.Tracer, rates []float64, distances []int,
+// Threshold sweeps physical error rates and code distances through the full
+// decode path: noisy syndrome extraction, d-round space-time windowed
+// matching, Pauli-frame verification against ground truth. Cells run on the
+// lane-batched Pauli-frame engine (batch.go) over `workers` goroutines (<=0
+// means GOMAXPROCS). Every trial is seeded from (ExperimentSeed, p, d,
+// trial) alone, so rows are bit-identical for any worker count, with or
+// without observation. Trial instrumentation is aggregated into reg and tr
+// (nil skips either); obs adds per-cell ledger records, defect/matched-chain
+// heatmaps, optional CI early stop (rows then report the effective trial
+// count), live progress, cell sharding and checkpoint resume. Under a Shard
+// only the owned cells produce rows, in sweep order. The error reports a
+// sharding or resume mismatch — never a trial-level failure, which stays in
+// its row — so a zero SweepObs never returns one.
+func Threshold(reg *metrics.Registry, tr *tracing.Tracer, rates []float64, distances []int,
 	trials, workers int, obs SweepObs) ([]ThresholdRow, error) {
 	var rows []ThresholdRow
 	for _, p := range rates {
@@ -284,12 +287,18 @@ func ThresholdObserved(reg *metrics.Registry, tr *tracing.Tracer, rates []float6
 	return rows, nil
 }
 
-// MachineMemoryObserved is MachineMemoryIn with tracing and the SweepObs
-// hooks wired through the full machine: each trial machine records defect
-// births (MCE histories) and matched chains (master decoders) into a
-// trial-private heat set, merged in trial order. ran=false means the cell
-// belongs to another shard and nothing was emitted.
-func MachineMemoryObserved(reg *metrics.Registry, tr *tracing.Tracer, physRate float64,
+// MachineMemory runs the end-to-end memory experiment at one operating point
+// over `workers` goroutines (<=0 means GOMAXPROCS). Each trial runs a machine
+// seeded from (ExperimentSeed, physRate, rounds, trial), so the row is
+// bit-identical for any worker count and uncorrelated with the Threshold
+// sweep's fault patterns. Trial machines record into per-worker metrics and
+// tracer shards merged into reg and tr (nil skips either), and the SweepObs
+// hooks are wired through the full machine: each trial records defect births
+// (MCE histories), matched chains (master decoders) and bus traffic into
+// trial-private shards, merged in trial order. ran=false means the cell
+// belongs to another shard and nothing was emitted; a zero SweepObs always
+// runs the cell.
+func MachineMemory(reg *metrics.Registry, tr *tracing.Tracer, physRate float64,
 	rounds, trials, workers int, obs SweepObs) (row MemoryRow, ran bool, err error) {
 	cell := mc.Seed(ExperimentSeed, mc.F64(physRate), uint64(rounds), 0x3e3)
 	name := fmt.Sprintf("memory p=%g rounds=%d", physRate, rounds)
@@ -323,7 +332,7 @@ func MachineMemoryObserved(reg *metrics.Registry, tr *tracing.Tracer, physRate f
 	// TestMachineResetMatchesFresh; worker-count independence of the pooled
 	// results by TestMachineMemoryObservedDeterminism.
 	var pool sync.Pool
-	res := mc.RunObserved(trials, workers, cell, reg, tr, mobs,
+	res := mc.Run(trials, workers, cell, reg, tr, mobs,
 		func(trial int, seed uint64, ctx mc.TrialCtx) mc.Outcome {
 			// The machine records into a trial-private set; its (single)
 			// grid is folded into the trial's engine shard at the end, so

@@ -25,10 +25,10 @@ func observedThreshold(t *testing.T, workers int, ciWidth float64, trials int) (
 		t.Fatalf("NewWriter: %v", err)
 	}
 	heat := heatmap.NewSet()
-	rows, err := ThresholdObserved(nil, nil, []float64{2e-3, 4e-3}, []int{3}, trials, workers,
+	rows, err := Threshold(nil, nil, []float64{2e-3, 4e-3}, []int{3}, trials, workers,
 		SweepObs{Ledger: lw, Heat: heat, CIWidth: ciWidth})
 	if err != nil {
-		t.Fatalf("ThresholdObserved: %v", err)
+		t.Fatalf("Threshold: %v", err)
 	}
 	if err := lw.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
@@ -74,8 +74,8 @@ func TestThresholdObservedLedgerDeterminism(t *testing.T) {
 func TestThresholdObservedCIStopSavesTrials(t *testing.T) {
 	const budget = 400
 	const width = 0.15
-	fixed, _ := ThresholdObserved(nil, nil, []float64{2e-3}, []int{3}, budget, 4, SweepObs{})
-	stopped, _ := ThresholdObserved(nil, nil, []float64{2e-3}, []int{3}, budget, 4, SweepObs{CIWidth: width})
+	fixed, _ := Threshold(nil, nil, []float64{2e-3}, []int{3}, budget, 4, SweepObs{})
+	stopped, _ := Threshold(nil, nil, []float64{2e-3}, []int{3}, budget, 4, SweepObs{CIWidth: width})
 	f, s := fixed[0], stopped[0]
 	if s.Trials >= budget {
 		t.Fatalf("ci-stop ran the whole budget (%d trials); widen the test margin", s.Trials)
@@ -97,7 +97,7 @@ func TestThresholdObservedCIStopSavesTrials(t *testing.T) {
 // the lattice's shape.
 func TestThresholdObservedHeatContent(t *testing.T) {
 	heat := heatmap.NewSet()
-	_, _ = ThresholdObserved(nil, nil, []float64{4e-3}, []int{5}, 40, 4, SweepObs{Heat: heat})
+	_, _ = Threshold(nil, nil, []float64{4e-3}, []int{5}, 40, 4, SweepObs{Heat: heat})
 	names := heat.Names()
 	if len(names) != 1 {
 		t.Fatalf("heat set has grids %v, want exactly one", names)
@@ -116,14 +116,14 @@ func TestThresholdObservedHeatContent(t *testing.T) {
 // with a Done snapshot matching its row.
 func TestThresholdObservedProgressStream(t *testing.T) {
 	finals := map[string]mc.Progress{}
-	rows, err := ThresholdObserved(nil, nil, []float64{2e-3, 4e-3}, []int{3}, 60, 4,
+	rows, err := Threshold(nil, nil, []float64{2e-3, 4e-3}, []int{3}, 60, 4,
 		SweepObs{Progress: func(cell string, p mc.Progress) {
 			if p.Done {
 				finals[cell] = p
 			}
 		}})
 	if err != nil {
-		t.Fatalf("ThresholdObserved: %v", err)
+		t.Fatalf("Threshold: %v", err)
 	}
 	if len(finals) != len(rows) {
 		t.Fatalf("Done snapshots for %d cells, want %d", len(finals), len(rows))
@@ -146,13 +146,13 @@ func TestMachineMemoryObservedDeterminism(t *testing.T) {
 			t.Fatalf("NewWriter: %v", err)
 		}
 		heat := heatmap.NewSet()
-		row, ran, err := MachineMemoryObserved(nil, nil, 2e-3, 6, 10, workers,
+		row, ran, err := MachineMemory(nil, nil, 2e-3, 6, 10, workers,
 			SweepObs{Ledger: lw, Heat: heat})
 		if err != nil {
-			t.Fatalf("MachineMemoryObserved: %v", err)
+			t.Fatalf("MachineMemory: %v", err)
 		}
 		if !ran {
-			t.Fatal("MachineMemoryObserved skipped its cell without a Shard")
+			t.Fatal("MachineMemory skipped its cell without a Shard")
 		}
 		if err := lw.Flush(); err != nil {
 			t.Fatalf("Flush: %v", err)
@@ -202,9 +202,9 @@ func TestThresholdObservedEventsPureSideband(t *testing.T) {
 			}
 			obs.Progress = func(cell string, p mc.Progress) { smp.ObserveCell(cell, p) }
 		}
-		rows, err := ThresholdObserved(nil, nil, []float64{2e-3, 4e-3}, []int{3}, 120, workers, obs)
+		rows, err := Threshold(nil, nil, []float64{2e-3, 4e-3}, []int{3}, 120, workers, obs)
 		if err != nil {
-			t.Fatalf("ThresholdObserved: %v", err)
+			t.Fatalf("Threshold: %v", err)
 		}
 		if err := smp.Stop(); err != nil {
 			t.Fatalf("sampler Stop: %v", err)
@@ -254,9 +254,9 @@ func TestBeginCellReplayEmitsDoneProgress(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewWriter: %v", err)
 	}
-	if _, err := ThresholdObserved(nil, nil, []float64{2e-3, 4e-3}, []int{3}, 30, 4,
+	if _, err := Threshold(nil, nil, []float64{2e-3, 4e-3}, []int{3}, 30, 4,
 		SweepObs{Ledger: lw}); err != nil {
-		t.Fatalf("ThresholdObserved: %v", err)
+		t.Fatalf("Threshold: %v", err)
 	}
 	if err := lw.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
@@ -270,12 +270,12 @@ func TestBeginCellReplayEmitsDoneProgress(t *testing.T) {
 		p    mc.Progress
 	}
 	var got []snap
-	rows, err := ThresholdObserved(nil, nil, []float64{2e-3, 4e-3}, []int{3}, 30, 4, SweepObs{
+	rows, err := Threshold(nil, nil, []float64{2e-3, 4e-3}, []int{3}, 30, 4, SweepObs{
 		Resume:   res,
 		Progress: func(cell string, p mc.Progress) { got = append(got, snap{cell, p}) },
 	})
 	if err != nil {
-		t.Fatalf("resumed ThresholdObserved: %v", err)
+		t.Fatalf("resumed Threshold: %v", err)
 	}
 	if len(got) != 2 {
 		t.Fatalf("got %d progress snapshots, want 2 (one per replayed cell): %+v", len(got), got)
@@ -314,12 +314,12 @@ func TestMachineMemoryBWPureSideband(t *testing.T) {
 			bw = bwprofile.New(8)
 			obs.BW = bw
 		}
-		row, ran, err := MachineMemoryObserved(nil, nil, 2e-3, 6, 10, workers, obs)
+		row, ran, err := MachineMemory(nil, nil, 2e-3, 6, 10, workers, obs)
 		if err != nil {
-			t.Fatalf("MachineMemoryObserved: %v", err)
+			t.Fatalf("MachineMemory: %v", err)
 		}
 		if !ran {
-			t.Fatal("MachineMemoryObserved skipped its cell without a Shard")
+			t.Fatal("MachineMemory skipped its cell without a Shard")
 		}
 		if err := lw.Flush(); err != nil {
 			t.Fatalf("Flush: %v", err)

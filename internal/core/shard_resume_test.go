@@ -28,7 +28,7 @@ func shardedSweep(t *testing.T, index, count, trials int, batched bool) ([]byte,
 	obs := SweepObs{Ledger: lw, Shard: shard}
 	var rows []ThresholdRow
 	if batched {
-		rows, err = ThresholdObserved(nil, nil, []float64{2e-3, 4e-3}, []int{3}, trials, 4, obs)
+		rows, err = Threshold(nil, nil, []float64{2e-3, 4e-3}, []int{3}, trials, 4, obs)
 	} else {
 		rows, err = thresholdScalar(nil, nil, []float64{2e-3, 4e-3}, []int{3}, trials, 4, obs)
 	}
@@ -36,7 +36,7 @@ func shardedSweep(t *testing.T, index, count, trials int, batched bool) ([]byte,
 		t.Fatalf("threshold sweep: %v", err)
 	}
 	emitted := len(rows)
-	_, ran, err := MachineMemoryObserved(nil, nil, 2e-3, 4, 6, 4, obs)
+	_, ran, err := MachineMemory(nil, nil, 2e-3, 4, 6, 4, obs)
 	if err != nil {
 		t.Fatalf("memory sweep: %v", err)
 	}
@@ -102,10 +102,10 @@ func thresholdResumeRun(t *testing.T, trials int, ciWidth float64, res *ledger.R
 		t.Fatalf("NewWriter: %v", err)
 	}
 	reg := metrics.New()
-	rows, err := ThresholdObserved(reg, nil, []float64{2e-3, 4e-3}, []int{3}, trials, 4,
+	rows, err := Threshold(reg, nil, []float64{2e-3, 4e-3}, []int{3}, trials, 4,
 		SweepObs{Ledger: lw, CIWidth: ciWidth, Resume: res})
 	if err != nil {
-		t.Fatalf("ThresholdObserved: %v", err)
+		t.Fatalf("Threshold: %v", err)
 	}
 	if err := lw.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
@@ -184,7 +184,7 @@ func TestResumeRefusesForeignCheckpoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = ThresholdObserved(nil, nil, []float64{2e-3, 4e-3}, []int{3}, trials*2, 4,
+		_, err = Threshold(nil, nil, []float64{2e-3, 4e-3}, []int{3}, trials*2, 4,
 			SweepObs{Resume: res})
 		if err == nil || !strings.Contains(err.Error(), "budget") {
 			t.Errorf("budget mismatch not refused: %v", err)
@@ -207,7 +207,7 @@ func TestResumeRefusesForeignCheckpoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = ThresholdObserved(nil, nil, []float64{2e-3, 4e-3}, []int{3}, trials, 4,
+		_, err = Threshold(nil, nil, []float64{2e-3, 4e-3}, []int{3}, trials, 4,
 			SweepObs{Resume: res})
 		if err == nil || !strings.Contains(err.Error(), "does not match") {
 			t.Errorf("seed mismatch not refused: %v", err)

@@ -14,7 +14,7 @@ import (
 	"quest/internal/tracing"
 )
 
-// thresholdScalar is ThresholdObserved on the scalar tableau oracle: every
+// thresholdScalar is Threshold on the scalar tableau oracle: every
 // trial re-simulates the full stabilizer tableau through the AWG unit with a
 // live noise injector, then decodes and measures the logical observable. It
 // is the ground truth the batched Pauli-frame engine is pinned against
@@ -66,7 +66,7 @@ func logicalFailRateScalar(reg *metrics.Registry, tr *tracing.Tracer, d int, p f
 	heat := obs.collector(lat.Rows, lat.Cols)
 	mobs := obs.observers(name, heat)
 	mobs.Prior = plan.prior
-	res := mc.RunObserved(trials, workers, cell, reg, tr, mobs,
+	res := mc.Run(trials, workers, cell, reg, tr, mobs,
 		func(trial int, seed uint64, ctx mc.TrialCtx) mc.Outcome {
 			tb := clifford.New(lat.NumQubits(), rand.New(rand.NewSource(int64(mc.Derive(seed, 0)))))
 			inj := noise.NewInjector(noise.Uniform(p), int64(mc.Derive(seed, 1)))

@@ -8,7 +8,7 @@ import (
 // registry so the hot paths (Match inside a Monte-Carlo trial) never touch
 // the registry's lock. Decoders record against the process-wide default
 // registry unless rebound with SetInstr — worker pools hand each trial an
-// instrument bound to a per-worker shard (see mc.RunWith) so instrumentation
+// instrument bound to a per-worker shard (see mc.Run) so instrumentation
 // adds no cross-worker cache-line contention.
 type Instr struct {
 	matchCalls   *metrics.Counter

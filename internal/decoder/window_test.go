@@ -68,7 +68,7 @@ func windowedFailRate(t *testing.T, d int, p float64, trials int) float64 {
 	lat := surface.NewPlanar(d)
 	words := surface.CompileCycle(lat, surface.Steane, nil)
 	cell := mc.Seed(0xdec0de, mc.F64(p), uint64(d))
-	res := mc.Run(trials, 0, cell, func(trial int, seed uint64) mc.Outcome {
+	res := mc.Run(trials, 0, cell, nil, nil, mc.Observers{}, func(trial int, seed uint64, _ mc.TrialCtx) mc.Outcome {
 		tb := clifford.New(lat.NumQubits(), rand.New(rand.NewSource(int64(mc.Derive(seed, 0)))))
 		inj := noise.NewInjector(noise.Uniform(p), int64(mc.Derive(seed, 1)))
 		noisy := awg.New(tb, inj)

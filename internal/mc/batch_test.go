@@ -1,30 +1,52 @@
 package mc
 
 import (
+	"bytes"
 	"math/rand"
 	"sync"
 	"testing"
 
+	"quest/internal/bwprofile"
 	"quest/internal/metrics"
 )
 
 // batchRate is observedRate in lane-batched form: the per-trial outcome is
-// the same pure function of the trial seed, so RunBatch and RunObserved must
-// agree exactly.
+// the same pure function of the trial seed, so RunBatch and Run must
+// agree exactly. With profiling on, each trial also records bwTrial into
+// its own bandwidth shard.
 func batchRate(rate float64) BatchFn {
 	return func(start int, seeds []uint64, ctx BatchCtx, out []Outcome) {
 		for i, seed := range seeds {
+			if ctx.BW != nil {
+				bwTrial(ctx.BW[i], seed)
+			}
 			rng := rand.New(rand.NewSource(int64(seed)))
 			out[i] = Outcome{Fail: rng.Float64() < rate}
 		}
 	}
 }
 
+// bwTrial records one bus event that is a pure function of the trial seed,
+// so a merged profile depends only on which trials are effective.
+func bwTrial(bw *bwprofile.Recorder, seed uint64) {
+	bw.Observe(int(seed%40), bwprofile.BusLogical, bwprofile.ClassPauli, 1, seed%5)
+}
+
+// bwBytes serializes a merged profile as quest-bw/1 JSONL.
+func bwBytes(t *testing.T, bw *bwprofile.Recorder) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := bw.WriteJSONL(&b, "mc-test", nil); err != nil {
+		t.Fatalf("WriteJSONL: %v", err)
+	}
+	return b.Bytes()
+}
+
 // TestRunBatchMatchesRunObserved pins the engine-level equivalence: for an
 // outcome that is a pure function of the trial seed, RunBatch returns the
-// identical Result and trial-ordered sink stream as RunObserved — across
-// worker counts, ragged final lanes, sub-lane trial counts and CI early
-// stop.
+// identical Result, trial-ordered sink stream and merged quest-bw/1 bytes as
+// Run — across worker counts, ragged final lanes, sub-lane trial counts and
+// CI early stop.
 func TestRunBatchMatchesRunObserved(t *testing.T) {
 	cell := Seed(91, F64(3e-3), 7)
 	for _, tc := range []struct {
@@ -44,18 +66,27 @@ func TestRunBatchMatchesRunObserved(t *testing.T) {
 				out   Outcome
 			}
 			var wantSink []rec
-			want := RunObserved(tc.trials, 1, cell, nil, nil, Observers{
+			wantBW := bwprofile.New(4)
+			scalar := observedRate(0.3)
+			want := Run(tc.trials, 1, cell, nil, nil, Observers{
 				CIWidth: tc.ciWidth,
+				BW:      wantBW,
 				Sink:    func(trial int, seed uint64, out Outcome) { wantSink = append(wantSink, rec{trial, seed, out}) },
-			}, observedRate(0.3))
+			}, func(trial int, seed uint64, ctx TrialCtx) Outcome {
+				bwTrial(ctx.BW, seed)
+				return scalar(trial, seed, ctx)
+			})
+			wantBytes := bwBytes(t, wantBW)
 			for _, workers := range []int{1, 4} {
 				var gotSink []rec
+				gotBW := bwprofile.New(4)
 				got := RunBatch(tc.trials, workers, cell, nil, nil, Observers{
 					CIWidth: tc.ciWidth,
+					BW:      gotBW,
 					Sink:    func(trial int, seed uint64, out Outcome) { gotSink = append(gotSink, rec{trial, seed, out}) },
 				}, batchRate(0.3))
 				if got != want {
-					t.Errorf("workers=%d: RunBatch %+v != RunObserved %+v", workers, got, want)
+					t.Errorf("workers=%d: RunBatch %+v != Run %+v", workers, got, want)
 				}
 				if len(gotSink) != len(wantSink) {
 					t.Fatalf("workers=%d: sink saw %d records, want %d", workers, len(gotSink), len(wantSink))
@@ -64,6 +95,9 @@ func TestRunBatchMatchesRunObserved(t *testing.T) {
 					if gotSink[i] != wantSink[i] {
 						t.Fatalf("workers=%d: sink record %d = %+v, want %+v", workers, i, gotSink[i], wantSink[i])
 					}
+				}
+				if !bytes.Equal(bwBytes(t, gotBW), wantBytes) {
+					t.Errorf("workers=%d: merged quest-bw/1 bytes differ from Run's", workers)
 				}
 			}
 		})
@@ -113,7 +147,7 @@ func TestRunBatchLaneGeometry(t *testing.T) {
 // the busy gauge exactly.
 func TestTrialNsSumMatchesBusyGauge(t *testing.T) {
 	reg := metrics.New()
-	RunObserved(200, 1, Seed(23), reg, nil, Observers{}, observedRate(0.2))
+	Run(200, 1, Seed(23), reg, nil, Observers{}, observedRate(0.2))
 	sum := reg.Histogram("mc.trial.ns", metrics.LatencyBounds()).Summary().Sum
 	busy := reg.Gauge("mc.worker_busy_ns").Value()
 	if sum != busy {
@@ -145,7 +179,7 @@ func TestTrialNsSumMatchesBusyGauge(t *testing.T) {
 func TestProgressMonotonicUnderCIStop(t *testing.T) {
 	var mu sync.Mutex
 	var snaps []Progress
-	res := RunObserved(5000, 8, Seed(61, F64(0.4)), nil, nil, Observers{
+	res := Run(5000, 8, Seed(61, F64(0.4)), nil, nil, Observers{
 		CIWidth:       0.2,
 		ProgressEvery: 1, // maximal pressure: every completion emits
 		Progress: func(p Progress) {

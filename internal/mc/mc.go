@@ -3,9 +3,10 @@
 // experiment, the windowed-decoder validation — is "run N independent noisy
 // trials, count failures", and decode throughput is exactly what gates
 // statistical confidence (cf. the decoder micro-architectures of Das et al.
-// and the feedback system of Liu et al.). Run fans trials across a bounded
-// worker pool while keeping the statistics bit-identical for any worker
-// count:
+// and the feedback system of Liu et al.). One worker pool backs the two
+// runners: Run hands workers one trial at a time, RunBatch hands them lanes
+// of LaneWidth consecutive trials. Either keeps the statistics bit-identical
+// for any worker count:
 //
 //   - each trial's randomness comes only from a per-trial seed derived with
 //     a SplitMix64-style mix of (experiment seed, cell parameters, trial
@@ -92,10 +93,10 @@ func Derive(seed uint64, lane uint64) uint64 {
 	return Seed(seed, lane)
 }
 
-// wallClock is the engine's single wall-clock read, shared by the scalar
-// and batched run loops. It feeds only the mc.worker_busy_ns gauge and the
-// mc.trial.ns latency histogram; seeds and simulated time derive from the
-// experiment seed via the SplitMix64 mixers, never from here.
+// wallClock is the engine's single wall-clock read. It feeds only the
+// mc.worker_busy_ns gauge and the mc.trial.ns latency histogram; seeds and
+// simulated time derive from the experiment seed via the SplitMix64 mixers,
+// never from here.
 func wallClock() time.Time {
 	return time.Now() //quest:allow(seedsrc) wall-clock latency metric only; the value never reaches simulation state
 }
@@ -123,42 +124,6 @@ func Wilson(failures, trials int, z float64) (lo, hi float64) {
 	return lo, hi
 }
 
-// Run executes trials over a worker pool and reduces the outcomes.
-//
-// workers <= 0 uses GOMAXPROCS; the pool never exceeds the trial count.
-// fn is called once per trial index with a seed derived from
-// TrialSeed(cellSeed, trial); it must take all randomness from that seed
-// and must not touch shared mutable state (shared read-only tables — a
-// compiled lattice, a syndrome schedule — are fine). Under those rules the
-// Result is bit-identical for every worker count.
-//
-// Failure counts and the error, if any, are reduced over the trial-indexed
-// outcome store in trial order after the pool drains, never in completion
-// order.
-func Run(trials, workers int, cellSeed uint64, fn func(trial int, seed uint64) Outcome) Result {
-	return RunWith(trials, workers, cellSeed, nil,
-		func(trial int, seed uint64, _ *metrics.Registry) Outcome {
-			return fn(trial, seed)
-		})
-}
-
-// RunWith is Run with per-worker metrics shards. Each worker goroutine owns a
-// private Registry so trial instrumentation (decoder latencies, machine
-// counters) is recorded without any cross-worker contention; when the pool
-// drains, every shard is merged into reg in worker order. Because fixed-bucket
-// histograms and counters merge by addition, the merged totals are independent
-// of how trials were distributed across workers — only wall-clock gauges
-// ("mc.trials_per_sec", "mc.worker_utilization") reflect this particular run.
-//
-// reg == nil disables aggregation: fn receives a nil shard and must not record
-// (core's drivers skip SetInstr wiring in that case, keeping the metrics-off
-// path allocation-free). Determinism of the simulation Result is unchanged —
-// instruments observe the computation, they never feed back into it.
-func RunWith(trials, workers int, cellSeed uint64, reg *metrics.Registry,
-	fn func(trial int, seed uint64, shard *metrics.Registry) Outcome) Result {
-	return run(trials, workers, cellSeed, reg, nil, Observers{}, fn, nil, nil)
-}
-
 // Progress is a snapshot handed to a progress sink while a run is in
 // flight. Completed and Failures count in completion order (display only —
 // they may differ between runs with different worker counts until the pool
@@ -179,9 +144,9 @@ type Progress struct {
 	Done               bool
 }
 
-// TrialCtx carries the per-trial observation hooks into an observed trial
+// TrialCtx carries the per-trial observation hooks into Run's trial
 // function. Any field may be nil when the corresponding observer is off;
-// all three are nil-gated, so fn records unconditionally.
+// all of them are nil-gated, so fn records unconditionally.
 type TrialCtx struct {
 	// Shard is the worker-private metrics registry (nil when metrics off).
 	Shard *metrics.Registry
@@ -198,8 +163,8 @@ type TrialCtx struct {
 	BW *bwprofile.Recorder
 }
 
-// Observers bundles the optional observation hooks of RunObserved. The zero
-// value observes nothing and adds nothing to the hot path.
+// Observers bundles the optional observation hooks of Run and RunBatch. The
+// zero value observes nothing and adds nothing to the hot path.
 type Observers struct {
 	// Progress, when non-nil, is called every ProgressEvery completed
 	// trials (default trials/100, min 1) and once more with Done=true
@@ -222,14 +187,14 @@ type Observers struct {
 	MinTrials int
 
 	// Heat, when non-nil, gives every trial a private shard (Heat.NewShard)
-	// via TrialCtx; shards of the effective trials are merged into Heat in
-	// trial order after the pool drains.
+	// via TrialCtx or BatchCtx; shards of the effective trials are merged
+	// into Heat in trial order after the pool drains.
 	Heat *heatmap.Collector
 
 	// BW, when non-nil, gives every trial a private bandwidth-profile shard
-	// (BW.NewShard) via TrialCtx; shards of the effective trials are merged
-	// into BW in trial order after the pool drains, so the quest-bw/1
-	// waveform bytes are identical for any worker count.
+	// (BW.NewShard) via TrialCtx or BatchCtx; shards of the effective trials
+	// are merged into BW in trial order after the pool drains, so the
+	// quest-bw/1 waveform bytes are identical for any worker count.
 	BW *bwprofile.Recorder
 
 	// Sink, when non-nil, receives every effective trial's outcome in
@@ -246,8 +211,8 @@ type Observers struct {
 	// ledger bytes identical to a full re-run — it only skips the work.
 	// Prefixes longer than the trial budget are truncated. Replayed trials
 	// are invisible to the wall-clock instruments (mc.trials counts only
-	// executed trials) and contribute empty heat shards. RunBatch honours
-	// Prior the same way, starting its first lane at len(Prior).
+	// executed trials) and contribute empty heat shards. Workers claim
+	// their first trial, or lane, at len(Prior).
 	Prior []Outcome
 }
 
@@ -256,27 +221,42 @@ type Observers struct {
 // three lucky trials would be statistics malpractice.
 const defaultMinStopTrials = 10
 
-// RunObserved is RunTraced plus the Observers hooks: live progress,
-// adaptive CI early stop, per-trial heatmap shards and a trial-order
-// outcome sink. A zero Observers makes it equivalent to RunTraced.
-func RunObserved(trials, workers int, cellSeed uint64, reg *metrics.Registry, tr *tracing.Tracer,
-	obs Observers, fn func(trial int, seed uint64, ctx TrialCtx) Outcome) Result {
-	return run(trials, workers, cellSeed, reg, tr, obs, nil, nil, fn)
-}
-
-// RunTraced is RunWith with per-worker *tracing* shards as well: when tr is
-// non-nil each worker goroutine owns a private Tracer (sized like tr) that fn
-// may record trial events into without cross-worker lock contention; after
-// the pool drains every shard is merged into tr in worker order. The merged
-// event *multiset* is independent of how trials were distributed across
-// workers, and because the exporter canonically sorts, WriteJSON output is
-// byte-identical for every worker count (pinned by TestRunTracedDeterminism).
+// Run executes trials over a worker pool, one trial per claim, and reduces
+// the outcomes.
 //
-// tr == nil disables tracing: fn receives a nil trace shard, which every
-// tracing method treats as off.
-func RunTraced(trials, workers int, cellSeed uint64, reg *metrics.Registry, tr *tracing.Tracer,
-	fn func(trial int, seed uint64, shard *metrics.Registry, trace *tracing.Tracer) Outcome) Result {
-	return run(trials, workers, cellSeed, reg, tr, Observers{}, nil, fn, nil)
+// workers <= 0 uses GOMAXPROCS; the pool never exceeds the number of trials
+// left to run. fn is called once per trial index with a seed derived from
+// TrialSeed(cellSeed, trial); it must take all randomness from that seed
+// and must not touch shared mutable state (shared read-only tables — a
+// compiled lattice, a syndrome schedule — are fine). Under those rules the
+// Result is bit-identical for every worker count: failure counts and the
+// first error are reduced over the trial-indexed outcome store in trial
+// order after the pool drains, never in completion order.
+//
+// reg and tr, when non-nil, give every worker a private metrics registry
+// (ctx.Shard) and tracer (ctx.Trace, sized like tr), merged into them in
+// worker order after the pool drains. Counters, fixed-bucket histograms and
+// the canonically sorted trace export are independent of how trials were
+// distributed, so only wall-clock gauges ("mc.trials_per_sec",
+// "mc.worker_utilization") reflect this particular run. obs adds live
+// progress, CI early stop, per-trial heat and bandwidth shards, the
+// trial-order outcome Sink and resume from Prior. With nil reg and tr and a
+// zero obs, fn sees nil hooks and the engine allocates nothing per trial
+// (pinned by TestRunAllocs). Instruments observe the computation; they
+// never feed back into it.
+func Run(trials, workers int, cellSeed uint64, reg *metrics.Registry, tr *tracing.Tracer,
+	obs Observers, fn func(trial int, seed uint64, ctx TrialCtx) Outcome) Result {
+	return run(trials, workers, 1, cellSeed, reg, tr, obs,
+		func(trial int, seeds []uint64, ctx BatchCtx, out []Outcome) {
+			tc := TrialCtx{Shard: ctx.Shard, Trace: ctx.Trace}
+			if ctx.Heat != nil {
+				tc.Heat = ctx.Heat[0]
+			}
+			if ctx.BW != nil {
+				tc.BW = ctx.BW[0]
+			}
+			out[0] = fn(trial, seeds[0], tc)
+		})
 }
 
 // stopState is the CI-convergence early-stop tracker. Workers report each
@@ -407,55 +387,45 @@ func (ps *progressState) observe(fail bool) {
 	ps.fn(Progress{Completed: completed, Failures: failures, Budget: ps.budget, WilsonLo: lo, WilsonHi: hi})
 }
 
-// run is the single pool implementation behind Run/RunWith/RunTraced/
-// RunObserved. Exactly one of fn (metrics-only), tfn (metrics+tracing) and
-// ofn (fully observed) is non-nil; taking the callback shapes as plain
-// parameters — instead of adapting one into the other — keeps the untraced
-// RunWith path free of wrapper-closure allocations, which the committed
-// benchmark baseline and TestRunWithAllocs count exactly.
-func run(trials, workers int, cellSeed uint64, reg *metrics.Registry, tr *tracing.Tracer, obs Observers,
-	fn func(trial int, seed uint64, shard *metrics.Registry) Outcome,
-	tfn func(trial int, seed uint64, shard *metrics.Registry, trace *tracing.Tracer) Outcome,
-	ofn func(trial int, seed uint64, ctx TrialCtx) Outcome) Result {
+// run is the one pool behind Run (width 1) and RunBatch (width LaneWidth).
+// Workers claim lanes of up to width consecutive trials tiling
+// [prior, trials) — lane l starts at prior + l·width and only the final
+// lane may be short — and the pool never exceeds the lane count. At width 1
+// a lane is one trial, so mc.trial.ns observes each trial's own duration
+// and CI early stop overruns by at most one trial per worker; wider lanes
+// amortize both per lane.
+//
+// Every local the worker closure captures is assigned exactly once, and
+// observer state is nil when its hook is off, so the closure captures plain
+// values rather than heap cells and the unobserved path allocates nothing
+// per trial (pinned by TestRunAllocs).
+func run(trials, workers, width int, cellSeed uint64, reg *metrics.Registry, tr *tracing.Tracer,
+	obs Observers, fn BatchFn) Result {
 	if trials <= 0 {
 		return Result{}
 	}
 	// Replayed prior outcomes occupy the leading trial slots without being
-	// executed: workers start claiming at the first live trial, and the
-	// CI-stop frontier consumes the replayed prefix first so a resumed run
-	// stops exactly where the uninterrupted run would have.
-	prior := len(obs.Prior)
-	if prior > trials {
-		prior = trials
-	}
+	// executed: lanes start at the first live trial, and the CI-stop
+	// frontier consumes the replayed prefix first so a resumed run stops
+	// exactly where the uninterrupted run would have.
+	prior := min(len(obs.Prior), trials)
+	lanes := (trials - prior + width - 1) / width
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > trials-prior {
-		workers = trials - prior
+	if workers > lanes {
+		workers = lanes
 	}
 	outcomes := make([]Outcome, trials)
 	copy(outcomes, obs.Prior[:prior])
-	var next atomic.Int64
-	if prior > 0 {
-		next.Store(int64(prior))
-	}
+	var nextLane atomic.Int64
 	var wg sync.WaitGroup
 	shards := make([]*metrics.Registry, workers)
-	// nil when tracing is off, and assigned exactly once so the goroutine
-	// closure captures the header by value: the untraced RunWith path stays
-	// allocation-identical to the pre-tracing engine, which
-	// TestRunWithAllocs counts exactly.
 	traces := makeTraceShards(tr, workers)
-	// Observer state is nil when the corresponding Observers field is off,
-	// and every local here is assigned exactly once so the goroutine
-	// closure captures plain values, not heap cells: the unobserved paths
-	// allocate nothing extra (pinned by TestRunWithAllocs).
 	st := newStopState(obs.CIWidth, obs.MinTrials, trials)
 	if st != nil {
-		// Feed the replayed prefix to the stop frontier before any worker
-		// starts: if the checkpointed run had already converged, stopAt
-		// drops below the first live trial and no worker claims anything.
+		// A converged prior prefix drops stopAt below the first live trial
+		// before any worker starts, so no lane is claimed.
 		for t := 0; t < prior; t++ {
 			st.observe(t, outcomes[t].Fail)
 		}
@@ -486,56 +456,70 @@ func run(trials, workers int, cellSeed uint64, reg *metrics.Registry, tr *tracin
 				nTrials = shard.Counter("mc.trials")
 				nFails = shard.Counter("mc.failures")
 			}
+			seeds := make([]uint64, width)
+			var heats []*heatmap.Collector
+			var bws []*bwprofile.Recorder
 			for {
-				t := int(next.Add(1)) - 1
-				if t >= trials {
+				l := int(nextLane.Add(1)) - 1
+				if l >= lanes {
 					return
 				}
-				if st != nil && t >= int(st.stopAt.Load()) {
+				lo := prior + l*width
+				if st != nil && lo >= int(st.stopAt.Load()) {
 					return
 				}
+				n := min(width, trials-lo)
+				for i := 0; i < n; i++ {
+					seeds[i] = TrialSeed(cellSeed, lo+i)
+				}
+				// Gate on the parents, not the shard slices: they are non-nil
+				// together, and the receiver gate is the form the nil-gating
+				// contract (gateflow) can prove.
+				if heatParent != nil {
+					if heats == nil {
+						heats = make([]*heatmap.Collector, width)
+					}
+					heats = heats[:n]
+					for i := range heats {
+						heats[i] = heatParent.NewShard()
+						heatShards[lo+i] = heats[i]
+					}
+				}
+				if bwParent != nil {
+					if bws == nil {
+						bws = make([]*bwprofile.Recorder, width)
+					}
+					bws = bws[:n]
+					for i := range bws {
+						bws[i] = bwParent.NewShard()
+						bwShards[lo+i] = bws[i]
+					}
+				}
+				out := outcomes[lo : lo+n]
 				t0 := wallClock()
-				var out Outcome
-				switch {
-				case ofn != nil:
-					// Gate on the parents, not the shard slices: the slices
-					// are non-nil exactly when the parents are, and the
-					// receiver gate is the form the nil-gating contract
-					// (gateflow) can prove.
-					var heat *heatmap.Collector
-					if heatParent != nil {
-						heat = heatParent.NewShard()
-						heatShards[t] = heat
-					}
-					var bw *bwprofile.Recorder
-					if bwParent != nil {
-						bw = bwParent.NewShard()
-						bwShards[t] = bw
-					}
-					out = ofn(t, TrialSeed(cellSeed, t), TrialCtx{Shard: shard, Trace: trace, Heat: heat, BW: bw})
-				case tfn != nil:
-					out = tfn(t, TrialSeed(cellSeed, t), shard, trace)
-				default:
-					out = fn(t, TrialSeed(cellSeed, t), shard)
-				}
-				// Capture the duration once: busyNs (worker utilization)
-				// and the mc.trial.ns histogram must observe the same
-				// value, or the two can never reconcile.
+				fn(lo, seeds[:n], BatchCtx{Shard: shard, Trace: trace, Heat: heats, BW: bws}, out)
+				// Capture the duration once: busyNs (worker utilization) and
+				// the mc.trial.ns histogram must observe the same value, or
+				// the two can never reconcile.
 				dur := time.Since(t0)
 				busyNs[w] += int64(dur)
 				if shard != nil {
-					trialNs.Observe(float64(dur))
-					nTrials.Inc()
-					if out.Fail {
+					perTrial := float64(dur) / float64(n)
+					for i := 0; i < n; i++ {
+						trialNs.Observe(perTrial)
+					}
+					nTrials.Add(uint64(n))
+				}
+				for i, o := range out {
+					if shard != nil && o.Fail {
 						nFails.Inc()
 					}
-				}
-				outcomes[t] = out
-				if st != nil {
-					st.observe(t, out.Fail)
-				}
-				if prog != nil {
-					prog.observe(out.Fail)
+					if st != nil {
+						st.observe(lo+i, o.Fail)
+					}
+					if prog != nil {
+						prog.observe(o.Fail)
+					}
 				}
 			}
 		}(w)
@@ -548,10 +532,12 @@ func run(trials, workers int, cellSeed uint64, reg *metrics.Registry, tr *tracin
 		}
 	}
 	// effective is the trial-order prefix the Result covers: the whole
-	// budget, or the CI-stop point. Trials executed past the stop point by
-	// in-flight workers are discarded from the Result (and from the heat
-	// merge and sink below), which is what keeps everything derived from
-	// outcomes worker-count independent.
+	// budget, or the CI-stop point. The frontier only fires once every trial
+	// before it is done, so every outcome and shard below the cut was
+	// executed even though lanes complete out of order. Trials executed past
+	// the stop point by in-flight workers are discarded from the Result (and
+	// from the shard merges and sink below), which is what keeps everything
+	// derived from outcomes worker-count independent.
 	effective := trials
 	if st != nil && st.stopped {
 		effective = st.stopN

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"testing"
 
@@ -14,19 +13,11 @@ import (
 	"quest/internal/tracing"
 )
 
-// trialRate is a deterministic pseudo-experiment: fail iff the trial's own
-// seeded RNG says so. Any dependence on scheduling would break the
-// worker-count invariance asserted below.
-func trialRate(trial int, seed uint64) Outcome {
-	rng := rand.New(rand.NewSource(int64(seed)))
-	return Outcome{Fail: rng.Float64() < 0.3}
-}
-
 func TestRunWorkerCountInvariant(t *testing.T) {
 	cell := Seed(42, F64(1e-3), 3)
-	base := Run(500, 1, cell, trialRate)
+	base := Run(500, 1, cell, nil, nil, Observers{}, observedRate(0.3))
 	for _, w := range []int{2, 4, 8, 0} {
-		got := Run(500, w, cell, trialRate)
+		got := Run(500, w, cell, nil, nil, Observers{}, observedRate(0.3))
 		if got != base {
 			t.Errorf("workers=%d result %+v != workers=1 result %+v", w, got, base)
 		}
@@ -94,11 +85,11 @@ func TestWilson(t *testing.T) {
 }
 
 func TestRunEmptyAndError(t *testing.T) {
-	if res := Run(0, 4, 1, trialRate); res != (Result{}) {
+	if res := Run(0, 4, 1, nil, nil, Observers{}, observedRate(0.3)); res != (Result{}) {
 		t.Errorf("empty run = %+v", res)
 	}
 	errA, errB := errors.New("a"), errors.New("b")
-	res := Run(10, 4, 1, func(trial int, seed uint64) Outcome {
+	res := Run(10, 4, 1, nil, nil, Observers{}, func(trial int, seed uint64, ctx TrialCtx) Outcome {
 		switch trial {
 		case 7:
 			return Outcome{Err: errB}
@@ -118,7 +109,7 @@ func TestRunEmptyAndError(t *testing.T) {
 func TestRunSharedCounterUnderRace(t *testing.T) {
 	var ctr bandwidth.Counter
 	workers := runtime.GOMAXPROCS(0) * 4
-	res := Run(400, workers, Seed(7), func(trial int, seed uint64) Outcome {
+	res := Run(400, workers, Seed(7), nil, nil, Observers{}, func(trial int, seed uint64, ctx TrialCtx) Outcome {
 		ctr.Add(3, uint64(trial))
 		return Outcome{Fail: trial%5 == 0}
 	})
@@ -134,7 +125,7 @@ func TestRunSharedCounterUnderRace(t *testing.T) {
 }
 
 func TestWilsonAttachedToResult(t *testing.T) {
-	res := Run(200, 4, Seed(3), trialRate)
+	res := Run(200, 4, Seed(3), nil, nil, Observers{}, observedRate(0.3))
 	lo, hi := Wilson(res.Failures, res.Trials, 1.96)
 	if res.WilsonLo != lo || res.WilsonHi != hi {
 		t.Errorf("result CI [%v, %v] != Wilson [%v, %v]", res.WilsonLo, res.WilsonHi, lo, hi)
@@ -152,12 +143,12 @@ func TestWilsonAttachedToResult(t *testing.T) {
 func TestRunWithShardMergeInvariant(t *testing.T) {
 	run := func(workers int) (Result, uint64, uint64, uint64) {
 		reg := metrics.New()
-		res := RunWith(300, workers, Seed(11), reg,
-			func(trial int, seed uint64, shard *metrics.Registry) Outcome {
-				if shard == nil {
+		res := Run(300, workers, Seed(11), reg, nil, Observers{},
+			func(trial int, seed uint64, ctx TrialCtx) Outcome {
+				if ctx.Shard == nil {
 					t.Fatal("nil shard despite non-nil registry")
 				}
-				shard.Counter("test.work").Add(uint64(trial))
+				ctx.Shard.Counter("test.work").Add(uint64(trial))
 				return Outcome{Fail: trial%3 == 0}
 			})
 		return res,
@@ -191,7 +182,7 @@ func TestRunWithShardMergeInvariant(t *testing.T) {
 // into one histogram counting every trial.
 func TestRunWithHistogramMerge(t *testing.T) {
 	reg := metrics.New()
-	RunWith(64, 4, Seed(13), reg, func(trial int, seed uint64, shard *metrics.Registry) Outcome {
+	Run(64, 4, Seed(13), reg, nil, Observers{}, func(trial int, seed uint64, ctx TrialCtx) Outcome {
 		return Outcome{}
 	})
 	h := reg.Histogram("mc.trial.ns", metrics.LatencyBounds())
@@ -207,13 +198,14 @@ func TestRunWithHistogramMerge(t *testing.T) {
 	}
 }
 
-// TestRunWithNilRegistry pins that a nil target registry disables sharding:
-// fn sees a nil shard and the Result still matches the instrumented run.
+// TestRunWithNilRegistry pins that nil observers disable every hook: with a
+// nil registry, a nil tracer and a zero Observers, fn sees no live
+// observation hook at all, and the Result is still computed.
 func TestRunWithNilRegistry(t *testing.T) {
-	res := RunWith(50, 4, Seed(11), nil,
-		func(trial int, seed uint64, shard *metrics.Registry) Outcome {
-			if shard != nil {
-				t.Error("expected nil shard with nil registry")
+	res := Run(50, 4, Seed(11), nil, nil, Observers{},
+		func(trial int, seed uint64, ctx TrialCtx) Outcome {
+			if ctx != (TrialCtx{}) {
+				t.Error("nil registry, nil tracer and zero Observers handed out live observation hooks")
 			}
 			return Outcome{Fail: trial%3 == 0}
 		})
@@ -230,8 +222,9 @@ func TestRunWithNilRegistry(t *testing.T) {
 func TestRunTracedDeterminism(t *testing.T) {
 	runOnce := func(workers int) []byte {
 		tr := tracing.New(1 << 12)
-		res := RunTraced(40, workers, Seed(7), nil, tr,
-			func(trial int, seed uint64, shard *metrics.Registry, trace *tracing.Tracer) Outcome {
+		res := Run(40, workers, Seed(7), nil, tr, Observers{},
+			func(trial int, seed uint64, ctx TrialCtx) Outcome {
+				trace := ctx.Trace
 				if trace == nil {
 					t.Error("expected per-worker trace shard")
 					return Outcome{}
@@ -268,15 +261,15 @@ func TestRunTracedDeterminism(t *testing.T) {
 // without disturbing metrics sharding or the Result.
 func TestRunTracedNilTracer(t *testing.T) {
 	reg := metrics.New()
-	res := RunTraced(30, 4, Seed(9), reg, nil,
-		func(trial int, seed uint64, shard *metrics.Registry, trace *tracing.Tracer) Outcome {
-			if trace != nil {
+	res := Run(30, 4, Seed(9), reg, nil, Observers{},
+		func(trial int, seed uint64, ctx TrialCtx) Outcome {
+			if ctx.Trace != nil {
 				t.Error("expected nil trace shard with nil tracer")
 			}
-			if shard == nil {
+			if ctx.Shard == nil {
 				t.Error("expected metrics shard")
 			}
-			trace.Span("mce", 0, "busy", int64(trial), 1) // must be a safe no-op
+			ctx.Trace.Span("mce", 0, "busy", int64(trial), 1) // must be a safe no-op
 			return Outcome{Fail: trial%2 == 0}
 		})
 	if res.Failures != 15 {

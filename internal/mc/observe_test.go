@@ -10,7 +10,9 @@ import (
 	"quest/internal/metrics"
 )
 
-// observedRate mirrors trialRate for the RunObserved callback shape.
+// observedRate is a deterministic pseudo-experiment: fail iff the trial's
+// own seeded RNG says so. Any dependence on scheduling would break the
+// worker-count invariance the tests assert.
 func observedRate(rate float64) func(trial int, seed uint64, ctx TrialCtx) Outcome {
 	return func(trial int, seed uint64, ctx TrialCtx) Outcome {
 		rng := rand.New(rand.NewSource(int64(seed)))
@@ -66,42 +68,33 @@ func TestWilsonEdgeCases(t *testing.T) {
 	}
 }
 
-// TestRunWithAllocs pins the metrics-off hot path at its committed
-// allocation count. The Observers plumbing added for progress/CI-stop/
-// heatmaps/ledgers must cost the unobserved path nothing: all observer
-// locals are single-assigned nil pointers the worker closure captures by
-// value, never heap cells. 7 allocs at workers=1 (outcomes, shard slice,
-// busyNs, next, wg, one closure, one runtime cell) — one *below* the
-// engine's historical 8, since trial-order reduction over the outcome
-// store replaced the streaming failure atomic.
-func TestRunWithAllocs(t *testing.T) {
-	fn := func(trial int, seed uint64, shard *metrics.Registry) Outcome {
+// TestRunAllocs pins the metrics-off hot path of both runners. The count per
+// call is the same at 100 and at 10,000 trials, so neither runner allocates
+// per trial: every allocation is per-cell pool setup. Observer state is nil
+// when its hook is off and is captured by value, never as a heap cell, so the
+// Observers plumbing costs the unobserved path nothing.
+func TestRunAllocs(t *testing.T) {
+	fn := func(trial int, seed uint64, ctx TrialCtx) Outcome {
 		return Outcome{Fail: seed&1 == 0}
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		RunWith(100, 1, Seed(5), nil, fn)
-	})
-	if allocs > 8 {
-		t.Errorf("RunWith metrics-off allocs/call = %v, budget 8 (currently 7)", allocs)
-	}
-	if allocs != 7 {
-		t.Logf("note: RunWith metrics-off allocs/call = %v (was 7 when pinned)", allocs)
-	}
-}
-
-// TestRunObservedZeroValueMatchesRun pins that RunObserved with a zero
-// Observers is the same engine: identical Result to Run on the same cell.
-func TestRunObservedZeroValueMatchesRun(t *testing.T) {
-	cell := Seed(42, F64(1e-3), 3)
-	base := Run(300, 4, cell, trialRate)
-	got := RunObserved(300, 4, cell, nil, nil, Observers{}, func(trial int, seed uint64, ctx TrialCtx) Outcome {
-		if ctx.Shard != nil || ctx.Trace != nil || ctx.Heat != nil {
-			t.Error("zero Observers handed out live observation hooks")
+	bfn := func(start int, seeds []uint64, ctx BatchCtx, out []Outcome) {
+		for i, seed := range seeds {
+			out[i] = Outcome{Fail: seed&1 == 0}
 		}
-		return trialRate(trial, seed)
-	})
-	if got != base {
-		t.Errorf("RunObserved %+v != Run %+v", got, base)
+	}
+	for _, tc := range []struct {
+		name string
+		pin  float64
+		run  func(trials int)
+	}{
+		{"Run", 9, func(n int) { Run(n, 1, Seed(5), nil, nil, Observers{}, fn) }},
+		{"RunBatch", 8, func(n int) { RunBatch(n, 1, Seed(5), nil, nil, Observers{}, bfn) }},
+	} {
+		for _, trials := range []int{100, 10000} {
+			if got := testing.AllocsPerRun(20, func() { tc.run(trials) }); got != tc.pin {
+				t.Errorf("%s(%d trials) metrics-off allocs/call = %v, pinned at %v", tc.name, trials, got, tc.pin)
+			}
+		}
 	}
 }
 
@@ -112,7 +105,7 @@ func TestRunObservedZeroValueMatchesRun(t *testing.T) {
 func TestCIStopDeterministicAcrossWorkers(t *testing.T) {
 	cell := Seed(17, F64(2e-3), 5)
 	runOnce := func(workers int) Result {
-		return RunObserved(5000, workers, cell, nil, nil,
+		return Run(5000, workers, cell, nil, nil,
 			Observers{CIWidth: 0.05}, observedRate(0.3))
 	}
 	base := runOnce(1)
@@ -136,8 +129,8 @@ func TestCIStopDeterministicAcrossWorkers(t *testing.T) {
 func TestCIStopSavesTrials(t *testing.T) {
 	cell := Seed(23, F64(1e-4), 3)
 	budget := 20000
-	fixed := RunObserved(budget, 4, cell, nil, nil, Observers{}, observedRate(0.02))
-	stopped := RunObserved(budget, 4, cell, nil, nil, Observers{CIWidth: 0.04}, observedRate(0.02))
+	fixed := Run(budget, 4, cell, nil, nil, Observers{}, observedRate(0.02))
+	stopped := Run(budget, 4, cell, nil, nil, Observers{CIWidth: 0.04}, observedRate(0.02))
 	if stopped.Trials >= budget/2 {
 		t.Errorf("easy cell used %d of %d trials, expected a large saving", stopped.Trials, budget)
 	}
@@ -165,7 +158,7 @@ func TestCIStopSavesTrials(t *testing.T) {
 // TestCIStopMinTrialsFloor pins that the stop rule never fires before
 // MinTrials even when the interval is trivially narrow.
 func TestCIStopMinTrialsFloor(t *testing.T) {
-	res := RunObserved(1000, 8, Seed(3), nil, nil,
+	res := Run(1000, 8, Seed(3), nil, nil,
 		Observers{CIWidth: 0.9, MinTrials: 64}, observedRate(0))
 	if res.Trials < 64 {
 		t.Errorf("stopped at %d trials, before MinTrials=64", res.Trials)
@@ -178,7 +171,7 @@ func TestCIStopMinTrialsFloor(t *testing.T) {
 func TestObservedSinkTrialOrder(t *testing.T) {
 	cell := Seed(29)
 	var got []string
-	res := RunObserved(100, 8, cell, nil, nil, Observers{
+	res := Run(100, 8, cell, nil, nil, Observers{
 		Sink: func(trial int, seed uint64, out Outcome) {
 			got = append(got, fmt.Sprintf("%d:%x:%v", trial, seed, out.Fail))
 		},
@@ -203,7 +196,7 @@ func TestObservedHeatDeterministicAcrossWorkers(t *testing.T) {
 	cell := Seed(31, F64(5e-3), 3)
 	runOnce := func(workers int, ciWidth float64) ([][]int64, []int64, Result) {
 		heat := heatmap.New(5, 5)
-		res := RunObserved(3000, workers, cell, nil, nil,
+		res := Run(3000, workers, cell, nil, nil,
 			Observers{Heat: heat, CIWidth: ciWidth},
 			func(trial int, seed uint64, ctx TrialCtx) Outcome {
 				if ctx.Heat == nil {
@@ -245,7 +238,7 @@ func TestObservedHeatDeterministicAcrossWorkers(t *testing.T) {
 // when the sink is nil.
 func TestObservedProgress(t *testing.T) {
 	var snaps []Progress
-	res := RunObserved(200, 4, Seed(37), nil, nil, Observers{
+	res := Run(200, 4, Seed(37), nil, nil, Observers{
 		Progress:      func(p Progress) { snaps = append(snaps, p) },
 		ProgressEvery: 50,
 	}, observedRate(0.2))
@@ -280,12 +273,12 @@ func TestObservedProgress(t *testing.T) {
 }
 
 // TestObservedMetricsShardsStillMerge pins that the observed path keeps the
-// RunWith metrics contract (every executed trial counted exactly once) when
+// per-worker metrics contract (every executed trial counted exactly once) when
 // no early stop is in play.
 func TestObservedMetricsShardsStillMerge(t *testing.T) {
 	reg := metrics.New()
 	var calls atomic.Int64
-	res := RunObserved(120, 4, Seed(41), reg, nil, Observers{},
+	res := Run(120, 4, Seed(41), reg, nil, Observers{},
 		func(trial int, seed uint64, ctx TrialCtx) Outcome {
 			if ctx.Shard == nil {
 				t.Error("expected metrics shard")

@@ -22,7 +22,7 @@ func priorFn(calls *atomic.Int64) func(trial int, seed uint64, ctx TrialCtx) Out
 func recordOutcomes(trials int) ([]Outcome, Result) {
 	outs := make([]Outcome, 0, trials)
 	var calls atomic.Int64
-	res := RunObserved(trials, 4, 0xc0ffee, nil, nil, Observers{
+	res := Run(trials, 4, 0xc0ffee, nil, nil, Observers{
 		Sink: func(trial int, seed uint64, out Outcome) { outs = append(outs, out) },
 	}, priorFn(&calls))
 	return outs, res
@@ -37,7 +37,7 @@ func TestPriorSkipsExecution(t *testing.T) {
 	for _, prior := range []int{0, 1, 7, trials} {
 		var calls atomic.Int64
 		var sunk []Outcome
-		got := RunObserved(trials, 4, 0xc0ffee, nil, nil, Observers{
+		got := Run(trials, 4, 0xc0ffee, nil, nil, Observers{
 			Prior: outs[:prior],
 			Sink:  func(trial int, seed uint64, out Outcome) { sunk = append(sunk, out) },
 		}, priorFn(&calls))
@@ -60,7 +60,7 @@ func TestPriorLongerThanBudgetIsTruncated(t *testing.T) {
 	outs, _ := recordOutcomes(20)
 	var calls atomic.Int64
 	_, want := recordOutcomes(12)
-	got := RunObserved(12, 4, 0xc0ffee, nil, nil, Observers{Prior: outs}, priorFn(&calls))
+	got := Run(12, 4, 0xc0ffee, nil, nil, Observers{Prior: outs}, priorFn(&calls))
 	if calls.Load() != 0 {
 		t.Errorf("executed %d trials with a full prior, want 0", calls.Load())
 	}
@@ -76,7 +76,7 @@ func TestPriorFeedsCIStop(t *testing.T) {
 	const budget = 300
 	obs := Observers{CIWidth: 0.2}
 	var calls atomic.Int64
-	want := RunObserved(budget, 4, 0xc0ffee, nil, nil, obs, priorFn(&calls))
+	want := Run(budget, 4, 0xc0ffee, nil, nil, obs, priorFn(&calls))
 	if want.Trials >= budget {
 		t.Fatalf("ci-stop never fired (%d trials); widen the test margin", want.Trials)
 	}
@@ -85,7 +85,7 @@ func TestPriorFeedsCIStop(t *testing.T) {
 		o := obs
 		o.Prior = outs[:prior]
 		var resumedCalls atomic.Int64
-		got := RunObserved(budget, 4, 0xc0ffee, nil, nil, o, priorFn(&resumedCalls))
+		got := Run(budget, 4, 0xc0ffee, nil, nil, o, priorFn(&resumedCalls))
 		if got != want {
 			t.Errorf("prior=%d: Result %+v != uninterrupted %+v", prior, got, want)
 		}
@@ -150,7 +150,7 @@ func TestRunBatchPriorFeedsCIStop(t *testing.T) {
 	const budget = 300
 	obs := Observers{CIWidth: 0.2}
 	var calls atomic.Int64
-	want := RunObserved(budget, 4, 0xc0ffee, nil, nil, obs, priorFn(&calls))
+	want := Run(budget, 4, 0xc0ffee, nil, nil, obs, priorFn(&calls))
 	if want.Trials >= budget {
 		t.Fatalf("ci-stop never fired (%d trials); widen the test margin", want.Trials)
 	}

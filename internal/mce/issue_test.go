@@ -2,7 +2,6 @@ package mce
 
 import (
 	"reflect"
-	"sort"
 	"testing"
 
 	"quest/internal/distill"
@@ -128,10 +127,6 @@ func TestIssueLogicalMatchesFullScan(t *testing.T) {
 			}
 		}
 		got, want := fast.StepCycle(), stepNaive(ref)
-		// completeMeasurements reports patches in map order.
-		for _, r := range []CycleReport{got, want} {
-			sort.Slice(r.LogicalResults, func(i, j int) bool { return r.LogicalResults[i].Patch < r.LogicalResults[j].Patch })
-		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("cycle %d: report\n%+v\nwant\n%+v", cycles, got, want)
 		}

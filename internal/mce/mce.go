@@ -762,8 +762,16 @@ func (m *MCE) forgetPatch(patch int) {
 	m.hist.Forget(ancillas)
 }
 
+// completeMeasurements reports the transverse measurements whose data bits
+// have all arrived. Patches are visited in index order, never map order, so
+// measurements finishing in the same cycle appear in ascending patch index
+// in CycleReport.LogicalResults (and the master's RunReport.Results).
 func (m *MCE) completeMeasurements(rep *CycleReport) {
-	for patch, basisX := range m.measuring {
+	for patch := 0; len(m.measuring) > 0 && patch < m.cfg.Layout.NumPatches(); patch++ {
+		basisX, ok := m.measuring[patch]
+		if !ok {
+			continue
+		}
 		// Z-basis outcome = parity over the logical-Z support, corrected by
 		// pending X flips; X-basis uses the logical-X support and Z flips.
 		support := m.cfg.Layout.PatchLogicalZ(patch)

@@ -108,6 +108,48 @@ func TestLogicalXFlipsMeasurement(t *testing.T) {
 	}
 }
 
+// TestSimultaneousMeasurementsReportInPatchOrder pins the report order of
+// measurements that finish in the same cycle: ascending patch index, never
+// map iteration order. Four patches are measured in one cycle, enqueued in
+// reverse, on 50 fresh engines; X on patches 1 and 3 makes each bit name its
+// patch's parity as well.
+func TestSimultaneousMeasurementsReportInPatchOrder(t *testing.T) {
+	const patches = 4
+	for rep := 0; rep < 50; rep++ {
+		m := newMCE(t, patches)
+		m.StepCycle()
+		for _, in := range []isa.LogicalInstr{
+			{Op: isa.LPrep0, Target: 3}, {Op: isa.LPrep0, Target: 2},
+			{Op: isa.LPrep0, Target: 1}, {Op: isa.LPrep0, Target: 0},
+			{Op: isa.LX, Target: 3}, {Op: isa.LX, Target: 1},
+		} {
+			if err := m.Enqueue(in); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for c := 0; m.PendingLogical() > 0; c++ {
+			if c > 10 {
+				t.Fatal("preparation traffic did not drain")
+			}
+			m.StepCycle()
+		}
+		for p := patches - 1; p >= 0; p-- {
+			if err := m.Enqueue(isa.LogicalInstr{Op: isa.LMeasZ, Target: uint8(p)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := m.StepCycle().LogicalResults
+		if len(got) != patches {
+			t.Fatalf("rep %d: %d results in the measuring cycle, want %d: %+v", rep, len(got), patches, got)
+		}
+		for i, r := range got {
+			if r.Patch != i || r.Bit != i%2 {
+				t.Fatalf("rep %d: results %+v, want patches 0..3 in order with bits 0,1,0,1", rep, got)
+			}
+		}
+	}
+}
+
 func TestQECCContinuesDuringLogicalWork(t *testing.T) {
 	// The determinism invariant: logical traffic must never reduce the µop
 	// cadence — every qubit still gets Depth µops per cycle.
