@@ -108,12 +108,11 @@ ledger-smoke:
 # tools/ledgermerge and cmp(1)'d byte-for-byte against the 1-process ledger;
 # then the 1-process ledger is truncated mid-cell with a torn final line
 # (what a crash leaves) and a -resume run must reconverge to the same bytes.
-# The threshold sweep runs on mc.RunBatch: its cut keeps the header, cell 0
-# (100 trials + summary) and 70 trials of cell 1, so the resumed cell's
-# first lane starts past a 64-trial lane boundary. The memory sweep runs on
-# mc.Run, one trial per claim: its cut keeps the header, cell 0 (30 trials +
-# summary) and 12 trials of cell 1. All artifacts match the
-# ledger-shard-*.jsonl pattern covered by .gitignore and `make clean`.
+# Both sweeps run on mc.RunBatch, 64 trials per lane: each cut keeps the
+# header, cell 0 (100 trials + summary) and 70 trials of cell 1, so the
+# resumed cell's first lane starts past a 64-trial lane boundary. All
+# artifacts match the ledger-shard-*.jsonl pattern covered by .gitignore and
+# `make clean`.
 shard-smoke:
 	$(GO) run ./cmd/questbench -trials 100 -workers 4 -ledger ledger-shard-full.jsonl threshold
 	$(GO) run ./cmd/questbench -trials 100 -workers 2 -shard 0/2 -ledger ledger-shard-0.jsonl threshold
@@ -127,18 +126,18 @@ shard-smoke:
 		-ledger ledger-shard-resumed.jsonl threshold
 	cmp ledger-shard-resumed.jsonl ledger-shard-full.jsonl
 	$(GO) run ./tools/ledgercheck -min-cells 6 -min-trials 600 ledger-shard-resumed.jsonl
-	$(GO) run ./cmd/questbench -trials 30 -workers 4 -ledger ledger-shard-mem-full.jsonl memory
-	$(GO) run ./cmd/questbench -trials 30 -workers 2 -shard 0/2 -ledger ledger-shard-mem-0.jsonl memory
-	$(GO) run ./cmd/questbench -trials 30 -workers 3 -shard 1/2 -ledger ledger-shard-mem-1.jsonl memory
+	$(GO) run ./cmd/questbench -trials 100 -workers 4 -ledger ledger-shard-mem-full.jsonl memory
+	$(GO) run ./cmd/questbench -trials 100 -workers 2 -shard 0/2 -ledger ledger-shard-mem-0.jsonl memory
+	$(GO) run ./cmd/questbench -trials 100 -workers 3 -shard 1/2 -ledger ledger-shard-mem-1.jsonl memory
 	$(GO) run ./tools/ledgermerge -o ledger-shard-mem-merged.jsonl ledger-shard-mem-0.jsonl ledger-shard-mem-1.jsonl
 	cmp ledger-shard-mem-merged.jsonl ledger-shard-mem-full.jsonl
-	$(GO) run ./tools/ledgercheck -min-cells 3 -min-trials 90 ledger-shard-mem-merged.jsonl
-	head -n 44 ledger-shard-mem-full.jsonl > ledger-shard-mem-crash.jsonl
+	$(GO) run ./tools/ledgercheck -min-cells 3 -min-trials 300 ledger-shard-mem-merged.jsonl
+	head -n 172 ledger-shard-mem-full.jsonl > ledger-shard-mem-crash.jsonl
 	printf '{"record":"trial","cell":"mem' >> ledger-shard-mem-crash.jsonl
-	$(GO) run ./cmd/questbench -trials 30 -workers 3 -resume ledger-shard-mem-crash.jsonl \
+	$(GO) run ./cmd/questbench -trials 100 -workers 3 -resume ledger-shard-mem-crash.jsonl \
 		-ledger ledger-shard-mem-resumed.jsonl memory
 	cmp ledger-shard-mem-resumed.jsonl ledger-shard-mem-full.jsonl
-	$(GO) run ./tools/ledgercheck -min-cells 3 -min-trials 90 ledger-shard-mem-resumed.jsonl
+	$(GO) run ./tools/ledgercheck -min-cells 3 -min-trials 300 ledger-shard-mem-resumed.jsonl
 
 # Live-telemetry smoke — the same checks CI's events-smoke job runs. A
 # 2-shard ledgered sweep streams quest-events/1 snapshots; questtop -check
@@ -163,18 +162,19 @@ events-smoke:
 # memory experiment drives the full machine decode path (threshold cells
 # bypass the machine, so they put no traffic on the buses): the same
 # profiled sweep at -workers 1 and 8 must produce byte-identical quest-bw/1
-# waveforms (cmp), and the -workers 1 ledger must be byte-identical with -bw
+# waveforms (cmp) — at 130 trials, three 64-trial lanes, so 8 workers really
+# split each cell — and the -workers 1 ledger must be byte-identical with -bw
 # on and off (profiling is a pure side-band). bwreport -check validates each
 # artifact, then three questsim runs — one per microcode design — feed the
 # ram/fifo/unitcell comparison table. Artifacts match bw-smoke-*.jsonl,
 # covered by .gitignore and `make clean`.
 bw-smoke:
-	$(GO) run ./cmd/questbench -trials 8 -workers 1 \
+	$(GO) run ./cmd/questbench -trials 130 -workers 1 \
 		-ledger bw-smoke-ledger-on.jsonl -bw bw-smoke-w1.jsonl memory
-	$(GO) run ./cmd/questbench -trials 8 -workers 8 \
+	$(GO) run ./cmd/questbench -trials 130 -workers 8 \
 		-bw bw-smoke-w8.jsonl memory
 	cmp bw-smoke-w1.jsonl bw-smoke-w8.jsonl
-	$(GO) run ./cmd/questbench -trials 8 -workers 1 \
+	$(GO) run ./cmd/questbench -trials 130 -workers 1 \
 		-ledger bw-smoke-ledger-off.jsonl memory
 	cmp bw-smoke-ledger-off.jsonl bw-smoke-ledger-on.jsonl
 	$(GO) run ./tools/bwreport -check bw-smoke-w1.jsonl

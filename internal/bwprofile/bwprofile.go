@@ -16,7 +16,7 @@
 // with NewShard and merged in trial order by the Monte-Carlo engine, and the
 // quest-bw/1 artifact (jsonl.go) carries no wall-clock or worker-count
 // fields, so its bytes are identical for any worker count (pinned by
-// core's TestMachineMemoryBWWorkerCountInvariant and CI's bw-smoke cmp).
+// core's TestMachineMemoryBWPureSideband and CI's bw-smoke cmp).
 //
 // Profiling is a pure side-band. A nil *Recorder is the -bw-off mode: every
 // method is a nil-gated no-op, so call sites stay unconditional and the off

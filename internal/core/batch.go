@@ -14,9 +14,13 @@ import (
 	"quest/internal/tracing"
 )
 
-// This file is the threshold sweep's trial engine: the windowed-decode
-// memory experiment, structured so that per-trial setup is compiled once per
-// cell and the per-trial fault state is bit-sliced across a 64-trial lane.
+// This file holds the lane kernel both batched engines share — fault
+// sampling by injector replay and bit-sliced Pauli-frame propagation over a
+// compiled cycle stream — and the threshold sweep's trial engine on top of
+// it: the windowed-decode memory experiment, structured so that per-trial
+// setup is compiled once per cell and the per-trial fault state is
+// bit-sliced across a 64-trial lane. The machine-level memory sweep's engine
+// (memory.go) runs on the same kernel.
 //
 // The reference formulation (the scalar oracle in threshold_oracle_test.go)
 // re-simulates the full stabilizer tableau through the AWG unit every trial.
@@ -33,17 +37,175 @@ import (
 // defect stream, decode, ledger bytes and heat JSON stay byte-identical to
 // the scalar oracle (pinned by TestThresholdBatchedMatchesScalar).
 
+// laneStream is the kernel's input: a fixed sequence of compiled QECC
+// cycles that every trial of a cell executes, as one tile's execution unit
+// would fire it. The first `noisy` cycles draw from the trial's injector; the
+// rest run clean. Cycles may share a program.
+type laneStream struct {
+	n      int
+	cycles []*surface.ExtractionProgram
+	noisy  int
+	// off[c] numbers cycle c's first word in the stream's flat word index.
+	off   []int
+	words int
+}
+
+func newLaneStream(cycles []*surface.ExtractionProgram, noisy int) laneStream {
+	ls := laneStream{n: cycles[0].NumQubits, cycles: cycles, noisy: noisy, off: make([]int, len(cycles))}
+	for c, prog := range cycles {
+		ls.off[c] = ls.words
+		ls.words += len(prog.Words)
+	}
+	return ls
+}
+
+// laneScratch is the kernel's pooled lane state: dense fault lanes indexed
+// by (stream word, qubit), the live Pauli-frame lanes and the
+// measurement-flip lanes the kernel outputs. One scratch serves one lane at
+// a time.
+type laneScratch struct {
+	faultX, faultZ []uint64 // word*n + q: faults injected in that stream word
+	measFlip       []uint64 // cycle*n + q: classical measurement flips
+	dirty          []bool   // stream word: any fault lane set there
+	fx, fz         []uint64 // live fault frame, one lane per qubit
+	// flips[(c+1)*n+q] is the flip lane of qubit q's measurement in cycle
+	// c, relative to the fault-free run: the outcome XOR the fault-free
+	// outcome. Row 0 stays zero, the reference of the first cycle. Entries
+	// of qubits a cycle does not measure are stale.
+	flips []uint64
+	rep   *noise.Replayer
+}
+
+func newLaneScratch(ls *laneStream) laneScratch {
+	n, cycles := ls.n, len(ls.cycles)
+	return laneScratch{
+		faultX:   make([]uint64, ls.words*n),
+		faultZ:   make([]uint64, ls.words*n),
+		measFlip: make([]uint64, cycles*n),
+		dirty:    make([]bool, ls.words),
+		fx:       make([]uint64, n),
+		fz:       make([]uint64, n),
+		flips:    make([]uint64, (cycles+1)*n),
+		rep:      noise.NewReplayer(noise.Model{}, 1),
+	}
+}
+
+// addFault XORs a sampled Pauli into trial bit's fault lanes at (base, q).
+func (s *laneScratch) addFault(base, q int, p clifford.Pauli, bit uint64) {
+	if p == clifford.PauliX || p == clifford.PauliY {
+		s.faultX[base+q] ^= bit
+	}
+	if p == clifford.PauliZ || p == clifford.PauliY {
+		s.faultZ[base+q] ^= bit
+	}
+}
+
+// run is the lane kernel both engines call. It samples trial i's fault
+// stream by exact replay of the injector the scalar engine seeds with
+// injSeed(seeds[i]) under model, then propagates all lanes through the
+// stream at once, leaving the measurement flip lanes in s.flips and the
+// final fault frame in s.fx/s.fz. A nil model is a noiseless tile — no
+// injector, so no draws.
+//
+// The RNG replay is inherently sequential per trial (each draw's position
+// depends on the previous draws), but it touches no tableau: every site is
+// one Float64 compare, and a fault is a single XOR into the trial's bit
+// lane. The propagation is bit-sliced: within a word the phase order
+// (measure, prep, propagate, inject) is equivalent to the AWG unit's
+// interleaved per-qubit execution because each qubit carries exactly one
+// µop per word — see ProgramWord.
+func (s *laneScratch) run(ls *laneStream, model *noise.Model, seeds []uint64, injSeed func(uint64) int64) {
+	n := ls.n
+	for w, d := range s.dirty {
+		if d {
+			clear(s.faultX[w*n : (w+1)*n])
+			clear(s.faultZ[w*n : (w+1)*n])
+			s.dirty[w] = false
+		}
+	}
+	clear(s.measFlip)
+	if model != nil {
+		for i, seed := range seeds {
+			s.rep.Reset(*model, injSeed(seed))
+			bit := uint64(1) << uint(i)
+			for c := 0; c < ls.noisy; c++ {
+				prog := ls.cycles[c]
+				for w := range prog.Words {
+					sw := ls.off[c] + w
+					base := sw * n
+					for _, site := range prog.Words[w].Sites {
+						switch site.Kind {
+						case surface.SiteIdle:
+							if pl, ok := s.rep.Idle(); ok {
+								s.addFault(base, site.Qubit, pl, bit)
+								s.dirty[sw] = true
+							}
+						case surface.SitePrep:
+							if pl, ok := s.rep.AfterPrep(site.BasisX); ok {
+								s.addFault(base, site.Qubit, pl, bit)
+								s.dirty[sw] = true
+							}
+						case surface.SiteGate2:
+							if pa, pb, ok := s.rep.AfterGate2(); ok {
+								s.addFault(base, site.Qubit, pa, bit)
+								s.addFault(base, site.Pair, pb, bit)
+								s.dirty[sw] = true
+							}
+						case surface.SiteMeas:
+							if s.rep.FlipMeasurement() {
+								s.measFlip[c*n+site.Qubit] ^= bit
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	clear(s.fx)
+	clear(s.fz)
+	for c, prog := range ls.cycles {
+		row := s.flips[(c+1)*n : (c+2)*n]
+		mrow := s.measFlip[c*n : (c+1)*n]
+		for w := range prog.Words {
+			word := &prog.Words[w]
+			for _, m := range word.Meas {
+				flip := s.fx[m.Qubit]
+				if m.IsX {
+					flip = s.fz[m.Qubit]
+				}
+				row[m.Qubit] = flip ^ mrow[m.Qubit]
+			}
+			for _, pr := range word.Preps {
+				s.fx[pr.Qubit] = 0
+				s.fz[pr.Qubit] = 0
+			}
+			for _, g := range word.CNOTs {
+				s.fx[g.Target] ^= s.fx[g.Control]
+				s.fz[g.Control] ^= s.fz[g.Target]
+			}
+			if sw := ls.off[c] + w; s.dirty[sw] {
+				base := sw * n
+				for q := 0; q < n; q++ {
+					s.fx[q] ^= s.faultX[base+q]
+					s.fz[q] ^= s.faultZ[base+q]
+				}
+			}
+		}
+	}
+}
+
 // thresholdProgram is the once-per-distance precompute of a threshold cell:
-// the lattice, the extraction program, the logical-Z support and the ancilla
-// scan order. It is independent of the physical error rate, so cells of one
+// the lattice, the cycle stream, the logical-Z support and the ancilla scan
+// order. It is independent of the physical error rate, so cells of one
 // distance share it across the whole sweep.
 type thresholdProgram struct {
-	lat  surface.Lattice
-	d    int
-	prog *surface.ExtractionProgram
-	logZ []int
-	anc  []batchAncilla
-	pool sync.Pool // *batchScratch
+	lat    surface.Lattice
+	d      int
+	stream laneStream
+	logZ   []int
+	anc    []batchAncilla
+	pool   sync.Pool // *batchScratch
 }
 
 // batchAncilla caches an ancilla's coordinates and type for defect emission
@@ -62,11 +224,20 @@ func thresholdProgramFor(d int) *thresholdProgram {
 		return v.(*thresholdProgram)
 	}
 	lat := surface.NewPlanar(d)
+	prog := surface.BuildProgram(lat, surface.CompileCycle(lat, surface.Steane, nil))
+	// The scalar trial's injector draws only during its d noisy cycles: the
+	// clean reference cycle before them draws nothing (and is the all-zero
+	// flip reference), the final clean cycle after them flushes late data
+	// faults into the syndrome.
+	cycles := make([]*surface.ExtractionProgram, d+1)
+	for c := range cycles {
+		cycles[c] = prog
+	}
 	tp := &thresholdProgram{
-		lat:  lat,
-		d:    d,
-		prog: surface.BuildProgram(lat, surface.CompileCycle(lat, surface.Steane, nil)),
-		logZ: lat.LogicalZ(),
+		lat:    lat,
+		d:      d,
+		stream: newLaneStream(cycles, d),
+		logZ:   lat.LogicalZ(),
 	}
 	for q := 0; q < lat.NumQubits(); q++ {
 		role := lat.RoleOf(q)
@@ -81,172 +252,47 @@ func thresholdProgramFor(d int) *thresholdProgram {
 	return v.(*thresholdProgram)
 }
 
-// batchScratch is the pooled lane state: dense fault lanes indexed by
-// (cycle, word, qubit), the live Pauli-frame lanes, the per-round ancilla
-// outcome-flip lanes, and the per-trial decoder scratch (window + matcher +
-// frame) that the scalar engine reallocated every trial. One scratch serves
-// one lane at a time; the pool hands it back to whichever worker claims the
-// next lane.
+// batchScratch is the pooled threshold lane state: the kernel's lanes and
+// the per-trial decoder scratch (window + matcher + frame) that the scalar
+// engine reallocated every trial.
 type batchScratch struct {
-	faultX, faultZ []uint64 // (cycle*depth+word)*n + q: faults injected in that word
-	measFlip       []uint64 // cycle*n + q: classical measurement flips
-	dirty          []bool   // cycle*depth + word: any fault lane set there
-	fx, fz         []uint64 // live fault frame, one lane per qubit
-	flips          []uint64 // round*n + q: ancilla outcome-flip lanes, rounds 0..d+1
-	defects        []decoder.Defect
-	frame          *decoder.PauliFrame
-	win            *decoder.WindowDecoder
-	rep            *noise.Replayer
+	lanes   laneScratch
+	defects []decoder.Defect
+	frame   *decoder.PauliFrame
+	win     *decoder.WindowDecoder
 }
 
 func newBatchScratch(tp *thresholdProgram) *batchScratch {
-	depth := len(tp.prog.Words)
-	n := tp.prog.NumQubits
-	d := tp.d
 	return &batchScratch{
-		faultX:   make([]uint64, d*depth*n),
-		faultZ:   make([]uint64, d*depth*n),
-		measFlip: make([]uint64, d*n),
-		dirty:    make([]bool, d*depth),
-		fx:       make([]uint64, n),
-		fz:       make([]uint64, n),
-		flips:    make([]uint64, (d+2)*n),
-		frame:    decoder.NewPauliFrame(),
-		win:      decoder.NewWindowDecoder(decoder.NewGlobalDecoder(tp.lat), d),
-		rep:      noise.NewReplayer(noise.Model{}, 1),
+		lanes: newLaneScratch(&tp.stream),
+		frame: decoder.NewPauliFrame(),
+		win:   decoder.NewWindowDecoder(decoder.NewGlobalDecoder(tp.lat), tp.d),
 	}
 }
 
-// addFault XORs a sampled Pauli into trial bit's fault lanes at (base, q).
-func (s *batchScratch) addFault(base, q int, p clifford.Pauli, bit uint64) {
-	if p == clifford.PauliX || p == clifford.PauliY {
-		s.faultX[base+q] ^= bit
-	}
-	if p == clifford.PauliZ || p == clifford.PauliY {
-		s.faultZ[base+q] ^= bit
-	}
-}
-
-// runLane executes one lane of trials: sample every trial's fault stream by
-// exact injector-RNG replay, propagate all lanes through the extraction
-// program with word ops, then decode each trial against the pooled window
+// runLane executes one lane of trials: the kernel samples and propagates
+// every trial's faults, then each trial decodes against the pooled window
 // decoder. out[i] receives trial seeds[i]'s outcome.
 func (tp *thresholdProgram) runLane(p float64, seeds []uint64, ctx mc.BatchCtx, out []mc.Outcome) {
 	s := tp.pool.Get().(*batchScratch)
 	defer tp.pool.Put(s)
-	depth := len(tp.prog.Words)
-	n := tp.prog.NumQubits
+	n := tp.stream.n
 	d := tp.d
 	model := noise.Uniform(p)
-
-	for i := range s.faultX {
-		s.faultX[i] = 0
-		s.faultZ[i] = 0
-	}
-	for i := range s.measFlip {
-		s.measFlip[i] = 0
-	}
-	for i := range s.dirty {
-		s.dirty[i] = false
-	}
-
-	// Phase 1: per-trial fault sampling. The RNG replay is inherently
-	// sequential per trial (each draw's position depends on the previous
-	// draws), but it touches no tableau: every site is one Float64 compare,
-	// and a fault is a single XOR into the trial's bit lane. The scalar
-	// engine's injector draws only during the d noisy cycles — the clean
-	// reference and final readout cycles draw nothing — so the replay
-	// walks exactly those cycles.
-	for i, seed := range seeds {
-		s.rep.Reset(model, int64(mc.Derive(seed, 1)))
-		bit := uint64(1) << uint(i)
-		for c := 0; c < d; c++ {
-			for w := range tp.prog.Words {
-				base := (c*depth + w) * n
-				for _, site := range tp.prog.Words[w].Sites {
-					switch site.Kind {
-					case surface.SiteIdle:
-						if pl, ok := s.rep.Idle(); ok {
-							s.addFault(base, site.Qubit, pl, bit)
-							s.dirty[c*depth+w] = true
-						}
-					case surface.SitePrep:
-						if pl, ok := s.rep.AfterPrep(site.BasisX); ok {
-							s.addFault(base, site.Qubit, pl, bit)
-							s.dirty[c*depth+w] = true
-						}
-					case surface.SiteGate2:
-						if pa, pb, ok := s.rep.AfterGate2(); ok {
-							s.addFault(base, site.Qubit, pa, bit)
-							s.addFault(base, site.Pair, pb, bit)
-							s.dirty[c*depth+w] = true
-						}
-					case surface.SiteMeas:
-						if s.rep.FlipMeasurement() {
-							s.measFlip[c*n+site.Qubit] ^= bit
-						}
-					}
-				}
-			}
-		}
-	}
-
-	// Phase 2: bit-sliced propagation, all trials at once. Rounds 1..d are
-	// the noisy cycles, round d+1 the final clean cycle that flushes
-	// late data faults into the syndrome. Within a word the phase order
-	// (measure, prep, propagate, inject) is equivalent to the AWG unit's
-	// interleaved per-qubit execution because each qubit carries exactly
-	// one µop per word — see ProgramWord.
-	for i := range s.flips {
-		s.flips[i] = 0
-	}
-	for i := range s.fx {
-		s.fx[i] = 0
-		s.fz[i] = 0
-	}
-	for r := 1; r <= d+1; r++ {
-		noisy := r <= d
-		cbase := (r - 1) * depth
-		for w := range tp.prog.Words {
-			word := &tp.prog.Words[w]
-			for _, m := range word.Meas {
-				flip := s.fx[m.Qubit]
-				if m.IsX {
-					flip = s.fz[m.Qubit]
-				}
-				if noisy {
-					flip ^= s.measFlip[(r-1)*n+m.Qubit]
-				}
-				s.flips[r*n+m.Qubit] = flip
-			}
-			for _, pr := range word.Preps {
-				s.fx[pr.Qubit] = 0
-				s.fz[pr.Qubit] = 0
-			}
-			for _, g := range word.CNOTs {
-				s.fx[g.Target] ^= s.fx[g.Control]
-				s.fz[g.Control] ^= s.fz[g.Target]
-			}
-			if noisy && s.dirty[cbase+w] {
-				base := (cbase + w) * n
-				for q := 0; q < n; q++ {
-					s.fx[q] ^= s.faultX[base+q]
-					s.fz[q] ^= s.faultZ[base+q]
-				}
-			}
-		}
-	}
+	s.lanes.run(&tp.stream, &model, seeds, func(seed uint64) int64 { return int64(mc.Derive(seed, 1)) })
+	flips := s.lanes.flips
 
 	// xp lane: X-fault parity over the logical-Z support at readout time.
 	var xp uint64
 	for _, q := range tp.logZ {
-		xp ^= s.fx[q]
+		xp ^= s.lanes.fx[q]
 	}
 
-	// Phase 3: per-trial windowed decode over the defect lanes, driving the
-	// same WindowDecoder the scalar engine uses — Absorb per round, Flush at
-	// the end — so matchings, corrections, instrument counts, tracer spans
-	// and heat records replicate the scalar path exactly.
+	// Per-trial windowed decode over the defect lanes, driving the same
+	// WindowDecoder the scalar engine uses — Absorb per round, Flush at the
+	// end — so matchings, corrections, instrument counts, tracer spans and
+	// heat records replicate the scalar path exactly. Round r is stream
+	// cycle r-1: rounds 1..d are the noisy cycles, round d+1 the clean one.
 	var instr *decoder.Instr
 	if ctx.Shard != nil {
 		instr = decoder.NewInstr(ctx.Shard)
@@ -266,7 +312,7 @@ func (tp *thresholdProgram) runLane(p float64, seeds []uint64, ctx mc.BatchCtx, 
 			defs := s.defects[:0]
 			row, prev := r*n, (r-1)*n
 			for _, a := range tp.anc {
-				if (s.flips[row+a.q]^s.flips[prev+a.q])&bit != 0 {
+				if (flips[row+a.q]^flips[prev+a.q])&bit != 0 {
 					defs = append(defs, decoder.Defect{Round: r, Qubit: a.q, R: a.r, C: a.c, IsX: a.isX})
 					if heat != nil {
 						heat.Defect(a.r, a.c)

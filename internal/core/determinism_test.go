@@ -22,19 +22,22 @@ func TestThresholdWorkerCountInvariant(t *testing.T) {
 }
 
 // TestMachineMemoryWorkerCountInvariant: same guarantee through the whole
-// machine — master dispatch, MCE replay, local + windowed global decode.
+// machine — master dispatch, MCE replay, local + windowed global decode —
+// over two full lanes and a short one.
 func TestMachineMemoryWorkerCountInvariant(t *testing.T) {
-	serial, _, err := MachineMemory(nil, nil, 5e-4, 4, 20, 1, SweepObs{})
+	serial, _, err := MachineMemory(nil, nil, 5e-4, 4, memoryPinTrials, 1, SweepObs{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, _, err := MachineMemory(nil, nil, 5e-4, 4, 20, 8, SweepObs{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial != parallel {
-		t.Errorf("memory rows differ across worker counts:\n workers=1: %+v\n workers=8: %+v",
-			serial, parallel)
+	for _, workers := range []int{3, 8} {
+		parallel, _, err := MachineMemory(nil, nil, 5e-4, 4, memoryPinTrials, workers, SweepObs{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if serial != parallel {
+			t.Errorf("memory rows differ across worker counts:\n workers=1: %+v\n workers=%d: %+v",
+				serial, workers, parallel)
+		}
 	}
 }
 
@@ -102,24 +105,38 @@ func TestMetricsObservationDoesNotPerturbResults(t *testing.T) {
 }
 
 // TestMachineMemoryMetricsInvariant: the same feedback-free contract through
-// the full machine path, where every trial machine records into a shard.
+// the full machine path, where every lane records into a worker shard: rows
+// match with metrics off and on, and the merged counters match across
+// worker counts.
 func TestMachineMemoryMetricsInvariant(t *testing.T) {
-	off, _, err := MachineMemory(nil, nil, 5e-4, 4, 12, 2, SweepObs{})
+	off, _, err := MachineMemory(nil, nil, 5e-4, 4, memoryPinTrials, 1, SweepObs{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := metrics.New()
-	on, _, err := MachineMemory(reg, nil, 5e-4, 4, 12, 3, SweepObs{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off != on {
-		t.Errorf("memory rows differ with metrics on:\n off: %+v\n on:  %+v", off, on)
-	}
-	if reg.Counter("mce.cycles").Value() == 0 {
-		t.Error("mce.cycles = 0 — machine path not recording into shards")
-	}
-	if reg.Counter("master.dispatched").Value() == 0 {
-		t.Error("master.dispatched = 0 — master path not recording into shards")
+	var first *metrics.Registry
+	for _, workers := range []int{1, 3, 8} {
+		reg := metrics.New()
+		on, _, err := MachineMemory(reg, nil, 5e-4, 4, memoryPinTrials, workers, SweepObs{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if off != on {
+			t.Errorf("workers=%d: memory rows differ with metrics on:\n off: %+v\n on:  %+v", workers, off, on)
+		}
+		if reg.Counter("mce.cycles").Value() == 0 {
+			t.Errorf("workers=%d: mce.cycles = 0 — machine path not recording into shards", workers)
+		}
+		if reg.Counter("master.dispatched").Value() == 0 {
+			t.Errorf("workers=%d: master.dispatched = 0 — master path not recording into shards", workers)
+		}
+		if first == nil {
+			first = reg
+			continue
+		}
+		for _, name := range []string{"mce.cycles", "master.dispatched", "master.escalated", "decoder.match.calls", "mc.trials"} {
+			if a, b := first.Counter(name).Value(), reg.Counter(name).Value(); a != b {
+				t.Errorf("workers=%d: merged %s = %d, workers=1 %d", workers, name, b, a)
+			}
+		}
 	}
 }

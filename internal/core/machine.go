@@ -146,9 +146,11 @@ func (ma *Machine) Master() *master.Master { return ma.m }
 // kept; every piece of mutable state — substrate, masks, frames, queues,
 // factories, counters — is restored, so a Reset machine is observationally
 // identical to NewMachine with the same config (pinned by
-// TestMachineResetMatchesFresh). Monte-Carlo trial bodies pool machines on
-// this: per-trial cost drops from full machine construction to a reset.
-// Panics for NoC-routed machines, whose mesh has no drain guarantee.
+// TestMachineResetMatchesFresh). Callers that run many short trials on one
+// machine shape — the memory sweep's scalar oracle, questperf's memory
+// replica — pool machines on this: per-trial cost drops from full machine
+// construction to a reset. Panics for NoC-routed machines, whose mesh has no
+// drain guarantee.
 func (ma *Machine) Reset(seed int64, reg *metrics.Registry, tr *tracing.Tracer, heat *heatmap.Set, bw *bwprofile.Recorder) {
 	ma.cfg.Seed = seed
 	ma.cfg.Metrics = reg

@@ -7,36 +7,16 @@ import (
 
 	"quest/internal/bandwidth"
 	"quest/internal/heatmap"
-	"quest/internal/isa"
 	"quest/internal/metrics"
 	"quest/internal/noise"
 )
 
-// memoryTrialFor drives one machine through the memory-experiment trial
-// sequence (the MachineMemory body) and returns the measured logical
-// bit.
+// memoryTrialFor runs memoryTrial, failing the test on an error.
 func memoryTrialFor(t *testing.T, m *Machine, rounds int) int {
 	t.Helper()
-	mm := m.Master()
-	mm.StepCycle()
-	if err := mm.Dispatch(0, isa.LogicalInstr{Op: isa.LPrep0, Target: 0}); err != nil {
-		t.Fatalf("Dispatch prep: %v", err)
-	}
-	for c := 0; c < rounds; c++ {
-		mm.StepCycle()
-	}
-	if err := mm.Dispatch(0, isa.LogicalInstr{Op: isa.LMeasZ, Target: 0}); err != nil {
-		t.Fatalf("Dispatch meas: %v", err)
-	}
-	reps, ok := mm.RunUntilDrained(rounds + 50)
-	if !ok {
-		t.Fatal("machine did not drain")
-	}
-	got := -1
-	for _, r := range reps {
-		for _, res := range r.Results {
-			got = res.Bit
-		}
+	got, err := memoryTrial(m, rounds)
+	if err != nil {
+		t.Fatalf("memory trial: %v", err)
 	}
 	return got
 }
@@ -200,5 +180,34 @@ func TestMachineResetBusMetricsMatchFresh(t *testing.T) {
 		if fv != rv {
 			t.Errorf("bridged counter %s: fresh %d, pooled-reset %d", name, fv, rv)
 		}
+	}
+}
+
+// TestMachineDecodersRecordIntoMachineRegistry is the regression test for
+// decoders that ignored their machine's registry: the master's global and
+// window decoders, MWPM and union-find alike, must count into cfg.Metrics on
+// a fresh machine and into the registry Reset rebinds, and must leave
+// metrics.Default untouched.
+func TestMachineDecodersRecordIntoMachineRegistry(t *testing.T) {
+	const name = "decoder.match.calls"
+	before := metrics.Default.Counter(name).Value()
+	for _, uf := range []bool{false, true} {
+		reg := metrics.New()
+		cfg := memoryMachineConfig(7, reg, nil, 1e-2)
+		cfg.UseUnionFind = uf
+		m := NewMachine(cfg)
+		memoryTrialFor(t, m, 8)
+		if reg.Counter(name).Value() == 0 {
+			t.Errorf("union-find=%v: fresh machine's registry reads %s = 0", uf, name)
+		}
+		reg2 := metrics.New()
+		m.Reset(8, reg2, nil, nil, nil)
+		memoryTrialFor(t, m, 8)
+		if reg2.Counter(name).Value() == 0 {
+			t.Errorf("union-find=%v: reset machine's registry reads %s = 0", uf, name)
+		}
+	}
+	if after := metrics.Default.Counter(name).Value(); after != before {
+		t.Errorf("metrics.Default %s moved %d -> %d: decoder counts leaked out of the machine registries", name, before, after)
 	}
 }

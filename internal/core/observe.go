@@ -3,16 +3,12 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"quest/internal/bwprofile"
-	"quest/internal/compiler"
 	"quest/internal/heatmap"
-	"quest/internal/isa"
 	"quest/internal/ledger"
 	"quest/internal/mc"
 	"quest/internal/metrics"
-	"quest/internal/noise"
 	"quest/internal/tracing"
 )
 
@@ -288,14 +284,17 @@ func Threshold(reg *metrics.Registry, tr *tracing.Tracer, rates []float64, dista
 }
 
 // MachineMemory runs the end-to-end memory experiment at one operating point
-// over `workers` goroutines (<=0 means GOMAXPROCS). Each trial runs a machine
-// seeded from (ExperimentSeed, physRate, rounds, trial), so the row is
-// bit-identical for any worker count and uncorrelated with the Threshold
-// sweep's fault patterns. Trial machines record into per-worker metrics and
-// tracer shards merged into reg and tr (nil skips either), and the SweepObs
-// hooks are wired through the full machine: each trial records defect births
-// (MCE histories), matched chains (master decoders) and bus traffic into
-// trial-private shards, merged in trial order. ran=false means the cell
+// over `workers` goroutines (<=0 means GOMAXPROCS). Each trial is one
+// machine — DefaultMachineConfig with one patch per tile and a
+// distance-deep decode window — seeded from (ExperimentSeed, physRate,
+// rounds, trial), so the row is bit-identical for any worker count and
+// uncorrelated with the Threshold sweep's fault patterns. Trials run 64 to a
+// lane on the batched Pauli-frame engine (memory.go), which reproduces the
+// machine trial byte for byte: its counters (mce.*, master.*, decoder.*)
+// land in per-worker shards merged into reg, its window-decoder spans in
+// tracer shards merged into tr (nil skips either), and the SweepObs hooks
+// see the machine's defect births, matched chains and bus traffic in
+// trial-private shards merged in trial order. ran=false means the cell
 // belongs to another shard and nothing was emitted; a zero SweepObs always
 // runs the cell.
 func MachineMemory(reg *metrics.Registry, tr *tracing.Tracer, physRate float64,
@@ -316,79 +315,13 @@ func MachineMemory(reg *metrics.Registry, tr *tracing.Tracer, physRate float64,
 			Trials: r.Trials,
 		}, true, r.Err
 	}
-	// Every trial machine is shaped by DefaultMachineConfig with one patch
-	// per tile (see the trial body); resolve the shared parent collector
-	// for exactly that lattice.
-	base := DefaultMachineConfig()
-	lat := compiler.NewLayout(base.Distance, 1).Lat
-	heat := obs.collector(lat.Rows, lat.Cols)
+	mp := memoryProgramFor(rounds)
+	heat := obs.collector(mp.lay.Lat.Rows, mp.lay.Lat.Cols)
 	mobs := obs.observers(name, heat)
 	mobs.Prior = plan.prior
-	// Trials pool machines: every trial of this cell uses the identical
-	// machine shape (only the seed and the observation hooks vary), so the
-	// expensive trial-independent construction — microcode stores, decoder
-	// lookup tables, tableau storage — is paid roughly once per worker and
-	// Reset rewinds the rest. Reset-vs-fresh equality is pinned by
-	// TestMachineResetMatchesFresh; worker-count independence of the pooled
-	// results by TestMachineMemoryObservedDeterminism.
-	var pool sync.Pool
-	res := mc.Run(trials, workers, cell, reg, tr, mobs,
-		func(trial int, seed uint64, ctx mc.TrialCtx) mc.Outcome {
-			// The machine records into a trial-private set; its (single)
-			// grid is folded into the trial's engine shard at the end, so
-			// the merged heatmap stays worker-count independent.
-			var hs *heatmap.Set
-			if ctx.Heat != nil {
-				hs = heatmap.NewSet()
-			}
-			var m *Machine
-			if v := pool.Get(); v != nil {
-				m = v.(*Machine)
-				m.Reset(int64(seed), ctx.Shard, ctx.Trace, hs, ctx.BW)
-			} else {
-				cfg := DefaultMachineConfig()
-				cfg.PatchesPerTile = 1
-				cfg.Seed = int64(seed)
-				cfg.DecodeWindow = cfg.Distance
-				cfg.Metrics = ctx.Shard
-				cfg.Tracer = ctx.Trace
-				cfg.Heat = hs
-				cfg.BW = ctx.BW
-				if physRate > 0 {
-					nm := noise.Uniform(physRate)
-					cfg.Noise = &nm
-				}
-				m = NewMachine(cfg)
-			}
-			defer pool.Put(m)
-			mm := m.Master()
-			mm.StepCycle()
-			if err := mm.Dispatch(0, isa.LogicalInstr{Op: isa.LPrep0, Target: 0}); err != nil {
-				return mc.Outcome{Err: err}
-			}
-			for c := 0; c < rounds; c++ {
-				mm.StepCycle()
-			}
-			if err := mm.Dispatch(0, isa.LogicalInstr{Op: isa.LMeasZ, Target: 0}); err != nil {
-				return mc.Outcome{Err: err}
-			}
-			reps, ok := mm.RunUntilDrained(rounds + 50)
-			if !ok {
-				return mc.Outcome{Err: fmt.Errorf("core: memory trial %d did not drain", trial)}
-			}
-			got := -1
-			for _, r := range reps {
-				for _, res := range r.Results {
-					got = res.Bit
-				}
-			}
-			// hs and ctx.Heat are non-nil together; the conjunction names
-			// both receivers, which is the form the nil-gating contract
-			// (gateflow) can prove.
-			if hs != nil && ctx.Heat != nil {
-				ctx.Heat.Merge(hs.Collector(heatmap.GridName(lat.Rows, lat.Cols), lat.Rows, lat.Cols))
-			}
-			return mc.Outcome{Fail: got != 0}
+	res := mc.RunBatch(trials, workers, cell, reg, tr, mobs,
+		func(_ int, seeds []uint64, ctx mc.BatchCtx, out []mc.Outcome) {
+			mp.runLane(physRate, seeds, ctx, out)
 		})
 	if err := obs.closeCell(name, map[string]float64{"p": physRate, "rounds": float64(rounds)}, cell, trials, res); err != nil {
 		return MemoryRow{}, true, err

@@ -135,19 +135,27 @@ func TestThresholdObservedProgressStream(t *testing.T) {
 	}
 }
 
+// memoryPinTrials is the trial count of the memory worker-count pins: two
+// full 64-trial lanes plus a short one, so every pin crosses lane
+// boundaries and leaves a ragged final lane.
+const memoryPinTrials = 130
+
 // TestMachineMemoryObservedDeterminism runs the machine-level experiment with
 // the full observer bundle and pins worker-count independence of the row,
-// ledger and heat.
+// ledger and heat, with and without CI early stop. The CI width stops the
+// cell inside its second lane, so whole in-flight lanes run past the stop
+// point and their overrun must be discarded identically at every worker
+// count.
 func TestMachineMemoryObservedDeterminism(t *testing.T) {
-	runAt := func(workers int) (MemoryRow, []byte, []byte) {
+	runAt := func(workers int, ciWidth float64) (MemoryRow, []byte, []byte) {
 		var buf bytes.Buffer
 		lw, err := ledger.NewWriter(&buf, "memory-test", nil, 1)
 		if err != nil {
 			t.Fatalf("NewWriter: %v", err)
 		}
 		heat := heatmap.NewSet()
-		row, ran, err := MachineMemory(nil, nil, 2e-3, 6, 10, workers,
-			SweepObs{Ledger: lw, Heat: heat})
+		row, ran, err := MachineMemory(nil, nil, 2e-3, 6, memoryPinTrials, workers,
+			SweepObs{Ledger: lw, Heat: heat, CIWidth: ciWidth})
 		if err != nil {
 			t.Fatalf("MachineMemory: %v", err)
 		}
@@ -163,19 +171,26 @@ func TestMachineMemoryObservedDeterminism(t *testing.T) {
 		}
 		return row, buf.Bytes(), hj.Bytes()
 	}
-	row1, led1, heat1 := runAt(1)
-	row4, led4, heat4 := runAt(4)
-	if row1 != row4 {
-		t.Errorf("rows differ across worker counts:\n1: %+v\n4: %+v", row1, row4)
-	}
-	if !bytes.Equal(led1, led4) {
-		t.Errorf("ledger bytes differ across worker counts")
-	}
-	if !bytes.Equal(heat1, heat4) {
-		t.Errorf("heatmap JSON differs across worker counts")
-	}
-	if _, err := ledger.Validate(led1); err != nil {
-		t.Errorf("ledgercheck rejects the memory ledger: %v", err)
+	for _, ciWidth := range []float64{0, 0.12} {
+		row1, led1, heat1 := runAt(1, ciWidth)
+		if ciWidth > 0 && (row1.Trials <= 64 || row1.Trials >= memoryPinTrials) {
+			t.Errorf("ci=%v: cell stopped at %d trials, want inside the second lane", ciWidth, row1.Trials)
+		}
+		for _, workers := range []int{3, 8} {
+			row, led, heat := runAt(workers, ciWidth)
+			if row1 != row {
+				t.Errorf("ci=%v: rows differ across worker counts:\n1: %+v\n%d: %+v", ciWidth, row1, workers, row)
+			}
+			if !bytes.Equal(led1, led) {
+				t.Errorf("ci=%v: ledger bytes differ between 1 and %d workers", ciWidth, workers)
+			}
+			if !bytes.Equal(heat1, heat) {
+				t.Errorf("ci=%v: heatmap JSON differs between 1 and %d workers", ciWidth, workers)
+			}
+		}
+		if _, err := ledger.Validate(led1); err != nil {
+			t.Errorf("ci=%v: ledgercheck rejects the memory ledger: %v", ciWidth, err)
+		}
 	}
 }
 
@@ -297,7 +312,7 @@ func TestBeginCellReplayEmitsDoneProgress(t *testing.T) {
 // criteria in one sweep: with a recorder wired through the machine, the row,
 // ledger bytes and heatmap JSON are byte-identical to the profiler-off run
 // (the recorder observes, it never perturbs), and the quest-bw/1 artifact's
-// own bytes are identical for 1 and 8 workers (per-trial shards merged in
+// own bytes are identical for 1, 3 and 8 workers (per-trial shards merged in
 // trial order, like the ledger).
 func TestMachineMemoryBWPureSideband(t *testing.T) {
 	run := func(workers int, withBW bool) (MemoryRow, []byte, []byte, []byte) {
@@ -314,7 +329,7 @@ func TestMachineMemoryBWPureSideband(t *testing.T) {
 			bw = bwprofile.New(8)
 			obs.BW = bw
 		}
-		row, ran, err := MachineMemory(nil, nil, 2e-3, 6, 10, workers, obs)
+		row, ran, err := MachineMemory(nil, nil, 2e-3, 6, memoryPinTrials, workers, obs)
 		if err != nil {
 			t.Fatalf("MachineMemory: %v", err)
 		}
@@ -339,7 +354,7 @@ func TestMachineMemoryBWPureSideband(t *testing.T) {
 
 	offRow, offLed, offHeat, _ := run(1, false)
 	var wave []byte
-	for _, workers := range []int{1, 8} {
+	for _, workers := range []int{1, 3, 8} {
 		row, led, heat, bwBytes := run(workers, true)
 		if row != offRow {
 			t.Errorf("workers=%d: row differs with bw on:\noff: %+v\non:  %+v", workers, offRow, row)

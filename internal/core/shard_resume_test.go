@@ -11,8 +11,9 @@ import (
 )
 
 // shardedSweep runs the combined threshold+memory sweep (2 threshold cells
-// then 1 memory cell, sharing one shard cursor like questbench does) as
-// shard index/count, returning the ledger bytes and the emitted row counts.
+// then 1 memory cell of two and a bit lanes, sharing one shard cursor like
+// questbench does) as shard index/count on the batched engines or the
+// scalar oracles, returning the ledger bytes and the emitted row counts.
 func shardedSweep(t *testing.T, index, count, trials int, batched bool) ([]byte, int) {
 	t.Helper()
 	var buf bytes.Buffer
@@ -36,7 +37,11 @@ func shardedSweep(t *testing.T, index, count, trials int, batched bool) ([]byte,
 		t.Fatalf("threshold sweep: %v", err)
 	}
 	emitted := len(rows)
-	_, ran, err := MachineMemory(nil, nil, 2e-3, 4, 6, 4, obs)
+	memory := MachineMemory
+	if !batched {
+		memory = machineMemoryScalar
+	}
+	_, ran, err := memory(nil, nil, 2e-3, 4, memoryPinTrials, 4, obs)
 	if err != nil {
 		t.Fatalf("memory sweep: %v", err)
 	}
@@ -143,6 +148,59 @@ func TestResumeSkipsCompletedTrials(t *testing.T) {
 		t.Fatalf("resumed run emitted %d rows, want %d", len(rows), len(wantRows))
 	}
 	for i := range rows {
+		if rows[i] != wantRows[i] {
+			t.Errorf("row %d differs after resume: %+v vs %+v", i, rows[i], wantRows[i])
+		}
+	}
+	if !bytes.Equal(resumed, full) {
+		t.Errorf("resumed ledger differs from the uninterrupted bytes")
+	}
+}
+
+// TestMemoryResumeSkipsCompletedTrials is TestResumeSkipsCompletedTrials
+// for the memory sweep on its lane engine: the checkpoint ends 70 trials
+// into the second cell, so the resumed cell's first lane starts past a
+// 64-trial boundary, and the resumed run must execute exactly the
+// unrecorded trials and converge to the uninterrupted bytes.
+func TestMemoryResumeSkipsCompletedTrials(t *testing.T) {
+	const trials, recorded = memoryPinTrials, 70
+	run := func(res *ledger.Resume) ([]MemoryRow, []byte, uint64) {
+		t.Helper()
+		var buf bytes.Buffer
+		lw, err := ledger.NewWriter(&buf, "resume-test", nil, 1)
+		if err != nil {
+			t.Fatalf("NewWriter: %v", err)
+		}
+		reg := metrics.New()
+		var rows []MemoryRow
+		for _, p := range []float64{2e-3, 5e-3} {
+			row, _, err := MachineMemory(reg, nil, p, 4, trials, 3, SweepObs{Ledger: lw, Resume: res})
+			if err != nil {
+				t.Fatalf("MachineMemory: %v", err)
+			}
+			rows = append(rows, row)
+		}
+		if err := lw.Flush(); err != nil {
+			t.Fatalf("Flush: %v", err)
+		}
+		return rows, buf.Bytes(), reg.Counter("mc.trials").Value()
+	}
+	wantRows, full, executed := run(nil)
+	if executed != 2*trials {
+		t.Fatalf("uninterrupted run executed %d trials, want %d", executed, 2*trials)
+	}
+	lines := bytes.Split(bytes.TrimSuffix(full, []byte("\n")), []byte("\n"))
+	cut := append(bytes.Join(lines[:1+trials+1+recorded], []byte("\n")), '\n')
+	cut = append(cut, []byte(`{"record":"trial","cell":"mem`)...)
+	res, err := ledger.NewResume(cut)
+	if err != nil {
+		t.Fatalf("NewResume: %v", err)
+	}
+	rows, resumed, executed := run(res)
+	if executed != trials-recorded {
+		t.Errorf("resumed run executed %d trials, want %d (cell 0 replayed, cell 1 resumed at trial %d)", executed, trials-recorded, recorded)
+	}
+	for i := range wantRows {
 		if rows[i] != wantRows[i] {
 			t.Errorf("row %d differs after resume: %+v vs %+v", i, rows[i], wantRows[i])
 		}

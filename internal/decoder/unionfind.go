@@ -17,13 +17,23 @@ import (
 // master-controller budget the paper allots to global decoding — the
 // BenchmarkAblationUnionFind bench quantifies the trade.
 type UnionFindDecoder struct {
-	lat  surface.Lattice
-	heat *heatmap.Collector // nil unless SetHeat bound one
+	lat   surface.Lattice
+	instr *Instr
+	heat  *heatmap.Collector // nil unless SetHeat bound one
 }
 
 // NewUnionFindDecoder returns a decoder for the lattice.
 func NewUnionFindDecoder(lat surface.Lattice) *UnionFindDecoder {
-	return &UnionFindDecoder{lat: lat}
+	return &UnionFindDecoder{lat: lat, instr: defaultInstr}
+}
+
+// SetInstr rebinds the decoder's instruments (e.g. to a machine's metrics
+// registry). A nil value restores the default registry.
+func (d *UnionFindDecoder) SetInstr(in *Instr) {
+	if in == nil {
+		in = defaultInstr
+	}
+	d.instr = in
 }
 
 // ufNode is one defect's cluster bookkeeping.
@@ -90,10 +100,10 @@ func (d *UnionFindDecoder) Match(defects []Defect) Matching {
 	}
 	start := time.Now() //quest:allow(seedsrc) wall-clock latency metric only; the value never reaches simulation state
 	defer func() {
-		defaultInstr.matchUF.Inc()
-		defaultInstr.matchCalls.Inc()
-		defaultInstr.matchDefects.Add(uint64(n))
-		defaultInstr.matchNs.Observe(float64(time.Since(start)))
+		d.instr.matchUF.Inc()
+		d.instr.matchCalls.Inc()
+		d.instr.matchDefects.Add(uint64(n))
+		d.instr.matchNs.Observe(float64(time.Since(start)))
 	}()
 	uf := newUnionFind(n)
 	active := func(root int) bool {

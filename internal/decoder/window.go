@@ -31,10 +31,12 @@ type WindowDecoder struct {
 }
 
 // Matcher is the matching stage both global decoders implement, letting the
-// window (and the master controller) swap MWPM for union-find.
+// window (and the master controller) swap MWPM for union-find. SetInstr
+// rebinds its instruments (nil = the default registry).
 type Matcher interface {
 	Match(defects []Defect) Matching
 	Corrections(defects []Defect, m Matching) []Correction
+	SetInstr(in *Instr)
 }
 
 var (
@@ -53,16 +55,14 @@ func NewWindowDecoder(global Matcher, windowRounds int) *WindowDecoder {
 }
 
 // SetInstr rebinds the window's instruments (e.g. to a per-worker metrics
-// shard); it also rebinds the wrapped matcher when that is a GlobalDecoder.
-// A nil value restores the default registry.
+// shard) and the wrapped matcher's. A nil value restores the default
+// registry.
 func (w *WindowDecoder) SetInstr(in *Instr) {
 	if in == nil {
 		in = defaultInstr
 	}
 	w.instr = in
-	if g, ok := w.global.(*GlobalDecoder); ok {
-		g.SetInstr(in)
-	}
+	w.global.SetInstr(in)
 }
 
 // SetTracer binds a tracer and track id (the tile index) so flushes emit

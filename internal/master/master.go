@@ -55,8 +55,8 @@ type Config struct {
 	// per-tile queues. Latency becomes load-dependent — harmless for
 	// logical traffic, which is the §3.4 point.
 	UseNoC bool
-	// Metrics selects the registry the controller's instruments and bus
-	// meters record into (nil = metrics.Default).
+	// Metrics selects the registry the controller's instruments, bus
+	// meters and global/window decoders record into (nil = metrics.Default).
 	Metrics *metrics.Registry
 	// Tracer, when non-nil, records cycle-correlated dispatch/sync/cache
 	// instants, global-decode spans and NoC delivery events for Perfetto
@@ -153,10 +153,8 @@ func New(cfg Config, tiles []*mce.MCE) *Master {
 	}
 	// Mirror the per-class bus meters into the registry so -metrics reports
 	// bus traffic alongside latencies without a second accounting path.
-	m.Logical.Bridge(reg.Counter("master.bus.logical.instr"), reg.Counter("master.bus.logical.bytes"))
-	m.Sync.Bridge(reg.Counter("master.bus.sync.instr"), reg.Counter("master.bus.sync.bytes"))
-	m.Cache.Bridge(reg.Counter("master.bus.cache.instr"), reg.Counter("master.bus.cache.bytes"))
-	m.Syndrome.Bridge(reg.Counter("master.bus.syndrome.records"), reg.Counter("master.bus.syndrome.bytes"))
+	bridgeBus(reg, &m.Logical, &m.Sync, &m.Cache, &m.Syndrome)
+	di := decoder.NewInstr(reg)
 	for _, t := range tiles {
 		var g decoder.Matcher
 		if cfg.UseUnionFind {
@@ -164,6 +162,7 @@ func New(cfg Config, tiles []*mce.MCE) *Master {
 		} else {
 			g = decoder.NewGlobalDecoder(t.Layout().Lat)
 		}
+		g.SetInstr(di)
 		if cfg.Heat != nil {
 			lat := t.Layout().Lat
 			if hs, ok := g.(interface{ SetHeat(*heatmap.Collector) }); ok {
@@ -173,6 +172,7 @@ func New(cfg Config, tiles []*mce.MCE) *Master {
 		m.global = append(m.global, g)
 		if cfg.DecodeWindow > 1 {
 			w := decoder.NewWindowDecoder(g, cfg.DecodeWindow)
+			w.SetInstr(di)
 			w.SetTracer(tr, len(m.windows))
 			m.windows = append(m.windows, w)
 		} else {
@@ -195,14 +195,50 @@ func New(cfg Config, tiles []*mce.MCE) *Master {
 	return m
 }
 
+// bridgeBus mirrors the four per-class bus meters into reg's master.bus.*
+// counters.
+func bridgeBus(reg *metrics.Registry, logical, sync, cache, syndrome *bandwidth.Counter) {
+	logical.Bridge(reg.Counter("master.bus.logical.instr"), reg.Counter("master.bus.logical.bytes"))
+	sync.Bridge(reg.Counter("master.bus.sync.instr"), reg.Counter("master.bus.sync.bytes"))
+	cache.Bridge(reg.Counter("master.bus.cache.instr"), reg.Counter("master.bus.cache.bytes"))
+	syndrome.Bridge(reg.Counter("master.bus.syndrome.records"), reg.Counter("master.bus.syndrome.bytes"))
+}
+
+// Tally sums the counter contributions of many master cycles and
+// dispatches so they can be recorded in one call — the controller's side of
+// mce.Tally, for engines that replay a fixed machine schedule without
+// stepping a Master.
+type Tally struct {
+	Cycles, Dispatched, Escalated, GlobalDecodes uint64
+}
+
+// Record adds the tally to reg's master.* counters (nil = metrics.Default),
+// bus meters included, metered as Dispatch and StepCycle meter them: a
+// dispatch is one logical instruction of isa.LogicalInstrBytes, an
+// escalated defect one one-byte syndrome record.
+func (t Tally) Record(reg *metrics.Registry) {
+	if reg == nil {
+		reg = metrics.Default
+	}
+	in := newMasterInstr(reg)
+	in.cycles.Add(t.Cycles)
+	in.dispatched.Add(t.Dispatched)
+	in.escalated.Add(t.Escalated)
+	in.globalDecodes.Add(t.GlobalDecodes)
+	var logical, sync, cache, syndrome bandwidth.Counter
+	bridgeBus(reg, &logical, &sync, &cache, &syndrome)
+	logical.Add(t.Dispatched, t.Dispatched*isa.LogicalInstrBytes)
+	syndrome.Add(t.Escalated, t.Escalated)
+}
+
 // Tiles returns the managed MCEs.
 func (m *Master) Tiles() []*mce.MCE { return m.tiles }
 
 // Reset rewinds the controller to the state New built, rebinding the
-// per-trial observation hooks (metrics shard, tracer, heat set, bandwidth
-// recorder). The tiles
-// are reset separately (they carry their own seeds); the decoders' lookup
-// tables are trial-independent and kept. The NoC mesh carries in-flight
+// per-trial observation hooks (metrics shard — the decoders' instruments
+// included — tracer, heat set, bandwidth recorder). The tiles are reset
+// separately (they carry their own seeds); the decoders' lookup tables are
+// trial-independent and kept. The NoC mesh carries in-flight
 // packet state that no drain guarantees empty, so pooled resets are only
 // supported for the ideal-queue network model.
 func (m *Master) Reset(reg *metrics.Registry, tr *tracing.Tracer, heat *heatmap.Set, bw *bwprofile.Recorder) {
@@ -226,11 +262,10 @@ func (m *Master) Reset(reg *metrics.Registry, tr *tracing.Tracer, heat *heatmap.
 	m.Sync.Reset()
 	m.Cache.Reset()
 	m.Syndrome.Reset()
-	m.Logical.Bridge(reg.Counter("master.bus.logical.instr"), reg.Counter("master.bus.logical.bytes"))
-	m.Sync.Bridge(reg.Counter("master.bus.sync.instr"), reg.Counter("master.bus.sync.bytes"))
-	m.Cache.Bridge(reg.Counter("master.bus.cache.instr"), reg.Counter("master.bus.cache.bytes"))
-	m.Syndrome.Bridge(reg.Counter("master.bus.syndrome.records"), reg.Counter("master.bus.syndrome.bytes"))
+	bridgeBus(reg, &m.Logical, &m.Sync, &m.Cache, &m.Syndrome)
+	di := decoder.NewInstr(reg)
 	for i, g := range m.global {
+		g.SetInstr(di)
 		if hs, ok := g.(interface{ SetHeat(*heatmap.Collector) }); ok {
 			var c *heatmap.Collector
 			if heat != nil {
@@ -243,6 +278,7 @@ func (m *Master) Reset(reg *metrics.Registry, tr *tracing.Tracer, heat *heatmap.
 	for i, w := range m.windows {
 		if w != nil {
 			w.Reset()
+			w.SetInstr(di)
 			w.SetTracer(tr, i)
 		}
 	}

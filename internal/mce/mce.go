@@ -210,9 +210,9 @@ func New(cfg Config) *MCE {
 	}
 	lat := cfg.Layout.Lat
 	m := &MCE{
-		cfg:   cfg,
-		store: microcode.NewStore(cfg.Design, cfg.Schedule, lat),
-		mask:  surface.NewMask(lat),
+		cfg:      cfg,
+		store:    microcode.NewStore(cfg.Design, cfg.Schedule, lat),
+		baseMask: RestMask(cfg.Layout),
 
 		tableau: clifford.New(lat.NumQubits(), rand.New(rand.NewSource(cfg.Seed))),
 
@@ -238,20 +238,7 @@ func New(cfg Config) *MCE {
 	if cfg.Heat != nil {
 		m.hist.SetHeat(cfg.Heat.Collector(heatmap.GridName(lat.Rows, lat.Cols), lat.Rows, lat.Cols))
 	}
-	// Mask everything outside the patches: the inter-patch gap columns are
-	// not part of any code and must not run syndrome extraction.
-	inPatch := make([]bool, lat.NumQubits())
-	for p := 0; p < cfg.Layout.NumPatches(); p++ {
-		for _, q := range cfg.Layout.PatchQubits(p) {
-			inPatch[q] = true
-		}
-	}
-	for q, in := range inPatch {
-		if !in {
-			m.mask.SetDisabled(q, true)
-		}
-	}
-	m.baseMask = m.mask.Clone()
+	m.mask = m.baseMask.Clone()
 	m.unit = awg.New(m.tableau, m.inj)
 	m.unit.MeasSink = m.sinkMeasurement
 	if cfg.Timing != nil {
@@ -260,14 +247,60 @@ func New(cfg Config) *MCE {
 	return m
 }
 
+// RestMask returns a tile's rest-state mask: every site outside the
+// layout's patches is disabled. The inter-patch gap columns are not part of
+// any code and must not run syndrome extraction.
+func RestMask(lay compiler.Layout) *surface.Mask {
+	lat := lay.Lat
+	mask := surface.NewMask(lat)
+	inPatch := make([]bool, lat.NumQubits())
+	for p := 0; p < lay.NumPatches(); p++ {
+		for _, q := range lay.PatchQubits(p) {
+			inPatch[q] = true
+		}
+	}
+	for q, in := range inPatch {
+		if !in {
+			mask.SetDisabled(q, true)
+		}
+	}
+	return mask
+}
+
+// Tally sums the counter contributions of many cycle reports so they can be
+// recorded in one call. An engine that replays an MCE's fixed cycle stream
+// without stepping an MCE (core's batched memory sweep) adds up its trials
+// here, and the mce.* counters then read as if every trial had stepped its
+// own engine.
+type Tally struct {
+	Cycles, MicroOps                uint64
+	LogicalEnqueued, LogicalRetired uint64
+	DefectsLocal, DefectsEscalated  uint64
+}
+
+// Record adds the tally to reg's mce.* counters (nil = metrics.Default).
+func (t Tally) Record(reg *metrics.Registry) {
+	if reg == nil {
+		reg = metrics.Default
+	}
+	in := newInstr(reg)
+	in.cycles.Add(t.Cycles)
+	in.microOps.Add(t.MicroOps)
+	in.logicalEnqueued.Add(t.LogicalEnqueued)
+	in.logicalRetired.Add(t.LogicalRetired)
+	in.defectsLocal.Add(t.DefectsLocal)
+	in.defectsEscalated.Add(t.DefectsEscalated)
+}
+
 // Reset returns the engine to the state New built, rebinding the per-trial
 // observation hooks: a fresh seed for the substrate and the noise injector,
 // a (possibly different) metrics shard, tracer and heat set. The expensive
 // trial-independent structures — the programmed microcode store, the local
 // decoder's lookup tables, the tableau's row storage and the rest-state mask
-// — are kept; everything mutable is rewound. Monte-Carlo trial bodies pool
-// MCEs (via Machine pooling) so per-trial construction cost is paid once per
-// worker instead of once per trial; the pooled-vs-fresh equivalence is pinned
+// — are kept; everything mutable is rewound. Callers that run many short
+// trials on one machine shape pool MCEs (via Machine pooling) so
+// construction cost is paid once per machine instead of once per trial; the
+// pooled-vs-fresh equivalence is pinned
 // by TestMachineResetMatchesFresh.
 func (m *MCE) Reset(seed int64, reg *metrics.Registry, tr *tracing.Tracer, heat *heatmap.Set, bw *bwprofile.Recorder) {
 	if reg == nil {

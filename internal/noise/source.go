@@ -1,0 +1,131 @@
+package noise
+
+import "math/rand"
+
+// This file is a re-seedable rand.Source64 that produces exactly the stream
+// of math/rand's NewSource, but seeds in a fraction of the time. Replayer
+// re-seeds once per Monte-Carlo trial, and math/rand's Seed is a serial
+// chain of 1,841 Lehmer steps x ← 48271·x mod (2³¹−1), each waiting on the
+// last. The k-th value of that chain is 48271^k·x₀ mod (2³¹−1), so with the
+// powers precomputed the 1,841 products are independent of one another.
+//
+// math/rand is an additive lagged-Fibonacci generator over a 607-word
+// register: Seed fills word i with three consecutive chain values XORed
+// with a fixed scramble word ("cooked" in the standard library), and each
+// output adds the register word 273 places behind into the current one.
+// The scramble words are recovered at init from NewSource(1)'s first 607
+// outputs by running that recurrence backwards, so the stream is derived
+// from the public API alone and stays the standard library's by
+// construction (TestFastSourceMatchesMathRand).
+
+const (
+	lfgLen   = 607             // register length
+	lfgTap   = 273             // lag of the feedback tap
+	lehmerA  = 48271           // seeding multiplier
+	lehmerM  = 1<<31 - 1       // seeding modulus
+	lfgSteps = 20 + 3*lfgLen   // Lehmer steps per seed
+	int63    = 1<<63 - 1       // Int63 mask
+	zeroSeed = int64(89482311) // math/rand's substitute for a zero seed
+)
+
+var (
+	// lehmerPow[i][j] = 48271^(21+3i+j) mod (2³¹−1): the powers behind the
+	// three chain values Seed folds into register word i.
+	lehmerPow [lfgLen][3]uint64
+	// cooked[i] is the scramble word Seed XORs into register word i.
+	cooked [lfgLen]uint64
+)
+
+func init() {
+	p := uint64(1)
+	for k := 1; k <= lfgSteps; k++ {
+		p = p * lehmerA % lehmerM
+		if j := k - 21; j >= 0 {
+			lehmerPow[j/3][j%3] = p
+		}
+	}
+	// Recover NewSource(1)'s initial register v from its outputs. Output k
+	// (1-based) writes word f = (334−k) mod 607 with v[f] + r[f+273], where
+	// r[f+273] is still the initial value when k ≤ 273 and otherwise the
+	// output written 273 steps earlier.
+	ref := rand.NewSource(1).(rand.Source64)
+	var out [lfgLen + 1]uint64
+	for k := 1; k <= lfgLen; k++ {
+		out[k] = ref.Uint64()
+	}
+	feed := func(k int) int { return ((lfgLen-lfgTap-k)%lfgLen + lfgLen) % lfgLen }
+	var v [lfgLen]uint64
+	for k := lfgTap + 1; k <= lfgLen; k++ {
+		v[feed(k)] = out[k] - out[k-lfgTap]
+	}
+	for k := 1; k <= lfgTap; k++ {
+		v[feed(k)] = out[k] - v[(feed(k)+lfgTap)%lfgLen]
+	}
+	var src fastSource
+	src.fill(1, &[lfgLen]uint64{})
+	for i := range cooked {
+		cooked[i] = v[i] ^ uint64(src.vec[i])
+	}
+}
+
+// lehmerMod reduces y < 2⁶² modulo 2³¹−1.
+func lehmerMod(y uint64) uint64 {
+	y = (y & lehmerM) + (y >> 31)
+	if y >= lehmerM {
+		y -= lehmerM
+	}
+	return y
+}
+
+// fastSource is math/rand's generator with a jump-ahead Seed. The zero
+// value must be seeded before use.
+type fastSource struct {
+	tap, feed int
+	vec       [lfgLen]int64
+}
+
+var _ rand.Source64 = (*fastSource)(nil)
+
+// fill seeds the register from chain start x0 ∈ [1, 2³¹−1), XORing word i
+// with scramble[i]. The three chain values of a word are
+// 48271^k·x0 mod (2³¹−1) for consecutive k: products of two factors below
+// 2³¹, independent of each other and of every other word's.
+func (s *fastSource) fill(x0 uint64, scramble *[lfgLen]uint64) {
+	s.tap = 0
+	s.feed = lfgLen - lfgTap
+	for i := range s.vec {
+		p := &lehmerPow[i]
+		a, b, c := lehmerMod(p[0]*x0), lehmerMod(p[1]*x0), lehmerMod(p[2]*x0)
+		s.vec[i] = int64(a<<40 ^ b<<20 ^ c ^ scramble[i])
+	}
+}
+
+// Seed rewinds the source onto the stream rand.NewSource(seed) starts.
+func (s *fastSource) Seed(seed int64) {
+	seed %= lehmerM
+	if seed < 0 {
+		seed += lehmerM
+	}
+	if seed == 0 {
+		seed = zeroSeed
+	}
+	s.fill(uint64(seed), &cooked)
+}
+
+// Uint64 returns the next 64-bit output.
+func (s *fastSource) Uint64() uint64 {
+	s.tap--
+	if s.tap < 0 {
+		s.tap += lfgLen
+	}
+	s.feed--
+	if s.feed < 0 {
+		s.feed += lfgLen
+	}
+	x := s.vec[s.feed] + s.vec[s.tap]
+	s.vec[s.feed] = x
+	return uint64(x)
+}
+
+// Int63 returns the next output with the sign bit cleared.
+func (s *fastSource) Int63() int64 { return int64(s.Uint64() & int63) }
