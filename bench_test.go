@@ -312,8 +312,9 @@ func BenchmarkAblationWindowedDecode(b *testing.B) {
 	b.Run("per-round", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			frame := decoder.NewPauliFrame()
+			w := decoder.NewWindowDecoder(g, 1)
 			for _, defects := range trace {
-				decoder.DecodeRound(nil, g, frame, defects)
+				w.Absorb(defects, frame)
 			}
 		}
 	})

@@ -9,13 +9,14 @@
 // rates are bit-identical for every -workers value — crank workers for
 // wall-clock, crank trials for confidence.
 //
-// Observability (shared with questsim via internal/obsflags): -metrics,
-// -pprof, -trace, -trace-buf, plus the experiment-ledger bundle — -ledger
-// FILE streams a JSONL run ledger (validate with tools/ledgercheck),
-// -progress renders live per-cell Wilson intervals on stderr, -ci-stop W
-// stops each cell once its 95% interval is narrower than W, and -heatmap
-// FILE writes spatial defect/matching heatmaps as JSON (ASCII renders go to
-// stderr). All of it is worker-count independent.
+// Observability (shared with questsim via internal/obsflags, except the
+// sweep-only -ci-stop, -shard and -resume): -metrics, -pprof, -trace,
+// -trace-buf, plus the experiment-ledger bundle — -ledger FILE streams a
+// JSONL run ledger (validate with tools/ledgercheck), -progress renders live
+// per-cell Wilson intervals on stderr, -ci-stop W stops each cell once its
+// 95% interval is narrower than W, and -heatmap FILE writes spatial
+// defect/matching heatmaps as JSON (ASCII renders go to stderr). All of it
+// is worker-count independent.
 //
 // Live telemetry: -events FILE streams quest-events/1 JSONL snapshots
 // (per-cell progress, trial rates, ETA, metrics deltas, runtime stats) while
@@ -61,9 +62,10 @@ var (
 	flagBench   = flag.String("bench-json", "", "run the performance benchmark suite and write the JSON report to this path ('-' for stdout), then exit")
 	flagBenchT  = flag.String("benchtime", "", "per-case benchtime for -bench-json ('1s', '100x'; default 1s)")
 	// obs wires the shared observability flags (-metrics, -pprof, -trace,
-	// -trace-buf, -ledger, -progress, -ci-stop, -heatmap) identically to
-	// cmd/questsim.
-	obs = obsflags.Register(flag.CommandLine)
+	// -trace-buf, -ledger, -progress, -heatmap, -events, -bw, -bw-window)
+	// identically to cmd/questsim, plus the sweep-only -ci-stop, -shard and
+	// -resume.
+	obs = obsflags.RegisterSweep(flag.CommandLine)
 	// sweep carries the observation bundle into the statistical experiment
 	// drivers; assembled in main after obs.Start.
 	sweep core.SweepObs

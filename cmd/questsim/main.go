@@ -17,7 +17,8 @@
 //	-program NAME   workload: bell, ghz, distill, paulis (default bell)
 //	-replays N      cache replays for -program distill (default 20)
 //
-// Observability (shared with questbench via internal/obsflags):
+// Observability (shared with questbench via internal/obsflags; the
+// sweep-only -ci-stop, -shard and -resume are questbench's alone):
 //
 //	-metrics text|json   dump the metrics registry to stderr at exit
 //	-pprof ADDR          serve net/http/pprof and Prometheus /metrics on ADDR
@@ -29,9 +30,6 @@
 //	-heatmap FILE        collect machine-wide defect/matching heatmaps and
 //	                     write them as JSON (ASCII render on stderr)
 //	-progress            tick idle-cycle progress on stderr
-//	-ci-stop W           accepted for flag parity, but questsim runs a single
-//	                     simulation — adaptive stopping applies to questbench
-//	                     sweeps
 //	-events FILE         stream live quest-events/1 telemetry snapshots
 //	                     (idle-cycle progress, metrics deltas, runtime stats)
 //	                     as JSONL; with -pprof the stream is also served over
@@ -79,9 +77,6 @@ func main() {
 		log.Fatal(err)
 	}
 	defer obs.Finish()
-	if obs.CIStop() > 0 {
-		fmt.Fprintln(obs.Log, "ci-stop: questsim runs a single simulation; adaptive stopping applies to questbench sweeps")
-	}
 	if err := obs.OpenEvents("questsim", map[string]string{
 		"program": *program,
 		"design":  strings.ToLower(*design),

@@ -7,11 +7,12 @@
 // paper-scale sweep.
 //
 // The cases cover the hot paths the observability layer instruments: exact
-// and greedy global matching, the per-round local decode, the windowed flush,
-// Pauli-frame updates, syndrome differencing, one Monte-Carlo threshold cell
-// and the cycle-level machine loop. Each case is a standard func(*testing.B)
-// driven by testing.Benchmark, so `go test -bench` and the JSON report
-// exercise identical code.
+// and greedy global matching, the per-round decode (local LUT, then a
+// one-round window), the windowed flush, Pauli-frame updates, syndrome
+// differencing, one Monte-Carlo threshold cell and the cycle-level machine
+// loop. Each case is a standard func(*testing.B) driven by
+// testing.Benchmark, so `go test -bench` and the JSON report exercise
+// identical code.
 package benchsuite
 
 import (
@@ -122,16 +123,20 @@ func Cases(reg *metrics.Registry) []Case {
 				g.Match(defects)
 			}
 		}},
-		{"decoder-local-round", func(b *testing.B) {
+		{"decoder-lut-window1", func(b *testing.B) {
 			lat := surface.NewPlanar(5)
 			ld := decoder.NewLocalDecoder(lat)
-			gd := decoder.NewGlobalDecoder(lat)
-			gd.SetInstr(in)
+			win := decoder.NewWindowDecoder(decoder.NewGlobalDecoder(lat), 1)
+			win.SetInstr(in)
 			frame := decoder.NewPauliFrame()
 			defects := zDefects(lat, 2)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				decoder.DecodeRound(ld, gd, frame, defects)
+				resolved, residual := ld.Decode(defects)
+				for _, c := range resolved {
+					frame.Apply(c)
+				}
+				win.Absorb(residual, frame)
 			}
 		}},
 		{"decoder-window-flush", func(b *testing.B) {

@@ -2,11 +2,13 @@
 // model (§3.2, §5): a logical circuit IR composed of fault-tolerant
 // instructions, the placement of logical qubits as surface-code patches on
 // an MCE tile, the expansion of transverse logical instructions into
-// per-qubit physical µops, the decomposition of arbitrary rotations into
-// Clifford+T sequences (done at the host, never at the MCE — footnote 7),
-// and the two compilation targets the evaluation compares: the baseline
-// software-managed stream (everything physical, QECC included) and the
-// QuEST stream (2-byte logical instructions plus sync tokens).
+// per-qubit physical µops, and the decomposition of arbitrary rotations
+// into Clifford+T sequences (done at the host, never at the MCE — footnote
+// 7). The bus bytes of the two streams the evaluation compares — the
+// baseline software-managed stream (everything physical, QECC included) and
+// the QuEST stream (2-byte logical instructions plus sync tokens) — are
+// metered by the machine that runs a Program (core.RunReport), not modeled
+// here.
 package compiler
 
 import (
@@ -296,49 +298,6 @@ func BraidForCNOT(l Layout, ctrl, tgt int) []surface.BraidStep {
 		out = append(out, surface.BraidStep{Grow: false, R: out[i].R, C: out[i].C})
 	}
 	return out
-}
-
-// StreamCosts tallies the global-bus cost of a program under the two
-// compilation targets for one tile: baseline bytes ship every physical µop
-// (QECC rounds plus expanded logical overlays) at one byte each; QuEST bytes
-// ship the 2-byte logical instructions plus one sync token per instruction
-// group.
-type StreamCosts struct {
-	BaselineBytes uint64
-	QuESTBytes    uint64
-	Cycles        int
-}
-
-// CostProgram computes stream costs for running the program on the layout
-// with the given schedule: one QECC cycle per logical instruction (each
-// instruction occupies its patch for a cycle; braids take one cycle per
-// step).
-func CostProgram(l Layout, sched surface.Schedule, p *Program) (StreamCosts, error) {
-	if err := p.Validate(); err != nil {
-		return StreamCosts{}, err
-	}
-	n := l.Lat.NumQubits()
-	var c StreamCosts
-	for _, in := range p.Instrs {
-		cycles := 1
-		overlay := 0
-		switch {
-		case in.Op == isa.LCNOT:
-			cycles = len(BraidForCNOT(l, int(in.Target), int(in.Arg)))
-			if cycles == 0 {
-				cycles = 1
-			}
-		case in.Op.IsTransverse():
-			overlay = len(l.PatchDataQubits(int(in.Target)))
-		}
-		// Baseline: every sub-cycle µop for every qubit crosses the bus.
-		c.BaselineBytes += uint64(cycles * n * sched.Depth)
-		c.BaselineBytes += uint64(overlay)
-		// QuEST: the logical instruction plus a sync token.
-		c.QuESTBytes += 2 * isa.LogicalInstrBytes
-		c.Cycles += cycles
-	}
-	return c, nil
 }
 
 // Append concatenates another program over the same register, returning the

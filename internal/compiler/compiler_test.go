@@ -218,36 +218,6 @@ func TestBraidForCNOT(t *testing.T) {
 	BraidForCNOT(l, 1, 1)
 }
 
-func TestCostProgramOrdersOfMagnitude(t *testing.T) {
-	l := NewLayout(3, 4)
-	p := NewProgram(4)
-	for i := 0; i < 50; i++ {
-		p.H(i % 4)
-		p.T(i % 4)
-		p.CNOT(i%4, (i+1)%4)
-	}
-	c, err := CostProgram(l, surface.Steane, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.BaselineBytes <= c.QuESTBytes {
-		t.Fatalf("baseline %d not above QuEST %d", c.BaselineBytes, c.QuESTBytes)
-	}
-	// Even a tiny 4-patch tile should show ≥100× stream inflation.
-	if ratio := float64(c.BaselineBytes) / float64(c.QuESTBytes); ratio < 100 {
-		t.Errorf("baseline/QuEST = %.0f, want ≥100 on a 4-patch tile", ratio)
-	}
-	if c.Cycles <= 150 {
-		t.Errorf("cycles = %d, want > instruction count (braids are multi-cycle)", c.Cycles)
-	}
-	// Invalid program surfaces an error, not a panic.
-	bad := NewProgram(4)
-	bad.Instrs = append(bad.Instrs, isa.LogicalInstr{Op: isa.LH, Target: 20})
-	if _, err := CostProgram(l, surface.Steane, bad); err == nil {
-		t.Error("invalid program costed")
-	}
-}
-
 func TestAppendAndRepeat(t *testing.T) {
 	a := NewProgram(3)
 	a.Prep0(0).H(0)

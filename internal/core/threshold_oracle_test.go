@@ -66,48 +66,50 @@ func logicalFailRateScalar(reg *metrics.Registry, tr *tracing.Tracer, d int, p f
 	heat := obs.collector(lat.Rows, lat.Cols)
 	mobs := obs.observers(name, heat)
 	mobs.Prior = plan.prior
-	res := mc.Run(trials, workers, cell, reg, tr, mobs,
-		func(trial int, seed uint64, ctx mc.TrialCtx) mc.Outcome {
-			tb := clifford.New(lat.NumQubits(), rand.New(rand.NewSource(int64(mc.Derive(seed, 0)))))
-			inj := noise.NewInjector(noise.Uniform(p), int64(mc.Derive(seed, 1)))
-			noisy := awg.New(tb, inj)
-			clean := awg.New(tb, nil)
-			run := func(u *awg.ExecutionUnit) map[int]int {
-				synd := make(map[int]int)
-				u.MeasSink = func(q, bit int) { synd[q] = bit }
-				for _, w := range words {
-					u.ExecuteWord(w)
+	res := mc.RunBatch(trials, workers, cell, reg, tr, mobs,
+		func(start int, seeds []uint64, ctx mc.BatchCtx, out []mc.Outcome) {
+			for i, seed := range seeds {
+				tb := clifford.New(lat.NumQubits(), rand.New(rand.NewSource(int64(mc.Derive(seed, 0)))))
+				inj := noise.NewInjector(noise.Uniform(p), int64(mc.Derive(seed, 1)))
+				noisy := awg.New(tb, inj)
+				clean := awg.New(tb, nil)
+				run := func(u *awg.ExecutionUnit) map[int]int {
+					synd := make(map[int]int)
+					u.MeasSink = func(q, bit int) { synd[q] = bit }
+					for _, w := range words {
+						u.ExecuteWord(w)
+					}
+					return synd
 				}
-				return synd
+				hist := decoder.NewHistory(lat)
+				frame := decoder.NewPauliFrame()
+				win := decoder.NewWindowDecoder(decoder.NewGlobalDecoder(lat), d)
+				if ctx.Shard != nil {
+					win.SetInstr(decoder.NewInstr(ctx.Shard))
+				}
+				if ctx.Trace != nil {
+					win.SetTracer(ctx.Trace, 0)
+				}
+				if ctx.Heat != nil {
+					hist.SetHeat(ctx.Heat[i])
+					win.SetHeat(ctx.Heat[i])
+				}
+				run(clean)
+				hist.Absorb(run(clean))
+				// The noisy-round count tracks the code distance: the window
+				// decoder is d rounds deep, so fewer rounds would never fill —
+				// let alone exercise — a d=5 or d=7 cell's own decode window.
+				for round := 0; round < d; round++ {
+					inj.SetLocation(round, 0)
+					win.Absorb(hist.Absorb(run(noisy)), frame)
+				}
+				win.Absorb(hist.Absorb(run(clean)), frame)
+				win.Flush(frame)
+				logZ := lat.LogicalZ()
+				raw := tb.MeasureObservable(nil, logZ)
+				want := 1 - 2*frame.ParityOn(logZ, true)
+				out[i] = mc.Outcome{Fail: raw != 0 && raw != want}
 			}
-			hist := decoder.NewHistory(lat)
-			frame := decoder.NewPauliFrame()
-			win := decoder.NewWindowDecoder(decoder.NewGlobalDecoder(lat), d)
-			if ctx.Shard != nil {
-				win.SetInstr(decoder.NewInstr(ctx.Shard))
-			}
-			if ctx.Trace != nil {
-				win.SetTracer(ctx.Trace, 0)
-			}
-			if ctx.Heat != nil {
-				hist.SetHeat(ctx.Heat)
-				win.SetHeat(ctx.Heat)
-			}
-			run(clean)
-			hist.Absorb(run(clean))
-			// The noisy-round count tracks the code distance: the window
-			// decoder is d rounds deep, so fewer rounds would never fill —
-			// let alone exercise — a d=5 or d=7 cell's own decode window.
-			for round := 0; round < d; round++ {
-				inj.SetLocation(round, 0)
-				win.Absorb(hist.Absorb(run(noisy)), frame)
-			}
-			win.Absorb(hist.Absorb(run(clean)), frame)
-			win.Flush(frame)
-			logZ := lat.LogicalZ()
-			raw := tb.MeasureObservable(nil, logZ)
-			want := 1 - 2*frame.ParityOn(logZ, true)
-			return mc.Outcome{Fail: raw != 0 && raw != want}
 		})
 	if err := obs.closeCell(name, map[string]float64{"p": p, "d": float64(d)}, cell, trials, res); err != nil {
 		return res, true, err

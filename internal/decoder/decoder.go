@@ -675,37 +675,6 @@ func sign(x int) int {
 	return 0
 }
 
-// DecodeRound runs the full two-level pipeline for one round's defects:
-// local LUT first (if non-nil), then the global matcher per defect type.
-// Corrections toggle into the frame.
-func DecodeRound(local *LocalDecoder, global *GlobalDecoder, frame *PauliFrame, defects []Defect) (localResolved, escalated int) {
-	residual := defects
-	if local != nil {
-		var corr []Correction
-		corr, residual = local.Decode(defects)
-		for _, c := range corr {
-			frame.Apply(c)
-		}
-		localResolved = len(corr)
-	}
-	global.instr.localResolved.Add(uint64(localResolved))
-	global.instr.localEscalated.Add(uint64(len(residual)))
-	if len(residual) == 0 {
-		return localResolved, 0
-	}
-	xs, zs := SplitByType(residual)
-	for _, group := range [2][]Defect{xs, zs} {
-		if len(group) == 0 {
-			continue
-		}
-		m := global.Match(group)
-		for _, c := range global.Corrections(group, m) {
-			frame.Apply(c)
-		}
-	}
-	return localResolved, len(residual)
-}
-
 // ChainIsValid reports whether the emitted correction chain endpoints are
 // inside the lattice (diagnostic helper for tests).
 func ChainIsValid(lat surface.Lattice, corr []Correction) error {

@@ -238,6 +238,17 @@ func TestMeasurementErrorPairNeedsNoDataCorrection(t *testing.T) {
 	}
 }
 
+// decodeRound is the production per-round decode at window 1: the local
+// LUT resolves what it can into the frame, and the residual goes straight
+// through a one-round window to the global matcher.
+func decodeRound(ld *LocalDecoder, win *WindowDecoder, frame *PauliFrame, defects []Defect) {
+	resolved, residual := ld.Decode(defects)
+	for _, c := range resolved {
+		frame.Apply(c)
+	}
+	win.Absorb(residual, frame)
+}
+
 // runFullCycle executes one compiled QECC cycle and returns syndromes.
 func runFullCycle(u *awg.ExecutionUnit, words []isa.VLIW) map[int]int {
 	synd := make(map[int]int)
@@ -255,7 +266,7 @@ func TestEndToEndSingleErrorRecovery(t *testing.T) {
 	lat := surface.NewPlanar(3)
 	words := surface.CompileCycle(lat, surface.Steane, nil)
 	ld := NewLocalDecoder(lat)
-	gd := NewGlobalDecoder(lat)
+	win := NewWindowDecoder(NewGlobalDecoder(lat), 1)
 	for _, dq := range lat.Qubits(surface.RoleData) {
 		for _, p := range []clifford.Pauli{clifford.PauliX, clifford.PauliZ} {
 			tb := clifford.New(lat.NumQubits(), rand.New(rand.NewSource(int64(dq*3)+int64(p))))
@@ -270,7 +281,7 @@ func TestEndToEndSingleErrorRecovery(t *testing.T) {
 			if len(defects) == 0 {
 				t.Fatalf("qubit %d %s: error produced no defects", dq, p)
 			}
-			DecodeRound(ld, gd, frame, defects)
+			decodeRound(ld, win, frame, defects)
 			// Check: frame-corrected logical Z expectation must be +1.
 			logZ := lat.LogicalZ()
 			logX := lat.LogicalX()
@@ -312,16 +323,16 @@ func TestLogicalErrorRateBelowThreshold(t *testing.T) {
 		h := NewHistory(lat)
 		h.Absorb(runFullCycle(clean, words))
 		ld := NewLocalDecoder(lat)
-		gd := NewGlobalDecoder(lat)
+		win := NewWindowDecoder(NewGlobalDecoder(lat), 1)
 		frame := NewPauliFrame()
 		for round := 0; round < rounds; round++ {
 			inj.SetLocation(round, 0)
 			defects := h.Absorb(runFullCycle(u, words))
-			DecodeRound(ld, gd, frame, defects)
+			decodeRound(ld, win, frame, defects)
 		}
 		// Final noiseless round to flush.
 		defects := h.Absorb(runFullCycle(clean, words))
-		DecodeRound(ld, gd, frame, defects)
+		decodeRound(ld, win, frame, defects)
 		logZ := lat.LogicalZ()
 		raw := tb.MeasureObservable(nil, logZ)
 		want := 1 - 2*frame.ParityOn(logZ, true)

@@ -8,8 +8,8 @@ import (
 // registry so the hot paths (Match inside a Monte-Carlo trial) never touch
 // the registry's lock. Decoders record against the process-wide default
 // registry unless rebound with SetInstr — worker pools hand each trial an
-// instrument bound to a per-worker shard (see mc.Run) so instrumentation
-// adds no cross-worker cache-line contention.
+// instrument bound to a per-worker shard (see mc.RunBatch) so
+// instrumentation adds no cross-worker cache-line contention.
 type Instr struct {
 	matchCalls   *metrics.Counter
 	matchExact   *metrics.Counter
@@ -17,9 +17,6 @@ type Instr struct {
 	matchUF      *metrics.Counter
 	matchDefects *metrics.Counter
 	matchNs      *metrics.Histogram
-
-	localResolved  *metrics.Counter
-	localEscalated *metrics.Counter
 
 	windowRounds  *metrics.Counter
 	windowFlushNs *metrics.Histogram
@@ -34,9 +31,6 @@ func NewInstr(r *metrics.Registry) *Instr {
 		matchUF:      r.Counter("decoder.match.unionfind"),
 		matchDefects: r.Counter("decoder.match.defects"),
 		matchNs:      r.Histogram("decoder.match.ns", nil),
-
-		localResolved:  r.Counter("decoder.local.resolved"),
-		localEscalated: r.Counter("decoder.local.escalated"),
 
 		windowRounds:  r.Counter("decoder.window.rounds"),
 		windowFlushNs: r.Histogram("decoder.window.flush.ns", nil),

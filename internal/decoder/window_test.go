@@ -68,34 +68,36 @@ func windowedFailRate(t *testing.T, d int, p float64, trials int) float64 {
 	lat := surface.NewPlanar(d)
 	words := surface.CompileCycle(lat, surface.Steane, nil)
 	cell := mc.Seed(0xdec0de, mc.F64(p), uint64(d))
-	res := mc.Run(trials, 0, cell, nil, nil, mc.Observers{}, func(trial int, seed uint64, _ mc.TrialCtx) mc.Outcome {
-		tb := clifford.New(lat.NumQubits(), rand.New(rand.NewSource(int64(mc.Derive(seed, 0)))))
-		inj := noise.NewInjector(noise.Uniform(p), int64(mc.Derive(seed, 1)))
-		noisy := awg.New(tb, inj)
-		clean := awg.New(tb, nil)
-		run := func(u *awg.ExecutionUnit) map[int]int {
-			synd := make(map[int]int)
-			u.MeasSink = func(q, bit int) { synd[q] = bit }
-			for _, w := range words {
-				u.ExecuteWord(w)
+	res := mc.RunBatch(trials, 0, cell, nil, nil, mc.Observers{}, func(start int, seeds []uint64, _ mc.BatchCtx, out []mc.Outcome) {
+		for i, seed := range seeds {
+			tb := clifford.New(lat.NumQubits(), rand.New(rand.NewSource(int64(mc.Derive(seed, 0)))))
+			inj := noise.NewInjector(noise.Uniform(p), int64(mc.Derive(seed, 1)))
+			noisy := awg.New(tb, inj)
+			clean := awg.New(tb, nil)
+			run := func(u *awg.ExecutionUnit) map[int]int {
+				synd := make(map[int]int)
+				u.MeasSink = func(q, bit int) { synd[q] = bit }
+				for _, w := range words {
+					u.ExecuteWord(w)
+				}
+				return synd
 			}
-			return synd
+			hist := NewHistory(lat)
+			frame := NewPauliFrame()
+			win := NewWindowDecoder(NewGlobalDecoder(lat), d)
+			run(clean)
+			hist.Absorb(run(clean))
+			for round := 0; round < 4; round++ {
+				inj.SetLocation(round, 0)
+				win.Absorb(hist.Absorb(run(noisy)), frame)
+			}
+			win.Absorb(hist.Absorb(run(clean)), frame)
+			win.Flush(frame)
+			logZ := lat.LogicalZ()
+			raw := tb.MeasureObservable(nil, logZ)
+			want := 1 - 2*frame.ParityOn(logZ, true)
+			out[i] = mc.Outcome{Fail: raw != 0 && raw != want}
 		}
-		hist := NewHistory(lat)
-		frame := NewPauliFrame()
-		win := NewWindowDecoder(NewGlobalDecoder(lat), d)
-		run(clean)
-		hist.Absorb(run(clean))
-		for round := 0; round < 4; round++ {
-			inj.SetLocation(round, 0)
-			win.Absorb(hist.Absorb(run(noisy)), frame)
-		}
-		win.Absorb(hist.Absorb(run(clean)), frame)
-		win.Flush(frame)
-		logZ := lat.LogicalZ()
-		raw := tb.MeasureObservable(nil, logZ)
-		want := 1 - 2*frame.ParityOn(logZ, true)
-		return mc.Outcome{Fail: raw != 0 && raw != want}
 	})
 	_ = isa.OpIdle
 	return res.Rate

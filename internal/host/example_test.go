@@ -4,11 +4,12 @@ import (
 	"fmt"
 
 	"quest/internal/host"
+	"quest/internal/qasm"
 )
 
-// ExampleCompileQASM runs the whole host pipeline on textual source.
-func ExampleCompileQASM() {
-	art, err := host.CompileQASM(`
+// ExampleCompile runs the whole host pipeline on textual source.
+func ExampleCompile() {
+	p, err := qasm.ParseString(`
 		prep0 q0
 		prep0 q1
 		h q0
@@ -16,7 +17,12 @@ func ExampleCompileQASM() {
 		cnot q0, q1
 		measz q0
 		measz q1
-	`, 2, host.DefaultOptions())
+	`, 2)
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	art, err := host.Compile(p, host.DefaultOptions())
 	if err != nil {
 		fmt.Println("error:", err)
 		return

@@ -13,7 +13,6 @@ import (
 	"quest/internal/distill"
 	"quest/internal/isa"
 	"quest/internal/place"
-	"quest/internal/qasm"
 	"quest/internal/qexe"
 	"quest/internal/sched"
 )
@@ -102,15 +101,6 @@ func Compile(p *compiler.Program, opts Options) (*Artifact, error) {
 		return nil, fmt.Errorf("host: %w", err)
 	}
 	return art, nil
-}
-
-// CompileQASM assembles and compiles textual source in one step.
-func CompileQASM(src string, n int, opts Options) (*Artifact, error) {
-	p, err := qasm.ParseString(src, n)
-	if err != nil {
-		return nil, err
-	}
-	return Compile(p, opts)
 }
 
 // Lint reports program hygiene issues the host should surface before

@@ -7,6 +7,7 @@ import (
 
 	"quest/internal/compiler"
 	"quest/internal/core"
+	"quest/internal/qasm"
 	"quest/internal/qexe"
 	"quest/internal/sched"
 )
@@ -69,7 +70,11 @@ cnot q0, q1
 measz q0
 measz q1
 `
-	art, err := CompileQASM(src, 2, DefaultOptions())
+	p, err := qasm.ParseString(src, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := Compile(p, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,8 @@
 // records are emitted in trial order from the engine's trial-indexed
 // outcome store. The same run is therefore byte-identical for any -workers
 // value (pinned by core's TestThresholdObservedLedgerDeterminism), the same
-// invariant mc.Run guarantees for its Result and tracing guarantees for its
-// exported event stream.
+// invariant mc.RunBatch guarantees for its Result and tracing guarantees for
+// its exported event stream.
 package ledger
 
 import (

@@ -1,8 +1,8 @@
 // Package callgraph builds a whole-module static call graph over the
 // loader's type information, so the questvet analyzers can reason
 // *interprocedurally* about the repository's hot-path contract: the pinned
-// allocation budgets (mc.Run 9 allocs/call, the decoder's exact-match
-// path ≤ 6 allocs/op) and the nil-gated-observability invariant hold along
+// allocation budgets (mc.RunBatch 8 allocs/call, the decoder's
+// exact-match path ≤ 6 allocs/op) and the nil-gated-observability invariant hold along
 // every call chain rooted at a hot entry point, not just inside the function
 // that happens to contain the call. Like the rest of internal/lint it is
 // stdlib-only — no golang.org/x/tools — and deliberately scoped to what the
@@ -57,15 +57,15 @@ const HotDirective = "quest:hotpath"
 // Config selects the roots and the observer vocabulary of a build.
 type Config struct {
 	// Roots are function specs (see Lookup) naming hot entry points:
-	// "internal/mce.(*MCE).StepCycle", "internal/mc.Run". Package paths
+	// "internal/mce.(*MCE).StepCycle", "internal/mc.RunBatch". Package paths
 	// are suffix-matched so the same spec works on the real module and on
 	// analysistest fixture modules.
 	Roots []string
 	// ClosureRoots are function specs of callees whose function-literal (or
-	// named-function) arguments are hot roots: the trial closures handed to
-	// mc.Run and mc.RunBatch run once per trial or lane and
-	// carry the per-trial hot path even though the engine calls them through
-	// a func value the graph cannot see.
+	// named-function) arguments are hot roots: the lane closures handed to
+	// mc.RunBatch run once per lane and carry the per-trial hot path even
+	// though the engine calls them through a func value the graph cannot
+	// see.
 	ClosureRoots []string
 	// ObserverPkgs are package-path suffixes whose named types gate hot
 	// paths ("internal/tracing", "internal/metrics", ...). A nil guard on an
@@ -85,7 +85,7 @@ type Node struct {
 	Lit *ast.FuncLit
 	Pkg *loader.Package
 	Pos token.Pos
-	// Name is the canonical spec-style name: "quest/internal/mc.Run",
+	// Name is the canonical spec-style name: "quest/internal/mc.RunBatch",
 	// "quest/internal/mce.(*MCE).StepCycle"; literals append ".funcN" to
 	// their enclosing function's name in syntax order.
 	Name string
@@ -338,7 +338,7 @@ func bfs(roots []*Node, followGated bool) map[*Node]*Node {
 }
 
 // Lookup resolves a function spec to nodes. Specs name a package path (or a
-// path suffix) and a function: "internal/mc.Run",
+// path suffix) and a function: "internal/mc.RunBatch",
 // "quest/internal/mce.(*MCE).StepCycle", "internal/decoder.Lattice.Index".
 // Pointerness of the receiver is ignored when matching.
 func (g *Graph) Lookup(spec string) []*Node {
@@ -364,7 +364,8 @@ func (g *Graph) Lookup(spec string) []*Node {
 }
 
 // DisplayName renders a node name for diagnostics: the module prefix is
-// trimmed so messages read "internal/mc.Run" regardless of module name.
+// trimmed so messages read "internal/mc.RunBatch" regardless of module
+// name.
 func (g *Graph) DisplayName(n *Node) string {
 	return strings.TrimPrefix(strings.TrimPrefix(n.Name, g.Module), "/")
 }

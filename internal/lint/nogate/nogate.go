@@ -2,7 +2,7 @@
 // nil-gated (tracing and heatmap hooks) or whose arguments could allocate
 // (metrics instruments).
 //
-// The pinned allocation budgets — mc.Run 9 allocs/call with observers
+// The pinned allocation budgets — mc.RunBatch 8 allocs/call with observers
 // off, the decoder's exact-match path ≤ 6 allocs/op with heat off
 // (TestRunAllocs, TestMatchHeatOffAllocs) — hold only because
 // every observability hook on a hot path costs exactly one predictable

@@ -8,7 +8,7 @@
 //     heatmaps, or reports.
 //   - nogate (hot-path packages): every tracing/heatmap hook nil-gated,
 //     every metrics argument allocation-free, protecting the pinned alloc
-//     budgets (mc.Run 9 allocs/call, decoder exact-match ≤ 6
+//     budgets (mc.RunBatch 8 allocs/call, decoder exact-match ≤ 6
 //     allocs/op with observers off).
 //   - seedsrc (simulation/MC packages): no wall clock, pid, or global
 //     math/rand source; all entropy flows from the experiment seed through
@@ -128,14 +128,15 @@ func Names() []string {
 // handed to them), the global decoder's match path, and the MCE/master
 // cycle loops.
 func GraphConfig() callgraph.Config {
-	mcEntry := []string{"internal/mc.Run", "internal/mc.RunBatch"}
+	const mcEntry = "internal/mc.RunBatch"
 	return callgraph.Config{
-		Roots: append(append([]string{}, mcEntry...),
+		Roots: []string{
+			mcEntry,
 			"internal/decoder.(*GlobalDecoder).Match",
 			"internal/mce.(*MCE).StepCycle",
 			"internal/master.(*Master).StepCycle",
-		),
-		ClosureRoots: mcEntry,
+		},
+		ClosureRoots: []string{mcEntry},
 		ObserverPkgs: []string{
 			"internal/tracing", "internal/heatmap", "internal/events",
 			"internal/bwprofile", "internal/metrics", "internal/ledger",

@@ -174,9 +174,9 @@ func TestBaselineRoundTrip(t *testing.T) {
 }
 
 func TestParseBudgets(t *testing.T) {
-	good := `{"schema":"quest-lint-budget/1","budgets":[{"root":"internal/mc.Run","max_sites":10,"bench_allocs":9}]}`
+	good := `{"schema":"quest-lint-budget/1","budgets":[{"root":"internal/mc.RunBatch","max_sites":9,"bench_allocs":8}]}`
 	budgets, err := ParseBudgets([]byte(good))
-	if err != nil || len(budgets) != 1 || budgets[0].MaxSites != 10 {
+	if err != nil || len(budgets) != 1 || budgets[0].MaxSites != 9 || budgets[0].BenchAllocs != 8 {
 		t.Fatalf("ParseBudgets = %+v, %v", budgets, err)
 	}
 	for _, bad := range []string{
@@ -259,8 +259,8 @@ func TestWriteSARIFShape(t *testing.T) {
 // TestModuleCleanAgainstBaseline is the tier-1 pin for the ISSUE's
 // acceptance bullet: the full suite over the real module, diffed against
 // the committed baseline, reports zero problems; and the committed budget
-// file cross-checks the runtime bench pins (mc.Run 9 allocs/call, decoder
-// exact-match ≤ 6 allocs/op).
+// file cross-checks the runtime bench pins (mc.RunBatch 8 allocs/call,
+// decoder exact-match ≤ 6 allocs/op).
 func TestModuleCleanAgainstBaseline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
@@ -282,7 +282,7 @@ func TestModuleCleanAgainstBaseline(t *testing.T) {
 	// TestMatchHeatOffAllocs in internal/decoder). If a pin changes, both
 	// files change together, in review.
 	pins := map[string]int{
-		"internal/mc.Run":                         9,
+		"internal/mc.RunBatch":                    8,
 		"internal/decoder.(*GlobalDecoder).Match": 6,
 	}
 	for root, want := range pins {

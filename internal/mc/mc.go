@@ -3,10 +3,9 @@
 // experiment, the windowed-decoder validation — is "run N independent noisy
 // trials, count failures", and decode throughput is exactly what gates
 // statistical confidence (cf. the decoder micro-architectures of Das et al.
-// and the feedback system of Liu et al.). One worker pool backs the two
-// runners: Run hands workers one trial at a time, RunBatch hands them lanes
-// of LaneWidth consecutive trials. Either keeps the statistics bit-identical
-// for any worker count:
+// and the feedback system of Liu et al.). RunBatch is its one runner: a
+// worker pool that hands out lanes of LaneWidth consecutive trials and keeps
+// the statistics bit-identical for any worker count:
 //
 //   - each trial's randomness comes only from a per-trial seed derived with
 //     a SplitMix64-style mix of (experiment seed, cell parameters, trial
@@ -144,27 +143,8 @@ type Progress struct {
 	Done               bool
 }
 
-// TrialCtx carries the per-trial observation hooks into Run's trial
-// function. Any field may be nil when the corresponding observer is off;
-// all of them are nil-gated, so fn records unconditionally.
-type TrialCtx struct {
-	// Shard is the worker-private metrics registry (nil when metrics off).
-	Shard *metrics.Registry
-	// Trace is the worker-private tracer shard (nil when tracing off).
-	Trace *tracing.Tracer
-	// Heat is the trial-private heatmap shard (nil when heatmaps off).
-	// Trial-private rather than worker-private so the merged heatmap stays
-	// byte-identical for any worker count even under CI early stop, where
-	// different worker counts execute different overrun trials.
-	Heat *heatmap.Collector
-	// BW is the trial-private bandwidth-profile shard (nil when profiling
-	// off), trial-private for the same worker-count-invariance reason as
-	// Heat.
-	BW *bwprofile.Recorder
-}
-
-// Observers bundles the optional observation hooks of Run and RunBatch. The
-// zero value observes nothing and adds nothing to the hot path.
+// Observers bundles the optional observation hooks of RunBatch. The zero
+// value observes nothing and adds nothing to the hot path.
 type Observers struct {
 	// Progress, when non-nil, is called every ProgressEvery completed
 	// trials (default trials/100, min 1) and once more with Done=true
@@ -187,14 +167,14 @@ type Observers struct {
 	MinTrials int
 
 	// Heat, when non-nil, gives every trial a private shard (Heat.NewShard)
-	// via TrialCtx or BatchCtx; shards of the effective trials are merged
-	// into Heat in trial order after the pool drains.
+	// via BatchCtx; shards of the effective trials are merged into Heat in
+	// trial order after the pool drains.
 	Heat *heatmap.Collector
 
 	// BW, when non-nil, gives every trial a private bandwidth-profile shard
-	// (BW.NewShard) via TrialCtx or BatchCtx; shards of the effective trials
-	// are merged into BW in trial order after the pool drains, so the
-	// quest-bw/1 waveform bytes are identical for any worker count.
+	// (BW.NewShard) via BatchCtx; shards of the effective trials are merged
+	// into BW in trial order after the pool drains, so the quest-bw/1
+	// waveform bytes are identical for any worker count.
 	BW *bwprofile.Recorder
 
 	// Sink, when non-nil, receives every effective trial's outcome in
@@ -212,7 +192,7 @@ type Observers struct {
 	// Prefixes longer than the trial budget are truncated. Replayed trials
 	// are invisible to the wall-clock instruments (mc.trials counts only
 	// executed trials) and contribute empty heat shards. Workers claim
-	// their first trial, or lane, at len(Prior).
+	// their first lane at len(Prior).
 	Prior []Outcome
 }
 
@@ -220,44 +200,6 @@ type Observers struct {
 // handful of trials are wide but not infinitely so, and stopping a cell on
 // three lucky trials would be statistics malpractice.
 const defaultMinStopTrials = 10
-
-// Run executes trials over a worker pool, one trial per claim, and reduces
-// the outcomes.
-//
-// workers <= 0 uses GOMAXPROCS; the pool never exceeds the number of trials
-// left to run. fn is called once per trial index with a seed derived from
-// TrialSeed(cellSeed, trial); it must take all randomness from that seed
-// and must not touch shared mutable state (shared read-only tables — a
-// compiled lattice, a syndrome schedule — are fine). Under those rules the
-// Result is bit-identical for every worker count: failure counts and the
-// first error are reduced over the trial-indexed outcome store in trial
-// order after the pool drains, never in completion order.
-//
-// reg and tr, when non-nil, give every worker a private metrics registry
-// (ctx.Shard) and tracer (ctx.Trace, sized like tr), merged into them in
-// worker order after the pool drains. Counters, fixed-bucket histograms and
-// the canonically sorted trace export are independent of how trials were
-// distributed, so only wall-clock gauges ("mc.trials_per_sec",
-// "mc.worker_utilization") reflect this particular run. obs adds live
-// progress, CI early stop, per-trial heat and bandwidth shards, the
-// trial-order outcome Sink and resume from Prior. With nil reg and tr and a
-// zero obs, fn sees nil hooks and the engine allocates nothing per trial
-// (pinned by TestRunAllocs). Instruments observe the computation; they
-// never feed back into it.
-func Run(trials, workers int, cellSeed uint64, reg *metrics.Registry, tr *tracing.Tracer,
-	obs Observers, fn func(trial int, seed uint64, ctx TrialCtx) Outcome) Result {
-	return run(trials, workers, 1, cellSeed, reg, tr, obs,
-		func(trial int, seeds []uint64, ctx BatchCtx, out []Outcome) {
-			tc := TrialCtx{Shard: ctx.Shard, Trace: ctx.Trace}
-			if ctx.Heat != nil {
-				tc.Heat = ctx.Heat[0]
-			}
-			if ctx.BW != nil {
-				tc.BW = ctx.BW[0]
-			}
-			out[0] = fn(trial, seeds[0], tc)
-		})
-}
 
 // stopState is the CI-convergence early-stop tracker. Workers report each
 // finished trial; under the mutex a frontier advances over *consecutive*
@@ -387,19 +329,71 @@ func (ps *progressState) observe(fail bool) {
 	ps.fn(Progress{Completed: completed, Failures: failures, Budget: ps.budget, WilsonLo: lo, WilsonHi: hi})
 }
 
-// run is the one pool behind Run (width 1) and RunBatch (width LaneWidth).
-// Workers claim lanes of up to width consecutive trials tiling
-// [prior, trials) — lane l starts at prior + l·width and only the final
-// lane may be short — and the pool never exceeds the lane count. At width 1
-// a lane is one trial, so mc.trial.ns observes each trial's own duration
-// and CI early stop overruns by at most one trial per worker; wider lanes
-// amortize both per lane.
+// LaneWidth is the number of trials a lane packs — one trial per bit of a
+// uint64, so batched engines combine noise masks and syndrome lanes with
+// single word ops.
+const LaneWidth = 64
+
+// BatchCtx carries the per-lane observation hooks into a trial function.
+// Shard and Trace are worker-private; Heat and BW hold one trial-private
+// shard per trial in the lane, indexed like the lane's seeds, so the merged
+// heatmap and bandwidth profile stay worker-count independent even under CI
+// early stop, where different worker counts execute different overrun
+// trials.
+type BatchCtx struct {
+	// Shard is the worker-private metrics registry (nil when metrics off).
+	Shard *metrics.Registry
+	// Trace is the worker-private tracer shard (nil when tracing off).
+	Trace *tracing.Tracer
+	// Heat is nil when heatmaps are off; otherwise Heat[i] is the private
+	// shard of trial start+i.
+	Heat []*heatmap.Collector
+	// BW is nil when bandwidth profiling is off; otherwise BW[i] is the
+	// private shard of trial start+i.
+	BW []*bwprofile.Recorder
+}
+
+// BatchFn executes one lane of up to LaneWidth consecutive trials. start is
+// the first trial index; seeds[i] is TrialSeed(cellSeed, start+i); out[i]
+// must be filled with trial start+i's outcome.
+type BatchFn func(start int, seeds []uint64, ctx BatchCtx, out []Outcome)
+
+// RunBatch executes trials over a worker pool and reduces the outcomes.
+// Workers claim lanes of up to LaneWidth consecutive trials tiling
+// [len(Prior), trials) — lane l starts at len(Prior) + l·LaneWidth and only
+// the final lane may be short — so fn can amortize per-trial setup (schedule
+// compiles, decoder scratch) and bit-slice per-trial state across a lane.
+// workers <= 0 uses GOMAXPROCS; the pool never exceeds the lane count.
 //
-// Every local the worker closure captures is assigned exactly once, and
-// observer state is nil when its hook is off, so the closure captures plain
-// values rather than heap cells and the unobserved path allocates nothing
-// per trial (pinned by TestRunAllocs).
-func run(trials, workers, width int, cellSeed uint64, reg *metrics.Registry, tr *tracing.Tracer,
+// fn must take all randomness from its lane's seeds and must not share
+// mutable state across lanes (read-only tables — a compiled lattice, a
+// syndrome schedule — and worker-private scratch are fine). Under those
+// rules the Result is bit-identical for every worker count: failure counts
+// and the first error are reduced over the trial-indexed outcome store in
+// trial order after the pool drains, never in completion order.
+//
+// reg and tr, when non-nil, give every worker a private metrics registry
+// (ctx.Shard) and tracer (ctx.Trace, sized like tr), merged into them in
+// worker order after the pool drains. Counters, fixed-bucket histograms and
+// the canonically sorted trace export are independent of how lanes were
+// distributed, so only the wall-clock instruments reflect this particular
+// run: the "mc.trials_per_sec" and "mc.worker_utilization" gauges, and the
+// mc.trial.ns histogram, which observes each lane's duration amortized per
+// trial. obs adds live progress, CI early stop, per-trial heat and bandwidth
+// shards, the trial-order outcome Sink and resume from Prior. Under CI
+// early stop whole in-flight lanes (up to LaneWidth-1 overrun trials per
+// worker) may execute past the stop point before workers observe it; the
+// overrun is discarded from the Result. Prior is honoured at trial
+// granularity, so a resumed cell executes exactly its unrecorded trials
+// even when len(Prior) is not a LaneWidth multiple. Instruments observe the
+// computation; they never feed back into it.
+//
+// With nil reg and tr and a zero obs, fn sees a zero BatchCtx. Every local
+// the worker closure captures is assigned exactly once, and observer state
+// is nil when its hook is off, so the closure captures plain values rather
+// than heap cells and the unobserved path allocates nothing per trial
+// (pinned by TestRunAllocs).
+func RunBatch(trials, workers int, cellSeed uint64, reg *metrics.Registry, tr *tracing.Tracer,
 	obs Observers, fn BatchFn) Result {
 	if trials <= 0 {
 		return Result{}
@@ -409,7 +403,7 @@ func run(trials, workers, width int, cellSeed uint64, reg *metrics.Registry, tr 
 	// frontier consumes the replayed prefix first so a resumed run stops
 	// exactly where the uninterrupted run would have.
 	prior := min(len(obs.Prior), trials)
-	lanes := (trials - prior + width - 1) / width
+	lanes := (trials - prior + LaneWidth - 1) / LaneWidth
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -456,7 +450,7 @@ func run(trials, workers, width int, cellSeed uint64, reg *metrics.Registry, tr 
 				nTrials = shard.Counter("mc.trials")
 				nFails = shard.Counter("mc.failures")
 			}
-			seeds := make([]uint64, width)
+			seeds := make([]uint64, LaneWidth)
 			var heats []*heatmap.Collector
 			var bws []*bwprofile.Recorder
 			for {
@@ -464,11 +458,11 @@ func run(trials, workers, width int, cellSeed uint64, reg *metrics.Registry, tr 
 				if l >= lanes {
 					return
 				}
-				lo := prior + l*width
+				lo := prior + l*LaneWidth
 				if st != nil && lo >= int(st.stopAt.Load()) {
 					return
 				}
-				n := min(width, trials-lo)
+				n := min(LaneWidth, trials-lo)
 				for i := 0; i < n; i++ {
 					seeds[i] = TrialSeed(cellSeed, lo+i)
 				}
@@ -477,7 +471,7 @@ func run(trials, workers, width int, cellSeed uint64, reg *metrics.Registry, tr 
 				// contract (gateflow) can prove.
 				if heatParent != nil {
 					if heats == nil {
-						heats = make([]*heatmap.Collector, width)
+						heats = make([]*heatmap.Collector, LaneWidth)
 					}
 					heats = heats[:n]
 					for i := range heats {
@@ -487,7 +481,7 @@ func run(trials, workers, width int, cellSeed uint64, reg *metrics.Registry, tr 
 				}
 				if bwParent != nil {
 					if bws == nil {
-						bws = make([]*bwprofile.Recorder, width)
+						bws = make([]*bwprofile.Recorder, LaneWidth)
 					}
 					bws = bws[:n]
 					for i := range bws {

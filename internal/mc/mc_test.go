@@ -15,9 +15,9 @@ import (
 
 func TestRunWorkerCountInvariant(t *testing.T) {
 	cell := Seed(42, F64(1e-3), 3)
-	base := Run(500, 1, cell, nil, nil, Observers{}, observedRate(0.3))
+	base := RunBatch(500, 1, cell, nil, nil, Observers{}, observedRate(0.3))
 	for _, w := range []int{2, 4, 8, 0} {
-		got := Run(500, w, cell, nil, nil, Observers{}, observedRate(0.3))
+		got := RunBatch(500, w, cell, nil, nil, Observers{}, observedRate(0.3))
 		if got != base {
 			t.Errorf("workers=%d result %+v != workers=1 result %+v", w, got, base)
 		}
@@ -85,18 +85,21 @@ func TestWilson(t *testing.T) {
 }
 
 func TestRunEmptyAndError(t *testing.T) {
-	if res := Run(0, 4, 1, nil, nil, Observers{}, observedRate(0.3)); res != (Result{}) {
+	if res := RunBatch(0, 4, 1, nil, nil, Observers{}, observedRate(0.3)); res != (Result{}) {
 		t.Errorf("empty run = %+v", res)
 	}
+	// errA is the first error in trial order; errB follows it in the same
+	// lane and again in the next one.
 	errA, errB := errors.New("a"), errors.New("b")
-	res := Run(10, 4, 1, nil, nil, Observers{}, func(trial int, seed uint64, ctx TrialCtx) Outcome {
-		switch trial {
-		case 7:
-			return Outcome{Err: errB}
-		case 3:
-			return Outcome{Err: errA}
+	res := RunBatch(3*LaneWidth, 4, 1, nil, nil, Observers{}, func(start int, seeds []uint64, ctx BatchCtx, out []Outcome) {
+		for i := range out {
+			switch start + i {
+			case LaneWidth + 7, 2*LaneWidth + 3:
+				out[i] = Outcome{Err: errB}
+			case LaneWidth + 3:
+				out[i] = Outcome{Err: errA}
+			}
 		}
-		return Outcome{}
 	})
 	if res.Err != errA {
 		t.Errorf("Err = %v, want first error in trial order (a)", res.Err)
@@ -109,9 +112,12 @@ func TestRunEmptyAndError(t *testing.T) {
 func TestRunSharedCounterUnderRace(t *testing.T) {
 	var ctr bandwidth.Counter
 	workers := runtime.GOMAXPROCS(0) * 4
-	res := Run(400, workers, Seed(7), nil, nil, Observers{}, func(trial int, seed uint64, ctx TrialCtx) Outcome {
-		ctr.Add(3, uint64(trial))
-		return Outcome{Fail: trial%5 == 0}
+	res := RunBatch(400, workers, Seed(7), nil, nil, Observers{}, func(start int, seeds []uint64, ctx BatchCtx, out []Outcome) {
+		for i := range out {
+			trial := start + i
+			ctr.Add(3, uint64(trial))
+			out[i] = Outcome{Fail: trial%5 == 0}
+		}
 	})
 	if res.Failures != 80 {
 		t.Errorf("failures = %d, want 80", res.Failures)
@@ -125,7 +131,7 @@ func TestRunSharedCounterUnderRace(t *testing.T) {
 }
 
 func TestWilsonAttachedToResult(t *testing.T) {
-	res := Run(200, 4, Seed(3), nil, nil, Observers{}, observedRate(0.3))
+	res := RunBatch(200, 4, Seed(3), nil, nil, Observers{}, observedRate(0.3))
 	lo, hi := Wilson(res.Failures, res.Trials, 1.96)
 	if res.WilsonLo != lo || res.WilsonHi != hi {
 		t.Errorf("result CI [%v, %v] != Wilson [%v, %v]", res.WilsonLo, res.WilsonHi, lo, hi)
@@ -139,17 +145,22 @@ func TestWilsonAttachedToResult(t *testing.T) {
 // merged counters and histograms must reflect every trial exactly once, and
 // both the simulation Result and the merged totals must be identical for any
 // worker count (shards partition the trials; counters and fixed-bucket
-// histograms merge by addition, which commutes).
+// histograms merge by addition, which commutes). 1100 trials make 18 lanes,
+// enough for every worker count below to get one.
 func TestRunWithShardMergeInvariant(t *testing.T) {
+	const trials = 1100
 	run := func(workers int) (Result, uint64, uint64, uint64) {
 		reg := metrics.New()
-		res := Run(300, workers, Seed(11), reg, nil, Observers{},
-			func(trial int, seed uint64, ctx TrialCtx) Outcome {
+		res := RunBatch(trials, workers, Seed(11), reg, nil, Observers{},
+			func(start int, seeds []uint64, ctx BatchCtx, out []Outcome) {
 				if ctx.Shard == nil {
-					t.Fatal("nil shard despite non-nil registry")
+					t.Error("nil shard despite non-nil registry")
+					return
 				}
-				ctx.Shard.Counter("test.work").Add(uint64(trial))
-				return Outcome{Fail: trial%3 == 0}
+				for i := range out {
+					ctx.Shard.Counter("test.work").Add(uint64(start + i))
+					out[i] = Outcome{Fail: (start+i)%3 == 0}
+				}
 			})
 		return res,
 			reg.Counter("mc.trials").Value(),
@@ -157,13 +168,13 @@ func TestRunWithShardMergeInvariant(t *testing.T) {
 			reg.Counter("test.work").Value()
 	}
 	baseRes, baseTrials, baseFails, baseWork := run(1)
-	if baseTrials != 300 {
-		t.Errorf("merged mc.trials = %d, want 300", baseTrials)
+	if baseTrials != trials {
+		t.Errorf("merged mc.trials = %d, want %d", baseTrials, trials)
 	}
-	if baseFails != 100 {
-		t.Errorf("merged mc.failures = %d, want 100", baseFails)
+	if want := uint64((trials + 2) / 3); baseFails != want {
+		t.Errorf("merged mc.failures = %d, want %d", baseFails, want)
 	}
-	if want := uint64(300 * 299 / 2); baseWork != want {
+	if want := uint64(trials * (trials - 1) / 2); baseWork != want {
 		t.Errorf("merged test.work = %d, want %d", baseWork, want)
 	}
 	for _, workers := range []int{2, 3, 7, 16} {
@@ -179,15 +190,14 @@ func TestRunWithShardMergeInvariant(t *testing.T) {
 }
 
 // TestRunWithHistogramMerge checks that per-worker trial histograms merge
-// into one histogram counting every trial.
+// into one histogram counting every trial. Four lanes give each of the four
+// workers one.
 func TestRunWithHistogramMerge(t *testing.T) {
 	reg := metrics.New()
-	Run(64, 4, Seed(13), reg, nil, Observers{}, func(trial int, seed uint64, ctx TrialCtx) Outcome {
-		return Outcome{}
-	})
+	RunBatch(4*LaneWidth, 4, Seed(13), reg, nil, Observers{}, func(start int, seeds []uint64, ctx BatchCtx, out []Outcome) {})
 	h := reg.Histogram("mc.trial.ns", metrics.LatencyBounds())
-	if got := h.Count(); got != 64 {
-		t.Errorf("merged mc.trial.ns count = %d, want 64", got)
+	if got := h.Count(); got != 4*LaneWidth {
+		t.Errorf("merged mc.trial.ns count = %d, want %d", got, 4*LaneWidth)
 	}
 	if reg.Gauge("mc.workers").Value() != 4 {
 		t.Errorf("mc.workers gauge = %v, want 4", reg.Gauge("mc.workers").Value())
@@ -202,15 +212,17 @@ func TestRunWithHistogramMerge(t *testing.T) {
 // nil registry, a nil tracer and a zero Observers, fn sees no live
 // observation hook at all, and the Result is still computed.
 func TestRunWithNilRegistry(t *testing.T) {
-	res := Run(50, 4, Seed(11), nil, nil, Observers{},
-		func(trial int, seed uint64, ctx TrialCtx) Outcome {
-			if ctx != (TrialCtx{}) {
+	res := RunBatch(150, 4, Seed(11), nil, nil, Observers{},
+		func(start int, seeds []uint64, ctx BatchCtx, out []Outcome) {
+			if ctx.Shard != nil || ctx.Trace != nil || ctx.Heat != nil || ctx.BW != nil {
 				t.Error("nil registry, nil tracer and zero Observers handed out live observation hooks")
 			}
-			return Outcome{Fail: trial%3 == 0}
+			for i := range out {
+				out[i] = Outcome{Fail: (start+i)%3 == 0}
+			}
 		})
-	if res.Failures != 17 {
-		t.Errorf("failures = %d, want 17", res.Failures)
+	if res.Failures != 50 {
+		t.Errorf("failures = %d, want 50", res.Failures)
 	}
 }
 
@@ -218,25 +230,30 @@ func TestRunWithNilRegistry(t *testing.T) {
 // trace of a run is the same event multiset regardless of worker count, and
 // the canonical-sorting exporter therefore produces byte-identical JSON for
 // workers=1 and workers=8. Runs under -race via make race, which also pins
-// shard isolation (each worker records only into its private tracer).
+// shard isolation (each worker records only into its private tracer). The
+// 150 trials span two full lanes and a short one, so workers=8 really
+// splits the trace over three shards.
 func TestRunTracedDeterminism(t *testing.T) {
 	runOnce := func(workers int) []byte {
 		tr := tracing.New(1 << 12)
-		res := Run(40, workers, Seed(7), nil, tr, Observers{},
-			func(trial int, seed uint64, ctx TrialCtx) Outcome {
+		res := RunBatch(150, workers, Seed(7), nil, tr, Observers{},
+			func(start int, seeds []uint64, ctx BatchCtx, out []Outcome) {
 				trace := ctx.Trace
 				if trace == nil {
 					t.Error("expected per-worker trace shard")
-					return Outcome{}
+					return
 				}
-				// Synthetic per-trial events: cycle timebase derived from the
-				// trial index only, never from scheduling.
-				trace.SpanArg("mce", trial%4, "busy", int64(trial), 1, "uops", int64(seed%97))
-				trace.Instant("master", 0, "dispatch", int64(trial))
-				return Outcome{Fail: trial%5 == 0}
+				for i, seed := range seeds {
+					// Synthetic per-trial events: cycle timebase derived from
+					// the trial index only, never from scheduling.
+					trial := start + i
+					trace.SpanArg("mce", trial%4, "busy", int64(trial), 1, "uops", int64(seed%97))
+					trace.Instant("master", 0, "dispatch", int64(trial))
+					out[i] = Outcome{Fail: trial%5 == 0}
+				}
 			})
-		if res.Failures != 8 {
-			t.Fatalf("workers=%d: failures = %d, want 8", workers, res.Failures)
+		if res.Failures != 30 {
+			t.Fatalf("workers=%d: failures = %d, want 30", workers, res.Failures)
 		}
 		var buf bytes.Buffer
 		if err := tr.WriteJSON(&buf); err != nil {
@@ -252,8 +269,8 @@ func TestRunTracedDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatalf("merged trace invalid: %v", err)
 	}
-	if rep.Events != 80 {
-		t.Errorf("events = %d, want 80", rep.Events)
+	if rep.Events != 300 {
+		t.Errorf("events = %d, want 300", rep.Events)
 	}
 }
 
@@ -261,21 +278,23 @@ func TestRunTracedDeterminism(t *testing.T) {
 // without disturbing metrics sharding or the Result.
 func TestRunTracedNilTracer(t *testing.T) {
 	reg := metrics.New()
-	res := Run(30, 4, Seed(9), reg, nil, Observers{},
-		func(trial int, seed uint64, ctx TrialCtx) Outcome {
+	res := RunBatch(150, 4, Seed(9), reg, nil, Observers{},
+		func(start int, seeds []uint64, ctx BatchCtx, out []Outcome) {
 			if ctx.Trace != nil {
 				t.Error("expected nil trace shard with nil tracer")
 			}
 			if ctx.Shard == nil {
 				t.Error("expected metrics shard")
 			}
-			ctx.Trace.Span("mce", 0, "busy", int64(trial), 1) // must be a safe no-op
-			return Outcome{Fail: trial%2 == 0}
+			for i := range out {
+				ctx.Trace.Span("mce", 0, "busy", int64(start+i), 1) // must be a safe no-op
+				out[i] = Outcome{Fail: (start+i)%2 == 0}
+			}
 		})
-	if res.Failures != 15 {
-		t.Errorf("failures = %d, want 15", res.Failures)
+	if res.Failures != 75 {
+		t.Errorf("failures = %d, want 75", res.Failures)
 	}
-	if got := reg.Counter("mc.trials").Value(); got != 30 {
-		t.Errorf("mc.trials = %d, want 30", got)
+	if got := reg.Counter("mc.trials").Value(); got != 150 {
+		t.Errorf("mc.trials = %d, want 150", got)
 	}
 }

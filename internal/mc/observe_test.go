@@ -1,23 +1,47 @@
 package mc
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sync/atomic"
 	"testing"
 
+	"quest/internal/bwprofile"
 	"quest/internal/heatmap"
 	"quest/internal/metrics"
 )
 
-// observedRate is a deterministic pseudo-experiment: fail iff the trial's
+// observedRate is a deterministic pseudo-experiment: a trial fails iff its
 // own seeded RNG says so. Any dependence on scheduling would break the
-// worker-count invariance the tests assert.
-func observedRate(rate float64) func(trial int, seed uint64, ctx TrialCtx) Outcome {
-	return func(trial int, seed uint64, ctx TrialCtx) Outcome {
-		rng := rand.New(rand.NewSource(int64(seed)))
-		return Outcome{Fail: rng.Float64() < rate}
+// worker-count invariance the tests assert. With profiling on, each trial
+// also records bwTrial into its own bandwidth shard.
+func observedRate(rate float64) BatchFn {
+	return func(start int, seeds []uint64, ctx BatchCtx, out []Outcome) {
+		for i, seed := range seeds {
+			if ctx.BW != nil {
+				bwTrial(ctx.BW[i], seed)
+			}
+			rng := rand.New(rand.NewSource(int64(seed)))
+			out[i] = Outcome{Fail: rng.Float64() < rate}
+		}
 	}
+}
+
+// bwTrial records one bus event that is a pure function of the trial seed,
+// so a merged profile depends only on which trials are effective.
+func bwTrial(bw *bwprofile.Recorder, seed uint64) {
+	bw.Observe(int(seed%40), bwprofile.BusLogical, bwprofile.ClassPauli, 1, seed%5)
+}
+
+// bwBytes serializes a merged profile as quest-bw/1 JSONL.
+func bwBytes(t *testing.T, bw *bwprofile.Recorder) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := bw.WriteJSONL(&b, "mc-test", nil); err != nil {
+		t.Fatalf("WriteJSONL: %v", err)
+	}
+	return b.Bytes()
 }
 
 // TestWilsonEdgeCases pins the boundary behavior the CI-convergence stop
@@ -68,32 +92,22 @@ func TestWilsonEdgeCases(t *testing.T) {
 	}
 }
 
-// TestRunAllocs pins the metrics-off hot path of both runners. The count per
-// call is the same at 100 and at 10,000 trials, so neither runner allocates
-// per trial: every allocation is per-cell pool setup. Observer state is nil
-// when its hook is off and is captured by value, never as a heap cell, so the
+// TestRunAllocs pins the metrics-off hot path. The count per call is the
+// same at 100 and at 10,000 trials, so the runner does not allocate per
+// trial: every allocation is per-cell pool setup. Observer state is nil when
+// its hook is off and is captured by value, never as a heap cell, so the
 // Observers plumbing costs the unobserved path nothing.
 func TestRunAllocs(t *testing.T) {
-	fn := func(trial int, seed uint64, ctx TrialCtx) Outcome {
-		return Outcome{Fail: seed&1 == 0}
-	}
-	bfn := func(start int, seeds []uint64, ctx BatchCtx, out []Outcome) {
+	const pin = 8
+	fn := func(start int, seeds []uint64, ctx BatchCtx, out []Outcome) {
 		for i, seed := range seeds {
 			out[i] = Outcome{Fail: seed&1 == 0}
 		}
 	}
-	for _, tc := range []struct {
-		name string
-		pin  float64
-		run  func(trials int)
-	}{
-		{"Run", 9, func(n int) { Run(n, 1, Seed(5), nil, nil, Observers{}, fn) }},
-		{"RunBatch", 8, func(n int) { RunBatch(n, 1, Seed(5), nil, nil, Observers{}, bfn) }},
-	} {
-		for _, trials := range []int{100, 10000} {
-			if got := testing.AllocsPerRun(20, func() { tc.run(trials) }); got != tc.pin {
-				t.Errorf("%s(%d trials) metrics-off allocs/call = %v, pinned at %v", tc.name, trials, got, tc.pin)
-			}
+	for _, trials := range []int{100, 10000} {
+		got := testing.AllocsPerRun(20, func() { RunBatch(trials, 1, Seed(5), nil, nil, Observers{}, fn) })
+		if got != pin {
+			t.Errorf("RunBatch(%d trials) metrics-off allocs/call = %v, pinned at %v", trials, got, pin)
 		}
 	}
 }
@@ -105,7 +119,7 @@ func TestRunAllocs(t *testing.T) {
 func TestCIStopDeterministicAcrossWorkers(t *testing.T) {
 	cell := Seed(17, F64(2e-3), 5)
 	runOnce := func(workers int) Result {
-		return Run(5000, workers, cell, nil, nil,
+		return RunBatch(5000, workers, cell, nil, nil,
 			Observers{CIWidth: 0.05}, observedRate(0.3))
 	}
 	base := runOnce(1)
@@ -129,8 +143,8 @@ func TestCIStopDeterministicAcrossWorkers(t *testing.T) {
 func TestCIStopSavesTrials(t *testing.T) {
 	cell := Seed(23, F64(1e-4), 3)
 	budget := 20000
-	fixed := Run(budget, 4, cell, nil, nil, Observers{}, observedRate(0.02))
-	stopped := Run(budget, 4, cell, nil, nil, Observers{CIWidth: 0.04}, observedRate(0.02))
+	fixed := RunBatch(budget, 4, cell, nil, nil, Observers{}, observedRate(0.02))
+	stopped := RunBatch(budget, 4, cell, nil, nil, Observers{CIWidth: 0.04}, observedRate(0.02))
 	if stopped.Trials >= budget/2 {
 		t.Errorf("easy cell used %d of %d trials, expected a large saving", stopped.Trials, budget)
 	}
@@ -156,22 +170,25 @@ func TestCIStopSavesTrials(t *testing.T) {
 }
 
 // TestCIStopMinTrialsFloor pins that the stop rule never fires before
-// MinTrials even when the interval is trivially narrow.
+// MinTrials even when the interval is trivially narrow. The floor lies past
+// two full lanes, so the first lanes complete without stopping the run.
 func TestCIStopMinTrialsFloor(t *testing.T) {
-	res := Run(1000, 8, Seed(3), nil, nil,
-		Observers{CIWidth: 0.9, MinTrials: 64}, observedRate(0))
-	if res.Trials < 64 {
-		t.Errorf("stopped at %d trials, before MinTrials=64", res.Trials)
+	const floor = 2*LaneWidth + 22
+	res := RunBatch(1000, 8, Seed(3), nil, nil,
+		Observers{CIWidth: 0.9, MinTrials: floor}, observedRate(0))
+	if res.Trials < floor {
+		t.Errorf("stopped at %d trials, before MinTrials=%d", res.Trials, floor)
 	}
 }
 
 // TestObservedSinkTrialOrder pins the ledger feed contract: the sink sees
 // exactly the effective trials, in trial order, with the engine's own
-// derived seeds, on the caller's goroutine after the pool drains.
+// derived seeds, on the caller's goroutine after the pool drains. The run
+// spans three full lanes and a short one.
 func TestObservedSinkTrialOrder(t *testing.T) {
 	cell := Seed(29)
 	var got []string
-	res := Run(100, 8, cell, nil, nil, Observers{
+	res := RunBatch(3*LaneWidth+8, 8, cell, nil, nil, Observers{
 		Sink: func(trial int, seed uint64, out Outcome) {
 			got = append(got, fmt.Sprintf("%d:%x:%v", trial, seed, out.Fail))
 		},
@@ -189,36 +206,44 @@ func TestObservedSinkTrialOrder(t *testing.T) {
 }
 
 // TestObservedHeatDeterministicAcrossWorkers pins that the merged heatmap
-// is identical for any worker count — including under CI early stop, where
-// different worker counts execute different overrun trials (the per-trial
-// shards of discarded trials must not leak into the merge).
+// and quest-bw/1 bytes are identical for any worker count — including under
+// CI early stop, where different worker counts execute different overrun
+// trials (the per-trial shards of discarded trials must not leak into the
+// merge).
 func TestObservedHeatDeterministicAcrossWorkers(t *testing.T) {
 	cell := Seed(31, F64(5e-3), 3)
-	runOnce := func(workers int, ciWidth float64) ([][]int64, []int64, Result) {
+	runOnce := func(workers int, ciWidth float64) ([][]int64, []int64, []byte, Result) {
 		heat := heatmap.New(5, 5)
-		res := Run(3000, workers, cell, nil, nil,
-			Observers{Heat: heat, CIWidth: ciWidth},
-			func(trial int, seed uint64, ctx TrialCtx) Outcome {
-				if ctx.Heat == nil {
-					t.Error("expected per-trial heat shard")
-					return Outcome{}
+		bw := bwprofile.New(4)
+		res := RunBatch(3000, workers, cell, nil, nil,
+			Observers{Heat: heat, BW: bw, CIWidth: ciWidth},
+			func(start int, seeds []uint64, ctx BatchCtx, out []Outcome) {
+				if ctx.Heat == nil || ctx.BW == nil {
+					t.Error("expected per-trial heat and bandwidth shards")
+					return
 				}
-				rng := rand.New(rand.NewSource(int64(seed)))
-				ctx.Heat.Defect(rng.Intn(5), rng.Intn(5))
-				ctx.Heat.MatchedPair(rng.Intn(5), rng.Intn(5), rng.Intn(5), rng.Intn(5), rng.Intn(8))
-				return Outcome{Fail: rng.Float64() < 0.3}
+				for i, seed := range seeds {
+					bwTrial(ctx.BW[i], seed)
+					rng := rand.New(rand.NewSource(int64(seed)))
+					ctx.Heat[i].Defect(rng.Intn(5), rng.Intn(5))
+					ctx.Heat[i].MatchedPair(rng.Intn(5), rng.Intn(5), rng.Intn(5), rng.Intn(5), rng.Intn(8))
+					out[i] = Outcome{Fail: rng.Float64() < 0.3}
+				}
 			})
-		return heat.Defects(), heat.ChainLengths(), res
+		return heat.Defects(), heat.ChainLengths(), bwBytes(t, bw), res
 	}
 	for _, ciWidth := range []float64{0, 0.05} {
-		baseD, baseH, baseRes := runOnce(1, ciWidth)
+		baseD, baseH, baseBW, baseRes := runOnce(1, ciWidth)
 		for _, w := range []int{2, 8} {
-			d, h, res := runOnce(w, ciWidth)
+			d, h, bw, res := runOnce(w, ciWidth)
 			if res != baseRes {
 				t.Errorf("ciWidth=%v workers=%d: Result %+v != %+v", ciWidth, w, res, baseRes)
 			}
 			if fmt.Sprint(d) != fmt.Sprint(baseD) || fmt.Sprint(h) != fmt.Sprint(baseH) {
 				t.Errorf("ciWidth=%v workers=%d: merged heatmap differs from workers=1", ciWidth, w)
+			}
+			if !bytes.Equal(bw, baseBW) {
+				t.Errorf("ciWidth=%v workers=%d: merged quest-bw/1 bytes differ from workers=1", ciWidth, w)
 			}
 		}
 		var total int64
@@ -234,11 +259,11 @@ func TestObservedHeatDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestObservedProgress pins the progress contract: throttled monotonic
-// snapshots, a final Done snapshot matching the Result, and no calls at all
-// when the sink is nil.
+// snapshots and a final Done snapshot matching the Result, over three full
+// lanes and a short one.
 func TestObservedProgress(t *testing.T) {
 	var snaps []Progress
-	res := Run(200, 4, Seed(37), nil, nil, Observers{
+	res := RunBatch(3*LaneWidth+8, 4, Seed(37), nil, nil, Observers{
 		Progress:      func(p Progress) { snaps = append(snaps, p) },
 		ProgressEvery: 50,
 	}, observedRate(0.2))
@@ -278,20 +303,23 @@ func TestObservedProgress(t *testing.T) {
 func TestObservedMetricsShardsStillMerge(t *testing.T) {
 	reg := metrics.New()
 	var calls atomic.Int64
-	res := Run(120, 4, Seed(41), reg, nil, Observers{},
-		func(trial int, seed uint64, ctx TrialCtx) Outcome {
+	res := RunBatch(3*LaneWidth+8, 4, Seed(41), reg, nil, Observers{},
+		func(start int, seeds []uint64, ctx BatchCtx, out []Outcome) {
 			if ctx.Shard == nil {
 				t.Error("expected metrics shard")
+				return
 			}
-			calls.Add(1)
-			ctx.Shard.Counter("test.obs").Inc()
-			return Outcome{Fail: trial%4 == 0}
+			for i := range out {
+				calls.Add(1)
+				ctx.Shard.Counter("test.obs").Inc()
+				out[i] = Outcome{Fail: (start+i)%4 == 0}
+			}
 		})
-	if res.Failures != 30 {
-		t.Errorf("failures = %d, want 30", res.Failures)
+	if res.Failures != 50 {
+		t.Errorf("failures = %d, want 50", res.Failures)
 	}
-	if got := reg.Counter("mc.trials").Value(); got != 120 {
-		t.Errorf("mc.trials = %d, want 120", got)
+	if got := reg.Counter("mc.trials").Value(); got != 3*LaneWidth+8 {
+		t.Errorf("mc.trials = %d, want %d", got, 3*LaneWidth+8)
 	}
 	if got := reg.Counter("test.obs").Value(); got != uint64(calls.Load()) {
 		t.Errorf("merged test.obs = %d, executed %d", got, calls.Load())

@@ -196,7 +196,7 @@ func TestWriteTextSortsHandBuiltSnapshot(t *testing.T) {
 
 // TestQuantileAtBucketBoundariesAfterMerge pins Quantile behaviour at exact
 // bucket boundaries for a histogram assembled by merging disjoint shards —
-// the shape every mc.Run aggregation produces.
+// the shape every mc.RunBatch aggregation produces.
 func TestQuantileAtBucketBoundariesAfterMerge(t *testing.T) {
 	bounds := []float64{10, 20, 30, 40}
 	a, b := New(), New()

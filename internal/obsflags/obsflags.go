@@ -1,7 +1,9 @@
 // Package obsflags is the shared observability flag wiring for the
-// repository's binaries. cmd/questsim and cmd/questbench both expose the same
-// flags and this package keeps their semantics identical instead of letting
-// two hand-rolled copies drift:
+// repository's binaries. cmd/questsim and cmd/questbench both expose the
+// flags Register installs, and this package keeps their semantics identical
+// instead of letting two hand-rolled copies drift. RegisterSweep adds the
+// three flags only a Monte-Carlo sweep can honour (-ci-stop, -shard,
+// -resume); only cmd/questbench installs them.
 //
 //	-metrics text|json   dump the default metrics registry to stderr at exit
 //	-pprof ADDR          serve net/http/pprof AND Prometheus /metrics on ADDR
@@ -12,18 +14,20 @@
 //	                     provenance header, one record per trial, one summary
 //	                     per sweep cell (validate with tools/ledgercheck)
 //	-progress            render live sweep progress (Wilson CI) on Log
-//	-ci-stop W           stop each sweep cell once its 95% Wilson interval is
-//	                     narrower than W (0 < W < 1); deterministic for any
-//	                     worker count
+//	-ci-stop W           (sweeps only) stop each sweep cell once its 95%
+//	                     Wilson interval is narrower than W (0 < W < 1);
+//	                     deterministic for any worker count
 //	-heatmap FILE        accumulate spatial defect/matching heatmaps and write
 //	                     them as JSON (plus ASCII renders on Log) at exit
-//	-shard i/N           run only the sweep cells owned by shard i of N; each
-//	                     shard writes a complete ledger, and tools/ledgermerge
-//	                     recombines N of them into the 1-process bytes
-//	-resume FILE         resume from a partial run ledger: completed cells are
-//	                     replayed verbatim, a partially-recorded cell's
-//	                     leading trials are fed to the engine as prior
-//	                     outcomes, and the rest executes normally
+//	-shard i/N           (sweeps only) run only the sweep cells owned by
+//	                     shard i of N; each shard writes a complete ledger,
+//	                     and tools/ledgermerge recombines N of them into the
+//	                     1-process bytes
+//	-resume FILE         (sweeps only) resume from a partial run ledger:
+//	                     completed cells are replayed verbatim, a
+//	                     partially-recorded cell's leading trials are fed to
+//	                     the engine as prior outcomes, and the rest executes
+//	                     normally
 //	-events FILE         stream live quest-events/1 telemetry snapshots
 //	                     (per-cell progress/rates/ETA, metrics deltas, runtime
 //	                     stats) as JSONL to FILE ('-' = stdout); watch one or
@@ -118,7 +122,8 @@ type Obs struct {
 }
 
 // Register installs the shared flags on fs (flag.CommandLine in the
-// binaries; a private FlagSet in tests).
+// binaries; a private FlagSet in tests). The sweep-only values read as unset:
+// CIStop 0, Shard unsharded, Resume nil.
 func Register(fs *flag.FlagSet) *Obs {
 	return &Obs{
 		metricsFmt: fs.String("metrics", "", "dump the metrics registry at exit: 'text' or 'json'"),
@@ -132,14 +137,11 @@ func Register(fs *flag.FlagSet) *Obs {
 			"stream a run ledger (JSONL: header, per-trial, per-cell records) to this file"),
 		progress: fs.Bool("progress", false,
 			"render live sweep progress with Wilson confidence intervals on stderr"),
-		ciStop: fs.Float64("ci-stop", 0,
-			"stop each sweep cell once its 95% Wilson interval is narrower than this width (0 = fixed budget)"),
+		ciStop: new(float64),
 		heatPath: fs.String("heatmap", "",
 			"write spatial defect/matching heatmaps as JSON to this file at exit"),
-		shardSpec: fs.String("shard", "",
-			"run shard i of N ('i/N', e.g. 0/2): only the sweep cells with global index ≡ i (mod N); merge the shard ledgers with tools/ledgermerge"),
-		resumePath: fs.String("resume", "",
-			"resume from this partial run ledger: replay its completed cells and trials, execute only the rest"),
+		shardSpec:  new(string),
+		resumePath: new(string),
 		eventsPath: fs.String("events", "",
 			"stream live quest-events/1 telemetry snapshots as JSONL to this file ('-' = stdout); watch with tools/questtop"),
 		bwPath: fs.String("bw", "",
@@ -148,6 +150,19 @@ func Register(fs *flag.FlagSet) *Obs {
 			fmt.Sprintf("bandwidth profile window width in machine cycles (0 = %d)", bwprofile.DefaultWindow)),
 		Log: os.Stderr,
 	}
+}
+
+// RegisterSweep installs the shared flags plus the sweep-only -ci-stop,
+// -shard and -resume on fs, for binaries that run Monte-Carlo sweeps.
+func RegisterSweep(fs *flag.FlagSet) *Obs {
+	o := Register(fs)
+	o.ciStop = fs.Float64("ci-stop", 0,
+		"stop each sweep cell once its 95% Wilson interval is narrower than this width (0 = fixed budget)")
+	o.shardSpec = fs.String("shard", "",
+		"run shard i of N ('i/N', e.g. 0/2): only the sweep cells with global index ≡ i (mod N); merge the shard ledgers with tools/ledgermerge")
+	o.resumePath = fs.String("resume", "",
+		"resume from this partial run ledger: replay its completed cells and trials, execute only the rest")
+	return o
 }
 
 // TraceEnabled reports whether -trace was given.

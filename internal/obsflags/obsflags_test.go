@@ -146,7 +146,7 @@ func TestStartRejectsBadCIStop(t *testing.T) {
 	defer resetDefaults()
 	for _, bad := range []string{"-0.1", "1", "1.5"} {
 		fs := flag.NewFlagSet("t", flag.ContinueOnError)
-		o := Register(fs)
+		o := RegisterSweep(fs)
 		if err := fs.Parse([]string{"-ci-stop", bad}); err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func TestStartRejectsBadCIStop(t *testing.T) {
 	// 0 (off) and in-range widths must pass.
 	for _, good := range []string{"0", "0.05", "0.999"} {
 		fs := flag.NewFlagSet("t", flag.ContinueOnError)
-		o := Register(fs)
+		o := RegisterSweep(fs)
 		if err := fs.Parse([]string{"-ci-stop", good}); err != nil {
 			t.Fatal(err)
 		}
@@ -172,13 +172,77 @@ func TestStartRejectsBadCIStop(t *testing.T) {
 	}
 }
 
+// TestSweepFlagsOnlyOnSweepRegistration pins which binaries may take the
+// sweep-only flags: a single simulation (questsim's Register) cannot honour
+// -ci-stop, -shard or -resume, so its flag set rejects them at parse time,
+// while a sweep driver (questbench's RegisterSweep) accepts all three. The
+// plain registration reads them as unset.
+func TestSweepFlagsOnlyOnSweepRegistration(t *testing.T) {
+	defer resetDefaults()
+	resume := filepath.Join(t.TempDir(), "partial.jsonl")
+	sweepArgs := [][]string{{"-ci-stop", "0.1"}, {"-shard", "0/2"}, {"-resume", resume}}
+	for _, args := range sweepArgs {
+		fs := flag.NewFlagSet("questsim", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		Register(fs)
+		if err := fs.Parse(args); err == nil {
+			t.Errorf("questsim's flag set accepted %v", args)
+		}
+		fs = flag.NewFlagSet("questbench", flag.ContinueOnError)
+		RegisterSweep(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Errorf("questbench's flag set rejected %v: %v", args, err)
+		}
+	}
+
+	fs := flag.NewFlagSet("questsim", flag.ContinueOnError)
+	o := Register(fs)
+	o.Log = io.Discard
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if o.CIStop() != 0 || o.Shard().Sharded() || o.Resume() != nil {
+		t.Errorf("plain registration: CIStop %v, Shard %+v, Resume %v; want all unset", o.CIStop(), o.Shard(), o.Resume())
+	}
+	if err := o.Finish(); err != nil {
+		t.Fatal(err)
+	}
+
+	// RegisterSweep adds exactly the three sweep flags to Register's set.
+	names := func(fs *flag.FlagSet) map[string]bool {
+		m := map[string]bool{}
+		fs.VisitAll(func(f *flag.Flag) { m[f.Name] = true })
+		return m
+	}
+	plain, sweep := flag.NewFlagSet("p", flag.ContinueOnError), flag.NewFlagSet("s", flag.ContinueOnError)
+	Register(plain)
+	RegisterSweep(sweep)
+	p, s := names(plain), names(sweep)
+	for name := range p {
+		if !s[name] {
+			t.Errorf("RegisterSweep lacks shared flag -%s", name)
+		}
+	}
+	for _, name := range []string{"ci-stop", "shard", "resume"} {
+		if p[name] || !s[name] {
+			t.Errorf("-%s: on plain set %v, on sweep set %v; want sweep only", name, p[name], s[name])
+		}
+	}
+	if len(s) != len(p)+3 {
+		t.Errorf("sweep set has %d flags, plain set %d; want exactly 3 more", len(s), len(p))
+	}
+}
+
 func TestLedgerAndHeatmapLifecycle(t *testing.T) {
 	defer resetDefaults()
 	dir := t.TempDir()
 	lpath := filepath.Join(dir, "run.jsonl")
 	hpath := filepath.Join(dir, "heat.json")
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	o := Register(fs)
+	o := RegisterSweep(fs)
 	o.Log = io.Discard
 	if err := fs.Parse([]string{"-ledger", lpath, "-heatmap", hpath, "-ci-stop", "0.2", "-progress"}); err != nil {
 		t.Fatal(err)
@@ -381,7 +445,7 @@ func TestEventsLifecycle(t *testing.T) {
 	defer resetDefaults()
 	path := filepath.Join(t.TempDir(), "events.jsonl")
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	o := Register(fs)
+	o := RegisterSweep(fs)
 	o.Log = io.Discard
 	if err := fs.Parse([]string{"-events", path, "-shard", "1/2"}); err != nil {
 		t.Fatal(err)

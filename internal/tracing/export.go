@@ -12,7 +12,7 @@ import (
 // Name, ArgKey, Arg) — a total order up to exact duplicates. Two tracers
 // holding the same event *multiset* (e.g. per-worker shards merged in any
 // order) therefore serialize byte-identically after CanonicalSort, which is
-// the determinism contract mc.Run relies on. It also guarantees the
+// the determinism contract mc.RunBatch relies on. It also guarantees the
 // exported ts sequence is non-decreasing within every (pid, tid) track.
 func CanonicalSort(evs []Event) {
 	sort.Slice(evs, func(i, j int) bool {

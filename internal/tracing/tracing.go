@@ -25,7 +25,7 @@
 //     stalling the simulation.
 //   - Tracers are injectable and mergeable: a Monte-Carlo worker pool hands
 //     each goroutine a private shard and merges the shards after the pool
-//     drains (mc.Run), so the merged event multiset is independent of
+//     drains (mc.RunBatch), so the merged event multiset is independent of
 //     the worker count and CanonicalSort makes the export byte-identical.
 //   - Tracing never feeds back into simulation results: removing every Span
 //     and Instant call changes nothing but the artifact.
