@@ -20,6 +20,10 @@
 #                     worker-count independent (cmp across -workers 1 and 8)
 #                     and a pure side-band (ledger bytes identical with -bw
 #                     on/off), and render the ram/fifo/unitcell comparison
+#   make perf-smoke   run questperf (bench/run.sh) briefly over every workload,
+#                     both phases, and fail unless it reports every run
+#                     correct (stdout and ledger digests match bench/golden.json)
+#                     and no trace replica diverged; no timing bound
 #   make lint         gofmt + vet + questvet (CI additionally runs staticcheck)
 #   make questvet     run only the custom analyzer suite (tools/questvet),
 #                     diffed against the committed questvet-baseline.json
@@ -33,7 +37,7 @@ GO ?= go
 # fails if the two (or CI's version matrix) drift apart.
 GO_TOOLCHAIN := go1.24.0
 
-.PHONY: all build test test-short race bench bench-json benchdiff trace-smoke ledger-smoke shard-smoke events-smoke bw-smoke lint vet fmt questvet questvet-baseline experiments examples fuzz clean
+.PHONY: all build test test-short race bench bench-json benchdiff trace-smoke ledger-smoke shard-smoke events-smoke bw-smoke perf-smoke lint vet fmt questvet questvet-baseline experiments examples fuzz clean
 
 all: build vet test race
 
@@ -187,6 +191,23 @@ bw-smoke:
 	$(GO) run ./tools/bwreport bw-smoke-ram.jsonl bw-smoke-fifo.jsonl \
 		bw-smoke-unitcell.jsonl
 
+# Benchmark correctness smoke — the same check CI's perf-smoke job runs. One
+# short questperf pass (-seconds 1) over every workload and both phases:
+# questperf compares each run's stdout and ledger digests with
+# bench/golden.json, and the traced phase replays each workload in process
+# through the public APIs the replicas call. questperf exits 0 even when a
+# check fails, so the recipe reads its verdict itself: the last stdout line
+# must carry "correct":true and "failed":0, and stderr must have no
+# "trace replica diverged". Timings are not checked. Artifacts match
+# perf-smoke.*, covered by .gitignore and `make clean`.
+perf-smoke:
+	bash bench/run.sh -seconds 1 > perf-smoke.out 2> perf-smoke.err || { cat perf-smoke.err; exit 1; }
+	@cat perf-smoke.err
+	@tail -n 1 perf-smoke.out
+	@tail -n 1 perf-smoke.out | grep -q '"correct":true' || { echo "perf-smoke: questperf reports correct=false"; exit 1; }
+	@tail -n 1 perf-smoke.out | grep -q '"failed":0,' || { echo "perf-smoke: questperf reports failed runs"; exit 1; }
+	@! grep -q 'trace replica diverged' perf-smoke.err || { echo "perf-smoke: a trace replica diverged"; exit 1; }
+
 # Regenerate every table and figure of the paper's evaluation.
 experiments:
 	$(GO) run ./cmd/questbench
@@ -212,5 +233,5 @@ fuzz:
 # corpora; TestCleanTargetPreservesTrackedTestdata pins the fix.
 clean:
 	git clean -fdx internal/qasm/testdata internal/qexe/testdata
-	rm -f ledger-shard-*.jsonl events-shard-*.jsonl bw-smoke-*.jsonl
+	rm -f ledger-shard-*.jsonl events-shard-*.jsonl bw-smoke-*.jsonl perf-smoke.*
 	$(GO) clean ./...

@@ -104,6 +104,10 @@ var experiments = []struct {
 
 func main() {
 	flag.Parse()
+	if err := checkFlags(*flagTrials, *flagWorkers); err != nil {
+		fmt.Fprintln(os.Stderr, "questbench:", err)
+		os.Exit(2)
+	}
 	args := flag.Args()
 	if err := obs.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -190,6 +194,20 @@ func main() {
 		}
 		runOne(experiments[i].name, experiments[i].desc, experiments[i].run)
 	}
+}
+
+// checkFlags rejects negative -trials and -workers, which would otherwise
+// run the defaults while the ledger header records the negative value; main
+// reports the error on one stderr line and exits 2, the usage class of the
+// 0/1/2 exit contract.
+func checkFlags(trials, workers int) error {
+	switch {
+	case trials < 0:
+		return fmt.Errorf("-trials %d: need a non-negative trial count (0 = per-experiment default)", trials)
+	case workers < 0:
+		return fmt.Errorf("-workers %d: need a non-negative worker count (0 = GOMAXPROCS)", workers)
+	}
+	return nil
 }
 
 // runBenchJSON runs the benchsuite and writes the report to path ('-' =

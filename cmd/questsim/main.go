@@ -44,6 +44,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 	"strings"
 
 	"quest"
@@ -71,6 +72,10 @@ func main() {
 	)
 	obs := obsflags.Register(flag.CommandLine)
 	flag.Parse()
+	if err := checkFlags(*tiles, *patches, *dist, *cycles, *replays, *noiseP); err != nil {
+		fmt.Fprintln(os.Stderr, "questsim:", err)
+		os.Exit(2)
+	}
 	// Start before the machine is built: components resolve tracing.Default
 	// at construction time.
 	if err := obs.Start(); err != nil {
@@ -186,6 +191,27 @@ func main() {
 		}
 	}
 	_ = core.RoundInstrs
+}
+
+// checkFlags rejects the numeric flag values no machine runs with; main
+// reports the error on one stderr line and exits 2, the usage class of the
+// 0/1/2 exit contract.
+func checkFlags(tiles, patches, d, cycles, replays int, noise float64) error {
+	switch {
+	case tiles < 1:
+		return fmt.Errorf("-tiles %d: need at least 1 tile", tiles)
+	case patches < 1:
+		return fmt.Errorf("-patches %d: need at least 1 patch per tile", patches)
+	case d < 2:
+		return fmt.Errorf("-d %d: need a code distance of at least 2", d)
+	case !(noise >= 0 && noise <= 1):
+		return fmt.Errorf("-noise %v: need a probability in [0,1]", noise)
+	case cycles < 0:
+		return fmt.Errorf("-cycles %d: need a non-negative cycle count", cycles)
+	case replays < 1:
+		return fmt.Errorf("-replays %d: need at least 1 replay", replays)
+	}
+	return nil
 }
 
 // writeRunLedger records the single simulation as a one-cell ledger (when

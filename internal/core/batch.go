@@ -15,8 +15,9 @@ import (
 )
 
 // This file holds the lane kernel both batched engines share — fault
-// sampling by injector replay and bit-sliced Pauli-frame propagation over a
-// compiled cycle stream — and the threshold sweep's trial engine on top of
+// sampling by injector replay, as one scan over the stream's flattened noise
+// sites, and bit-sliced Pauli-frame propagation over a compiled cycle
+// stream — and the threshold sweep's trial engine on top of
 // it: the windowed-decode memory experiment, structured so that per-trial
 // setup is compiled once per cell and the per-trial fault state is
 // bit-sliced across a 64-trial lane. The machine-level memory sweep's engine
@@ -48,6 +49,20 @@ type laneStream struct {
 	// off[c] numbers cycle c's first word in the stream's flat word index.
 	off   []int
 	words int
+	// chans and sites are the noisy cycles' noise sites flattened in draw
+	// order — cycle, word, then Fire order within the word — so a trial's
+	// whole fault stream is one scan: chans[k] is site k's channel, sites[k]
+	// where a fault it samples lands.
+	chans []noise.Channel
+	sites []laneSite
+}
+
+// laneSite is one flattened noise site: the qubit (the control of a CNOT),
+// the CNOT's target, the stream word and cycle it fires in, and the
+// preparation basis.
+type laneSite struct {
+	q, pair, word, cycle int32
+	basisX               bool
 }
 
 func newLaneStream(cycles []*surface.ExtractionProgram, noisy int) laneStream {
@@ -55,6 +70,25 @@ func newLaneStream(cycles []*surface.ExtractionProgram, noisy int) laneStream {
 	for c, prog := range cycles {
 		ls.off[c] = ls.words
 		ls.words += len(prog.Words)
+	}
+	count := 0
+	for _, prog := range cycles[:noisy] {
+		for w := range prog.Words {
+			count += len(prog.Words[w].Sites)
+		}
+	}
+	ls.chans = make([]noise.Channel, 0, count)
+	ls.sites = make([]laneSite, 0, count)
+	for c, prog := range cycles[:noisy] {
+		for w := range prog.Words {
+			for _, site := range prog.Words[w].Sites {
+				ls.chans = append(ls.chans, site.Kind)
+				ls.sites = append(ls.sites, laneSite{
+					q: int32(site.Qubit), pair: int32(site.Pair),
+					word: int32(ls.off[c] + w), cycle: int32(c), basisX: site.BasisX,
+				})
+			}
+		}
 	}
 	return ls
 }
@@ -90,6 +124,16 @@ func newLaneScratch(ls *laneStream) laneScratch {
 	}
 }
 
+// replayer returns the scratch's replayer bound to model, or nil for a
+// noiseless tile (a nil model), whose trials draw nothing.
+func (s *laneScratch) replayer(model *noise.Model) *noise.Replayer {
+	if model == nil {
+		return nil
+	}
+	s.rep.Bind(*model)
+	return s.rep
+}
+
 // addFault XORs a sampled Pauli into trial bit's fault lanes at (base, q).
 func (s *laneScratch) addFault(base, q int, p clifford.Pauli, bit uint64) {
 	if p == clifford.PauliX || p == clifford.PauliY {
@@ -100,21 +144,40 @@ func (s *laneScratch) addFault(base, q int, p clifford.Pauli, bit uint64) {
 	}
 }
 
+// hit records trial bit's fault at flattened site k, which rep's scan
+// reported fired, drawing its Paulis.
+func (s *laneScratch) hit(ls *laneStream, rep *noise.Replayer, k int, bit uint64) {
+	site := &ls.sites[k]
+	n := ls.n
+	if ch := ls.chans[k]; ch == noise.ChanMeas {
+		s.measFlip[int(site.cycle)*n+int(site.q)] ^= bit
+	} else {
+		pa, pb := rep.Fault(ch, site.basisX)
+		base := int(site.word) * n
+		s.addFault(base, int(site.q), pa, bit)
+		if pb != clifford.PauliI {
+			s.addFault(base, int(site.pair), pb, bit)
+		}
+		s.dirty[site.word] = true
+	}
+}
+
 // run is the lane kernel both engines call. It samples trial i's fault
 // stream by exact replay of the injector the scalar engine seeds with
-// injSeed(seeds[i]) under model, then propagates all lanes through the
-// stream at once, leaving the measurement flip lanes in s.flips and the
-// final fault frame in s.fx/s.fz. A nil model is a noiseless tile — no
-// injector, so no draws.
+// injSeed(seeds[i]), drawing from rep (bound to the cell's model), then
+// propagates all lanes through the stream at once, leaving the measurement
+// flip lanes in s.flips and the final fault frame in s.fx/s.fz. A nil rep
+// is a noiseless tile — no injector, so no draws.
 //
-// The RNG replay is inherently sequential per trial (each draw's position
-// depends on the previous draws), but it touches no tableau: every site is
-// one Float64 compare, and a fault is a single XOR into the trial's bit
-// lane. The propagation is bit-sliced: within a word the phase order
-// (measure, prep, propagate, inject) is equivalent to the AWG unit's
-// interleaved per-qubit execution because each qubit carries exactly one
-// µop per word — see ProgramWord.
-func (s *laneScratch) run(ls *laneStream, model *noise.Model, seeds []uint64, injSeed func(uint64) int64) {
+// The replay is inherently sequential per trial (each draw's position
+// depends on the previous draws), but it touches no tableau: rep.Next scans
+// the flattened sites at one integer compare each and stops only at the
+// few that fire, and a fault is a single XOR into the trial's bit lane. The
+// propagation is bit-sliced: within a word the phase order (measure, prep,
+// propagate, inject) is equivalent to the AWG unit's interleaved per-qubit
+// execution because each qubit carries exactly one µop per word — see
+// ProgramWord.
+func (s *laneScratch) run(ls *laneStream, rep *noise.Replayer, seeds []uint64, injSeed func(uint64) int64) {
 	n := ls.n
 	for w, d := range s.dirty {
 		if d {
@@ -124,40 +187,12 @@ func (s *laneScratch) run(ls *laneStream, model *noise.Model, seeds []uint64, in
 		}
 	}
 	clear(s.measFlip)
-	if model != nil {
+	if rep != nil {
 		for i, seed := range seeds {
-			s.rep.Reset(*model, injSeed(seed))
+			rep.Reseed(injSeed(seed))
 			bit := uint64(1) << uint(i)
-			for c := 0; c < ls.noisy; c++ {
-				prog := ls.cycles[c]
-				for w := range prog.Words {
-					sw := ls.off[c] + w
-					base := sw * n
-					for _, site := range prog.Words[w].Sites {
-						switch site.Kind {
-						case surface.SiteIdle:
-							if pl, ok := s.rep.Idle(); ok {
-								s.addFault(base, site.Qubit, pl, bit)
-								s.dirty[sw] = true
-							}
-						case surface.SitePrep:
-							if pl, ok := s.rep.AfterPrep(site.BasisX); ok {
-								s.addFault(base, site.Qubit, pl, bit)
-								s.dirty[sw] = true
-							}
-						case surface.SiteGate2:
-							if pa, pb, ok := s.rep.AfterGate2(); ok {
-								s.addFault(base, site.Qubit, pa, bit)
-								s.addFault(base, site.Pair, pb, bit)
-								s.dirty[sw] = true
-							}
-						case surface.SiteMeas:
-							if s.rep.FlipMeasurement() {
-								s.measFlip[c*n+site.Qubit] ^= bit
-							}
-						}
-					}
-				}
+			for k := rep.Next(ls.chans, 0); k < len(ls.chans); k = rep.Next(ls.chans, k+1) {
+				s.hit(ls, rep, k, bit)
 			}
 		}
 	}
@@ -279,7 +314,7 @@ func (tp *thresholdProgram) runLane(p float64, seeds []uint64, ctx mc.BatchCtx, 
 	n := tp.stream.n
 	d := tp.d
 	model := noise.Uniform(p)
-	s.lanes.run(&tp.stream, &model, seeds, func(seed uint64) int64 { return int64(mc.Derive(seed, 1)) })
+	s.lanes.run(&tp.stream, s.lanes.replayer(&model), seeds, func(seed uint64) int64 { return int64(mc.Derive(seed, 1)) })
 	flips := s.lanes.flips
 
 	// xp lane: X-fault parity over the logical-Z support at readout time.

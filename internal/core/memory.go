@@ -151,16 +151,22 @@ func memoryProgramFor(rounds int) *memoryProgram {
 // frame, the master's window decoder over tile 0's global matcher.
 type memoryScratch struct {
 	lanes laneScratch
-	synd  map[int]int
+	// round is the cycle's syndrome round, one entry per qubit: the bit of
+	// each ancilla the cycle measures, -1 elsewhere.
+	round []int8
 	hist  *decoder.SyndromeHistory
 	frame *decoder.PauliFrame
 	win   *decoder.WindowDecoder
 }
 
 func newMemoryScratch(mp *memoryProgram) *memoryScratch {
+	round := make([]int8, mp.stream.n)
+	for q := range round {
+		round[q] = -1
+	}
 	return &memoryScratch{
 		lanes: newLaneScratch(&mp.stream),
-		synd:  make(map[int]int),
+		round: round,
 		hist:  decoder.NewHistory(mp.lay.Lat),
 		frame: decoder.NewPauliFrame(),
 		win:   decoder.NewWindowDecoder(decoder.NewGlobalDecoder(mp.lay.Lat), mp.window),
@@ -179,7 +185,7 @@ func (mp *memoryProgram) runLane(p float64, seeds []uint64, ctx mc.BatchCtx, out
 		m := noise.Uniform(p)
 		model = &m
 	}
-	s.lanes.run(&mp.stream, model, seeds, func(seed uint64) int64 { return int64(seed) + 1 })
+	s.lanes.run(&mp.stream, s.lanes.replayer(model), seeds, func(seed uint64) int64 { return int64(seed) + 1 })
 
 	var instr *decoder.Instr
 	if ctx.Shard != nil {
@@ -238,11 +244,14 @@ func (mp *memoryProgram) runLane(p float64, seeds []uint64, ctx mc.BatchCtx, out
 				}
 				got = parity ^ s.frame.ParityOn(mp.logZ, true)
 			}
-			clear(s.synd)
 			for _, q := range mp.synd[c] {
-				s.synd[q] = int(row[q] >> uint(i) & 1)
+				s.round[q] = int8(row[q] >> uint(i) & 1)
 			}
-			resolved, residual := mp.local.Decode(s.hist.Absorb(s.synd))
+			defects := s.hist.AbsorbRound(s.round)
+			for _, q := range mp.synd[c] {
+				s.round[q] = -1
+			}
+			resolved, residual := mp.local.Decode(defects)
 			for _, corr := range resolved {
 				s.frame.Apply(corr)
 			}

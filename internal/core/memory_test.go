@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"quest/internal/bwprofile"
@@ -174,4 +175,25 @@ func TestMachineMemoryBatchedMatchesScalar(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestMachineMemoryPublishesNoMCEGauge pins that a memory cell registers
+// only the MCE instruments its tally adds. The merged registry used to
+// carry mce.buffer.occupancy, a gauge no memory trial sets: the registry
+// merge copies every gauge, and the tally resolved the engine's whole
+// instrument set in every worker shard.
+func TestMachineMemoryPublishesNoMCEGauge(t *testing.T) {
+	reg := metrics.New()
+	if _, _, err := MachineMemory(reg, nil, 1e-3, 2, 130, 2, SweepObs{}); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	for _, g := range snap.Gauges {
+		if strings.HasPrefix(g.Name, "mce.") {
+			t.Errorf("memory cell published gauge %s = %v", g.Name, g.Value)
+		}
+	}
+	if got := reg.Counter("mce.cycles").Value(); got == 0 {
+		t.Error("mce.cycles = 0: the cell recorded no tally")
+	}
 }

@@ -31,14 +31,14 @@ type Defect struct {
 	IsX   bool
 }
 
-// SyndromeHistory differencess consecutive syndrome rounds into defects. The
+// SyndromeHistory differences consecutive syndrome rounds into defects. The
 // zero value is not usable; construct with NewHistory.
 //
 // The reference frame is a flat slice indexed by qubit (-1 = no reference)
-// rather than a map: rounds arrive every cycle, and the slice turns the
-// per-round map churn into index stores. A side benefit is that Absorb scans
-// qubits in index order, so the returned defect slice has a deterministic
-// order regardless of the iteration order of the caller's syndrome map.
+// rather than a map, and a round arrives the same way (AbsorbRound): rounds
+// come every cycle, and dense slices turn the per-round map churn into
+// index stores. Both absorb forms scan qubits in index order, so the
+// returned defect slice has a deterministic order.
 type SyndromeHistory struct {
 	lat   surface.Lattice
 	prev  []int8 // -1 = unknown, else last observed bit
@@ -58,34 +58,55 @@ func NewHistory(lat surface.Lattice) *SyndromeHistory {
 // Round returns the number of rounds absorbed so far.
 func (h *SyndromeHistory) Round() int { return h.round }
 
-// Absorb ingests one round of syndrome bits (ancilla flat index → bit) and
-// returns the defects: ancillas whose bit changed since the previous round.
-// The first round establishes the reference frame and yields no defects for
-// ancillas whose initial random value is first observed (X-syndromes start
-// random; treating round 0 as reference is the standard convention).
+// AbsorbRound ingests one round of syndrome bits, one entry per lattice
+// qubit: bits[q] is ancilla q's bit, or -1 when the round did not measure
+// q. It returns the defects: ancillas whose bit changed since the previous
+// round. The first round establishes the reference frame and yields no
+// defects for ancillas whose initial random value is first observed
+// (X-syndromes start random; treating round 0 as reference is the standard
+// convention).
+func (h *SyndromeHistory) AbsorbRound(bits []int8) []Defect {
+	var defects []Defect
+	for q := range h.prev {
+		if bit := bits[q]; bit >= 0 {
+			defects = h.absorbBit(defects, q, bit)
+		}
+	}
+	h.round++
+	return defects
+}
+
+// Absorb is AbsorbRound for a round given as a map (ancilla flat index →
+// bit). Keys outside the lattice are ignored.
 func (h *SyndromeHistory) Absorb(synd map[int]int) []Defect {
 	var defects []Defect
 	for q := range h.prev {
-		bit, ok := synd[q]
-		if !ok {
-			continue
+		if bit, ok := synd[q]; ok {
+			defects = h.absorbBit(defects, q, int8(bit))
 		}
-		if prev := h.prev[q]; prev >= 0 && int(prev) != bit && h.round > 0 {
-			r, c := h.lat.Coord(q)
-			defects = append(defects, Defect{
-				Round: h.round,
-				Qubit: q,
-				R:     r,
-				C:     c,
-				IsX:   h.lat.RoleOf(q) == surface.RoleAncillaX,
-			})
-			if h.heat != nil {
-				h.heat.Defect(r, c)
-			}
-		}
-		h.prev[q] = int8(bit)
 	}
 	h.round++
+	return defects
+}
+
+// absorbBit is the differencing step of one measured ancilla: a defect,
+// appended to defects, when its bit differs from a known reference in a
+// round past the first; the bit then becomes the reference.
+func (h *SyndromeHistory) absorbBit(defects []Defect, q int, bit int8) []Defect {
+	if prev := h.prev[q]; prev >= 0 && prev != bit && h.round > 0 {
+		r, c := h.lat.Coord(q)
+		defects = append(defects, Defect{
+			Round: h.round,
+			Qubit: q,
+			R:     r,
+			C:     c,
+			IsX:   h.lat.RoleOf(q) == surface.RoleAncillaX,
+		})
+		if h.heat != nil {
+			h.heat.Defect(r, c)
+		}
+	}
+	h.prev[q] = bit
 	return defects
 }
 

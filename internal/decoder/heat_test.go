@@ -1,6 +1,8 @@
 package decoder
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"quest/internal/heatmap"
@@ -122,5 +124,53 @@ func TestMatchHeatOffAllocs(t *testing.T) {
 	})
 	if allocs > 6 {
 		t.Errorf("heat-off Match allocs/op = %v, budget 6", allocs)
+	}
+}
+
+// TestAbsorbFormsAgree pins the two round forms to one differencing step:
+// fed the same random rounds — ancillas and data qubits measured or not,
+// references forgotten mid-stream — a history absorbing dense rounds and
+// one absorbing the same rounds as maps return identical defects, count
+// the same rounds and record identical heat. The map rounds also carry
+// keys outside the lattice, which are ignored.
+func TestAbsorbFormsAgree(t *testing.T) {
+	lat := surface.NewPlanar(5)
+	n := lat.NumQubits()
+	dense, sparse := NewHistory(lat), NewHistory(lat)
+	denseHeat, sparseHeat := heatmap.New(lat.Rows, lat.Cols), heatmap.New(lat.Rows, lat.Cols)
+	dense.SetHeat(denseHeat)
+	sparse.SetHeat(sparseHeat)
+	rng := rand.New(rand.NewSource(5))
+	bits := make([]int8, n)
+	var defects int
+	for round := 0; round < 400; round++ {
+		synd := map[int]int{-1: 1, n: 0, n + 7: 1}
+		for q := range bits {
+			bits[q] = -1
+			if rng.Intn(4) != 0 {
+				bits[q] = int8(rng.Intn(2))
+				synd[q] = int(bits[q])
+			}
+		}
+		if round%37 == 5 {
+			forget := lat.Qubits(surface.RoleAncillaX)[:3]
+			dense.Forget(forget)
+			sparse.Forget(forget)
+		}
+		got, want := dense.AbsorbRound(bits), sparse.Absorb(synd)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: AbsorbRound defects %+v, Absorb %+v", round, got, want)
+		}
+		if dense.Round() != sparse.Round() {
+			t.Fatalf("round %d: AbsorbRound counts %d rounds, Absorb %d", round, dense.Round(), sparse.Round())
+		}
+		defects += len(got)
+	}
+	if defects == 0 {
+		t.Fatal("no defects over 400 random rounds; the comparison exercises nothing")
+	}
+	if !reflect.DeepEqual(denseHeat.Defects(), sparseHeat.Defects()) || denseHeat.TotalDefects() != int64(defects) {
+		t.Errorf("heat differs: AbsorbRound %v, Absorb %v (%d defects returned)",
+			denseHeat.Defects(), sparseHeat.Defects(), defects)
 	}
 }

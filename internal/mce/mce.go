@@ -37,32 +37,43 @@ import (
 // instr bundles the MCE's instruments, resolved once per engine so StepCycle
 // never touches the registry lock.
 type instr struct {
+	tallied
+	cacheHits       *metrics.Counter
+	cacheLoads      *metrics.Counter
+	stalledT        *metrics.Counter
+	cycleNs         *metrics.Histogram
+	bufferOccupancy *metrics.Gauge
+}
+
+// tallied is the part of instr a Tally adds to: six counters.
+type tallied struct {
 	cycles           *metrics.Counter
 	microOps         *metrics.Counter
 	logicalRetired   *metrics.Counter
 	logicalEnqueued  *metrics.Counter
 	defectsLocal     *metrics.Counter
 	defectsEscalated *metrics.Counter
-	cacheHits        *metrics.Counter
-	cacheLoads       *metrics.Counter
-	stalledT         *metrics.Counter
-	cycleNs          *metrics.Histogram
-	bufferOccupancy  *metrics.Gauge
 }
 
-func newInstr(r *metrics.Registry) *instr {
-	return &instr{
+func newTallied(r *metrics.Registry) tallied {
+	return tallied{
 		cycles:           r.Counter("mce.cycles"),
 		microOps:         r.Counter("mce.microops"),
 		logicalRetired:   r.Counter("mce.logical.retired"),
 		logicalEnqueued:  r.Counter("mce.logical.enqueued"),
 		defectsLocal:     r.Counter("mce.defects.local"),
 		defectsEscalated: r.Counter("mce.defects.escalated"),
-		cacheHits:        r.Counter("mce.cache.hits"),
-		cacheLoads:       r.Counter("mce.cache.loads"),
-		stalledT:         r.Counter("mce.stalled.t"),
-		cycleNs:          r.Histogram("mce.cycle.ns", nil),
-		bufferOccupancy:  r.Gauge("mce.buffer.occupancy"),
+	}
+}
+
+func newInstr(r *metrics.Registry) *instr {
+	return &instr{
+		tallied:         newTallied(r),
+		cacheHits:       r.Counter("mce.cache.hits"),
+		cacheLoads:      r.Counter("mce.cache.loads"),
+		stalledT:        r.Counter("mce.stalled.t"),
+		cycleNs:         r.Histogram("mce.cycle.ns", nil),
+		bufferOccupancy: r.Gauge("mce.buffer.occupancy"),
 	}
 }
 
@@ -182,10 +193,12 @@ type MCE struct {
 	cacheLoads     uint64
 	stalledT       uint64
 
-	// syndrome bits of the in-flight cycle, keyed by ancilla.
-	pendingSynd map[int]int
-	// data-qubit measurement bits of the in-flight cycle.
-	pendingData map[int]int
+	// pendingSynd and pendingData are the in-flight cycle's measurement
+	// bits, one entry per lattice qubit (-1 = not measured this cycle):
+	// ancillas in the syndrome round, data qubits in the other. measured
+	// counts the qubits measured so far this cycle.
+	pendingSynd, pendingData []int8
+	measured                 int
 	// patches with an outstanding transverse measurement this cycle; the
 	// value records the basis (true = X).
 	measuring map[int]bool
@@ -228,10 +241,11 @@ func New(cfg Config) *MCE {
 		bw:  cfg.BW,
 		tid: cfg.TileID,
 
-		pendingSynd: make(map[int]int),
-		pendingData: make(map[int]int),
+		pendingSynd: make([]int8, lat.NumQubits()),
+		pendingData: make([]int8, lat.NumQubits()),
 		measuring:   make(map[int]bool),
 	}
+	m.clearPending()
 	if cfg.Noise != nil {
 		m.inj = noise.NewInjector(*cfg.Noise, cfg.Seed+1)
 	}
@@ -279,11 +293,14 @@ type Tally struct {
 }
 
 // Record adds the tally to reg's mce.* counters (nil = metrics.Default).
+// It registers only the six counters it adds: a registry merge copies every
+// gauge, so resolving the engine's whole instrument set would publish a
+// buffer-occupancy gauge no tallied trial ever set.
 func (t Tally) Record(reg *metrics.Registry) {
 	if reg == nil {
 		reg = metrics.Default
 	}
-	in := newInstr(reg)
+	in := newTallied(reg)
 	in.cycles.Add(t.Cycles)
 	in.microOps.Add(t.MicroOps)
 	in.logicalEnqueued.Add(t.LogicalEnqueued)
@@ -349,8 +366,7 @@ func (m *MCE) Reset(seed int64, reg *metrics.Registry, tr *tracing.Tracer, heat 
 	m.microOps, m.logicalRetired = 0, 0
 	m.cacheHits, m.cacheLoads, m.stalledT = 0, 0, 0
 
-	clear(m.pendingSynd)
-	clear(m.pendingData)
+	m.clearPending()
 	clear(m.measuring)
 	m.pendingUnmask = m.pendingUnmask[:0]
 
@@ -494,11 +510,23 @@ func (m *MCE) Stats() (microOps, logicalRetired, cacheHits, cacheLoads, stalledT
 }
 
 func (m *MCE) sinkMeasurement(q, bit int) {
+	round := m.pendingSynd
 	if m.cfg.Layout.Lat.RoleOf(q) == surface.RoleData {
-		m.pendingData[q] = bit
-		return
+		round = m.pendingData
 	}
-	m.pendingSynd[q] = bit
+	if round[q] < 0 {
+		m.measured++
+	}
+	round[q] = int8(bit)
+}
+
+// clearPending marks every qubit unmeasured for the next cycle.
+func (m *MCE) clearPending() {
+	for q := range m.pendingSynd {
+		m.pendingSynd[q] = -1
+		m.pendingData[q] = -1
+	}
+	m.measured = 0
 }
 
 // issueWidth bounds how many logical instructions start per cycle,
@@ -517,16 +545,12 @@ func (m *MCE) StepCycle() CycleReport {
 }
 
 // beginCycle opens a cycle: it stamps the noise location, clears the
-// per-cycle measurement maps and advances in-flight braids (step 1).
+// per-cycle measurement rounds and advances in-flight braids (step 1).
 func (m *MCE) beginCycle(rep *CycleReport) {
 	if m.inj != nil {
 		m.inj.SetLocation(m.cycle, 0)
 	}
-	// Reuse the per-cycle measurement maps: clearing keeps the buckets a
-	// steady-state cycle already paid for instead of re-growing two maps
-	// every cycle.
-	clear(m.pendingSynd)
-	clear(m.pendingData)
+	m.clearPending()
 
 	// 1. Advance in-flight braids by one mask step each.
 	m.stepBraids(rep)
@@ -550,7 +574,7 @@ func (m *MCE) runCycle(rep *CycleReport, overlay []isa.MicroOp, stallBefore uint
 		rep.MicroOpsIssued += w.Len()
 	}
 	m.microOps += uint64(rep.MicroOpsIssued)
-	rep.Measurements = len(m.pendingSynd) + len(m.pendingData)
+	rep.Measurements = m.measured
 
 	// 4. Complete transverse measurements: majority over the patch's
 	// logical-Z (or X) support with frame parity applied.
@@ -558,7 +582,7 @@ func (m *MCE) runCycle(rep *CycleReport, overlay []isa.MicroOp, stallBefore uint
 
 	// 5. Difference syndromes into defects and decode locally; residuals
 	// escalate to the master controller.
-	defects := m.hist.Absorb(m.pendingSynd)
+	defects := m.hist.AbsorbRound(m.pendingSynd)
 	resolved, residual := m.local.Decode(defects)
 	for _, c := range resolved {
 		m.frame.Apply(c)
@@ -814,12 +838,12 @@ func (m *MCE) completeMeasurements(rep *CycleReport) {
 		parity := 0
 		complete := true
 		for _, q := range support {
-			bit, ok := m.pendingData[q]
-			if !ok {
+			bit := m.pendingData[q]
+			if bit < 0 {
 				complete = false
 				break
 			}
-			parity ^= bit
+			parity ^= int(bit)
 		}
 		if !complete {
 			continue

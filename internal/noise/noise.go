@@ -11,7 +11,6 @@ package noise
 
 import (
 	"fmt"
-	"math/rand"
 
 	"quest/internal/clifford"
 )
@@ -41,13 +40,13 @@ func Uniform(p float64) Model {
 	return Model{Idle: p, Gate1: p, Gate2: p, Meas: p, Prep: p}
 }
 
-// Validate checks all probabilities are in [0,1].
+// Validate checks all probabilities are in [0,1]; NaN is not.
 func (m Model) Validate() error {
 	for _, f := range []struct {
 		name string
 		p    float64
 	}{{"Idle", m.Idle}, {"Gate1", m.Gate1}, {"Gate2", m.Gate2}, {"Meas", m.Meas}, {"Prep", m.Prep}} {
-		if f.p < 0 || f.p > 1 {
+		if !(f.p >= 0 && f.p <= 1) {
 			return fmt.Errorf("noise: %s probability %v outside [0,1]", f.name, f.p)
 		}
 	}
@@ -67,23 +66,23 @@ type Fault struct {
 // log of every injected fault. The zero value is unusable; construct with
 // NewInjector.
 type Injector struct {
-	model Model
-	rng   *rand.Rand
-	log   []Fault
+	s   sampler
+	log []Fault
 
 	cycle, subCycle int
 }
 
-// NewInjector returns an injector using the given model and seed.
+// NewInjector returns an injector using the given model and seed. Its
+// stream is math/rand's: rand.NewSource(seed) drawn through the sampler
+// (sampler.go).
 func NewInjector(m Model, seed int64) *Injector {
-	if err := m.Validate(); err != nil {
-		panic(err)
-	}
-	return &Injector{model: m, rng: rand.New(rand.NewSource(seed))}
+	in := new(Injector)
+	in.s.init(m, seed)
+	return in
 }
 
 // Model returns the injector's noise model.
-func (in *Injector) Model() Model { return in.model }
+func (in *Injector) Model() Model { return in.s.model }
 
 // SetLocation updates the (cycle, sub-cycle) stamp recorded on faults.
 func (in *Injector) SetLocation(cycle, subCycle int) {
@@ -96,10 +95,6 @@ func (in *Injector) Log() []Fault { return in.log }
 // ClearLog discards the fault log (the injector state is otherwise kept).
 func (in *Injector) ClearLog() { in.log = in.log[:0] }
 
-func (in *Injector) randomPauli() clifford.Pauli {
-	return clifford.Pauli(1 + in.rng.Intn(3))
-}
-
 func (in *Injector) inject(t *clifford.Tableau, q int, p clifford.Pauli) {
 	t.ApplyPauli(q, p)
 	in.log = append(in.log, Fault{Cycle: in.cycle, SubCycle: in.subCycle, Qubit: q, Pauli: p})
@@ -107,26 +102,25 @@ func (in *Injector) inject(t *clifford.Tableau, q int, p clifford.Pauli) {
 
 // Idle applies the idle/decoherence channel to qubit q.
 func (in *Injector) Idle(t *clifford.Tableau, q int) {
-	if in.rng.Float64() < in.model.Idle {
-		in.inject(t, q, in.randomPauli())
+	if p, _, ok := in.s.sample(ChanIdle, false); ok {
+		in.inject(t, q, p)
 	}
 }
 
 // AfterGate1 applies the one-qubit gate error channel to qubit q.
 func (in *Injector) AfterGate1(t *clifford.Tableau, q int) {
-	if in.rng.Float64() < in.model.Gate1 {
-		in.inject(t, q, in.randomPauli())
+	if p, _, ok := in.s.sample(ChanGate1, false); ok {
+		in.inject(t, q, p)
 	}
 }
 
 // AfterGate2 applies the two-qubit gate error channel to qubits a and b,
 // choosing uniformly among the 15 non-identity two-qubit Paulis.
 func (in *Injector) AfterGate2(t *clifford.Tableau, a, b int) {
-	if in.rng.Float64() >= in.model.Gate2 {
+	pa, pb, ok := in.s.sample(ChanGate2, false)
+	if !ok {
 		return
 	}
-	k := 1 + in.rng.Intn(15) // 4*pa+pb, excluding (I,I)
-	pa, pb := clifford.Pauli(k>>2), clifford.Pauli(k&3)
 	if pa != clifford.PauliI {
 		in.inject(t, a, pa)
 	}
@@ -139,13 +133,8 @@ func (in *Injector) AfterGate2(t *clifford.Tableau, a, b int) {
 // prepared qubit is flipped to the orthogonal state. basisX selects which
 // Pauli flips it (Z flips |+>, X flips |0>).
 func (in *Injector) AfterPrep(t *clifford.Tableau, q int, basisX bool) {
-	if in.rng.Float64() >= in.model.Prep {
-		return
-	}
-	if basisX {
-		in.inject(t, q, clifford.PauliZ)
-	} else {
-		in.inject(t, q, clifford.PauliX)
+	if p, _, ok := in.s.sample(ChanPrep, basisX); ok {
+		in.inject(t, q, p)
 	}
 }
 
@@ -153,9 +142,9 @@ func (in *Injector) AfterPrep(t *clifford.Tableau, q int, basisX bool) {
 // flipped. Measurement flips are recorded in the log with Pauli I to keep the
 // ground truth complete without disturbing the tableau.
 func (in *Injector) FlipMeasurement(q int) bool {
-	if in.rng.Float64() < in.model.Meas {
-		in.log = append(in.log, Fault{Cycle: in.cycle, SubCycle: in.subCycle, Qubit: q, Pauli: clifford.PauliI})
-		return true
+	if _, _, ok := in.s.sample(ChanMeas, false); !ok {
+		return false
 	}
-	return false
+	in.log = append(in.log, Fault{Cycle: in.cycle, SubCycle: in.subCycle, Qubit: q, Pauli: clifford.PauliI})
+	return true
 }

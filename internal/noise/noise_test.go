@@ -38,6 +38,46 @@ func TestValidateRejectsBadProbabilities(t *testing.T) {
 	expectPanic()
 }
 
+// TestValidatePerChannel checks every channel on its own: 0 and 1 pass,
+// while NaN, infinities and values just outside [0,1] fail. A NaN used to
+// pass (p < 0 and p > 1 are both false for it) and then split: Float64() <
+// NaN never fires, Float64() >= NaN never returns early.
+func TestValidatePerChannel(t *testing.T) {
+	set := map[string]func(*Model, float64){
+		"Idle":  func(m *Model, p float64) { m.Idle = p },
+		"Gate1": func(m *Model, p float64) { m.Gate1 = p },
+		"Gate2": func(m *Model, p float64) { m.Gate2 = p },
+		"Meas":  func(m *Model, p float64) { m.Meas = p },
+		"Prep":  func(m *Model, p float64) { m.Prep = p },
+	}
+	for _, name := range []string{"Idle", "Gate1", "Gate2", "Meas", "Prep"} {
+		t.Run(name, func(t *testing.T) {
+			for _, p := range []float64{0, 1e-4, 1} {
+				m := Uniform(0.5)
+				set[name](&m, p)
+				if err := m.Validate(); err != nil {
+					t.Errorf("%s=%v rejected: %v", name, p, err)
+				}
+			}
+			for _, p := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1e-300, math.Nextafter(1, 2)} {
+				m := Uniform(0.5)
+				set[name](&m, p)
+				if err := m.Validate(); err == nil {
+					t.Errorf("%s=%v accepted", name, p)
+				}
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("NewReplayer accepted %s=%v", name, p)
+						}
+					}()
+					NewReplayer(m, 1)
+				}()
+			}
+		})
+	}
+}
+
 func TestZeroNoiseInjectsNothing(t *testing.T) {
 	in := NewInjector(Uniform(0), 1)
 	tb := clifford.New(4, rand.New(rand.NewSource(1)))

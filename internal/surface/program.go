@@ -4,38 +4,26 @@ import (
 	"fmt"
 
 	"quest/internal/isa"
+	"quest/internal/noise"
 )
 
-// SiteKind classifies one noise-injection site of a compiled sub-cycle: the
-// channel an execution unit's Fire loop would draw from at that position.
-// The order of sites within a word is the order Fire visits them (ascending
-// qubit index, two-qubit draws at the control position), which is exactly
-// what lets a batched engine replay an Injector's RNG stream bit-for-bit
-// without a tableau.
-type SiteKind uint8
-
-// The injection channels of the extraction circuit, in awg dispatch terms.
-const (
-	// SiteIdle is a decoherence draw on an idle qubit.
-	SiteIdle SiteKind = iota
-	// SitePrep is a preparation-error draw after Prep0/PrepPlus.
-	SitePrep
-	// SiteGate2 is a two-qubit depolarizing draw after a CNOT, taken at the
-	// control qubit's position.
-	SiteGate2
-	// SiteMeas is a classical measurement-flip draw.
-	SiteMeas
-)
-
-// NoiseSite is one injection site: which channel, on which qubit, and (for
-// two-qubit draws) the partner the second Pauli lands on.
+// NoiseSite is one noise-injection site of a compiled sub-cycle: the
+// channel an execution unit's Fire loop would draw from at that position,
+// on which qubit, and (for two-qubit draws) the partner the second Pauli
+// lands on. The order of sites within a word is the order Fire visits them
+// (ascending qubit index, two-qubit draws at the control position), which
+// is exactly what lets a batched engine replay an Injector's RNG stream
+// bit-for-bit without a tableau.
 type NoiseSite struct {
-	Kind  SiteKind
+	// Kind is the channel drawn: noise.ChanIdle on an idle qubit,
+	// noise.ChanPrep after Prep0/PrepPlus, noise.ChanGate2 after a CNOT
+	// (at the control) and noise.ChanMeas for a measurement flip.
+	Kind  noise.Channel
 	Qubit int
-	// Pair is the CNOT target for SiteGate2, -1 otherwise.
+	// Pair is the CNOT target for a two-qubit site, -1 otherwise.
 	Pair int
-	// BasisX selects the preparation basis for SitePrep (|+> vs |0>), which
-	// decides whether the prep fault is a Z or an X.
+	// BasisX selects the preparation basis for a preparation site (|+> vs
+	// |0>), which decides whether the prep fault is a Z or an X.
 	BasisX bool
 }
 
@@ -89,23 +77,23 @@ func BuildProgram(lat Lattice, words []isa.VLIW) *ExtractionProgram {
 		for q, op := range w.Ops {
 			switch op {
 			case isa.OpIdle:
-				pw.Sites = append(pw.Sites, NoiseSite{Kind: SiteIdle, Qubit: q, Pair: -1})
+				pw.Sites = append(pw.Sites, NoiseSite{Kind: noise.ChanIdle, Qubit: q, Pair: -1})
 			case isa.OpPrep0, isa.OpPrep1:
 				pw.Preps = append(pw.Preps, PrepOp{Qubit: q, BasisX: false})
-				pw.Sites = append(pw.Sites, NoiseSite{Kind: SitePrep, Qubit: q, Pair: -1})
+				pw.Sites = append(pw.Sites, NoiseSite{Kind: noise.ChanPrep, Qubit: q, Pair: -1})
 			case isa.OpPrepPlus:
 				pw.Preps = append(pw.Preps, PrepOp{Qubit: q, BasisX: true})
-				pw.Sites = append(pw.Sites, NoiseSite{Kind: SitePrep, Qubit: q, Pair: -1, BasisX: true})
+				pw.Sites = append(pw.Sites, NoiseSite{Kind: noise.ChanPrep, Qubit: q, Pair: -1, BasisX: true})
 			case isa.OpMeasZ:
 				pw.Meas = append(pw.Meas, MeasOp{Qubit: q})
-				pw.Sites = append(pw.Sites, NoiseSite{Kind: SiteMeas, Qubit: q, Pair: -1})
+				pw.Sites = append(pw.Sites, NoiseSite{Kind: noise.ChanMeas, Qubit: q, Pair: -1})
 			case isa.OpMeasX:
 				pw.Meas = append(pw.Meas, MeasOp{Qubit: q, IsX: true})
-				pw.Sites = append(pw.Sites, NoiseSite{Kind: SiteMeas, Qubit: q, Pair: -1})
+				pw.Sites = append(pw.Sites, NoiseSite{Kind: noise.ChanMeas, Qubit: q, Pair: -1})
 			case isa.OpCNOTControl:
 				p := w.Pairs[q]
 				pw.CNOTs = append(pw.CNOTs, CNOTOp{Control: q, Target: p})
-				pw.Sites = append(pw.Sites, NoiseSite{Kind: SiteGate2, Qubit: q, Pair: p})
+				pw.Sites = append(pw.Sites, NoiseSite{Kind: noise.ChanGate2, Qubit: q, Pair: p})
 			case isa.OpCNOTTarget:
 				// Executed (and drawn) from the control side.
 			default:
