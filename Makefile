@@ -12,11 +12,11 @@
 #                     and runs resumed from truncated ledgers, must all be
 #                     byte-identical (cmp) to the 1-process runs
 #   make events-smoke run a 2-shard sweep streaming live quest-events/1
-#                     telemetry, validate both streams with questtop -check,
-#                     render the fleet view, and prove events are a pure
+#                     telemetry, validate both streams and render the fleet
+#                     view with questtop, and prove events are a pure
 #                     side-band (ledger bytes identical with events on/off)
 #   make bw-smoke     run profiled sweeps and sims, validate the quest-bw/1
-#                     artifacts with bwreport -check, prove the waveform is
+#                     artifacts with bwreport, prove the waveform is
 #                     worker-count independent (cmp across -workers 1 and 8)
 #                     and a pure side-band (ledger bytes identical with -bw
 #                     on/off), and render the ram/fifo/unitcell comparison
@@ -53,8 +53,8 @@ fmt:
 lint: vet questvet
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# Custom analyzer suite (internal/lint): detrange, nogate, seedsrc, schemaver,
-# plus the interprocedural hotalloc/gateflow/errsink analyzers over the
+# Custom analyzer suite (internal/lint): detrange, seedsrc, schemaver, plus
+# the interprocedural hotalloc/gateflow/errsink analyzers over the
 # whole-module call graph. The run is diffed against the committed baseline:
 # only new findings, stale baseline entries, or //quest:allow count drift
 # fail. The summary line counts the suppressions in force.
@@ -144,9 +144,9 @@ shard-smoke:
 	$(GO) run ./tools/ledgercheck -min-cells 3 -min-trials 300 ledger-shard-mem-resumed.jsonl
 
 # Live-telemetry smoke — the same checks CI's events-smoke job runs. A
-# 2-shard ledgered sweep streams quest-events/1 snapshots; questtop -check
-# validates each stream's schema and monotonicity plus the fleet's coherence
-# (one experiment, distinct shard indices), then renders the aggregate view.
+# 2-shard ledgered sweep streams quest-events/1 snapshots; questtop validates
+# each stream's schema and monotonicity plus the fleet's coherence (one
+# experiment, distinct shard indices), then renders the aggregate view.
 # Finally the telemetry-is-a-pure-side-band claim is checked end to end: the
 # shard-0 sweep rerun without -events must produce byte-identical ledger
 # bytes (cmp). Artifacts match events-shard-*.jsonl, covered by .gitignore
@@ -156,7 +156,6 @@ events-smoke:
 		-ledger events-shard-ledger-0.jsonl -events events-shard-0.jsonl threshold
 	$(GO) run ./cmd/questbench -trials 16 -workers 3 -shard 1/2 \
 		-ledger events-shard-ledger-1.jsonl -events events-shard-1.jsonl threshold
-	$(GO) run ./tools/questtop -check events-shard-0.jsonl events-shard-1.jsonl
 	$(GO) run ./tools/questtop events-shard-0.jsonl events-shard-1.jsonl
 	$(GO) run ./cmd/questbench -trials 16 -workers 2 -shard 0/2 \
 		-ledger events-shard-ledger-off.jsonl threshold
@@ -168,10 +167,10 @@ events-smoke:
 # profiled sweep at -workers 1 and 8 must produce byte-identical quest-bw/1
 # waveforms (cmp) — at 130 trials, three 64-trial lanes, so 8 workers really
 # split each cell — and the -workers 1 ledger must be byte-identical with -bw
-# on and off (profiling is a pure side-band). bwreport -check validates each
-# artifact, then three questsim runs — one per microcode design — feed the
-# ram/fifo/unitcell comparison table. Artifacts match bw-smoke-*.jsonl,
-# covered by .gitignore and `make clean`.
+# on and off (profiling is a pure side-band). bwreport validates and renders
+# the -workers 1 artifact, then three questsim runs — one per microcode
+# design — feed the ram/fifo/unitcell comparison table. Artifacts match
+# bw-smoke-*.jsonl, covered by .gitignore and `make clean`.
 bw-smoke:
 	$(GO) run ./cmd/questbench -trials 130 -workers 1 \
 		-ledger bw-smoke-ledger-on.jsonl -bw bw-smoke-w1.jsonl memory
@@ -181,7 +180,7 @@ bw-smoke:
 	$(GO) run ./cmd/questbench -trials 130 -workers 1 \
 		-ledger bw-smoke-ledger-off.jsonl memory
 	cmp bw-smoke-ledger-off.jsonl bw-smoke-ledger-on.jsonl
-	$(GO) run ./tools/bwreport -check bw-smoke-w1.jsonl
+	$(GO) run ./tools/bwreport bw-smoke-w1.jsonl
 	$(GO) run ./cmd/questsim -program distill -replays 8 -design ram \
 		-bw bw-smoke-ram.jsonl
 	$(GO) run ./cmd/questsim -program distill -replays 8 -design fifo \

@@ -231,7 +231,7 @@ func TestWriteParseValidateRoundTrip(t *testing.T) {
 }
 
 // TestValidateRejectsCorruption walks the validator through the corruption
-// classes bwreport -check must catch.
+// classes bwreport must catch.
 func TestValidateRejectsCorruption(t *testing.T) {
 	r := New(8)
 	r.Observe(0, BusLogical, ClassPauli, 1, 2)

@@ -220,7 +220,7 @@ type ValidateReport struct {
 // and a summary whose every statistic reproduces from the window records —
 // recomputed through the same summarize code path the writer used, so even
 // the float fields must match exactly. CI's bw-smoke job runs it (via
-// bwreport -check) over freshly profiled runs.
+// bwreport) over freshly profiled runs.
 func Validate(data []byte) (ValidateReport, error) {
 	var rep ValidateReport
 	st, err := ParseStream(data)

@@ -108,7 +108,7 @@ type RuntimeStats struct {
 
 // Snapshot is one periodic telemetry record. Seq is strictly increasing
 // from 1 and Ms (milliseconds since the header's StartMs) is non-decreasing
-// — the two monotonicity invariants Validate enforces and questtop -check
+// — the two monotonicity invariants Validate enforces and questtop
 // pins in CI. Cells are sorted by name so a snapshot's bytes do not depend
 // on map-iteration order.
 type Snapshot struct {
@@ -289,7 +289,7 @@ type ValidateReport struct {
 // Validate parses and checks a quest-events/1 stream: correct schema, one
 // header first, seq gap-free from 1, ms non-decreasing, cells sorted by
 // name with self-consistent counts and Wilson brackets. CI's events-smoke
-// job runs it (via questtop -check) over freshly generated shard streams
+// job runs it (via questtop) over freshly generated shard streams
 // so a telemetry regression fails the build.
 func Validate(data []byte) (ValidateReport, error) {
 	return validate(data, false)

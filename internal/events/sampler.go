@@ -39,8 +39,8 @@ type cellState struct {
 // telemetry snapshots. A nil *Sampler is the events-off mode: every method
 // is a nil-gated no-op, so call sites stay unconditional and the off path
 // adds zero allocations (pinned by TestObserveCellNilAllocs and the
-// benchsuite events-off-observe case; enforced structurally by the nogate
-// analyzer, which lists Sampler as a gated observability type).
+// benchsuite events-off-observe case; enforced structurally by the
+// gateflow analyzer, which lists Sampler as a tracked observer type).
 type Sampler struct {
 	w   *Writer
 	reg *metrics.Registry // nil when the run has no live registry

@@ -129,8 +129,10 @@ type TrackedCall struct {
 	// Recv is the printed receiver expression ("m.tr", "ctx.Heat").
 	Recv string
 	// Gated: dominated by some observer nil guard. GatedOnRecv: dominated by
-	// a nil guard naming exactly Recv — the form the nogate invariant
-	// requires, because only it proves the receiver itself is non-nil.
+	// a nil guard naming exactly Recv — the form gateflow requires, because
+	// only it proves the receiver itself is non-nil. For a call inside a
+	// function literal, GatedOnRecv also counts the guards in force where
+	// the literal is defined; Gated does not.
 	Gated, GatedOnRecv bool
 }
 

@@ -195,6 +195,11 @@ func TestTrackedCallGating(t *testing.T) {
 		{node: "app.earlyReturn", want: []TrackedCall{
 			{PkgSuffix: "internal/tracing", TypeName: "Tracer", Method: "Emit", Recv: "tr", Gated: true, GatedOnRecv: true},
 		}},
+		// The guard in force where a literal is defined proves its receiver
+		// non-nil, but leaves the literal's own region ungated.
+		{node: "app.litGuard.func1", want: []TrackedCall{
+			{PkgSuffix: "internal/tracing", TypeName: "Tracer", Method: "Emit", Recv: "tr", Gated: false, GatedOnRecv: true},
+		}},
 		// A guard on a different tracer gates the region but not the receiver.
 		{node: "app.wrongGuard", want: []TrackedCall{
 			{PkgSuffix: "internal/tracing", TypeName: "Tracer", Method: "Emit", Recv: "b", Gated: true, GatedOnRecv: false},

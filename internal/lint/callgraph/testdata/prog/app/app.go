@@ -46,6 +46,15 @@ func earlyReturn(tr *tracing.Tracer) {
 	tr.Emit("after guard")
 }
 
+func litGuard(tr *tracing.Tracer) func() {
+	if tr == nil {
+		return nil
+	}
+	return func() {
+		tr.Emit("in literal")
+	}
+}
+
 func wrongGuard(a, b *tracing.Tracer) {
 	if a != nil {
 		b.Emit("x")

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 
 	"quest/internal/lint/loader"
 )
@@ -25,17 +26,17 @@ type walker struct {
 	// entering `if x != nil` bodies and after early-return `if x == nil`
 	// guards, popped leaving the dominated region.
 	guards []string
+	// outer holds the guards in force where this walker's function literal
+	// is defined (nil for declared functions). They count for GatedOnRecv
+	// only: a literal can outlive its definition site, so they do not gate
+	// its edges or allocation sites.
+	outer []string
 }
 
 func (w *walker) gated() bool { return len(w.guards) > 0 }
 
 func (w *walker) guardedExact(expr string) bool {
-	for _, g := range w.guards {
-		if g == expr {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(w.guards, expr) || slices.Contains(w.outer, expr)
 }
 
 // walkBlock walks a statement list, accumulating early-return guards: after
@@ -201,7 +202,9 @@ func (w *walker) walkCompositeElts(cl *ast.CompositeLit) {
 // walkLit creates the node for a function literal, links it from the
 // enclosing function, and walks its body with an empty guard stack (the
 // graph assumes a literal is callable whenever its enclosing function runs;
-// enclosing guards gate only the parent→literal edge).
+// enclosing guards gate only the parent→literal edge). The enclosing guards
+// still prove the literal's receivers non-nil: they travel along as outer,
+// which only GatedOnRecv reads.
 func (w *walker) walkLit(lit *ast.FuncLit) {
 	*w.nlits++
 	n := &Node{
@@ -212,7 +215,8 @@ func (w *walker) walkLit(lit *ast.FuncLit) {
 	w.b.litNodes[lit] = n
 	w.node.Edges = append(w.node.Edges, Edge{To: n, Pos: lit.Pos(), Gated: w.gated()})
 	w.site(lit.Pos(), "closure")
-	child := &walker{b: w.b, pkg: w.pkg, node: n, top: w.top, nlits: w.nlits}
+	child := &walker{b: w.b, pkg: w.pkg, node: n, top: w.top, nlits: w.nlits,
+		outer: slices.Concat(w.outer, w.guards)}
 	child.walkBlock(lit.Body.List)
 }
 

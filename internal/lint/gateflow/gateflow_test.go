@@ -10,9 +10,17 @@ import (
 
 func TestGateflow(t *testing.T) {
 	cfg := &callgraph.Config{
-		ObserverPkgs: []string{"internal/tracing"},
-		TrackedTypes: map[string][]string{"internal/tracing": {"Tracer"}},
+		ObserverPkgs: []string{
+			"internal/tracing", "internal/heatmap", "internal/events",
+			"internal/bwprofile", "internal/metrics",
+		},
+		TrackedTypes: map[string][]string{
+			"internal/tracing":   {"Tracer"},
+			"internal/heatmap":   {"Collector", "Set"},
+			"internal/events":    {"Sampler"},
+			"internal/bwprofile": {"Recorder"},
+		},
 	}
 	analysistest.RunTree(t, "testdata/flow", cfg,
-		gateflow.New([]string{"internal/excl"}))
+		gateflow.New([]string{"internal/mce"}, []string{"internal/excl"}))
 }

@@ -1,5 +1,5 @@
-// Package excl is listed in the analyzer's exclude set: its ungated hot
-// call produces no finding (a nogate-scoped package owns the local form).
+// Package excl is listed in the analyzer's exclude set, as the observer
+// packages are: its ungated hot call produces no finding.
 package excl
 
 import "fix/internal/tracing"

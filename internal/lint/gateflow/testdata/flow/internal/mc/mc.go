@@ -1,6 +1,6 @@
 // Package mc holds the fixture's hot entry point; the observer calls it
-// reaches live in package obs, which is the cross-package case nogate
-// cannot see.
+// reaches live in package obs, which is neither hot nor excluded, so only
+// the call graph puts them in scope.
 package mc
 
 import (
@@ -8,6 +8,9 @@ import (
 	"fix/internal/obs"
 	"fix/internal/tracing"
 )
+
+// Progress is the payload of the events.Sampler stub.
+type Progress struct{ Completed, Budget int }
 
 //quest:hotpath
 func Step(a, b *tracing.Tracer) {

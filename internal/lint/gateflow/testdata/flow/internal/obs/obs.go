@@ -15,8 +15,8 @@ func WrongGuard(a, b *tracing.Tracer) {
 	}
 }
 
-// Cold is not reachable from the hot root, so its ungated call is not a
-// gateflow finding (nogate owns the local form where it is scoped).
+// Cold is not reachable from the hot root and obs is not a hot package, so
+// its ungated call is no finding.
 func Cold(tr *tracing.Tracer) {
 	tr.Emit("cold")
 }

@@ -6,10 +6,6 @@
 //   - detrange (determinism-critical packages, checker tools, commands): no
 //     map iteration whose order can reach results, ledgers, traces,
 //     heatmaps, or reports.
-//   - nogate (hot-path packages): every tracing/heatmap hook nil-gated,
-//     every metrics argument allocation-free, protecting the pinned alloc
-//     budgets (mc.RunBatch 8 allocs/call, decoder exact-match ≤ 6
-//     allocs/op with observers off).
 //   - seedsrc (simulation/MC packages): no wall clock, pid, or global
 //     math/rand source; all entropy flows from the experiment seed through
 //     the SplitMix64 mixers.
@@ -18,16 +14,21 @@
 //   - hotalloc (everywhere, interprocedural): static allocation sites
 //     reachable from each budgeted hot entry point stay within the
 //     committed ceilings in questvet-budgets.json.
-//   - gateflow (everywhere outside nogate's scope, interprocedural):
-//     observer method calls reachable from a hot root are nil-gated on
-//     their receiver on every call path.
+//   - gateflow (interprocedural; functions a hot root reaches, plus every
+//     function of the hot-path packages): every observer method call
+//     nil-gated on its receiver, and in the hot-path packages every
+//     metrics argument allocation-free, protecting the pinned alloc
+//     budgets (mc.RunBatch 8 allocs/call, decoder exact-match ≤ 6
+//     allocs/op with observers off).
 //   - errsink (everywhere): error results from ledger/events/bwprofile/cli
 //     calls are never discarded.
 //
 // The interprocedural analyzers share one whole-module call graph
 // (internal/lint/callgraph) built per run; its hot roots are the Monte-
 // Carlo engines' entry points and trial closures, the global decoder's
-// match path, and the MCE/master cycle loops.
+// match path, and the MCE/master cycle loops. A hot root, budget root or
+// scope directory that matches nothing in the module is itself a finding,
+// so a rename cannot silently drop code out of an audit.
 //
 // The tools/questvet binary drives this suite over the module; the Run
 // helper here is shared with its tests.
@@ -36,6 +37,7 @@ package questvet
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -46,7 +48,6 @@ import (
 	"quest/internal/lint/gateflow"
 	"quest/internal/lint/hotalloc"
 	"quest/internal/lint/loader"
-	"quest/internal/lint/nogate"
 	"quest/internal/lint/schemaver"
 	"quest/internal/lint/seedsrc"
 )
@@ -59,10 +60,12 @@ type ScopedAnalyzer struct {
 	Dirs     []string
 }
 
-// nogateDirs are the hot-path packages where nogate enforces the local
-// (single-function) nil-gating form; gateflow skips them so one defect
-// yields one finding.
-var nogateDirs = []string{
+// hotDirs are the hot-path packages, where gateflow checks every function:
+// that covers the instruction-delivery entry points no hot root reaches
+// (master.(*Master).Dispatch, SendSync, LoadCache,
+// mce.(*MCE).LoadCacheSlot) and the telemetry sampler, whose events-off
+// calls must stay free (TestObserveCellNilAllocs pins 0 allocs/op).
+var hotDirs = []string{
 	"internal/mce", "internal/master", "internal/decoder",
 	"internal/noc", "internal/dram", "internal/events",
 }
@@ -89,10 +92,6 @@ func Suite(budgets []hotalloc.Budget) []ScopedAnalyzer {
 			"internal/metrics", "internal/chart", "internal/events",
 			"tools", "cmd",
 		}},
-		// Hot-path packages covered by the pinned alloc budgets, plus the
-		// telemetry sampler whose events-off calls must stay free
-		// (TestObserveCellNilAllocs pins 0 allocs/op).
-		{nogate.Analyzer, nogateDirs},
 		// Simulation/Monte-Carlo packages where ambient entropy would break
 		// (config, seed) replayability. events is included so its wall-clock
 		// reads (telemetry timestamps, the one sanctioned use) stay visibly
@@ -107,7 +106,7 @@ func Suite(budgets []hotalloc.Budget) []ScopedAnalyzer {
 		{schemaver.Analyzer, nil},
 		// Interprocedural hot-path contract: alloc budgets and gate flow.
 		{hotalloc.New(budgets), nil},
-		{gateflow.New(append(append([]string{}, nogateDirs...), observerDirs...)), nil},
+		{gateflow.New(hotDirs, observerDirs), nil},
 		// Dropped writer errors break byte identity wherever they happen.
 		{errsink.Analyzer, nil},
 	}
@@ -168,6 +167,18 @@ func (sa ScopedAnalyzer) Applies(module, importPath string) bool {
 	return false
 }
 
+// unresolvedDirs returns the dirs that match no package in pkgs.
+func unresolvedDirs(module string, pkgs []*loader.Package, dirs []string) []string {
+	var out []string
+	for _, d := range dirs {
+		scope := ScopedAnalyzer{Dirs: []string{d}}
+		if !slices.ContainsFunc(pkgs, func(p *loader.Package) bool { return scope.Applies(module, p.Path) }) {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
 // Options configures a Run.
 type Options struct {
 	// Budgets are the hotalloc entry-point budgets, normally loaded from
@@ -217,6 +228,20 @@ func Run(prog *loader.Program, pkgs []*loader.Package, opts Options) (Report, er
 			})
 		}
 	}
+	// So must a renamed package: a scope directory that matches nothing
+	// silently drops out of its analyzer's reach.
+	missing := func(analyzer string, dirs []string) {
+		for _, d := range unresolvedDirs(prog.Module, all, dirs) {
+			rep.Active = append(rep.Active, analysis.Diagnostic{
+				Analyzer: analyzer,
+				Message:  fmt.Sprintf("scope directory %q matches no package; update questvet.Suite", d),
+			})
+		}
+	}
+	for _, sa := range suite {
+		missing(sa.Analyzer.Name, sa.Dirs)
+	}
+	missing("gateflow", slices.Concat(hotDirs, observerDirs))
 
 	for _, pkg := range pkgs {
 		var sel []*analysis.Analyzer

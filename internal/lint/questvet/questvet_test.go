@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,11 +15,11 @@ import (
 
 func TestSuiteNamesAndScopes(t *testing.T) {
 	suite := Suite(nil)
-	if len(suite) != 7 {
-		t.Fatalf("suite has %d analyzers, want 7", len(suite))
+	if len(suite) != 6 {
+		t.Fatalf("suite has %d analyzers, want 6", len(suite))
 	}
 	got := strings.Join(Names(), ",")
-	if got != "detrange,errsink,gateflow,hotalloc,nogate,schemaver,seedsrc" {
+	if got != "detrange,errsink,gateflow,hotalloc,schemaver,seedsrc" {
 		t.Fatalf("Names() = %s", got)
 	}
 	for _, sa := range suite {
@@ -44,13 +45,12 @@ func TestAppliesScoping(t *testing.T) {
 		// covers them now.
 		{"detrange", "quest/tools/benchdiff", true},
 		{"detrange", "quest/cmd/questsim", true},
-		{"nogate", "quest/internal/mce", true},
-		{"nogate", "quest/internal/decoder", true},
-		{"nogate", "quest/internal/ledger", false},
+		{"seedsrc", "quest/internal/mce", true},
 		{"seedsrc", "quest/internal/noise", true},
 		{"seedsrc", "quest/internal/chart", false},
+		{"seedsrc", "quest/internal/ledger", false},
 		// Subpackages inherit their parent directory's scope.
-		{"nogate", "quest/internal/decoder/sub", true},
+		{"seedsrc", "quest/internal/decoder/sub", true},
 		// Whole-module analyzers apply everywhere, tools included.
 		{"schemaver", "quest/tools/ledgercheck", true},
 		{"schemaver", "quest", true},
@@ -66,6 +66,17 @@ func TestAppliesScoping(t *testing.T) {
 		if got := sa.Applies("quest", c.path); got != c.want {
 			t.Errorf("%s.Applies(%q) = %v, want %v", c.analyzer, c.path, got, c.want)
 		}
+	}
+}
+
+// TestUnresolvedDirs pins the resolver behind the scope check in Run: a
+// directory resolves when some package lies at or under it, and a renamed
+// one is reported rather than silently matching nothing.
+func TestUnresolvedDirs(t *testing.T) {
+	pkgs := []*loader.Package{{Path: "quest/internal/mc"}, {Path: "quest/internal/decoder/sub"}, {Path: "quest/tools/bwreport"}}
+	got := unresolvedDirs("quest", pkgs, []string{"internal/mc", "internal/decoder", "tools", "internal/nosuch", "internal/m"})
+	if want := []string{"internal/nosuch", "internal/m"}; !slices.Equal(got, want) {
+		t.Errorf("unresolvedDirs = %q, want %q", got, want)
 	}
 }
 

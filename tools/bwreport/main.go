@@ -9,12 +9,12 @@
 //
 // Usage:
 //
-//	bwreport [-check] file [file ...]
+//	bwreport file [file ...]
 //
-// -check validates instead of rendering: each file must be a well-formed
-// quest-bw/1 profile (schema, single leading header, contiguous windows,
-// per-window bus sums matching totals, a summary that recomputes exactly
-// from the windows). CI's bw-smoke job gates on it.
+// Every file is validated before anything renders: it must be a
+// well-formed quest-bw/1 profile (schema, single leading header,
+// contiguous windows, per-window bus sums matching totals, a summary that
+// recomputes exactly from the windows). CI's bw-smoke job gates on it.
 //
 // Exit codes follow the tools/internal/cli contract: 0 clean, 1 findings
 // (invalid profile), 2 usage or unreadable input. Rows sort by design then
@@ -22,7 +22,6 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
 	"sort"
@@ -32,13 +31,10 @@ import (
 )
 
 func command() *cli.Command {
-	fs := flag.NewFlagSet("bwreport", flag.ContinueOnError)
-	check := fs.Bool("check", false, "validate the profiles instead of rendering the comparison table")
 	return &cli.Command{
 		Name:  "bwreport",
-		Usage: "[-check] file [file ...]",
+		Usage: "file [file ...]",
 		NArgs: -1,
-		Flags: fs,
 		Run: func(args []string, stdout io.Writer) error {
 			if len(args) == 0 {
 				return cli.Usagef("no profile files given (write one with questbench/questsim -bw)")
@@ -54,13 +50,6 @@ func command() *cli.Command {
 					return cli.Failf("%s: %v", src, err)
 				}
 				runs = append(runs, run{src: src, report: rep})
-			}
-			if *check {
-				for _, r := range sorted(runs) {
-					fmt.Fprintf(stdout, "bwreport: %s OK — experiment %q%s, %d window(s) of %d cycle(s)\n",
-						r.src, r.report.Experiment, designLabel(r.report), r.report.Summary.Windows, r.report.Summary.WindowCycles)
-				}
-				return nil
 			}
 			render(stdout, sorted(runs))
 			return nil
@@ -89,15 +78,6 @@ func sorted(runs []run) []run {
 		return out[i].src < out[j].src
 	})
 	return out
-}
-
-// designLabel renders a report's design key for check lines ("" when the
-// header config carries none).
-func designLabel(r bwprofile.ValidateReport) string {
-	if r.Design == "" {
-		return ""
-	}
-	return fmt.Sprintf(" (design %s)", r.Design)
 }
 
 // label picks the row key: the microcode design when the run recorded one,

@@ -48,7 +48,6 @@ func TestBwreportExitCodeContract(t *testing.T) {
 		want int
 	}{
 		{"valid profile", []string{good}, 0},
-		{"valid with -check", []string{"-check", good}, 0},
 		{"invalid schema", []string{corrupt}, 1},
 		{"missing file", []string{filepath.Join(dir, "absent.jsonl")}, 2},
 		{"no arguments", nil, 2},
@@ -94,18 +93,19 @@ func TestBwreportComparisonTable(t *testing.T) {
 	}
 }
 
-func TestBwreportCheckNamesDesign(t *testing.T) {
+// TestBwreportTableNamesDesign pins the row key: the microcode design when
+// the header carries one, the experiment otherwise.
+func TestBwreportTableNamesDesign(t *testing.T) {
 	dir := t.TempDir()
 	ram := writeProfile(t, dir, "ram", "questsim", "ram", 40)
 	plain := writeProfile(t, dir, "plain", "questbench", "", 8)
 	var out, errw bytes.Buffer
-	if code := command().Execute([]string{"-check", ram, plain}, &out, &errw); code != 0 {
+	if code := command().Execute([]string{ram, plain}, &out, &errw); code != 0 {
 		t.Fatalf("exit %d, stderr:\n%s", code, errw.String())
 	}
-	if !strings.Contains(out.String(), "design ram") {
-		t.Errorf("check line missing design:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), `experiment "questbench"`) {
-		t.Errorf("check line missing experiment:\n%s", out.String())
+	for _, row := range []string{"questbench " + plain, "ram        " + ram} {
+		if !strings.Contains(out.String(), "\n"+row) {
+			t.Errorf("table has no row starting %q:\n%s", row, out.String())
+		}
 	}
 }

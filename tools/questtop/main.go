@@ -8,19 +8,20 @@
 //
 // Usage:
 //
-//	questtop [-check] [-for DURATION] stream [stream ...]
+//	questtop [-for DURATION] stream [stream ...]
 //
 // A stream is a file path or an http(s) URL. URLs are tailed as SSE for at
 // most -for (default 2s) before rendering; files are read once, so rerun (or
 // `watch questtop ...`) to refresh.
 //
-// -check validates instead of rendering: each stream must be a well-formed
-// quest-events/1 stream (schema, single leading header, increasing seq,
-// monotone timestamps, sorted self-consistent cells) and the set must be a
-// coherent fleet (one experiment, one shard count, distinct shard indices).
-// File streams must be gap-free from seq 1; URL streams are validated as
-// mid-run tails (a late SSE subscriber starts at the current seq, and a
-// slow one may drop frames). CI's events-smoke job gates on it.
+// Every stream is validated before anything renders: each must be a
+// well-formed quest-events/1 stream (schema, single leading header,
+// increasing seq, monotone timestamps, sorted self-consistent cells) and
+// the set must be a coherent fleet (one experiment, one shard count,
+// distinct shard indices). File streams must be gap-free from seq 1; URL
+// streams are validated as mid-run tails (a late SSE subscriber starts at
+// the current seq, and a slow one may drop frames). CI's events-smoke job
+// gates on it.
 //
 // Exit codes follow the tools/internal/cli contract: 0 clean, 1 findings
 // (invalid stream, incoherent fleet), 2 usage or unreadable input. The
@@ -47,11 +48,10 @@ import (
 
 func command() *cli.Command {
 	fs := flag.NewFlagSet("questtop", flag.ContinueOnError)
-	check := fs.Bool("check", false, "validate the streams and fleet coherence instead of rendering")
 	tail := fs.Duration("for", 2*time.Second, "how long to tail each SSE URL before rendering")
 	return &cli.Command{
 		Name:  "questtop",
-		Usage: "[-check] [-for DURATION] stream [stream ...]",
+		Usage: "[-for DURATION] stream [stream ...]",
 		NArgs: -1,
 		Flags: fs,
 		Run: func(args []string, stdout io.Writer) error {
@@ -80,13 +80,6 @@ func command() *cli.Command {
 			}
 			if err := checkFleet(shards); err != nil {
 				return err
-			}
-			if *check {
-				for _, s := range sorted(shards) {
-					fmt.Fprintf(stdout, "questtop: %s OK — experiment %q, %s, %d snapshot(s), %d cell(s) (%d done)\n",
-						s.src, s.report.Experiment, shardLabel(s.report), s.report.Snapshots, s.report.Cells, s.report.DoneCells)
-				}
-				return nil
 			}
 			render(stdout, sorted(shards))
 			return nil

@@ -1,13 +1,13 @@
 // Command questvet runs the repository's custom analyzer suite
 // (internal/lint/questvet) over the module: detrange (deterministic map
-// iteration), nogate (nil-gated observability on hot paths), seedsrc (no
-// ambient entropy in simulations), schemaver (single-sourced schema
-// constants), hotalloc (interprocedural hot-path allocation budgets from
-// questvet-budgets.json), gateflow (interprocedural nil-gating along hot
-// call paths), and errsink (no discarded writer errors). `make lint` and
-// CI's lint job fail on any unbaselined diagnostic; the final summary line
-// reports how many //quest:allow suppressions are in force so the escape
-// hatches stay visible.
+// iteration), seedsrc (no ambient entropy in simulations), schemaver
+// (single-sourced schema constants), hotalloc (interprocedural hot-path
+// allocation budgets from questvet-budgets.json), gateflow (nil-gated
+// observability on hot paths, interprocedural), and errsink (no discarded
+// writer errors). `make lint` and CI's lint job fail on any unbaselined
+// diagnostic, and on a hot root, budget root or scope directory that
+// matches nothing; the final summary line reports how many //quest:allow
+// suppressions are in force so the escape hatches stay visible.
 //
 // Usage:
 //

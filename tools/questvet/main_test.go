@@ -22,11 +22,23 @@ func writeTree(t *testing.T, dir string, files map[string]string) {
 	}
 }
 
+// scopeDirs are the directories questvet's analyzer scopes name. A run
+// fails on any of them that matches no package, so the skeleton gives each
+// an empty one.
+var scopeDirs = []string{
+	"cmd", "tools",
+	"internal/bwprofile", "internal/chart", "internal/clifford", "internal/concat",
+	"internal/core", "internal/distill", "internal/dram", "internal/events",
+	"internal/heatmap", "internal/ledger", "internal/metrics", "internal/noc",
+	"internal/noise", "internal/surface", "internal/tracing",
+}
+
 // skeleton returns a minimal module defining every hot root in
-// questvet.GraphConfig (specs are suffix-matched), so the graph resolves
-// and a clean tree really exits 0.
+// questvet.GraphConfig (specs are suffix-matched) and a package in every
+// scope directory, so the graph and the scopes resolve and a clean tree
+// really exits 0.
 func skeleton() map[string]string {
-	return map[string]string{
+	files := map[string]string{
 		"go.mod": "module tmpmod\n\ngo 1.22\n",
 		"internal/mc/mc.go": `package mc
 
@@ -52,6 +64,10 @@ type Master struct{}
 func (m *Master) StepCycle() {}
 `,
 	}
+	for _, d := range scopeDirs {
+		files[d+"/doc.go"] = "package " + filepath.Base(d) + "\n"
+	}
+	return files
 }
 
 const sinkSrc = `package ledger
@@ -103,6 +119,13 @@ func TestQuestvetExitCodeContract(t *testing.T) {
 		"questvet-budgets.json": `{"schema":"quest-wrong/9","budgets":[]}`,
 	})
 
+	// A renamed package leaves its scope directory matching nothing.
+	renamed := t.TempDir()
+	writeTree(t, renamed, skeleton())
+	if err := os.RemoveAll(filepath.Join(renamed, "internal", "dram")); err != nil {
+		t.Fatal(err)
+	}
+
 	cases := []struct {
 		name string
 		dir  string
@@ -110,6 +133,7 @@ func TestQuestvetExitCodeContract(t *testing.T) {
 		want int
 	}{
 		{"clean tree", clean, nil, 0},
+		{"scope directory matches no package", renamed, nil, 1},
 		{"clean tree json", clean, []string{"-json"}, 0},
 		{"finding", dirty, nil, 1},
 		{"finding in selected package", dirty, []string{"./app/..."}, 1},
