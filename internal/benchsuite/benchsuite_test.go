@@ -2,6 +2,8 @@ package benchsuite
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
 	"testing"
 
 	"quest/internal/metrics"
@@ -60,7 +62,7 @@ func TestEventsOffObserveZeroAllocs(t *testing.T) {
 		if c.Name != "events-off-observe" {
 			continue
 		}
-		if r := testing.Benchmark(c.Fn); r.AllocsPerOp() != 0 {
+		if r := benchmarkAt(t, allocPinIters, c.Fn); r.AllocsPerOp() != 0 {
 			t.Errorf("events-off-observe: %d allocs/op, want 0", r.AllocsPerOp())
 		}
 		return
@@ -76,10 +78,30 @@ func TestBWOffObserveZeroAllocs(t *testing.T) {
 		if c.Name != "bw-off-observe" {
 			continue
 		}
-		if r := testing.Benchmark(c.Fn); r.AllocsPerOp() != 0 {
+		if r := benchmarkAt(t, allocPinIters, c.Fn); r.AllocsPerOp() != 0 {
 			t.Errorf("bw-off-observe: %d allocs/op, want 0", r.AllocsPerOp())
 		}
 		return
 	}
 	t.Fatal("suite is missing the bw-off-observe case")
+}
+
+// allocPinIters is the iteration count the zero-alloc pins measure at. Like
+// testing.AllocsPerRun's run count, it keeps a malloc made by another
+// goroutine during the measurement (the runtime's or the test framework's)
+// from being charged to the op: at one iteration, the count Run and
+// -benchtime=1x leave behind, such a stray malloc reads as allocs/op >= 1.
+const allocPinIters = 100_000
+
+// benchmarkAt runs fn under testing.Benchmark at exactly n iterations and
+// restores the caller's -test.benchtime when the test ends.
+func benchmarkAt(t *testing.T, n int, fn func(*testing.B)) testing.BenchmarkResult {
+	t.Helper()
+	bt := flag.Lookup("test.benchtime")
+	prev := bt.Value.String()
+	t.Cleanup(func() { _ = bt.Value.Set(prev) })
+	if err := bt.Value.Set(fmt.Sprintf("%dx", n)); err != nil {
+		t.Fatal(err)
+	}
+	return testing.Benchmark(fn)
 }
