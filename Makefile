@@ -6,7 +6,7 @@
 #   make benchdiff    compare a fresh suite run against the committed baseline
 #   make trace-smoke  run a tiny traced sim and validate the Perfetto JSON
 #   make ledger-smoke run a small ledgered+heatmapped sweep and validate the
-#                     JSONL with ledgercheck
+#                     JSONL with questcheck
 #   make shard-smoke  prove process-count independence: 2-process sharded
 #                     threshold and memory sweeps merged with ledgermerge,
 #                     and runs resumed from truncated ledgers, must all be
@@ -95,7 +95,7 @@ benchdiff:
 # the same check CI's trace-smoke job runs.
 trace-smoke:
 	$(GO) run ./cmd/questsim -program distill -replays 5 -trace /tmp/quest_trace_smoke.json
-	$(GO) run ./tools/tracecheck -min-procs 4 /tmp/quest_trace_smoke.json
+	$(GO) run ./tools/questcheck -min-procs 4 /tmp/quest_trace_smoke.json
 
 # Run a small traced + ledgered threshold sweep with CI early-stop and
 # heatmaps, then validate the ledger — the same check CI's trace-smoke job
@@ -104,7 +104,7 @@ ledger-smoke:
 	$(GO) run ./cmd/questbench -trials 40 -workers 4 -ci-stop 0.2 \
 		-ledger /tmp/quest_ledger_smoke.jsonl -heatmap /tmp/quest_heatmap_smoke.json \
 		-trace /tmp/quest_sweep_trace.json threshold
-	$(GO) run ./tools/ledgercheck -min-cells 6 -min-trials 60 /tmp/quest_ledger_smoke.jsonl
+	$(GO) run ./tools/questcheck -min-cells 6 -min-trials 60 /tmp/quest_ledger_smoke.jsonl
 
 # Prove process-count independence end to end — the same checks CI's
 # shard-smoke job runs, once per runner. A 2-process sharded sweep
@@ -123,25 +123,25 @@ shard-smoke:
 	$(GO) run ./cmd/questbench -trials 100 -workers 3 -shard 1/2 -ledger ledger-shard-1.jsonl threshold
 	$(GO) run ./tools/ledgermerge -o ledger-shard-merged.jsonl ledger-shard-0.jsonl ledger-shard-1.jsonl
 	cmp ledger-shard-merged.jsonl ledger-shard-full.jsonl
-	$(GO) run ./tools/ledgercheck -min-cells 6 -min-trials 600 ledger-shard-merged.jsonl
+	$(GO) run ./tools/questcheck -min-cells 6 -min-trials 600 ledger-shard-merged.jsonl
 	head -n 172 ledger-shard-full.jsonl > ledger-shard-crash.jsonl
 	printf '{"record":"trial","cell":"thr' >> ledger-shard-crash.jsonl
 	$(GO) run ./cmd/questbench -trials 100 -workers 3 -resume ledger-shard-crash.jsonl \
 		-ledger ledger-shard-resumed.jsonl threshold
 	cmp ledger-shard-resumed.jsonl ledger-shard-full.jsonl
-	$(GO) run ./tools/ledgercheck -min-cells 6 -min-trials 600 ledger-shard-resumed.jsonl
+	$(GO) run ./tools/questcheck -min-cells 6 -min-trials 600 ledger-shard-resumed.jsonl
 	$(GO) run ./cmd/questbench -trials 100 -workers 4 -ledger ledger-shard-mem-full.jsonl memory
 	$(GO) run ./cmd/questbench -trials 100 -workers 2 -shard 0/2 -ledger ledger-shard-mem-0.jsonl memory
 	$(GO) run ./cmd/questbench -trials 100 -workers 3 -shard 1/2 -ledger ledger-shard-mem-1.jsonl memory
 	$(GO) run ./tools/ledgermerge -o ledger-shard-mem-merged.jsonl ledger-shard-mem-0.jsonl ledger-shard-mem-1.jsonl
 	cmp ledger-shard-mem-merged.jsonl ledger-shard-mem-full.jsonl
-	$(GO) run ./tools/ledgercheck -min-cells 3 -min-trials 300 ledger-shard-mem-merged.jsonl
+	$(GO) run ./tools/questcheck -min-cells 3 -min-trials 300 ledger-shard-mem-merged.jsonl
 	head -n 172 ledger-shard-mem-full.jsonl > ledger-shard-mem-crash.jsonl
 	printf '{"record":"trial","cell":"mem' >> ledger-shard-mem-crash.jsonl
 	$(GO) run ./cmd/questbench -trials 100 -workers 3 -resume ledger-shard-mem-crash.jsonl \
 		-ledger ledger-shard-mem-resumed.jsonl memory
 	cmp ledger-shard-mem-resumed.jsonl ledger-shard-mem-full.jsonl
-	$(GO) run ./tools/ledgercheck -min-cells 3 -min-trials 300 ledger-shard-mem-resumed.jsonl
+	$(GO) run ./tools/questcheck -min-cells 3 -min-trials 300 ledger-shard-mem-resumed.jsonl
 
 # Live-telemetry smoke — the same checks CI's events-smoke job runs. A
 # 2-shard ledgered sweep streams quest-events/1 snapshots; questtop validates

@@ -12,7 +12,7 @@
 // Observability (shared with questsim via internal/obsflags, except the
 // sweep-only -ci-stop, -shard and -resume): -metrics, -pprof, -trace,
 // -trace-buf, plus the experiment-ledger bundle — -ledger FILE streams a
-// JSONL run ledger (validate with tools/ledgercheck), -progress renders live
+// JSONL run ledger (validate with tools/questcheck), -progress renders live
 // per-cell Wilson intervals on stderr, -ci-stop W stops each cell once its
 // 95% interval is narrower than W, and -heatmap FILE writes spatial
 // defect/matching heatmaps as JSON (ASCII renders go to stderr). All of it

@@ -26,7 +26,7 @@
 //	                     trace-event JSON) of the run
 //	-trace-buf N         trace ring capacity in events
 //	-ledger FILE         write a provenance header plus a one-cell run
-//	                     summary as a JSONL ledger (tools/ledgercheck)
+//	                     summary as a JSONL ledger (tools/questcheck)
 //	-heatmap FILE        collect machine-wide defect/matching heatmaps and
 //	                     write them as JSON (ASCII render on stderr)
 //	-progress            tick idle-cycle progress on stderr

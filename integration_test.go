@@ -85,7 +85,6 @@ measz q2
 		CacheSlots:      4,
 		UseNoC:          true,
 		DecodeWindow:    3,
-		UseUnionFind:    true,
 		Timing: &awg.Timing{
 			PrepNs: tech.TPrep, Gate1Ns: tech.T1, MeasNs: tech.TMeas,
 			CNOTNs: tech.TCNOT, IdleNs: tech.T1,

@@ -16,7 +16,7 @@ func thresholdSweep(t *testing.T, batched bool, workers, trials int, ciWidth flo
 	rates []float64, distances []int) ([]ThresholdRow, []byte, []byte) {
 	t.Helper()
 	var buf bytes.Buffer
-	lw, err := ledger.NewWriter(&buf, "threshold-batch-test", map[string]string{"suite": "batch_test"}, 1)
+	lw, err := ledger.NewWriter(&buf, "threshold-batch-test", map[string]string{"suite": "batch_test"}, ledger.ShardInfo{})
 	if err != nil {
 		t.Fatalf("NewWriter: %v", err)
 	}
@@ -82,7 +82,7 @@ func TestThresholdBatchedMatchesScalar(t *testing.T) {
 				}
 			}
 			if _, err := ledger.Validate(wantLed); err != nil {
-				t.Fatalf("ledgercheck rejects the sweep ledger: %v", err)
+				t.Fatalf("questcheck rejects the sweep ledger: %v", err)
 			}
 		})
 	}

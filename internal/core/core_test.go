@@ -339,11 +339,10 @@ func TestMachineDesignsAgree(t *testing.T) {
 	}
 }
 
-func TestMachineWithNoCAndUnionFindWindow(t *testing.T) {
+func TestMachineWithNoCAndWindow(t *testing.T) {
 	cfg := DefaultMachineConfig()
 	cfg.Tiles = 4
 	cfg.UseNoC = true
-	cfg.UseUnionFind = true
 	cfg.DecodeWindow = 3
 	nm := noise.Uniform(5e-4)
 	cfg.Noise = &nm

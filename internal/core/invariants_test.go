@@ -68,14 +68,13 @@ func TestInvariantCadenceNeverStalls(t *testing.T) {
 }
 
 // TestInvariantTrafficIsProgramDeterministic: instruction-bus bytes depend
-// only on the program, never on the noise realization, decoder choice, or
-// microcode organization — DESIGN.md invariant 5's precondition.
+// only on the program, never on the noise realization or microcode
+// organization — DESIGN.md invariant 5's precondition.
 func TestInvariantTrafficIsProgramDeterministic(t *testing.T) {
-	build := func(seed int64, design microcode.Design, unionFind bool, noisy float64) (uint64, uint64) {
+	build := func(seed int64, design microcode.Design, noisy float64) (uint64, uint64) {
 		cfg := DefaultMachineConfig()
 		cfg.Seed = seed
 		cfg.Design = design
-		cfg.UseUnionFind = unionFind
 		cfg.DecodeWindow = 2
 		if noisy > 0 {
 			nm := noise.Uniform(noisy)
@@ -90,12 +89,12 @@ func TestInvariantTrafficIsProgramDeterministic(t *testing.T) {
 		}
 		return rep.QuESTBusBytes, rep.BaselineBusBytes
 	}
-	q0, b0 := build(1, microcode.DesignUnitCell, false, 0)
+	q0, b0 := build(1, microcode.DesignUnitCell, 0)
 	variants := [][2]uint64{}
 	variants = append(variants, [2]uint64{q0, b0})
-	q, b := build(99, microcode.DesignRAM, true, 1e-3)
+	q, b := build(99, microcode.DesignRAM, 1e-3)
 	variants = append(variants, [2]uint64{q, b})
-	q, b = build(7, microcode.DesignFIFO, false, 1e-4)
+	q, b = build(7, microcode.DesignFIFO, 1e-4)
 	variants = append(variants, [2]uint64{q, b})
 	for i, v := range variants[1:] {
 		if v[0] != q0 {

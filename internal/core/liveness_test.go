@@ -20,13 +20,12 @@ import (
 // quietInstruments are the registered instruments no production run makes
 // fire, each with the reason.
 var quietInstruments = map[string]string{
-	"decoder.match.greedy":    "greedy matching takes over only past GlobalDecoder.MaxExact defects, which no run reaches",
-	"decoder.match.unionfind": "only MachineConfig.UseUnionFind selects the union-find matcher, and no command sets it",
-	"master.syncs":            "Master.SendSync and its one caller, MoveLogical, have no caller outside tests",
-	"master.bus.sync.instr":   "the sync bus carries only SendSync tokens",
-	"master.bus.sync.bytes":   "the sync bus carries only SendSync tokens",
-	"mce.stalled.t":           "only a logical T gate waits on a magic state; the cached distillation body turns its Ts into Paulis",
-	"mce.buffer.occupancy":    "a gauge of the last cycle's buffer depth, which reads 0 once the buffer drains",
+	"decoder.match.greedy":  "greedy matching takes over only past GlobalDecoder.MaxExact defects, which no run reaches",
+	"master.syncs":          "Master.SendSync and its one caller, MoveLogical, have no caller outside tests",
+	"master.bus.sync.instr": "the sync bus carries only SendSync tokens",
+	"master.bus.sync.bytes": "the sync bus carries only SendSync tokens",
+	"mce.stalled.t":         "only a logical T gate waits on a magic state; the cached distillation body turns its Ts into Paulis",
+	"mce.buffer.occupancy":  "a gauge of the last cycle's buffer depth, which reads 0 once the buffer drains",
 }
 
 // sidebands holds one run's private registry and every side-band the
@@ -55,7 +54,7 @@ func newSidebands(t *testing.T) *sidebands {
 	if err := s.smp.Start(events.Header{Experiment: "liveness"}, time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	led, err := ledger.NewWriter(&bytes.Buffer{}, "liveness", nil, 1)
+	led, err := ledger.NewWriter(&bytes.Buffer{}, "liveness", nil, ledger.ShardInfo{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,8 +52,6 @@ type MachineConfig struct {
 	// DecodeWindow batches global decoding over this many rounds (≤1 =
 	// per-round).
 	DecodeWindow int
-	// UseUnionFind selects the union-find global matcher.
-	UseUnionFind bool
 	// Metrics selects the registry every component of this machine records
 	// into (nil = metrics.Default). Monte-Carlo trials pass per-worker
 	// shards so parallel machines never contend on shared instruments.
@@ -128,7 +126,6 @@ func NewMachine(cfg MachineConfig) *Machine {
 			FactoryLatency:  cfg.FactoryLatency,
 			UseNoC:          cfg.UseNoC,
 			DecodeWindow:    cfg.DecodeWindow,
-			UseUnionFind:    cfg.UseUnionFind,
 			Metrics:         cfg.Metrics,
 			Tracer:          cfg.Tracer,
 			Heat:            cfg.Heat,

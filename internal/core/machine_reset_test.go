@@ -185,27 +185,22 @@ func TestMachineResetBusMetricsMatchFresh(t *testing.T) {
 
 // TestMachineDecodersRecordIntoMachineRegistry is the regression test for
 // decoders that ignored their machine's registry: the master's global and
-// window decoders, MWPM and union-find alike, must count into cfg.Metrics on
-// a fresh machine and into the registry Reset rebinds, and must leave
-// metrics.Default untouched.
+// window decoders must count into cfg.Metrics on a fresh machine and into
+// the registry Reset rebinds, and must leave metrics.Default untouched.
 func TestMachineDecodersRecordIntoMachineRegistry(t *testing.T) {
 	const name = "decoder.match.calls"
 	before := metrics.Default.Counter(name).Value()
-	for _, uf := range []bool{false, true} {
-		reg := metrics.New()
-		cfg := memoryMachineConfig(7, reg, nil, 1e-2)
-		cfg.UseUnionFind = uf
-		m := NewMachine(cfg)
-		memoryTrialFor(t, m, 8)
-		if reg.Counter(name).Value() == 0 {
-			t.Errorf("union-find=%v: fresh machine's registry reads %s = 0", uf, name)
-		}
-		reg2 := metrics.New()
-		m.Reset(8, reg2, nil, nil, nil)
-		memoryTrialFor(t, m, 8)
-		if reg2.Counter(name).Value() == 0 {
-			t.Errorf("union-find=%v: reset machine's registry reads %s = 0", uf, name)
-		}
+	reg := metrics.New()
+	m := NewMachine(memoryMachineConfig(7, reg, nil, 1e-2))
+	memoryTrialFor(t, m, 8)
+	if reg.Counter(name).Value() == 0 {
+		t.Errorf("fresh machine's registry reads %s = 0", name)
+	}
+	reg2 := metrics.New()
+	m.Reset(8, reg2, nil, nil, nil)
+	memoryTrialFor(t, m, 8)
+	if reg2.Counter(name).Value() == 0 {
+		t.Errorf("reset machine's registry reads %s = 0", name)
 	}
 	if after := metrics.Default.Counter(name).Value(); after != before {
 		t.Errorf("metrics.Default %s moved %d -> %d: decoder counts leaked out of the machine registries", name, before, after)

@@ -35,9 +35,9 @@ type memorySweepOut struct {
 func memorySweep(t *testing.T, batched bool, trials, workers int, shard ledger.ShardInfo, res *ledger.Resume) memorySweepOut {
 	t.Helper()
 	var buf bytes.Buffer
-	lw, err := ledger.NewShardWriter(&buf, "memory-batch-test", map[string]string{"suite": "memory_test"}, 1, shard)
+	lw, err := ledger.NewWriter(&buf, "memory-batch-test", map[string]string{"suite": "memory_test"}, shard)
 	if err != nil {
-		t.Fatalf("NewShardWriter: %v", err)
+		t.Fatalf("NewWriter: %v", err)
 	}
 	cursor, err := NewShard(shard.Index, shard.Count)
 	if err != nil {
@@ -132,16 +132,16 @@ func TestMachineMemoryBatchedMatchesScalar(t *testing.T) {
 		}
 	}
 	if _, err := ledger.Validate(want.ledger); err != nil {
-		t.Fatalf("ledgercheck rejects the oracle ledger: %v", err)
+		t.Fatalf("questcheck rejects the oracle ledger: %v", err)
 	}
 
 	t.Run("shard-split", func(t *testing.T) {
-		var shards []*ledger.ShardLedger
+		var shards []*ledger.Ledger
 		for i := 0; i < 2; i++ {
 			out := memorySweep(t, true, trials, 3, ledger.ShardInfo{Index: i, Count: 2}, nil)
-			sh, err := ledger.ParseShard(out.ledger)
+			sh, err := ledger.Read(out.ledger)
 			if err != nil {
-				t.Fatalf("ParseShard(%d/2): %v", i, err)
+				t.Fatalf("Read(%d/2): %v", i, err)
 			}
 			shards = append(shards, sh)
 		}

@@ -20,7 +20,7 @@ import (
 func observedThreshold(t *testing.T, workers int, ciWidth float64, trials int) ([]ThresholdRow, []byte, []byte) {
 	t.Helper()
 	var buf bytes.Buffer
-	lw, err := ledger.NewWriter(&buf, "threshold-test", map[string]string{"suite": "observe_test"}, 1)
+	lw, err := ledger.NewWriter(&buf, "threshold-test", map[string]string{"suite": "observe_test"}, ledger.ShardInfo{})
 	if err != nil {
 		t.Fatalf("NewWriter: %v", err)
 	}
@@ -58,7 +58,7 @@ func TestThresholdObservedLedgerDeterminism(t *testing.T) {
 		}
 		rep, err := ledger.Validate(led1)
 		if err != nil {
-			t.Fatalf("ciWidth=%v: ledgercheck rejects the sweep ledger: %v", ciWidth, err)
+			t.Fatalf("ciWidth=%v: questcheck rejects the sweep ledger: %v", ciWidth, err)
 		}
 		if rep.Cells != 2 {
 			t.Errorf("ciWidth=%v: ledger has %d cells, want 2", ciWidth, rep.Cells)
@@ -149,7 +149,7 @@ const memoryPinTrials = 130
 func TestMachineMemoryObservedDeterminism(t *testing.T) {
 	runAt := func(workers int, ciWidth float64) (MemoryRow, []byte, []byte) {
 		var buf bytes.Buffer
-		lw, err := ledger.NewWriter(&buf, "memory-test", nil, 1)
+		lw, err := ledger.NewWriter(&buf, "memory-test", nil, ledger.ShardInfo{})
 		if err != nil {
 			t.Fatalf("NewWriter: %v", err)
 		}
@@ -189,7 +189,7 @@ func TestMachineMemoryObservedDeterminism(t *testing.T) {
 			}
 		}
 		if _, err := ledger.Validate(led1); err != nil {
-			t.Errorf("ci=%v: ledgercheck rejects the memory ledger: %v", ciWidth, err)
+			t.Errorf("ci=%v: questcheck rejects the memory ledger: %v", ciWidth, err)
 		}
 	}
 }
@@ -202,7 +202,7 @@ func TestThresholdObservedEventsPureSideband(t *testing.T) {
 	run := func(workers int, withEvents bool) ([]ThresholdRow, []byte, []byte, []byte) {
 		t.Helper()
 		var buf bytes.Buffer
-		lw, err := ledger.NewWriter(&buf, "threshold-test", map[string]string{"suite": "observe_test"}, 1)
+		lw, err := ledger.NewWriter(&buf, "threshold-test", map[string]string{"suite": "observe_test"}, ledger.ShardInfo{})
 		if err != nil {
 			t.Fatalf("NewWriter: %v", err)
 		}
@@ -265,7 +265,7 @@ func TestBeginCellReplayEmitsDoneProgress(t *testing.T) {
 	// sink attached: both cells replay without executing a trial, and both
 	// must emit exactly one Done snapshot.
 	var buf bytes.Buffer
-	lw, err := ledger.NewWriter(&buf, "threshold-test", map[string]string{"suite": "observe_test"}, 1)
+	lw, err := ledger.NewWriter(&buf, "threshold-test", map[string]string{"suite": "observe_test"}, ledger.ShardInfo{})
 	if err != nil {
 		t.Fatalf("NewWriter: %v", err)
 	}
@@ -318,7 +318,7 @@ func TestMachineMemoryBWPureSideband(t *testing.T) {
 	run := func(workers int, withBW bool) (MemoryRow, []byte, []byte, []byte) {
 		t.Helper()
 		var buf bytes.Buffer
-		lw, err := ledger.NewWriter(&buf, "memory-test", nil, 1)
+		lw, err := ledger.NewWriter(&buf, "memory-test", nil, ledger.ShardInfo{})
 		if err != nil {
 			t.Fatalf("NewWriter: %v", err)
 		}

@@ -18,9 +18,9 @@ func shardedSweep(t *testing.T, index, count, trials int, batched bool) ([]byte,
 	t.Helper()
 	var buf bytes.Buffer
 	info := ledger.ShardInfo{Index: index, Count: count}
-	lw, err := ledger.NewShardWriter(&buf, "shard-test", map[string]string{"suite": "shard_resume_test"}, 1, info)
+	lw, err := ledger.NewWriter(&buf, "shard-test", map[string]string{"suite": "shard_resume_test"}, info)
 	if err != nil {
-		t.Fatalf("NewShardWriter: %v", err)
+		t.Fatalf("NewWriter: %v", err)
 	}
 	shard, err := NewShard(index, count)
 	if err != nil {
@@ -71,14 +71,14 @@ func TestShardedSweepMergesByteIdentical(t *testing.T) {
 				t.Fatalf("unsharded sweep emitted %d cells, want 3", fullRows)
 			}
 			for _, n := range []int{2, 3} {
-				var shards []*ledger.ShardLedger
+				var shards []*ledger.Ledger
 				rowSum := 0
 				for i := 0; i < n; i++ {
 					data, rows := shardedSweep(t, i, n, trials, tc.batched)
 					rowSum += rows
-					sh, err := ledger.ParseShard(data)
+					sh, err := ledger.Read(data)
 					if err != nil {
-						t.Fatalf("ParseShard(%d/%d): %v", i, n, err)
+						t.Fatalf("Read(%d/%d): %v", i, n, err)
 					}
 					shards = append(shards, sh)
 				}
@@ -102,7 +102,7 @@ func TestShardedSweepMergesByteIdentical(t *testing.T) {
 func thresholdResumeRun(t *testing.T, trials int, ciWidth float64, res *ledger.Resume) ([]ThresholdRow, []byte, uint64) {
 	t.Helper()
 	var buf bytes.Buffer
-	lw, err := ledger.NewWriter(&buf, "resume-test", nil, 1)
+	lw, err := ledger.NewWriter(&buf, "resume-test", nil, ledger.ShardInfo{})
 	if err != nil {
 		t.Fatalf("NewWriter: %v", err)
 	}
@@ -167,7 +167,7 @@ func TestMemoryResumeSkipsCompletedTrials(t *testing.T) {
 	run := func(res *ledger.Resume) ([]MemoryRow, []byte, uint64) {
 		t.Helper()
 		var buf bytes.Buffer
-		lw, err := ledger.NewWriter(&buf, "resume-test", nil, 1)
+		lw, err := ledger.NewWriter(&buf, "resume-test", nil, ledger.ShardInfo{})
 		if err != nil {
 			t.Fatalf("NewWriter: %v", err)
 		}

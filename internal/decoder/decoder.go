@@ -424,11 +424,6 @@ type GlobalDecoder struct {
 	lat surface.Lattice
 	// MaxExact bounds the exact matcher; beyond it the greedy matcher runs.
 	MaxExact int
-	// TimeWeight and SpaceWeight scale the time-like and space-like edge
-	// costs (both default to 1). When measurement errors are rarer than
-	// data errors, time-like edges should cost more — SetWeights derives
-	// the ratio from the noise model.
-	TimeWeight, SpaceWeight int
 
 	instr *Instr
 	heat  *heatmap.Collector // nil unless SetHeat bound one
@@ -440,7 +435,7 @@ type GlobalDecoder struct {
 
 // NewGlobalDecoder returns a decoder for the lattice with unit weights.
 func NewGlobalDecoder(lat surface.Lattice) *GlobalDecoder {
-	return &GlobalDecoder{lat: lat, MaxExact: 14, TimeWeight: 1, SpaceWeight: 1, instr: defaultInstr}
+	return &GlobalDecoder{lat: lat, MaxExact: 14, instr: defaultInstr}
 }
 
 // SetInstr rebinds the decoder's instruments (e.g. to a per-worker metrics
@@ -452,53 +447,12 @@ func (g *GlobalDecoder) SetInstr(in *Instr) {
 	g.instr = in
 }
 
-// SetWeights derives integer edge weights from the two error processes: an
-// edge's cost is proportional to -log(p) of the fault it represents, so a
-// 10× rarer measurement error makes time-like edges ~2× more expensive at
-// base weight 2. Weights are clamped to [1, 8].
-func (g *GlobalDecoder) SetWeights(dataErr, measErr float64) {
-	if dataErr <= 0 || measErr <= 0 || dataErr >= 1 || measErr >= 1 {
-		panic(fmt.Sprintf("decoder: invalid error rates %v/%v", dataErr, measErr))
-	}
-	ratio := math.Log(measErr) / math.Log(dataErr) // >1 when meas rarer
-	g.SpaceWeight = 2
-	g.TimeWeight = clampInt(int(math.Round(2*ratio)), 1, 8)
-}
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-func (g *GlobalDecoder) weights() (tw, sw int) {
-	tw, sw = g.TimeWeight, g.SpaceWeight
-	if tw <= 0 {
-		tw = 1
-	}
-	if sw <= 0 {
-		sw = 1
-	}
-	return tw, sw
-}
-
-// weightedDistance is the matching cost between two defects under the
-// decoder's edge weights.
-func (g *GlobalDecoder) weightedDistance(a, b Defect) int {
-	tw, sw := g.weights()
-	dr := abs(a.R-b.R) / 2
-	dc := abs(a.C-b.C) / 2
-	dt := abs(a.Round - b.Round)
-	return sw*(dr+dc) + tw*dt
-}
-
-func (g *GlobalDecoder) weightedBoundary(d Defect) int {
-	_, sw := g.weights()
-	return sw * boundaryDistance(g.lat, d)
+// pairCost is the matchers' cost of pairing two defects: each lattice axis
+// gap halved on its own (ancillas of one type sit two sites apart), plus
+// the round gap. It rounds differently from spaceTimeDistance's
+// (ΔR+ΔC)/2, and matchings depend on the difference.
+func pairCost(a, b Defect) int {
+	return abs(a.R-b.R)/2 + abs(a.C-b.C)/2 + abs(a.Round-b.Round)
 }
 
 // Match computes a minimum-weight matching of same-type defects, allowing
@@ -556,7 +510,7 @@ func (g *GlobalDecoder) exactMatch(defects []Defect) Matching {
 		}
 		rest := s &^ (1 << i)
 		// Boundary.
-		if w := int32(g.weightedBoundary(defects[i])) + dp[rest]; w < dp[s] {
+		if w := int32(boundaryDistance(g.lat, defects[i])) + dp[rest]; w < dp[s] {
 			dp[s] = w
 			choice[s] = -1
 		}
@@ -566,7 +520,7 @@ func (g *GlobalDecoder) exactMatch(defects []Defect) Matching {
 				continue
 			}
 			r2 := rest &^ (1 << j)
-			if w := int32(g.weightedDistance(defects[i], defects[j])) + dp[r2]; w < dp[s] {
+			if w := int32(pairCost(defects[i], defects[j])) + dp[r2]; w < dp[s] {
 				dp[s] = w
 				choice[s] = int32(j)
 			}
@@ -613,14 +567,14 @@ func (g *GlobalDecoder) greedyMatch(defects []Defect) Matching {
 			if used[i] {
 				continue
 			}
-			if w := g.weightedBoundary(defects[i]); w < bestW {
+			if w := boundaryDistance(g.lat, defects[i]); w < bestW {
 				bestW, bestI, bestJ = w, i, -1
 			}
 			for j := i + 1; j < n; j++ {
 				if used[j] {
 					continue
 				}
-				if w := g.weightedDistance(defects[i], defects[j]); w < bestW {
+				if w := pairCost(defects[i], defects[j]); w < bestW {
 					bestW, bestI, bestJ = w, i, j
 				}
 			}

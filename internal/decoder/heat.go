@@ -5,12 +5,6 @@ import (
 	"quest/internal/surface"
 )
 
-// heatSetter is the optional capability a Matcher can implement to receive
-// a spatial heat collector; WindowDecoder.SetHeat forwards through it.
-type heatSetter interface {
-	SetHeat(h *heatmap.Collector)
-}
-
 // SetHeat binds a spatial heat collector to the history: every defect
 // Absorb births is recorded at its lattice site. Nil disables recording
 // (the default) — the Absorb hot path then pays one nil check, no
@@ -27,14 +21,10 @@ func (g *GlobalDecoder) SetHeat(heat *heatmap.Collector) { g.heat = heat }
 // runs stay comparable. Nil disables recording (the default).
 func (d *UnionFindDecoder) SetHeat(heat *heatmap.Collector) { d.heat = heat }
 
-// SetHeat forwards a heat collector to the wrapped matcher when it supports
-// one. The window itself stays untouched: defect births are recorded by the
-// SyndromeHistory, chain statistics by the matcher.
-func (w *WindowDecoder) SetHeat(heat *heatmap.Collector) {
-	if hs, ok := w.global.(heatSetter); ok {
-		hs.SetHeat(heat)
-	}
-}
+// SetHeat forwards a heat collector to the wrapped decoder. The window
+// itself stays untouched: defect births are recorded by the
+// SyndromeHistory, chain statistics by the decoder.
+func (w *WindowDecoder) SetHeat(heat *heatmap.Collector) { w.global.SetHeat(heat) }
 
 // recordMatching reports a matching's spatial footprint into heat: both
 // endpoints of every defect pair with the pair's (unweighted) space-time

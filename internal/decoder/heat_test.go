@@ -45,7 +45,7 @@ func TestHeatRecordsMatching(t *testing.T) {
 	}
 	defects := []Defect{mk(zs[0], 0), mk(zs[1], 0)}
 	matchers := map[string]interface {
-		Matcher
+		Match([]Defect) Matching
 		SetHeat(*heatmap.Collector)
 	}{
 		"exact":     NewGlobalDecoder(lat),
@@ -85,7 +85,7 @@ func TestHeatRecordsMatching(t *testing.T) {
 }
 
 // TestWindowForwardsHeat pins the forwarding: SetHeat on a window reaches
-// the wrapped matcher, so windowed decoding records chain statistics.
+// the wrapped decoder, so windowed decoding records chain statistics.
 func TestWindowForwardsHeat(t *testing.T) {
 	lat := surface.NewPlanar(3)
 	g := NewGlobalDecoder(lat)

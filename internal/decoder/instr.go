@@ -14,7 +14,6 @@ type Instr struct {
 	matchCalls   *metrics.Counter
 	matchExact   *metrics.Counter
 	matchGreedy  *metrics.Counter
-	matchUF      *metrics.Counter
 	matchDefects *metrics.Counter
 	matchNs      *metrics.Histogram
 
@@ -28,7 +27,6 @@ func NewInstr(r *metrics.Registry) *Instr {
 		matchCalls:   r.Counter("decoder.match.calls"),
 		matchExact:   r.Counter("decoder.match.exact"),
 		matchGreedy:  r.Counter("decoder.match.greedy"),
-		matchUF:      r.Counter("decoder.match.unionfind"),
 		matchDefects: r.Counter("decoder.match.defects"),
 		matchNs:      r.Histogram("decoder.match.ns", nil),
 

@@ -14,26 +14,17 @@ import (
 // merging clusters union their parity. Once every cluster is neutral, each
 // cluster's defects are matched internally. Union-find trades a little
 // accuracy for near-linear decode time, which matters for the
-// master-controller budget the paper allots to global decoding — the
-// BenchmarkAblationUnionFind bench quantifies the trade.
+// master-controller budget the paper allots to global decoding. No machine
+// path runs it: it is the subject of BenchmarkAblationUnionFindVsMWPM and
+// BenchmarkDecoderScaling, which measure that trade.
 type UnionFindDecoder struct {
-	lat   surface.Lattice
-	instr *Instr
-	heat  *heatmap.Collector // nil unless SetHeat bound one
+	lat  surface.Lattice
+	heat *heatmap.Collector // nil unless SetHeat bound one
 }
 
 // NewUnionFindDecoder returns a decoder for the lattice.
 func NewUnionFindDecoder(lat surface.Lattice) *UnionFindDecoder {
-	return &UnionFindDecoder{lat: lat, instr: defaultInstr}
-}
-
-// SetInstr rebinds the decoder's instruments (e.g. to a machine's metrics
-// registry). A nil value restores the default registry.
-func (d *UnionFindDecoder) SetInstr(in *Instr) {
-	if in == nil {
-		in = defaultInstr
-	}
-	d.instr = in
+	return &UnionFindDecoder{lat: lat}
 }
 
 // ufNode is one defect's cluster bookkeeping.
@@ -98,12 +89,13 @@ func (d *UnionFindDecoder) Match(defects []Defect) Matching {
 			panic("decoder: union-find Match requires same-type defects")
 		}
 	}
+	// The same instruments the exact matcher keeps, so the ablation
+	// benchmarks time both decoders alike.
 	start := time.Now() //quest:allow(seedsrc) wall-clock latency metric only; the value never reaches simulation state
 	defer func() {
-		d.instr.matchUF.Inc()
-		d.instr.matchCalls.Inc()
-		d.instr.matchDefects.Add(uint64(n))
-		d.instr.matchNs.Observe(float64(time.Since(start)))
+		defaultInstr.matchCalls.Inc()
+		defaultInstr.matchDefects.Add(uint64(n))
+		defaultInstr.matchNs.Observe(float64(time.Since(start)))
 	}()
 	uf := newUnionFind(n)
 	active := func(root int) bool {

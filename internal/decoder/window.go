@@ -14,7 +14,7 @@ import (
 // may still strip isolated single-error patterns per round before defects
 // enter the window.
 type WindowDecoder struct {
-	global Matcher
+	global *GlobalDecoder
 	// WindowRounds is the number of rounds batched per decode; the usual
 	// choice is the code distance.
 	WindowRounds int
@@ -30,24 +30,10 @@ type WindowDecoder struct {
 	round, openRound int64
 }
 
-// Matcher is the matching stage both global decoders implement, letting the
-// window (and the master controller) swap MWPM for union-find. SetInstr
-// rebinds its instruments (nil = the default registry).
-type Matcher interface {
-	Match(defects []Defect) Matching
-	Corrections(defects []Defect, m Matching) []Correction
-	SetInstr(in *Instr)
-}
-
-var (
-	_ Matcher = (*GlobalDecoder)(nil)
-	_ Matcher = (*UnionFindDecoder)(nil)
-)
-
-// NewWindowDecoder wraps a matcher with a window of the given number
+// NewWindowDecoder wraps a global decoder with a window of the given number
 // of rounds (values below 1 are clamped to 1, which degenerates to per-round
 // decoding).
-func NewWindowDecoder(global Matcher, windowRounds int) *WindowDecoder {
+func NewWindowDecoder(global *GlobalDecoder, windowRounds int) *WindowDecoder {
 	if windowRounds < 1 {
 		windowRounds = 1
 	}
@@ -55,7 +41,7 @@ func NewWindowDecoder(global Matcher, windowRounds int) *WindowDecoder {
 }
 
 // SetInstr rebinds the window's instruments (e.g. to a per-worker metrics
-// shard) and the wrapped matcher's. A nil value restores the default
+// shard) and the wrapped decoder's. A nil value restores the default
 // registry.
 func (w *WindowDecoder) SetInstr(in *Instr) {
 	if in == nil {
@@ -77,7 +63,7 @@ func (w *WindowDecoder) Pending() int { return len(w.buf) }
 
 // Reset returns the window to its freshly constructed state — empty buffer,
 // round clock at zero — while keeping the buffer storage and the wrapped
-// matcher (whose LUTs and scratch are trial-independent). The batched trial
+// decoder (whose LUTs and scratch are trial-independent). The batched trial
 // engine pools window decoders across trials; resetting the round clock
 // keeps the per-trial tracer spans identical to a fresh decoder's.
 func (w *WindowDecoder) Reset() {

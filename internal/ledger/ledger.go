@@ -1,11 +1,10 @@
 // Package ledger is the experiment run ledger: a streaming JSONL record of
 // what a statistical experiment actually ran — full provenance up front,
-// then one (optionally sampled) record per trial and one summary record per
-// sweep cell, each carrying the exact seeds needed to replay it. The paper's
-// figures are Monte-Carlo estimates; a figure nobody can re-derive from its
-// seeds is a screenshot, not a result, so the ledger makes every cell of a
-// sweep independently reproducible (`questbench` docs show the replay
-// recipe).
+// then one record per trial and one summary record per sweep cell, each
+// carrying the exact seeds needed to replay it. The paper's figures are
+// Monte-Carlo estimates; a figure nobody can re-derive from its seeds is a
+// screenshot, not a result, so the ledger makes every cell of a sweep
+// independently reproducible (`questbench` docs show the replay recipe).
 //
 // Determinism contract: records carry only quantities that are pure
 // functions of trial-ordered outcomes (seeds, params, counts, intervals) —
@@ -104,7 +103,7 @@ func ParseShardSpec(spec string) (ShardInfo, error) {
 	return ShardInfo{Index: i, Count: n}, nil
 }
 
-// Trial is one sampled trial record. Seed is the trial's full derived seed
+// Trial is one trial record. Seed is the trial's full derived seed
 // in hex — with the cell seed it is everything needed to replay the trial.
 type Trial struct {
 	Record string `json:"record"`
@@ -142,38 +141,27 @@ func SeedString(seed uint64) string { return fmt.Sprintf("0x%016x", seed) }
 // drivers write from the sweep loop, after each cell's worker pool has
 // drained.
 type Writer struct {
-	bw *bufio.Writer
-	// SampleEvery keeps every n-th trial record (1 = all, 0 treated as 1);
-	// cell and header records are never sampled away.
-	sampleEvery int
-	cells       int
-	trials      int
+	bw     *bufio.Writer
+	cells  int
+	trials int
 	// err latches the first write failure for callers whose hook signature
 	// cannot return one (the engine's void Sink); Err surfaces it.
 	err error
 }
 
-// NewWriter writes the header line and returns a streaming writer.
-// sampleEvery thins trial records (1 keeps every trial); config is the
-// caller's flag/parameter provenance, copied into the header verbatim.
-func NewWriter(w io.Writer, experiment string, config map[string]string, sampleEvery int) (*Writer, error) {
-	return NewShardWriter(w, experiment, config, sampleEvery, ShardInfo{})
-}
-
-// NewShardWriter is NewWriter for one shard of a sharded sweep: the shard
-// provenance lands in the header so the resulting ledger is self-describing
-// and tools/ledgermerge can verify it merges a complete, consistent shard
-// set. An unsharded info (Count < 2) writes the plain NewWriter header.
-func NewShardWriter(w io.Writer, experiment string, config map[string]string, sampleEvery int, shard ShardInfo) (*Writer, error) {
-	if sampleEvery < 1 {
-		sampleEvery = 1
-	}
+// NewWriter writes the header line and returns a streaming writer. config
+// is the caller's flag/parameter provenance, copied into the header
+// verbatim. A sharded info lands in the header too, so a shard's ledger is
+// self-describing and tools/ledgermerge can verify it merges a complete,
+// consistent shard set; an unsharded info (Count < 2) writes no shard
+// fields.
+func NewWriter(w io.Writer, experiment string, config map[string]string, shard ShardInfo) (*Writer, error) {
 	if !shard.Sharded() {
 		shard = ShardInfo{}
 	} else if shard.Index < 0 || shard.Index >= shard.Count {
 		return nil, fmt.Errorf("ledger: shard index %d outside [0, %d)", shard.Index, shard.Count)
 	}
-	lw := &Writer{bw: bufio.NewWriter(w), sampleEvery: sampleEvery}
+	lw := &Writer{bw: bufio.NewWriter(w)}
 	host, _ := os.Hostname()
 	h := Header{
 		Record:     KindHeader,
@@ -195,12 +183,8 @@ func NewShardWriter(w io.Writer, experiment string, config map[string]string, sa
 	return lw, nil
 }
 
-// WriteTrial emits a trial record, honoring the sampling stride (trial
-// indices 0, n, 2n, ... are kept, so index 0 is always present).
+// WriteTrial emits a trial record.
 func (w *Writer) WriteTrial(t Trial) error {
-	if t.Trial%w.sampleEvery != 0 {
-		return nil
-	}
 	t.Record = KindTrial
 	w.trials++
 	return w.line(t)

@@ -13,127 +13,11 @@ package ledger
 // job cmp(1)s the result against a 1-process run.
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sort"
 )
-
-// ErrCorrupt marks shard bytes that cannot be parsed at all — garbled or
-// truncated JSON, an unterminated line. tools/ledgermerge maps it to exit 2
-// (the check could not run); every other parse or merge failure is a
-// finding (exit 1): the input was readable, and what it said was wrong.
-var ErrCorrupt = errors.New("corrupt ledger shard")
-
-// CellBlock is one sweep cell's contiguous run of ledger lines: its trial
-// records in trial order followed by its summary record, all verbatim so a
-// merge is a pure re-interleaving with no re-marshaling drift.
-type CellBlock struct {
-	// Name is the cell name shared by every line of the block.
-	Name string
-	// Lines holds the raw JSONL lines without trailing newlines.
-	Lines [][]byte
-}
-
-// ShardLedger is one parsed shard: its header plus its cell blocks in the
-// order the shard emitted them (which is global sweep order restricted to
-// the cells the shard owns).
-type ShardLedger struct {
-	Header Header
-	// headerLine is the raw header line, kept for single-shard identity
-	// merges.
-	headerLine []byte
-	Cells      []CellBlock
-}
-
-// ParseShard parses one shard ledger into header and cell blocks. JSON-level
-// damage wraps ErrCorrupt; structural problems (missing or duplicate
-// header, wrong schema, a trial record outside its cell's block, trial
-// records with no cell summary) are plain errors — findings, in checker
-// terms, because the bytes were readable.
-func ParseShard(data []byte) (*ShardLedger, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("ledger is empty")
-	}
-	sh := &ShardLedger{}
-	var open *CellBlock // cell whose trial records are being accumulated
-	sawHeader := false
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		raw := append([]byte(nil), sc.Bytes()...)
-		if len(bytes.TrimSpace(raw)) == 0 {
-			return nil, fmt.Errorf("line %d: empty line", lineNo)
-		}
-		var kind struct {
-			Record string `json:"record"`
-			Cell   string `json:"cell"`
-		}
-		if err := json.Unmarshal(raw, &kind); err != nil {
-			return nil, fmt.Errorf("%w: line %d: %v", ErrCorrupt, lineNo, err)
-		}
-		if !sawHeader {
-			if kind.Record != KindHeader {
-				return nil, fmt.Errorf("line %d: first record is %q, want %q", lineNo, kind.Record, KindHeader)
-			}
-		}
-		switch kind.Record {
-		case KindHeader:
-			if sawHeader {
-				return nil, fmt.Errorf("line %d: duplicate header", lineNo)
-			}
-			if err := json.Unmarshal(raw, &sh.Header); err != nil {
-				return nil, fmt.Errorf("%w: line %d: header: %v", ErrCorrupt, lineNo, err)
-			}
-			if sh.Header.Schema != Schema {
-				return nil, fmt.Errorf("line %d: schema %q, want %q", lineNo, sh.Header.Schema, Schema)
-			}
-			sh.headerLine = raw
-			sawHeader = true
-		case KindTrial:
-			if kind.Cell == "" {
-				return nil, fmt.Errorf("line %d: trial record missing cell name", lineNo)
-			}
-			if open == nil {
-				sh.Cells = append(sh.Cells, CellBlock{Name: kind.Cell})
-				open = &sh.Cells[len(sh.Cells)-1]
-			} else if open.Name != kind.Cell {
-				return nil, fmt.Errorf("line %d: trial for cell %q interleaved into cell %q's block", lineNo, kind.Cell, open.Name)
-			}
-			open.Lines = append(open.Lines, raw)
-		case KindCell:
-			if kind.Cell == "" {
-				return nil, fmt.Errorf("line %d: cell record missing name", lineNo)
-			}
-			if open == nil {
-				// A cell with zero sampled trial records: a block of its own.
-				sh.Cells = append(sh.Cells, CellBlock{Name: kind.Cell, Lines: [][]byte{raw}})
-			} else {
-				if open.Name != kind.Cell {
-					return nil, fmt.Errorf("line %d: summary for cell %q closes cell %q's block", lineNo, kind.Cell, open.Name)
-				}
-				open.Lines = append(open.Lines, raw)
-				open = nil
-			}
-		default:
-			return nil, fmt.Errorf("line %d: unknown record kind %q", lineNo, kind.Record)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	if !sawHeader {
-		return nil, fmt.Errorf("ledger is empty")
-	}
-	if open != nil {
-		return nil, fmt.Errorf("cell %q has trial records but no summary — an incomplete shard cannot merge (resume it first)", open.Name)
-	}
-	return sh, nil
-}
 
 // Merge re-interleaves a complete set of shard ledgers into the bytes the
 // single-process sweep would have written: the reconciled header (shard
@@ -141,7 +25,7 @@ func ParseShard(data []byte) (*ShardLedger, error) {
 // All failures are findings: an incomplete or duplicated shard set,
 // disagreeing headers, a cell owned by two shards, or cell counts
 // inconsistent with round-robin assignment.
-func Merge(shards []*ShardLedger) ([]byte, error) {
+func Merge(shards []*Ledger) ([]byte, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("no shards to merge")
 	}
@@ -156,7 +40,7 @@ func Merge(shards []*ShardLedger) ([]byte, error) {
 	if len(shards) != n {
 		return nil, fmt.Errorf("headers declare a %d-way shard set but %d shard(s) were given", n, len(shards))
 	}
-	byIndex := make([]*ShardLedger, n)
+	byIndex := make([]*Ledger, n)
 	for _, sh := range shards {
 		h := sh.Header
 		if h.ShardCount != n {
@@ -206,7 +90,7 @@ func Merge(shards []*ShardLedger) ([]byte, error) {
 // provenance is stripped, and returns the stripped header line — which is
 // byte-identical to the single-process run's header because both are the
 // same struct marshaled by the same encoder.
-func reconcileHeaders(shards []*ShardLedger) ([]byte, error) {
+func reconcileHeaders(shards []*Ledger) ([]byte, error) {
 	var first []byte
 	for i, sh := range shards {
 		h := sh.Header
@@ -225,19 +109,15 @@ func reconcileHeaders(shards []*ShardLedger) ([]byte, error) {
 }
 
 // duplicateCells returns the sorted cell names owned by more than one
-// shard (or repeated within one).
-func duplicateCells(shards []*ShardLedger) []string {
+// shard. (Read already refuses a cell repeated within one ledger.)
+func duplicateCells(shards []*Ledger) []string {
 	seen := map[string]int{}
+	var dups []string
 	for _, sh := range shards {
 		for _, c := range sh.Cells {
-			seen[c.Name]++
-		}
-	}
-	var dups []string
-	//quest:allow(detrange) dups is sorted below before anything reads it
-	for name, count := range seen {
-		if count > 1 {
-			dups = append(dups, name)
+			if seen[c.Summary.Cell]++; seen[c.Summary.Cell] == 2 {
+				dups = append(dups, c.Summary.Cell)
+			}
 		}
 	}
 	sort.Strings(dups)

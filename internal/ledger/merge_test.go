@@ -40,7 +40,7 @@ func shardSet(t *testing.T, n int, trialsPerCell []int) (full []byte, shards [][
 	t.Helper()
 	cfg := map[string]string{"trials": "x"}
 	var fullBuf bytes.Buffer
-	fw, err := NewWriter(&fullBuf, "merge-test", cfg, 1)
+	fw, err := NewWriter(&fullBuf, "merge-test", cfg, ShardInfo{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func shardSet(t *testing.T, n int, trialsPerCell []int) (full []byte, shards [][
 	}
 	for i := 0; i < n; i++ {
 		var buf bytes.Buffer
-		sw, err := NewShardWriter(&buf, "merge-test", cfg, 1, ShardInfo{Index: i, Count: n})
+		sw, err := NewWriter(&buf, "merge-test", cfg, ShardInfo{Index: i, Count: n})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,13 +69,13 @@ func shardSet(t *testing.T, n int, trialsPerCell []int) (full []byte, shards [][
 	return fullBuf.Bytes(), shards
 }
 
-func parseAll(t *testing.T, shards [][]byte) []*ShardLedger {
+func parseAll(t *testing.T, shards [][]byte) []*Ledger {
 	t.Helper()
-	out := make([]*ShardLedger, len(shards))
+	out := make([]*Ledger, len(shards))
 	for i, data := range shards {
-		sh, err := ParseShard(data)
+		sh, err := Read(data)
 		if err != nil {
-			t.Fatalf("ParseShard(shard %d): %v", i, err)
+			t.Fatalf("Read(shard %d): %v", i, err)
 		}
 		out[i] = sh
 	}
@@ -119,11 +119,11 @@ func TestMergeByteIdentical(t *testing.T) {
 // itself byte for byte, so scripts can run ledgermerge unconditionally.
 func TestMergeSingleUnshardedIdentity(t *testing.T) {
 	full, _ := shardSet(t, 1, []int{2, 3})
-	sh, err := ParseShard(full)
+	sh, err := Read(full)
 	if err != nil {
-		t.Fatalf("ParseShard: %v", err)
+		t.Fatalf("Read: %v", err)
 	}
-	merged, err := Merge([]*ShardLedger{sh})
+	merged, err := Merge([]*Ledger{sh})
 	if err != nil {
 		t.Fatalf("Merge: %v", err)
 	}
@@ -169,7 +169,7 @@ func TestMergeOverlappingCellsIsFinding(t *testing.T) {
 	_, shards := shardSet(t, 2, []int{3, 2})
 	// Rebuild shard 1 so it (wrongly) carries cell-0, which shard 0 owns.
 	var buf bytes.Buffer
-	sw, err := NewShardWriter(&buf, "merge-test", map[string]string{"trials": "x"}, 1, ShardInfo{Index: 1, Count: 2})
+	sw, err := NewWriter(&buf, "merge-test", map[string]string{"trials": "x"}, ShardInfo{Index: 1, Count: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestMergeOverlappingCellsIsFinding(t *testing.T) {
 func TestMergeHeaderDisagreement(t *testing.T) {
 	_, shards := shardSet(t, 2, []int{2, 2})
 	var buf bytes.Buffer
-	sw, err := NewShardWriter(&buf, "merge-test", map[string]string{"trials": "DIFFERENT"}, 1, ShardInfo{Index: 1, Count: 2})
+	sw, err := NewWriter(&buf, "merge-test", map[string]string{"trials": "DIFFERENT"}, ShardInfo{Index: 1, Count: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,26 +208,26 @@ func TestMergeHeaderDisagreement(t *testing.T) {
 	}
 }
 
-// TestParseShardCorruptVsFinding pins the exit-code split ParseShard feeds
-// ledgermerge: unparseable bytes wrap ErrCorrupt (exit 2), while readable
-// but structurally wrong ledgers are plain findings (exit 1).
+// TestParseShardCorruptVsFinding pins the exit-code split the per-shard
+// Read feeds ledgermerge: unparseable bytes wrap ErrCorrupt (exit 2), while
+// readable but structurally wrong ledgers are plain findings (exit 1).
 func TestParseShardCorruptVsFinding(t *testing.T) {
 	full, _ := shardSet(t, 1, []int{2})
 	lines := bytes.Split(bytes.TrimSuffix(full, []byte("\n")), []byte("\n"))
 
 	t.Run("garbled line is ErrCorrupt", func(t *testing.T) {
 		bad := append(append([]byte{}, full...), []byte("{torn")...)
-		_, err := ParseShard(bad)
+		_, err := Read(bad)
 		if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("ParseShard = %v, want ErrCorrupt", err)
+			t.Fatalf("Read = %v, want ErrCorrupt", err)
 		}
 	})
 	t.Run("dangling cell is a finding", func(t *testing.T) {
 		// Header + trial records but no summary: readable, incomplete.
 		partial := bytes.Join(lines[:2], []byte("\n"))
-		_, err := ParseShard(append(partial, '\n'))
+		_, err := Read(append(partial, '\n'))
 		if err == nil || errors.Is(err, ErrCorrupt) {
-			t.Fatalf("ParseShard = %v, want a plain incomplete-shard finding", err)
+			t.Fatalf("Read = %v, want a plain incomplete-shard finding", err)
 		}
 		if !strings.Contains(err.Error(), "resume") {
 			t.Errorf("error %q should point at -resume for incomplete shards", err)
@@ -235,14 +235,14 @@ func TestParseShardCorruptVsFinding(t *testing.T) {
 	})
 	t.Run("wrong schema is a finding", func(t *testing.T) {
 		bad := bytes.Replace(full, []byte(Schema), []byte("quest-ledger/99"), 1)
-		_, err := ParseShard(bad)
+		_, err := Read(bad)
 		if err == nil || errors.Is(err, ErrCorrupt) {
-			t.Fatalf("ParseShard = %v, want a plain schema finding", err)
+			t.Fatalf("Read = %v, want a plain schema finding", err)
 		}
 	})
 	t.Run("empty input is a finding", func(t *testing.T) {
-		if _, err := ParseShard(nil); err == nil || errors.Is(err, ErrCorrupt) {
-			t.Fatalf("ParseShard(nil) = %v, want a plain finding", err)
+		if _, err := Read(nil); err == nil || errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Read(nil) = %v, want a plain finding", err)
 		}
 	})
 }
@@ -255,7 +255,7 @@ func TestShardHeaderLayoutCompatible(t *testing.T) {
 	if head := bytes.SplitN(full, []byte("\n"), 2)[0]; bytes.Contains(head, []byte("shard_")) {
 		t.Errorf("unsharded header mentions shard fields: %s", head)
 	}
-	sh, err := ParseShard(shards[1])
+	sh, err := Read(shards[1])
 	if err != nil {
 		t.Fatal(err)
 	}

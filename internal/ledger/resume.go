@@ -11,173 +11,51 @@ package ledger
 // skipping work never changes what the work would have produced.
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"sort"
 )
 
-// CompletedCell is one fully-recorded cell of a partial ledger: its trial
-// records in trial order plus its summary.
-type CompletedCell struct {
-	Summary Cell
-	Trials  []Trial
-}
-
 // Resume is a parsed partial ledger, consumed cell by cell as the resumed
 // sweep re-reaches each cell (core.SweepObs.Resume drives it).
 type Resume struct {
-	header Header
-	// complete and partial are keyed by cell name. At most one cell can be
-	// partial per crashed process (the writer is sequential), but the map
-	// keeps Take symmetric and catches malformed inputs.
-	complete map[string]*CompletedCell
-	partial  map[string][]Trial
+	l *Ledger
+	// complete indexes l.Cells by name.
+	complete map[string]*CellBlock
 	consumed map[string]bool
-	// truncated reports whether a torn final line was dropped.
-	truncated bool
 }
 
-// NewResume parses a partial run ledger. Requirements beyond Validate's —
-// and relaxations of them: the header must parse (a file torn inside line 1
-// is no checkpoint at all); trial records must be unsampled and in order
-// (indices 0,1,2,... within each cell), since replay is verbatim; a cell
-// summary must agree with its trial-record count; dangling trial records
-// (the crash cell) are accepted rather than rejected; and a final line that
-// fails to parse is dropped as write-tear, anywhere else it is an error.
+// NewResume parses a partial run ledger under Read's rules, accepting what
+// a crash leaves at the end of the file: trial records of a last cell with
+// no summary yet (the crash cell, resumed from its leading trials) and an
+// unparseable final line (the interrupted write, dropped). Replay is
+// verbatim, which Read's rules already guarantee: every trial is recorded,
+// in order, and each summary agrees with its records.
 func NewResume(data []byte) (*Resume, error) {
-	r := &Resume{
-		complete: map[string]*CompletedCell{},
-		partial:  map[string][]Trial{},
-		consumed: map[string]bool{},
-	}
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var lines [][]byte
-	for sc.Scan() {
-		lines = append(lines, append([]byte(nil), sc.Bytes()...))
-	}
-	if err := sc.Err(); err != nil {
+	l, err := read(data)
+	if err != nil {
 		return nil, fmt.Errorf("resume ledger: %w", err)
 	}
-	if len(lines) == 0 {
-		return nil, fmt.Errorf("resume ledger: file is empty")
+	r := &Resume{l: l, complete: make(map[string]*CellBlock, len(l.Cells)), consumed: map[string]bool{}}
+	for i := range l.Cells {
+		r.complete[l.Cells[i].Summary.Cell] = &l.Cells[i]
 	}
-	var openCell string
-	var openTrials []Trial
-	closeOpen := func() {
-		if openCell != "" {
-			r.partial[openCell] = openTrials
-			openCell, openTrials = "", nil
-		}
-	}
-	for i, raw := range lines {
-		last := i == len(lines)-1
-		var kind struct {
-			Record string `json:"record"`
-		}
-		if err := json.Unmarshal(raw, &kind); err != nil {
-			if last && i > 0 {
-				r.truncated = true // torn final line from a crash mid-write
-				break
-			}
-			return nil, fmt.Errorf("resume ledger: line %d: %w", i+1, err)
-		}
-		if i == 0 {
-			if kind.Record != KindHeader {
-				return nil, fmt.Errorf("resume ledger: first record is %q, want %q", kind.Record, KindHeader)
-			}
-			if err := json.Unmarshal(raw, &r.header); err != nil {
-				return nil, fmt.Errorf("resume ledger: header: %w", err)
-			}
-			if r.header.Schema != Schema {
-				return nil, fmt.Errorf("resume ledger: schema %q, want %q", r.header.Schema, Schema)
-			}
-			continue
-		}
-		switch kind.Record {
-		case KindHeader:
-			return nil, fmt.Errorf("resume ledger: line %d: duplicate header", i+1)
-		case KindTrial:
-			var t Trial
-			if err := json.Unmarshal(raw, &t); err != nil {
-				if last {
-					r.truncated = true
-					break
-				}
-				return nil, fmt.Errorf("resume ledger: line %d: trial: %w", i+1, err)
-			}
-			if t.Cell == "" {
-				return nil, fmt.Errorf("resume ledger: line %d: trial record missing cell name", i+1)
-			}
-			if t.Cell != openCell {
-				closeOpen()
-				if _, dup := r.complete[t.Cell]; dup {
-					return nil, fmt.Errorf("resume ledger: line %d: trial for cell %q after its summary", i+1, t.Cell)
-				}
-				if _, dup := r.partial[t.Cell]; dup {
-					return nil, fmt.Errorf("resume ledger: line %d: cell %q recorded twice", i+1, t.Cell)
-				}
-				openCell = t.Cell
-			}
-			if t.Trial != len(openTrials) {
-				return nil, fmt.Errorf("resume ledger: line %d: cell %q trial index %d, want %d — resume needs an unsampled, in-order ledger",
-					i+1, t.Cell, t.Trial, len(openTrials))
-			}
-			openTrials = append(openTrials, t)
-		case KindCell:
-			var c Cell
-			if err := json.Unmarshal(raw, &c); err != nil {
-				if last {
-					r.truncated = true
-					break
-				}
-				return nil, fmt.Errorf("resume ledger: line %d: cell: %w", i+1, err)
-			}
-			if c.Cell == "" {
-				return nil, fmt.Errorf("resume ledger: line %d: cell record missing name", i+1)
-			}
-			trials := openTrials
-			if c.Cell != openCell {
-				closeOpen()
-				trials = nil
-			}
-			openCell, openTrials = "", nil
-			if _, dup := r.complete[c.Cell]; dup {
-				return nil, fmt.Errorf("resume ledger: line %d: duplicate cell summary %q", i+1, c.Cell)
-			}
-			if _, dup := r.partial[c.Cell]; dup {
-				return nil, fmt.Errorf("resume ledger: line %d: cell %q recorded twice", i+1, c.Cell)
-			}
-			if len(trials) != c.Trials {
-				return nil, fmt.Errorf("resume ledger: line %d: cell %q has %d trial record(s) but summarizes %d — resume needs an unsampled ledger",
-					i+1, c.Cell, len(trials), c.Trials)
-			}
-			r.complete[c.Cell] = &CompletedCell{Summary: c, Trials: trials}
-		default:
-			if last {
-				r.truncated = true
-				break
-			}
-			return nil, fmt.Errorf("resume ledger: line %d: unknown record kind %q", i+1, kind.Record)
-		}
-	}
-	closeOpen()
 	return r, nil
 }
 
 // Header returns the partial ledger's provenance header, so callers can
 // refuse to resume under a different experiment, config, or shard.
-func (r *Resume) Header() Header { return r.header }
+func (r *Resume) Header() Header { return r.l.Header }
 
 // Truncated reports whether a torn final line was dropped during parsing.
-func (r *Resume) Truncated() bool { return r.truncated }
+func (r *Resume) Truncated() bool { return r.l.torn != nil }
 
 // Counts returns how many completed cells and how many partially-recorded
-// cells the checkpoint holds.
+// cells (at most one) the checkpoint holds.
 func (r *Resume) Counts() (complete, partial int) {
-	return len(r.complete), len(r.partial)
+	if len(r.l.open) > 0 {
+		partial = 1
+	}
+	return len(r.l.Cells), partial
 }
 
 // Take claims the recorded state of one cell as the resumed sweep reaches
@@ -186,15 +64,18 @@ func (r *Resume) Counts() (complete, partial int) {
 // neither (run normally). Claiming the same cell twice is an error — the
 // sweep and the checkpoint disagree about what a cell is, and splicing
 // records into two different cells would corrupt both.
-func (r *Resume) Take(name string) (*CompletedCell, []Trial, error) {
+func (r *Resume) Take(name string) (*CellBlock, []Trial, error) {
 	if r.consumed[name] {
 		return nil, nil, fmt.Errorf("resume ledger: cell %q claimed twice — overlapping sweep cells cannot replay", name)
 	}
 	r.consumed[name] = true
-	if cc, ok := r.complete[name]; ok {
-		return cc, nil, nil
+	if cb, ok := r.complete[name]; ok {
+		return cb, nil, nil
 	}
-	return nil, r.partial[name], nil
+	if open := r.l.open; len(open) > 0 && open[0].Cell == name {
+		return nil, open, nil
+	}
+	return nil, nil, nil
 }
 
 // Unconsumed returns the sorted recorded cells no sweep cell ever claimed —
@@ -203,17 +84,13 @@ func (r *Resume) Take(name string) (*CompletedCell, []Trial, error) {
 // were not carried into the new ledger.
 func (r *Resume) Unconsumed() []string {
 	var left []string
-	//quest:allow(detrange) left is sorted below before anything reads it
-	for name := range r.complete {
-		if !r.consumed[name] {
-			left = append(left, name)
+	for _, c := range r.l.Cells {
+		if !r.consumed[c.Summary.Cell] {
+			left = append(left, c.Summary.Cell)
 		}
 	}
-	//quest:allow(detrange) left is sorted below before anything reads it
-	for name := range r.partial {
-		if !r.consumed[name] {
-			left = append(left, name)
-		}
+	if open := r.l.open; len(open) > 0 && !r.consumed[open[0].Cell] {
+		left = append(left, open[0].Cell)
 	}
 	sort.Strings(left)
 	return left

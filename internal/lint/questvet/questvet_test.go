@@ -52,7 +52,7 @@ func TestAppliesScoping(t *testing.T) {
 		// Subpackages inherit their parent directory's scope.
 		{"seedsrc", "quest/internal/decoder/sub", true},
 		// Whole-module analyzers apply everywhere, tools included.
-		{"schemaver", "quest/tools/ledgercheck", true},
+		{"schemaver", "quest/tools/questcheck", true},
 		{"schemaver", "quest", true},
 		{"errsink", "quest/internal/core", true},
 		{"gateflow", "quest/internal/mc", true},

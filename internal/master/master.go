@@ -46,10 +46,6 @@ type Config struct {
 	// global matching (Appendix A.2's space-time window). Values ≤ 1 decode
 	// every round.
 	DecodeWindow int
-	// UseUnionFind selects the near-linear union-find matcher for the
-	// global decoder instead of exact minimum-weight matching — the
-	// latency/accuracy trade the master's decode budget may force at scale.
-	UseUnionFind bool
 	// UseNoC routes packets through a 2-D mesh network-on-chip model (one
 	// hop per network cycle, dimension-ordered) instead of the ideal
 	// per-tile queues. Latency becomes load-dependent — harmless for
@@ -101,7 +97,7 @@ func newMasterInstr(r *metrics.Registry) *masterInstr {
 type Master struct {
 	cfg     Config
 	tiles   []*mce.MCE
-	global  []decoder.Matcher
+	global  []*decoder.GlobalDecoder
 	windows []*decoder.WindowDecoder
 
 	queues [][]packet
@@ -156,18 +152,11 @@ func New(cfg Config, tiles []*mce.MCE) *Master {
 	bridgeBus(reg, &m.Logical, &m.Sync, &m.Cache, &m.Syndrome)
 	di := decoder.NewInstr(reg)
 	for _, t := range tiles {
-		var g decoder.Matcher
-		if cfg.UseUnionFind {
-			g = decoder.NewUnionFindDecoder(t.Layout().Lat)
-		} else {
-			g = decoder.NewGlobalDecoder(t.Layout().Lat)
-		}
+		g := decoder.NewGlobalDecoder(t.Layout().Lat)
 		g.SetInstr(di)
 		if cfg.Heat != nil {
 			lat := t.Layout().Lat
-			if hs, ok := g.(interface{ SetHeat(*heatmap.Collector) }); ok {
-				hs.SetHeat(cfg.Heat.Collector(heatmap.GridName(lat.Rows, lat.Cols), lat.Rows, lat.Cols))
-			}
+			g.SetHeat(cfg.Heat.Collector(heatmap.GridName(lat.Rows, lat.Cols), lat.Rows, lat.Cols))
 		}
 		m.global = append(m.global, g)
 		if cfg.DecodeWindow > 1 {
@@ -266,14 +255,12 @@ func (m *Master) Reset(reg *metrics.Registry, tr *tracing.Tracer, heat *heatmap.
 	di := decoder.NewInstr(reg)
 	for i, g := range m.global {
 		g.SetInstr(di)
-		if hs, ok := g.(interface{ SetHeat(*heatmap.Collector) }); ok {
-			var c *heatmap.Collector
-			if heat != nil {
-				lat := m.tiles[i].Layout().Lat
-				c = heat.Collector(heatmap.GridName(lat.Rows, lat.Cols), lat.Rows, lat.Cols)
-			}
-			hs.SetHeat(c)
+		var c *heatmap.Collector
+		if heat != nil {
+			lat := m.tiles[i].Layout().Lat
+			c = heat.Collector(heatmap.GridName(lat.Rows, lat.Cols), lat.Rows, lat.Cols)
 		}
+		g.SetHeat(c)
 	}
 	for i, w := range m.windows {
 		if w != nil {

@@ -295,28 +295,6 @@ func TestTimingAccountsRuntime(t *testing.T) {
 	}
 }
 
-func TestUnionFindDecoderMode(t *testing.T) {
-	nm := noise.Uniform(2e-3)
-	var ms []*mce.MCE
-	for i := 0; i < 1; i++ {
-		ms = append(ms, mce.New(mce.Config{
-			Design:   microcode.DesignUnitCell,
-			Schedule: surface.Steane,
-			Layout:   compiler.NewLayout(3, 2),
-			Noise:    &nm,
-			Seed:     11,
-		}))
-	}
-	m := New(Config{PacketsPerCycle: 4, UseUnionFind: true, DecodeWindow: 3}, ms)
-	for c := 0; c < 120; c++ {
-		m.StepCycle()
-	}
-	escalated, decodes := m.Stats()
-	if escalated == 0 || decodes == 0 {
-		t.Errorf("union-find mode idle: escalated=%d decodes=%d", escalated, decodes)
-	}
-}
-
 func TestNoCDeliveryMode(t *testing.T) {
 	var ms []*mce.MCE
 	for i := 0; i < 4; i++ {

@@ -12,7 +12,7 @@
 //	-trace-buf N         trace ring capacity in events (0 = default 256k)
 //	-ledger FILE         stream a schema-versioned run ledger (JSONL): one
 //	                     provenance header, one record per trial, one summary
-//	                     per sweep cell (validate with tools/ledgercheck)
+//	                     per sweep cell (validate with tools/questcheck)
 //	-progress            render live sweep progress (Wilson CI) on Log
 //	-ci-stop W           (sweeps only) stop each sweep cell once its 95%
 //	                     Wilson interval is narrower than W (0 < W < 1);
@@ -257,7 +257,7 @@ func (o *Obs) OpenLedger(experiment string, config map[string]string) (*ledger.W
 	if err != nil {
 		return nil, fmt.Errorf("ledger: %w", err)
 	}
-	lw, err := ledger.NewShardWriter(f, experiment, config, 1, o.shard)
+	lw, err := ledger.NewWriter(f, experiment, config, o.shard)
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("ledger: %w", err)
@@ -587,7 +587,7 @@ func (o *Obs) closeLedger() error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Fprintf(o.Log, "ledger: %d cell(s), %d trial record(s) written to %s (validate with ledgercheck)\n",
+	fmt.Fprintf(o.Log, "ledger: %d cell(s), %d trial record(s) written to %s (validate with questcheck)\n",
 		lw.Cells(), lw.Trials(), *o.ledgerPath)
 	return nil
 }

@@ -281,7 +281,7 @@ func TestLedgerAndHeatmapLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := ledger.Validate(data); err != nil {
-		t.Errorf("ledgercheck rejects the flag-driven ledger: %v", err)
+		t.Errorf("questcheck rejects the flag-driven ledger: %v", err)
 	}
 	hdata, err := os.ReadFile(hpath)
 	if err != nil {

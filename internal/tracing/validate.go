@@ -32,7 +32,7 @@ type jsonEvent struct {
 // event carries pid, tid and a non-negative ts; span durations are
 // non-negative; and within each (pid, tid) track the ts sequence is
 // non-decreasing in file order. CI's trace-smoke step runs this (via
-// tools/tracecheck) over a real questsim trace.
+// tools/questcheck) over a real questsim trace.
 func Validate(data []byte) (ValidateReport, error) {
 	var rep ValidateReport
 	var file struct {

@@ -1,8 +1,8 @@
 // Package cli is the shared skeleton of the repository's checker commands
-// (tools/benchdiff, tools/bwreport, tools/ledgercheck, tools/ledgermerge,
-// tools/questtop, tools/questvet, tools/tracecheck): flag parsing,
-// positional-argument validation, and a uniform exit-code contract that CI
-// and the Makefile smoke targets rely on:
+// (tools/benchdiff, tools/bwreport, tools/ledgermerge, tools/questcheck,
+// tools/questtop, tools/questvet): flag parsing, positional-argument
+// validation, and a uniform exit-code contract that CI and the Makefile
+// smoke targets rely on:
 //
 //	0 — the check ran and found nothing wrong
 //	1 — the check ran and found findings (validation failure, regression,

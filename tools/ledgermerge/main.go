@@ -43,13 +43,13 @@ func command() *cli.Command {
 			if len(args) == 0 {
 				return cli.Usagef("no shard ledgers given")
 			}
-			shards := make([]*ledger.ShardLedger, 0, len(args))
+			shards := make([]*ledger.Ledger, 0, len(args))
 			for _, path := range args {
 				data, err := cli.ReadFile(path)
 				if err != nil {
 					return err
 				}
-				sh, err := ledger.ParseShard(data)
+				sh, err := ledger.Read(data)
 				if err != nil {
 					if errors.Is(err, ledger.ErrCorrupt) {
 						// Unparseable bytes mean the merge never ran.

@@ -17,7 +17,7 @@ func writeShard(t *testing.T, dir string, index, count, cells int) string {
 	t.Helper()
 	var buf bytes.Buffer
 	info := ledger.ShardInfo{Index: index, Count: count}
-	w, err := ledger.NewShardWriter(&buf, "merge-cli-test", map[string]string{"suite": "ledgermerge"}, 1, info)
+	w, err := ledger.NewWriter(&buf, "merge-cli-test", map[string]string{"suite": "ledgermerge"}, info)
 	if err != nil {
 		t.Fatal(err)
 	}
