@@ -224,7 +224,10 @@ func BenchmarkAblationLocalDecoder(b *testing.B) {
 
 // BenchmarkAblationMicrocodeDesigns compares replay cost of the three
 // organizations on the same tile (RAM pays address decode, FIFO streams
-// flat, unit cell regenerates from the pattern table).
+// flat, unit cell regenerates from the pattern table). Each iteration flips
+// one mask bit on and back off: the contents stay the same, but the changed
+// Version makes the store expand afresh instead of returning its last
+// expansion.
 func BenchmarkAblationMicrocodeDesigns(b *testing.B) {
 	lat := surface.NewLattice(9, 19)
 	mask := surface.NewMask(lat)
@@ -233,6 +236,8 @@ func BenchmarkAblationMicrocodeDesigns(b *testing.B) {
 			st := microcode.NewStore(d, surface.Steane, lat)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				mask.SetDisabled(0, true)
+				mask.SetDisabled(0, false)
 				st.ReplayCycle(mask)
 			}
 			b.ReportMetric(float64(st.CapacityBits()), "capacity-bits")

@@ -46,7 +46,10 @@ type ExecutionUnit struct {
 	fireCount  uint64
 	measCount  uint64
 
-	timing    *Timing
+	timing *Timing
+	// latencyNs is timing's waveform duration per opcode, filled once by
+	// SetTiming so fire looks each one up.
+	latencyNs [isa.NumOpcodes]float64
 	elapsedNs float64
 
 	// MeasSink receives every measurement produced by Fire; the MCE points
@@ -125,8 +128,9 @@ func (u *ExecutionUnit) fire() {
 	if u.timing != nil {
 		max := u.timing.IdleNs
 		for _, op := range u.selects {
-			if l := u.timing.opLatencyNs(op); l > max {
-				max = l
+			// An undefined opcode adds nothing here; the loop below panics on it.
+			if op.Valid() && u.latencyNs[op] > max {
+				max = u.latencyNs[op]
 			}
 		}
 		u.elapsedNs += max

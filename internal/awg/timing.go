@@ -68,6 +68,9 @@ func (u *ExecutionUnit) SetTiming(tm Timing) {
 		panic(err)
 	}
 	u.timing = &tm
+	for op := range u.latencyNs {
+		u.latencyNs[op] = tm.opLatencyNs(isa.Opcode(op))
+	}
 }
 
 // ElapsedNs returns the accumulated wall-clock time of all fired sub-cycles

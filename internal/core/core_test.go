@@ -71,6 +71,23 @@ func TestMachineMultiTile(t *testing.T) {
 	}
 }
 
+// TestIdleCycleAllocs pins a warm noiseless machine's idle cycle at zero
+// heap allocations, on one d=3 tile and on four d=5 tiles: under an
+// unchanged mask every MCE replays its cached cycle expansion.
+func TestIdleCycleAllocs(t *testing.T) {
+	for _, shape := range []struct{ d, tiles int }{{3, 1}, {5, 4}} {
+		cfg := DefaultMachineConfig()
+		cfg.Distance, cfg.Tiles = shape.d, shape.tiles
+		m := NewMachine(cfg)
+		for c := 0; c < 3; c++ {
+			m.Master().StepCycle()
+		}
+		if allocs := testing.AllocsPerRun(1000, func() { m.Master().StepCycle() }); allocs != 0 {
+			t.Errorf("d=%d×%d: %v allocs per idle cycle, want 0", shape.d, shape.tiles, allocs)
+		}
+	}
+}
+
 func TestMachineCNOTAndNoise(t *testing.T) {
 	cfg := DefaultMachineConfig()
 	nm := noise.Uniform(1e-4)

@@ -25,7 +25,6 @@ var quietInstruments = map[string]string{
 	"master.bus.sync.instr": "the sync bus carries only SendSync tokens",
 	"master.bus.sync.bytes": "the sync bus carries only SendSync tokens",
 	"mce.stalled.t":         "only a logical T gate waits on a magic state; the cached distillation body turns its Ts into Paulis",
-	"mce.buffer.occupancy":  "a gauge of the last cycle's buffer depth, which reads 0 once the buffer drains",
 }
 
 // sidebands holds one run's private registry and every side-band the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 
 	"quest/internal/bwprofile"
@@ -92,7 +93,9 @@ func memoryProgramFor(rounds int) *memoryProgram {
 	}
 	var uops uint64
 	compile := func(mask *surface.Mask, overlay []isa.MicroOp, times int) *surface.ExtractionProgram {
-		words := store.ReplayCycle(mask)
+		// The replay's words are shared with the store: overlay a copy.
+		words := slices.Clone(store.ReplayCycle(mask))
+		words[0] = words[0].Clone()
 		for _, o := range overlay {
 			words[0].Set(o.Qubit, o.Op)
 		}

@@ -178,10 +178,10 @@ func TestMachineMemoryBatchedMatchesScalar(t *testing.T) {
 }
 
 // TestMachineMemoryPublishesNoMCEGauge pins that a memory cell registers
-// only the MCE instruments its tally adds. The merged registry used to
-// carry mce.buffer.occupancy, a gauge no memory trial sets: the registry
-// merge copies every gauge, and the tally resolved the engine's whole
-// instrument set in every worker shard.
+// only the MCE instruments its tally adds. A memory trial steps no MCE, so
+// it never raises mce.buffer.peak, yet the registry merge copies every
+// gauge: a tally that resolved the engine's whole instrument set in every
+// worker shard would publish that gauge at 0.
 func TestMachineMemoryPublishesNoMCEGauge(t *testing.T) {
 	reg := metrics.New()
 	if _, _, err := MachineMemory(reg, nil, 1e-3, 2, 130, 2, SweepObs{}); err != nil {

@@ -38,11 +38,11 @@ import (
 // never touches the registry lock.
 type instr struct {
 	tallied
-	cacheHits       *metrics.Counter
-	cacheLoads      *metrics.Counter
-	stalledT        *metrics.Counter
-	cycleNs         *metrics.Histogram
-	bufferOccupancy *metrics.Gauge
+	cacheHits  *metrics.Counter
+	cacheLoads *metrics.Counter
+	stalledT   *metrics.Counter
+	cycleNs    *metrics.Histogram
+	bufferPeak *metrics.Gauge
 }
 
 // tallied is the part of instr a Tally adds to: six counters.
@@ -68,12 +68,12 @@ func newTallied(r *metrics.Registry) tallied {
 
 func newInstr(r *metrics.Registry) *instr {
 	return &instr{
-		tallied:         newTallied(r),
-		cacheHits:       r.Counter("mce.cache.hits"),
-		cacheLoads:      r.Counter("mce.cache.loads"),
-		stalledT:        r.Counter("mce.stalled.t"),
-		cycleNs:         r.Histogram("mce.cycle.ns", nil),
-		bufferOccupancy: r.Gauge("mce.buffer.occupancy"),
+		tallied:    newTallied(r),
+		cacheHits:  r.Counter("mce.cache.hits"),
+		cacheLoads: r.Counter("mce.cache.loads"),
+		stalledT:   r.Counter("mce.stalled.t"),
+		cycleNs:    r.Histogram("mce.cycle.ns", nil),
+		bufferPeak: r.Gauge("mce.buffer.peak"),
 	}
 }
 
@@ -138,6 +138,13 @@ type LogicalResult struct {
 	Bit   int
 }
 
+// patchSets are one patch's qubit sets, read-only once New builds them.
+type patchSets struct {
+	qubits             []int // every site of the patch
+	ancillas           []int // its syndrome qubits
+	logicalX, logicalZ []int // its logical operator supports
+}
+
 // braid tracks an in-flight logical CNOT: remaining mask steps and the
 // patches it occupies.
 type braid struct {
@@ -159,6 +166,12 @@ type MCE struct {
 	tableau *clifford.Tableau
 	inj     *noise.Injector
 	unit    *awg.ExecutionUnit
+	// overlaid is the first sub-cycle of a cycle that carries a logical
+	// overlay: the store's replay words are shared, so the overlay is
+	// applied to this copy of word 0 instead.
+	overlaid isa.VLIW
+
+	patches []patchSets
 
 	hist  *decoder.SyndromeHistory
 	local *decoder.LocalDecoder
@@ -227,7 +240,9 @@ func New(cfg Config) *MCE {
 		store:    microcode.NewStore(cfg.Design, cfg.Schedule, lat),
 		baseMask: RestMask(cfg.Layout),
 
-		tableau: clifford.New(lat.NumQubits(), rand.New(rand.NewSource(cfg.Seed))),
+		tableau:  clifford.New(lat.NumQubits(), rand.New(rand.NewSource(cfg.Seed))),
+		overlaid: isa.NewVLIW(lat.NumQubits()),
+		patches:  newPatchSets(cfg.Layout),
 
 		hist:  decoder.NewHistory(lat),
 		local: decoder.NewLocalDecoder(lat),
@@ -259,6 +274,22 @@ func New(cfg Config) *MCE {
 		m.unit.SetTiming(*cfg.Timing)
 	}
 	return m
+}
+
+func newPatchSets(lay compiler.Layout) []patchSets {
+	sets := make([]patchSets, lay.NumPatches())
+	for p := range sets {
+		ps := &sets[p]
+		ps.qubits = lay.PatchQubits(p)
+		for _, q := range ps.qubits {
+			if lay.Lat.RoleOf(q) != surface.RoleData {
+				ps.ancillas = append(ps.ancillas, q)
+			}
+		}
+		ps.logicalX = lay.PatchLogicalX(p)
+		ps.logicalZ = lay.PatchLogicalZ(p)
+	}
+	return sets
 }
 
 // RestMask returns a tile's rest-state mask: every site outside the
@@ -295,7 +326,7 @@ type Tally struct {
 // Record adds the tally to reg's mce.* counters (nil = metrics.Default).
 // It registers only the six counters it adds: a registry merge copies every
 // gauge, so resolving the engine's whole instrument set would publish a
-// buffer-occupancy gauge no tallied trial ever set.
+// buffer-peak gauge no tallied trial ever raised.
 func (t Tally) Record(reg *metrics.Registry) {
 	if reg == nil {
 		reg = metrics.Default
@@ -460,7 +491,9 @@ func (m *MCE) Enqueue(in isa.LogicalInstr) error {
 		m.farQueued++
 	}
 	m.in.logicalEnqueued.Inc()
-	m.in.bufferOccupancy.Set(float64(len(m.buffer)))
+	if depth := float64(len(m.buffer)); depth > m.in.bufferPeak.Value() {
+		m.in.bufferPeak.Set(depth)
+	}
 	return nil
 }
 
@@ -563,13 +596,19 @@ func (m *MCE) runCycle(rep *CycleReport, overlay []isa.MicroOp, stallBefore uint
 	// 3. Replay the QECC microcode under the current mask; the first
 	// sub-cycle carries the logical overlay in the slots the mask freed.
 	words := m.store.ReplayCycle(m.mask)
+	first := words[0]
 	if len(overlay) > 0 {
-		w0 := words[0]
+		first = m.overlaid
+		copy(first.Ops, words[0].Ops)
+		copy(first.Pairs, words[0].Pairs)
 		for _, op := range overlay {
-			w0.Set(op.Qubit, op.Op)
+			first.Set(op.Qubit, op.Op)
 		}
 	}
-	for _, w := range words {
+	for s, w := range words {
+		if s == 0 {
+			w = first
+		}
 		m.unit.ExecuteWord(w)
 		rep.MicroOpsIssued += w.Len()
 	}
@@ -620,11 +659,10 @@ func (m *MCE) runCycle(rep *CycleReport, overlay []isa.MicroOp, stallBefore uint
 	m.in.logicalRetired.Add(uint64(rep.LogicalRetired))
 	m.in.defectsLocal.Add(uint64(rep.DefectsLocal))
 	m.in.defectsEscalated.Add(uint64(len(residual)))
-	m.in.bufferOccupancy.Set(float64(len(m.buffer)))
 }
 
 func (m *MCE) stepBraids(rep *CycleReport) {
-	var active []*braid
+	active := m.braids[:0]
 	for _, b := range m.braids {
 		s := b.steps[0]
 		if !m.cfg.Layout.Lat.InBounds(s.R, s.C) {
@@ -647,6 +685,7 @@ func (m *MCE) stepBraids(rep *CycleReport) {
 		}
 		active = append(active, b)
 	}
+	clear(m.braids[len(active):]) // drop the finished braids' pointers
 	m.braids = active
 }
 
@@ -741,10 +780,10 @@ func (m *MCE) tryIssue(in isa.LogicalInstr, rep *CycleReport) (bool, []isa.Micro
 	case in.Op == isa.LX || in.Op == isa.LZ:
 		// Logical Paulis are Pauli-frame updates along the logical operator
 		// chain — zero quantum cost, as in Appendix A.2's correction log.
-		support := m.cfg.Layout.PatchLogicalX(patch)
+		support := m.patches[patch].logicalX
 		flipX := true
 		if in.Op == isa.LZ {
-			support = m.cfg.Layout.PatchLogicalZ(patch)
+			support = m.patches[patch].logicalZ
 			flipX = false
 		}
 		for _, q := range support {
@@ -779,7 +818,7 @@ func (m *MCE) tryIssue(in isa.LogicalInstr, rep *CycleReport) (bool, []isa.Micro
 		case isa.LPrep0, isa.LPrepPlus:
 			// A fresh patch owes nothing to past syndromes or corrections.
 			m.forgetPatch(patch)
-			m.frame.Clear(m.cfg.Layout.PatchQubits(patch))
+			m.frame.Clear(m.patches[patch].qubits)
 		}
 		m.logicalRetired++
 		rep.LogicalRetired++
@@ -797,9 +836,11 @@ func (m *MCE) tryIssue(in isa.LogicalInstr, rep *CycleReport) (bool, []isa.Micro
 }
 
 // deferred unmask bookkeeping: patches masked for a single-cycle transverse
-// op are restored right after the cycle's words are built. Because
-// ReplayCycle snapshots the mask when called, restoring immediately after
-// building this cycle's stream is equivalent to restoring next cycle.
+// op are restored right after the cycle's words are built. ReplayCycle's
+// words reflect the mask as it stood at the call, and restoring the mask
+// changes its Version, so the next cycle's replay expands afresh: restoring
+// immediately after building this cycle's stream is equivalent to restoring
+// next cycle.
 type region struct{ r0, c0, r1, c1 int }
 
 func (m *MCE) deferUnmask(r0, c0, r1, c1 int) {
@@ -810,13 +851,7 @@ func (m *MCE) deferUnmask(r0, c0, r1, c1 int) {
 // (re)preparation or destructive measurement, old syndrome records would
 // read as a wall of spurious defects.
 func (m *MCE) forgetPatch(patch int) {
-	var ancillas []int
-	for _, q := range m.cfg.Layout.PatchQubits(patch) {
-		if m.cfg.Layout.Lat.RoleOf(q) != surface.RoleData {
-			ancillas = append(ancillas, q)
-		}
-	}
-	m.hist.Forget(ancillas)
+	m.hist.Forget(m.patches[patch].ancillas)
 }
 
 // completeMeasurements reports the transverse measurements whose data bits
@@ -831,9 +866,9 @@ func (m *MCE) completeMeasurements(rep *CycleReport) {
 		}
 		// Z-basis outcome = parity over the logical-Z support, corrected by
 		// pending X flips; X-basis uses the logical-X support and Z flips.
-		support := m.cfg.Layout.PatchLogicalZ(patch)
+		support := m.patches[patch].logicalZ
 		if basisX {
-			support = m.cfg.Layout.PatchLogicalX(patch)
+			support = m.patches[patch].logicalX
 		}
 		parity := 0
 		complete := true

@@ -367,6 +367,41 @@ func TestDesignsProduceIdenticalBehaviour(t *testing.T) {
 	}
 }
 
+// TestOverlayLeavesReplayWordsClean pins that a cycle's logical overlay
+// never reaches the store's replay words. The store hands the same words to
+// every cycle under an unchanged mask, so an overlay written into them would
+// replay on every later cycle.
+func TestOverlayLeavesReplayWordsClean(t *testing.T) {
+	for _, d := range microcode.Designs() {
+		m := newMCE(t, 2, func(c *Config) { c.Design = d })
+		m.StepCycle()
+		lat := m.Layout().Lat
+		want := surface.CompileCycle(lat, surface.Steane, m.mask)
+		var overlay []isa.MicroOp
+		for q, op := range want[0].Ops {
+			if op == isa.OpIdle && lat.RoleOf(q) == surface.RoleData {
+				overlay = append(overlay, isa.MicroOp{Op: isa.OpX, Qubit: q, Pair: -1})
+			}
+		}
+		if len(overlay) == 0 {
+			t.Fatalf("%s: no idle data qubit in the first sub-cycle to overlay", d)
+		}
+		version := m.mask.Version()
+		rep := CycleReport{Cycle: m.cycle}
+		m.beginCycle(&rep)
+		m.runCycle(&rep, overlay, m.stalledT)
+		if m.mask.Version() != version {
+			t.Fatalf("%s: the cycle changed the mask; the test needs it unchanged", d)
+		}
+		got := m.store.ReplayCycle(m.mask)
+		for s := range want {
+			if !want[s].Equal(got[s]) {
+				t.Fatalf("%s: replay word %d differs from the compiled cycle after an overlaid cycle", d, s)
+			}
+		}
+	}
+}
+
 func TestBufferCapacityBackpressure(t *testing.T) {
 	m := newMCE(t, 2, func(c *Config) { c.BufferCapacity = 3 })
 	for i := 0; i < 3; i++ {

@@ -186,6 +186,12 @@ type Store struct {
 	// cell is the replay table (unit-cell design).
 	cell *surface.CellTable
 
+	// last is the most recent replay, expanded under lastMask at
+	// lastVersion; ReplayCycle returns it while both still match.
+	last        []isa.VLIW
+	lastMask    *surface.Mask
+	lastVersion uint64
+
 	bitsStreamed uint64
 }
 
@@ -231,19 +237,35 @@ func (s *Store) ResetStreamed() { s.bitsStreamed = 0 }
 // All three designs produce the identical stream (the architecture changes
 // where instructions are stored, never what executes); they differ in the
 // bits streamed per cycle and in capacity.
+//
+// The stream is expanded afresh only when the mask changed since the last
+// call: while mask is the same pointer at the same Version (or nil again),
+// the previous result is returned as is. The returned words are therefore
+// shared and read-only; a caller that overlays µops must copy the word
+// first. The streamed-bits meter grows on every call all the same, since it
+// models the microcode memory the replay reads each cycle.
 func (s *Store) ReplayCycle(mask *surface.Mask) []isa.VLIW {
 	n := s.lat.NumQubits()
 	opBits := MicroOpBits(s.design, n)
 	s.bitsStreamed += uint64(n * s.sched.Depth * opBits)
+	if s.last != nil && mask == s.lastMask && (mask == nil || mask.Version() == s.lastVersion) {
+		return s.last
+	}
+	var words []isa.VLIW
 	if s.design == DesignUnitCell {
-		return s.cell.Expand(s.lat, mask)
+		words = s.cell.Expand(s.lat, mask)
+	} else {
+		// RAM/FIFO: gate the stored unmasked program through the mask table.
+		words = make([]isa.VLIW, len(s.words))
+		for i, w := range s.words {
+			words[i] = gateWord(w, mask)
+		}
 	}
-	// RAM/FIFO: gate the stored unmasked program through the mask table.
-	out := make([]isa.VLIW, len(s.words))
-	for i, w := range s.words {
-		out[i] = gateWord(w, mask)
+	s.last, s.lastMask = words, mask
+	if mask != nil {
+		s.lastVersion = mask.Version()
 	}
-	return out
+	return words
 }
 
 // gateWord applies mask gating: masked qubits idle, and any µop paired with

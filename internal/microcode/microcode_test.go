@@ -1,6 +1,7 @@
 package microcode
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -159,40 +160,88 @@ func TestOptimalConfigTable2(t *testing.T) {
 
 // TestStoreReplayEquivalence is the central architectural invariant: all
 // three microcode organizations replay the byte-identical instruction stream
-// that direct software compilation produces, for any mask.
+// that direct software compilation produces, for any mask. The store keeps
+// its last expansion, so the sequence also repeats calls under one mask,
+// mutates the mask in place between calls and swaps in a clone of equal
+// Version but different contents: every call must match the mask's current
+// contents, an unchanged mask must get the same words back, and a fresh
+// expansion must leave the words an earlier call returned intact.
 func TestStoreReplayEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, sched := range []surface.Schedule{surface.Steane, surface.Shor} {
 		for _, dims := range [][2]int{{5, 5}, {7, 9}, {9, 9}} {
 			lat := surface.NewLattice(dims[0], dims[1])
-			stores := []*Store{
-				NewStore(DesignRAM, sched, lat),
-				NewStore(DesignFIFO, sched, lat),
-				NewStore(DesignUnitCell, sched, lat),
-			}
-			masks := []*surface.Mask{nil, surface.NewMask(lat)}
-			rm := surface.NewMask(lat)
+			random := surface.NewMask(lat)
 			for i := 0; i < lat.NumQubits(); i++ {
 				if rng.Intn(5) == 0 {
-					rm.SetDisabled(i, true)
+					random.SetDisabled(i, true)
 				}
 			}
-			masks = append(masks, rm)
-			for mi, mask := range masks {
-				want := surface.CompileCycle(lat, sched, mask)
-				for _, st := range stores {
+			q1, q2 := rng.Intn(lat.NumQubits()), rng.Intn(lat.NumQubits()-1)
+			if q2 >= q1 {
+				q2++
+			}
+			for _, d := range Designs() {
+				st := NewStore(d, sched, lat)
+				var prev, prevWant []isa.VLIW
+				replay := func(step string, mask *surface.Mask, hit bool) {
+					t.Helper()
+					where := fmt.Sprintf("%s %s %v %s", d, sched.Name, dims, step)
+					want := surface.CompileCycle(lat, sched, mask)
 					got := st.ReplayCycle(mask)
-					if len(got) != len(want) {
-						t.Fatalf("%s %s %v mask%d: depth mismatch", st.Design(), sched.Name, dims, mi)
-					}
-					for s := range want {
-						if !want[s].Equal(got[s]) {
-							t.Fatalf("%s %s %v mask%d step %d: replay diverges from compiler",
-								st.Design(), sched.Name, dims, mi, s)
+					requireWords(t, where, got, want)
+					if prev != nil {
+						if same := &got[0] == &prev[0]; same != hit {
+							t.Fatalf("%s: reused the previous expansion = %v, want %v", where, same, hit)
 						}
+						requireWords(t, where+" (previous words)", prev, prevWant)
 					}
+					prev, prevWant = got, want
 				}
+				replay("nil", nil, false)
+				replay("nil again", nil, true)
+				empty := surface.NewMask(lat)
+				replay("empty", empty, false)
+				replay("empty again", empty, true)
+				m := random.Clone()
+				replay("random", m, false)
+				replay("random again", m, true)
+				m.SetDisabled(q1, !m.Disabled(q1))
+				replay("one bit flipped", m, false)
+				replay("one bit flipped again", m, true)
+				m.SetDisabled(q1, !m.Disabled(q1))
+				replay("bit flipped back", m, false)
+				m.SetRegion(1, 1, 3, 3, true)
+				replay("region masked", m, false)
+				m.SetRegion(1, 1, 3, 3, false)
+				replay("region unmasked", m, false)
+				// c starts as m's twin, Version included; flipping a
+				// different bit in each leaves both at one Version with
+				// different contents.
+				c := m.Clone()
+				m.SetDisabled(q1, !m.Disabled(q1))
+				c.SetDisabled(q2, !c.Disabled(q2))
+				if c.Version() != m.Version() || c.Equal(m) {
+					t.Fatalf("%s %s %v: clone setup: versions %d/%d, equal %v", d, sched.Name, dims, c.Version(), m.Version(), c.Equal(m))
+				}
+				replay("mask before swap", m, false)
+				replay("clone swapped in", c, false)
+				replay("original swapped back", m, false)
+				replay("nil after masks", nil, false)
 			}
+		}
+	}
+}
+
+// requireWords fails the test unless got is the same cycle as want.
+func requireWords(t *testing.T, where string, got, want []isa.VLIW) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: depth %d, want %d", where, len(got), len(want))
+	}
+	for s := range want {
+		if !want[s].Equal(got[s]) {
+			t.Fatalf("%s step %d: replay diverges from compiler", where, s)
 		}
 	}
 }
@@ -259,12 +308,17 @@ func TestPanicsOnBadInput(t *testing.T) {
 	expect("unknown design store", func() { NewStore(Design(7), surface.Steane, surface.NewLattice(3, 3)) })
 }
 
+// BenchmarkReplayCycleUnitCell9x9 times one unit-cell expansion. Each
+// iteration flips one mask bit on and back off, so the store cannot return
+// its last expansion.
 func BenchmarkReplayCycleUnitCell9x9(b *testing.B) {
 	lat := surface.NewLattice(9, 9)
 	st := NewStore(DesignUnitCell, surface.Steane, lat)
 	mask := surface.NewMask(lat)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		mask.SetDisabled(0, true)
+		mask.SetDisabled(0, false)
 		st.ReplayCycle(mask)
 	}
 }
