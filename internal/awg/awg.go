@@ -13,10 +13,18 @@
 // stabilizer substrate, injecting noise at each location. The unit also
 // counts latch and fire events so microarchitecture experiments can audit
 // that every qubit is serviced every sub-cycle.
+//
+// A word executes in compiled form (Word): the operations that act, each
+// naming the qubits it acts on, and the word's noise sites, the way
+// single-operation-multiple-qubit encodings name a gate once rather than a
+// slot per qubit. Every word fires through that one form: ExecuteWord and
+// Fire compile into the unit's scratch word, and a caller that replays the
+// same word compiles it once and fires it with FireWord.
 package awg
 
 import (
 	"fmt"
+	"math/bits"
 
 	"quest/internal/clifford"
 	"quest/internal/isa"
@@ -41,6 +49,12 @@ type ExecutionUnit struct {
 	selects []isa.Opcode // latched select register per switch
 	pairs   []int
 	latched []bool
+	pending int // switches latched since the last fire
+
+	// scratch is the compiled form of the word ExecuteWord or Fire runs,
+	// and bits the measurement outcomes of the word being fired, by qubit.
+	scratch *Word
+	bits    []uint8
 
 	latchCount uint64
 	fireCount  uint64
@@ -68,6 +82,8 @@ func New(tableau *clifford.Tableau, inj *noise.Injector) *ExecutionUnit {
 		selects: make([]isa.Opcode, n),
 		pairs:   make([]int, n),
 		latched: make([]bool, n),
+		scratch: NewWord(n),
+		bits:    make([]uint8, n),
 	}
 }
 
@@ -89,6 +105,7 @@ func (u *ExecutionUnit) Latch(m isa.MicroOp) {
 	u.selects[m.Qubit] = m.Op
 	u.pairs[m.Qubit] = m.Pair
 	u.latched[m.Qubit] = true
+	u.pending++
 	u.latchCount++
 }
 
@@ -102,14 +119,7 @@ func (u *ExecutionUnit) LatchWord(w isa.VLIW) {
 // Ready reports whether every switch has been latched since the last Fire —
 // the determinism invariant: the master clock may only fire when no qubit
 // would be left uncontrolled.
-func (u *ExecutionUnit) Ready() bool {
-	for _, l := range u.latched {
-		if !l {
-			return false
-		}
-	}
-	return true
-}
+func (u *ExecutionUnit) Ready() bool { return u.pending == u.n }
 
 // Fire applies the master clock: every latched waveform executes
 // simultaneously on the substrate, measurements are routed to MeasSink, and
@@ -119,149 +129,229 @@ func (u *ExecutionUnit) Fire() {
 	if !u.Ready() {
 		panic("awg: fire with unlatched switches (lock-step violation)")
 	}
-	u.fire()
+	u.compile(u.selects, u.pairs, u.scratch)
+	clear(u.latched)
+	u.pending = 0
+	u.fire(u.scratch)
 }
 
-// fire executes the latched select registers, every switch latched.
-func (u *ExecutionUnit) fire() {
+// ExecuteWord latches and fires a complete VLIW word — one lock-step
+// sub-cycle. Measurements flow to MeasSink. The word is compiled into the
+// unit's scratch word and fired from there: one word latches every switch
+// exactly once.
+func (u *ExecutionUnit) ExecuteWord(w isa.VLIW) {
+	u.Compile(w, u.scratch)
+	u.FireWord(u.scratch)
+}
+
+// Word is a VLIW word compiled for an execution unit: what one lock-step
+// sub-cycle does, named by operation and operand instead of by switch.
+// Compile fills it and FireWord executes it, as often as the caller likes;
+// it keeps no reference to the VLIW it came from. Its storage is sized for
+// the unit's width once, by NewWord, and compiling writes it by index.
+type Word struct {
+	n int
+	// acts are the µops that act on the substrate, in qubit order. A CNOT
+	// appears once, at its control, and a CZ once, at its lower qubit, so
+	// random measurements keep their qubit order. Idles, T placement
+	// markers and the other halves of pairs act on nothing and carry none.
+	acts []act
+	// chans and sites are the word's noise sites in draw order: ascending
+	// qubit, one per µop that draws, a two-qubit gate's at its act. chans
+	// is the channel list the injector's scan reads; sites[i] are site i's
+	// operands.
+	chans []noise.Channel
+	sites []site
+	// meas lists the measured qubits, ascending: the order outcomes are
+	// delivered in.
+	meas []int
+	// ops has bit op set for every opcode the word latches; the timing
+	// model takes the slowest.
+	ops uint16
+}
+
+// act is one acting µop: its opcode, its qubit and a two-qubit gate's
+// partner.
+type act struct {
+	op   isa.Opcode
+	q, p int
+}
+
+// site is one noise site's operands: the qubit a fault lands on, the
+// partner a two-qubit fault's second Pauli lands on (-1 for the others)
+// and a preparation's basis.
+type site struct {
+	q, p   int
+	basisX bool
+}
+
+// NewWord returns storage for one compiled word of an n-switch unit: a
+// word has at most n acting µops, n noise sites and n measurements.
+func NewWord(n int) *Word {
+	return &Word{
+		n:     n,
+		acts:  make([]act, n),
+		chans: make([]noise.Channel, n),
+		sites: make([]site, n),
+		meas:  make([]int, n),
+	}
+}
+
+// Compile checks w for this unit and compiles it into cw, replacing what
+// cw held. It panics on a word of the wrong width, an undefined opcode or
+// an inconsistent two-qubit pairing: every word the unit fires passes
+// these checks once, here.
+func (u *ExecutionUnit) Compile(w isa.VLIW, cw *Word) {
+	if w.Len() != u.n || len(w.Pairs) != u.n {
+		panic(fmt.Sprintf("awg: word width %d != matrix width %d", w.Len(), u.n))
+	}
+	u.compile(w.Ops, w.Pairs, cw)
+}
+
+// compile translates one select register per switch into cw.
+func (u *ExecutionUnit) compile(ops []isa.Opcode, pairs []int, cw *Word) {
+	if cw.n != u.n {
+		panic(fmt.Sprintf("awg: %d-switch unit compiling into a %d-wide word", u.n, cw.n))
+	}
+	acts, chans, sites, meas := cw.acts[:u.n], cw.chans[:u.n], cw.sites[:u.n], cw.meas[:u.n]
+	na, ns, nm := 0, 0, 0
+	var set uint16
+	for q, op := range ops {
+		if !op.Valid() {
+			panic(fmt.Sprintf("awg: unhandled opcode %s on qubit %d", op, q))
+		}
+		set |= 1 << op
+		// The site this µop draws: one-qubit gates, T included, draw the
+		// gate channel.
+		ch, p, basisX := noise.ChanGate1, -1, false
+		switch op {
+		case isa.OpIdle:
+			ch = noise.ChanIdle
+		case isa.OpPrep0, isa.OpPrep1:
+			ch = noise.ChanPrep
+		case isa.OpPrepPlus:
+			ch, basisX = noise.ChanPrep, true
+		case isa.OpMeasZ, isa.OpMeasX:
+			ch = noise.ChanMeas
+			meas[nm] = q
+			nm++
+		case isa.OpCNOTControl:
+			p = pairs[q]
+			checkPair(ops, pairs, q, p, isa.OpCNOTTarget)
+			ch = noise.ChanGate2
+		case isa.OpCNOTTarget:
+			checkPair(ops, pairs, q, pairs[q], isa.OpCNOTControl)
+			continue // executed, and drawn, at the control
+		case isa.OpCZ:
+			p = pairs[q]
+			checkPair(ops, pairs, q, p, isa.OpCZ)
+			if p < q {
+				continue // executed, and drawn, at the lower qubit
+			}
+			ch = noise.ChanGate2
+		}
+		// T is non-Clifford; at the physical level it is realized by
+		// magic-state injection. The substrate simulator treats it as a
+		// placement marker: the gate-count and timing effects are what the
+		// architecture experiments measure. Noise still applies.
+		if op != isa.OpIdle && op != isa.OpT {
+			acts[na] = act{op: op, q: q, p: p}
+			na++
+		}
+		chans[ns], sites[ns] = ch, site{q: q, p: p, basisX: basisX}
+		ns++
+	}
+	cw.acts, cw.chans, cw.sites, cw.meas = acts[:na], chans[:ns], sites[:ns], meas[:nm]
+	cw.ops = set
+}
+
+// checkPair panics unless q's partner p is another qubit in range, latched
+// as want and paired back to q.
+func checkPair(ops []isa.Opcode, pairs []int, q, p int, want isa.Opcode) {
+	if p == q || p < 0 || p >= len(ops) || ops[p] != want || pairs[p] != q {
+		panic(fmt.Sprintf("awg: qubit %d (%s) is not paired with a %s at qubit %d", q, ops[q], want, p))
+	}
+}
+
+// FireWord latches and fires a compiled word: one lock-step sub-cycle, as
+// ExecuteWord of the word it was compiled from. It panics on a word
+// compiled for another width, or while a switch is latched.
+func (u *ExecutionUnit) FireWord(cw *Word) {
+	if cw.n != u.n || u.pending != 0 {
+		panic(fmt.Sprintf("awg: fire of a %d-wide word on %d switches with %d latched", cw.n, u.n, u.pending))
+	}
+	u.latchCount += uint64(u.n)
+	u.fire(cw)
+}
+
+// fire executes a compiled word in three steps. The acting µops run in
+// qubit order, so random outcomes draw the tableau's randomness in the
+// per-switch order. The word's noise is drawn in one scan of its sites and
+// each hit applied after the gates: every qubit carries one µop, so no gate
+// of the word acts on a qubit another site's fault hit, and a Pauli commutes
+// with the sign updates of the others. Measurements are then delivered in
+// qubit order, with their flips.
+func (u *ExecutionUnit) fire(cw *Word) {
 	u.fireCount++
 	if u.timing != nil {
 		max := u.timing.IdleNs
-		for _, op := range u.selects {
-			// An undefined opcode adds nothing here; the loop below panics on it.
-			if op.Valid() && u.latencyNs[op] > max {
-				max = u.latencyNs[op]
+		for set := cw.ops; set != 0; set &= set - 1 {
+			if l := u.latencyNs[bits.TrailingZeros16(set)]; l > max {
+				max = l
 			}
 		}
 		u.elapsedNs += max
 	}
-	// Two-qubit gates execute once per pair: act on the control side.
-	for q := 0; q < u.n; q++ {
-		op := u.selects[q]
-		switch op {
-		case isa.OpIdle:
-			if u.inj != nil {
-				u.inj.Idle(u.tableau, q)
-			}
+	t := u.tableau
+	for _, a := range cw.acts {
+		switch a.op {
 		case isa.OpPrep0:
-			u.tableau.Prep0(q)
-			if u.inj != nil {
-				u.inj.AfterPrep(u.tableau, q, false)
-			}
+			t.Prep0(a.q)
 		case isa.OpPrep1:
-			u.tableau.Prep1(q)
-			if u.inj != nil {
-				u.inj.AfterPrep(u.tableau, q, false)
-			}
+			t.Prep1(a.q)
 		case isa.OpPrepPlus:
-			u.tableau.PrepPlus(q)
-			if u.inj != nil {
-				u.inj.AfterPrep(u.tableau, q, true)
-			}
+			t.PrepPlus(a.q)
 		case isa.OpX:
-			u.tableau.X(q)
-			u.afterGate1(q)
+			t.X(a.q)
 		case isa.OpY:
-			u.tableau.Y(q)
-			u.afterGate1(q)
+			t.Y(a.q)
 		case isa.OpZ:
-			u.tableau.Z(q)
-			u.afterGate1(q)
+			t.Z(a.q)
 		case isa.OpH:
-			u.tableau.H(q)
-			u.afterGate1(q)
+			t.H(a.q)
 		case isa.OpS:
-			u.tableau.S(q)
-			u.afterGate1(q)
+			t.S(a.q)
 		case isa.OpSDagger:
-			u.tableau.SDagger(q)
-			u.afterGate1(q)
-		case isa.OpT:
-			// T is non-Clifford; at the physical level it is realized by
-			// magic-state injection. The substrate simulator treats it as a
-			// placement marker: the gate-count and timing effects are what
-			// the architecture experiments measure. Noise still applies.
-			u.afterGate1(q)
+			t.SDagger(a.q)
 		case isa.OpCNOTControl:
-			p := u.pairs[q]
-			u.checkPair(q, p, isa.OpCNOTTarget)
-			u.tableau.CNOT(q, p)
-			if u.inj != nil {
-				u.inj.AfterGate2(u.tableau, q, p)
-			}
-		case isa.OpCNOTTarget:
-			// executed from the control side
-			u.checkPair(q, u.pairs[q], isa.OpCNOTControl)
+			t.CNOT(a.q, a.p)
 		case isa.OpCZ:
-			p := u.pairs[q]
-			u.checkPair(q, p, isa.OpCZ)
-			if q < p { // execute each CZ pair once
-				u.tableau.CZ(q, p)
-				if u.inj != nil {
-					u.inj.AfterGate2(u.tableau, q, p)
-				}
-			}
+			t.CZ(a.q, a.p)
 		case isa.OpMeasZ:
-			bit := u.tableau.MeasureZ(q)
-			u.deliverMeasurement(q, bit)
+			u.bits[a.q] = uint8(t.MeasureZ(a.q))
 		case isa.OpMeasX:
-			bit := u.tableau.MeasureX(q)
-			u.deliverMeasurement(q, bit)
-		default:
-			panic(fmt.Sprintf("awg: unhandled opcode %s on qubit %d", op, q))
+			u.bits[a.q] = uint8(t.MeasureX(a.q))
 		}
 	}
-	clear(u.latched)
-}
-
-func (u *ExecutionUnit) afterGate1(q int) {
 	if u.inj != nil {
-		u.inj.AfterGate1(u.tableau, q)
+		chans := cw.chans
+		for i := u.inj.Next(chans, 0); i < len(chans); i = u.inj.Next(chans, i+1) {
+			s := &cw.sites[i]
+			if chans[i] == noise.ChanMeas {
+				u.bits[s.q] ^= 1
+			}
+			u.inj.Inject(t, chans[i], s.q, s.p, s.basisX)
+		}
 	}
-}
-
-func (u *ExecutionUnit) deliverMeasurement(q, bit int) {
-	u.measCount++
-	if u.inj != nil && u.inj.FlipMeasurement(q) {
-		bit ^= 1
-	}
+	u.measCount += uint64(len(cw.meas))
 	if u.MeasSink != nil {
-		u.MeasSink(q, bit)
-	}
-}
-
-func (u *ExecutionUnit) checkPair(q, p int, want isa.Opcode) {
-	if p < 0 || p >= u.n {
-		panic(fmt.Sprintf("awg: qubit %d paired with out-of-range %d", q, p))
-	}
-	if u.selects[p] != want {
-		panic(fmt.Sprintf("awg: qubit %d (%s) paired with qubit %d latched as %s, want %s",
-			q, u.selects[q], p, u.selects[p], want))
-	}
-	if u.pairs[p] != q {
-		panic(fmt.Sprintf("awg: asymmetric pairing %d->%d but %d->%d", q, p, p, u.pairs[p]))
+		for _, q := range cw.meas {
+			u.MeasSink(q, int(u.bits[q]))
+		}
 	}
 }
 
 // Stats returns cumulative (latches, fires, measurements).
 func (u *ExecutionUnit) Stats() (latches, fires, measurements uint64) {
 	return u.latchCount, u.fireCount, u.measCount
-}
-
-// ExecuteWord latches and fires a complete VLIW word — one lock-step
-// sub-cycle. Measurements flow to MeasSink. The word is copied straight into
-// the select registers: one word latches every switch exactly once.
-func (u *ExecutionUnit) ExecuteWord(w isa.VLIW) {
-	if w.Len() != u.n || len(w.Pairs) != u.n {
-		panic(fmt.Sprintf("awg: word width %d != matrix width %d", w.Len(), u.n))
-	}
-	for q, l := range u.latched {
-		if l {
-			panic(fmt.Sprintf("awg: double latch on qubit %d before fire", q))
-		}
-	}
-	copy(u.selects, w.Ops)
-	copy(u.pairs, w.Pairs)
-	u.latchCount += uint64(u.n)
-	u.fire()
 }

@@ -2,11 +2,15 @@ package awg
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"quest/internal/clifford"
+	"quest/internal/compiler"
 	"quest/internal/isa"
+	"quest/internal/microcode"
 	"quest/internal/noise"
+	"quest/internal/surface"
 )
 
 func newUnit(n int, seed int64, m *noise.Model) *ExecutionUnit {
@@ -109,8 +113,8 @@ func TestExecuteWordOverLatchPanics(t *testing.T) {
 }
 
 // TestExecuteWordAllocs pins a noiseless sub-cycle — prep, CNOT, CZ,
-// one-qubit gates and measurements latched straight from the word — at zero
-// allocations.
+// one-qubit gates and measurements compiled into the unit's scratch word
+// and fired — at zero allocations.
 func TestExecuteWordAllocs(t *testing.T) {
 	u := newUnit(8, 1, nil)
 	u.MeasSink = func(int, int) {}
@@ -191,18 +195,31 @@ func TestCZExecutesOncePerPair(t *testing.T) {
 }
 
 func TestMismatchedPairPanics(t *testing.T) {
-	u := newUnit(3, 1, nil)
-	w := isa.VLIW{
-		Ops:   []isa.Opcode{isa.OpCNOTControl, isa.OpIdle, isa.OpIdle},
-		Pairs: []int{1, -1, -1},
+	for name, w := range map[string]isa.VLIW{
+		"dangling CNOT control": {
+			Ops:   []isa.Opcode{isa.OpCNOTControl, isa.OpIdle, isa.OpIdle},
+			Pairs: []int{1, -1, -1},
+		},
+		"asymmetric CZ": {
+			Ops:   []isa.Opcode{isa.OpCZ, isa.OpCZ, isa.OpCZ},
+			Pairs: []int{1, 2, 1},
+		},
+		"CZ paired with itself": {
+			Ops:   []isa.Opcode{isa.OpCZ, isa.OpIdle, isa.OpIdle},
+			Pairs: []int{0, -1, -1},
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic at fire", name)
+				}
+			}()
+			u := newUnit(3, 1, nil)
+			u.LatchWord(w)
+			u.Fire()
+		}()
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("dangling CNOT control did not panic at fire")
-		}
-	}()
-	u.LatchWord(w)
-	u.Fire()
 }
 
 func TestWrongWidthWordPanics(t *testing.T) {
@@ -263,5 +280,214 @@ func TestTGateIsCountedNotSimulated(t *testing.T) {
 	u.ExecuteWord(w) // must not panic and must not flip Z expectation
 	if u.Tableau().ExpectationZ(0) != 1 {
 		t.Error("T placeholder disturbed Z eigenstate")
+	}
+}
+
+// oracleFire is the per-switch execution the compiled path replaced, kept
+// as its oracle: each qubit in turn runs its µop and draws its noise site
+// at once (a one-site scan), and each measurement is delivered, with its
+// flip, as soon as it is taken.
+func oracleFire(tb *clifford.Tableau, inj *noise.Injector, w isa.VLIW, sink func(q, bit int)) {
+	draw := func(ch noise.Channel, q, b int, basisX bool) bool {
+		if inj == nil || inj.Next([]noise.Channel{ch}, 0) != 0 {
+			return false
+		}
+		inj.Inject(tb, ch, q, b, basisX)
+		return true
+	}
+	for q, op := range w.Ops {
+		p := w.Pairs[q]
+		switch op {
+		case isa.OpIdle:
+			draw(noise.ChanIdle, q, -1, false)
+		case isa.OpPrep0:
+			tb.Prep0(q)
+			draw(noise.ChanPrep, q, -1, false)
+		case isa.OpPrep1:
+			tb.Prep1(q)
+			draw(noise.ChanPrep, q, -1, false)
+		case isa.OpPrepPlus:
+			tb.PrepPlus(q)
+			draw(noise.ChanPrep, q, -1, true)
+		case isa.OpX, isa.OpY, isa.OpZ, isa.OpH, isa.OpS, isa.OpSDagger, isa.OpT:
+			switch op {
+			case isa.OpX:
+				tb.X(q)
+			case isa.OpY:
+				tb.Y(q)
+			case isa.OpZ:
+				tb.Z(q)
+			case isa.OpH:
+				tb.H(q)
+			case isa.OpS:
+				tb.S(q)
+			case isa.OpSDagger:
+				tb.SDagger(q)
+			}
+			draw(noise.ChanGate1, q, -1, false)
+		case isa.OpCNOTControl:
+			tb.CNOT(q, p)
+			draw(noise.ChanGate2, q, p, false)
+		case isa.OpCNOTTarget:
+		case isa.OpCZ:
+			if q < p {
+				tb.CZ(q, p)
+				draw(noise.ChanGate2, q, p, false)
+			}
+		case isa.OpMeasZ, isa.OpMeasX:
+			var bit int
+			if op == isa.OpMeasZ {
+				bit = tb.MeasureZ(q)
+			} else {
+				bit = tb.MeasureX(q)
+			}
+			if draw(noise.ChanMeas, q, -1, false) {
+				bit ^= 1
+			}
+			sink(q, bit)
+		}
+	}
+}
+
+// singleOps are the one-qubit opcodes randomWord draws from.
+var singleOps = []isa.Opcode{
+	isa.OpIdle, isa.OpPrep0, isa.OpPrep1, isa.OpPrepPlus, isa.OpMeasZ, isa.OpMeasX,
+	isa.OpX, isa.OpY, isa.OpZ, isa.OpH, isa.OpS, isa.OpSDagger, isa.OpT,
+}
+
+// randomWord draws a valid n-qubit word: random disjoint pairs carry a CNOT
+// (either way round) or a CZ, and every other qubit a random one-qubit
+// opcode, idles, preparations and measurements included.
+func randomWord(rng *rand.Rand, n int) isa.VLIW {
+	w := isa.NewVLIW(n)
+	perm := rng.Perm(n)
+	for i := 0; i < n; i += 2 {
+		a := perm[i]
+		if i+1 == n {
+			w.Set(a, singleOps[rng.Intn(len(singleOps))])
+			break
+		}
+		b := perm[i+1]
+		switch rng.Intn(6) {
+		case 0, 1:
+			w.SetPair(a, isa.OpCNOTControl, b)
+			w.SetPair(b, isa.OpCNOTTarget, a)
+		case 2:
+			w.SetPair(a, isa.OpCZ, b)
+			w.SetPair(b, isa.OpCZ, a)
+		default:
+			w.Set(a, singleOps[rng.Intn(len(singleOps))])
+			w.Set(b, singleOps[rng.Intn(len(singleOps))])
+		}
+	}
+	return w
+}
+
+// TestCompiledWordsMatchPerSwitchOracle runs random valid words, every
+// opcode among them, at p=5e-2 through the unit — by ExecuteWord, by a
+// word compiled once and fired with FireWord, and by latching and Fire —
+// and through the per-switch oracle on a twin tableau and injector. After
+// every word the tableaux (bits, signs and measurement randomness), the
+// measurement streams and the fault logs must be identical.
+func TestCompiledWordsMatchPerSwitchOracle(t *testing.T) {
+	const n, words = 10, 300
+	model := noise.Uniform(5e-2)
+	for seed := int64(1); seed <= 6; seed++ {
+		u := newUnit(n, seed, &model)
+		tb := clifford.New(n, rand.New(rand.NewSource(seed)))
+		inj := noise.NewInjector(model, seed)
+		type meas struct{ q, bit int }
+		var got, want []meas
+		u.MeasSink = func(q, bit int) { got = append(got, meas{q, bit}) }
+		sink := func(q, bit int) { want = append(want, meas{q, bit}) }
+		cw := NewWord(n)
+		rng := rand.New(rand.NewSource(seed * 7919))
+		measured := 0
+		for k := 0; k < words; k++ {
+			w := randomWord(rng, n)
+			switch k % 3 {
+			case 0:
+				u.ExecuteWord(w)
+			case 1:
+				u.Compile(w, cw)
+				u.FireWord(cw)
+			case 2:
+				u.LatchWord(w)
+				u.Fire()
+			}
+			oracleFire(tb, inj, w, sink)
+			if !reflect.DeepEqual(u.Tableau(), tb) {
+				t.Fatalf("seed %d word %d: tableau differs from the per-switch oracle's", seed, k)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d word %d: measurements %v, oracle %v", seed, k, got, want)
+			}
+			if !reflect.DeepEqual(u.inj.Log(), inj.Log()) {
+				t.Fatalf("seed %d word %d: fault log %v, oracle %v", seed, k, u.inj.Log(), inj.Log())
+			}
+			measured = len(want)
+		}
+		if measured == 0 || len(inj.Log()) == 0 {
+			t.Fatalf("seed %d: %d measurements and %d faults; the comparison exercises nothing", seed, measured, len(inj.Log()))
+		}
+	}
+}
+
+// restMask disables every site outside the layout's patches, the rest
+// state of a tile.
+func restMask(lay compiler.Layout) *surface.Mask {
+	mask := surface.NewMask(lay.Lat)
+	in := make([]bool, lay.Lat.NumQubits())
+	for p := 0; p < lay.NumPatches(); p++ {
+		for _, q := range lay.PatchQubits(p) {
+			in[q] = true
+		}
+	}
+	for q, ok := range in {
+		mask.SetDisabled(q, !ok)
+	}
+	return mask
+}
+
+// TestCompiledSitesMatchExtractionProgram ties the two draw orders together:
+// for every extraction word each microcode design replays at d=3 and d=5,
+// under the rest mask and random masks, the compiled word's noise sites
+// must be surface.BuildProgram's Sites, the list the batched kernel scans.
+func TestCompiledSitesMatchExtractionProgram(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, d := range []int{3, 5} {
+		lay := compiler.NewLayout(d, 2)
+		lat := lay.Lat
+		u := newUnit(lat.NumQubits(), 1, nil)
+		cw := NewWord(lat.NumQubits())
+		masks := []*surface.Mask{restMask(lay)}
+		for i := 0; i < 12; i++ {
+			m := restMask(lay)
+			for q := 0; q < lat.NumQubits(); q++ {
+				if rng.Intn(5) == 0 {
+					m.SetDisabled(q, true)
+				}
+			}
+			masks = append(masks, m)
+		}
+		for _, design := range microcode.Designs() {
+			for mi, mask := range masks {
+				words := microcode.NewStore(design, surface.Steane, lat).ReplayCycle(mask)
+				prog := surface.BuildProgram(lat, words)
+				for s, w := range words {
+					u.Compile(w, cw)
+					want := prog.Words[s].Sites
+					if len(cw.sites) != len(want) || len(cw.chans) != len(want) {
+						t.Fatalf("d=%d %s mask %d word %d: %d compiled sites, program has %d", d, design, mi, s, len(cw.sites), len(want))
+					}
+					for i, ws := range want {
+						got := surface.NoiseSite{Kind: cw.chans[i], Qubit: cw.sites[i].q, Pair: cw.sites[i].p, BasisX: cw.sites[i].basisX}
+						if got != ws {
+							t.Fatalf("d=%d %s mask %d word %d site %d: compiled %+v, program %+v", d, design, mi, s, i, got, ws)
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -103,21 +103,30 @@ func (t *Tableau) checkQubit(q int) {
 
 // mul multiplies row h by row i on the right (h ← h·i, ignoring h's sign)
 // and returns the power of i the product picked up, plus 2 for a negative
-// row i. The phase is CHP's g function summed over all qubits word-wise:
-// g(x1,z1,x2,z2) is the exponent of i in the product of the single-qubit
-// Paulis x1z1 · x2z2 (x=z=1 is Y), counted as +1 and -1 contributions.
+// row i, modulo 4 (the value returned may exceed 3). The phase is Stim's
+// running tally: at each qubit the single-qubit product x1z1 · x2z2 (x=z=1
+// is Y) picks up ±i exactly when the two anticommute, and two bit planes
+// count those factors mod 4 per qubit, +i adding 1 and -i adding 3. One
+// popcount of each plane sums the qubits.
 func (t *Tableau) mul(h, i int) int {
-	hx, hz := t.row(h)
-	ix, iz := t.row(i)
-	e := 2 * int(t.r[i])
-	for w := range hx {
-		x1, z1, x2, z2 := hx[w], hz[w], ix[w], iz[w]
-		// +1: Y·Z, X·Y, Z·X.  -1: Y·X, X·Z, Z·Y.
-		e += bits.OnesCount64(x1&z1&z2&^x2|x1&^z1&x2&z2|z1&^x1&x2&^z2) -
-			bits.OnesCount64(x1&z1&x2&^z2|x1&^z1&z2&^x2|z1&^x1&x2&z2)
-		hx[w], hz[w] = x1^x2, z1^z2
+	oh, oi, w := h*t.words, i*t.words, t.words
+	hx, hz := t.x[oh:oh+w:oh+w], t.z[oh:oh+w:oh+w]
+	ix, iz := t.x[oi:oi+w:oi+w], t.z[oi:oi+w:oi+w]
+	var c1, c2 uint64 // the low and high bit of each qubit's count
+	for k := range hx {
+		x1, z1, x2, z2 := hx[k], hz[k], ix[k], iz[k]
+		x, z := x1^x2, z1^z2
+		x1z2 := x1 & z2
+		anti := x2&z1 ^ x1z2
+		// Where they anticommute, the factor is -i exactly when the
+		// product's bits and x1z2 have odd parity; adding 1 carries into
+		// the high bit where the low bit was set, and adding 3 where it
+		// was not.
+		c2 ^= (c1 ^ x ^ z ^ x1z2) & anti
+		c1 ^= anti
+		hx[k], hz[k] = x, z
 	}
-	return e
+	return bits.OnesCount64(c1) + 2*bits.OnesCount64(c2) + 2*int(t.r[i])
 }
 
 // mulRow sets row h to i^ph · h · i. The product must be Hermitian, so the

@@ -1,7 +1,9 @@
 package clifford
 
 import (
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -432,6 +434,62 @@ func BenchmarkSyndromeCycle100Qubits(b *testing.B) {
 			tb.CNOT((a-80)*4+2, a)
 			tb.CNOT((a-80)*4+3, a)
 			tb.MeasureZ(a)
+		}
+	}
+}
+
+// sixTermPhase is the row product's phase as CHP's g function summed over
+// the qubits word-wise: +1 for Y·Z, X·Y and Z·X, -1 for Y·X, X·Z and Z·Y,
+// plus 2 for a negative right-hand row. It is mul's oracle.
+func sixTermPhase(hx, hz, ix, iz []uint64, ri uint8) int {
+	e := 2 * int(ri)
+	for w := range hx {
+		x1, z1, x2, z2 := hx[w], hz[w], ix[w], iz[w]
+		e += bits.OnesCount64(x1&z1&z2&^x2|x1&^z1&x2&z2|z1&^x1&x2&^z2) -
+			bits.OnesCount64(x1&z1&x2&^z2|x1&^z1&z2&^x2|z1&^x1&x2&z2)
+	}
+	return e
+}
+
+// TestMulPhaseMatchesSixTerms checks mul's running mod-4 tally against the
+// six-term formula on random rows of 1 to 5 words: the phases must agree
+// mod 4, and the product row must be the XOR of the two.
+func TestMulPhaseMatchesSixTerms(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261017))
+	for trial := 0; trial < 2000; trial++ {
+		words := 1 + trial%5
+		n := 64*(words-1) + 1 + rng.Intn(64)
+		tb := newT(n, 1)
+		// Random bits past qubit n only make the check stricter.
+		for k := range tb.x {
+			tb.x[k], tb.z[k] = rng.Uint64(), rng.Uint64()
+			switch rng.Intn(4) { // sparse and dense rows as well
+			case 0:
+				tb.x[k] &= rng.Uint64() & rng.Uint64()
+			case 1:
+				tb.z[k] |= rng.Uint64()
+			}
+		}
+		for r := range tb.r {
+			tb.r[r] = uint8(rng.Intn(2))
+		}
+		h, i := rng.Intn(2*n), rng.Intn(2*n)
+		if h == i {
+			continue
+		}
+		hx, hz := tb.row(h)
+		ix, iz := tb.row(i)
+		want := sixTermPhase(hx, hz, ix, iz, tb.r[i])
+		wantX, wantZ := make([]uint64, words), make([]uint64, words)
+		for w := range wantX {
+			wantX[w], wantZ[w] = hx[w]^ix[w], hz[w]^iz[w]
+		}
+		got := tb.mul(h, i)
+		if (got-want)&3 != 0 {
+			t.Fatalf("trial %d (%d words): mul phase %d, six-term formula %d (mod 4 differ)", trial, words, got, want)
+		}
+		if !slices.Equal(hx, wantX) || !slices.Equal(hz, wantZ) {
+			t.Fatalf("trial %d: mul's product row is not the XOR of the two rows", trial)
 		}
 	}
 }

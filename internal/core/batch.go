@@ -50,9 +50,9 @@ type laneStream struct {
 	off   []int
 	words int
 	// chans and sites are the noisy cycles' noise sites flattened in draw
-	// order — cycle, word, then Fire order within the word — so a trial's
-	// whole fault stream is one scan: chans[k] is site k's channel, sites[k]
-	// where a fault it samples lands.
+	// order — cycle, word, then the execution unit's order within the
+	// word — so a trial's whole fault stream is one scan: chans[k] is site
+	// k's channel, sites[k] where a fault it samples lands.
 	chans []noise.Channel
 	sites []laneSite
 }
@@ -174,9 +174,8 @@ func (s *laneScratch) hit(ls *laneStream, rep *noise.Replayer, k int, bit uint64
 // the flattened sites at one integer compare each and stops only at the
 // few that fire, and a fault is a single XOR into the trial's bit lane. The
 // propagation is bit-sliced: within a word the phase order (measure, prep,
-// propagate, inject) is equivalent to the AWG unit's interleaved per-qubit
-// execution because each qubit carries exactly one µop per word — see
-// ProgramWord.
+// propagate, inject) is equivalent to per-qubit execution because each
+// qubit carries exactly one µop per word — see ProgramWord.
 func (s *laneScratch) run(ls *laneStream, rep *noise.Replayer, seeds []uint64, injSeed func(uint64) int64) {
 	n := ls.n
 	for w, d := range s.dirty {

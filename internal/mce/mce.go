@@ -170,6 +170,12 @@ type MCE struct {
 	// overlay: the store's replay words are shared, so the overlay is
 	// applied to this copy of word 0 instead.
 	overlaid isa.VLIW
+	// compiled holds the store's expansion compiled for the unit, one word
+	// per sub-cycle, and compiledFrom the expansion it was compiled from.
+	// ReplayCycle returns that same slice while the mask is unchanged, and
+	// holding it means a new expansion always has a new address.
+	compiled     []*awg.Word
+	compiledFrom []isa.VLIW
 
 	patches []patchSets
 
@@ -242,6 +248,7 @@ func New(cfg Config) *MCE {
 
 		tableau:  clifford.New(lat.NumQubits(), rand.New(rand.NewSource(cfg.Seed))),
 		overlaid: isa.NewVLIW(lat.NumQubits()),
+		compiled: make([]*awg.Word, cfg.Schedule.Depth),
 		patches:  newPatchSets(cfg.Layout),
 
 		hist:  decoder.NewHistory(lat),
@@ -259,6 +266,9 @@ func New(cfg Config) *MCE {
 		pendingSynd: make([]int8, lat.NumQubits()),
 		pendingData: make([]int8, lat.NumQubits()),
 		measuring:   make(map[int]bool),
+	}
+	for s := range m.compiled {
+		m.compiled[s] = awg.NewWord(lat.NumQubits())
 	}
 	m.clearPending()
 	if cfg.Noise != nil {
@@ -367,6 +377,7 @@ func (m *MCE) Reset(seed int64, reg *metrics.Registry, tr *tracing.Tracer, heat 
 	m.tableau.SetRNG(rand.New(rand.NewSource(seed)))
 	m.tableau.Reset()
 	m.mask = m.baseMask.Clone()
+	m.compiledFrom = nil
 	m.inj = nil
 	if m.cfg.Noise != nil {
 		m.inj = noise.NewInjector(*m.cfg.Noise, seed+1)
@@ -581,7 +592,10 @@ func (m *MCE) StepCycle() CycleReport {
 // per-cycle measurement rounds and advances in-flight braids (step 1).
 func (m *MCE) beginCycle(rep *CycleReport) {
 	if m.inj != nil {
+		// Nothing reads the fault log; clearing it per cycle keeps it to
+		// one cycle's faults instead of the engine's whole life.
 		m.inj.SetLocation(m.cycle, 0)
+		m.inj.ClearLog()
 	}
 	m.clearPending()
 
@@ -595,23 +609,29 @@ func (m *MCE) beginCycle(rep *CycleReport) {
 func (m *MCE) runCycle(rep *CycleReport, overlay []isa.MicroOp, stallBefore uint64) {
 	// 3. Replay the QECC microcode under the current mask; the first
 	// sub-cycle carries the logical overlay in the slots the mask freed.
+	// A new expansion is compiled once and its words fired until the mask
+	// changes again.
 	words := m.store.ReplayCycle(m.mask)
-	first := words[0]
-	if len(overlay) > 0 {
-		first = m.overlaid
-		copy(first.Ops, words[0].Ops)
-		copy(first.Pairs, words[0].Pairs)
-		for _, op := range overlay {
-			first.Set(op.Qubit, op.Op)
+	if len(words) != len(m.compiledFrom) || &words[0] != &m.compiledFrom[0] {
+		for s, w := range words {
+			m.unit.Compile(w, m.compiled[s])
 		}
+		m.compiledFrom = words
 	}
-	for s, w := range words {
-		if s == 0 {
-			w = first
+	for s, cw := range m.compiled {
+		if s == 0 && len(overlay) > 0 {
+			first := m.overlaid
+			copy(first.Ops, words[0].Ops)
+			copy(first.Pairs, words[0].Pairs)
+			for _, op := range overlay {
+				first.Set(op.Qubit, op.Op)
+			}
+			m.unit.ExecuteWord(first)
+			continue
 		}
-		m.unit.ExecuteWord(w)
-		rep.MicroOpsIssued += w.Len()
+		m.unit.FireWord(cw)
 	}
+	rep.MicroOpsIssued = len(words) * m.unit.N()
 	m.microOps += uint64(rep.MicroOpsIssued)
 	rep.Measurements = m.measured
 

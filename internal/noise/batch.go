@@ -9,12 +9,11 @@ import "quest/internal/clifford"
 // per-trial fault sequence bit-for-bit while propagating the faults through
 // a precomputed Pauli frame.
 //
-// Determinism contract: calling Replayer methods in the order an
-// ExecutionUnit's Fire loop would call the Injector (ascending qubit per
-// word, two-qubit draws at the control) yields the identical fault pattern
-// for the identical seed. TestReplayerMatchesInjector pins this. Next scans
-// a whole site sequence the same way, handing back only the sites that
-// fire.
+// Determinism contract: scanning the site sequence an execution unit's
+// compiled words draw (ascending qubit per word, two-qubit draws at the
+// control) with Next and Fault yields the fault pattern an Injector scanning
+// it with Next and Inject applies, for the identical seed.
+// TestReplayerMatchesInjector pins this.
 type Replayer struct {
 	s sampler
 }
@@ -45,9 +44,9 @@ func (r *Replayer) Reset(m Model, seed int64) {
 }
 
 // Next returns the index of the first site in chans[from:] whose channel
-// fires, or len(chans) if none does. It draws exactly what sampling each
-// site in turn would, so a caller that handles each hit with Fault before
-// asking for the next replays the per-site stream.
+// fires, or len(chans) if none does. It draws exactly what scanning each
+// site on its own would, so a caller that handles each hit with Fault
+// before asking for the next replays the stream site by site.
 func (r *Replayer) Next(chans []Channel, from int) int { return r.s.next(chans, from) }
 
 // Fault draws the Paulis of a site of channel ch that Next reported fired:
@@ -55,36 +54,4 @@ func (r *Replayer) Next(chans []Channel, from int) int { return r.s.next(chans, 
 // site's target. A ChanMeas hit is a classical flip and draws nothing.
 func (r *Replayer) Fault(ch Channel, basisX bool) (pa, pb clifford.Pauli) {
 	return r.s.fault(ch, basisX)
-}
-
-// Idle samples the idle/decoherence channel. ok reports whether a fault
-// occurred; p is the sampled Pauli.
-func (r *Replayer) Idle() (p clifford.Pauli, ok bool) {
-	p, _, ok = r.s.sample(ChanIdle, false)
-	return p, ok
-}
-
-// AfterGate1 samples the one-qubit gate error channel.
-func (r *Replayer) AfterGate1() (p clifford.Pauli, ok bool) {
-	p, _, ok = r.s.sample(ChanGate1, false)
-	return p, ok
-}
-
-// AfterGate2 samples the two-qubit depolarizing channel: pa lands on the
-// control, pb on the target. Either may be PauliI (but not both).
-func (r *Replayer) AfterGate2() (pa, pb clifford.Pauli, ok bool) {
-	return r.s.sample(ChanGate2, false)
-}
-
-// AfterPrep samples the preparation error channel: a Z flips |+>, an X
-// flips |0>.
-func (r *Replayer) AfterPrep(basisX bool) (p clifford.Pauli, ok bool) {
-	p, _, ok = r.s.sample(ChanPrep, basisX)
-	return p, ok
-}
-
-// FlipMeasurement samples the classical measurement-flip channel.
-func (r *Replayer) FlipMeasurement() bool {
-	_, _, ok := r.s.sample(ChanMeas, false)
-	return ok
 }

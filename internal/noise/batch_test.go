@@ -7,11 +7,37 @@ import (
 	"quest/internal/clifford"
 )
 
+// replaySites scans sites with a Replayer, Next then Fault at each hit,
+// and returns the faults it reports: each Pauli with the qubit it lands on,
+// a measurement flip as PauliI on the measured qubit.
+func replaySites(r *Replayer, sites []oracleSite) []oracleFault {
+	chans := make([]Channel, len(sites))
+	for i, s := range sites {
+		chans[i] = s.ch
+	}
+	var out []oracleFault
+	for k := r.Next(chans, 0); k < len(chans); k = r.Next(chans, k+1) {
+		s := sites[k]
+		if s.ch == ChanMeas {
+			out = append(out, oracleFault{k, s.q, clifford.PauliI})
+			continue
+		}
+		pa, pb := r.Fault(s.ch, s.basisX)
+		if pa != clifford.PauliI {
+			out = append(out, oracleFault{k, s.q, pa})
+		}
+		if pb != clifford.PauliI {
+			out = append(out, oracleFault{k, s.b, pb})
+		}
+	}
+	return out
+}
+
 // TestReplayerMatchesInjector pins the Replayer's determinism contract: fed
-// the same (model, seed) and the same channel-call sequence as an Injector,
-// it reports exactly the faults the Injector injects — same sites, same
-// Paulis, same measurement flips — across a long mixed sequence that
-// exercises every channel. A single extra or missing RNG draw anywhere
+// the same (model, seed) and the same site sequence as an Injector, scanned
+// word by word, it reports exactly the faults the Injector injects — same
+// sites, same Paulis, same measurement flips — across a long mixed sequence
+// that exercises every channel. A single extra or missing RNG draw anywhere
 // desynchronizes the streams, so this is also a draw-order test.
 func TestReplayerMatchesInjector(t *testing.T) {
 	const n = 12
@@ -22,69 +48,26 @@ func TestReplayerMatchesInjector(t *testing.T) {
 	rep := NewReplayer(m, seed)
 	tb := clifford.New(n, rand.New(rand.NewSource(99)))
 
-	type fault struct {
-		q int
-		p clifford.Pauli
-	}
-	var want, got []fault
-
 	// A deterministic mixed site sequence: the site kind and qubits vary
 	// with the step index so every channel interleaves with every other.
-	for step := 0; step < 2000; step++ {
+	sites := make([]oracleSite, 2000)
+	for step := range sites {
 		q := step % n
-		switch step % 5 {
-		case 0:
-			before := len(inj.Log())
-			inj.Idle(tb, q)
-			for _, f := range inj.Log()[before:] {
-				want = append(want, fault{f.Qubit, f.Pauli})
-			}
-			if p, ok := rep.Idle(); ok {
-				got = append(got, fault{q, p})
-			}
-		case 1:
-			before := len(inj.Log())
-			inj.AfterGate1(tb, q)
-			for _, f := range inj.Log()[before:] {
-				want = append(want, fault{f.Qubit, f.Pauli})
-			}
-			if p, ok := rep.AfterGate1(); ok {
-				got = append(got, fault{q, p})
-			}
-		case 2:
-			b := (q + 1) % n
-			before := len(inj.Log())
-			inj.AfterGate2(tb, q, b)
-			for _, f := range inj.Log()[before:] {
-				want = append(want, fault{f.Qubit, f.Pauli})
-			}
-			if pa, pb, ok := rep.AfterGate2(); ok {
-				if pa != clifford.PauliI {
-					got = append(got, fault{q, pa})
-				}
-				if pb != clifford.PauliI {
-					got = append(got, fault{b, pb})
-				}
-			}
-		case 3:
-			basisX := step%2 == 0
-			before := len(inj.Log())
-			inj.AfterPrep(tb, q, basisX)
-			for _, f := range inj.Log()[before:] {
-				want = append(want, fault{f.Qubit, f.Pauli})
-			}
-			if p, ok := rep.AfterPrep(basisX); ok {
-				got = append(got, fault{q, p})
-			}
-		case 4:
-			// The injector logs measurement flips with Pauli I.
-			if inj.FlipMeasurement(q) {
-				want = append(want, fault{q, clifford.PauliI})
-			}
-			if rep.FlipMeasurement() {
-				got = append(got, fault{q, clifford.PauliI})
-			}
+		s := oracleSite{ch: [...]Channel{ChanIdle, ChanGate1, ChanGate2, ChanPrep, ChanMeas}[step%5], q: q}
+		switch s.ch {
+		case ChanGate2:
+			s.b = (q + 1) % n
+		case ChanPrep:
+			s.basisX = step%2 == 0
 		}
+		sites[step] = s
+	}
+
+	var want, got []oracleFault
+	for base := 0; base < len(sites); base += n {
+		word := sites[base:min(base+n, len(sites))]
+		want = append(want, injectSites(inj, tb, word)...)
+		got = append(got, replaySites(rep, word)...)
 	}
 
 	if len(want) == 0 {
@@ -106,14 +89,9 @@ func TestReplayerMatchesInjector(t *testing.T) {
 func TestReplayerResetRewindsStream(t *testing.T) {
 	m := Uniform(0.3)
 	drawAll := func(r *Replayer, n int) []float64 {
-		var out []float64
-		for i := 0; i < n; i++ {
-			p, ok := r.Idle()
-			v := float64(p)
-			if ok {
-				v += 10
-			}
-			out = append(out, v)
+		out := make([]float64, n)
+		for _, f := range replaySites(r, repeatSite(oracleSite{ch: ChanIdle}, n)) {
+			out[f.site] = float64(f.p) + 10
 		}
 		return out
 	}

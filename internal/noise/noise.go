@@ -95,56 +95,34 @@ func (in *Injector) Log() []Fault { return in.log }
 // ClearLog discards the fault log (the injector state is otherwise kept).
 func (in *Injector) ClearLog() { in.log = in.log[:0] }
 
-func (in *Injector) inject(t *clifford.Tableau, q int, p clifford.Pauli) {
-	t.ApplyPauli(q, p)
-	in.log = append(in.log, Fault{Cycle: in.cycle, SubCycle: in.subCycle, Qubit: q, Pauli: p})
-}
+// Next returns the index of the first site in chans[from:] whose channel
+// fires, or len(chans) if none does: the Replayer's scan over the same
+// stream. A caller that applies each hit with Inject before asking for the
+// next draws exactly what drawing every site in turn would.
+func (in *Injector) Next(chans []Channel, from int) int { return in.s.next(chans, from) }
 
-// Idle applies the idle/decoherence channel to qubit q.
-func (in *Injector) Idle(t *clifford.Tableau, q int) {
-	if p, _, ok := in.s.sample(ChanIdle, false); ok {
-		in.inject(t, q, p)
-	}
-}
-
-// AfterGate1 applies the one-qubit gate error channel to qubit q.
-func (in *Injector) AfterGate1(t *clifford.Tableau, q int) {
-	if p, _, ok := in.s.sample(ChanGate1, false); ok {
-		in.inject(t, q, p)
-	}
-}
-
-// AfterGate2 applies the two-qubit gate error channel to qubits a and b,
-// choosing uniformly among the 15 non-identity two-qubit Paulis.
-func (in *Injector) AfterGate2(t *clifford.Tableau, a, b int) {
-	pa, pb, ok := in.s.sample(ChanGate2, false)
-	if !ok {
+// Inject draws the fault of a site of channel ch that Next reported fired,
+// applies it to t and logs it. The fault lands on qubit q, and for
+// ChanGate2 (one of the 15 non-identity two-qubit Paulis) also on the
+// partner b. basisX is a preparation site's basis: a Z flips |+>, an X
+// flips |0>. A ChanMeas hit is a classical flip the caller applies to the
+// reported bit; it is logged with Pauli I to keep the ground truth complete
+// without disturbing the tableau.
+func (in *Injector) Inject(t *clifford.Tableau, ch Channel, q, b int, basisX bool) {
+	if ch == ChanMeas {
+		in.log = append(in.log, Fault{Cycle: in.cycle, SubCycle: in.subCycle, Qubit: q, Pauli: clifford.PauliI})
 		return
 	}
+	pa, pb := in.s.fault(ch, basisX)
 	if pa != clifford.PauliI {
-		in.inject(t, a, pa)
+		in.inject(t, q, pa)
 	}
 	if pb != clifford.PauliI {
 		in.inject(t, b, pb)
 	}
 }
 
-// AfterPrep applies the preparation error channel: with probability Prep the
-// prepared qubit is flipped to the orthogonal state. basisX selects which
-// Pauli flips it (Z flips |+>, X flips |0>).
-func (in *Injector) AfterPrep(t *clifford.Tableau, q int, basisX bool) {
-	if p, _, ok := in.s.sample(ChanPrep, basisX); ok {
-		in.inject(t, q, p)
-	}
-}
-
-// FlipMeasurement reports whether a measurement outcome should be classically
-// flipped. Measurement flips are recorded in the log with Pauli I to keep the
-// ground truth complete without disturbing the tableau.
-func (in *Injector) FlipMeasurement(q int) bool {
-	if _, _, ok := in.s.sample(ChanMeas, false); !ok {
-		return false
-	}
-	in.log = append(in.log, Fault{Cycle: in.cycle, SubCycle: in.subCycle, Qubit: q, Pauli: clifford.PauliI})
-	return true
+func (in *Injector) inject(t *clifford.Tableau, q int, p clifford.Pauli) {
+	t.ApplyPauli(q, p)
+	in.log = append(in.log, Fault{Cycle: in.cycle, SubCycle: in.subCycle, Qubit: q, Pauli: p})
 }

@@ -78,16 +78,51 @@ func TestValidatePerChannel(t *testing.T) {
 	}
 }
 
+// injectSites scans sites with an Injector the way an execution unit fires
+// a word: Next finds each site that fires and Inject applies it to tb. It
+// returns what Inject logged, each entry with the index of its site: a
+// measurement flip is PauliI on the measured qubit.
+func injectSites(in *Injector, tb *clifford.Tableau, sites []oracleSite) []oracleFault {
+	chans := make([]Channel, len(sites))
+	for i, s := range sites {
+		chans[i] = s.ch
+	}
+	var out []oracleFault
+	for k := in.Next(chans, 0); k < len(chans); k = in.Next(chans, k+1) {
+		s := sites[k]
+		before := len(in.Log())
+		in.Inject(tb, s.ch, s.q, s.b, s.basisX)
+		for _, f := range in.Log()[before:] {
+			out = append(out, oracleFault{k, f.Qubit, f.Pauli})
+		}
+	}
+	return out
+}
+
+// repeatSite returns count copies of one site.
+func repeatSite(s oracleSite, count int) []oracleSite {
+	sites := make([]oracleSite, count)
+	for i := range sites {
+		sites[i] = s
+	}
+	return sites
+}
+
 func TestZeroNoiseInjectsNothing(t *testing.T) {
 	in := NewInjector(Uniform(0), 1)
 	tb := clifford.New(4, rand.New(rand.NewSource(1)))
 	for i := 0; i < 1000; i++ {
-		in.Idle(tb, i%4)
-		in.AfterGate1(tb, i%4)
-		in.AfterGate2(tb, 0, 1)
-		in.AfterPrep(tb, 2, i%2 == 0)
-		if in.FlipMeasurement(3) {
-			t.Fatal("measurement flipped at zero noise")
+		faults := injectSites(in, tb, []oracleSite{
+			{ch: ChanIdle, q: i % 4},
+			{ch: ChanGate1, q: i % 4},
+			{ch: ChanGate2, q: 0, b: 1},
+			{ch: ChanPrep, q: 2, basisX: i%2 == 0},
+			{ch: ChanMeas, q: 3},
+		})
+		for _, f := range faults {
+			if f.p == clifford.PauliI {
+				t.Fatal("measurement flipped at zero noise")
+			}
 		}
 	}
 	if len(in.Log()) != 0 {
@@ -103,10 +138,9 @@ func TestZeroNoiseInjectsNothing(t *testing.T) {
 func TestCertainNoiseAlwaysInjects(t *testing.T) {
 	in := NewInjector(Uniform(1), 1)
 	tb := clifford.New(2, rand.New(rand.NewSource(1)))
-	in.Idle(tb, 0)
-	in.AfterGate1(tb, 1)
-	if !in.FlipMeasurement(0) {
-		t.Error("certain measurement noise did not flip")
+	faults := injectSites(in, tb, []oracleSite{{ch: ChanIdle, q: 0}, {ch: ChanGate1, q: 1}, {ch: ChanMeas, q: 0}})
+	if len(faults) == 0 || faults[len(faults)-1] != (oracleFault{2, 0, clifford.PauliI}) {
+		t.Errorf("certain measurement noise did not flip: faults %v", faults)
 	}
 	if len(in.Log()) != 3 {
 		t.Errorf("log has %d entries, want 3", len(in.Log()))
@@ -118,9 +152,7 @@ func TestInjectionRateMatchesModel(t *testing.T) {
 	const trials = 20000
 	in := NewInjector(Uniform(p), 7)
 	tb := clifford.New(1, rand.New(rand.NewSource(1)))
-	for i := 0; i < trials; i++ {
-		in.Idle(tb, 0)
-	}
+	injectSites(in, tb, repeatSite(oracleSite{ch: ChanIdle}, trials))
 	rate := float64(len(in.Log())) / trials
 	if math.Abs(rate-p) > 0.01 {
 		t.Errorf("observed idle fault rate %.4f, want ≈ %.2f", rate, p)
@@ -133,7 +165,7 @@ func TestTwoQubitFaultsCoverBothQubits(t *testing.T) {
 	seenA, seenB := false, false
 	for i := 0; i < 500; i++ {
 		in.ClearLog()
-		in.AfterGate2(tb, 0, 1)
+		injectSites(in, tb, []oracleSite{{ch: ChanGate2, q: 0, b: 1}})
 		for _, f := range in.Log() {
 			if f.Pauli == clifford.PauliI {
 				t.Fatal("two-qubit fault logged identity Pauli")
@@ -160,12 +192,12 @@ func TestPrepErrorBasis(t *testing.T) {
 	// Z-basis prep error is an X flip; X-basis prep error is a Z flip.
 	in := NewInjector(Model{Prep: 1}, 5)
 	tb := clifford.New(2, rand.New(rand.NewSource(1)))
-	in.AfterPrep(tb, 0, false)
+	injectSites(in, tb, []oracleSite{{ch: ChanPrep, q: 0}})
 	if out := tb.MeasureZ(0); out != 1 {
 		t.Error("Z-basis prep error did not flip |0>")
 	}
 	tb.H(1) // |+>
-	in.AfterPrep(tb, 1, true)
+	injectSites(in, tb, []oracleSite{{ch: ChanPrep, q: 1, basisX: true}})
 	if out := tb.MeasureX(1); out != 1 {
 		t.Error("X-basis prep error did not flip |+>")
 	}
@@ -175,7 +207,7 @@ func TestFaultLocationsStamped(t *testing.T) {
 	in := NewInjector(Uniform(1), 9)
 	tb := clifford.New(1, rand.New(rand.NewSource(1)))
 	in.SetLocation(3, 7)
-	in.Idle(tb, 0)
+	injectSites(in, tb, []oracleSite{{ch: ChanIdle}})
 	fs := in.Log()
 	if len(fs) != 1 || fs[0].Cycle != 3 || fs[0].SubCycle != 7 || fs[0].Qubit != 0 {
 		t.Errorf("fault stamp wrong: %+v", fs)
@@ -187,15 +219,17 @@ func TestFaultLocationsStamped(t *testing.T) {
 }
 
 func TestDeterministicReplay(t *testing.T) {
+	var word []oracleSite
+	for q := 0; q < 8; q++ {
+		word = append(word, oracleSite{ch: ChanIdle, q: q})
+	}
+	word = append(word, oracleSite{ch: ChanGate2, q: 0, b: 1})
 	run := func() []Fault {
 		in := NewInjector(Uniform(0.3), 42)
 		tb := clifford.New(8, rand.New(rand.NewSource(1)))
 		for c := 0; c < 50; c++ {
 			in.SetLocation(c, 0)
-			for q := 0; q < 8; q++ {
-				in.Idle(tb, q)
-			}
-			in.AfterGate2(tb, 0, 1)
+			injectSites(in, tb, word)
 		}
 		return append([]Fault(nil), in.Log()...)
 	}
@@ -217,9 +251,7 @@ func TestPauliMixIsBalanced(t *testing.T) {
 	in := NewInjector(Uniform(1), 11)
 	tb := clifford.New(1, rand.New(rand.NewSource(1)))
 	counts := map[clifford.Pauli]int{}
-	for i := 0; i < 3000; i++ {
-		in.AfterGate1(tb, 0)
-	}
+	injectSites(in, tb, repeatSite(oracleSite{ch: ChanGate1}, 3000))
 	for _, f := range in.Log() {
 		counts[f.Pauli]++
 	}

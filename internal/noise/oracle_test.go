@@ -148,11 +148,12 @@ func randomSites(rng *rand.Rand, count, n int) []oracleSite {
 }
 
 // TestSamplerMatchesFloat64Oracle pins the sampler to the Float64 protocol
-// it replaces, on every path that draws through it: Replayer's per-site
-// channels, the Injector (its log and the tableau it drives) and the Next
-// scan with Fault, each over 2,000 seeds of random site-kind sequences and
-// every oracle model. Every eighth sequence is long enough for the scan to
-// cross the generator register's wrap-around several times. The fault
+// it replaces, on every way the scan is driven: the Replayer site by site
+// (one-site channel lists), the Replayer's Next scan over the whole
+// sequence with Fault, and the Injector's scan with Inject (its log and the
+// tableau it drives), each over 2,000 seeds of random site-kind sequences
+// and every oracle model. Every eighth sequence is long enough for the scan
+// to cross the generator register's wrap-around several times. The fault
 // lists must be identical; a single extra or missing draw anywhere
 // desynchronizes them.
 func TestSamplerMatchesFloat64Oracle(t *testing.T) {
@@ -166,91 +167,28 @@ func TestSamplerMatchesFloat64Oracle(t *testing.T) {
 				count = long
 			}
 			sites := randomSites(rng, count, n)
-			chans := make([]Channel, count)
-			for i, s := range sites {
-				chans[i] = s.ch
-			}
 			wantTb := clifford.New(n, rand.New(rand.NewSource(1)))
 			want := sampleOracle(m, seed, sites, wantTb)
 			hits += len(want)
 
-			var channel []oracleFault
+			var perSite []oracleFault
 			rep := NewReplayer(m, seed)
-			for k, s := range sites {
-				switch s.ch {
-				case ChanIdle:
-					if p, ok := rep.Idle(); ok {
-						channel = append(channel, oracleFault{k, s.q, p})
-					}
-				case ChanGate1:
-					if p, ok := rep.AfterGate1(); ok {
-						channel = append(channel, oracleFault{k, s.q, p})
-					}
-				case ChanGate2:
-					if pa, pb, ok := rep.AfterGate2(); ok {
-						if pa != clifford.PauliI {
-							channel = append(channel, oracleFault{k, s.q, pa})
-						}
-						if pb != clifford.PauliI {
-							channel = append(channel, oracleFault{k, s.b, pb})
-						}
-					}
-				case ChanPrep:
-					if p, ok := rep.AfterPrep(s.basisX); ok {
-						channel = append(channel, oracleFault{k, s.q, p})
-					}
-				case ChanMeas:
-					if rep.FlipMeasurement() {
-						channel = append(channel, oracleFault{k, s.q, clifford.PauliI})
-					}
+			for k := range sites {
+				for _, f := range replaySites(rep, sites[k:k+1]) {
+					perSite = append(perSite, oracleFault{k, f.q, f.p})
 				}
 			}
-			if !reflect.DeepEqual(channel, want) {
-				t.Fatalf("%+v seed %d: Replayer channels %v, Float64 oracle %v", m, seed, channel, want)
+			if !reflect.DeepEqual(perSite, want) {
+				t.Fatalf("%+v seed %d: Replayer site by site %v, Float64 oracle %v", m, seed, perSite, want)
 			}
 
-			var scan []oracleFault
 			rep.Reset(m, seed)
-			for k := rep.Next(chans, 0); k < count; k = rep.Next(chans, k+1) {
-				s := sites[k]
-				if s.ch == ChanMeas {
-					scan = append(scan, oracleFault{k, s.q, clifford.PauliI})
-					continue
-				}
-				pa, pb := rep.Fault(s.ch, s.basisX)
-				if pa != clifford.PauliI {
-					scan = append(scan, oracleFault{k, s.q, pa})
-				}
-				if pb != clifford.PauliI {
-					scan = append(scan, oracleFault{k, s.b, pb})
-				}
-			}
-			if !reflect.DeepEqual(scan, want) {
+			if scan := replaySites(rep, sites); !reflect.DeepEqual(scan, want) {
 				t.Fatalf("%+v seed %d: Next scan %v, Float64 oracle %v", m, seed, scan, want)
 			}
 
-			inj := NewInjector(m, seed)
 			tb := clifford.New(n, rand.New(rand.NewSource(1)))
-			var logged []oracleFault
-			for k, s := range sites {
-				before := len(inj.Log())
-				switch s.ch {
-				case ChanIdle:
-					inj.Idle(tb, s.q)
-				case ChanGate1:
-					inj.AfterGate1(tb, s.q)
-				case ChanGate2:
-					inj.AfterGate2(tb, s.q, s.b)
-				case ChanPrep:
-					inj.AfterPrep(tb, s.q, s.basisX)
-				case ChanMeas:
-					inj.FlipMeasurement(s.q)
-				}
-				for _, f := range inj.Log()[before:] {
-					logged = append(logged, oracleFault{k, f.Qubit, f.Pauli})
-				}
-			}
-			if !reflect.DeepEqual(logged, want) {
+			if logged := injectSites(NewInjector(m, seed), tb, sites); !reflect.DeepEqual(logged, want) {
 				t.Fatalf("%+v seed %d: Injector log %v, Float64 oracle %v", m, seed, logged, want)
 			}
 			if !reflect.DeepEqual(tb, wantTb) {
@@ -266,9 +204,8 @@ func TestSamplerMatchesFloat64Oracle(t *testing.T) {
 // TestThresholdMatchesFloat64 pins the integer thresholds to Float64's
 // comparison at and around every boundary: for each p, u < t(p) must agree
 // with float64(u)/2⁶³ < p at u = 0, t−1, t, t+1, R−1, R and 2⁶³−1, where R
-// (redrawAt) must be the least u Float64 rounds to 1; and both draw paths,
-// handed each u below R as their next output, must fire exactly when
-// Float64 would.
+// (redrawAt) must be the least u Float64 rounds to 1; and the scan, handed
+// each u below R as its next output, must fire exactly when Float64 would.
 func TestThresholdMatchesFloat64(t *testing.T) {
 	const top = 1<<63 - 1
 	if got := threshold(1); got != redrawAt {
@@ -290,27 +227,22 @@ func TestThresholdMatchesFloat64(t *testing.T) {
 			if u >= redrawAt {
 				continue // Float64 draws again; TestRedrawConsumesTwoDraws covers it
 			}
-			// Both draw paths, handed u as their next Int63, fire exactly
-			// when Float64 would.
-			var scan, per sampler
+			// The scan, handed u as its next Int63, fires exactly when
+			// Float64 would.
+			var scan sampler
 			scan.init(Model{Meas: p}, 3)
-			per.init(Model{Meas: p}, 3)
-			for _, s := range []*fastSource{&scan.src, &per.src} {
-				s.vec[(s.feed-1+lfgLen)%lfgLen] = int64(u) - s.vec[(s.tap-1+lfgLen)%lfgLen]
-			}
+			s := &scan.src
+			s.vec[(s.feed-1+lfgLen)%lfgLen] = int64(u) - s.vec[(s.tap-1+lfgLen)%lfgLen]
 			if got := scan.next([]Channel{ChanMeas}, 0) == 0; got != want {
 				t.Errorf("p=%v u=%d: the scan fires %v, Float64 compare %v", p, u, got, want)
-			}
-			if _, _, got := per.sample(ChanMeas, false); got != want {
-				t.Errorf("p=%v u=%d: sample fires %v, Float64 compare %v", p, u, got, want)
 			}
 		}
 	}
 }
 
 // TestRedrawConsumesTwoDraws forces a register output that Float64 rounds
-// to 1 at a chosen site and checks that both draw paths — the Next scan and
-// the per-site sample — draw again at that site, exactly as
+// to 1 at a chosen site and checks that the scan — over the whole sequence,
+// and site by site over one-site lists — draws again at that site, exactly as
 // rand.New(src).Float64() does, and leave the source where math/rand's
 // would be. The sites are measurement sites, whose hits draw no Pauli. The
 // forced sites include ones whose two draws straddle the wrap-around of the
@@ -362,7 +294,7 @@ func TestRedrawConsumesTwoDraws(t *testing.T) {
 			got = append(got, k)
 		}
 		for i := 0; i < tc.site; i++ {
-			if _, _, ok := per.sample(ChanMeas, false); ok {
+			if per.next(chans[i:i+1], 0) == 0 {
 				perGot = append(perGot, i)
 			}
 		}
@@ -388,12 +320,12 @@ func TestRedrawConsumesTwoDraws(t *testing.T) {
 			got = append(got, k)
 		}
 		for i := tc.site; i < sites; i++ {
-			if _, _, ok := per.sample(ChanMeas, false); ok {
+			if per.next(chans[i:i+1], 0) == 0 {
 				perGot = append(perGot, i)
 			}
 		}
 		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(perGot, want) {
-			t.Errorf("p=%v forced at site %d: scan fired at %v, sample at %v, Float64 at %v", tc.p, tc.site, got, perGot, want)
+			t.Errorf("p=%v forced at site %d: scan fired at %v, site by site at %v, Float64 at %v", tc.p, tc.site, got, perGot, want)
 		}
 		if !same(&scan.src, &src) || !same(&per.src, &src) {
 			t.Errorf("p=%v forced at site %d: a draw path left the source at a different position than Float64", tc.p, tc.site)

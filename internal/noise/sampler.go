@@ -157,21 +157,3 @@ func (s *sampler) fault(ch Channel, basisX bool) (pa, pb clifford.Pauli) {
 	}
 	return clifford.PauliI, clifford.PauliI
 }
-
-// sample draws one site of channel ch — next's compare for a single site,
-// without its run bookkeeping — and reports whether it fired and the
-// Paulis it applies.
-func (s *sampler) sample(ch Channel, basisX bool) (pa, pb clifford.Pauli, ok bool) {
-	for {
-		v := (s.src.Uint64() + redrawGap) & int63
-		if v >= s.stop[ch&7] {
-			return clifford.PauliI, clifford.PauliI, false
-		}
-		if v >= redrawGap {
-			break
-		}
-		// Float64 rounded to 1: the site draws again.
-	}
-	pa, pb = s.fault(ch, basisX)
-	return pa, pb, true
-}

@@ -8,12 +8,12 @@ import (
 )
 
 // NoiseSite is one noise-injection site of a compiled sub-cycle: the
-// channel an execution unit's Fire loop would draw from at that position,
-// on which qubit, and (for two-qubit draws) the partner the second Pauli
-// lands on. The order of sites within a word is the order Fire visits them
-// (ascending qubit index, two-qubit draws at the control position), which
-// is exactly what lets a batched engine replay an Injector's RNG stream
-// bit-for-bit without a tableau.
+// channel an execution unit's compiled word draws at that position, on
+// which qubit, and (for two-qubit draws) the partner the second Pauli lands
+// on. The order of sites within a word is the order the execution unit
+// scans them (ascending qubit index, two-qubit draws at the control
+// position), which is exactly what lets a batched engine replay an
+// Injector's RNG stream bit-for-bit without a tableau.
 type NoiseSite struct {
 	// Kind is the channel drawn: noise.ChanIdle on an idle qubit,
 	// noise.ChanPrep after Prep0/PrepPlus, noise.ChanGate2 after a CNOT
@@ -46,11 +46,12 @@ type CNOTOp struct {
 
 // ProgramWord is the decomposition of one VLIW sub-cycle into the phases a
 // Pauli-frame propagator needs: measurements read the current frame, preps
-// reset it, CNOTs conjugate it, and Sites lists every noise draw in Fire
-// order. Because every qubit carries exactly one µop per word, the phases
-// commute with the interleaved per-qubit execution order of the AWG unit —
-// no gate in a word can move a fault injected by another site of the same
-// word.
+// reset it, CNOTs conjugate it, and Sites lists every noise draw in the
+// execution unit's order. Because every qubit carries exactly one µop per
+// word, the phases commute with the per-qubit execution order — no gate in
+// a word can move a fault injected by another site of the same word — the
+// same argument the execution unit's compiled words rest on when they apply
+// a word's faults after its gates.
 type ProgramWord struct {
 	Meas  []MeasOp
 	Preps []PrepOp
