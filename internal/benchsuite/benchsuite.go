@@ -114,9 +114,9 @@ func Cases(reg *metrics.Registry) []Case {
 			g := decoder.NewGlobalDecoder(lat)
 			g.SetInstr(in)
 			defects := zDefects(lat, 24) // above MaxExact: greedy path
-			if len(defects) <= g.MaxExact {
+			if len(defects) <= decoder.MaxExact {
 				b.Fatalf("case misconfigured: %d defects within exact range %d",
-					len(defects), g.MaxExact)
+					len(defects), decoder.MaxExact)
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -17,10 +17,10 @@ import (
 	"quest/internal/tracing"
 )
 
-// quietInstruments are the registered instruments no production run makes
+// quietInstruments are the registered instruments the runs below never make
 // fire, each with the reason.
 var quietInstruments = map[string]string{
-	"decoder.match.greedy":  "greedy matching takes over only past GlobalDecoder.MaxExact defects, which no run reaches",
+	"decoder.match.greedy":  "greedy matching takes over only past decoder.MaxExact defects: these runs never get there, though 4 of the 15,323 matches in questbench -trials 2000 threshold do",
 	"master.syncs":          "Master.SendSync and its one caller, MoveLogical, have no caller outside tests",
 	"master.bus.sync.instr": "the sync bus carries only SendSync tokens",
 	"master.bus.sync.bytes": "the sync bus carries only SendSync tokens",

@@ -411,31 +411,51 @@ type Matching struct {
 	Weight int
 }
 
+// MaxExact is the most defects per type the exact matcher takes; beyond it
+// the greedy matcher runs. It sizes the exact matcher's cost tables.
+const MaxExact = 14
+
 // GlobalDecoder is the master-controller decoder: minimum-weight matching on
-// the space-time defect graph. Exact (dynamic programming over subsets) for
-// up to MaxExact defects per type, greedy-with-boundary beyond that.
+// the space-time defect graph. Exact (a memoized subset recursion that
+// visits F(n+2) of the 2ⁿ subsets, 987 at n = 14) for up to MaxExact
+// defects per type, greedy-with-boundary beyond that.
 //
-// A GlobalDecoder reuses its DP and marker scratch buffers across Match
-// calls (the per-call allocations dominated the exact matcher's profile), so
-// a single instance must not run Match concurrently from multiple
-// goroutines. Every use site — one decoder per master tile, one per
-// Monte-Carlo trial — already owns its instance exclusively.
+// A GlobalDecoder reuses its cost tables, memo and marker scratch across
+// Match calls (the per-call allocations dominated the exact matcher's
+// profile), so a single instance must not run Match concurrently from
+// multiple goroutines. Every use site — one decoder per master tile, one
+// per Monte-Carlo trial — already owns its instance exclusively.
 type GlobalDecoder struct {
 	lat surface.Lattice
-	// MaxExact bounds the exact matcher; beyond it the greedy matcher runs.
-	MaxExact int
 
 	instr *Instr
 	heat  *heatmap.Collector // nil unless SetHeat bound one
 
-	// Scratch buffers reused across calls (see type comment).
-	dpBuf, choiceBuf []int32
-	usedBuf          []bool
+	// The exact matcher's cost tables, filled once per call: bound[i] is
+	// defect i's boundary cost and pair[i][j], i < j, its pair cost with j.
+	bound [MaxExact]int32
+	pair  [MaxExact][MaxExact]int32
+	// memo[s] holds subset s's solution when memo[s].gen == gen. Each call
+	// takes a fresh gen, and the memo is cleared when gen wraps, so no
+	// entry outlives its call.
+	memo []matchState
+	gen  uint16
+
+	usedBuf []bool // greedyMatch's markers
+}
+
+// matchState is one subset's exact-matcher solution: its minimum weight and
+// the partner of its lowest defect (-1 for the boundary). The narrow gen
+// and choice pack an entry into 8 bytes; the memo grows to 2^MaxExact.
+type matchState struct {
+	w      int32
+	gen    uint16
+	choice int8
 }
 
 // NewGlobalDecoder returns a decoder for the lattice with unit weights.
 func NewGlobalDecoder(lat surface.Lattice) *GlobalDecoder {
-	return &GlobalDecoder{lat: lat, MaxExact: 14, instr: defaultInstr}
+	return &GlobalDecoder{lat: lat, instr: defaultInstr}
 }
 
 // SetInstr rebinds the decoder's instruments (e.g. to a per-worker metrics
@@ -465,7 +485,7 @@ func (g *GlobalDecoder) Match(defects []Defect) Matching {
 	}
 	start := time.Now() //quest:allow(seedsrc) wall-clock latency metric only; the value never reaches simulation state
 	var m Matching
-	if len(defects) <= g.MaxExact {
+	if len(defects) <= MaxExact {
 		m = g.exactMatch(defects)
 		g.instr.matchExact.Inc()
 	} else {
@@ -481,70 +501,67 @@ func (g *GlobalDecoder) Match(defects []Defect) Matching {
 	return m
 }
 
-// exactMatch solves MWPM-with-boundary exactly by DP over defect subsets:
-// O(2^n · n) time, fine for n ≤ ~16. The DP tables live in per-decoder
-// scratch buffers: at n=10 the two per-call allocations were 8KB of the
-// matcher's footprint, and windowed decoding calls Match every d rounds.
+// exactMatch solves MWPM-with-boundary exactly for n ≤ MaxExact defects by
+// a memoized recursion over defect subsets. A subset's lowest defect is
+// resolved first — to the boundary, then paired with each other member in
+// ascending order, keeping the first strict minimum — so from the full set
+// the recursion reaches only F(n+2) subsets (987 at n = 14), not all 2ⁿ.
+// The costs are tabulated once per call; the memo is per-decoder scratch,
+// since windowed decoding calls Match every d rounds.
 func (g *GlobalDecoder) exactMatch(defects []Defect) Matching {
 	n := len(defects)
 	if n == 0 {
 		return Matching{}
 	}
-	const inf = math.MaxInt32
-	full := 1 << n
-	if cap(g.dpBuf) < full {
-		g.dpBuf = make([]int32, full)
-		g.choiceBuf = make([]int32, full)
-	}
-	dp := g.dpBuf[:full]
-	choice := g.choiceBuf[:full] // encodes the decision taken at each state
-	dp[0] = 0
-	for s := 1; s < full; s++ {
-		dp[s] = inf
-	}
-	for s := 1; s < full; s++ {
-		// Lowest set bit must be resolved now: either to boundary or paired.
-		i := 0
-		for s&(1<<i) == 0 {
-			i++
-		}
-		rest := s &^ (1 << i)
-		// Boundary.
-		if w := int32(boundaryDistance(g.lat, defects[i])) + dp[rest]; w < dp[s] {
-			dp[s] = w
-			choice[s] = -1
-		}
-		// Pair with each other set defect.
+	for i := range defects {
+		g.bound[i] = int32(boundaryDistance(g.lat, defects[i]))
 		for j := i + 1; j < n; j++ {
-			if s&(1<<j) == 0 {
-				continue
-			}
-			r2 := rest &^ (1 << j)
-			if w := int32(pairCost(defects[i], defects[j])) + dp[r2]; w < dp[s] {
-				dp[s] = w
-				choice[s] = int32(j)
-			}
+			g.pair[i][j] = int32(pairCost(defects[i], defects[j]))
 		}
 	}
-	// Reconstruct.
+	full := uint32(1)<<n - 1
+	if len(g.memo) <= int(full) {
+		g.memo = make([]matchState, full+1)
+	}
+	if g.gen++; g.gen == 0 { // wrapped: stale entries could claim the new gen
+		clear(g.memo)
+		g.gen = 1
+	}
 	var m Matching
-	s := full - 1
-	for s != 0 {
-		i := 0
-		for s&(1<<i) == 0 {
-			i++
-		}
-		if choice[s] < 0 {
+	m.Weight = int(g.solve(full))
+	for s := full; s != 0; {
+		i := bits.TrailingZeros32(s)
+		if j := g.memo[s].choice; j < 0 {
 			m.ToBoundary = append(m.ToBoundary, i)
 			s &^= 1 << i
 		} else {
-			j := int(choice[s])
-			m.Pairs = append(m.Pairs, [2]int{i, j})
+			m.Pairs = append(m.Pairs, [2]int{i, int(j)})
 			s &^= 1<<i | 1<<j
 		}
 	}
-	m.Weight = int(dp[full-1])
 	return m
+}
+
+// solve returns the minimum matching weight of subset s and records its
+// choice in the memo.
+func (g *GlobalDecoder) solve(s uint32) int32 {
+	if s == 0 {
+		return 0
+	}
+	if e := &g.memo[s]; e.gen == g.gen {
+		return e.w
+	}
+	i := bits.TrailingZeros32(s)
+	rest := s &^ (1 << i)
+	w, choice := g.bound[i]+g.solve(rest), int8(-1)
+	for r := rest; r != 0; r &= r - 1 {
+		j := bits.TrailingZeros32(r)
+		if pw := g.pair[i][j] + g.solve(rest&^(1<<j)); pw < w {
+			w, choice = pw, int8(j)
+		}
+	}
+	g.memo[s] = matchState{gen: g.gen, w: w, choice: choice}
+	return w
 }
 
 // greedyMatch repeatedly takes the globally cheapest available edge

@@ -1,6 +1,7 @@
 package decoder
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -176,6 +177,137 @@ func TestExactVsGreedyAgreeOnEasyCases(t *testing.T) {
 		greedy := g.greedyMatch(defects)
 		if greedy.Weight < exact.Weight {
 			t.Fatalf("greedy (%d) beat exact (%d): impossible", greedy.Weight, exact.Weight)
+		}
+	}
+}
+
+// exactMatchFullTable is the exact matcher's former body, kept as its test
+// oracle: a bottom-up DP that fills all 2ⁿ subset states. Each state
+// resolves its lowest defect to the boundary first, then pairs it with
+// each other member in ascending order, keeping the first strict minimum.
+func exactMatchFullTable(lat surface.Lattice, defects []Defect) Matching {
+	n := len(defects)
+	if n == 0 {
+		return Matching{}
+	}
+	const inf = math.MaxInt32
+	full := 1 << n
+	dp := make([]int32, full)
+	choice := make([]int32, full) // the decision taken at each state
+	for s := 1; s < full; s++ {
+		dp[s] = inf
+	}
+	for s := 1; s < full; s++ {
+		i := 0
+		for s&(1<<i) == 0 {
+			i++
+		}
+		rest := s &^ (1 << i)
+		if w := int32(boundaryDistance(lat, defects[i])) + dp[rest]; w < dp[s] {
+			dp[s] = w
+			choice[s] = -1
+		}
+		for j := i + 1; j < n; j++ {
+			if s&(1<<j) == 0 {
+				continue
+			}
+			if w := int32(pairCost(defects[i], defects[j])) + dp[rest&^(1<<j)]; w < dp[s] {
+				dp[s] = w
+				choice[s] = int32(j)
+			}
+		}
+	}
+	var m Matching
+	for s := full - 1; s != 0; {
+		i := 0
+		for s&(1<<i) == 0 {
+			i++
+		}
+		if choice[s] < 0 {
+			m.ToBoundary = append(m.ToBoundary, i)
+			s &^= 1 << i
+		} else {
+			j := int(choice[s])
+			m.Pairs = append(m.Pairs, [2]int{i, j})
+			s &^= 1<<i | 1<<j
+		}
+	}
+	m.Weight = int(dp[full-1])
+	return m
+}
+
+// TestExactMatchMatchesFullTable holds the memoized exact matcher to the
+// full-table DP it replaced. On d=3, 5 and 7 lattices, for each defect type
+// and n = 0…MaxExact defects over rounds 0…d, Pairs, ToBoundary and Weight
+// must be identical, ties and their breaking included. The sets are drawn
+// three ways: freely; from three (ancilla, round) sites, so coordinates
+// repeat; and in mirror pairs about the patch centre, so boundary and pair
+// costs tie. One decoder serves every call of a lattice, so a memo entry
+// that outlived its call would show. Each lattice opens with two MaxExact
+// sets between which the memo's generation counter wraps back to the value
+// the first call used.
+func TestExactMatchMatchesFullTable(t *testing.T) {
+	const perKind = 4
+	rng := rand.New(rand.NewSource(24))
+	for _, d := range []int{3, 5, 7} {
+		lat := surface.NewPlanar(d)
+		g := NewGlobalDecoder(lat)
+		check := func(defects []Defect) {
+			t.Helper()
+			if got, want := g.exactMatch(defects), exactMatchFullTable(lat, defects); !reflect.DeepEqual(got, want) {
+				t.Fatalf("d=%d: memoized %+v, full table %+v\ndefects %+v", d, got, want, defects)
+			}
+		}
+		for _, role := range []surface.Role{surface.RoleAncillaZ, surface.RoleAncillaX} {
+			anc := lat.Qubits(role)
+			site := func() Defect { return mkDefect(lat, anc[rng.Intn(len(anc))], rng.Intn(d+1)) }
+			// mirror reflects a defect through the centre row, column or
+			// both; reflections keep parity, so the role is unchanged.
+			mirror := func(a Defect) Defect {
+				r, c := a.R, a.C
+				switch rng.Intn(3) {
+				case 0:
+					r = lat.Rows - 1 - r
+				case 1:
+					c = lat.Cols - 1 - c
+				default:
+					r, c = lat.Rows-1-r, lat.Cols-1-c
+				}
+				return mkDefect(lat, lat.Index(r, c), a.Round)
+			}
+			if role == surface.RoleAncillaZ {
+				for k := 0; k < 2; k++ {
+					defects := make([]Defect, MaxExact)
+					for i := range defects {
+						defects[i] = site()
+					}
+					check(defects)
+					if k == 0 {
+						g.gen = math.MaxUint16
+					}
+				}
+			}
+			for n := 0; n <= MaxExact; n++ {
+				for k := 0; k < 3*perKind; k++ {
+					defects := make([]Defect, 0, n)
+					pool := [3]Defect{site(), site(), site()}
+					for len(defects) < n {
+						switch k % 3 {
+						case 0:
+							defects = append(defects, site())
+						case 1:
+							defects = append(defects, pool[rng.Intn(len(pool))])
+						default:
+							a := site()
+							defects = append(defects, a)
+							if len(defects) < n {
+								defects = append(defects, mirror(a))
+							}
+						}
+					}
+					check(defects)
+				}
+			}
 		}
 	}
 }

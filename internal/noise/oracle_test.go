@@ -116,11 +116,17 @@ func sampleOracle(m Model, seed int64, sites []oracleSite, tb *clifford.Tableau)
 }
 
 // oracleModels are the models the oracle comparisons run: uniform rates
-// from never to always firing, and a non-uniform model with a dead channel,
-// a heavy one and a certain one.
+// from never to always firing, a non-uniform model with a dead channel, a
+// heavy one and a certain one, and a non-uniform model with no certain
+// channel. The scan compares each draw against the model's largest stop.
+// In the uniform models a draw below that bound always fires or redraws,
+// and the certain channel puts every draw below it; only the last model
+// mixes draws at or above the bound with draws below it that miss at
+// their own site.
 var oracleModels = []Model{
 	Uniform(0), Uniform(1e-4), Uniform(2e-3), Uniform(1),
 	{Idle: 1e-2, Gate1: 0, Gate2: 0.3, Prep: 1, Meas: 0.05},
+	{Idle: 2e-3, Gate1: 5e-4, Gate2: 0.1, Prep: 1e-3, Meas: 0.02},
 }
 
 // oracleSeeds returns n injector seeds: math/rand's seeding edge cases,

@@ -22,8 +22,10 @@ import (
 //
 // Adding redrawGap = 2⁶³ − redrawAt modulo 2⁶³ moves the redraw range to
 // [0, redrawGap) and the firing range to [redrawGap, redrawGap + t(p)), so
-// a single compare against stop = redrawGap + t(p) tells a draw that misses
-// from one that ends the site, and only those few look further.
+// a draw at or above stop = redrawGap + t(p) misses. The scan compares each
+// draw against one bound, the model's largest stop: a draw at or above it
+// misses whatever its site's channel, and only the few below it look up
+// their own site's stop.
 
 // Channel names one of a Model's five fault channels.
 type Channel uint8
@@ -68,7 +70,10 @@ type sampler struct {
 	// stop[ch] is redrawGap + t(p) for channel ch's probability p. It has
 	// eight entries so next's masked index needs no bounds check.
 	stop [8]uint64
-	src  fastSource
+	// any is the largest of the five stops: no draw at or above it fires
+	// or redraws at any site.
+	any uint64
+	src fastSource
 	// rng reads src for the Pauli choice after a hit: Intn's rejection
 	// loop stays math/rand's own.
 	rng *rand.Rand
@@ -89,8 +94,10 @@ func (s *sampler) bind(m Model) {
 		panic(err)
 	}
 	s.model = m
+	s.any = 0
 	for ch, p := range [numChannels]float64{m.Idle, m.Gate1, m.Gate2, m.Meas, m.Prep} {
 		s.stop[ch] = redrawGap + threshold(p)
+		s.any = max(s.any, s.stop[ch])
 	}
 }
 
@@ -98,11 +105,14 @@ func (s *sampler) bind(m Model) {
 // fires, or len(chans) if none does, drawing exactly what sampling each
 // site's channel in turn draws: one Int63 per site, and one more per
 // redraw. It reads the generator's register directly, in runs that end
-// where the feed or tap index wraps around it, so each draw is one
-// register add and store and one compare.
+// where the sites run out or the feed or tap index wraps around, so each
+// draw is one register add and store and one compare against the model's
+// largest stop. Only a draw below it reads its own site's stop: at or
+// above that the site missed and the scan resumes at the next site, below
+// redrawGap the same site draws again, and otherwise the site fired.
 func (s *sampler) next(chans []Channel, from int) int {
-	stop := &s.stop
 	src := &s.src
+	top := s.any
 	i := from
 	for i < len(chans) {
 		// The indices count down; at 0 the next output wraps to the top.
@@ -112,26 +122,36 @@ func (s *sampler) next(chans []Channel, from int) int {
 		if src.feed == 0 {
 			src.feed = lfgLen
 		}
-		run := min(src.tap, src.feed)
+		run := min(src.tap, src.feed, len(chans)-i)
 		feed := src.vec[src.feed-run : src.feed]
 		tap := src.vec[src.tap-run : src.tap]
-		j, fired := run, false
-		for j > 0 && i < len(chans) {
+		// Draw k of the run belongs to site i+k. The run is at least one
+		// draw long, so v ends as the draw that stopped it: below top when
+		// it broke off, at or above top when every draw missed.
+		j := run
+		var v uint64
+		for j > 0 {
 			j--
 			x := feed[j] + tap[j]
 			feed[j] = x
-			if v := (uint64(x) + redrawGap) & int63; v < stop[chans[i]&7] {
-				if fired = v >= redrawGap; fired {
-					break
-				}
-				continue // Float64 rounded to 1: the same site draws again
+			if v = (uint64(x) + redrawGap) & int63; v < top {
+				break
 			}
-			i++
 		}
-		src.tap -= run - j
-		src.feed -= run - j
-		if fired {
-			break
+		drawn := run - j
+		src.tap -= drawn
+		src.feed -= drawn
+		i += drawn
+		if v >= top {
+			continue
+		}
+		switch k := i - 1; {
+		case v >= s.stop[chans[k]&7]:
+			// Missed: the scan resumes at site i.
+		case v < redrawGap:
+			i = k // Float64 rounded to 1: the same site draws again
+		default:
+			return k
 		}
 	}
 	return i
