@@ -1,9 +1,6 @@
 # Convenience targets for the QuEST reproduction.
 #
 # Observability / CI targets:
-#   make bench-json   regenerate BENCH_PR13.json, the committed benchmark
-#                     baseline tools/benchdiff compares CI runs against
-#   make benchdiff    compare a fresh suite run against the committed baseline
 #   make trace-smoke  run a tiny traced sim and validate the Perfetto JSON
 #   make ledger-smoke run a small ledgered+heatmapped sweep and validate the
 #                     JSONL with questcheck
@@ -37,7 +34,7 @@ GO ?= go
 # fails if the two (or CI's version matrix) drift apart.
 GO_TOOLCHAIN := go1.24.0
 
-.PHONY: all build test test-short race bench bench-json benchdiff trace-smoke ledger-smoke shard-smoke events-smoke bw-smoke perf-smoke lint vet fmt questvet questvet-baseline experiments examples fuzz clean
+.PHONY: all build test test-short race bench trace-smoke ledger-smoke shard-smoke events-smoke bw-smoke perf-smoke lint vet fmt questvet questvet-baseline experiments examples fuzz clean
 
 all: build vet test race
 
@@ -80,16 +77,6 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Regenerate the committed benchmark baseline (schema quest-bench/1; see
-# internal/benchsuite). Run on a quiet machine; CI compares against this file.
-bench-json:
-	$(GO) run ./cmd/questbench -bench-json BENCH_PR13.json
-
-# Compare a fresh suite run against the committed baseline (>30% ns/op fails).
-benchdiff:
-	$(GO) run ./cmd/questbench -bench-json /tmp/quest_bench_current.json
-	$(GO) run ./tools/benchdiff BENCH_PR13.json /tmp/quest_bench_current.json
 
 # Run a tiny traced simulation and validate the emitted Perfetto JSON —
 # the same check CI's trace-smoke job runs.

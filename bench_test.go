@@ -466,6 +466,8 @@ func BenchmarkStabilizerSubstrate(b *testing.B) {
 // BenchmarkDecoderScaling sweeps defect-batch sizes across the three global
 // matchers (exact DP is exponential, greedy quadratic, union-find
 // near-linear) — the latency trade that picks the master's decoder at scale.
+// Match takes the greedy fallback only past MaxExact defects, so greedy
+// has its own, larger batch.
 func BenchmarkDecoderScaling(b *testing.B) {
 	lat := surface.NewPlanar(11)
 	g := decoder.NewGlobalDecoder(lat)
@@ -493,6 +495,15 @@ func BenchmarkDecoderScaling(b *testing.B) {
 			}
 		})
 	}
+	greedy := mk(24)
+	if len(greedy) <= decoder.MaxExact {
+		b.Fatalf("greedy case has %d defects, within the exact range %d", len(greedy), decoder.MaxExact)
+	}
+	b.Run("greedy-24", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			g.Match(greedy)
+		}
+	})
 }
 
 // BenchmarkNoCDelivery measures the mesh under contention: all packets to

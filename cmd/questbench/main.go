@@ -47,7 +47,6 @@ import (
 	"strconv"
 	"strings"
 
-	"quest/internal/benchsuite"
 	"quest/internal/chart"
 	"quest/internal/core"
 	"quest/internal/metrics"
@@ -59,8 +58,6 @@ var (
 	flagMD      = flag.Bool("md", false, "emit the full evaluation as a Markdown report")
 	flagTrials  = flag.Int("trials", 0, "Monte-Carlo trials per statistical cell (0 = per-experiment default)")
 	flagWorkers = flag.Int("workers", 0, "Monte-Carlo worker goroutines (0 = GOMAXPROCS)")
-	flagBench   = flag.String("bench-json", "", "run the performance benchmark suite and write the JSON report to this path ('-' for stdout), then exit")
-	flagBenchT  = flag.String("benchtime", "", "per-case benchtime for -bench-json ('1s', '100x'; default 1s)")
 	// obs wires the shared observability flags (-metrics, -pprof, -trace,
 	// -trace-buf, -ledger, -progress, -heatmap, -events, -bw, -bw-window)
 	// identically to cmd/questsim, plus the sweep-only -ci-stop, -shard and
@@ -112,10 +109,6 @@ func main() {
 	if err := obs.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-	if *flagBench != "" {
-		runBenchJSON(*flagBench, *flagBenchT)
-		return
 	}
 	defer obs.Finish()
 	// Deliberately no -workers here: the ledger is byte-identical for any
@@ -208,27 +201,6 @@ func checkFlags(trials, workers int) error {
 		return fmt.Errorf("-workers %d: need a non-negative worker count (0 = GOMAXPROCS)", workers)
 	}
 	return nil
-}
-
-// runBenchJSON runs the benchsuite and writes the report to path ('-' =
-// stdout).
-func runBenchJSON(path, benchtime string) {
-	rep := benchsuite.Run(benchsuite.Options{Benchtime: benchtime})
-	out := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench-json:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		out = f
-	}
-	if err := rep.WriteJSON(out); err != nil {
-		fmt.Fprintln(os.Stderr, "bench-json:", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "bench-json: %d cases written to %s\n", len(rep.Results), path)
 }
 
 func runOne(name, desc string, f func()) {

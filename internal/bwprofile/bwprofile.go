@@ -20,9 +20,9 @@
 //
 // Profiling is a pure side-band. A nil *Recorder is the -bw-off mode: every
 // method is a nil-gated no-op, so call sites stay unconditional and the off
-// path adds zero allocations (pinned by TestObserveNilAllocs and the
-// benchsuite bw-off-observe case; enforced structurally by the gateflow
-// analyzer, which lists Recorder as a tracked observer type).
+// path adds zero allocations (pinned by TestObserveNilAllocs; enforced
+// structurally by the gateflow analyzer, which lists Recorder as a tracked
+// observer type).
 package bwprofile
 
 import (

@@ -12,8 +12,7 @@ import (
 
 // TestObserveNilAllocs pins the -bw-off contract: a nil recorder's Observe
 // is a zero-allocation no-op, so the dispatch and replay hot paths cost
-// nothing when profiling is off (the benchsuite bw-off-observe case tracks
-// the same path in ns/op).
+// nothing when profiling is off.
 func TestObserveNilAllocs(t *testing.T) {
 	var r *Recorder
 	allocs := testing.AllocsPerRun(1000, func() {

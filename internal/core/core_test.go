@@ -88,6 +88,30 @@ func TestIdleCycleAllocs(t *testing.T) {
 	}
 }
 
+// BenchmarkStepCycle times one noisy idle machine cycle: the default d=3
+// tile, and the questsim ghz shape of four d=5 tiles, whose cycle cost is
+// dominated by the per-tile stabilizer substrate.
+func BenchmarkStepCycle(b *testing.B) {
+	for _, shape := range []struct {
+		name     string
+		d, tiles int
+		p        float64
+	}{{"d3x1", 3, 1, 1e-4}, {"d5x4", 5, 4, 1e-3}} {
+		b.Run(shape.name, func(b *testing.B) {
+			cfg := DefaultMachineConfig()
+			cfg.Distance, cfg.Tiles = shape.d, shape.tiles
+			nm := noise.Uniform(shape.p)
+			cfg.Noise = &nm
+			m := NewMachine(cfg)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.Master().StepCycle()
+			}
+		})
+	}
+}
+
 func TestMachineCNOTAndNoise(t *testing.T) {
 	cfg := DefaultMachineConfig()
 	nm := noise.Uniform(1e-4)

@@ -90,5 +90,6 @@ func TestMachineUntracedRecordsNothing(t *testing.T) {
 	}
 	// Nothing to assert beyond "no panic": recording methods are nil no-ops.
 	// The zero-alloc property is pinned by tracing.TestNilTracerIsFreeAndSafe
-	// and the benchdiff gate on BenchmarkExactMatch10.
+	// and decoder.TestMatchHeatOffAllocs, and the gateflow analyzer keeps
+	// every hot-path observer call behind its nil gate.
 }

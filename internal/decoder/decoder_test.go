@@ -510,6 +510,76 @@ func BenchmarkFrameToggle(b *testing.B) {
 	}
 }
 
+// zDefects picks n Z-ancilla defects without an RNG: every other ancilla,
+// wrapping into the next round once the lattice runs out.
+func zDefects(lat surface.Lattice, n int) []Defect {
+	zs := lat.Qubits(surface.RoleAncillaZ)
+	defects := make([]Defect, 0, n)
+	for i := 0; len(defects) < n; i += 2 {
+		defects = append(defects, mkDefect(lat, zs[i%len(zs)], i/len(zs)))
+	}
+	return defects
+}
+
+// BenchmarkLUTWindow1 times the per-round decode at d=5: the local LUT
+// first, its residual through a one-round window. Neither defect is a LUT
+// pattern, so both escalate: this times the LUT's miss and a two-defect
+// match.
+func BenchmarkLUTWindow1(b *testing.B) {
+	lat := surface.NewPlanar(5)
+	ld := NewLocalDecoder(lat)
+	win := NewWindowDecoder(NewGlobalDecoder(lat), 1)
+	frame := NewPauliFrame()
+	defects := zDefects(lat, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resolved, residual := ld.Decode(defects)
+		for _, c := range resolved {
+			frame.Apply(c)
+		}
+		win.Absorb(residual, frame)
+	}
+}
+
+// BenchmarkWindowFlush times six rounds buffered into a d=7 window and
+// matched by one Flush. Every round repeats the same four defects, so the
+// flush matches 24, past MaxExact: this times the greedy fallback.
+func BenchmarkWindowFlush(b *testing.B) {
+	lat := surface.NewPlanar(7)
+	win := NewWindowDecoder(NewGlobalDecoder(lat), 7)
+	frame := NewPauliFrame()
+	round := zDefects(lat, 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for r := 0; r < 6; r++ {
+			win.Absorb(round, frame)
+		}
+		win.Flush(frame)
+	}
+}
+
+// BenchmarkHistoryAbsorbRound times syndrome differencing of one dense d=7
+// round with every Z ancilla measured. The round repeats, so past the first
+// it yields no defects: this times the scan.
+func BenchmarkHistoryAbsorbRound(b *testing.B) {
+	lat := surface.NewPlanar(7)
+	hist := NewHistory(lat)
+	bits := make([]int8, lat.NumQubits())
+	for q := range bits {
+		bits[q] = -1
+	}
+	for i, q := range lat.Qubits(surface.RoleAncillaZ) {
+		bits[q] = int8(i & 1)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hist.AbsorbRound(bits)
+	}
+}
+
 func TestWeightedMatchingPrefersMeasurementErrorExplanation(t *testing.T) {
 	lat := surface.NewPlanar(5)
 	g := NewGlobalDecoder(lat)

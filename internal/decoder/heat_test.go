@@ -105,19 +105,14 @@ func TestWindowForwardsHeat(t *testing.T) {
 	}
 }
 
-// TestMatchHeatOffAllocs pins that the heat-off Match path allocates no
-// more than the committed benchmark budget (decoder-exact-match-10 ≤ 6
-// allocs/op; currently 5). The heat hook must be a single nil check.
+// TestMatchHeatOffAllocs pins the heat-off Match path on ten d=9 defects
+// at no more than 6 allocs/op (currently 5), the bench_allocs budget of
+// decoder Match in questvet-budgets.json. The heat hook must be a single
+// nil check.
 func TestMatchHeatOffAllocs(t *testing.T) {
 	lat := surface.NewPlanar(9)
 	g := NewGlobalDecoder(lat)
-	zs := lat.Qubits(surface.RoleAncillaZ)
-	defects := make([]Defect, 0, 10)
-	for i := 0; len(defects) < 10; i += 2 {
-		q := zs[i%len(zs)]
-		r, c := lat.Coord(q)
-		defects = append(defects, Defect{Round: i / len(zs), Qubit: q, R: r, C: c})
-	}
+	defects := zDefects(lat, 10)
 	g.Match(defects) // warm the scratch buffers
 	allocs := testing.AllocsPerRun(100, func() {
 		g.Match(defects)

@@ -167,8 +167,7 @@ func TestSamplerDoneCellHasNoEta(t *testing.T) {
 
 // TestObserveCellNilAllocs pins the events-off contract: a nil sampler's
 // ObserveCell is free — no allocation, so the progress plumbing can call it
-// unconditionally. The benchsuite events-off-observe case pins the same
-// number against the committed baseline.
+// unconditionally.
 func TestObserveCellNilAllocs(t *testing.T) {
 	var s *Sampler
 	p := mc.Progress{Completed: 10, Failures: 1, Budget: 100}

@@ -38,9 +38,9 @@ type cellState struct {
 // Sampler turns the engine's push-style progress stream into periodic
 // telemetry snapshots. A nil *Sampler is the events-off mode: every method
 // is a nil-gated no-op, so call sites stay unconditional and the off path
-// adds zero allocations (pinned by TestObserveCellNilAllocs and the
-// benchsuite events-off-observe case; enforced structurally by the
-// gateflow analyzer, which lists Sampler as a tracked observer type).
+// adds zero allocations (pinned by TestObserveCellNilAllocs; enforced
+// structurally by the gateflow analyzer, which lists Sampler as a tracked
+// observer type).
 type Sampler struct {
 	w   *Writer
 	reg *metrics.Registry // nil when the run has no live registry

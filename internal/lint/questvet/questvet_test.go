@@ -43,7 +43,7 @@ func TestAppliesScoping(t *testing.T) {
 		{"detrange", "quest/internal/mce", false},
 		// Checker tools and commands emit CI-diffed output, so detrange
 		// covers them now.
-		{"detrange", "quest/tools/benchdiff", true},
+		{"detrange", "quest/tools/bwreport", true},
 		{"detrange", "quest/cmd/questsim", true},
 		{"seedsrc", "quest/internal/mce", true},
 		{"seedsrc", "quest/internal/noise", true},
@@ -191,7 +191,7 @@ func TestParseBudgets(t *testing.T) {
 		t.Fatalf("ParseBudgets = %+v, %v", budgets, err)
 	}
 	for _, bad := range []string{
-		`{"schema":"quest-bench/1","budgets":[]}`,
+		`{"schema":"quest-ledger/1","budgets":[]}`,
 		`{"schema":"quest-lint-budget/1","budgets":[{"root":"","max_sites":8}]}`,
 		`{"schema":"quest-lint-budget/1","budgets":[{"root":"x.F","max_sites":0}]}`,
 	} {

@@ -1,17 +1,17 @@
 // Package schemaver enforces single-sourced, exported schema version
 // constants for the repository's serialized artifact formats
-// ("quest-bench/1", "quest-ledger/1", "quest-heatmap/1", ...).
+// ("quest-ledger/1", "quest-heatmap/1", "quest-events/1", ...).
 //
-// Validators (tools/benchdiff, tools/questcheck, tools/bwreport,
-// tools/questtop), CI smoke jobs and external replay tooling all check these
-// strings; a duplicated literal lets a format change in one place silently
-// desynchronize from the checker in another. (Chrome trace files carry no
-// schema string, so tools/questcheck recognises them by shape.) schemaver
-// requires every schema-shaped string literal (`quest-<name>/<version>`) to
-// appear exactly once, as the value of an exported const; all other code
-// must reference that constant. Within a package it additionally flags a
-// second exported const carrying the same literal; across packages the
-// questvet driver repeats the check globally (Duplicates).
+// Validators (tools/questcheck, tools/bwreport, tools/questtop), CI smoke
+// jobs and external replay tooling all check these strings; a duplicated
+// literal lets a format change in one place silently desynchronize from the
+// checker in another. (Chrome trace files carry no schema string, so
+// tools/questcheck recognises them by shape.) schemaver requires every
+// schema-shaped string literal (`quest-<name>/<version>`) to appear exactly
+// once, as the value of an exported const; all other code must reference
+// that constant. Within a package it additionally flags a second exported
+// const carrying the same literal; across packages tools/questvet repeats
+// the check globally (Duplicates).
 package schemaver
 
 import (
