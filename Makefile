@@ -76,7 +76,7 @@ race:
 	$(GO) test -race ./...
 
 bench:
-	$(GO) test -bench=. -benchmem ./...
+	$(GO) test -run '^$$' -bench=. -benchmem ./...
 
 # Run a tiny traced simulation and validate the emitted Perfetto JSON —
 # the same check CI's trace-smoke job runs.

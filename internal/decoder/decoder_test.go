@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"quest/internal/awg"
@@ -522,38 +523,71 @@ func zDefects(lat surface.Lattice, n int) []Defect {
 }
 
 // BenchmarkLUTWindow1 times the per-round decode at d=5: the local LUT
-// first, its residual through a one-round window. Neither defect is a LUT
-// pattern, so both escalate: this times the LUT's miss and a two-defect
-// match.
+// first, its residual through a one-round window. /hit decodes a Y error on
+// a bulk data qubit, two same-round pairs the LUT resolves, so nothing
+// reaches the window; /miss decodes two defects that form no LUT pattern,
+// so both escalate and the window matches them.
 func BenchmarkLUTWindow1(b *testing.B) {
 	lat := surface.NewPlanar(5)
 	ld := NewLocalDecoder(lat)
-	win := NewWindowDecoder(NewGlobalDecoder(lat), 1)
-	frame := NewPauliFrame()
-	defects := zDefects(lat, 2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		resolved, residual := ld.Decode(defects)
-		for _, c := range resolved {
-			frame.Apply(c)
+	dq := lat.Index(4, 4)
+	var hit []Defect
+	for _, role := range []surface.Role{surface.RoleAncillaX, surface.RoleAncillaZ} {
+		for _, a := range lat.Qubits(role) {
+			if slices.Contains(lat.StabilizerSupport(a), dq) {
+				hit = append(hit, mkDefect(lat, a, 0))
+			}
 		}
-		win.Absorb(residual, frame)
+	}
+	for _, c := range []struct {
+		name               string
+		defects            []Defect
+		resolved, residual int
+	}{{"hit", hit, 2, 0}, {"miss", zDefects(lat, 2), 0, 2}} {
+		b.Run(c.name, func(b *testing.B) {
+			if resolved, residual := ld.Decode(c.defects); len(resolved) != c.resolved || len(residual) != c.residual {
+				b.Fatalf("the LUT resolves %d corrections and leaves %d defects, want %d and %d",
+					len(resolved), len(residual), c.resolved, c.residual)
+			}
+			win := NewWindowDecoder(NewGlobalDecoder(lat), 1)
+			frame := NewPauliFrame()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				resolved, residual := ld.Decode(c.defects)
+				for _, corr := range resolved {
+					frame.Apply(corr)
+				}
+				win.Absorb(residual, frame)
+			}
+		})
 	}
 }
 
 // BenchmarkWindowFlush times six rounds buffered into a d=7 window and
-// matched by one Flush. Every round repeats the same four defects, so the
-// flush matches 24, past MaxExact: this times the greedy fallback.
+// matched by one Flush: two Z defects per round at distinct sites, twelve
+// in all, within MaxExact, so this times the exact matcher.
 func BenchmarkWindowFlush(b *testing.B) {
 	lat := surface.NewPlanar(7)
 	win := NewWindowDecoder(NewGlobalDecoder(lat), 7)
 	frame := NewPauliFrame()
-	round := zDefects(lat, 4)
+	rng := rand.New(rand.NewSource(1))
+	zs := lat.Qubits(surface.RoleAncillaZ)
+	rounds := make([][]Defect, 6)
+	total := 0
+	for r := range rounds {
+		for _, k := range rng.Perm(len(zs))[:2] {
+			rounds[r] = append(rounds[r], mkDefect(lat, zs[k], r))
+		}
+		total += len(rounds[r])
+	}
+	if total > MaxExact {
+		b.Fatalf("%d defects in the window, past MaxExact %d", total, MaxExact)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for r := 0; r < 6; r++ {
+		for _, round := range rounds {
 			win.Absorb(round, frame)
 		}
 		win.Flush(frame)

@@ -183,20 +183,18 @@ type MCE struct {
 	local *decoder.LocalDecoder
 	frame *decoder.PauliFrame
 
-	// Instruction pipeline.
-	buffer    []isa.LogicalInstr
+	// Instruction pipeline: the buffer holds what the master sent, replayQ
+	// what the cache replays; both are keyed by the patches an instruction
+	// names.
+	buffer    queue
 	cache     map[int][]isa.LogicalInstr
-	replayQ   []isa.LogicalInstr
+	replayQ   queue
 	braids    []*braid
 	busyPatch map[int]bool
 	// usedPatch marks the patches an instruction claimed or blocked in the
 	// cycle being issued. Target and Arg are bytes, so it covers every
 	// patch number a queued instruction can name, in the tile or not.
 	usedPatch [256]bool
-	// farQueued counts queued instructions that name a patch outside the
-	// tile (mask opcodes and cache bodies are not range-checked). While it
-	// is zero, a cycle whose every patch is used can stop its issue scan.
-	farQueued int
 
 	magicStates int
 
@@ -255,7 +253,9 @@ func New(cfg Config) *MCE {
 		local: decoder.NewLocalDecoder(lat),
 		frame: decoder.NewPauliFrame(),
 
+		buffer:    newQueue(),
 		cache:     make(map[int][]isa.LogicalInstr),
+		replayQ:   newQueue(),
 		busyPatch: make(map[int]bool),
 
 		in:  newInstr(reg),
@@ -392,10 +392,9 @@ func (m *MCE) Reset(seed int64, reg *metrics.Registry, tr *tracing.Tracer, heat 
 	}
 	m.frame.Reset()
 
-	m.buffer = m.buffer[:0]
+	m.buffer.reset()
 	clear(m.cache)
-	m.replayQ = m.replayQ[:0]
-	m.farQueued = 0
+	m.replayQ.reset()
 	m.braids = m.braids[:0]
 	clear(m.busyPatch)
 	m.magicStates = 0
@@ -462,11 +461,8 @@ func (m *MCE) Enqueue(in isa.LogicalInstr) error {
 			reps = 1
 		}
 		for r := 0; r < reps; r++ {
-			m.replayQ = append(m.replayQ, body...)
-		}
-		for _, b := range body {
-			if m.far(b) {
-				m.farQueued += reps
+			for _, b := range body {
+				m.replayQ.push(b)
 			}
 		}
 		m.cacheHits += uint64(reps)
@@ -494,15 +490,12 @@ func (m *MCE) Enqueue(in isa.LogicalInstr) error {
 			return fmt.Errorf("mce: CNOT partner outside tile")
 		}
 	}
-	if m.cfg.BufferCapacity > 0 && len(m.buffer) >= m.cfg.BufferCapacity {
+	if m.cfg.BufferCapacity > 0 && m.buffer.n >= m.cfg.BufferCapacity {
 		return fmt.Errorf("mce: instruction buffer full (%d)", m.cfg.BufferCapacity)
 	}
-	m.buffer = append(m.buffer, in)
-	if m.far(in) {
-		m.farQueued++
-	}
+	m.buffer.push(in)
 	m.in.logicalEnqueued.Inc()
-	if depth := float64(len(m.buffer)); depth > m.in.bufferPeak.Value() {
+	if depth := float64(m.buffer.n); depth > m.in.bufferPeak.Value() {
 		m.in.bufferPeak.Set(depth)
 	}
 	return nil
@@ -514,7 +507,7 @@ func (m *MCE) FreeBufferSlots() int {
 	if m.cfg.BufferCapacity <= 0 {
 		return 1 << 30
 	}
-	free := m.cfg.BufferCapacity - len(m.buffer)
+	free := m.cfg.BufferCapacity - m.buffer.n
 	if free < 0 {
 		return 0
 	}
@@ -545,7 +538,7 @@ func (m *MCE) LoadCacheSlot(slot int, body []isa.LogicalInstr) error {
 // PendingLogical returns the backlog: buffered + replaying instructions and
 // in-flight braids.
 func (m *MCE) PendingLogical() int {
-	return len(m.buffer) + len(m.replayQ) + len(m.braids)
+	return m.buffer.n + m.replayQ.n + len(m.braids)
 }
 
 // Stats returns cumulative counters.
@@ -709,70 +702,40 @@ func (m *MCE) stepBraids(rep *CycleReport) {
 	m.braids = active
 }
 
-// issueLogical pops ready instructions (replay queue first — cached loops
-// have priority so factory pipelines never starve) and returns the physical
-// overlay for this cycle's first sub-cycle. Its cost is the scanned prefix of
-// the queues, not their depth: the scan stops once issueWidth instructions
-// started, or once every patch is used and no queued instruction names a
-// patch outside the tile, since nothing further can issue or move.
+// issueLogical starts this cycle's logical instructions and returns the
+// physical overlay for its first sub-cycle. It makes the tryIssue calls that
+// one scan in arrival order would make, replay queue first (cached loops
+// have priority so factory pipelines never starve): one for each
+// instruction whose patches no earlier one claimed or blocked this cycle,
+// until issueWidth have started. One that fails still blocks its target, so
+// nothing later for that patch jumps it. Only lane heads can qualify (see
+// queue), so each step takes the eligible head that arrived first, and a
+// cycle costs a few passes over the lanes however deep the backlog.
 func (m *MCE) issueLogical(rep *CycleReport) []isa.MicroOp {
 	var overlay []isa.MicroOp
-	issued, used, np := 0, 0, m.cfg.Layout.NumPatches()
+	issued := 0
 	clear(m.usedPatch[:])
-	use := func(p int) {
-		if !m.usedPatch[p] {
-			m.usedPatch[p] = true
-			if p < np {
-				used++
+	for _, q := range [...]*queue{&m.replayQ, &m.buffer} {
+		for issued < issueWidth {
+			i := q.next(&m.usedPatch)
+			if i < 0 {
+				break
 			}
-		}
-	}
-	take := func(queue *[]isa.LogicalInstr) {
-		q := *queue
-		kept, i := 0, 0
-		for ; i < len(q) && issued < issueWidth && (used < np || m.farQueued > 0); i++ {
-			in := q[i]
-			// One instruction per patch per cycle; later instructions for a
-			// used patch also wait, preserving program order per patch.
-			p1, p2 := int(in.Target), -1
-			if in.Op == isa.LCNOT {
-				p2 = int(in.Arg)
-			}
-			if m.usedPatch[p1] || (p2 >= 0 && m.usedPatch[p2]) {
-				q[kept] = in
-				kept++
-				continue
-			}
-			ok, ops := m.tryIssue(in, rep)
-			use(p1) // on failure too: nothing later may jump it
+			l := q.active[i]
+			ok, ops := m.tryIssue(l.entries[l.head].in, rep)
+			m.usedPatch[l.p1] = true // on failure too: nothing later may jump it
 			if !ok {
-				q[kept] = in
-				kept++
 				continue
 			}
-			if p2 >= 0 {
-				use(p2)
+			if l.p2 >= 0 {
+				m.usedPatch[l.p2] = true
 			}
-			if m.far(in) {
-				m.farQueued--
-			}
+			q.pop(i)
 			overlay = append(overlay, ops...)
 			issued++
 		}
-		// The scanned prefix q[:i] kept its waiting entries in q[:kept]; move
-		// them up against the unscanned tail, in order, and drop the rest.
-		copy(q[i-kept:i], q[:kept])
-		*queue = q[i-kept:]
 	}
-	take(&m.replayQ)
-	take(&m.buffer)
 	return overlay
-}
-
-// far reports whether in names a patch outside the tile.
-func (m *MCE) far(in isa.LogicalInstr) bool {
-	np := m.cfg.Layout.NumPatches()
-	return int(in.Target) >= np || (in.Op == isa.LCNOT && int(in.Arg) >= np)
 }
 
 // tryIssue attempts to start one logical instruction this cycle.
