@@ -20,6 +20,12 @@
 // slot per qubit. Every word fires through that one form: ExecuteWord and
 // Fire compile into the unit's scratch word, and a caller that replays the
 // same word compiles it once and fires it with FireWord.
+//
+// A caller that fires the same words again from the same X/Z planes can fire
+// them as sign updates (see package clifford): RecordWord fires a word and
+// keeps the constant of each acting µop's sign update, and ReplayWord fires
+// the word again from those constants, drawing and delivering exactly as
+// FireWord does.
 package awg
 
 import (
@@ -52,8 +58,10 @@ type ExecutionUnit struct {
 	pending int // switches latched since the last fire
 
 	// scratch is the compiled form of the word ExecuteWord or Fire runs,
-	// and bits the measurement outcomes of the word being fired, by qubit.
+	// consts the sign constants of a word fired without a recording, and
+	// bits the measurement outcomes of the word being fired, by qubit.
 	scratch *Word
+	consts  []uint8
 	bits    []uint8
 
 	latchCount uint64
@@ -83,6 +91,7 @@ func New(tableau *clifford.Tableau, inj *noise.Injector) *ExecutionUnit {
 		pairs:   make([]int, n),
 		latched: make([]bool, n),
 		scratch: NewWord(n),
+		consts:  make([]uint8, n),
 		bits:    make([]uint8, n),
 	}
 }
@@ -132,7 +141,7 @@ func (u *ExecutionUnit) Fire() {
 	u.compile(u.selects, u.pairs, u.scratch)
 	clear(u.latched)
 	u.pending = 0
-	u.fire(u.scratch)
+	u.fire(u.scratch, u.consts)
 }
 
 // ExecuteWord latches and fires a complete VLIW word — one lock-step
@@ -151,11 +160,12 @@ func (u *ExecutionUnit) ExecuteWord(w isa.VLIW) {
 // the unit's width once, by NewWord, and compiling writes it by index.
 type Word struct {
 	n int
-	// acts are the µops that act on the substrate, in qubit order. A CNOT
-	// appears once, at its control, and a CZ once, at its lower qubit, so
-	// random measurements keep their qubit order. Idles, T placement
-	// markers and the other halves of pairs act on nothing and carry none.
-	acts []act
+	// acts are the µops that act on the substrate, as tableau gates in
+	// qubit order. A CNOT appears once, at its control, and a CZ once, at
+	// its lower qubit, so random measurements keep their qubit order.
+	// Idles, T placement markers and the other halves of pairs act on
+	// nothing and carry none.
+	acts []clifford.Gate
 	// chans and sites are the word's noise sites in draw order: ascending
 	// qubit, one per µop that draws, a two-qubit gate's at its act. chans
 	// is the channel list the injector's scan reads; sites[i] are site i's
@@ -170,11 +180,21 @@ type Word struct {
 	ops uint16
 }
 
-// act is one acting µop: its opcode, its qubit and a two-qubit gate's
-// partner.
-type act struct {
-	op   isa.Opcode
-	q, p int
+// substrateOp is the tableau operation of each opcode that acts.
+var substrateOp = [isa.NumOpcodes]clifford.Op{
+	isa.OpPrep0:       clifford.OpPrep0,
+	isa.OpPrep1:       clifford.OpPrep1,
+	isa.OpPrepPlus:    clifford.OpPrepPlus,
+	isa.OpMeasZ:       clifford.OpMeasureZ,
+	isa.OpMeasX:       clifford.OpMeasureX,
+	isa.OpX:           clifford.OpX,
+	isa.OpY:           clifford.OpY,
+	isa.OpZ:           clifford.OpZ,
+	isa.OpH:           clifford.OpH,
+	isa.OpS:           clifford.OpS,
+	isa.OpSDagger:     clifford.OpSDagger,
+	isa.OpCNOTControl: clifford.OpCNOT,
+	isa.OpCZ:          clifford.OpCZ,
 }
 
 // site is one noise site's operands: the qubit a fault lands on, the
@@ -190,7 +210,7 @@ type site struct {
 func NewWord(n int) *Word {
 	return &Word{
 		n:     n,
-		acts:  make([]act, n),
+		acts:  make([]clifford.Gate, n),
 		chans: make([]noise.Channel, n),
 		sites: make([]site, n),
 		meas:  make([]int, n),
@@ -255,7 +275,7 @@ func (u *ExecutionUnit) compile(ops []isa.Opcode, pairs []int, cw *Word) {
 		// placement marker: the gate-count and timing effects are what the
 		// architecture experiments measure. Noise still applies.
 		if op != isa.OpIdle && op != isa.OpT {
-			acts[na] = act{op: op, q: q, p: p}
+			acts[na] = clifford.Gate{Op: substrateOp[op], A: q, B: p}
 			na++
 		}
 		chans[ns], sites[ns] = ch, site{q: q, p: p, basisX: basisX}
@@ -276,22 +296,41 @@ func checkPair(ops []isa.Opcode, pairs []int, q, p int, want isa.Opcode) {
 // FireWord latches and fires a compiled word: one lock-step sub-cycle, as
 // ExecuteWord of the word it was compiled from. It panics on a word
 // compiled for another width, or while a switch is latched.
-func (u *ExecutionUnit) FireWord(cw *Word) {
+func (u *ExecutionUnit) FireWord(cw *Word) { u.RecordWord(cw, u.consts) }
+
+// RecordWord fires cw as FireWord does and writes into consts, which must
+// hold an entry per acting µop (a word has at most N), the constant of each
+// one's sign update, in act order. It reports whether the recording may be
+// replayed: false when a preparation or measurement drew a random outcome.
+func (u *ExecutionUnit) RecordWord(cw *Word, consts []uint8) bool {
+	u.latch(cw)
+	return !u.fire(cw, consts)
+}
+
+// ReplayWord fires cw from the constants a RecordWord of it wrote: the sign
+// updates alone, then the noise and the measurement delivery as FireWord
+// does. The tableau's X/Z planes must be those RecordWord started from, and
+// ReplayWord leaves them there: after replaying a segment of words the
+// caller restores the planes the recorded segment ended on.
+func (u *ExecutionUnit) ReplayWord(cw *Word, consts []uint8) {
+	u.latch(cw)
+	u.clock(cw)
+	u.tableau.Replay(cw.acts, consts, u.bits)
+	u.noiseAndDeliver(cw)
+}
+
+// latch counts a compiled word's latches, panicking on a word compiled for
+// another width or while a switch is latched.
+func (u *ExecutionUnit) latch(cw *Word) {
 	if cw.n != u.n || u.pending != 0 {
 		panic(fmt.Sprintf("awg: fire of a %d-wide word on %d switches with %d latched", cw.n, u.n, u.pending))
 	}
 	u.latchCount += uint64(u.n)
-	u.fire(cw)
 }
 
-// fire executes a compiled word in three steps. The acting µops run in
-// qubit order, so random outcomes draw the tableau's randomness in the
-// per-switch order. The word's noise is drawn in one scan of its sites and
-// each hit applied after the gates: every qubit carries one µop, so no gate
-// of the word acts on a qubit another site's fault hit, and a Pauli commutes
-// with the sign updates of the others. Measurements are then delivered in
-// qubit order, with their flips.
-func (u *ExecutionUnit) fire(cw *Word) {
+// clock counts a fire and advances the wall clock by the word's slowest
+// waveform.
+func (u *ExecutionUnit) clock(cw *Word) {
 	u.fireCount++
 	if u.timing != nil {
 		max := u.timing.IdleNs
@@ -302,37 +341,33 @@ func (u *ExecutionUnit) fire(cw *Word) {
 		}
 		u.elapsedNs += max
 	}
+}
+
+// fire executes a compiled word in three steps, writing each acting µop's
+// sign constant into consts and reporting whether an outcome was random.
+// The acting µops run in qubit order, so random outcomes draw the tableau's
+// randomness in the per-switch order. The word's noise is drawn in one scan
+// of its sites and each hit applied after the gates: every qubit carries one
+// µop, so no gate of the word acts on a qubit another site's fault hit, and
+// a Pauli commutes with the sign updates of the others. Measurements are
+// then delivered in qubit order, with their flips.
+func (u *ExecutionUnit) fire(cw *Word, consts []uint8) (random bool) {
+	u.clock(cw)
 	t := u.tableau
-	for _, a := range cw.acts {
-		switch a.op {
-		case isa.OpPrep0:
-			t.Prep0(a.q)
-		case isa.OpPrep1:
-			t.Prep1(a.q)
-		case isa.OpPrepPlus:
-			t.PrepPlus(a.q)
-		case isa.OpX:
-			t.X(a.q)
-		case isa.OpY:
-			t.Y(a.q)
-		case isa.OpZ:
-			t.Z(a.q)
-		case isa.OpH:
-			t.H(a.q)
-		case isa.OpS:
-			t.S(a.q)
-		case isa.OpSDagger:
-			t.SDagger(a.q)
-		case isa.OpCNOTControl:
-			t.CNOT(a.q, a.p)
-		case isa.OpCZ:
-			t.CZ(a.q, a.p)
-		case isa.OpMeasZ:
-			u.bits[a.q] = uint8(t.MeasureZ(a.q))
-		case isa.OpMeasX:
-			u.bits[a.q] = uint8(t.MeasureX(a.q))
-		}
+	for i, g := range cw.acts {
+		// out is 0 for the µops that do not measure, whose bits nothing
+		// delivers.
+		k, out, rnd := t.Apply(g.Op, g.A, g.B)
+		consts[i], u.bits[g.A] = k, uint8(out)
+		random = random || rnd
 	}
+	u.noiseAndDeliver(cw)
+	return random
+}
+
+// noiseAndDeliver draws and applies a fired word's noise, then delivers its
+// measurements with their flips.
+func (u *ExecutionUnit) noiseAndDeliver(cw *Word) {
 	if u.inj != nil {
 		chans := cw.chans
 		for i := u.inj.Next(chans, 0); i < len(chans); i = u.inj.Next(chans, i+1) {
@@ -340,7 +375,7 @@ func (u *ExecutionUnit) fire(cw *Word) {
 			if chans[i] == noise.ChanMeas {
 				u.bits[s.q] ^= 1
 			}
-			u.inj.Inject(t, chans[i], s.q, s.p, s.basisX)
+			u.inj.Inject(u.tableau, chans[i], s.q, s.p, s.basisX)
 		}
 	}
 	u.measCount += uint64(len(cw.meas))

@@ -13,6 +13,26 @@
 // collapses the state by column operations on all rows, O(n·w) bit updates
 // for an image of X-weight w. The outcome streams are pinned, draw for draw,
 // to the Aaronson–Gottesman (CHP) tableau kept as the test oracle.
+//
+// A stretch of operations that repeats, such as a QECC cycle, can be
+// replayed from its signs alone. Three facts about the inverse tableau make
+// that exact:
+//
+//   - X, Y and Z only flip signs. Pauli noise, the X/Z fix-ups inside
+//     preparations and frame Paulis never change the X/Z planes.
+//   - Whether a measurement is random depends on the X/Z planes alone.
+//   - Every other operation's sign update is the old signs XOR a constant
+//     that the X/Z planes fix: a row product's phase tally reads only X/Z.
+//
+// So a segment of operations started from equal X/Z planes ends on equal
+// planes and gives the same determined outcomes, as the same functions of
+// the signs, whatever Paulis land between its operations. Apply runs an
+// operation and returns its constant; Replay applies a segment's sign
+// updates alone and leaves the planes as they are. A recorded segment may
+// be replayed on a tableau whose X/Z planes equal those its recording
+// started from (SavePlanes, EqualPlanes), provided no preparation or
+// measurement drew a random outcome while it was recorded. The planes it
+// ended on are then copied back with RestorePlanes.
 package clifford
 
 import (
@@ -130,10 +150,13 @@ func (t *Tableau) mul(h, i int) int {
 }
 
 // mulRow sets row h to i^ph · h · i. The product must be Hermitian, so the
-// total power of i is even and becomes h's sign.
-func (t *Tableau) mulRow(h, i, ph int) {
-	e := t.mul(h, i) + ph + 2*int(t.r[h])
-	t.r[h] = uint8(e>>1) & 1
+// total power of i is even and becomes h's sign. It returns the constant of
+// the sign update: h's new sign is its old sign XOR i's sign XOR the
+// constant, half the power mul tallies from the X/Z planes.
+func (t *Tableau) mulRow(h, i, ph int) uint8 {
+	s := uint8((t.mul(h, i)+ph)>>1) & 1 // i's sign XOR the constant
+	t.r[h] ^= s
+	return s ^ t.r[i]
 }
 
 // H applies a Hadamard gate to qubit q: HX_qH = Z_q, so the two images of q
@@ -150,16 +173,10 @@ func (t *Tableau) H(q int) {
 }
 
 // S applies the phase gate S to qubit q: S†X_qS = -iX_qZ_q.
-func (t *Tableau) S(q int) {
-	t.checkQubit(q)
-	t.mulRow(q, t.n+q, 3)
-}
+func (t *Tableau) S(q int) { t.Apply(OpS, q, 0) }
 
 // SDagger applies the inverse phase gate: SX_qS† = iX_qZ_q.
-func (t *Tableau) SDagger(q int) {
-	t.checkQubit(q)
-	t.mulRow(q, t.n+q, 1)
-}
+func (t *Tableau) SDagger(q int) { t.Apply(OpSDagger, q, 0) }
 
 // X applies Pauli-X to qubit q (bit flip): XZ_qX = -Z_q.
 func (t *Tableau) X(q int) {
@@ -182,27 +199,11 @@ func (t *Tableau) Y(q int) {
 
 // CNOT applies a controlled-NOT with control c and target tq. It maps X_c to
 // X_cX_tq and Z_tq to Z_cZ_tq and leaves X_tq and Z_c alone.
-func (t *Tableau) CNOT(c, tq int) {
-	t.checkQubit(c)
-	t.checkQubit(tq)
-	if c == tq {
-		panic("clifford: CNOT control equals target")
-	}
-	t.mulRow(c, tq, 0)
-	t.mulRow(t.n+tq, t.n+c, 0)
-}
+func (t *Tableau) CNOT(c, tq int) { t.Apply(OpCNOT, c, tq) }
 
 // CZ applies a controlled-Z between qubits a and b. It maps X_a to X_aZ_b and
 // X_b to Z_aX_b and leaves both Z images alone.
-func (t *Tableau) CZ(a, b int) {
-	t.checkQubit(a)
-	t.checkQubit(b)
-	if a == b {
-		panic("clifford: CZ on a single qubit")
-	}
-	t.mulRow(a, t.n+b, 0)
-	t.mulRow(b, t.n+a, 0)
-}
+func (t *Tableau) CZ(a, b int) { t.Apply(OpCZ, a, b) }
 
 // MeasureZ measures qubit q in the computational basis and returns the
 // outcome bit. Random outcomes consume one bit from the tableau's rng.
@@ -215,6 +216,12 @@ func (t *Tableau) CZ(a, b int) {
 // prepended H then maps the image to ±Z-only, which projects the state onto
 // an eigenstate of Z_q; a prepended X flips it to the drawn outcome.
 func (t *Tableau) MeasureZ(q int) int {
+	out, _ := t.measureZ(q)
+	return out
+}
+
+// measureZ is MeasureZ that also reports whether the outcome was random.
+func (t *Tableau) measureZ(q int) (out int, random bool) {
 	t.checkQubit(q)
 	zq := t.n + q
 	qx, qz := t.row(zq)
@@ -226,7 +233,7 @@ func (t *Tableau) MeasureZ(q int) int {
 		}
 	}
 	if pw < 0 {
-		return int(t.r[zq])
+		return int(t.r[zq]), false
 	}
 	pm := qx[pw] & -qx[pw]
 	// The CNOT targets, kept in the scratch row while the rows change.
@@ -278,45 +285,31 @@ func (t *Tableau) MeasureZ(q int) int {
 		}
 		t.r[i] = s
 	}
-	out := uint8(t.rng.Intn(2))
-	if t.r[zq] != out {
+	drawn := uint8(t.rng.Intn(2))
+	if t.r[zq] != drawn {
 		for i := 0; i < 2*t.n; i++ {
 			if t.z[i*t.words+pw]&pm != 0 {
 				t.r[i] ^= 1
 			}
 		}
 	}
-	return int(out)
+	return int(drawn), true
 }
 
 // MeasureX measures qubit q in the X basis (H, MeasureZ, H).
 func (t *Tableau) MeasureX(q int) int {
-	t.H(q)
-	out := t.MeasureZ(q)
-	t.H(q)
+	_, out, _ := t.Apply(OpMeasureX, q, 0)
 	return out
 }
 
 // Prep0 projects qubit q to |0>: measure and flip on a 1 outcome.
-func (t *Tableau) Prep0(q int) {
-	if t.MeasureZ(q) == 1 {
-		t.X(q)
-	}
-}
+func (t *Tableau) Prep0(q int) { t.Apply(OpPrep0, q, 0) }
 
 // Prep1 projects qubit q to |1>.
-func (t *Tableau) Prep1(q int) {
-	if t.MeasureZ(q) == 0 {
-		t.X(q)
-	}
-}
+func (t *Tableau) Prep1(q int) { t.Apply(OpPrep1, q, 0) }
 
 // PrepPlus projects qubit q to |+>.
-func (t *Tableau) PrepPlus(q int) {
-	if t.MeasureX(q) == 1 {
-		t.Z(q)
-	}
-}
+func (t *Tableau) PrepPlus(q int) { t.Apply(OpPrepPlus, q, 0) }
 
 // ExpectationZ returns +1/-1 if Z_q is deterministic in the current state and
 // 0 if the outcome would be random. It does not disturb the state.

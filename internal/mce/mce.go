@@ -145,10 +145,11 @@ type patchSets struct {
 	logicalX, logicalZ []int // its logical operator supports
 }
 
-// braid tracks an in-flight logical CNOT: remaining mask steps and the
-// patches it occupies.
+// braid tracks an in-flight logical CNOT: its mask steps, shared with
+// MCE.braidPaths, the index of the next one, and the patches it occupies.
 type braid struct {
 	steps     []surface.BraidStep
+	next      int
 	ctrl, tgt int
 }
 
@@ -176,8 +177,16 @@ type MCE struct {
 	// holding it means a new expansion always has a new address.
 	compiled     []*awg.Word
 	compiledFrom []isa.VLIW
+	// memo replays the compiled expansion's plain cycles from their signs.
+	memo memo
 
 	patches []patchSets
+	// isData marks the lattice's data qubits, whose measurements belong to
+	// the data round.
+	isData []bool
+	// braidPaths[c*NumPatches+t] is the mask walk of a braided CNOT from
+	// patch c to patch t, built once: the layout is fixed.
+	braidPaths [][]surface.BraidStep
 
 	hist  *decoder.SyndromeHistory
 	local *decoder.LocalDecoder
@@ -189,7 +198,7 @@ type MCE struct {
 	buffer    queue
 	cache     map[int][]isa.LogicalInstr
 	replayQ   queue
-	braids    []*braid
+	braids    []braid
 	busyPatch map[int]bool
 	// usedPatch marks the patches an instruction claimed or blocked in the
 	// cycle being issued. Target and Arg are bytes, so it covers every
@@ -248,6 +257,7 @@ func New(cfg Config) *MCE {
 		overlaid: isa.NewVLIW(lat.NumQubits()),
 		compiled: make([]*awg.Word, cfg.Schedule.Depth),
 		patches:  newPatchSets(cfg.Layout),
+		isData:   make([]bool, lat.NumQubits()),
 
 		hist:  decoder.NewHistory(lat),
 		local: decoder.NewLocalDecoder(lat),
@@ -270,6 +280,21 @@ func New(cfg Config) *MCE {
 	for s := range m.compiled {
 		m.compiled[s] = awg.NewWord(lat.NumQubits())
 	}
+	m.memo = newMemo(m.tableau, cfg.Schedule.Depth)
+	for q := range m.isData {
+		m.isData[q] = lat.RoleOf(q) == surface.RoleData
+	}
+	np := cfg.Layout.NumPatches()
+	m.braidPaths = make([][]surface.BraidStep, np*np)
+	for c := 0; c < np; c++ {
+		for t := 0; t < np; t++ {
+			if c != t {
+				m.braidPaths[c*np+t] = compiler.BraidForCNOT(cfg.Layout, c, t)
+			}
+		}
+	}
+	// A braid keeps both its patches busy, so at most np/2 are in flight.
+	m.braids = make([]braid, 0, np/2)
 	m.clearPending()
 	if cfg.Noise != nil {
 		m.inj = noise.NewInjector(*cfg.Noise, cfg.Seed+1)
@@ -377,7 +402,7 @@ func (m *MCE) Reset(seed int64, reg *metrics.Registry, tr *tracing.Tracer, heat 
 	m.tableau.SetRNG(rand.New(rand.NewSource(seed)))
 	m.tableau.Reset()
 	m.mask = m.baseMask.Clone()
-	m.compiledFrom = nil
+	m.compiledFrom = nil // the next cycle recompiles, which clears the memo
 	m.inj = nil
 	if m.cfg.Noise != nil {
 		m.inj = noise.NewInjector(*m.cfg.Noise, seed+1)
@@ -424,9 +449,6 @@ func (m *MCE) ElapsedNs() float64 { return m.unit.ElapsedNs() }
 
 // Layout returns the MCE's tile layout.
 func (m *MCE) Layout() compiler.Layout { return m.cfg.Layout }
-
-// Tableau exposes the substrate for verification in tests.
-func (m *MCE) Tableau() *clifford.Tableau { return m.tableau }
 
 // Frame exposes the Pauli frame for verification.
 func (m *MCE) Frame() *decoder.PauliFrame { return m.frame }
@@ -548,7 +570,7 @@ func (m *MCE) Stats() (microOps, logicalRetired, cacheHits, cacheLoads, stalledT
 
 func (m *MCE) sinkMeasurement(q, bit int) {
 	round := m.pendingSynd
-	if m.cfg.Layout.Lat.RoleOf(q) == surface.RoleData {
+	if m.isData[q] {
 		round = m.pendingData
 	}
 	if round[q] < 0 {
@@ -603,26 +625,35 @@ func (m *MCE) runCycle(rep *CycleReport, overlay []isa.MicroOp, stallBefore uint
 	// 3. Replay the QECC microcode under the current mask; the first
 	// sub-cycle carries the logical overlay in the slots the mask freed.
 	// A new expansion is compiled once and its words fired until the mask
-	// changes again.
+	// changes again. A cycle without overlay goes through the memo, except
+	// the first of a new expansion: a braid's expansions last one cycle, and
+	// the first cycle after New or Reset draws random outcomes.
 	words := m.store.ReplayCycle(m.mask)
-	if len(words) != len(m.compiledFrom) || &words[0] != &m.compiledFrom[0] {
+	fresh := len(words) != len(m.compiledFrom) || &words[0] != &m.compiledFrom[0]
+	if fresh {
 		for s, w := range words {
 			m.unit.Compile(w, m.compiled[s])
 		}
 		m.compiledFrom = words
+		m.memo.clear()
 	}
-	for s, cw := range m.compiled {
-		if s == 0 && len(overlay) > 0 {
-			first := m.overlaid
-			copy(first.Ops, words[0].Ops)
-			copy(first.Pairs, words[0].Pairs)
-			for _, op := range overlay {
-				first.Set(op.Qubit, op.Op)
+	if len(overlay) == 0 && !fresh {
+		m.firePlain()
+	} else {
+		for s, cw := range m.compiled {
+			if s == 0 && len(overlay) > 0 {
+				first := m.overlaid
+				copy(first.Ops, words[0].Ops)
+				copy(first.Pairs, words[0].Pairs)
+				for _, op := range overlay {
+					first.Set(op.Qubit, op.Op)
+				}
+				m.unit.ExecuteWord(first)
+				continue
 			}
-			m.unit.ExecuteWord(first)
-			continue
+			m.unit.FireWord(cw)
 		}
-		m.unit.FireWord(cw)
+		m.memo.cur = -1 // the planes no longer equal a known interned state
 	}
 	rep.MicroOpsIssued = len(words) * m.unit.N()
 	m.microOps += uint64(rep.MicroOpsIssued)
@@ -677,7 +708,7 @@ func (m *MCE) runCycle(rep *CycleReport, overlay []isa.MicroOp, stallBefore uint
 func (m *MCE) stepBraids(rep *CycleReport) {
 	active := m.braids[:0]
 	for _, b := range m.braids {
-		s := b.steps[0]
+		s := b.steps[b.next]
 		if !m.cfg.Layout.Lat.InBounds(s.R, s.C) {
 			panic(fmt.Sprintf("mce: braid step at (%d,%d) outside tile", s.R, s.C))
 		}
@@ -688,8 +719,8 @@ func (m *MCE) stepBraids(rep *CycleReport) {
 			// Shrink restores the site's rest state (gap sites stay masked).
 			m.mask.SetDisabled(idx, m.baseMask.Disabled(idx))
 		}
-		b.steps = b.steps[1:]
-		if len(b.steps) == 0 {
+		b.next++
+		if b.next == len(b.steps) {
 			m.busyPatch[b.ctrl] = false
 			m.busyPatch[b.tgt] = false
 			m.logicalRetired++
@@ -698,7 +729,6 @@ func (m *MCE) stepBraids(rep *CycleReport) {
 		}
 		active = append(active, b)
 	}
-	clear(m.braids[len(active):]) // drop the finished braids' pointers
 	m.braids = active
 }
 
@@ -750,15 +780,13 @@ func (m *MCE) tryIssue(in isa.LogicalInstr, rep *CycleReport) (bool, []isa.Micro
 		if m.busyPatch[tgt] {
 			return false, nil
 		}
-		steps := compiler.BraidForCNOT(m.cfg.Layout, patch, tgt)
-		if len(steps) == 0 {
-			m.logicalRetired++
-			rep.LogicalRetired++
-			return true, nil
+		np := m.cfg.Layout.NumPatches()
+		if patch == tgt || patch >= np || tgt >= np {
+			panic("mce: a braided CNOT needs two distinct patches of the tile")
 		}
 		m.busyPatch[patch] = true
 		m.busyPatch[tgt] = true
-		m.braids = append(m.braids, &braid{steps: steps, ctrl: patch, tgt: tgt})
+		m.braids = append(m.braids, braid{steps: m.braidPaths[patch*np+tgt], ctrl: patch, tgt: tgt})
 		return true, nil
 	case in.Op == isa.LX || in.Op == isa.LZ:
 		// Logical Paulis are Pauli-frame updates along the logical operator
