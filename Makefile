@@ -208,16 +208,18 @@ examples:
 	$(GO) run ./examples/host_pipeline
 	$(GO) run ./examples/algorithms
 
-# Brief fuzzing sessions over the wire formats.
+# Brief fuzzing sessions over the wire formats and the run path behind
+# them (`questasm run`).
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/qasm/
 	$(GO) test -fuzz FuzzDecode -fuzztime 30s ./internal/qexe/
+	$(GO) test -fuzz FuzzRunExecutable -fuzztime 30s ./internal/core/
 
 # Remove only *untracked* files under the fuzz corpora directories (fuzzing
 # drops new inputs there) plus build artifacts. An earlier version ran
 # `rm -rf` on the whole testdata trees, which deleted the committed seed
 # corpora; TestCleanTargetPreservesTrackedTestdata pins the fix.
 clean:
-	git clean -fdx internal/qasm/testdata internal/qexe/testdata
+	git clean -fdx internal/qasm/testdata internal/qexe/testdata internal/core/testdata
 	rm -f ledger-shard-*.jsonl events-shard-*.jsonl bw-smoke-*.jsonl perf-smoke.*
 	$(GO) clean ./...

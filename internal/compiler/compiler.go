@@ -94,6 +94,9 @@ func (p *Program) Validate() error {
 		if in.Op == isa.LCNOT && int(in.Arg) >= p.NumLogical {
 			return fmt.Errorf("compiler: instruction %d CNOT arg %d outside register", i, in.Arg)
 		}
+		if in.Op == isa.LCNOT && in.Arg == in.Target {
+			return fmt.Errorf("compiler: instruction %d CNOT control equals target", i)
+		}
 	}
 	return nil
 }

@@ -56,6 +56,11 @@ func TestValidateCatchesCorruptPrograms(t *testing.T) {
 	if err := p3.Validate(); err == nil {
 		t.Error("target outside register accepted")
 	}
+	p4 := NewProgram(2)
+	p4.Instrs = append(p4.Instrs, isa.LogicalInstr{Op: isa.LCNOT, Target: 1, Arg: 1})
+	if err := p4.Validate(); err == nil {
+		t.Error("CNOT of a qubit onto itself accepted")
+	}
 }
 
 func TestDecomposeRzShape(t *testing.T) {

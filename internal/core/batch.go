@@ -107,7 +107,10 @@ type laneScratch struct {
 	// outcome. Row 0 stays zero, the reference of the first cycle. Entries
 	// of qubits a cycle does not measure are stale.
 	flips []uint64
-	rep   *noise.Replayer
+	// hits has bit i set when trial i's scan hit a site: a trial whose
+	// bit is clear drew no fault, so every flip lane is 0 at its bit.
+	hits uint64
+	rep  *noise.Replayer
 }
 
 func newLaneScratch(ls *laneStream) laneScratch {
@@ -147,6 +150,7 @@ func (s *laneScratch) addFault(base, q int, p clifford.Pauli, bit uint64) {
 // hit records trial bit's fault at flattened site k, which rep's scan
 // reported fired, drawing its Paulis.
 func (s *laneScratch) hit(ls *laneStream, rep *noise.Replayer, k int, bit uint64) {
+	s.hits |= bit
 	site := &ls.sites[k]
 	n := ls.n
 	if ch := ls.chans[k]; ch == noise.ChanMeas {
@@ -166,8 +170,17 @@ func (s *laneScratch) hit(ls *laneStream, rep *noise.Replayer, k int, bit uint64
 // stream by exact replay of the injector the scalar engine seeds with
 // injSeed(seeds[i]), drawing from rep (bound to the cell's model), then
 // propagates all lanes through the stream at once, leaving the measurement
-// flip lanes in s.flips and the final fault frame in s.fx/s.fz. A nil rep
-// is a noiseless tile — no injector, so no draws.
+// flip lanes in s.flips, the final fault frame in s.fx/s.fz and the trials
+// that drew a fault in s.hits. A nil rep is a noiseless tile — no
+// injector, so no draws.
+//
+// Flip lanes are relative to the fault-free run, so a trial whose hits bit
+// is clear has a known outcome: no round yields a defect, the decoders see
+// nothing and the readout parity is 0. The engines run the decode only for
+// the trials that drew a fault; the others just absorb their rounds as
+// empty rounds into the window decoder, which records exactly what their
+// full decode would (one decoder.window.rounds per round; an empty flush
+// matches nothing and writes no span and no heat record).
 //
 // The replay is inherently sequential per trial (each draw's position
 // depends on the previous draws), but it touches no tableau: rep.Next scans
@@ -186,6 +199,7 @@ func (s *laneScratch) run(ls *laneStream, rep *noise.Replayer, seeds []uint64, i
 		}
 	}
 	clear(s.measFlip)
+	s.hits = 0
 	if rep != nil {
 		for i, seed := range seeds {
 			rep.Reseed(injSeed(seed))
@@ -305,8 +319,8 @@ func newBatchScratch(tp *thresholdProgram) *batchScratch {
 }
 
 // runLane executes one lane of trials: the kernel samples and propagates
-// every trial's faults, then each trial decodes against the pooled window
-// decoder. out[i] receives trial seeds[i]'s outcome.
+// every trial's faults, then each trial that drew a fault decodes against
+// the pooled window decoder. out[i] receives trial seeds[i]'s outcome.
 func (tp *thresholdProgram) runLane(p float64, seeds []uint64, ctx mc.BatchCtx, out []mc.Outcome) {
 	s := tp.pool.Get().(*batchScratch)
 	defer tp.pool.Put(s)
@@ -331,16 +345,24 @@ func (tp *thresholdProgram) runLane(p float64, seeds []uint64, ctx mc.BatchCtx, 
 	if ctx.Shard != nil {
 		instr = decoder.NewInstr(ctx.Shard)
 	}
+	s.win.SetInstr(instr) // nil restores the default, like the scalar unwired path
+	s.win.SetTracer(ctx.Trace, 0)
 	for i := range seeds {
 		bit := uint64(1) << uint(i)
+		s.win.Reset()
+		if s.lanes.hits&bit == 0 {
+			// No fault: d+1 empty rounds, and the trial passes.
+			for r := 1; r <= d+1; r++ {
+				s.win.Absorb(nil, s.frame)
+			}
+			out[i] = mc.Outcome{}
+			continue
+		}
 		var heat *heatmap.Collector
 		if ctx.Heat != nil {
 			heat = ctx.Heat[i]
 		}
-		s.win.Reset()
 		s.frame.Reset()
-		s.win.SetInstr(instr) // nil restores the default, like the scalar unwired path
-		s.win.SetTracer(ctx.Trace, 0)
 		s.win.SetHeat(heat)
 		for r := 1; r <= d+1; r++ {
 			defs := s.defects[:0]

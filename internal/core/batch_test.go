@@ -3,18 +3,22 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"quest/internal/heatmap"
 	"quest/internal/ledger"
+	"quest/internal/mc"
 	"quest/internal/metrics"
 )
 
 // thresholdSweep runs one sweep through the batched engine or the scalar
-// oracle and returns the rows, the raw ledger bytes and the heatmap JSON.
+// oracle and returns the rows, the raw ledger bytes, the heatmap JSON and
+// the non-zero decoder.* counters and mc.trials of a private registry.
 func thresholdSweep(t *testing.T, batched bool, workers, trials int, ciWidth float64,
-	rates []float64, distances []int) ([]ThresholdRow, []byte, []byte) {
+	rates []float64, distances []int) ([]ThresholdRow, []byte, []byte, map[string]uint64) {
 	t.Helper()
+	reg := metrics.New()
 	var buf bytes.Buffer
 	lw, err := ledger.NewWriter(&buf, "threshold-batch-test", map[string]string{"suite": "batch_test"}, ledger.ShardInfo{})
 	if err != nil {
@@ -25,9 +29,9 @@ func thresholdSweep(t *testing.T, batched bool, workers, trials int, ciWidth flo
 	var rows []ThresholdRow
 	var serr error
 	if batched {
-		rows, serr = Threshold(nil, nil, rates, distances, trials, workers, obs)
+		rows, serr = Threshold(reg, nil, rates, distances, trials, workers, obs)
 	} else {
-		rows, serr = thresholdScalar(nil, nil, rates, distances, trials, workers, obs)
+		rows, serr = thresholdScalar(reg, nil, rates, distances, trials, workers, obs)
 	}
 	if serr != nil {
 		t.Fatalf("sweep: %v", serr)
@@ -39,17 +43,27 @@ func thresholdSweep(t *testing.T, batched bool, workers, trials int, ciWidth flo
 	if err := heat.WriteJSON(&hj); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
 	}
-	return rows, buf.Bytes(), hj.Bytes()
+	counters := map[string]uint64{}
+	for _, c := range reg.Snapshot().Counters {
+		if c.Value != 0 && (strings.HasPrefix(c.Name, "decoder.") || c.Name == "mc.trials") {
+			counters[c.Name] = c.Value
+		}
+	}
+	return rows, buf.Bytes(), hj.Bytes(), counters
 }
 
 // TestThresholdBatchedMatchesScalar pins the batched engine's whole contract:
 // for every cell, Result rows, ledger bytes and heat JSON are byte-identical
-// to the scalar tableau oracle, across worker counts (including lane-count
-// mismatches), trial counts that leave a ragged final 64-trial lane, CI
-// early stop, and the exact grid `questbench threshold` ships. The scalar
-// oracle runs at workers=1 as the reference.
+// to the scalar tableau oracle, and so are the non-zero decoder.* counters
+// and mc.trials (under CI early stop, on one worker), across worker counts
+// (including lane-count mismatches), trial counts that leave a ragged final
+// 64-trial lane, CI early stop, and the exact grid `questbench threshold`
+// ships. The scalar oracle runs at workers=1 as the reference. The grid
+// holds trials that drew no fault, whose decode the engine skips, and
+// trials that drew one.
 func TestThresholdBatchedMatchesScalar(t *testing.T) {
 	rates := []float64{2e-3, 4e-3}
+	var clean, faulty int
 	for _, tc := range []struct {
 		name    string
 		trials  int
@@ -66,10 +80,17 @@ func TestThresholdBatchedMatchesScalar(t *testing.T) {
 		{"d5-ragged", 30, 0, rates, []int{5}},
 		{"cli-grid", 70, 0, []float64{2e-3, 1e-3, 5e-4}, []int{3, 5}},
 	} {
+		for _, p := range tc.rates {
+			for _, d := range tc.dists {
+				c, f := faultCounts(&thresholdProgramFor(d).stream, p, thresholdInjSeed,
+					mc.Seed(ExperimentSeed, mc.F64(p), uint64(d)), tc.trials) // the cell seed logicalFailRateBatched derives
+				clean, faulty = clean+c, faulty+f
+			}
+		}
 		t.Run(tc.name, func(t *testing.T) {
-			wantRows, wantLed, wantHeat := thresholdSweep(t, false, 1, tc.trials, tc.ciWidth, tc.rates, tc.dists)
+			wantRows, wantLed, wantHeat, wantCounters := thresholdSweep(t, false, 1, tc.trials, tc.ciWidth, tc.rates, tc.dists)
 			for _, workers := range []int{1, 8} {
-				rows, led, heat := thresholdSweep(t, true, workers, tc.trials, tc.ciWidth, tc.rates, tc.dists)
+				rows, led, heat, counters := thresholdSweep(t, true, workers, tc.trials, tc.ciWidth, tc.rates, tc.dists)
 				if !reflect.DeepEqual(rows, wantRows) {
 					t.Errorf("workers=%d: batched rows differ from scalar oracle:\nbatched: %+v\nscalar:  %+v",
 						workers, rows, wantRows)
@@ -80,11 +101,21 @@ func TestThresholdBatchedMatchesScalar(t *testing.T) {
 				if !bytes.Equal(heat, wantHeat) {
 					t.Errorf("workers=%d: batched heat JSON differs from scalar oracle", workers)
 				}
+				// Counters count every trial a worker ran, lanes past an
+				// early stop included, so with a stop they match only on
+				// one worker.
+				if (tc.ciWidth == 0 || workers == 1) && !reflect.DeepEqual(counters, wantCounters) {
+					t.Errorf("workers=%d: batched counters differ from scalar oracle:\nbatched: %v\nscalar:  %v",
+						workers, counters, wantCounters)
+				}
 			}
 			if _, err := ledger.Validate(wantLed); err != nil {
 				t.Fatalf("questcheck rejects the sweep ledger: %v", err)
 			}
 		})
+	}
+	if clean == 0 || faulty == 0 {
+		t.Errorf("the grid holds %d fault-free and %d faulty trials; it must hold both", clean, faulty)
 	}
 }
 

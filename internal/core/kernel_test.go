@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"testing"
 
 	"quest/internal/mc"
@@ -16,14 +17,41 @@ type kernelCase struct {
 	injSeed func(uint64) int64
 }
 
+// The injector seed rules of the two engines: the scalar threshold trial
+// seeds its injector with Derive(seed, 1), the memory machine's tile 0 with
+// the trial seed + 1.
+func thresholdInjSeed(seed uint64) int64 { return int64(mc.Derive(seed, 1)) }
+func memoryInjSeed(seed uint64) int64    { return int64(seed) + 1 }
+
 func kernelCases() []kernelCase {
-	threshold := func(seed uint64) int64 { return int64(mc.Derive(seed, 1)) }
-	memory := func(seed uint64) int64 { return int64(seed) + 1 }
 	return []kernelCase{
-		{"threshold-d3", &thresholdProgramFor(3).stream, 1e-3, threshold},
-		{"threshold-d5", &thresholdProgramFor(5).stream, 2e-3, threshold},
-		{"memory-r8", &memoryProgramFor(8).stream, 5e-4, memory},
+		{"threshold-d3", &thresholdProgramFor(3).stream, 1e-3, thresholdInjSeed},
+		{"threshold-d5", &thresholdProgramFor(5).stream, 2e-3, thresholdInjSeed},
+		{"memory-r8", &memoryProgramFor(8).stream, 5e-4, memoryInjSeed},
 	}
+}
+
+// faultCounts runs the lane kernel over the first trials of a cell, lane by
+// lane as RunBatch deals them, and counts the trials that drew no fault —
+// the ones the engines skip the decode for — and those that drew one. A
+// rate of 0 is a noiseless tile, which draws nothing.
+func faultCounts(stream *laneStream, p float64, injSeed func(uint64) int64, cell uint64, trials int) (clean, faulty int) {
+	s := newLaneScratch(stream)
+	var model *noise.Model
+	if p > 0 {
+		m := noise.Uniform(p)
+		model = &m
+	}
+	rep := s.replayer(model)
+	for lo := 0; lo < trials; lo += mc.LaneWidth {
+		seeds := make([]uint64, min(mc.LaneWidth, trials-lo))
+		for i := range seeds {
+			seeds[i] = mc.TrialSeed(cell, lo+i)
+		}
+		s.run(stream, rep, seeds, injSeed)
+		faulty += bits.OnesCount64(s.hits)
+	}
+	return trials - faulty, faulty
 }
 
 // laneSeeds returns one full lane of trial seeds.

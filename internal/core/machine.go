@@ -196,7 +196,9 @@ func (r RunReport) Savings() float64 {
 }
 
 // RunProgram dispatches a logical program (CNOTs must pair qubits on the
-// same tile) and runs the machine until it drains.
+// same tile) and runs the machine until it drains. Each instruction is
+// checked against its tile before it is dispatched, so one the tile's MCE
+// would refuse on delivery is an error here.
 func (ma *Machine) RunProgram(p *compiler.Program, maxCycles int) (RunReport, error) {
 	if err := p.Validate(); err != nil {
 		return RunReport{}, err
@@ -206,7 +208,7 @@ func (ma *Machine) RunProgram(p *compiler.Program, maxCycles int) (RunReport, er
 	}
 	// A settle cycle projects the lattices before work arrives.
 	ma.m.StepCycle()
-	for _, in := range p.Instrs {
+	for i, in := range p.Instrs {
 		tile, patch, err := ma.tileFor(int(in.Target))
 		if err != nil {
 			return RunReport{}, err
@@ -222,6 +224,9 @@ func (ma *Machine) RunProgram(p *compiler.Program, maxCycles int) (RunReport, er
 				return RunReport{}, fmt.Errorf("core: cross-tile CNOT %d,%d not supported", in.Target, in.Arg)
 			}
 			mapped.Arg = uint8(patch2)
+		}
+		if err := ma.m.Tiles()[tile].Check(mapped); err != nil {
+			return RunReport{}, fmt.Errorf("core: instruction %d: %w", i, err)
 		}
 		if err := ma.m.Dispatch(tile, mapped); err != nil {
 			return RunReport{}, err

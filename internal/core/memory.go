@@ -39,6 +39,8 @@ import (
 // on the machine's own decoder objects in the machine's order, so defects,
 // matchings, frame corrections, heat records, bus traffic and counters
 // replicate the scalar machine exactly (TestMachineMemoryBatchedMatchesScalar).
+// A trial that drew no fault skips it: it passes, and its rounds reach the
+// window decoder empty (see laneScratch.run).
 
 // memoryProgram is the once-per-rounds precompute of a memory cell: tile
 // 0's cycle stream and what the decode replay needs to know about each
@@ -205,11 +207,9 @@ func (mp *memoryProgram) runLane(p float64, seeds []uint64, ctx mc.BatchCtx, out
 		LogicalEnqueued: instrs * trials, LogicalRetired: instrs * trials,
 	}
 	ctl := master.Tally{Cycles: trials * uint64(cycles), Dispatched: instrs * trials}
+	s.win.SetInstr(instr) // nil restores the default, like the machine's unwired path
+	s.win.SetTracer(ctx.Trace, 0)
 	for i := range seeds {
-		var heat *heatmap.Collector
-		if ctx.Heat != nil {
-			heat = ctx.Heat[i]
-		}
 		var bw *bwprofile.Recorder
 		if ctx.BW != nil {
 			bw = ctx.BW[i]
@@ -218,12 +218,22 @@ func (mp *memoryProgram) runLane(p float64, seeds []uint64, ctx mc.BatchCtx, out
 			bw.Observe(1, bwprofile.BusLogical, bwprofile.ClassOf(isa.LPrep0), 1, isa.LogicalInstrBytes)
 			bw.Observe(mp.measAt, bwprofile.BusLogical, bwprofile.ClassOf(isa.LMeasZ), 1, isa.LogicalInstrBytes)
 		}
+		s.win.Reset()
+		if s.lanes.hits>>uint(i)&1 == 0 {
+			// No fault: one empty round per cycle, and the trial passes.
+			for c := 0; c < cycles; c++ {
+				s.win.Absorb(nil, s.frame)
+			}
+			out[i] = mc.Outcome{}
+			continue
+		}
+		var heat *heatmap.Collector
+		if ctx.Heat != nil {
+			heat = ctx.Heat[i]
+		}
 		s.hist.Reset()
 		s.hist.SetHeat(heat)
 		s.frame.Reset()
-		s.win.Reset()
-		s.win.SetInstr(instr) // nil restores the default, like the machine's unwired path
-		s.win.SetTracer(ctx.Trace, 0)
 		s.win.SetHeat(heat)
 		got := -1
 		for c := 0; c < cycles; c++ {

@@ -8,6 +8,7 @@ import (
 	"quest/internal/bwprofile"
 	"quest/internal/heatmap"
 	"quest/internal/ledger"
+	"quest/internal/mc"
 	"quest/internal/metrics"
 )
 
@@ -91,9 +92,22 @@ func memorySweep(t *testing.T, batched bool, trials, workers int, shard ledger.S
 // the two register the same non-zero counters at the same values —
 // mce.*, master.*, decoder.* and mc.* alike. The same ledger bytes hold when
 // the engine runs the grid as a 2-way shard split and merges, and when it
-// resumes from the oracle's ledger cut mid-cell past a lane boundary.
+// resumes from the oracle's ledger cut mid-cell past a lane boundary. The
+// grid holds trials that drew no fault, whose decode the engine skips, and
+// trials that drew one.
 func TestMachineMemoryBatchedMatchesScalar(t *testing.T) {
 	const trials = 130
+	var clean, faulty int
+	for _, p := range memoryGridRates {
+		for _, rounds := range memoryGridRounds {
+			c, f := faultCounts(&memoryProgramFor(rounds).stream, p, memoryInjSeed,
+				mc.Seed(ExperimentSeed, mc.F64(p), uint64(rounds), 0x3e3), trials) // the cell seed MachineMemory derives
+			clean, faulty = clean+c, faulty+f
+		}
+	}
+	if clean == 0 || faulty == 0 {
+		t.Errorf("the grid holds %d fault-free and %d faulty trials; it must hold both", clean, faulty)
+	}
 	want := memorySweep(t, false, trials, 1, ledger.ShardInfo{}, nil)
 	if len(want.rows) != len(memoryGridRates)*len(memoryGridRounds) {
 		t.Fatalf("oracle emitted %d rows", len(want.rows))

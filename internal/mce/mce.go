@@ -16,6 +16,7 @@
 package mce
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -470,14 +471,15 @@ func (m *MCE) MagicStates() int { return m.magicStates }
 
 // Enqueue accepts one logical instruction from the master controller. Cache
 // management opcodes are interpreted here; everything else waits in the
-// instruction buffer.
+// instruction buffer. Where Check refuses in, Enqueue returns its error and
+// queues nothing.
 func (m *MCE) Enqueue(in isa.LogicalInstr) error {
+	if err := m.Check(in); err != nil {
+		return err
+	}
 	switch in.Op {
 	case isa.LCacheRun:
-		body, ok := m.cache[int(in.Target)]
-		if !ok {
-			return fmt.Errorf("mce: cache run on empty slot %d", in.Target)
-		}
+		body := m.cache[int(in.Target)]
 		reps := int(in.Arg)
 		if reps == 0 {
 			reps = 1
@@ -499,18 +501,8 @@ func (m *MCE) Enqueue(in isa.LogicalInstr) error {
 			m.tr.InstantArg("mce", m.tid, "cache.replay", int64(m.cycle), "reps", int64(reps))
 		}
 		return nil
-	case isa.LCacheLoad:
-		return fmt.Errorf("mce: LCacheLoad must arrive via LoadCacheSlot with its body")
 	case isa.LSyncToken:
 		return nil // sequencing only; no quantum effect
-	}
-	if in.Op.IsTransverse() || in.Op == isa.LCNOT {
-		if int(in.Target) >= m.cfg.Layout.NumPatches() {
-			return fmt.Errorf("mce: instruction %s targets patch outside tile", in)
-		}
-		if in.Op == isa.LCNOT && int(in.Arg) >= m.cfg.Layout.NumPatches() {
-			return fmt.Errorf("mce: CNOT partner outside tile")
-		}
 	}
 	if m.cfg.BufferCapacity > 0 && m.buffer.n >= m.cfg.BufferCapacity {
 		return fmt.Errorf("mce: instruction buffer full (%d)", m.cfg.BufferCapacity)
@@ -522,6 +514,66 @@ func (m *MCE) Enqueue(in isa.LogicalInstr) error {
 	}
 	return nil
 }
+
+// Check reports why Enqueue would refuse in, or nil if it would accept it
+// (the buffer's capacity aside, which the master's flow control polls
+// through FreeBufferSlots). It changes nothing, so a caller can check an
+// instruction before dispatching it. LCacheLoad never arrives this way, a
+// cache run needs a loaded slot whose every instruction the tile can issue,
+// and any other instruction must itself be one the tile can issue
+// (checkQueued).
+func (m *MCE) Check(in isa.LogicalInstr) error {
+	switch in.Op {
+	case isa.LCacheRun:
+		body, ok := m.cache[int(in.Target)]
+		if !ok {
+			return fmt.Errorf("mce: cache run on empty slot %d", in.Target)
+		}
+		for _, b := range body {
+			if err := m.checkQueued(b); err != nil {
+				return err
+			}
+		}
+		return nil
+	case isa.LCacheLoad:
+		return fmt.Errorf("mce: LCacheLoad must arrive via LoadCacheSlot with its body")
+	case isa.LSyncToken:
+		return nil
+	}
+	return m.checkQueued(in)
+}
+
+// checkQueued reports why in may not wait in the instruction buffer or the
+// replay queue, or nil if it may: a transverse instruction or a CNOT must
+// name a patch of the tile, a CNOT's partner must be another patch of the
+// tile, and the opcodes Enqueue handles on arrival (LCacheRun, LCacheLoad,
+// LSyncToken) are never queued. Anything that passes is safe to issue.
+func (m *MCE) checkQueued(in isa.LogicalInstr) error {
+	switch in.Op {
+	case isa.LCacheRun, isa.LCacheLoad, isa.LSyncToken:
+		return errNotQueued
+	}
+	if in.Op.IsTransverse() || in.Op == isa.LCNOT {
+		np := m.cfg.Layout.NumPatches()
+		if int(in.Target) >= np {
+			return fmt.Errorf("mce: instruction %s targets patch outside tile", in)
+		}
+		if in.Op == isa.LCNOT && int(in.Arg) >= np {
+			return errPartnerOutside
+		}
+		if in.Op == isa.LCNOT && in.Arg == in.Target {
+			return errSelfCNOT
+		}
+	}
+	return nil
+}
+
+// The fixed-text rejections of checkQueued.
+var (
+	errNotQueued      = errors.New("mce: a cache body may not hold LCRUN, LCLOAD or LSYNC")
+	errPartnerOutside = errors.New("mce: CNOT partner outside tile")
+	errSelfCNOT       = errors.New("mce: a braided CNOT needs two distinct patches of the tile")
+)
 
 // FreeBufferSlots returns how many more instructions Enqueue will accept
 // (a large sentinel when unbounded); the master's flow control polls it.
@@ -537,7 +589,10 @@ func (m *MCE) FreeBufferSlots() int {
 }
 
 // LoadCacheSlot installs a loop body into a cache slot (the arrival of the
-// body's bytes is metered by the master controller).
+// body's bytes is metered by the master controller). The body is held to
+// the tile when a cache run replays it (Check), not here: a loader may stage
+// a body the tile never runs, as host.Compile stages the 16-patch
+// distillation round in every tile.
 func (m *MCE) LoadCacheSlot(slot int, body []isa.LogicalInstr) error {
 	if m.cfg.CacheSlots == 0 {
 		return fmt.Errorf("mce: cache disabled")

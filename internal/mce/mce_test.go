@@ -1,6 +1,7 @@
 package mce
 
 import (
+	"strings"
 	"testing"
 
 	"quest/internal/compiler"
@@ -284,6 +285,73 @@ func TestEnqueueValidation(t *testing.T) {
 	}
 	if m.PendingLogical() != 0 {
 		t.Error("sync token buffered")
+	}
+}
+
+// TestQueuedInstructionChecks pins the one check behind Enqueue, on a
+// two-patch tile: each rejected instruction — sent on its own, or replayed
+// from a cache body by a cache run — fails Check and Enqueue with the named
+// error and leaves nothing queued, where before a cached instruction naming
+// a patch outside the tile, a CNOT onto its own patch and a nested cache
+// opcode were queued and panicked at issue. A body is held to the tile when
+// it runs, not when it loads: the full 16-patch distillation round still
+// loads, and only running it fails. A mask opcode is not range-checked, and
+// the distillation round projected onto the tile runs.
+func TestQueuedInstructionChecks(t *testing.T) {
+	in := func(op isa.LogicalOpcode, target, arg uint8) isa.LogicalInstr {
+		return isa.LogicalInstr{Op: op, Target: target, Arg: arg}
+	}
+	for _, tc := range []struct {
+		name string
+		// body, when set, is loaded into slot 0 and instr runs it.
+		body  []isa.LogicalInstr
+		instr isa.LogicalInstr
+		want  string // error substring; empty when accepted
+	}{
+		{"patch outside tile", nil, in(isa.LX, 9, 0), "targets patch outside tile"},
+		{"CNOT target outside tile", nil, in(isa.LCNOT, 7, 0), "targets patch outside tile"},
+		{"CNOT partner outside tile", nil, in(isa.LCNOT, 0, 5), "CNOT partner outside tile"},
+		{"CNOT onto itself", nil, in(isa.LCNOT, 1, 1), "two distinct patches"},
+		{"bare cache load", nil, in(isa.LCacheLoad, 0, 0), "via LoadCacheSlot"},
+		{"run of an empty slot", nil, in(isa.LCacheRun, 0, 1), "empty slot 0"},
+		{"mask opcode past the tile", nil, in(isa.LMaskGrow, 200, 0), ""},
+		{"cached patch outside tile", []isa.LogicalInstr{in(isa.LX, 0, 0), in(isa.LX, 9, 0)}, in(isa.LCacheRun, 0, 2), "targets patch outside tile"},
+		{"cached CNOT partner outside tile", []isa.LogicalInstr{in(isa.LCNOT, 0, 5)}, in(isa.LCacheRun, 0, 1), "CNOT partner outside tile"},
+		{"cached CNOT onto itself", []isa.LogicalInstr{in(isa.LCNOT, 1, 1)}, in(isa.LCacheRun, 0, 1), "two distinct patches"},
+		{"cached cache run", []isa.LogicalInstr{in(isa.LCacheRun, 0, 1)}, in(isa.LCacheRun, 0, 1), "may not hold"},
+		{"cached cache load", []isa.LogicalInstr{in(isa.LCacheLoad, 0, 0)}, in(isa.LCacheRun, 0, 1), "may not hold"},
+		{"cached sync token", []isa.LogicalInstr{in(isa.LSyncToken, 0, 0)}, in(isa.LCacheRun, 0, 1), "may not hold"},
+		{"full distillation round", distill.RoundCircuit(), in(isa.LCacheRun, 0, 1), "targets patch outside tile"},
+		{"projected distillation round", distillBody(2), in(isa.LCacheRun, 0, 1), ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newMCE(t, 2)
+			if tc.body != nil {
+				if err := m.LoadCacheSlot(0, tc.body); err != nil {
+					t.Fatalf("LoadCacheSlot: %v", err)
+				}
+			}
+			checked := m.Check(tc.instr)
+			if m.PendingLogical() != 0 {
+				t.Fatal("Check queued an instruction")
+			}
+			err := m.Enqueue(tc.instr)
+			switch {
+			case (checked == nil) != (err == nil) || (err != nil && checked.Error() != err.Error()):
+				t.Fatalf("Check says %v, Enqueue %v", checked, err)
+			case tc.want == "" && err != nil:
+				t.Fatalf("rejected: %v", err)
+			case tc.want == "":
+				return
+			case err == nil:
+				t.Fatalf("accepted, want an error containing %q", tc.want)
+			case !strings.Contains(err.Error(), tc.want):
+				t.Fatalf("error %q, want one containing %q", err, tc.want)
+			}
+			if m.PendingLogical() != 0 {
+				t.Errorf("a rejected instruction left %d queued", m.PendingLogical())
+			}
+		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"quest/internal/clifford"
@@ -246,20 +247,41 @@ func TestThresholdMatchesFloat64(t *testing.T) {
 	}
 }
 
-// TestRedrawConsumesTwoDraws forces a register output that Float64 rounds
-// to 1 at a chosen site and checks that the scan — over the whole sequence,
-// and site by site over one-site lists — draws again at that site, exactly as
-// rand.New(src).Float64() does, and leave the source where math/rand's
-// would be. The sites are measurement sites, whose hits draw no Pauli. The
-// forced sites include ones whose two draws straddle the wrap-around of the
-// register's feed and tap indices.
-func TestRedrawConsumesTwoDraws(t *testing.T) {
-	// force makes the next output of s be u.
-	force := func(s *fastSource, u uint64) {
-		tap := ((s.tap-1)%lfgLen + lfgLen) % lfgLen
-		feed := ((s.feed-1)%lfgLen + lfgLen) % lfgLen
-		s.vec[feed] = int64(u) - s.vec[tap]
+// forceCase forces one register output at a chosen site of an
+// all-measurement site sequence at rate p: the draw of site `site` is set to
+// u. The scan reaches that site in one call that starts at site `from`
+// (from ≤ site < from+334), so the forced draw lands where a run starting
+// at `from` puts it: inside a block of four or in the draws a run leaves
+// after its last full block. From a fresh seed, sites 0–3 are the first
+// block's four positions, and 332, 333 and 606 are such leftover draws
+// before the feed and the tap index wrap.
+type forceCase struct {
+	p          float64
+	u          uint64
+	from, site int
+}
+
+// forceAhead makes the k-th next output of s be u, for k < 334, and leaves
+// the k outputs before it as they were: the word the k-th draw reads as its
+// feed is read by none of them.
+func forceAhead(s *fastSource, k int, u uint64) {
+	ahead := *s
+	for i := 0; i < k; i++ {
+		ahead.Uint64()
 	}
+	tap := ((ahead.tap-1)%lfgLen + lfgLen) % lfgLen
+	feed := ((ahead.feed-1)%lfgLen + lfgLen) % lfgLen
+	s.vec[feed] = int64(u) - ahead.vec[tap]
+}
+
+// checkForced runs one forceCase over every draw path and checks that the
+// scan — over the whole sequence, and site by site over one-site lists —
+// fires exactly where rand.New(src).Float64() < p does, that Float64 drew
+// `draws` outputs at the forced site, and that every path leaves the source
+// where math/rand's would be. It reports whether the forced site fired. The
+// sites are measurement sites, whose hits draw no Pauli.
+func checkForced(t *testing.T, tc forceCase, draws int) (fired bool) {
+	t.Helper()
 	same := func(a, b *fastSource) bool {
 		return a.vec == b.vec && (a.tap-b.tap)%lfgLen == 0 && (a.feed-b.feed)%lfgLen == 0
 	}
@@ -268,73 +290,111 @@ func TestRedrawConsumesTwoDraws(t *testing.T) {
 	for i := range chans {
 		chans[i] = ChanMeas
 	}
-	for _, tc := range []struct {
-		p    float64
-		u    uint64
-		site int
-	}{
-		{1, redrawAt, 0},            // the least redraw, at a certain channel
-		{0, 1<<63 - 1, 3},           // the largest output, at a dead channel
-		{0.5, redrawAt + 100, 9},    // inside the range, mid-sequence
-		{1e-3, 1<<64 - 1, 5},        // sign bit set: Int63 masks it off
-		{1, redrawAt, 333},          // feed wraps between the two draws
-		{0.5, redrawAt + 1, 606},    // tap wraps between the two draws
-		{1e-3, redrawAt + 511, 940}, // feed wraps again
-	} {
-		m := Model{Meas: tc.p}
-		var scan, per sampler
-		scan.init(m, 77)
-		per.init(m, 77)
-		var src fastSource
-		src.Seed(77)
-		ref := rand.New(&src)
+	m := Model{Meas: tc.p}
+	var scan, per sampler
+	scan.init(m, 77)
+	per.init(m, 77)
+	var src fastSource
+	src.Seed(77)
+	ref := rand.New(&src)
 
-		var want, got, perGot []int
-		for i := 0; i < tc.site; i++ {
-			if ref.Float64() < tc.p {
-				want = append(want, i)
-			}
+	var want, got, perGot []int
+	for i := 0; i < tc.from; i++ {
+		if ref.Float64() < tc.p {
+			want = append(want, i)
 		}
-		head := chans[:tc.site]
-		for k := scan.next(head, 0); k < len(head); k = scan.next(head, k+1) {
-			got = append(got, k)
+	}
+	head := chans[:tc.from]
+	for k := scan.next(head, 0); k < len(head); k = scan.next(head, k+1) {
+		got = append(got, k)
+	}
+	for i := 0; i < tc.from; i++ {
+		if per.next(chans[i:i+1], 0) == 0 {
+			perGot = append(perGot, i)
 		}
-		for i := 0; i < tc.site; i++ {
-			if per.next(chans[i:i+1], 0) == 0 {
-				perGot = append(perGot, i)
-			}
-		}
-		for _, s := range []*fastSource{&src, &scan.src, &per.src} {
-			force(s, tc.u)
-		}
-		if !same(&scan.src, &src) || !same(&per.src, &src) {
-			t.Fatalf("p=%v: the draw paths reached site %d at different source positions", tc.p, tc.site)
-		}
+	}
+	if !same(&scan.src, &src) || !same(&per.src, &src) {
+		t.Fatalf("%+v: the draw paths reached site %d at different source positions", tc, tc.from)
+	}
+	for _, s := range []*fastSource{&src, &scan.src, &per.src} {
+		forceAhead(s, tc.site-tc.from, tc.u)
+	}
 
+	for i := tc.from; i < sites; i++ {
 		before := src.tap
-		for i := tc.site; i < sites; i++ {
-			if ref.Float64() < tc.p {
-				want = append(want, i)
-			}
-			if i == tc.site {
-				if drew := ((before-src.tap)%lfgLen + lfgLen) % lfgLen; drew != 2 {
-					t.Fatalf("p=%v: Float64 drew %d outputs at the forced site, want 2", tc.p, drew)
-				}
+		if ref.Float64() < tc.p {
+			want = append(want, i)
+		}
+		if i == tc.site {
+			if drew := ((before-src.tap)%lfgLen + lfgLen) % lfgLen; drew != draws {
+				t.Fatalf("%+v: Float64 drew %d outputs at the forced site, want %d", tc, drew, draws)
 			}
 		}
-		for k := scan.next(chans, tc.site); k < sites; k = scan.next(chans, k+1) {
-			got = append(got, k)
+	}
+	for _, k := range want {
+		if tc.from <= k && k < tc.site {
+			t.Fatalf("%+v: site %d fires before the forced site, so no single run reaches it", tc, k)
 		}
-		for i := tc.site; i < sites; i++ {
-			if per.next(chans[i:i+1], 0) == 0 {
-				perGot = append(perGot, i)
-			}
+	}
+	for k := scan.next(chans, tc.from); k < sites; k = scan.next(chans, k+1) {
+		got = append(got, k)
+	}
+	for i := tc.from; i < sites; i++ {
+		if per.next(chans[i:i+1], 0) == 0 {
+			perGot = append(perGot, i)
 		}
-		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(perGot, want) {
-			t.Errorf("p=%v forced at site %d: scan fired at %v, site by site at %v, Float64 at %v", tc.p, tc.site, got, perGot, want)
-		}
-		if !same(&scan.src, &src) || !same(&per.src, &src) {
-			t.Errorf("p=%v forced at site %d: a draw path left the source at a different position than Float64", tc.p, tc.site)
+	}
+	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(perGot, want) {
+		t.Errorf("%+v: scan fired at %v, site by site at %v, Float64 at %v", tc, got, perGot, want)
+	}
+	if !same(&scan.src, &src) || !same(&per.src, &src) {
+		t.Errorf("%+v: a draw path left the source at a different position than Float64", tc)
+	}
+	return slices.Contains(want, tc.site)
+}
+
+// TestRedrawConsumesTwoDraws forces a register output that Float64 rounds
+// to 1 at a chosen site and checks that the scan draws again at that site,
+// exactly as rand.New(src).Float64() does (checkForced). The forced sites
+// include ones whose two draws straddle the wrap-around of the register's
+// feed and tap indices, each of a block's four positions, and the draws a
+// run leaves after its last full block.
+func TestRedrawConsumesTwoDraws(t *testing.T) {
+	for _, tc := range []forceCase{
+		{1, redrawAt, 0, 0},              // the least redraw, at a certain channel
+		{0, 1<<63 - 1, 3, 3},             // the largest output, at a dead channel
+		{0.5, redrawAt + 100, 9, 9},      // inside the range, mid-sequence
+		{1e-3, 1<<64 - 1, 5, 5},          // sign bit set: Int63 masks it off
+		{1, redrawAt, 333, 333},          // feed wraps between the two draws
+		{0.5, redrawAt + 1, 606, 606},    // tap wraps between the two draws
+		{1e-3, redrawAt + 511, 940, 940}, // feed wraps again
+		{0, redrawAt, 0, 1},              // a block's second draw
+		{1e-4, redrawAt + 7, 0, 2},       // its third
+		{0, 1<<63 - 1, 0, 3},             // its fourth
+		{1e-4, redrawAt + 200, 0, 332},   // left after the first run's last block
+		{0, 1<<64 - 1, 0, 333},           // the first run's last draw
+		{1e-4, redrawAt + 3, 334, 606},   // the second run's last draw
+	} {
+		checkForced(t, tc, 2)
+	}
+}
+
+// TestForcedFaultFires forces a register output below the channel's
+// threshold at a chosen site — at each of a block's four positions and at
+// the draws a run leaves after its last full block — and checks that the
+// scan fires there on one draw, exactly as Float64 does (checkForced).
+func TestForcedFaultFires(t *testing.T) {
+	for _, tc := range []forceCase{
+		{1e-4, 0, 0, 0},
+		{1e-4, threshold(1e-4) - 1, 0, 1}, // the largest output that fires
+		{1e-4, 1<<63 | 5, 0, 2},           // sign bit set: Int63 masks it off
+		{2e-3, 12345, 0, 3},
+		{1e-4, 99, 0, 332},
+		{5e-5, threshold(5e-5) - 1, 0, 333},
+		{1e-4, 1, 334, 606},
+	} {
+		if !checkForced(t, tc, 1) {
+			t.Errorf("%+v: the forced output did not fire", tc)
 		}
 	}
 }

@@ -110,6 +110,16 @@ func (s *sampler) bind(m Model) {
 // largest stop. Only a draw below it reads its own site's stop: at or
 // above that the site missed and the scan resumes at the next site, below
 // redrawGap the same site draws again, and otherwise the site fired.
+//
+// A run is drawn four draws at a time: a block computes its four sums,
+// compares each against the bound and stores them only when all four
+// miss. A block that holds a draw below the bound is left untouched and
+// falls through to the one-draw loop, which draws it again one draw at a
+// time up to that draw; so does a run's tail of fewer than four. This is
+// exact because no draw of a block reads a word another draw of the block
+// writes: a draw writes its own feed word, and its tap word lies 273
+// places from it (334 the other way round the register), while the words
+// a block writes are adjacent, since a run ends before either index wraps.
 func (s *sampler) next(chans []Channel, from int) int {
 	src := &s.src
 	top := s.any
@@ -125,11 +135,12 @@ func (s *sampler) next(chans []Channel, from int) int {
 		run := min(src.tap, src.feed, len(chans)-i)
 		feed := src.vec[src.feed-run : src.feed]
 		tap := src.vec[src.tap-run : src.tap]
-		// Draw k of the run belongs to site i+k. The run is at least one
-		// draw long, so v ends as the draw that stopped it: below top when
-		// it broke off, at or above top when every draw missed.
-		j := run
-		var v uint64
+		// Draw k of the run belongs to site i+k, at index run-1-k. v ends
+		// as the draw that stopped the run: below top when it broke off, at
+		// or above top when every draw missed. It starts as a miss, for a
+		// run that ends on a block boundary.
+		j := missBlocks(feed, tap, top)
+		v := top
 		for j > 0 {
 			j--
 			x := feed[j] + tap[j]
@@ -155,6 +166,28 @@ func (s *sampler) next(chans []Channel, from int) int {
 		}
 	}
 	return i
+}
+
+// missBlocks draws a run's draws from the top index down in blocks of four,
+// storing a block only when all four draws miss top, and returns the index
+// the block drawing stopped at: the top of the first block that holds a
+// draw below top, or of the tail shorter than four. It is a function of its
+// own so that its loop keeps its values in registers: inlined into next,
+// the compiler spilled and reloaded seven of them around every block.
+func missBlocks(feed, tap []int64, top uint64) int {
+	j := len(feed)
+	for j >= 4 {
+		f := (*[4]int64)(feed[j-4 : j])
+		t := (*[4]int64)(tap[j-4 : j])
+		x0, x1, x2, x3 := f[3]+t[3], f[2]+t[2], f[1]+t[1], f[0]+t[0]
+		if (uint64(x0)+redrawGap)&int63 < top || (uint64(x1)+redrawGap)&int63 < top ||
+			(uint64(x2)+redrawGap)&int63 < top || (uint64(x3)+redrawGap)&int63 < top {
+			break
+		}
+		f[3], f[2], f[1], f[0] = x0, x1, x2, x3
+		j -= 4
+	}
+	return j
 }
 
 // fault draws the Paulis a fired channel applies. A depolarizing channel

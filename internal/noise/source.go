@@ -8,6 +8,9 @@ import "math/rand"
 // chain of 1,841 Lehmer steps x ← 48271·x mod (2³¹−1), each waiting on the
 // last. The k-th value of that chain is 48271^k·x₀ mod (2³¹−1), so with the
 // powers precomputed the 1,841 products are independent of one another.
+// Each product reduces modulo 2³¹−1 by two folds and a mask, with no
+// compare and no branch: the folds are exact because no product is a
+// multiple of the prime modulus (x₀·48271^k ≢ 0; see fill).
 //
 // math/rand is an additive lagged-Fibonacci generator over a 607-word
 // register: Seed fills word i with three consecutive chain values XORed
@@ -68,15 +71,6 @@ func init() {
 	}
 }
 
-// lehmerMod reduces y < 2⁶² modulo 2³¹−1.
-func lehmerMod(y uint64) uint64 {
-	y = (y & lehmerM) + (y >> 31)
-	if y >= lehmerM {
-		y -= lehmerM
-	}
-	return y
-}
-
 // fastSource is math/rand's generator with a jump-ahead Seed. The zero
 // value must be seeded before use.
 type fastSource struct {
@@ -88,14 +82,29 @@ var _ rand.Source64 = (*fastSource)(nil)
 
 // fill seeds the register from chain start x0 ∈ [1, 2³¹−1), XORing word i
 // with scramble[i]. The three chain values of a word are
-// 48271^k·x0 mod (2³¹−1) for consecutive k: products of two factors below
-// 2³¹, independent of each other and of every other word's.
+// 48271^k·x0 mod (2³¹−1) for consecutive k: products y = P·x0 < 2⁶² of two
+// factors below 2³¹, independent of each other and of every other word's.
+//
+// Each product is reduced modulo M = 2³¹−1 by two folds, with no compare:
+// 2³¹ ≡ 1 (mod M), so r = y&M + y>>31 ≡ y lies in [0, 2M], and r + r>>31
+// masked with M subtracts M exactly when r ≥ 2³¹. That is the reduction
+// whenever r is neither M nor 2M, which holds because x0·P ≢ 0 (mod M): M
+// is prime and neither x0 nor P is a multiple of it. Then r ≥ 2³¹ exactly
+// when r > M. The first chain value enters the word only through <<40,
+// which keeps its low 24 bits, so it needs no mask: the 2³¹ the mask would
+// clear lies above them.
 func (s *fastSource) fill(x0 uint64, scramble *[lfgLen]uint64) {
 	s.tap = 0
 	s.feed = lfgLen - lfgTap
 	for i := range s.vec {
 		p := &lehmerPow[i]
-		a, b, c := lehmerMod(p[0]*x0), lehmerMod(p[1]*x0), lehmerMod(p[2]*x0)
+		a, b, c := p[0]*x0, p[1]*x0, p[2]*x0
+		a = a&lehmerM + a>>31
+		b = b&lehmerM + b>>31
+		c = c&lehmerM + c>>31
+		a += a >> 31
+		b = (b + b>>31) & lehmerM
+		c = (c + c>>31) & lehmerM
 		s.vec[i] = int64(a<<40 ^ b<<20 ^ c ^ scramble[i])
 	}
 }

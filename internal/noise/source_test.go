@@ -63,3 +63,22 @@ func BenchmarkReseed(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkScan times Next alone over a 2,925-site stream, the length of
+// the d=5 threshold cell's noisy cycles, at p=5e-4: ns/draw divides by the
+// sites scanned, one draw each. The source runs on without a re-seed, and
+// a hit draws no Pauli, so only the scan is timed.
+func BenchmarkScan(b *testing.B) {
+	chans := make([]Channel, 2925)
+	for i := range chans {
+		chans[i] = Channel(i % int(numChannels))
+	}
+	rep := NewReplayer(Uniform(5e-4), 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := 0; k < len(chans); k++ {
+			k = rep.Next(chans, k)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(chans)), "ns/draw")
+}
