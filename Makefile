@@ -8,10 +8,6 @@
 #                     threshold and memory sweeps merged with ledgermerge,
 #                     and runs resumed from truncated ledgers, must all be
 #                     byte-identical (cmp) to the 1-process runs
-#   make events-smoke run a 2-shard sweep streaming live quest-events/1
-#                     telemetry, validate both streams and render the fleet
-#                     view with questtop, and prove events are a pure
-#                     side-band (ledger bytes identical with events on/off)
 #   make bw-smoke     run profiled sweeps and sims, validate the quest-bw/1
 #                     artifacts with bwreport, prove the waveform is
 #                     worker-count independent (cmp across -workers 1 and 8)
@@ -34,7 +30,7 @@ GO ?= go
 # fails if the two (or CI's version matrix) drift apart.
 GO_TOOLCHAIN := go1.24.0
 
-.PHONY: all build test test-short race bench trace-smoke ledger-smoke shard-smoke events-smoke bw-smoke perf-smoke lint vet fmt questvet questvet-baseline experiments examples fuzz clean
+.PHONY: all build test test-short race bench trace-smoke ledger-smoke shard-smoke bw-smoke perf-smoke lint vet fmt questvet questvet-baseline experiments examples fuzz clean
 
 all: build vet test race
 
@@ -130,24 +126,6 @@ shard-smoke:
 	cmp ledger-shard-mem-resumed.jsonl ledger-shard-mem-full.jsonl
 	$(GO) run ./tools/questcheck -min-cells 3 -min-trials 300 ledger-shard-mem-resumed.jsonl
 
-# Live-telemetry smoke — the same checks CI's events-smoke job runs. A
-# 2-shard ledgered sweep streams quest-events/1 snapshots; questtop validates
-# each stream's schema and monotonicity plus the fleet's coherence (one
-# experiment, distinct shard indices), then renders the aggregate view.
-# Finally the telemetry-is-a-pure-side-band claim is checked end to end: the
-# shard-0 sweep rerun without -events must produce byte-identical ledger
-# bytes (cmp). Artifacts match events-shard-*.jsonl, covered by .gitignore
-# and `make clean`.
-events-smoke:
-	$(GO) run ./cmd/questbench -trials 16 -workers 2 -shard 0/2 \
-		-ledger events-shard-ledger-0.jsonl -events events-shard-0.jsonl threshold
-	$(GO) run ./cmd/questbench -trials 16 -workers 3 -shard 1/2 \
-		-ledger events-shard-ledger-1.jsonl -events events-shard-1.jsonl threshold
-	$(GO) run ./tools/questtop events-shard-0.jsonl events-shard-1.jsonl
-	$(GO) run ./cmd/questbench -trials 16 -workers 2 -shard 0/2 \
-		-ledger events-shard-ledger-off.jsonl threshold
-	cmp events-shard-ledger-off.jsonl events-shard-ledger-0.jsonl
-
 # Bandwidth-profiler smoke — the same checks CI's bw-smoke job runs. The
 # memory experiment drives the full machine decode path (threshold cells
 # bypass the machine, so they put no traffic on the buses): the same
@@ -221,5 +199,5 @@ fuzz:
 # corpora; TestCleanTargetPreservesTrackedTestdata pins the fix.
 clean:
 	git clean -fdx internal/qasm/testdata internal/qexe/testdata internal/core/testdata
-	rm -f ledger-shard-*.jsonl events-shard-*.jsonl bw-smoke-*.jsonl perf-smoke.*
+	rm -f ledger-shard-*.jsonl bw-smoke-*.jsonl perf-smoke.*
 	$(GO) clean ./...

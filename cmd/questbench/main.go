@@ -18,13 +18,6 @@
 // defect/matching heatmaps as JSON (ASCII renders go to stderr). All of it
 // is worker-count independent.
 //
-// Live telemetry: -events FILE streams quest-events/1 JSONL snapshots
-// (per-cell progress, trial rates, ETA, metrics deltas, runtime stats) while
-// the run is in flight; with -pprof the same stream is served live over SSE
-// on /events (plus a /healthz probe). Watch one or many shard streams with
-// tools/questtop. Telemetry is a pure side-band: ledger, heatmap and table
-// bytes are identical with events on or off.
-//
 // Bandwidth profiling: -bw FILE records per-bus traffic in fixed windows of
 // the machine cycle clock and writes a quest-bw/1 profile at exit
 // (-bw-window N sets the window width; validate and compare runs with
@@ -49,7 +42,6 @@ import (
 
 	"quest/internal/chart"
 	"quest/internal/core"
-	"quest/internal/metrics"
 	"quest/internal/obsflags"
 	"quest/internal/workload"
 )
@@ -59,7 +51,7 @@ var (
 	flagTrials  = flag.Int("trials", 0, "Monte-Carlo trials per statistical cell (0 = per-experiment default)")
 	flagWorkers = flag.Int("workers", 0, "Monte-Carlo worker goroutines (0 = GOMAXPROCS)")
 	// obs wires the shared observability flags (-metrics, -pprof, -trace,
-	// -trace-buf, -ledger, -progress, -heatmap, -events, -bw, -bw-window)
+	// -trace-buf, -ledger, -progress, -heatmap, -bw, -bw-window)
 	// identically to cmd/questsim, plus the sweep-only -ci-stop, -shard and
 	// -resume.
 	obs = obsflags.RegisterSweep(flag.CommandLine)
@@ -119,17 +111,6 @@ func main() {
 		"ci-stop": strconv.FormatFloat(obs.CIStop(), 'g', -1, 64),
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	// The telemetry stream shares the ledger's provenance: same experiment
-	// name, same config (and the same deliberate -workers omission — events
-	// are operational, but the pairing with the ledger should be obvious).
-	if err := obs.OpenEvents("questbench", map[string]string{
-		"args":    strings.Join(args, " "),
-		"trials":  strconv.Itoa(*flagTrials),
-		"ci-stop": strconv.FormatFloat(obs.CIStop(), 'g', -1, 64),
-	}); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -358,15 +339,8 @@ func dramExt() {
 		[]string{"workload", "baseline DDR channels needed", "QuEST channel utilization"}, rows))
 }
 
-// shardReg returns the registry Monte-Carlo drivers aggregate their
-// per-worker shards into: Default when -metrics or -pprof is requested, nil
-// (no aggregation) otherwise.
-func shardReg() *metrics.Registry {
-	return obs.ShardReg()
-}
-
 func threshold() {
-	trows, err := core.Threshold(shardReg(), obs.Tracer(),
+	trows, err := core.Threshold(obs.ShardReg(), obs.Tracer(),
 		[]float64{2e-3, 1e-3, 5e-4}, []int{3, 5}, trialsOr(200), *flagWorkers, sweep)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "threshold experiment failed:", err)
@@ -387,7 +361,7 @@ func threshold() {
 func memory() {
 	var rows [][]string
 	for _, p := range []float64{0, 1e-4, 5e-4} {
-		r, ran, err := core.MachineMemory(shardReg(), obs.Tracer(), p, 8, trialsOr(40), *flagWorkers, sweep)
+		r, ran, err := core.MachineMemory(obs.ShardReg(), obs.Tracer(), p, 8, trialsOr(40), *flagWorkers, sweep)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "memory experiment failed:", err)
 			obs.Finish()

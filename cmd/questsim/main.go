@@ -21,7 +21,7 @@
 // sweep-only -ci-stop, -shard and -resume are questbench's alone):
 //
 //	-metrics text|json   dump the metrics registry to stderr at exit
-//	-pprof ADDR          serve net/http/pprof and Prometheus /metrics on ADDR
+//	-pprof ADDR          serve net/http/pprof on ADDR
 //	-trace FILE          write a cycle-correlated Perfetto trace (Chrome
 //	                     trace-event JSON) of the run
 //	-trace-buf N         trace ring capacity in events
@@ -30,10 +30,6 @@
 //	-heatmap FILE        collect machine-wide defect/matching heatmaps and
 //	                     write them as JSON (ASCII render on stderr)
 //	-progress            tick idle-cycle progress on stderr
-//	-events FILE         stream live quest-events/1 telemetry snapshots
-//	                     (idle-cycle progress, metrics deltas, runtime stats)
-//	                     as JSONL; with -pprof the stream is also served over
-//	                     SSE on /events (watch with tools/questtop)
 //	-bw FILE             record per-bus instruction-bandwidth waveforms keyed
 //	                     to the machine cycle clock and write a quest-bw/1
 //	                     profile (validate and compare with tools/bwreport)
@@ -82,12 +78,6 @@ func main() {
 		log.Fatal(err)
 	}
 	defer obs.Finish()
-	if err := obs.OpenEvents("questsim", map[string]string{
-		"program": *program,
-		"design":  strings.ToLower(*design),
-	}); err != nil {
-		log.Fatal(err)
-	}
 	// The bandwidth artifact carries the design so bwreport can key its
 	// comparison table on it (ram vs fifo vs unitcell microcode stores).
 	if err := obs.OpenBW("questsim", map[string]string{
@@ -149,15 +139,8 @@ func main() {
 	}
 	for c := 0; c < *cycles; c++ {
 		m.Master().StepCycle()
-		if (c+1)%tick == 0 || c+1 == *cycles {
-			// Feed the idle-cycle phase to the telemetry sampler as one
-			// pseudo-cell (nil-gated: free when events are off).
-			obs.Events().ObserveCell("idle-cycles", mc.Progress{
-				Completed: c + 1, Budget: *cycles, Done: c+1 == *cycles,
-			})
-			if obs.ProgressEnabled() {
-				fmt.Fprintf(obs.Log, "\ridle qecc cycles: %d/%d", c+1, *cycles)
-			}
+		if obs.ProgressEnabled() && ((c+1)%tick == 0 || c+1 == *cycles) {
+			fmt.Fprintf(obs.Log, "\ridle qecc cycles: %d/%d", c+1, *cycles)
 		}
 	}
 	if obs.ProgressEnabled() && *cycles > 0 {

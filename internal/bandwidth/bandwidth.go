@@ -48,16 +48,6 @@ func (b BytesPerSec) String() string {
 	return fmt.Sprintf("%.3g B/s", float64(b))
 }
 
-// OrdersOfMagnitude returns log10 of the ratio a/b — the paper's preferred
-// way of reporting savings ("five orders of magnitude"). Both must be
-// positive.
-func OrdersOfMagnitude(a, b float64) float64 {
-	if a <= 0 || b <= 0 {
-		panic(fmt.Sprintf("bandwidth: non-positive ratio operands %v/%v", a, b))
-	}
-	return math.Log10(a / b)
-}
-
 // Counter is a thread-safe instruction/byte counter used by the machine
 // simulations to meter traffic on each bus. Bridge mirrors its traffic into
 // the metrics registry so bus meters show up in the observability layer
@@ -106,8 +96,7 @@ func (c *Counter) Reset() {
 // Rate converts the byte count into a bandwidth over the given duration.
 // A non-positive duration returns 0 rather than Inf/NaN: callers derive
 // seconds from cycle counts or wall-clock deltas, and a zero-length run has
-// no meaningful rate — it must not leak non-finite values into reports or
-// telemetry streams.
+// no meaningful rate — it must not leak non-finite values into reports.
 func (c *Counter) Rate(seconds float64) BytesPerSec {
 	if seconds <= 0 {
 		return 0

@@ -32,21 +32,6 @@ func TestRateFormatting(t *testing.T) {
 	}
 }
 
-func TestOrdersOfMagnitude(t *testing.T) {
-	if got := OrdersOfMagnitude(1e13, 1e5); math.Abs(got-8) > 1e-9 {
-		t.Errorf("OOM(1e13,1e5) = %v, want 8", got)
-	}
-	if got := OrdersOfMagnitude(5, 5); got != 0 {
-		t.Errorf("equal operands OOM = %v", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("non-positive operand accepted")
-		}
-	}()
-	OrdersOfMagnitude(0, 1)
-}
-
 func TestCounter(t *testing.T) {
 	var c Counter
 	c.Add(10, 20)
@@ -65,8 +50,7 @@ func TestCounter(t *testing.T) {
 
 // TestRateDegenerateDurations pins the Rate edge cases: zero, negative and
 // denormal-tiny durations must return a finite rate (0 for non-positive),
-// never Inf or NaN — these values flow straight into reports and the
-// telemetry stream.
+// never Inf or NaN — these values flow straight into reports.
 func TestRateDegenerateDurations(t *testing.T) {
 	var c Counter
 	c.Add(3, 30)

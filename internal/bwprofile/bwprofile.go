@@ -58,8 +58,7 @@ const (
 
 var busNames = [NumBuses]string{"logical", "sync", "cache", "syndrome", "replay"}
 
-// String returns the bus's wire name as used in quest-bw/1 records and
-// quest-events/1 snapshots.
+// String returns the bus's wire name as used in quest-bw/1 records.
 func (b Bus) String() string {
 	if b >= NumBuses {
 		return "invalid"
@@ -141,11 +140,10 @@ func (w *winAcc) total() uint64 {
 // Recorder accumulates windowed per-bus traffic and per-class totals. The
 // zero-value is not usable; build one with New (or NewShard from a parent).
 //
-// Concurrency: Observe/Merge/Totals/Summary/WriteJSONL are mutex-guarded so
-// a live telemetry sampler may read totals while a single-machine run (e.g.
-// questsim) records into the same recorder. The Monte-Carlo engine avoids
-// the contention entirely: each trial records into its own shard, merged in
-// trial order after the pool drains.
+// Concurrency: Observe/Merge/Summary/WriteJSONL are mutex-guarded, so a
+// recorder is safe to share between goroutines. The Monte-Carlo engine
+// avoids the contention entirely: each trial records into its own shard,
+// merged in trial order after the pool drains.
 type Recorder struct {
 	mu         sync.Mutex
 	window     int
@@ -240,34 +238,6 @@ func (r *Recorder) Merge(shard *Recorder) {
 		r.cycles = shard.cycles
 	}
 	r.mu.Unlock()
-}
-
-// BusTotal is one bus's run-cumulative traffic.
-type BusTotal struct {
-	Bus    Bus
-	Instrs uint64
-	Bytes  uint64
-}
-
-// Totals returns the run-cumulative per-bus traffic in bus order — what the
-// events sampler surfaces as live per-bus rates. Zero on a nil recorder.
-func (r *Recorder) Totals() [NumBuses]BusTotal {
-	var out [NumBuses]BusTotal
-	for b := Bus(0); b < NumBuses; b++ {
-		out[b].Bus = b
-	}
-	if r == nil {
-		return out
-	}
-	r.mu.Lock()
-	for _, w := range r.wins {
-		for b := Bus(0); b < NumBuses; b++ {
-			out[b].Instrs += w.instr[b]
-			out[b].Bytes += w.bytes[b]
-		}
-	}
-	r.mu.Unlock()
-	return out
 }
 
 // WindowBytes returns each window's total bus bytes in window order — the

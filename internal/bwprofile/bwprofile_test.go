@@ -41,12 +41,6 @@ func TestNilGatedMethods(t *testing.T) {
 	if got := r.Summary(); !reflect.DeepEqual(got, Summary{}) {
 		t.Errorf("nil Summary = %+v, want zero", got)
 	}
-	totals := r.Totals()
-	for b := Bus(0); b < NumBuses; b++ {
-		if totals[b].Instrs != 0 || totals[b].Bytes != 0 {
-			t.Errorf("nil Totals[%s] = %+v, want zero", b, totals[b])
-		}
-	}
 }
 
 // TestObserveWindowing pins that observations land in the window their
@@ -273,8 +267,8 @@ func TestValidateRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestBusAndClassNames pins the wire vocabulary other layers (events
-// snapshots, bwreport tables) key on.
+// TestBusAndClassNames pins the wire vocabulary other layers (bwreport
+// tables) key on.
 func TestBusAndClassNames(t *testing.T) {
 	if got := fmt.Sprint(BusLogical, BusSync, BusCache, BusSyndrome, BusReplay); got != "logical sync cache syndrome replay" {
 		t.Errorf("bus names = %q", got)

@@ -18,9 +18,9 @@ const (
 )
 
 // Header is the first line of a quest-bw/1 file: schema plus run provenance.
-// Like the ledger header — and unlike the events header — it deliberately
-// carries no wall-clock, PID, or worker-count fields: the same run at any
-// worker count must produce byte-identical profiles (CI's bw-smoke cmp).
+// Like the ledger header, it deliberately carries no wall-clock, PID, or
+// worker-count fields: the same run at any worker count must produce
+// byte-identical profiles (CI's bw-smoke cmp).
 type Header struct {
 	Record       string            `json:"record"`
 	Schema       string            `json:"schema"`

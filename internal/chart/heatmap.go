@@ -110,12 +110,3 @@ func heatCell(v, max int64) rune {
 	}
 	return heatRamp[idx]
 }
-
-// MustHeatmap panics on error (for callers with statically valid grids).
-func MustHeatmap(grid [][]int64, opts HeatmapOptions) string {
-	s, err := Heatmap(grid, opts)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}

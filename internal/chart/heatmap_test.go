@@ -38,10 +38,20 @@ func TestHeatmapRendersRampAndZeros(t *testing.T) {
 	}
 }
 
+// mustHeatmap renders grid with default options, failing the test on error.
+func mustHeatmap(t *testing.T, grid [][]int64) string {
+	t.Helper()
+	s, err := Heatmap(grid, HeatmapOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestHeatmapDeterministic(t *testing.T) {
 	grid := [][]int64{{3, 0, 9}, {1, 7, 2}, {0, 0, 4}}
-	a := MustHeatmap(grid, HeatmapOptions{})
-	b := MustHeatmap(grid, HeatmapOptions{})
+	a := mustHeatmap(t, grid)
+	b := mustHeatmap(t, grid)
 	if a != b {
 		t.Error("identical grids rendered differently")
 	}
@@ -79,7 +89,7 @@ func TestHeatmapRowAlignment(t *testing.T) {
 	for i := range grid {
 		grid[i] = []int64{int64(i)}
 	}
-	out := MustHeatmap(grid, HeatmapOptions{})
+	out := mustHeatmap(t, grid)
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	var bars []int
 	for _, ln := range lines[1:] {

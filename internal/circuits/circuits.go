@@ -2,9 +2,9 @@
 // levels the stack speaks:
 //
 //   - Logical programs (compiler.Program) for instruction-stream and
-//     bandwidth accounting on the QuEST machine — Bernstein–Vazirani,
-//     Grover iterations, QFT (via host-side rotation synthesis) and GHZ
-//     preparation, sized like the kernels inside the paper's workloads.
+//     bandwidth accounting on the QuEST machine — Bernstein–Vazirani, QFT
+//     (via host-side rotation synthesis) and GHZ preparation, sized like
+//     the kernels inside the paper's workloads.
 //   - Physical Clifford circuits executed directly on the stabilizer
 //     substrate, where algorithm *correctness* is verifiable: the package's
 //     tests run Bernstein–Vazirani, teleportation and GHZ end to end on the
@@ -49,36 +49,6 @@ func BernsteinVazirani(secret []bool) *compiler.Program {
 	for q := 0; q < n; q++ {
 		p.H(q)
 		p.MeasZ(q)
-	}
-	return p
-}
-
-// GroverIteration appends one Grover iteration (oracle marking the all-ones
-// state + diffusion) over the first n qubits; T-heavy because the multi-
-// controlled phase decomposes into Clifford+T.
-func GroverIteration(p *compiler.Program, n int) *compiler.Program {
-	if n < 2 || n > p.NumLogical {
-		panic(fmt.Sprintf("circuits: grover width %d invalid", n))
-	}
-	// Multi-controlled Z via a T-ladder (the standard decomposition costs a
-	// handful of T gates per control pair; we emit the Clifford+T skeleton).
-	for q := 0; q < n-1; q++ {
-		p.T(q)
-		p.CNOT(q, n-1)
-		p.T(n - 1)
-	}
-	// Diffusion: H, X, multi-controlled Z, X, H.
-	for q := 0; q < n; q++ {
-		p.H(q)
-		p.X(q)
-	}
-	for q := 0; q < n-1; q++ {
-		p.T(q)
-		p.CNOT(q, n-1)
-	}
-	for q := 0; q < n; q++ {
-		p.X(q)
-		p.H(q)
 	}
 	return p
 }

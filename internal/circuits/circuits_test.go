@@ -86,21 +86,6 @@ func TestGHZPhysicalCorrelations(t *testing.T) {
 	}
 }
 
-func TestGroverIterationIsTHeavy(t *testing.T) {
-	p := compiler.NewProgram(6)
-	GroverIteration(p, 6)
-	s := p.Stats()
-	if s.TCount < 8 {
-		t.Errorf("Grover iteration T count = %d, implausibly low", s.TCount)
-	}
-	if s.CNOTs < 8 {
-		t.Errorf("Grover iteration CNOTs = %d", s.CNOTs)
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestQFTTCountScalesQuadratically(t *testing.T) {
 	count := func(n int) int {
 		p := compiler.NewProgram(n)
@@ -168,7 +153,6 @@ func TestPanicsOnBadWidths(t *testing.T) {
 		f()
 	}
 	p := compiler.NewProgram(4)
-	expect("grover width", func() { GroverIteration(p, 9) })
 	expect("qft width", func() { QFT(p, 9, 1e-3) })
 	expect("ghz width", func() { GHZ(1) })
 	tb := clifford.New(2, rand.New(rand.NewSource(1)))

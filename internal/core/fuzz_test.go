@@ -55,6 +55,56 @@ func TestRunExecutableRejectsHostile(t *testing.T) {
 	}
 }
 
+// TestRunProgramCacheRunEveryTile pins how RunProgram dispatches a
+// program's LCacheRun: its Target is a cache slot, not a logical qubit, so
+// the run goes unmapped to every tile, and to none of them when any tile
+// would refuse it. Each tile's MCE.Stats counts the cache hits it took.
+func TestRunProgramCacheRunEveryTile(t *testing.T) {
+	body := []isa.LogicalInstr{{Op: isa.LX, Target: 1}}
+	cases := []struct {
+		name     string
+		tiles    int
+		loaded   []int // tiles whose slot 2 holds body
+		wantErr  string
+		wantHits []uint64
+	}{
+		{"one tile", 1, []int{0}, "", []uint64{1}},
+		{"two tiles", 2, []int{0, 1}, "", []uint64{1, 1}},
+		{"unloaded slot", 1, nil, "tile 0: mce: cache run on empty slot 2", []uint64{0}},
+		{"slot unloaded on one tile", 2, []int{0}, "tile 1: mce: cache run on empty slot 2", []uint64{0, 0}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultMachineConfig()
+			cfg.Tiles = tc.tiles
+			m := NewMachine(cfg)
+			for _, tile := range tc.loaded {
+				if err := m.Master().LoadCache(tile, 2, body); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The register is wider than the machine so the slot number
+			// also passes Program.Validate's register check.
+			p := compiler.NewProgram(3).Prep0(0)
+			p.Instrs = append(p.Instrs, isa.LogicalInstr{Op: isa.LCacheRun, Target: 2})
+			_, err := m.RunProgram(p, 0)
+			switch {
+			case tc.wantErr == "" && err != nil:
+				t.Fatalf("RunProgram: %v", err)
+			case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+				t.Fatalf("RunProgram error %v, want one containing %q", err, tc.wantErr)
+			}
+			// Deliver whatever was dispatched before reading the counters.
+			m.Master().RunUntilDrained(64)
+			for tile, tm := range m.Master().Tiles() {
+				if _, _, hits, _, _ := tm.Stats(); hits != tc.wantHits[tile] {
+					t.Errorf("tile %d: %d cache hit(s), want %d", tile, hits, tc.wantHits[tile])
+				}
+			}
+		})
+	}
+}
+
 // TestTileLocalBodyPassesCacheCheck pins that the distillation round body
 // RunDistillationCached stages, folded onto a tile of 1 to 4 patches, is one
 // the tile's MCE runs.

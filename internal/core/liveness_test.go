@@ -2,13 +2,10 @@ package core
 
 import (
 	"bytes"
-	"io"
 	"testing"
-	"time"
 
 	"quest/internal/bwprofile"
 	"quest/internal/compiler"
-	"quest/internal/events"
 	"quest/internal/heatmap"
 	"quest/internal/ledger"
 	"quest/internal/mc"
@@ -29,13 +26,12 @@ var quietInstruments = map[string]string{
 
 // sidebands holds one run's private registry and every side-band the
 // commands can switch on: ledger, heatmaps, bandwidth profile, trace and
-// live events.
+// live progress.
 type sidebands struct {
 	reg  *metrics.Registry
 	tr   *tracing.Tracer
 	heat *heatmap.Set
 	bw   *bwprofile.Recorder
-	smp  *events.Sampler
 	led  *ledger.Writer
 }
 
@@ -46,12 +42,6 @@ func newSidebands(t *testing.T) *sidebands {
 		tr:   tracing.New(1 << 12),
 		heat: heatmap.NewSet(),
 		bw:   bwprofile.New(bwprofile.DefaultWindow),
-	}
-	s.smp = events.NewSampler(events.NewWriter(io.Discard, nil), s.reg)
-	s.smp.SetBW(s.bw)
-	// The run stops the sampler before the ticker's first tick.
-	if err := s.smp.Start(events.Header{Experiment: "liveness"}, time.Hour); err != nil {
-		t.Fatal(err)
 	}
 	led, err := ledger.NewWriter(&bytes.Buffer{}, "liveness", nil, ledger.ShardInfo{})
 	if err != nil {
@@ -64,7 +54,7 @@ func newSidebands(t *testing.T) *sidebands {
 func (s *sidebands) sweep() SweepObs {
 	return SweepObs{
 		Ledger: s.led, Heat: s.heat, BW: s.bw,
-		Progress: func(cell string, p mc.Progress) { s.smp.ObserveCell(cell, p) },
+		Progress: func(string, mc.Progress) {},
 	}
 }
 
@@ -75,12 +65,10 @@ func (s *sidebands) machine(cfg MachineConfig) *Machine {
 	return NewMachine(cfg)
 }
 
-// idle steps the machine the way questsim's -cycles tail does, feeding the
-// events side-band one pseudo-cell.
-func (s *sidebands) idle(m *Machine, cycles int) {
-	for c := 1; c <= cycles; c++ {
+// idle steps the machine the way questsim's -cycles tail does.
+func idle(m *Machine, cycles int) {
+	for c := 0; c < cycles; c++ {
 		m.Master().StepCycle()
-		s.smp.ObserveCell("idle-cycles", mc.Progress{Completed: c, Budget: cycles, Done: c == cycles})
 	}
 }
 
@@ -111,7 +99,7 @@ func TestEveryInstrumentFires(t *testing.T) {
 			if _, err := m.RunDistillationCached(5, 0); err != nil {
 				t.Fatal(err)
 			}
-			s.idle(m, 10)
+			idle(m, 10)
 		}},
 		{"4-tile GHZ run", func(t *testing.T, s *sidebands) {
 			cfg := DefaultMachineConfig()
@@ -121,17 +109,14 @@ func TestEveryInstrumentFires(t *testing.T) {
 			if _, err := m.RunProgram(p, 0); err != nil {
 				t.Fatal(err)
 			}
-			s.idle(m, 20)
+			idle(m, 20)
 		}},
 	}
 	fired := map[string]bool{}
 	for _, r := range runs {
 		s := newSidebands(t)
 		r.run(t, s)
-		if err := s.smp.Stop(); err != nil {
-			t.Fatalf("%s: events: %v", r.name, err)
-		}
-		if s.tr.Len() == 0 || s.smp.Snapshots() == 0 || s.led.Flush() != nil {
+		if s.tr.Len() == 0 || s.led.Flush() != nil {
 			t.Fatalf("%s: a side-band recorded nothing", r.name)
 		}
 		snap := s.reg.Snapshot()

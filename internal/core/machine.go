@@ -198,7 +198,10 @@ func (r RunReport) Savings() float64 {
 // RunProgram dispatches a logical program (CNOTs must pair qubits on the
 // same tile) and runs the machine until it drains. Each instruction is
 // checked against its tile before it is dispatched, so one the tile's MCE
-// would refuse on delivery is an error here.
+// would refuse on delivery is an error here. An LCacheRun names a cache
+// slot, not a logical qubit: it goes unmapped to every tile, the tiles
+// RunExecutable stages each cache section into, and to none of them if any
+// would refuse it.
 func (ma *Machine) RunProgram(p *compiler.Program, maxCycles int) (RunReport, error) {
 	if err := p.Validate(); err != nil {
 		return RunReport{}, err
@@ -208,7 +211,21 @@ func (ma *Machine) RunProgram(p *compiler.Program, maxCycles int) (RunReport, er
 	}
 	// A settle cycle projects the lattices before work arrives.
 	ma.m.StepCycle()
+	tiles := ma.m.Tiles()
 	for i, in := range p.Instrs {
+		if in.Op == isa.LCacheRun {
+			for tile, t := range tiles {
+				if err := t.Check(in); err != nil {
+					return RunReport{}, fmt.Errorf("core: instruction %d on tile %d: %w", i, tile, err)
+				}
+			}
+			for tile := range tiles {
+				if err := ma.m.Dispatch(tile, in); err != nil {
+					return RunReport{}, err
+				}
+			}
+			continue
+		}
 		tile, patch, err := ma.tileFor(int(in.Target))
 		if err != nil {
 			return RunReport{}, err
@@ -225,7 +242,7 @@ func (ma *Machine) RunProgram(p *compiler.Program, maxCycles int) (RunReport, er
 			}
 			mapped.Arg = uint8(patch2)
 		}
-		if err := ma.m.Tiles()[tile].Check(mapped); err != nil {
+		if err := tiles[tile].Check(mapped); err != nil {
 			return RunReport{}, fmt.Errorf("core: instruction %d: %w", i, err)
 		}
 		if err := ma.m.Dispatch(tile, mapped); err != nil {

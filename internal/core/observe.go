@@ -153,12 +153,11 @@ func (s SweepObs) beginCell(name string, cellSeed uint64, budget int) (cellPlan,
 			res.Err = errors.New(cc.Summary.Err)
 		}
 		// A replayed cell never reaches the engine, so emit its terminal
-		// progress snapshot here — a live display (or events stream) should
-		// show resumed cells as done, not absent. Display-only, like every
-		// Progress emission.
+		// progress snapshot here — a live display should show resumed cells
+		// as done, not absent. Display-only, like every Progress emission.
 		if s.Progress != nil {
 			s.Progress(name, mc.Progress{
-				Completed: res.Trials, Failures: res.Failures, Budget: budget,
+				Completed: res.Trials, Failures: res.Failures,
 				WilsonLo: res.WilsonLo, WilsonHi: res.WilsonHi, Done: true,
 			})
 		}

@@ -4,14 +4,11 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
-	"time"
 
 	"quest/internal/bwprofile"
-	"quest/internal/events"
 	"quest/internal/heatmap"
 	"quest/internal/ledger"
 	"quest/internal/mc"
-	"quest/internal/metrics"
 )
 
 // observedThreshold runs a small observed threshold sweep and returns the
@@ -194,12 +191,13 @@ func TestMachineMemoryObservedDeterminism(t *testing.T) {
 	}
 }
 
-// TestThresholdObservedEventsPureSideband pins the telemetry acceptance
-// criterion: with a live events sampler wired into the progress stream, the
-// rows, ledger bytes and heatmap JSON are byte-identical to the events-off
-// run, for 1 and 8 workers alike — the sampler observes, it never perturbs.
-func TestThresholdObservedEventsPureSideband(t *testing.T) {
-	run := func(workers int, withEvents bool) ([]ThresholdRow, []byte, []byte, []byte) {
+// TestThresholdObservedProgressPureSideband pins that the live progress
+// stream is a pure side-band: with a Progress sink wired in, the rows,
+// ledger bytes and heatmap JSON are byte-identical to the progress-off run,
+// for 1 and 8 workers alike, and every cell ends with exactly one Done
+// snapshot.
+func TestThresholdObservedProgressPureSideband(t *testing.T) {
+	run := func(workers int, progress func(string, mc.Progress)) ([]ThresholdRow, []byte, []byte) {
 		t.Helper()
 		var buf bytes.Buffer
 		lw, err := ledger.NewWriter(&buf, "threshold-test", map[string]string{"suite": "observe_test"}, ledger.ShardInfo{})
@@ -207,22 +205,10 @@ func TestThresholdObservedEventsPureSideband(t *testing.T) {
 			t.Fatalf("NewWriter: %v", err)
 		}
 		heat := heatmap.NewSet()
-		obs := SweepObs{Ledger: lw, Heat: heat, CIWidth: 0.15}
-		var evbuf bytes.Buffer
-		var smp *events.Sampler
-		if withEvents {
-			smp = events.NewSampler(events.NewWriter(&evbuf, nil), metrics.New())
-			if err := smp.Start(events.Header{Experiment: "threshold-test"}, time.Hour); err != nil {
-				t.Fatalf("sampler Start: %v", err)
-			}
-			obs.Progress = func(cell string, p mc.Progress) { smp.ObserveCell(cell, p) }
-		}
+		obs := SweepObs{Ledger: lw, Heat: heat, CIWidth: 0.15, Progress: progress}
 		rows, err := Threshold(nil, nil, []float64{2e-3, 4e-3}, []int{3}, 120, workers, obs)
 		if err != nil {
 			t.Fatalf("Threshold: %v", err)
-		}
-		if err := smp.Stop(); err != nil {
-			t.Fatalf("sampler Stop: %v", err)
 		}
 		if err := lw.Flush(); err != nil {
 			t.Fatalf("Flush: %v", err)
@@ -231,35 +217,42 @@ func TestThresholdObservedEventsPureSideband(t *testing.T) {
 		if err := heat.WriteJSON(&hj); err != nil {
 			t.Fatalf("WriteJSON: %v", err)
 		}
-		return rows, buf.Bytes(), hj.Bytes(), evbuf.Bytes()
+		return rows, buf.Bytes(), hj.Bytes()
 	}
 
-	offRows, offLed, offHeat, _ := run(1, false)
+	offRows, offLed, offHeat := run(1, nil)
 	for _, workers := range []int{1, 8} {
-		rows, led, heat, ev := run(workers, true)
+		// Cells run one after another and the engine serializes a cell's
+		// emits, so the sink needs no lock of its own.
+		done := map[string]int{}
+		rows, led, heat := run(workers, func(cell string, p mc.Progress) {
+			if p.Done {
+				done[cell]++
+			}
+		})
 		if !reflect.DeepEqual(rows, offRows) {
-			t.Errorf("workers=%d: rows differ with events on:\noff: %+v\non:  %+v", workers, offRows, rows)
+			t.Errorf("workers=%d: rows differ with progress on:\noff: %+v\non:  %+v", workers, offRows, rows)
 		}
 		if !bytes.Equal(led, offLed) {
-			t.Errorf("workers=%d: ledger bytes differ with events on", workers)
+			t.Errorf("workers=%d: ledger bytes differ with progress on", workers)
 		}
 		if !bytes.Equal(heat, offHeat) {
-			t.Errorf("workers=%d: heatmap JSON differs with events on", workers)
+			t.Errorf("workers=%d: heatmap JSON differs with progress on", workers)
 		}
-		// The side-band itself must be a valid stream with both cells done.
-		rep, err := events.Validate(ev)
-		if err != nil {
-			t.Fatalf("workers=%d: event stream invalid: %v", workers, err)
+		if len(done) != len(rows) {
+			t.Errorf("workers=%d: %d cell(s) reported Done, want %d: %v", workers, len(done), len(rows), done)
 		}
-		if rep.Cells != 2 || rep.DoneCells != 2 {
-			t.Errorf("workers=%d: event report = %+v, want 2 done cells", workers, rep)
+		for cell, n := range done {
+			if n != 1 {
+				t.Errorf("workers=%d: cell %s reported Done %d times, want once", workers, cell, n)
+			}
 		}
 	}
 }
 
 // TestBeginCellReplayEmitsDoneProgress pins that a resume-replayed cell
-// still surfaces on the progress stream (and thus in a live events view) as
-// a terminal Done snapshot carrying the recorded counts.
+// still surfaces on the progress stream as a terminal Done snapshot carrying
+// the recorded counts.
 func TestBeginCellReplayEmitsDoneProgress(t *testing.T) {
 	// Record a complete 2-cell sweep, then resume from it with a progress
 	// sink attached: both cells replay without executing a trial, and both
@@ -297,8 +290,8 @@ func TestBeginCellReplayEmitsDoneProgress(t *testing.T) {
 	}
 	for i, s := range got {
 		r := rows[i]
-		if !s.p.Done || s.p.Completed != r.Trials || s.p.Budget != 30 {
-			t.Errorf("snapshot %d = %+v, want Done with trials=%d budget=30", i, s.p, r.Trials)
+		if !s.p.Done || s.p.Completed != r.Trials {
+			t.Errorf("snapshot %d = %+v, want Done with trials=%d", i, s.p, r.Trials)
 		}
 		lo, hi := mc.Wilson(s.p.Failures, s.p.Completed, 1.96)
 		if s.p.WilsonLo != lo || s.p.WilsonHi != hi || s.p.WilsonLo != r.WilsonLo {

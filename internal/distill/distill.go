@@ -199,13 +199,3 @@ func FactoriesNeeded(tPerRound float64, latencyRounds int) int {
 	}
 	return int(math.Ceil(tPerRound * float64(latencyRounds)))
 }
-
-// FactoryScalingExponent evaluates the paper's sub-linear factory scaling
-// C^log|log(e)|: the factory count's dependence on the physical error rate
-// (§7, Figure 15 discussion). Used for reporting the scaling trend.
-func FactoryScalingExponent(errRate float64) float64 {
-	if errRate <= 0 || errRate >= 1 {
-		panic(fmt.Sprintf("distill: error rate %v outside (0,1)", errRate))
-	}
-	return math.Log(math.Abs(math.Log10(errRate)))
-}

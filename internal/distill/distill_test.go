@@ -180,25 +180,6 @@ func TestFactoriesNeeded(t *testing.T) {
 	FactoriesNeeded(-1, 10)
 }
 
-func TestFactoryScalingIsSubLinear(t *testing.T) {
-	// C^log|log e|: the exponent grows very slowly as the error rate drops.
-	e3 := FactoryScalingExponent(1e-3)
-	e4 := FactoryScalingExponent(1e-4)
-	e6 := FactoryScalingExponent(1e-6)
-	if !(e3 < e4 && e4 < e6) {
-		t.Errorf("exponent not increasing: %v %v %v", e3, e4, e6)
-	}
-	if e6/e3 > 2 {
-		t.Errorf("scaling not sub-linear: %v vs %v", e6, e3)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("error rate 1 accepted")
-		}
-	}()
-	FactoryScalingExponent(1)
-}
-
 func TestLogicalQubitsPerFactory(t *testing.T) {
 	if got := LogicalQubitsPerFactory(2); got != 32 {
 		t.Errorf("2-round factory qubits = %d, want 32", got)

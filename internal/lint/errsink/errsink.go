@@ -1,13 +1,13 @@
 // Package errsink defines the errsink analyzer: ignored error results on
 // the artifact-writing paths. The byte-identity contract (ledgers merge
-// and resume to identical bytes; events and bandwidth profiles validate
-// against their schemas) only holds if a failed write fails the run — an
-// error dropped on the floor turns a full disk or closed pipe into a
-// silently-truncated artifact that downstream checkers then "validate".
+// and resume to identical bytes; bandwidth profiles validate against their
+// schema) only holds if a failed write fails the run — an error dropped on
+// the floor turns a full disk or closed pipe into a silently-truncated
+// artifact that downstream checkers then "validate".
 //
 // A call is flagged when its callee lives in a sink package
-// (internal/ledger, internal/events, internal/bwprofile,
-// tools/internal/cli), its signature returns an error, and the caller
+// (internal/ledger, internal/bwprofile, tools/internal/cli), its
+// signature returns an error, and the caller
 // discards it: a bare expression statement, a deferred call, or an
 // assignment that sends every error result to blank.
 package errsink
@@ -24,7 +24,6 @@ import (
 // dropped.
 var sinkPkgs = []string{
 	"internal/ledger",
-	"internal/events",
 	"internal/bwprofile",
 	"tools/internal/cli",
 }
@@ -32,7 +31,7 @@ var sinkPkgs = []string{
 // Analyzer flags discarded error results from artifact-writing packages.
 var Analyzer = &analysis.Analyzer{
 	Name: "errsink",
-	Doc: "error result from a ledger/events/bwprofile/cli call discarded; " +
+	Doc: "error result from a ledger/bwprofile/cli call discarded; " +
 		"a dropped write error breaks the byte-identity contract",
 	Run: run,
 }

@@ -6,10 +6,10 @@
 // (TestRunAllocs, TestMatchHeatOffAllocs) — hold only because every
 // observability hook on a hot path costs exactly one predictable branch
 // when disabled. The methods of the tracked observer types
-// (tracing.Tracer, heatmap.Collector/Set, events.Sampler,
-// bwprofile.Recorder) are no-ops on a nil receiver, but an ungated call
-// still evaluates its arguments: today those are integer conversions,
-// tomorrow someone passes fmt.Sprintf and the off path allocates.
+// (tracing.Tracer, heatmap.Collector/Set, bwprofile.Recorder) are no-ops on
+// a nil receiver, but an ungated call still evaluates its arguments: today
+// those are integer conversions, tomorrow someone passes fmt.Sprintf and
+// the off path allocates.
 //
 // gateflow checks a function when a hot root reaches it over ungated
 // call-graph edges, and every function of a hot package, so the

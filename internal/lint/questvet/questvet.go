@@ -20,8 +20,8 @@
 //     metrics argument allocation-free, protecting the pinned alloc
 //     budgets (mc.RunBatch 8 allocs/call, decoder exact-match ≤ 6
 //     allocs/op with observers off).
-//   - errsink (everywhere): error results from ledger/events/bwprofile/cli
-//     calls are never discarded.
+//   - errsink (everywhere): error results from ledger/bwprofile/cli calls
+//     are never discarded.
 //
 // The interprocedural analyzers share one whole-module call graph
 // (internal/lint/callgraph) built per run; its hot roots are the Monte-
@@ -63,11 +63,10 @@ type ScopedAnalyzer struct {
 // hotDirs are the hot-path packages, where gateflow checks every function:
 // that covers the instruction-delivery entry points no hot root reaches
 // (master.(*Master).Dispatch, SendSync, LoadCache,
-// mce.(*MCE).LoadCacheSlot) and the telemetry sampler, whose events-off
-// calls must stay free (TestObserveCellNilAllocs pins 0 allocs/op).
+// mce.(*MCE).LoadCacheSlot).
 var hotDirs = []string{
 	"internal/mce", "internal/master", "internal/decoder",
-	"internal/noc", "internal/dram", "internal/events",
+	"internal/noc", "internal/dram",
 }
 
 // observerDirs are the observer packages themselves: their methods run
@@ -89,18 +88,16 @@ func Suite(budgets []hotalloc.Budget) []ScopedAnalyzer {
 		{detrange.Analyzer, []string{
 			"internal/mc", "internal/core", "internal/decoder", "internal/noc",
 			"internal/ledger", "internal/heatmap", "internal/tracing",
-			"internal/metrics", "internal/chart", "internal/events",
+			"internal/metrics", "internal/chart",
 			"tools", "cmd",
 		}},
 		// Simulation/Monte-Carlo packages where ambient entropy would break
-		// (config, seed) replayability. events is included so its wall-clock
-		// reads (telemetry timestamps, the one sanctioned use) stay visibly
-		// suppressed rather than silently unpoliced.
+		// (config, seed) replayability.
 		{seedsrc.Analyzer, []string{
 			"internal/mc", "internal/core", "internal/mce", "internal/master",
 			"internal/decoder", "internal/noc", "internal/dram",
 			"internal/noise", "internal/clifford", "internal/surface",
-			"internal/distill", "internal/concat", "internal/events",
+			"internal/distill", "internal/concat",
 		}},
 		// Schema constants are a whole-module concern.
 		{schemaver.Analyzer, nil},
@@ -137,13 +134,12 @@ func GraphConfig() callgraph.Config {
 		},
 		ClosureRoots: []string{mcEntry},
 		ObserverPkgs: []string{
-			"internal/tracing", "internal/heatmap", "internal/events",
+			"internal/tracing", "internal/heatmap",
 			"internal/bwprofile", "internal/metrics", "internal/ledger",
 		},
 		TrackedTypes: map[string][]string{
 			"internal/tracing":   {"Tracer"},
 			"internal/heatmap":   {"Collector", "Set"},
-			"internal/events":    {"Sampler"},
 			"internal/bwprofile": {"Recorder"},
 		},
 	}

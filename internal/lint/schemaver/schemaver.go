@@ -1,8 +1,8 @@
 // Package schemaver enforces single-sourced, exported schema version
 // constants for the repository's serialized artifact formats
-// ("quest-ledger/1", "quest-heatmap/1", "quest-events/1", ...).
+// ("quest-ledger/1", "quest-heatmap/1", "quest-bw/1", ...).
 //
-// Validators (tools/questcheck, tools/bwreport, tools/questtop), CI smoke
+// Validators (tools/questcheck, tools/bwreport), CI smoke
 // jobs and external replay tooling all check these strings; a duplicated
 // literal lets a format change in one place silently desynchronize from the
 // checker in another. (Chrome trace files carry no schema string, so

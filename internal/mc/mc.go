@@ -133,12 +133,8 @@ func Wilson(failures, trials int, z float64) (lo, hi float64) {
 // final call of a run carries Done=true and the trial-order-exact Result
 // numbers.
 type Progress struct {
-	Completed int
-	Failures  int
-	// Budget is the run's requested trial count — the denominator a live
-	// display needs for percent-complete and ETA. Under CI early stop the
-	// run may finish below it.
-	Budget             int
+	Completed          int
+	Failures           int
 	WilsonLo, WilsonHi float64
 	Done               bool
 }
@@ -282,7 +278,6 @@ type progressState struct {
 	mu        sync.Mutex
 	fn        func(Progress)
 	every     int
-	budget    int
 	completed int
 	failures  int
 	// st is the CI-stop tracker when early stop is active, nil otherwise.
@@ -305,7 +300,7 @@ func newProgressState(fn func(Progress), every, trials int, st *stopState) *prog
 			every = 1
 		}
 	}
-	return &progressState{fn: fn, every: every, budget: trials, st: st}
+	return &progressState{fn: fn, every: every, st: st}
 }
 
 func (ps *progressState) observe(fail bool) {
@@ -326,7 +321,7 @@ func (ps *progressState) observe(fail bool) {
 		}
 	}
 	lo, hi := Wilson(failures, completed, 1.96)
-	ps.fn(Progress{Completed: completed, Failures: failures, Budget: ps.budget, WilsonLo: lo, WilsonHi: hi})
+	ps.fn(Progress{Completed: completed, Failures: failures, WilsonLo: lo, WilsonHi: hi})
 }
 
 // LaneWidth is the number of trials a lane packs — one trial per bit of a
@@ -582,7 +577,7 @@ func RunBatch(trials, workers int, cellSeed uint64, reg *metrics.Registry, tr *t
 	}
 	if prog != nil {
 		prog.mu.Lock() // pairs with worker emits; also makes -race happy
-		prog.fn(Progress{Completed: effective, Failures: res.Failures, Budget: prog.budget,
+		prog.fn(Progress{Completed: effective, Failures: res.Failures,
 			WilsonLo: res.WilsonLo, WilsonHi: res.WilsonHi, Done: true})
 		prog.mu.Unlock()
 	}

@@ -174,11 +174,8 @@ func (h *Histogram) bucketIndex(v float64) int {
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
-// Bounds returns a copy of the bucket upper bounds.
-func (h *Histogram) Bounds() []float64 { return append([]float64(nil), h.bounds...) }
-
-// BucketCounts returns a copy of the per-bucket counts (len(Bounds())+1, the
-// last being the overflow bucket).
+// BucketCounts returns a copy of the per-bucket counts (one per bound plus
+// the last, overflow bucket).
 func (h *Histogram) BucketCounts() []uint64 {
 	out := make([]uint64, len(h.buckets))
 	for i := range h.buckets {
@@ -454,55 +451,6 @@ func (s Snapshot) sorted() Snapshot {
 	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
 	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
 	return s
-}
-
-// Delta returns the change from prev to s, for periodic telemetry (the
-// quest-events/1 stream emits registry deltas per sampling interval):
-// counters and histogram count/sum subtract by name (an instrument absent
-// from prev contributes its full value), gauges are instantaneous and carry
-// s's current value, and histogram min/max/quantiles remain cumulative —
-// bucket boundaries make per-interval quantiles unrecoverable from two
-// summaries, and lifetime extremes are the more useful health signal
-// anyway. Instruments that did not change are dropped, so an idle interval
-// deltas to an empty snapshot. Both inputs and the result are name-sorted.
-func (s Snapshot) Delta(prev Snapshot) Snapshot {
-	prevCounters := make(map[string]uint64, len(prev.Counters))
-	for _, c := range prev.Counters {
-		prevCounters[c.Name] = c.Value
-	}
-	prevGauges := make(map[string]float64, len(prev.Gauges))
-	for _, g := range prev.Gauges {
-		prevGauges[g.Name] = g.Value
-	}
-	prevHists := make(map[string]HistogramSummary, len(prev.Histograms))
-	for _, h := range prev.Histograms {
-		prevHists[h.Name] = h.Summary
-	}
-	var d Snapshot
-	for _, c := range s.Counters {
-		if dv := c.Value - prevCounters[c.Name]; dv != 0 {
-			d.Counters = append(d.Counters, CounterSnapshot{Name: c.Name, Value: dv})
-		}
-	}
-	for _, g := range s.Gauges {
-		if pv, ok := prevGauges[g.Name]; !ok || pv != g.Value {
-			d.Gauges = append(d.Gauges, g)
-		}
-	}
-	for _, h := range s.Histograms {
-		p := prevHists[h.Name]
-		if h.Summary.Count == p.Count {
-			continue
-		}
-		sum := h.Summary
-		sum.Count -= p.Count
-		sum.Sum -= p.Sum
-		if sum.Count > 0 {
-			sum.Mean = sum.Sum / float64(sum.Count)
-		}
-		d.Histograms = append(d.Histograms, HistogramSnapshot{Name: h.Name, Summary: sum})
-	}
-	return d.sorted()
 }
 
 // WriteText renders the snapshot as aligned text, one instrument per line,

@@ -3,6 +3,7 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -276,51 +277,125 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	}
 }
 
-// TestSnapshotDelta pins the per-interval delta semantics the quest-events/1
-// stream relies on: counters and histogram count/sum subtract, gauges are
-// instantaneous, unchanged instruments vanish, and instruments new since the
-// previous snapshot contribute their full value.
-func TestSnapshotDelta(t *testing.T) {
+// TestSnapshotDeterministicUnderConcurrentRegistration registers instruments
+// from many goroutines (racing registration order), then pins that WriteText
+// and WriteJSON both render name-sorted, identical output on repeated calls.
+func TestSnapshotDeterministicUnderConcurrentRegistration(t *testing.T) {
 	r := New()
-	r.Counter("trials").Add(100)
-	r.Counter("idle").Add(7)
-	r.Gauge("busy").Set(0.5)
-	r.Gauge("steady").Set(1.0)
-	h := r.Histogram("lat", []float64{10, 100})
-	h.Observe(5)
-	h.Observe(50)
-	prev := r.Snapshot()
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				r.Counter(fmt.Sprintf("c.%02d", i)).Inc()
+				r.Gauge(fmt.Sprintf("g.%02d", i)).Set(float64(i))
+				r.Histogram(fmt.Sprintf("h.%02d", i), []float64{1, 2}).Observe(1)
+			}
+		}(w)
+	}
+	wg.Wait()
+	render := func() (string, string) {
+		var text, js bytes.Buffer
+		s := r.Snapshot()
+		if err := s.WriteText(&text); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.WriteJSON(&js); err != nil {
+			t.Fatal(err)
+		}
+		return text.String(), js.String()
+	}
+	t1, j1 := render()
+	t2, j2 := render()
+	if t1 != t2 || j1 != j2 {
+		t.Fatal("repeated renders of identical state differ")
+	}
+	// Sorted order: counter c.00 precedes c.49 in every format.
+	for _, out := range []string{t1, j1} {
+		a := strings.Index(out, "c.00")
+		b := strings.Index(out, "c.49")
+		if a < 0 || b < 0 || a > b {
+			t.Errorf("output not name-sorted (c.00 at %d, c.49 at %d)", a, b)
+		}
+	}
+}
 
-	r.Counter("trials").Add(40)
-	r.Counter("fresh").Add(3) // appears between snapshots
-	r.Gauge("busy").Set(0.8)
-	h.Observe(500)
-	h.Observe(500)
-	d := r.Snapshot().Delta(prev)
+// TestWriteTextSortsHandBuiltSnapshot pins the defensive re-sort: a Snapshot
+// assembled out of order still renders sorted.
+func TestWriteTextSortsHandBuiltSnapshot(t *testing.T) {
+	s := Snapshot{
+		Counters: []CounterSnapshot{{Name: "z.last", Value: 1}, {Name: "a.first", Value: 2}},
+	}
+	var text, js bytes.Buffer
+	if err := s.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	for _, out := range []string{text.String(), js.String()} {
+		if strings.Index(out, "a.first") > strings.Index(out, "z.last") {
+			t.Errorf("hand-built snapshot rendered unsorted:\n%s", out)
+		}
+	}
+	if len(s.Counters) != 2 || s.Counters[0].Name != "z.last" {
+		t.Error("WriteText mutated the caller's snapshot")
+	}
+}
 
-	if len(d.Counters) != 2 ||
-		d.Counters[0] != (CounterSnapshot{Name: "fresh", Value: 3}) ||
-		d.Counters[1] != (CounterSnapshot{Name: "trials", Value: 40}) {
-		t.Fatalf("counters = %+v", d.Counters)
+// TestQuantileAtBucketBoundariesAfterMerge pins Quantile behaviour at exact
+// bucket boundaries for a histogram assembled by merging disjoint shards —
+// the shape every mc.RunBatch aggregation produces.
+func TestQuantileAtBucketBoundariesAfterMerge(t *testing.T) {
+	bounds := []float64{10, 20, 30, 40}
+	a, b := New(), New()
+	ha := a.Histogram("lat", bounds)
+	hb := b.Histogram("lat", bounds)
+	// Shard a fills only the first bucket with the boundary value itself;
+	// shard b fills only the third. Disjoint buckets merge by addition.
+	for i := 0; i < 50; i++ {
+		ha.Observe(10) // v == bounds[0]: must land in bucket 0
 	}
-	if len(d.Gauges) != 1 || d.Gauges[0] != (GaugeSnapshot{Name: "busy", Value: 0.8}) {
-		t.Fatalf("gauges = %+v", d.Gauges)
+	for i := 0; i < 50; i++ {
+		hb.Observe(30) // v == bounds[2]
 	}
-	if len(d.Histograms) != 1 {
-		t.Fatalf("histograms = %+v", d.Histograms)
+	m := New()
+	m.Merge(a)
+	m.Merge(b)
+	h := m.Histogram("lat", bounds)
+	if h.Count() != 100 {
+		t.Fatalf("merged count = %d, want 100", h.Count())
 	}
-	hs := d.Histograms[0].Summary
-	if hs.Count != 2 || hs.Sum != 1000 || hs.Mean != 500 {
-		t.Fatalf("histogram delta = %+v, want count=2 sum=1000 mean=500", hs)
+	got := h.BucketCounts()
+	want := []uint64{50, 0, 50, 0, 0}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("merged buckets = %v, want %v", got, want)
+		}
 	}
-	// Min/max stay cumulative: lifetime extremes, not interval extremes.
-	if hs.Min != 5 || hs.Max != 500 {
-		t.Fatalf("histogram extremes = min %v max %v, want lifetime 5/500", hs.Min, hs.Max)
+	// Quantiles are deterministic functions of the merged buckets, clamped to
+	// the observed [min, max] = [10, 30].
+	if q := h.Quantile(0.25); q < 10 || q > 10+1e-9 {
+		t.Errorf("p25 = %v, want 10 (inside first bucket, clamped to min)", q)
 	}
-
-	// No change at all deltas to an empty snapshot.
-	empty := r.Snapshot().Delta(r.Snapshot())
-	if len(empty.Counters)+len(empty.Gauges)+len(empty.Histograms) != 0 {
-		t.Fatalf("idle delta = %+v, want empty", empty)
+	if q := h.Quantile(0.5); q != 10 {
+		t.Errorf("p50 = %v, want exactly 10 (rank lands on bucket-0 boundary)", q)
+	}
+	if q := h.Quantile(0.75); q < 20 || q > 30 {
+		t.Errorf("p75 = %v, want inside (20,30]", q)
+	}
+	if q := h.Quantile(0.99); q > 30 {
+		t.Errorf("p99 = %v, want ≤ 30 (clamped to observed max)", q)
+	}
+	// Merge order must not matter.
+	m2 := New()
+	m2.Merge(b)
+	m2.Merge(a)
+	h2 := m2.Histogram("lat", bounds)
+	for _, q := range []float64{0.25, 0.5, 0.75, 0.95, 0.99} {
+		if h.Quantile(q) != h2.Quantile(q) {
+			t.Errorf("quantile %v depends on merge order: %v vs %v", q, h.Quantile(q), h2.Quantile(q))
+		}
 	}
 }

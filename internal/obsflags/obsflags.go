@@ -6,7 +6,7 @@
 // -resume); only cmd/questbench installs them.
 //
 //	-metrics text|json   dump the default metrics registry to stderr at exit
-//	-pprof ADDR          serve net/http/pprof AND Prometheus /metrics on ADDR
+//	-pprof ADDR          serve net/http/pprof on ADDR
 //	-trace FILE          record a cycle-correlated event trace and write it
 //	                     as Perfetto-loadable Chrome trace-event JSON
 //	-trace-buf N         trace ring capacity in events (0 = default 256k)
@@ -28,10 +28,6 @@
 //	                     partially-recorded cell's leading trials are fed to
 //	                     the engine as prior outcomes, and the rest executes
 //	                     normally
-//	-events FILE         stream live quest-events/1 telemetry snapshots
-//	                     (per-cell progress/rates/ETA, metrics deltas, runtime
-//	                     stats) as JSONL to FILE ('-' = stdout); watch one or
-//	                     many with tools/questtop
 //	-bw FILE             record a cycle-windowed instruction-bandwidth profile
 //	                     of every master/MCE bus and write it as a
 //	                     quest-bw/1 JSONL artifact ('-' = stdout), plus an
@@ -39,11 +35,6 @@
 //	                     tools/bwreport
 //	-bw-window N         bandwidth profile window width in machine cycles
 //	                     (0 = default 8)
-//
-// At most one of -events and -bw may write to stdout ('-').
-//
-// With -pprof, the HTTP server additionally serves the live event stream as
-// Server-Sent Events on /events and a liveness probe on /healthz.
 //
 // Lifecycle: Register the flags before flag.Parse, Start after it (and before
 // the machine is built, so components resolving tracing.Default see the
@@ -59,14 +50,11 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"runtime"
 	"strings"
-	"sync/atomic"
 	"unicode/utf8"
 
 	"quest/internal/bwprofile"
 	"quest/internal/chart"
-	"quest/internal/events"
 	"quest/internal/heatmap"
 	"quest/internal/ledger"
 	"quest/internal/mc"
@@ -86,7 +74,6 @@ type Obs struct {
 	heatPath   *string
 	shardSpec  *string
 	resumePath *string
-	eventsPath *string
 	bwPath     *string
 	bwWindow   *int
 
@@ -100,15 +87,6 @@ type Obs struct {
 	ledgerFile *os.File
 	ledgerW    *ledger.Writer
 	heat       *heatmap.Set
-
-	// bcast is the SSE fan-out, created by Start alongside the -pprof server
-	// so /events can be registered on the mux before OpenEvents runs; sampler
-	// is stored by OpenEvents and read by HTTP handlers at request time,
-	// hence the atomic.
-	bcast        *events.Broadcaster
-	sampler      atomic.Pointer[events.Sampler]
-	eventsFile   *os.File
-	eventsOpened bool
 
 	// bw is the process bandwidth recorder, created by Start when -bw is
 	// given; bwExperiment/bwConfig are the artifact provenance, stored by
@@ -128,7 +106,7 @@ func Register(fs *flag.FlagSet) *Obs {
 	return &Obs{
 		metricsFmt: fs.String("metrics", "", "dump the metrics registry at exit: 'text' or 'json'"),
 		pprofAddr: fs.String("pprof", "",
-			"serve net/http/pprof and Prometheus /metrics on this address (e.g. localhost:6060)"),
+			"serve net/http/pprof on this address (e.g. localhost:6060)"),
 		tracePath: fs.String("trace", "",
 			"write a cycle-correlated Perfetto trace (Chrome trace-event JSON) to this file"),
 		traceBuf: fs.Int("trace-buf", 0,
@@ -142,8 +120,6 @@ func Register(fs *flag.FlagSet) *Obs {
 			"write spatial defect/matching heatmaps as JSON to this file at exit"),
 		shardSpec:  new(string),
 		resumePath: new(string),
-		eventsPath: fs.String("events", "",
-			"stream live quest-events/1 telemetry snapshots as JSONL to this file ('-' = stdout); watch with tools/questtop"),
 		bwPath: fs.String("bw", "",
 			"record a cycle-windowed instruction-bandwidth profile and write it as quest-bw/1 JSONL to this file ('-' = stdout); compare with tools/bwreport"),
 		bwWindow: fs.Int("bw-window", 0,
@@ -172,12 +148,10 @@ func (o *Obs) TraceEnabled() bool { return *o.tracePath != "" }
 func (o *Obs) MetricsFormat() string { return *o.metricsFmt }
 
 // ShardReg returns the registry Monte-Carlo drivers should aggregate
-// per-worker shards into: metrics.Default when -metrics (or -pprof, which
-// serves the registry live, or -events, whose snapshots carry registry
-// deltas) is requested, nil otherwise so the metrics-off path stays
-// allocation-free.
+// per-worker shards into: metrics.Default when -metrics is requested, nil
+// otherwise so the metrics-off path stays allocation-free.
 func (o *Obs) ShardReg() *metrics.Registry {
-	if *o.metricsFmt != "" || *o.pprofAddr != "" || *o.eventsPath != "" {
+	if *o.metricsFmt != "" {
 		return metrics.Default
 	}
 	return nil
@@ -267,13 +241,12 @@ func (o *Obs) OpenLedger(experiment string, config map[string]string) (*ledger.W
 }
 
 // SweepProgress returns the cell-labelled live progress sink for -progress
-// and/or -events (nil when both are off). With -progress, snapshots
-// overwrite one status line per cell on Log and the Done snapshot finishes
-// the line; with events, every snapshot also feeds the telemetry sampler.
-// The stream reflects live completion order and is display only —
-// ledger/heatmap/row contents stay deterministic.
+// (nil when it is off). Snapshots overwrite one status line per cell on Log
+// and the Done snapshot finishes the line. The stream reflects live
+// completion order and is display only — ledger/heatmap/row contents stay
+// deterministic.
 func (o *Obs) SweepProgress() func(cell string, p mc.Progress) {
-	if !*o.progress && !o.EventsEnabled() {
+	if !*o.progress {
 		return nil
 	}
 	// lastLen is the rune width of the last in-place status line: a shorter
@@ -283,12 +256,6 @@ func (o *Obs) SweepProgress() func(cell string, p mc.Progress) {
 	// closure variable suffices.
 	lastLen := 0
 	return func(cell string, p mc.Progress) {
-		if smp := o.sampler.Load(); smp != nil {
-			smp.ObserveCell(cell, p) // pure side-band; free when events off
-		}
-		if !*o.progress {
-			return
-		}
 		var line string
 		if p.Done {
 			line = fmt.Sprintf("%s: %d trials, %d failures, CI [%.4f, %.4f] done",
@@ -312,91 +279,6 @@ func (o *Obs) SweepProgress() func(cell string, p mc.Progress) {
 	}
 }
 
-// EventsEnabled reports whether live telemetry sampling is on: -events
-// writes the stream to a file, and -pprof serves it over SSE on /events —
-// either one activates the sampler.
-func (o *Obs) EventsEnabled() bool { return *o.eventsPath != "" || *o.pprofAddr != "" }
-
-// Events returns the live telemetry sampler (nil when events are off, which
-// every sampler method treats as a no-op). Valid after OpenEvents; binaries
-// with non-sweep progress (questsim's cycle loop) feed it directly via
-// ObserveCell.
-func (o *Obs) Events() *events.Sampler { return o.sampler.Load() }
-
-// OpenEvents starts the live telemetry sampler: it writes the quest-events/1
-// provenance header (stamping the run's shard identity) and begins emitting
-// periodic snapshots to the -events file and/or the /events SSE feed. No-op
-// when EventsEnabled is false. Call once, after Start and before the sweep;
-// Finish emits the final snapshot and closes the file.
-func (o *Obs) OpenEvents(experiment string, config map[string]string) error {
-	if !o.EventsEnabled() {
-		return nil
-	}
-	if o.eventsOpened {
-		return fmt.Errorf("events: OpenEvents called twice")
-	}
-	var w io.Writer
-	switch *o.eventsPath {
-	case "":
-		// -pprof without -events: SSE-only stream, no file.
-	case "-":
-		w = os.Stdout
-	default:
-		f, err := os.Create(*o.eventsPath)
-		if err != nil {
-			return fmt.Errorf("events: %w", err)
-		}
-		o.eventsFile = f
-		w = f
-	}
-	smp := events.NewSampler(events.NewWriter(w, o.bcast), o.ShardReg())
-	smp.SetBW(o.bw) // nil when -bw is off; snapshots then omit the BW section
-	host, _ := os.Hostname()
-	h := events.Header{
-		Experiment: experiment,
-		GoVersion:  runtime.Version(),
-		Host:       host,
-		PID:        os.Getpid(),
-		ShardIndex: o.shard.Index,
-		ShardCount: o.shard.Count,
-		Config:     config,
-	}
-	if err := smp.Start(h, 0); err != nil {
-		if o.eventsFile != nil {
-			o.eventsFile.Close()
-			o.eventsFile = nil
-		}
-		return err
-	}
-	o.eventsOpened = true
-	o.sampler.Store(smp)
-	return nil
-}
-
-// closeEvents stops the sampler (emitting the final snapshot) and closes
-// the -events file.
-func (o *Obs) closeEvents() error {
-	smp := o.sampler.Load()
-	o.sampler.Store(nil)
-	var err error
-	snaps := 0
-	if smp != nil {
-		err = smp.Stop()
-		snaps = smp.Snapshots()
-	}
-	if f := o.eventsFile; f != nil {
-		o.eventsFile = nil
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err == nil {
-			fmt.Fprintf(o.Log, "events: %d snapshot(s) written to %s (watch with questtop)\n",
-				snaps, *o.eventsPath)
-		}
-	}
-	return err
-}
-
 // Addr returns the observability server's listen address ("" when -pprof is
 // off). Useful in tests, which pass -pprof 127.0.0.1:0.
 func (o *Obs) Addr() string {
@@ -407,7 +289,7 @@ func (o *Obs) Addr() string {
 }
 
 // Start validates the flag values, enables tracing.Default when -trace was
-// given, and starts the pprof + /metrics HTTP server when -pprof was given.
+// given, and starts the pprof HTTP server when -pprof was given.
 func (o *Obs) Start() error {
 	switch *o.metricsFmt {
 	case "", "text", "json":
@@ -422,11 +304,6 @@ func (o *Obs) Start() error {
 	}
 	if *o.bwWindow < 0 {
 		return fmt.Errorf("-bw-window %d out of range: want a window width in machine cycles, or 0 for the default %d", *o.bwWindow, bwprofile.DefaultWindow)
-	}
-	if *o.eventsPath == "-" && *o.bwPath == "-" {
-		// Both artifacts are line-oriented JSONL on their own schema; two
-		// writers interleaving on one stdout would corrupt both.
-		return fmt.Errorf("-events - and -bw - both claim stdout: at most one stream may write to '-', give the other a file path")
 	}
 	shard, err := ledger.ParseShardSpec(*o.shardSpec)
 	if err != nil {
@@ -481,16 +358,6 @@ func (o *Obs) Start() error {
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		mux.Handle("/metrics", metrics.Handler(metrics.Default))
-		// The SSE feed and liveness probe ride the same server. The
-		// broadcaster exists from here so /events subscribers connected
-		// before OpenEvents still get the header when the stream starts;
-		// /healthz resolves the sampler per request (it is stored later).
-		o.bcast = events.NewBroadcaster()
-		mux.Handle("/events", o.bcast)
-		mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-			events.Healthz(o.sampler.Load()).ServeHTTP(w, r)
-		})
 		o.ln = ln
 		o.srv = &http.Server{Handler: mux}
 		go func() {
@@ -498,7 +365,7 @@ func (o *Obs) Start() error {
 				fmt.Fprintln(o.Log, "pprof server:", err)
 			}
 		}()
-		fmt.Fprintf(o.Log, "observability: serving pprof, /metrics, /events and /healthz on http://%s/\n", o.Addr())
+		fmt.Fprintf(o.Log, "observability: serving pprof on http://%s/debug/pprof/\n", o.Addr())
 	}
 	return nil
 }
@@ -514,15 +381,6 @@ func (o *Obs) Finish() error {
 		if left := o.resume.Unconsumed(); len(left) > 0 {
 			fmt.Fprintf(o.Log, "resume: warning: %d recorded cell(s) were never reached by this run (%q) — the checkpoint is from a different invocation and they were not carried forward\n",
 				len(left), left)
-		}
-	}
-	if o.eventsOpened {
-		o.eventsOpened = false
-		// Stop the sampler first so the stream's final snapshot captures the
-		// cells' terminal state before anything else is torn down.
-		if err := o.closeEvents(); err != nil {
-			firstErr = err
-			fmt.Fprintln(o.Log, "events:", err)
 		}
 	}
 	if *o.tracePath != "" && tracing.Default != nil {

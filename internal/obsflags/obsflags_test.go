@@ -1,7 +1,6 @@
 package obsflags
 
 import (
-	"bufio"
 	"bytes"
 	"flag"
 	"io"
@@ -12,7 +11,6 @@ import (
 	"testing"
 
 	"quest/internal/bwprofile"
-	"quest/internal/events"
 	"quest/internal/heatmap"
 	"quest/internal/ledger"
 	"quest/internal/mc"
@@ -78,10 +76,10 @@ func TestTraceLifecycle(t *testing.T) {
 	}
 }
 
-func TestMetricsServerServesPrometheusAndPprof(t *testing.T) {
+// TestPprofServerServesPprof pins what -pprof serves: net/http/pprof and
+// nothing else. It aggregates no metrics on its own, so ShardReg stays nil.
+func TestPprofServerServesPprof(t *testing.T) {
 	defer resetDefaults()
-	resetDefaults()
-	metrics.Default.Counter("master.dispatched").Add(5)
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	o := Register(fs)
 	o.Log = io.Discard
@@ -92,29 +90,22 @@ func TestMetricsServerServesPrometheusAndPprof(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer o.Finish()
-	if o.ShardReg() != metrics.Default {
-		t.Error("ShardReg should aggregate into Default while serving")
+	if o.ShardReg() != nil {
+		t.Error("ShardReg should be nil when -pprof is the only flag")
 	}
-	get := func(path string) (int, string) {
+	get := func(path string) int {
 		resp, err := http.Get("http://" + o.Addr() + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}
-		defer resp.Body.Close()
-		var buf bytes.Buffer
-		buf.ReadFrom(resp.Body)
-		return resp.StatusCode, buf.String()
+		resp.Body.Close()
+		return resp.StatusCode
 	}
-	code, body := get("/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("/metrics status %d", code)
-	}
-	if !strings.Contains(body, "# TYPE quest_master_dispatched counter") ||
-		!strings.Contains(body, "quest_master_dispatched 5") {
-		t.Errorf("/metrics missing exposition:\n%s", body)
-	}
-	if code, _ := get("/debug/pprof/"); code != http.StatusOK {
+	if code := get("/debug/pprof/"); code != http.StatusOK {
 		t.Errorf("/debug/pprof/ status %d", code)
+	}
+	if code := get("/metrics"); code != http.StatusNotFound {
+		t.Errorf("/metrics status %d, want %d", code, http.StatusNotFound)
 	}
 }
 
@@ -126,7 +117,7 @@ func TestShardRegNilWhenObservabilityOff(t *testing.T) {
 		t.Fatal(err)
 	}
 	if o.ShardReg() != nil {
-		t.Error("ShardReg should be nil with no -metrics/-pprof")
+		t.Error("ShardReg should be nil with no -metrics")
 	}
 	if o.TraceEnabled() {
 		t.Error("TraceEnabled with no -trace")
@@ -441,152 +432,16 @@ func TestFinishFirstErrAggregation(t *testing.T) {
 	}
 }
 
-func TestEventsLifecycle(t *testing.T) {
-	defer resetDefaults()
-	path := filepath.Join(t.TempDir(), "events.jsonl")
-	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	o := RegisterSweep(fs)
-	o.Log = io.Discard
-	if err := fs.Parse([]string{"-events", path, "-shard", "1/2"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := o.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if !o.EventsEnabled() {
-		t.Fatal("EventsEnabled() = false with -events set")
-	}
-	if o.ShardReg() != metrics.Default {
-		t.Error("ShardReg should aggregate into Default with -events set (snapshots carry deltas)")
-	}
-	if err := o.OpenEvents("events-test", map[string]string{"trials": "40"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := o.OpenEvents("events-test", nil); err == nil {
-		t.Error("second OpenEvents accepted")
-	}
-	// The sweep progress sink must feed the sampler even without -progress.
-	sink := o.SweepProgress()
-	if sink == nil {
-		t.Fatal("SweepProgress() = nil with -events set")
-	}
-	sink("cell-a", mc.Progress{Completed: 40, Failures: 2, Budget: 40, WilsonLo: 0.01, WilsonHi: 0.15, Done: true})
-
-	var log bytes.Buffer
-	o.Log = &log
-	if err := o.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(log.String(), "events:") {
-		t.Errorf("Finish log missing events summary:\n%s", log.String())
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := events.Validate(data)
-	if err != nil {
-		t.Fatalf("flag-driven event stream invalid: %v", err)
-	}
-	if rep.Experiment != "events-test" || rep.ShardIndex != 1 || rep.ShardCount != 2 {
-		t.Errorf("report provenance = %+v, want events-test shard 1/2", rep)
-	}
-	if rep.Snapshots < 1 || rep.Cells != 1 || rep.DoneCells != 1 {
-		t.Errorf("report = %+v, want >=1 snapshot with one done cell", rep)
-	}
-	if o.Events() != nil {
-		t.Error("sampler still live after Finish")
-	}
-}
-
-func TestEventsSSEAndHealthz(t *testing.T) {
-	defer resetDefaults()
-	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	o := Register(fs)
-	o.Log = io.Discard
-	// -pprof alone: the SSE endpoint and probe exist, events are SSE-only.
-	if err := fs.Parse([]string{"-pprof", "127.0.0.1:0"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := o.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer o.Finish()
-
-	get := func(path string) string {
-		resp, err := http.Get("http://" + o.Addr() + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		var buf bytes.Buffer
-		buf.ReadFrom(resp.Body)
-		return buf.String()
-	}
-	if got := get("/healthz"); !strings.Contains(got, `"events":false`) {
-		t.Errorf("/healthz before OpenEvents = %q", got)
-	}
-	if err := o.OpenEvents("sse-test", nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := get("/healthz"); !strings.Contains(got, `"events":true`) {
-		t.Errorf("/healthz after OpenEvents = %q", got)
-	}
-
-	// /events replays the provenance header to a late subscriber.
-	resp, err := http.Get("http://" + o.Addr() + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("/events Content-Type = %q", ct)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if strings.HasPrefix(line, "data: ") {
-			if !strings.Contains(line, `"record":"header"`) || !strings.Contains(line, "sse-test") {
-				t.Errorf("first SSE frame = %q, want replayed header", line)
-			}
-			return
-		}
-	}
-	t.Fatalf("no SSE frame received: %v", sc.Err())
-}
-
-func TestStartRejectsTwoStdoutStreams(t *testing.T) {
-	defer resetDefaults()
-	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	o := Register(fs)
-	o.Log = io.Discard
-	if err := fs.Parse([]string{"-events", "-", "-bw", "-"}); err != nil {
-		t.Fatal(err)
-	}
-	err := o.Start()
-	if err == nil {
-		t.Fatal("Start accepted -events - with -bw -: two JSONL streams would interleave on stdout")
-	}
-	if !strings.Contains(err.Error(), "stdout") {
-		t.Errorf("error %q does not name the stdout conflict", err)
-	}
-}
-
 func TestStartAllowsOneStdoutStream(t *testing.T) {
 	defer resetDefaults()
-	for _, argv := range [][]string{
-		{"-events", "-"},
-		{"-bw", "-"},
-	} {
-		fs := flag.NewFlagSet("t", flag.ContinueOnError)
-		o := Register(fs)
-		o.Log = io.Discard
-		if err := fs.Parse(argv); err != nil {
-			t.Fatal(err)
-		}
-		if err := o.Start(); err != nil {
-			t.Errorf("Start(%v): %v, want accepted", argv, err)
-		}
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	o := Register(fs)
+	o.Log = io.Discard
+	if err := fs.Parse([]string{"-bw", "-"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Start(); err != nil {
+		t.Errorf("Start(-bw -): %v, want accepted", err)
 	}
 }
 

@@ -181,7 +181,4 @@ func TestPhysicalCostFormulas(t *testing.T) {
 	if got := PhysicalQubitsPerLogical(10); got != 1250 {
 		t.Errorf("12.5d² at d=10 = %v", got)
 	}
-	if got := PatchQubitsPerLogical(10); got != 2100 {
-		t.Errorf("7d×3d at d=10 = %v", got)
-	}
 }

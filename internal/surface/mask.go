@@ -99,67 +99,11 @@ func (m *Mask) CoalescedBits(d int) int {
 	return blocksR * blocksC
 }
 
-// Defect is a masked square region that, paired with a partner, encodes one
-// defect-based logical qubit (paper Figure 12b: two masked squares of side d
-// separated by d data qubits).
-type Defect struct {
-	R, C int // top-left site of the masked square
-	Side int // square side in sites
-}
-
-// Region returns the inclusive rectangle of the defect.
-func (d Defect) Region() (r0, c0, r1, c1 int) {
-	return d.R, d.C, d.R + d.Side - 1, d.C + d.Side - 1
-}
-
-// LogicalQubit is a defect pair carved into a lattice patch.
-type LogicalQubit struct {
-	A, B Defect
-}
-
-// NewLogicalQubit places a defect pair for one logical qubit with code
-// distance d: two (d)×(d)-site squares at (r,c) and (r, c+2d), matching the
-// paper's spacing rule of d data qubits between masks.
-func NewLogicalQubit(lat Lattice, r, c, d int) (LogicalQubit, error) {
-	lq := LogicalQubit{
-		A: Defect{R: r, C: c, Side: d},
-		B: Defect{R: r, C: c + 2*d, Side: d},
-	}
-	for _, df := range []Defect{lq.A, lq.B} {
-		r0, c0, r1, c1 := df.Region()
-		if !lat.InBounds(r0, c0) || !lat.InBounds(r1, c1) {
-			return LogicalQubit{}, fmt.Errorf("surface: defect (%d,%d) side %d outside %dx%d lattice",
-				df.R, df.C, df.Side, lat.Rows, lat.Cols)
-		}
-	}
-	return lq, nil
-}
-
-// Apply masks both defects on m.
-func (lq LogicalQubit) Apply(m *Mask) {
-	for _, df := range []Defect{lq.A, lq.B} {
-		r0, c0, r1, c1 := df.Region()
-		m.SetRegion(r0, c0, r1, c1, true)
-	}
-}
-
-// Remove unmasks both defects on m.
-func (lq LogicalQubit) Remove(m *Mask) {
-	for _, df := range []Defect{lq.A, lq.B} {
-		r0, c0, r1, c1 := df.Region()
-		m.SetRegion(r0, c0, r1, c1, false)
-	}
-}
-
-// PhysicalQubits returns the count of physical qubits a defect-pair logical
-// qubit occupies under the paper's appendix-M costing: 12.5·d² per logical
-// qubit (the two masked squares, their perimeters and separation).
+// PhysicalQubitsPerLogical returns the count of physical qubits a
+// defect-pair logical qubit occupies under the paper's appendix-M costing:
+// 12.5·d² per logical qubit (the two masked squares, their perimeters and
+// separation).
 func PhysicalQubitsPerLogical(d int) float64 { return 12.5 * float64(d) * float64(d) }
-
-// PatchQubitsPerLogical returns the QuRE-style 7d×3d patch size the paper's
-// evaluations use so that parallel braids never require moving logical
-// qubits (§6.2).
-func PatchQubitsPerLogical(d int) int { return 7 * d * 3 * d }
 
 // BraidStep is one mask mutation along a braid path.
 type BraidStep struct {
@@ -167,41 +111,6 @@ type BraidStep struct {
 	// the mask back off this site.
 	Grow bool
 	R, C int
-}
-
-// BraidPath returns the mask-instruction walk that braids defect A of lq
-// around a pivot site and back — an L-shaped out-and-return path of grow
-// steps followed by matching shrink steps, which is the mask-table activity
-// pattern of a logical CNOT (paper Figure 12c). The path runs from the east
-// edge of defect A horizontally to pivot column, then vertically to pivot
-// row.
-func BraidPath(lq LogicalQubit, pivotR, pivotC int) []BraidStep {
-	startR := lq.A.R + lq.A.Side/2
-	startC := lq.A.C + lq.A.Side
-	var out []BraidStep
-	c := startC
-	for ; c != pivotC; c += sign(pivotC - c) {
-		out = append(out, BraidStep{Grow: true, R: startR, C: c})
-	}
-	for r := startR; r != pivotR; r += sign(pivotR - r) {
-		out = append(out, BraidStep{Grow: true, R: r, C: c})
-	}
-	// Return: shrink in reverse order, restoring the original mask.
-	n := len(out)
-	for i := n - 1; i >= 0; i-- {
-		out = append(out, BraidStep{Grow: false, R: out[i].R, C: out[i].C})
-	}
-	return out
-}
-
-func sign(x int) int {
-	switch {
-	case x > 0:
-		return 1
-	case x < 0:
-		return -1
-	}
-	return 0
 }
 
 // RenderMask draws the lattice with the mask overlaid: masked sites print

@@ -90,81 +90,18 @@ func TestCoalescedBits(t *testing.T) {
 	m.CoalescedBits(0)
 }
 
-func TestLogicalQubitPlacement(t *testing.T) {
-	lat := NewLattice(15, 25)
-	lq, err := NewLogicalQubit(lat, 2, 2, 3)
-	if err != nil {
-		t.Fatalf("placement failed: %v", err)
-	}
-	m := NewMask(lat)
-	lq.Apply(m)
-	// Two 3x3 squares => 18 masked qubits.
-	if got := m.DisabledCount(); got != 18 {
-		t.Errorf("defect pair masked %d qubits, want 18", got)
-	}
-	// Separation: region B starts at c+2d = 8.
-	if lq.B.C != 8 {
-		t.Errorf("partner defect at col %d, want 8", lq.B.C)
-	}
-	lq.Remove(m)
-	if m.DisabledCount() != 0 {
-		t.Error("Remove left masked qubits")
-	}
-	if _, err := NewLogicalQubit(lat, 2, 20, 3); err == nil {
-		t.Error("defect pair overflowing lattice accepted")
-	}
-}
-
-func TestBraidPathOutAndReturn(t *testing.T) {
-	lat := NewLattice(15, 25)
-	lq, err := NewLogicalQubit(lat, 2, 2, 3)
-	if err != nil {
+// TestApplyBraidStepGuards pins the two refusals of ApplyBraidStep: a step
+// outside the lattice, and a grow onto a site that is already masked.
+func TestApplyBraidStepGuards(t *testing.T) {
+	m := NewMask(NewLattice(5, 5))
+	if err := ApplyBraidStep(m, BraidStep{Grow: true, R: 2, C: 3}); err != nil {
 		t.Fatal(err)
-	}
-	m := NewMask(lat)
-	lq.Apply(m)
-	before := m.Clone()
-	path := BraidPath(lq, 9, 6) // pivot routed clear of defect B (cols 8-10)
-	if len(path)%2 != 0 {
-		t.Fatalf("braid path length %d not even (out+return)", len(path))
-	}
-	grow := 0
-	for _, s := range path {
-		if s.Grow {
-			grow++
-		}
-		if err := ApplyBraidStep(m, s); err != nil {
-			t.Fatalf("braid step failed: %v", err)
-		}
-	}
-	if grow != len(path)/2 {
-		t.Errorf("grow steps = %d, want half of %d", grow, len(path))
-	}
-	if !m.Equal(before) {
-		t.Error("completed braid did not restore the mask")
-	}
-	// Mid-braid the mask must differ from the rest state.
-	m2 := before.Clone()
-	for _, s := range path[:len(path)/2] {
-		if err := ApplyBraidStep(m2, s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if m2.Equal(before) {
-		t.Error("outbound braid left mask unchanged")
 	}
 	if err := ApplyBraidStep(m, BraidStep{Grow: true, R: 99, C: 0}); err == nil {
 		t.Error("out-of-lattice braid step accepted")
 	}
-}
-
-func TestBraidPathDegenerate(t *testing.T) {
-	lat := NewLattice(15, 25)
-	lq, _ := NewLogicalQubit(lat, 2, 2, 3)
-	// Pivot at the path start: empty path.
-	path := BraidPath(lq, lq.A.R+lq.A.Side/2, lq.A.C+lq.A.Side)
-	if len(path) != 0 {
-		t.Errorf("degenerate braid has %d steps, want 0", len(path))
+	if err := ApplyBraidStep(m, BraidStep{Grow: true, R: 2, C: 3}); err == nil {
+		t.Error("grow onto a masked site accepted")
 	}
 }
 

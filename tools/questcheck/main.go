@@ -16,8 +16,8 @@
 //	questcheck [-min-procs N] [-min-events N] trace.json
 //
 // A file whose first line is a JSON object with a "record" field is read as
-// a ledger, so the other JSONL artifacts (quest-events/1, quest-bw/1) fail on
-// their schema; anything else is read as a trace, which carries no schema
+// a ledger, so any other JSONL artifact (quest-bw/1, say) fails on its
+// schema; anything else is read as a trace, which carries no schema
 // string. Exit codes follow the tools/internal/cli contract: 0 valid, 1
 // validation findings, 2 usage (including a floor for the other format) or
 // unreadable input.

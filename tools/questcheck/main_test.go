@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"quest/internal/bwprofile"
-	"quest/internal/events"
 	"quest/internal/ledger"
 	"quest/internal/tracing"
 )
@@ -73,21 +72,19 @@ type exitCase struct {
 	want int
 }
 
-// otherArtifacts writes an empty file, a quest-events/1 stream and a
-// quest-bw/1 profile: files neither a ledger nor a trace.
+// otherArtifacts writes an empty file, a quest-events/1 stream (the retired
+// telemetry schema, as older builds wrote its header line) and a quest-bw/1
+// profile: files neither a ledger nor a trace.
 func otherArtifacts(t *testing.T, dir string) (empty, stream, profile string) {
 	t.Helper()
-	var ev bytes.Buffer
-	if err := events.NewWriter(&ev, nil).WriteHeader(events.Header{Experiment: "x", StartMs: 1}); err != nil {
-		t.Fatal(err)
-	}
+	ev := []byte(`{"record":"header","schema":"quest-events/1","experiment":"x","go_version":"","host":"","pid":0,"start_ms":1}` + "\n")
 	var bw bytes.Buffer
 	r := bwprofile.New(4)
 	r.Observe(0, bwprofile.BusLogical, bwprofile.ClassPrep, 1, 2)
 	if err := r.WriteJSONL(&bw, "x", nil); err != nil {
 		t.Fatal(err)
 	}
-	return writeFile(t, dir, "empty", nil), writeFile(t, dir, "events.jsonl", ev.Bytes()), writeFile(t, dir, "bw.jsonl", bw.Bytes())
+	return writeFile(t, dir, "empty", nil), writeFile(t, dir, "events.jsonl", ev), writeFile(t, dir, "bw.jsonl", bw.Bytes())
 }
 
 // runExitCases extends the tools/internal/cli exit-code contract to this

@@ -28,9 +28,9 @@ func writeTree(t *testing.T, dir string, files map[string]string) {
 var scopeDirs = []string{
 	"cmd", "tools",
 	"internal/bwprofile", "internal/chart", "internal/clifford", "internal/concat",
-	"internal/core", "internal/distill", "internal/dram", "internal/events",
-	"internal/heatmap", "internal/ledger", "internal/metrics", "internal/noc",
-	"internal/noise", "internal/surface", "internal/tracing",
+	"internal/core", "internal/distill", "internal/dram", "internal/heatmap",
+	"internal/ledger", "internal/metrics", "internal/noc", "internal/noise",
+	"internal/surface", "internal/tracing",
 }
 
 // skeleton returns a minimal module defining every hot root in
