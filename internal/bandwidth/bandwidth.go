@@ -1,7 +1,7 @@
 // Package bandwidth provides the units, counters and formatting used across
 // the instruction-bandwidth experiments: byte rates spanning the paper's
-// eight orders of magnitude, instruction counters for the machine
-// simulations, and orders-of-magnitude helpers for reporting savings.
+// eight orders of magnitude and instruction counters for the machine
+// simulations.
 package bandwidth
 
 import (
@@ -102,53 +102,4 @@ func (c *Counter) Rate(seconds float64) BytesPerSec {
 		return 0
 	}
 	return BytesPerSec(float64(c.Bytes()) / seconds)
-}
-
-// Breakdown is a labelled set of traffic components that sums to a total,
-// used by the evaluation tables (QECC vs distillation vs logical traffic).
-type Breakdown struct {
-	labels []string
-	bytes  []float64
-}
-
-// Add appends a component.
-func (b *Breakdown) Add(label string, bytes float64) {
-	b.labels = append(b.labels, label)
-	b.bytes = append(b.bytes, bytes)
-}
-
-// Total returns the summed bytes.
-func (b *Breakdown) Total() float64 {
-	t := 0.0
-	for _, v := range b.bytes {
-		t += v
-	}
-	return t
-}
-
-// Fraction returns the share of the labelled component, or 0 if unknown.
-func (b *Breakdown) Fraction(label string) float64 {
-	t := b.Total()
-	if t == 0 {
-		return 0
-	}
-	for i, l := range b.labels {
-		if l == label {
-			return b.bytes[i] / t
-		}
-	}
-	return 0
-}
-
-// Components returns the labels in insertion order.
-func (b *Breakdown) Components() []string { return append([]string(nil), b.labels...) }
-
-// Bytes returns the byte count of the labelled component.
-func (b *Breakdown) Bytes(label string) float64 {
-	for i, l := range b.labels {
-		if l == label {
-			return b.bytes[i]
-		}
-	}
-	return 0
 }

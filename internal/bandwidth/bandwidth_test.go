@@ -89,31 +89,6 @@ func TestCounterConcurrency(t *testing.T) {
 	}
 }
 
-func TestBreakdown(t *testing.T) {
-	var b Breakdown
-	b.Add("qecc", 999000)
-	b.Add("logical", 1000)
-	if b.Total() != 1e6 {
-		t.Errorf("total = %v", b.Total())
-	}
-	if got := b.Fraction("qecc"); math.Abs(got-0.999) > 1e-12 {
-		t.Errorf("qecc fraction = %v", got)
-	}
-	if got := b.Fraction("missing"); got != 0 {
-		t.Errorf("missing fraction = %v", got)
-	}
-	if got := b.Bytes("logical"); got != 1000 {
-		t.Errorf("logical bytes = %v", got)
-	}
-	if got := strings.Join(b.Components(), ","); got != "qecc,logical" {
-		t.Errorf("components = %q", got)
-	}
-	var empty Breakdown
-	if empty.Fraction("x") != 0 {
-		t.Error("empty breakdown fraction nonzero")
-	}
-}
-
 // TestRateFormattingUnitBoundary is the regression test for the SI boundary
 // bug: values whose %.3g mantissa rounds to 1000 must promote to the next
 // unit instead of printing "1e+03 KB/s".

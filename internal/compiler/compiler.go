@@ -82,13 +82,14 @@ func (p *Program) check(q int) uint8 {
 	return uint8(q)
 }
 
-// Validate checks every instruction addresses the register.
+// Validate checks every instruction addresses the register. An LCacheRun's
+// Target is a cache slot, not a qubit: the tiles check it on delivery.
 func (p *Program) Validate() error {
 	for i, in := range p.Instrs {
 		if !in.Op.Valid() {
 			return fmt.Errorf("compiler: instruction %d has invalid opcode", i)
 		}
-		if int(in.Target) >= p.NumLogical {
+		if in.Op != isa.LCacheRun && int(in.Target) >= p.NumLogical {
 			return fmt.Errorf("compiler: instruction %d targets qubit %d outside register", i, in.Target)
 		}
 		if in.Op == isa.LCNOT && int(in.Arg) >= p.NumLogical {

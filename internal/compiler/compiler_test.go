@@ -63,6 +63,21 @@ func TestValidateCatchesCorruptPrograms(t *testing.T) {
 	}
 }
 
+// TestValidateCacheRunNamesSlot pins that an LCacheRun's Target is a cache
+// slot, which the register check skips, while a gate on the same number
+// is still outside the register.
+func TestValidateCacheRunNamesSlot(t *testing.T) {
+	p := NewProgram(2).Prep0(0)
+	p.Instrs = append(p.Instrs, isa.LogicalInstr{Op: isa.LCacheRun, Target: 2})
+	if err := p.Validate(); err != nil {
+		t.Errorf("cache run on slot 2 of a 2-qubit program rejected: %v", err)
+	}
+	p.Instrs = append(p.Instrs, isa.LogicalInstr{Op: isa.LX, Target: 2})
+	if err := p.Validate(); err == nil {
+		t.Error("LX 2 on a 2-qubit register accepted")
+	}
+}
+
 func TestDecomposeRzShape(t *testing.T) {
 	p := NewProgram(1)
 	eps := 1e-6

@@ -83,9 +83,7 @@ func TestRunProgramCacheRunEveryTile(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			// The register is wider than the machine so the slot number
-			// also passes Program.Validate's register check.
-			p := compiler.NewProgram(3).Prep0(0)
+			p := compiler.NewProgram(2).Prep0(0)
 			p.Instrs = append(p.Instrs, isa.LogicalInstr{Op: isa.LCacheRun, Target: 2})
 			_, err := m.RunProgram(p, 0)
 			switch {

@@ -106,9 +106,8 @@ func TestWindowForwardsHeat(t *testing.T) {
 }
 
 // TestMatchHeatOffAllocs pins the heat-off Match path on ten d=9 defects
-// at no more than 6 allocs/op (currently 5), the bench_allocs budget of
-// decoder Match in questvet-budgets.json. The heat hook must be a single
-// nil check.
+// at no more than 6 allocs/op (currently 6). The heat hook must be a
+// single nil check.
 func TestMatchHeatOffAllocs(t *testing.T) {
 	lat := surface.NewPlanar(9)
 	g := NewGlobalDecoder(lat)

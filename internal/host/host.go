@@ -120,6 +120,9 @@ func Lint(p *compiler.Program) []string {
 	)
 	state := make([]int, p.NumLogical)
 	for i, in := range p.Instrs {
+		if in.Op == isa.LCacheRun {
+			continue // names a cache slot, not a qubit
+		}
 		qs := []int{int(in.Target)}
 		if in.Op == isa.LCNOT {
 			qs = append(qs, int(in.Arg))

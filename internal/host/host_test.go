@@ -7,6 +7,7 @@ import (
 
 	"quest/internal/compiler"
 	"quest/internal/core"
+	"quest/internal/isa"
 	"quest/internal/qasm"
 	"quest/internal/qexe"
 	"quest/internal/sched"
@@ -147,6 +148,13 @@ func TestLintCleanProgram(t *testing.T) {
 	p3.Prep0(0).MeasZ(0).MeasZ(0)
 	if w := Lint(p3); len(w) != 1 {
 		t.Errorf("double measurement warnings: %v", w)
+	}
+	// A cache run names a slot, not a qubit, even past the register.
+	p4 := compiler.NewProgram(2).Prep0(0)
+	p4.Instrs = append(p4.Instrs, isa.LogicalInstr{Op: isa.LCacheRun, Target: 2})
+	p4.MeasZ(0)
+	if w := Lint(p4); len(w) != 0 {
+		t.Errorf("cache run warned: %v", w)
 	}
 }
 

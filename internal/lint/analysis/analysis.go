@@ -119,7 +119,7 @@ func Check(pkg *loader.Package, fset *token.FileSet, analyzers []*Analyzer, know
 }
 
 // CheckGraph is Check with a whole-module call graph attached to every
-// Pass, enabling the interprocedural analyzers (hotalloc, gateflow).
+// Pass, enabling the interprocedural analyzer (gateflow).
 func CheckGraph(pkg *loader.Package, fset *token.FileSet, g *callgraph.Graph, analyzers []*Analyzer, known []string) (Result, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {

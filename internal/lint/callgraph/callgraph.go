@@ -1,12 +1,10 @@
 // Package callgraph builds a whole-module static call graph over the
-// loader's type information, so the questvet analyzers can reason
-// *interprocedurally* about the repository's hot-path contract: the pinned
-// allocation budgets (mc.RunBatch 8 allocs/call, the decoder's
-// exact-match path ≤ 6 allocs/op) and the nil-gated-observability invariant hold along
-// every call chain rooted at a hot entry point, not just inside the function
-// that happens to contain the call. Like the rest of internal/lint it is
-// stdlib-only — no golang.org/x/tools — and deliberately scoped to what the
-// analyzers need:
+// loader's type information, so questvet's gateflow analyzer can reason
+// *interprocedurally* about the repository's hot-path contract: the
+// nil-gated-observability invariant holds along every call chain rooted at
+// a hot entry point, not just inside the function that happens to contain
+// the call. Like the rest of internal/lint it is stdlib-only — no
+// golang.org/x/tools — and deliberately scoped to what gateflow needs:
 //
 //   - Static call edges: direct calls to module functions and methods,
 //     resolved through go/types.
@@ -19,13 +17,13 @@
 //     closures the engine is built from). Literals passed at a call site
 //     named by Config.ClosureRoots — the Monte-Carlo engines' trial-function
 //     parameters — additionally become hot roots themselves.
-//   - Gating: an edge, allocation site, or tracked observer call that is
-//     dominated by a nil guard on an observer-class expression (a tracer,
-//     collector, sampler, recorder, metrics registry, a func-typed hook, or
-//     an error) is marked Gated. The hot-path pins are defined with
-//     observers off and errors absent, so reachability for budget auditing
-//     follows only ungated edges; what hides behind `if tr != nil` is the
-//     observers-on path the pins deliberately exclude.
+//   - Gating: an edge or tracked observer call that is dominated by a nil
+//     guard on an observer-class expression (a tracer, collector, sampler,
+//     recorder, metrics registry, a func-typed hook, or an error) is marked
+//     Gated. The hot-path allocation pins are defined with observers off
+//     and errors absent, so hot reachability follows only ungated edges;
+//     what hides behind `if tr != nil` is the observers-on path the pins
+//     deliberately exclude.
 //
 // Soundness envelope: calls through plain func-typed values (not literals,
 // not named functions) produce no edge — the repository's hot paths receive
@@ -33,8 +31,8 @@
 // the closures directly. Dynamic dispatch outside the module (stdlib
 // callbacks) is likewise invisible. The graph over-approximates everywhere
 // else, which is the right failure mode for a lint: a reported path exists
-// syntactically even if runtime configuration never takes it, and the
-// //quest:allow + budget-file machinery absorbs the deliberate cases.
+// syntactically even if runtime configuration never takes it, and
+// //quest:allow absorbs the deliberate cases.
 package callgraph
 
 import (
@@ -46,13 +44,6 @@ import (
 
 	"quest/internal/lint/loader"
 )
-
-// HotDirective marks a function declaration as a hot-path root in source:
-// a comment line `//quest:hotpath` in the doc comment of a FuncDecl. The
-// built-in root table in internal/lint/questvet covers the real entry
-// points; the directive exists for testdata fixtures and for new hot entry
-// points that want the contract before they earn a budget-file row.
-const HotDirective = "quest:hotpath"
 
 // Config selects the roots and the observer vocabulary of a build.
 type Config struct {
@@ -91,9 +82,6 @@ type Node struct {
 	Name string
 	// Edges are the outgoing calls, in syntax order.
 	Edges []Edge
-	// Allocs are the allocation sites in this function's body, in syntax
-	// order.
-	Allocs []AllocSite
 	// Tracked are the calls to tracked observer-type methods in this
 	// function's body, in syntax order.
 	Tracked []TrackedCall
@@ -107,16 +95,6 @@ type Edge struct {
 	Pos token.Pos
 	// Gated marks calls dominated by an observer nil guard: the target runs
 	// only on the observers-on (or error) path the hot-path pins exclude.
-	Gated bool
-}
-
-// An AllocSite is one syntactic allocation in a function body.
-type AllocSite struct {
-	Pos token.Pos
-	// What names the allocation kind: "make", "new", "append", "&composite",
-	// "slice literal", "map literal", "closure", "go", "string concat",
-	// "string conversion", "interface boxing".
-	What  string
 	Gated bool
 }
 
@@ -177,17 +155,14 @@ func Build(prog *loader.Program, pkgs []*loader.Package, cfg Config) *Graph {
 					continue
 				}
 				n := &Node{Fn: fn, Pkg: pkg, Pos: fd.Pos(), Name: funcName(fn)}
-				if hasHotDirective(fd) {
-					n.root = "//" + HotDirective
-				}
 				g.nodes = append(g.nodes, n)
 				g.byFunc[fn] = n
 			}
 		}
 	}
 
-	// Pass 2: walk every body — edges, literals, allocation sites, tracked
-	// calls, closure roots.
+	// Pass 2: walk every body — edges, literals, tracked calls, closure
+	// roots.
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, d := range f.Decls {
@@ -213,9 +188,7 @@ func Build(prog *loader.Program, pkgs []*loader.Package, cfg Config) *Graph {
 	addRoot := func(n *Node, why string) {
 		if !seen[n] {
 			seen[n] = true
-			if n.root == "" {
-				n.root = why
-			}
+			n.root = why
 			g.roots = append(g.roots, n)
 		}
 	}
@@ -229,17 +202,12 @@ func Build(prog *loader.Program, pkgs []*loader.Package, cfg Config) *Graph {
 			addRoot(n, spec)
 		}
 	}
-	for _, n := range g.nodes {
-		if n.root != "" && !seen[n] {
-			addRoot(n, n.root)
-		}
-	}
 	for _, n := range b.closureRoots {
 		addRoot(n, "trial closure")
 	}
 
 	// Hot reachability: BFS over ungated edges from every root.
-	g.pred = bfs(g.roots, false)
+	g.pred = bfs(g.roots)
 	return g
 }
 
@@ -299,22 +267,8 @@ func (g *Graph) HotPath(n *Node) []*Node {
 	return out
 }
 
-// ReachableFrom returns every node reachable from roots over ungated edges
-// (roots included), in deterministic BFS order.
-func (g *Graph) ReachableFrom(roots ...*Node) []*Node {
-	pred := bfs(roots, false)
-	var out []*Node
-	for _, n := range g.nodes { // node order, not map order
-		if _, ok := pred[n]; ok {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// bfs computes predecessor links from roots; gated edges are followed only
-// when followGated is set.
-func bfs(roots []*Node, followGated bool) map[*Node]*Node {
+// bfs computes predecessor links from roots over ungated edges.
+func bfs(roots []*Node) map[*Node]*Node {
 	pred := make(map[*Node]*Node)
 	queue := make([]*Node, 0, len(roots))
 	for _, r := range roots {
@@ -327,7 +281,7 @@ func bfs(roots []*Node, followGated bool) map[*Node]*Node {
 		n := queue[0]
 		queue = queue[1:]
 		for _, e := range n.Edges {
-			if e.Gated && !followGated {
+			if e.Gated {
 				continue
 			}
 			if _, ok := pred[e.To]; !ok {
@@ -443,18 +397,6 @@ func funcName(fn *types.Func) string {
 		return fmt.Sprintf("%s.%s.%s", pkg, r, fn.Name())
 	}
 	return pkg + "." + fn.Name()
-}
-
-func hasHotDirective(fd *ast.FuncDecl) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		if strings.TrimSpace(strings.TrimPrefix(c.Text, "//")) == HotDirective {
-			return true
-		}
-	}
-	return false
 }
 
 // methodIndex supports bounded interface dispatch: every in-module named

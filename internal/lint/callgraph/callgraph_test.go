@@ -12,7 +12,7 @@ import (
 // resolves inside module fix too).
 func fixtureConfig() Config {
 	return Config{
-		Roots:        []string{"app.Drive", "internal/nope.Missing"},
+		Roots:        []string{"app.Drive", "app.Marked", "app.GateDemo", "internal/nope.Missing"},
 		ClosureRoots: []string{"internal/mc.RunWith"},
 		ObserverPkgs: []string{"internal/tracing"},
 		TrackedTypes: map[string][]string{"internal/tracing": {"Tracer"}},
@@ -53,9 +53,9 @@ func TestBuildRootsAndUnresolved(t *testing.T) {
 	}
 
 	wantRoots := map[string]string{
-		"app.Drive":       "app.Drive",         // from Config.Roots
-		"app.Marked":      "//" + HotDirective, // from the doc directive
-		"app.GateDemo":    "//" + HotDirective,
+		"app.Drive":       "app.Drive", // from Config.Roots
+		"app.Marked":      "app.Marked",
+		"app.GateDemo":    "app.GateDemo",
 		"app.Drive.func1": "trial closure", // literal handed to RunWith
 		"app.trialFn":     "trial closure", // named function handed to RunWith
 	}
@@ -93,7 +93,7 @@ func TestHotReachability(t *testing.T) {
 		// onlyGated is called only inside `if tr != nil`: gated edges do not
 		// extend hot reachability.
 		"app.onlyGated",
-		"app.driveNamed", "app.earlyReturn", "app.wrongGuard", "app.allocZoo",
+		"app.driveNamed", "app.earlyReturn", "app.wrongGuard",
 	}
 	for _, name := range cold {
 		if g.Hot(node(t, g, name)) {
@@ -145,41 +145,6 @@ func TestLookupSpecs(t *testing.T) {
 	}
 }
 
-func allocKinds(n *Node) []string {
-	var out []string
-	for _, s := range n.Allocs {
-		k := s.What
-		if s.Gated {
-			k += "(gated)"
-		}
-		out = append(out, k)
-	}
-	return out
-}
-
-func TestAllocSiteKinds(t *testing.T) {
-	g := buildFixture(t)
-	cases := []struct {
-		node string
-		want string
-	}{
-		{"app.Drive", "make closure"},
-		// &composite for the pair, boxing Fast{} into the Sink parameter,
-		// append on the return path.
-		{"app.Marked", "&composite interface boxing append"},
-		{"app.allocZoo", "map literal slice literal string conversion string concat go closure make(gated)"},
-		{"internal/mc.Fast.Put", "make"},
-		{"internal/mc.Cold", "new"},
-		{"internal/mc.RunWith", ""},
-	}
-	for _, c := range cases {
-		got := strings.Join(allocKinds(node(t, g, c.node)), " ")
-		if got != c.want {
-			t.Errorf("%s alloc sites = %q, want %q", c.node, got, c.want)
-		}
-	}
-}
-
 func TestTrackedCallGating(t *testing.T) {
 	g := buildFixture(t)
 	cases := []struct {
@@ -221,16 +186,20 @@ func TestTrackedCallGating(t *testing.T) {
 	}
 }
 
+// TestReachableFromSubgraph pins the subgraph bfs reaches from one root:
+// Marked's interface call bounds to both in-module Sink implementations.
 func TestReachableFromSubgraph(t *testing.T) {
 	g := buildFixture(t)
-	marked := node(t, g, "app.Marked")
+	pred := bfs([]*Node{node(t, g, "app.Marked")})
 	var names []string
-	for _, n := range g.ReachableFrom(marked) {
-		names = append(names, g.DisplayName(n))
+	for _, n := range g.Nodes() { // node order, not map order
+		if _, ok := pred[n]; ok {
+			names = append(names, g.DisplayName(n))
+		}
 	}
 	want := "app.Marked internal/mc.Fast.Put internal/mc.(*Slow).Put internal/mc.Dispatch"
 	if got := strings.Join(names, " "); got != want {
-		t.Errorf("ReachableFrom(Marked) = %q, want %q", got, want)
+		t.Errorf("bfs(Marked) reaches %q, want %q", got, want)
 	}
 }
 

@@ -1,5 +1,5 @@
-// Package app drives the fixture engine: configured roots, directive
-// roots, closure roots, and one function of every allocation kind.
+// Package app drives the fixture engine: configured roots, closure roots,
+// and the guard shapes gating is tested on.
 package app
 
 import (
@@ -8,25 +8,14 @@ import (
 )
 
 func Drive(tr *tracing.Tracer) int {
-	buf := make([]byte, 8)
-	_ = buf
 	return mc.RunWith(3, func() bool {
 		mc.Helper(tr)
 		return true
 	})
 }
 
-//quest:hotpath
-func Marked(s []int) []int {
-	t := &pair{}
-	_ = t
-	mc.Dispatch(mc.Fast{})
-	return append(s, 1)
-}
+func Marked() { mc.Dispatch(mc.Fast{}) }
 
-type pair struct{ a, b int }
-
-//quest:hotpath
 func GateDemo(tr *tracing.Tracer) {
 	if tr != nil {
 		onlyGated()
@@ -58,20 +47,5 @@ func litGuard(tr *tracing.Tracer) func() {
 func wrongGuard(a, b *tracing.Tracer) {
 	if a != nil {
 		b.Emit("x")
-	}
-}
-
-func allocZoo(tr *tracing.Tracer, s string) {
-	m := map[string]int{}
-	_ = m
-	v := []int{1, 2}
-	_ = v
-	bs := []byte(s)
-	_ = bs
-	s2 := s + "x"
-	_ = s2
-	go func() {}()
-	if tr != nil {
-		_ = make([]int, 1)
 	}
 }

@@ -11,7 +11,7 @@ type Sink interface{ Put(x int) }
 
 type Fast struct{}
 
-func (Fast) Put(x int) { _ = make([]int, x) }
+func (Fast) Put(x int) {}
 
 type Slow struct{}
 

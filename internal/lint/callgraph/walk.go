@@ -10,9 +10,9 @@ import (
 	"quest/internal/lint/loader"
 )
 
-// walker traverses one function body, recording call edges, allocation
-// sites, and tracked observer calls on its node, while maintaining the set
-// of observer-class expressions proven non-nil by dominating guards.
+// walker traverses one function body, recording call edges and tracked
+// observer calls on its node, while maintaining the set of observer-class
+// expressions proven non-nil by dominating guards.
 type walker struct {
 	b    *builder
 	pkg  *loader.Package
@@ -29,7 +29,7 @@ type walker struct {
 	// outer holds the guards in force where this walker's function literal
 	// is defined (nil for declared functions). They count for GatedOnRecv
 	// only: a literal can outlive its definition site, so they do not gate
-	// its edges or allocation sites.
+	// its edges.
 	outer []string
 }
 
@@ -107,9 +107,6 @@ func (w *walker) walkStmt(s ast.Stmt) {
 	case *ast.IncDecStmt:
 		w.walkExpr(s.X)
 	case *ast.AssignStmt:
-		if s.Tok == token.ADD_ASSIGN && len(s.Lhs) == 1 && w.isString(s.Lhs[0]) {
-			w.site(s.TokPos, "string concat")
-		}
 		for _, e := range s.Rhs {
 			w.walkExpr(e)
 		}
@@ -117,9 +114,6 @@ func (w *walker) walkStmt(s ast.Stmt) {
 			w.walkExpr(e)
 		}
 	case *ast.GoStmt:
-		// A go statement allocates its goroutine (and any captured frame)
-		// even when the callee itself is clean.
-		w.site(s.Go, "go")
 		w.walkCall(s.Call)
 	case *ast.DeferStmt:
 		w.walkCall(s.Call)
@@ -150,26 +144,14 @@ func (w *walker) walkExpr(e ast.Expr) {
 	case *ast.FuncLit:
 		w.walkLit(e)
 	case *ast.BinaryExpr:
-		if e.Op == token.ADD && w.isString(e) {
-			w.site(e.OpPos, "string concat")
-		}
 		w.walkExpr(e.X)
 		w.walkExpr(e.Y)
 	case *ast.UnaryExpr:
-		if cl, ok := e.X.(*ast.CompositeLit); ok && e.Op == token.AND {
-			w.site(e.Pos(), "&composite")
-			w.walkCompositeElts(cl)
-			return
-		}
 		w.walkExpr(e.X)
 	case *ast.CompositeLit:
-		switch w.typeOf(e).(type) {
-		case *types.Slice:
-			w.site(e.Pos(), "slice literal")
-		case *types.Map:
-			w.site(e.Pos(), "map literal")
+		for _, el := range e.Elts {
+			w.walkExpr(el)
 		}
-		w.walkCompositeElts(e)
 	case *ast.KeyValueExpr:
 		w.walkExpr(e.Value)
 	case *ast.ParenExpr:
@@ -193,12 +175,6 @@ func (w *walker) walkExpr(e ast.Expr) {
 	}
 }
 
-func (w *walker) walkCompositeElts(cl *ast.CompositeLit) {
-	for _, el := range cl.Elts {
-		w.walkExpr(el)
-	}
-}
-
 // walkLit creates the node for a function literal, links it from the
 // enclosing function, and walks its body with an empty guard stack (the
 // graph assumes a literal is callable whenever its enclosing function runs;
@@ -214,7 +190,6 @@ func (w *walker) walkLit(lit *ast.FuncLit) {
 	w.b.g.nodes = append(w.b.g.nodes, n)
 	w.b.litNodes[lit] = n
 	w.node.Edges = append(w.node.Edges, Edge{To: n, Pos: lit.Pos(), Gated: w.gated()})
-	w.site(lit.Pos(), "closure")
 	child := &walker{b: w.b, pkg: w.pkg, node: n, top: w.top, nlits: w.nlits,
 		outer: slices.Concat(w.outer, w.guards)}
 	child.walkBlock(lit.Body.List)
@@ -238,38 +213,11 @@ func (w *walker) walkCall(call *ast.CallExpr) {
 		}
 	}
 
-	// Type conversion, not a call.
-	if tv, ok := w.pkg.Info.Types[call.Fun]; ok && tv.IsType() {
-		if len(call.Args) == 1 && stringSliceConversion(tv.Type, w.typeOf(call.Args[0])) {
-			w.site(call.Pos(), "string conversion")
-		}
-		for _, a := range call.Args {
-			w.walkExpr(a)
-		}
-		return
-	}
-
 	var callee *types.Func
 	var recvExpr ast.Expr
 	switch f := fun.(type) {
 	case *ast.Ident:
-		switch obj := w.pkg.Info.Uses[f].(type) {
-		case *types.Builtin:
-			switch obj.Name() {
-			case "make":
-				w.site(call.Pos(), "make")
-			case "new":
-				w.site(call.Pos(), "new")
-			case "append":
-				w.site(call.Pos(), "append")
-			}
-			for _, a := range call.Args {
-				w.walkExpr(a)
-			}
-			return
-		case *types.Func:
-			callee = obj
-		}
+		callee, _ = w.pkg.Info.Uses[f].(*types.Func)
 	case *ast.SelectorExpr:
 		if sel, ok := w.pkg.Info.Selections[f]; ok {
 			callee, _ = sel.Obj().(*types.Func)
@@ -293,7 +241,6 @@ func (w *walker) walkCall(call *ast.CallExpr) {
 	}
 	if callee != nil {
 		w.checkClosureRoots(call, callee)
-		w.checkBoxing(call, callee)
 	}
 }
 
@@ -401,59 +348,6 @@ func (b *builder) matchesClosureRoot(callee *types.Func) bool {
 	return false
 }
 
-// checkBoxing records interface-boxing sites: a concrete non-pointer value
-// passed where the parameter type is an interface heap-allocates the boxed
-// copy. Pointer(-shaped) values and nil do not.
-func (w *walker) checkBoxing(call *ast.CallExpr, callee *types.Func) {
-	sig, ok := callee.Type().(*types.Signature)
-	if !ok || call.Ellipsis.IsValid() {
-		return
-	}
-	params := sig.Params()
-	for i, a := range call.Args {
-		var pt types.Type
-		switch {
-		case sig.Variadic() && i >= params.Len()-1:
-			st, ok := params.At(params.Len() - 1).Type().(*types.Slice)
-			if !ok {
-				continue
-			}
-			pt = st.Elem()
-		case i < params.Len():
-			pt = params.At(i).Type()
-		default:
-			continue
-		}
-		if _, isIface := pt.Underlying().(*types.Interface); !isIface {
-			continue
-		}
-		at := w.typeOf(a)
-		if at == nil || boxingFree(at) {
-			continue
-		}
-		w.site(a.Pos(), "interface boxing")
-	}
-}
-
-// boxingFree reports types whose conversion to interface does not allocate:
-// pointers, interfaces, funcs, chans, maps, unsafe pointers, and nil.
-func boxingFree(t types.Type) bool {
-	if b, ok := t.(*types.Basic); ok && b.Kind() == types.UntypedNil {
-		return true
-	}
-	switch t.Underlying().(type) {
-	case *types.Pointer, *types.Interface, *types.Chan, *types.Map, *types.Signature:
-		return true
-	case *types.Basic:
-		return t.Underlying().(*types.Basic).Kind() == types.UnsafePointer
-	}
-	return false
-}
-
-func (w *walker) site(pos token.Pos, what string) {
-	w.node.Allocs = append(w.node.Allocs, AllocSite{Pos: pos, What: what, Gated: w.gated()})
-}
-
 func (w *walker) typeOf(e ast.Expr) types.Type {
 	if e == nil {
 		return nil
@@ -462,15 +356,6 @@ func (w *walker) typeOf(e ast.Expr) types.Type {
 		return tv.Type
 	}
 	return nil
-}
-
-func (w *walker) isString(e ast.Expr) bool {
-	t := w.typeOf(e)
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsString != 0
 }
 
 // nonNil returns the printed observer-class expressions proven non-nil when
@@ -572,27 +457,4 @@ func stmtTerminates(s ast.Stmt) bool {
 		return terminates(s)
 	}
 	return false
-}
-
-// stringSliceConversion reports string <-> []byte/[]rune conversions, which
-// copy and allocate.
-func stringSliceConversion(to, from types.Type) bool {
-	if from == nil {
-		return false
-	}
-	return (isStringT(to) && isByteRuneSlice(from)) || (isByteRuneSlice(to) && isStringT(from))
-}
-
-func isStringT(t types.Type) bool {
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsString != 0
-}
-
-func isByteRuneSlice(t types.Type) bool {
-	s, ok := t.Underlying().(*types.Slice)
-	if !ok {
-		return false
-	}
-	e, ok := s.Elem().Underlying().(*types.Basic)
-	return ok && (e.Kind() == types.Uint8 || e.Kind() == types.Int32)
 }

@@ -1,7 +1,7 @@
 // Package gateflow defines the gateflow analyzer: on hot paths, an
 // observer that is switched off must cost one branch and nothing else.
 //
-// The pinned allocation budgets — mc.RunBatch 8 allocs/call with observers
+// The runtime allocation pins — mc.RunBatch 8 allocs/call with observers
 // off, the decoder's exact-match path ≤ 6 allocs/op with heat off
 // (TestRunAllocs, TestMatchHeatOffAllocs) — hold only because every
 // observability hook on a hot path costs exactly one predictable branch
@@ -11,13 +11,13 @@
 // those are integer conversions, tomorrow someone passes fmt.Sprintf and
 // the off path allocates.
 //
-// gateflow checks a function when a hot root reaches it over ungated
-// call-graph edges, and every function of a hot package, so the
-// instruction-delivery entry points no root reaches are covered too. In a
-// checked function every call to a tracked observer method must be
-// dominated by a nil check naming exactly the call's receiver expression
-// (callgraph's TrackedCall.GatedOnRecv): `if shards != nil {
-// parent.NewShard() }` proves nothing about parent.
+// gateflow checks a function when a hot root (questvet.GraphConfig lists
+// them) reaches it over ungated call-graph edges, and every function of a
+// hot package, so the instruction-delivery entry points no root reaches
+// are covered too. In a checked function every call to a tracked observer
+// method must be dominated by a nil check naming exactly the call's
+// receiver expression (callgraph's TrackedCall.GatedOnRecv): `if shards !=
+// nil { parent.NewShard() }` proves nothing about parent.
 //
 // Metrics instruments (*metrics.Counter, *metrics.Gauge,
 // *metrics.Histogram) are registry-backed and never nil, so they cannot be

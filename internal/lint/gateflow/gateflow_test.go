@@ -10,6 +10,7 @@ import (
 
 func TestGateflow(t *testing.T) {
 	cfg := &callgraph.Config{
+		Roots: []string{"internal/mc.Step", "internal/obs.Hot2"},
 		ObserverPkgs: []string{
 			"internal/tracing", "internal/heatmap", "internal/events",
 			"internal/bwprofile", "internal/metrics",

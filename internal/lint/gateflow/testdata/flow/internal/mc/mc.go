@@ -12,7 +12,6 @@ import (
 // Progress is the payload of the events.Sampler stub.
 type Progress struct{ Completed, Budget int }
 
-//quest:hotpath
 func Step(a, b *tracing.Tracer) {
 	obs.Report(a)
 	obs.WrongGuard(a, b)

@@ -30,5 +30,4 @@ func suppressed(tr *tracing.Tracer) {
 
 func run(f func()) { f() }
 
-//quest:hotpath
 func Hot2(tr *tracing.Tracer) { suppressed(tr) }

@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"path/filepath"
 	"sort"
+	"strings"
 )
 
 // BaselineSchema identifies the committed findings-baseline artifact
@@ -39,6 +41,18 @@ type BaselineEntry struct {
 
 type baselineKey struct {
 	Analyzer, File, Message string
+}
+
+// relPath renders a diagnostic's file path relative to the module root
+// with forward slashes, so baselines are machine-independent.
+func (r Report) relPath(file string) string {
+	if file == "" {
+		return ""
+	}
+	if rel, err := filepath.Rel(r.Root, file); err == nil && !strings.HasPrefix(rel, "..") {
+		return filepath.ToSlash(rel)
+	}
+	return filepath.ToSlash(file)
 }
 
 // MakeBaseline captures the report as a baseline.

@@ -11,24 +11,23 @@
 //     the SplitMix64 mixers.
 //   - schemaver (everywhere): serialized-artifact schema strings
 //     ("quest-ledger/1", ...) defined once, as exported constants.
-//   - hotalloc (everywhere, interprocedural): static allocation sites
-//     reachable from each budgeted hot entry point stay within the
-//     committed ceilings in questvet-budgets.json.
 //   - gateflow (interprocedural; functions a hot root reaches, plus every
 //     function of the hot-path packages): every observer method call
 //     nil-gated on its receiver, and in the hot-path packages every
-//     metrics argument allocation-free, protecting the pinned alloc
-//     budgets (mc.RunBatch 8 allocs/call, decoder exact-match ≤ 6
-//     allocs/op with observers off).
+//     metrics argument allocation-free, protecting the runtime allocation
+//     pins (TestRunAllocs: mc.RunBatch 8 allocs/call;
+//     TestMatchHeatOffAllocs: decoder exact-match ≤ 6 allocs/op, observers
+//     off).
 //   - errsink (everywhere): error results from ledger/bwprofile/cli calls
 //     are never discarded.
 //
-// The interprocedural analyzers share one whole-module call graph
-// (internal/lint/callgraph) built per run; its hot roots are the Monte-
-// Carlo engines' entry points and trial closures, the global decoder's
-// match path, and the MCE/master cycle loops. A hot root, budget root or
-// scope directory that matches nothing in the module is itself a finding,
-// so a rename cannot silently drop code out of an audit.
+// gateflow reasons over one whole-module call graph
+// (internal/lint/callgraph) built per run; its hot roots, declared in
+// GraphConfig, are the Monte-Carlo engines' entry points and trial
+// closures, the global decoder's match path, and the MCE/master cycle
+// loops. A hot root or scope directory that matches nothing in the module
+// is itself a finding, so a rename cannot silently drop code out of an
+// audit.
 //
 // The tools/questvet binary drives this suite over the module; the Run
 // helper here is shared with its tests.
@@ -46,7 +45,6 @@ import (
 	"quest/internal/lint/detrange"
 	"quest/internal/lint/errsink"
 	"quest/internal/lint/gateflow"
-	"quest/internal/lint/hotalloc"
 	"quest/internal/lint/loader"
 	"quest/internal/lint/schemaver"
 	"quest/internal/lint/seedsrc"
@@ -76,11 +74,8 @@ var observerDirs = []string{
 	"internal/bwprofile",
 }
 
-// Suite returns the analyzers with their package scopes. budgets feeds the
-// hotalloc analyzer (typically loaded from questvet-budgets.json; nil
-// disables the budget audit but keeps the analyzer registered so
-// //quest:allow(hotalloc) directives stay known).
-func Suite(budgets []hotalloc.Budget) []ScopedAnalyzer {
+// Suite returns the analyzers with their package scopes.
+func Suite() []ScopedAnalyzer {
 	return []ScopedAnalyzer{
 		// Packages whose map-iteration order can reach serialized output or
 		// report rows — including every checker tool and command, whose
@@ -101,8 +96,7 @@ func Suite(budgets []hotalloc.Budget) []ScopedAnalyzer {
 		}},
 		// Schema constants are a whole-module concern.
 		{schemaver.Analyzer, nil},
-		// Interprocedural hot-path contract: alloc budgets and gate flow.
-		{hotalloc.New(budgets), nil},
+		// Interprocedural hot-path contract: gate flow.
 		{gateflow.New(hotDirs, observerDirs), nil},
 		// Dropped writer errors break byte identity wherever they happen.
 		{errsink.Analyzer, nil},
@@ -112,7 +106,7 @@ func Suite(budgets []hotalloc.Budget) []ScopedAnalyzer {
 // Names returns the analyzer names of the suite, sorted.
 func Names() []string {
 	var out []string
-	for _, sa := range Suite(nil) {
+	for _, sa := range Suite() {
 		out = append(out, sa.Analyzer.Name)
 	}
 	sort.Strings(out)
@@ -175,16 +169,9 @@ func unresolvedDirs(module string, pkgs []*loader.Package, dirs []string) []stri
 	return out
 }
 
-// Options configures a Run.
-type Options struct {
-	// Budgets are the hotalloc entry-point budgets, normally loaded from
-	// questvet-budgets.json at the module root.
-	Budgets []hotalloc.Budget
-}
-
 // Report aggregates a run over many packages.
 type Report struct {
-	// Root is the module root directory; emitters relativize file paths
+	// Root is the module root directory; baselines relativize file paths
 	// against it.
 	Root string
 	// Module is the module import path.
@@ -198,9 +185,9 @@ type Report struct {
 // check. pkgs is typically the result of prog.LoadModule(); the graph is
 // always built over the full module so interprocedural reachability does
 // not depend on the package selection.
-func Run(prog *loader.Program, pkgs []*loader.Package, opts Options) (Report, error) {
+func Run(prog *loader.Program, pkgs []*loader.Package) (Report, error) {
 	rep := Report{Root: prog.Root, Module: prog.Module}
-	suite := Suite(opts.Budgets)
+	suite := Suite()
 	known := Names()
 
 	all, err := prog.LoadModule()
@@ -208,21 +195,13 @@ func Run(prog *loader.Program, pkgs []*loader.Package, opts Options) (Report, er
 		return Report{}, fmt.Errorf("loading module for call graph: %w", err)
 	}
 	g := callgraph.Build(prog, all, GraphConfig())
-	// A renamed entry point or budget root must fail loudly: a spec that
-	// resolves to nothing silently disables its audit.
+	// A renamed entry point must fail loudly: a spec that resolves to
+	// nothing silently disables its audit.
 	for _, spec := range g.UnresolvedRoots() {
 		rep.Active = append(rep.Active, analysis.Diagnostic{
 			Analyzer: "gateflow",
 			Message:  fmt.Sprintf("hot-path root %q matches no function; update questvet.GraphConfig", spec),
 		})
-	}
-	for _, b := range opts.Budgets {
-		if len(g.Lookup(b.Root)) == 0 {
-			rep.Active = append(rep.Active, analysis.Diagnostic{
-				Analyzer: "hotalloc",
-				Message:  fmt.Sprintf("budget root %q matches no function; update questvet-budgets.json", b.Root),
-			})
-		}
 	}
 	// So must a renamed package: a scope directory that matches nothing
 	// silently drops out of its analyzer's reach.

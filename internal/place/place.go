@@ -184,7 +184,9 @@ func (a *Assignment) Remap(p *compiler.Program) (*compiler.Program, error) {
 	out := compiler.NewProgram(a.Tiles * a.PatchesPerTile)
 	for _, in := range p.Instrs {
 		m := in
-		m.Target = uint8(a.GlobalQubit(int(in.Target)))
+		if in.Op != isa.LCacheRun { // a cache run names a slot, not a qubit
+			m.Target = uint8(a.GlobalQubit(int(in.Target)))
+		}
 		if in.Op == isa.LCNOT {
 			m.Arg = uint8(a.GlobalQubit(int(in.Arg)))
 		}

@@ -114,6 +114,30 @@ func TestRemapRunsOnMachine(t *testing.T) {
 	}
 }
 
+// TestRemapLeavesCacheRunSlot pins that Remap moves qubits, not cache
+// slots: placement moves q3 onto tile 0, and a cache run of slot 3 still
+// names slot 3.
+func TestRemapLeavesCacheRunSlot(t *testing.T) {
+	p := compiler.NewProgram(4)
+	p.Prep0(0).Prep0(3).CNOT(0, 3)
+	run := isa.LogicalInstr{Op: isa.LCacheRun, Target: 3}
+	p.Instrs = append(p.Instrs, run)
+	asg, err := Place(p, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if asg.GlobalQubit(3) == 3 {
+		t.Fatal("placement left q3 in place; the test needs it moved")
+	}
+	mapped, err := asg.Remap(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mapped.Instrs[len(mapped.Instrs)-1]; got != run {
+		t.Errorf("remapped cache run = %v, want %v", got, run)
+	}
+}
+
 func TestPropertyPlacementAlwaysLegal(t *testing.T) {
 	f := func(seed int64, nRaw, tRaw, pRaw uint8, ops []uint8) bool {
 		tiles := 1 + int(tRaw)%4

@@ -61,6 +61,18 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestToProgramCacheRunSlot pins that an executable whose program runs a
+// cache slot numbered past its register converts back to the IR.
+func TestToProgramCacheRunSlot(t *testing.T) {
+	p := compiler.NewProgram(2).Prep0(0)
+	p.Instrs = append(p.Instrs, isa.LogicalInstr{Op: isa.LCacheRun, Target: 2})
+	e := FromProgram(p)
+	e.AddCache(2, []isa.LogicalInstr{{Op: isa.LX, Target: 1}})
+	if _, err := e.ToProgram(); err != nil {
+		t.Fatalf("ToProgram: %v", err)
+	}
+}
+
 func TestDecodeRejectsCorruption(t *testing.T) {
 	e := sampleExe(t)
 	var buf bytes.Buffer
