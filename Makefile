@@ -4,15 +4,12 @@
 #   make trace-smoke  run a tiny traced sim and validate the Perfetto JSON
 #   make ledger-smoke run a small ledgered+heatmapped sweep and validate the
 #                     JSONL with questcheck
-#   make shard-smoke  prove process-count independence: 2-process sharded
-#                     threshold and memory sweeps merged with ledgermerge,
-#                     and runs resumed from truncated ledgers, must all be
-#                     byte-identical (cmp) to the 1-process runs
 #   make bw-smoke     run profiled sweeps and sims, validate the quest-bw/1
-#                     artifacts with bwreport, prove the waveform is
-#                     worker-count independent (cmp across -workers 1 and 8)
-#                     and a pure side-band (ledger bytes identical with -bw
-#                     on/off), and render the ram/fifo/unitcell comparison
+#                     artifacts with bwreport, prove the waveform and the
+#                     ledger are worker-count independent (cmp across
+#                     -workers 1 and 8) and the profile a pure side-band
+#                     (ledger bytes identical with -bw on/off), and render
+#                     the ram/fifo/unitcell comparison
 #   make perf-smoke   run questperf (bench/run.sh) briefly over every workload,
 #                     both phases, and fail unless it reports every run
 #                     correct (stdout and ledger digests match bench/golden.json)
@@ -30,7 +27,7 @@ GO ?= go
 # fails if the two (or CI's version matrix) drift apart.
 GO_TOOLCHAIN := go1.24.0
 
-.PHONY: all build test test-short race bench trace-smoke ledger-smoke shard-smoke bw-smoke perf-smoke lint vet fmt questvet questvet-baseline experiments examples fuzz clean
+.PHONY: all build test test-short race bench trace-smoke ledger-smoke bw-smoke perf-smoke lint vet fmt questvet questvet-baseline experiments examples fuzz clean
 
 all: build vet test race
 
@@ -89,50 +86,15 @@ ledger-smoke:
 		-trace /tmp/quest_sweep_trace.json threshold
 	$(GO) run ./tools/questcheck -min-cells 6 -min-trials 60 /tmp/quest_ledger_smoke.jsonl
 
-# Prove process-count independence end to end — the same checks CI's
-# shard-smoke job runs, once per runner. A 2-process sharded sweep
-# (deliberately run with different -workers per shard) is merged by
-# tools/ledgermerge and cmp(1)'d byte-for-byte against the 1-process ledger;
-# then the 1-process ledger is truncated mid-cell with a torn final line
-# (what a crash leaves) and a -resume run must reconverge to the same bytes.
-# Both sweeps run on mc.RunBatch, 64 trials per lane: each cut keeps the
-# header, cell 0 (100 trials + summary) and 70 trials of cell 1, so the
-# resumed cell's first lane starts past a 64-trial lane boundary. All
-# artifacts match the ledger-shard-*.jsonl pattern covered by .gitignore and
-# `make clean`.
-shard-smoke:
-	$(GO) run ./cmd/questbench -trials 100 -workers 4 -ledger ledger-shard-full.jsonl threshold
-	$(GO) run ./cmd/questbench -trials 100 -workers 2 -shard 0/2 -ledger ledger-shard-0.jsonl threshold
-	$(GO) run ./cmd/questbench -trials 100 -workers 3 -shard 1/2 -ledger ledger-shard-1.jsonl threshold
-	$(GO) run ./tools/ledgermerge -o ledger-shard-merged.jsonl ledger-shard-0.jsonl ledger-shard-1.jsonl
-	cmp ledger-shard-merged.jsonl ledger-shard-full.jsonl
-	$(GO) run ./tools/questcheck -min-cells 6 -min-trials 600 ledger-shard-merged.jsonl
-	head -n 172 ledger-shard-full.jsonl > ledger-shard-crash.jsonl
-	printf '{"record":"trial","cell":"thr' >> ledger-shard-crash.jsonl
-	$(GO) run ./cmd/questbench -trials 100 -workers 3 -resume ledger-shard-crash.jsonl \
-		-ledger ledger-shard-resumed.jsonl threshold
-	cmp ledger-shard-resumed.jsonl ledger-shard-full.jsonl
-	$(GO) run ./tools/questcheck -min-cells 6 -min-trials 600 ledger-shard-resumed.jsonl
-	$(GO) run ./cmd/questbench -trials 100 -workers 4 -ledger ledger-shard-mem-full.jsonl memory
-	$(GO) run ./cmd/questbench -trials 100 -workers 2 -shard 0/2 -ledger ledger-shard-mem-0.jsonl memory
-	$(GO) run ./cmd/questbench -trials 100 -workers 3 -shard 1/2 -ledger ledger-shard-mem-1.jsonl memory
-	$(GO) run ./tools/ledgermerge -o ledger-shard-mem-merged.jsonl ledger-shard-mem-0.jsonl ledger-shard-mem-1.jsonl
-	cmp ledger-shard-mem-merged.jsonl ledger-shard-mem-full.jsonl
-	$(GO) run ./tools/questcheck -min-cells 3 -min-trials 300 ledger-shard-mem-merged.jsonl
-	head -n 172 ledger-shard-mem-full.jsonl > ledger-shard-mem-crash.jsonl
-	printf '{"record":"trial","cell":"mem' >> ledger-shard-mem-crash.jsonl
-	$(GO) run ./cmd/questbench -trials 100 -workers 3 -resume ledger-shard-mem-crash.jsonl \
-		-ledger ledger-shard-mem-resumed.jsonl memory
-	cmp ledger-shard-mem-resumed.jsonl ledger-shard-mem-full.jsonl
-	$(GO) run ./tools/questcheck -min-cells 3 -min-trials 300 ledger-shard-mem-resumed.jsonl
-
 # Bandwidth-profiler smoke — the same checks CI's bw-smoke job runs. The
 # memory experiment drives the full machine decode path (threshold cells
 # bypass the machine, so they put no traffic on the buses): the same
 # profiled sweep at -workers 1 and 8 must produce byte-identical quest-bw/1
-# waveforms (cmp) — at 130 trials, three 64-trial lanes, so 8 workers really
-# split each cell — and the -workers 1 ledger must be byte-identical with -bw
-# on and off (profiling is a pure side-band). bwreport validates and renders
+# waveforms and ledgers (cmp) — at 130 trials, three 64-trial lanes, so 8
+# workers really split each cell — and the -workers 1 ledger must be
+# byte-identical with -bw on and off (profiling is a pure side-band). The
+# ledger cmp across -workers 1 and 8 is the end-to-end check that ledger
+# bytes do not depend on the worker count. bwreport validates and renders
 # the -workers 1 artifact, then three questsim runs — one per microcode
 # design — feed the ram/fifo/unitcell comparison table. Artifacts match
 # bw-smoke-*.jsonl, covered by .gitignore and `make clean`.
@@ -140,8 +102,9 @@ bw-smoke:
 	$(GO) run ./cmd/questbench -trials 130 -workers 1 \
 		-ledger bw-smoke-ledger-on.jsonl -bw bw-smoke-w1.jsonl memory
 	$(GO) run ./cmd/questbench -trials 130 -workers 8 \
-		-bw bw-smoke-w8.jsonl memory
+		-ledger bw-smoke-ledger-w8.jsonl -bw bw-smoke-w8.jsonl memory
 	cmp bw-smoke-w1.jsonl bw-smoke-w8.jsonl
+	cmp bw-smoke-ledger-w8.jsonl bw-smoke-ledger-on.jsonl
 	$(GO) run ./cmd/questbench -trials 130 -workers 1 \
 		-ledger bw-smoke-ledger-off.jsonl memory
 	cmp bw-smoke-ledger-off.jsonl bw-smoke-ledger-on.jsonl
@@ -199,5 +162,5 @@ fuzz:
 # corpora; TestCleanTargetPreservesTrackedTestdata pins the fix.
 clean:
 	git clean -fdx internal/qasm/testdata internal/qexe/testdata internal/core/testdata
-	rm -f ledger-shard-*.jsonl bw-smoke-*.jsonl perf-smoke.*
+	rm -f bw-smoke-*.jsonl perf-smoke.*
 	$(GO) clean ./...

@@ -10,27 +10,19 @@
 // wall-clock, crank trials for confidence.
 //
 // Observability (shared with questsim via internal/obsflags, except the
-// sweep-only -ci-stop, -shard and -resume): -metrics, -pprof, -trace,
-// -trace-buf, plus the experiment-ledger bundle — -ledger FILE streams a
-// JSONL run ledger (validate with tools/questcheck), -progress renders live
-// per-cell Wilson intervals on stderr, -ci-stop W stops each cell once its
-// 95% interval is narrower than W, and -heatmap FILE writes spatial
-// defect/matching heatmaps as JSON (ASCII renders go to stderr). All of it
-// is worker-count independent.
+// sweep-only -ci-stop): -metrics, -pprof, -trace, -trace-buf, plus the
+// experiment-ledger bundle — -ledger FILE streams a JSONL run ledger
+// (validate with tools/questcheck), -progress renders live per-cell Wilson
+// intervals on stderr, -ci-stop W stops each cell once its 95% interval is
+// narrower than W, and -heatmap FILE writes spatial defect/matching heatmaps
+// as JSON (ASCII renders go to stderr). All of it is worker-count
+// independent.
 //
 // Bandwidth profiling: -bw FILE records per-bus traffic in fixed windows of
 // the machine cycle clock and writes a quest-bw/1 profile at exit
 // (-bw-window N sets the window width; validate and compare runs with
 // tools/bwreport). Like the ledger, the profile is worker-count independent
 // and a pure side-band of the sweep.
-//
-// Distributed sweeps: -shard i/N runs only the statistical sweep cells owned
-// by shard i of N (round-robin in sweep order), each shard writing a
-// complete ledger that tools/ledgermerge recombines into bytes identical to
-// the 1-process run. -resume FILE restarts from a partial ledger left by an
-// interrupted run, replaying recorded cells and trials instead of
-// re-executing them; the finished ledger is byte-identical to an
-// uninterrupted run's.
 package main
 
 import (
@@ -52,8 +44,7 @@ var (
 	flagWorkers = flag.Int("workers", 0, "Monte-Carlo worker goroutines (0 = GOMAXPROCS)")
 	// obs wires the shared observability flags (-metrics, -pprof, -trace,
 	// -trace-buf, -ledger, -progress, -heatmap, -bw, -bw-window)
-	// identically to cmd/questsim, plus the sweep-only -ci-stop, -shard and
-	// -resume.
+	// identically to cmd/questsim, plus the sweep-only -ci-stop.
 	obs = obsflags.RegisterSweep(flag.CommandLine)
 	// sweep carries the observation bundle into the statistical experiment
 	// drivers; assembled in main after obs.Start.
@@ -125,22 +116,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	// The shard cursor is shared by every statistical experiment this
-	// invocation runs, so cell ownership counts in global sweep order across
-	// threshold and memory alike — exactly how ledgermerge re-interleaves.
-	shard, err := core.NewShard(obs.Shard().Index, obs.Shard().Count)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	sweep = core.SweepObs{
 		Ledger:   lw,
 		Heat:     obs.HeatSet(),
 		BW:       obs.BW(),
 		CIWidth:  obs.CIStop(),
 		Progress: obs.SweepProgress(),
-		Shard:    shard,
-		Resume:   obs.Resume(),
 	}
 	if *flagMD {
 		// Full evaluation as a self-contained Markdown report.
@@ -361,14 +342,11 @@ func threshold() {
 func memory() {
 	var rows [][]string
 	for _, p := range []float64{0, 1e-4, 5e-4} {
-		r, ran, err := core.MachineMemory(obs.ShardReg(), obs.Tracer(), p, 8, trialsOr(40), *flagWorkers, sweep)
+		r, err := core.MachineMemory(obs.ShardReg(), obs.Tracer(), p, 8, trialsOr(40), *flagWorkers, sweep)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "memory experiment failed:", err)
 			obs.Finish()
 			os.Exit(1)
-		}
-		if !ran {
-			continue
 		}
 		rows = append(rows, []string{
 			fmt.Sprintf("%.0e", r.PhysRate), strconv.Itoa(r.Rounds),

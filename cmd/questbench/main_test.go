@@ -5,12 +5,8 @@ import (
 	"errors"
 	"os"
 	"os/exec"
-	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
-
-	"quest/internal/ledger"
 )
 
 // TestCheckFlags pins which -trials and -workers values questbench refuses:
@@ -70,46 +66,23 @@ func runQuestbench(t *testing.T, args ...string) (int, string) {
 	return 0, ""
 }
 
-// TestResumeRefusesContradictorySummary pins that -resume reads its
-// checkpoint under the ledger's one rule set: a real threshold ledger whose
-// first summary is edited to claim 7 failures fails Start, so questbench
-// exits 2 with the same error the validator behind questcheck reports,
-// instead of replaying the lie into a new ledger.
-func TestResumeRefusesContradictorySummary(t *testing.T) {
-	dir := t.TempDir()
-	full := filepath.Join(dir, "full.jsonl")
-	if code, stderr := runQuestbench(t, "-trials", "20", "-workers", "1", "-ledger", full, "threshold"); code != 0 {
-		t.Fatalf("threshold run: exit %d: %s", code, stderr)
+// TestLedgerWriteFailureExitsOne pins that a failed ledger write fails the
+// run: with -ledger on a full device, threshold and memory each exit 1 and
+// name the write error once, with one "ledger:" prefix.
+func TestLedgerWriteFailureExitsOne(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
 	}
-	data, err := os.ReadFile(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loc := regexp.MustCompile(`"failures":\d+`).FindIndex(data)
-	if loc == nil {
-		t.Fatal("ledger has no cell summary")
-	}
-	edited := append(append(append([]byte{}, data[:loc[0]]...), `"failures":7`...), data[loc[1]:]...)
-	if bytes.Equal(edited, data) {
-		t.Fatal("first summary already counts 7 failures; the edit changed nothing")
-	}
-	checkpoint := filepath.Join(dir, "edited.jsonl")
-	if err := os.WriteFile(checkpoint, edited, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, verr := ledger.Validate(edited)
-	if verr == nil {
-		t.Fatal("Validate accepted the edited summary")
-	}
-	resumed := filepath.Join(dir, "resumed.jsonl")
-	code, stderr := runQuestbench(t, "-trials", "20", "-workers", "1", "-resume", checkpoint, "-ledger", resumed, "threshold")
-	if code != 2 {
-		t.Fatalf("-resume from the edited checkpoint: exit %d, want 2 (stderr: %s)", code, stderr)
-	}
-	if !strings.Contains(stderr, verr.Error()) {
-		t.Errorf("stderr %q does not carry the validator's verdict %q", stderr, verr)
-	}
-	if _, err := os.Stat(resumed); !os.IsNotExist(err) {
-		t.Errorf("a refused resume still created %s", resumed)
+	for _, exp := range []string{"threshold", "memory"} {
+		code, stderr := runQuestbench(t, "-trials", "20", "-workers", "1", "-ledger", "/dev/full", exp)
+		if code != 1 {
+			t.Errorf("%s: exit %d, want 1 (stderr: %s)", exp, code, stderr)
+		}
+		if want := exp + " experiment failed: ledger: write /dev/full"; !strings.Contains(stderr, want) {
+			t.Errorf("%s: stderr %q does not contain %q", exp, stderr, want)
+		}
+		if strings.Contains(stderr, "ledger: ledger:") {
+			t.Errorf("%s: stderr %q doubles the ledger prefix", exp, stderr)
+		}
 	}
 }

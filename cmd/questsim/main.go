@@ -18,7 +18,7 @@
 //	-replays N      cache replays for -program distill (default 20)
 //
 // Observability (shared with questbench via internal/obsflags; the
-// sweep-only -ci-stop, -shard and -resume are questbench's alone):
+// sweep-only -ci-stop is questbench's alone):
 //
 //	-metrics text|json   dump the metrics registry to stderr at exit
 //	-pprof ADDR          serve net/http/pprof on ADDR

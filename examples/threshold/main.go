@@ -18,8 +18,8 @@ func main() {
 	fmt.Println("================================================================")
 	rates := []float64{2e-3, 1e-3, 5e-4, 2e-4}
 	distances := []int{3, 5}
-	// workers=0 uses all cores. An empty SweepObs never shards or resumes,
-	// so Threshold cannot fail.
+	// workers=0 uses all cores. An empty SweepObs writes no ledger, so
+	// Threshold cannot fail.
 	rows, _ := core.Threshold(nil, nil, rates, distances, 300, 0, core.SweepObs{})
 	fmt.Printf("%-10s", "p_phys")
 	for _, d := range distances {

@@ -18,9 +18,10 @@ import (
 // through the complete host pipeline (lint, schedule, placement,
 // distillation bundling, binary serialization) onto a machine with every
 // architectural feature enabled at once — multi-tile NoC delivery, bounded
-// instruction buffers, noisy substrate, windowed union-find decoding,
-// Table 1 timing — asserting correct results, full drain, and the bandwidth
-// ordering the whole repository exists to demonstrate.
+// instruction buffers, noisy substrate, decoding by the MCE's lookup table
+// and then the master's window matcher, Table 1 timing — asserting correct
+// results, full drain, and the bandwidth ordering the whole repository
+// exists to demonstrate.
 func TestFullPipelineEverythingOn(t *testing.T) {
 	src := `
 ; two independent pairs that naive striping would split across tiles

@@ -388,34 +388,17 @@ func (tp *thresholdProgram) runLane(p float64, seeds []uint64, ctx mc.BatchCtx, 
 // memory experiments at distance d and physical rate p, decoded with a
 // d-round window. The noise model is noise.Uniform(p) — every location
 // including preparation fails at p, the paper's single-rate convention.
-// Resume replays completed cells verbatim, and a partially-recorded cell's
-// leading trials reach RunBatch as Prior, so only its unrecorded trials
-// execute. ran=false means the cell belongs to another shard; err reports a
-// resume/shard mismatch (trial-level failures stay inside the Result).
+// The error reports a failed ledger write; trial-level failures stay inside
+// the Result.
 func logicalFailRateBatched(reg *metrics.Registry, tr *tracing.Tracer, d int, p float64,
-	trials, workers int, obs SweepObs) (mc.Result, bool, error) {
+	trials, workers int, obs SweepObs) (mc.Result, error) {
 	cell := mc.Seed(ExperimentSeed, mc.F64(p), uint64(d))
 	name := fmt.Sprintf("threshold p=%g d=%d", p, d)
-	plan, err := obs.beginCell(name, cell, trials)
-	if err != nil {
-		return mc.Result{}, true, err
-	}
-	if plan.skip {
-		return mc.Result{}, false, nil
-	}
-	if plan.replayed != nil {
-		return *plan.replayed, true, nil
-	}
 	tp := thresholdProgramFor(d)
 	heat := obs.collector(tp.lat.Rows, tp.lat.Cols)
-	mobs := obs.observers(name, heat)
-	mobs.Prior = plan.prior
-	res := mc.RunBatch(trials, workers, cell, reg, tr, mobs,
+	res := mc.RunBatch(trials, workers, cell, reg, tr, obs.observers(name, heat),
 		func(_ int, seeds []uint64, ctx mc.BatchCtx, out []mc.Outcome) {
 			tp.runLane(p, seeds, ctx, out)
 		})
-	if err := obs.closeCell(name, map[string]float64{"p": p, "d": float64(d)}, cell, trials, res); err != nil {
-		return res, true, err
-	}
-	return res, true, nil
+	return res, obs.closeCell(name, map[string]float64{"p": p, "d": float64(d)}, cell, trials, res)
 }

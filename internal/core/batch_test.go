@@ -20,7 +20,7 @@ func thresholdSweep(t *testing.T, batched bool, workers, trials int, ciWidth flo
 	t.Helper()
 	reg := metrics.New()
 	var buf bytes.Buffer
-	lw, err := ledger.NewWriter(&buf, "threshold-batch-test", map[string]string{"suite": "batch_test"}, ledger.ShardInfo{})
+	lw, err := ledger.NewWriter(&buf, "threshold-batch-test", map[string]string{"suite": "batch_test"})
 	if err != nil {
 		t.Fatalf("NewWriter: %v", err)
 	}

@@ -430,7 +430,7 @@ func TestThresholdExperiment(t *testing.T) {
 
 func TestMachineMemoryExperiment(t *testing.T) {
 	// Noiseless: zero failures, ever.
-	clean, _, err := MachineMemory(nil, nil, 0, 6, 10, 0, SweepObs{})
+	clean, err := MachineMemory(nil, nil, 0, 6, 10, 0, SweepObs{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +438,7 @@ func TestMachineMemoryExperiment(t *testing.T) {
 		t.Fatalf("noiseless memory failed %d/10 trials", clean.Failures)
 	}
 	// Low noise through the full machine decode path: failures stay rare.
-	noisy, _, err := MachineMemory(nil, nil, 2e-4, 6, 50, 0, SweepObs{})
+	noisy, err := MachineMemory(nil, nil, 2e-4, 6, 50, 0, SweepObs{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,12 +25,12 @@ func TestThresholdWorkerCountInvariant(t *testing.T) {
 // machine — master dispatch, MCE replay, local + windowed global decode —
 // over two full lanes and a short one.
 func TestMachineMemoryWorkerCountInvariant(t *testing.T) {
-	serial, _, err := MachineMemory(nil, nil, 5e-4, 4, memoryPinTrials, 1, SweepObs{})
+	serial, err := MachineMemory(nil, nil, 5e-4, 4, memoryPinTrials, 1, SweepObs{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{3, 8} {
-		parallel, _, err := MachineMemory(nil, nil, 5e-4, 4, memoryPinTrials, workers, SweepObs{})
+		parallel, err := MachineMemory(nil, nil, 5e-4, 4, memoryPinTrials, workers, SweepObs{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,14 +109,14 @@ func TestMetricsObservationDoesNotPerturbResults(t *testing.T) {
 // match with metrics off and on, and the merged counters match across
 // worker counts.
 func TestMachineMemoryMetricsInvariant(t *testing.T) {
-	off, _, err := MachineMemory(nil, nil, 5e-4, 4, memoryPinTrials, 1, SweepObs{})
+	off, err := MachineMemory(nil, nil, 5e-4, 4, memoryPinTrials, 1, SweepObs{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var first *metrics.Registry
 	for _, workers := range []int{1, 3, 8} {
 		reg := metrics.New()
-		on, _, err := MachineMemory(reg, nil, 5e-4, 4, memoryPinTrials, workers, SweepObs{})
+		on, err := MachineMemory(reg, nil, 5e-4, 4, memoryPinTrials, workers, SweepObs{})
 		if err != nil {
 			t.Fatal(err)
 		}

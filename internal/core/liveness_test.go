@@ -43,7 +43,7 @@ func newSidebands(t *testing.T) *sidebands {
 		heat: heatmap.NewSet(),
 		bw:   bwprofile.New(bwprofile.DefaultWindow),
 	}
-	led, err := ledger.NewWriter(&bytes.Buffer{}, "liveness", nil, ledger.ShardInfo{})
+	led, err := ledger.NewWriter(&bytes.Buffer{}, "liveness", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestEveryInstrumentFires(t *testing.T) {
 			}
 		}},
 		{"memory cell", func(t *testing.T, s *sidebands) {
-			if _, _, err := MachineMemory(s.reg, s.tr, 5e-4, 8, 64, 1, s.sweep()); err != nil {
+			if _, err := MachineMemory(s.reg, s.tr, 5e-4, 8, 64, 1, s.sweep()); err != nil {
 				t.Fatal(err)
 			}
 		}},

@@ -19,34 +19,18 @@ import (
 // onto the stabilizer tableau with a live noise injector, local and windowed
 // global decode — cycle by cycle. It is the ground truth the batched engine
 // is pinned against (TestMachineMemoryBatchedMatchesScalar): same cell,
-// seeds, observers, sharding and resume, so rows, ledger bytes, heat JSON,
-// quest-bw/1 bytes and counters must agree exactly.
+// seeds and observers, so rows, ledger bytes, heat JSON, quest-bw/1 bytes
+// and counters must agree exactly.
 func machineMemoryScalar(reg *metrics.Registry, tr *tracing.Tracer, physRate float64,
-	rounds, trials, workers int, obs SweepObs) (row MemoryRow, ran bool, err error) {
+	rounds, trials, workers int, obs SweepObs) (MemoryRow, error) {
 	cell := mc.Seed(ExperimentSeed, mc.F64(physRate), uint64(rounds), 0x3e3)
 	name := fmt.Sprintf("memory p=%g rounds=%d", physRate, rounds)
-	plan, err := obs.beginCell(name, cell, trials)
-	if err != nil {
-		return MemoryRow{}, true, err
-	}
-	if plan.skip {
-		return MemoryRow{}, false, nil
-	}
-	if r := plan.replayed; r != nil {
-		return MemoryRow{
-			PhysRate: physRate, Rounds: rounds,
-			Failures: r.Failures, WilsonLo: r.WilsonLo, WilsonHi: r.WilsonHi,
-			Trials: r.Trials,
-		}, true, r.Err
-	}
 	// Every trial machine is shaped by DefaultMachineConfig with one patch
 	// per tile (see the trial body); resolve the shared parent collector
 	// for exactly that lattice.
 	base := DefaultMachineConfig()
 	lat := compiler.NewLayout(base.Distance, 1).Lat
 	heat := obs.collector(lat.Rows, lat.Cols)
-	mobs := obs.observers(name, heat)
-	mobs.Prior = plan.prior
 	// Trials pool machines: every trial of this cell uses the identical
 	// machine shape (only the seed and the observation hooks vary), so the
 	// expensive trial-independent construction — microcode stores, decoder
@@ -92,7 +76,7 @@ func machineMemoryScalar(reg *metrics.Registry, tr *tracing.Tracer, physRate flo
 		}
 		return mc.Outcome{Fail: got != 0}
 	}
-	res := mc.RunBatch(trials, workers, cell, reg, tr, mobs,
+	res := mc.RunBatch(trials, workers, cell, reg, tr, obs.observers(name, heat),
 		func(start int, seeds []uint64, ctx mc.BatchCtx, out []mc.Outcome) {
 			for i, seed := range seeds {
 				var heat *heatmap.Collector
@@ -107,9 +91,9 @@ func machineMemoryScalar(reg *metrics.Registry, tr *tracing.Tracer, physRate flo
 			}
 		})
 	if err := obs.closeCell(name, map[string]float64{"p": physRate, "rounds": float64(rounds)}, cell, trials, res); err != nil {
-		return MemoryRow{}, true, err
+		return MemoryRow{}, err
 	}
-	row = MemoryRow{
+	row := MemoryRow{
 		PhysRate: physRate,
 		Rounds:   rounds,
 		Failures: res.Failures,
@@ -117,7 +101,7 @@ func machineMemoryScalar(reg *metrics.Registry, tr *tracing.Tracer, physRate flo
 		WilsonHi: res.WilsonHi,
 		Trials:   res.Trials,
 	}
-	return row, true, res.Err
+	return row, res.Err
 }
 
 // memoryTrial drives one machine through the memory-experiment trial —

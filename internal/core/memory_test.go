@@ -31,23 +31,18 @@ type memorySweepOut struct {
 
 // memorySweep runs the memory grid through the batched engine or the scalar
 // oracle with every side-band attached — ledger, heat, quest-bw/1, a
-// private metrics registry — optionally as one shard of a split or resumed
-// from a checkpoint.
-func memorySweep(t *testing.T, batched bool, trials, workers int, shard ledger.ShardInfo, res *ledger.Resume) memorySweepOut {
+// private metrics registry.
+func memorySweep(t *testing.T, batched bool, trials, workers int) memorySweepOut {
 	t.Helper()
 	var buf bytes.Buffer
-	lw, err := ledger.NewWriter(&buf, "memory-batch-test", map[string]string{"suite": "memory_test"}, shard)
+	lw, err := ledger.NewWriter(&buf, "memory-batch-test", map[string]string{"suite": "memory_test"})
 	if err != nil {
 		t.Fatalf("NewWriter: %v", err)
-	}
-	cursor, err := NewShard(shard.Index, shard.Count)
-	if err != nil {
-		t.Fatalf("NewShard: %v", err)
 	}
 	heat := heatmap.NewSet()
 	bw := bwprofile.New(4)
 	reg := metrics.New()
-	obs := SweepObs{Ledger: lw, Heat: heat, BW: bw, Shard: cursor, Resume: res}
+	obs := SweepObs{Ledger: lw, Heat: heat, BW: bw}
 	run := MachineMemory
 	if !batched {
 		run = machineMemoryScalar
@@ -55,13 +50,11 @@ func memorySweep(t *testing.T, batched bool, trials, workers int, shard ledger.S
 	var out memorySweepOut
 	for _, p := range memoryGridRates {
 		for _, rounds := range memoryGridRounds {
-			row, ran, err := run(reg, nil, p, rounds, trials, workers, obs)
+			row, err := run(reg, nil, p, rounds, trials, workers, obs)
 			if err != nil {
 				t.Fatalf("p=%g rounds=%d: %v", p, rounds, err)
 			}
-			if ran {
-				out.rows = append(out.rows, row)
-			}
+			out.rows = append(out.rows, row)
 		}
 	}
 	if err := lw.Flush(); err != nil {
@@ -90,11 +83,8 @@ func memorySweep(t *testing.T, batched bool, trials, workers int, shard ledger.S
 // at 130 trials a cell (two full lanes and a short one) and 1 or 8 workers,
 // the rows, ledger bytes, heat JSON and quest-bw/1 bytes are identical, and
 // the two register the same non-zero counters at the same values —
-// mce.*, master.*, decoder.* and mc.* alike. The same ledger bytes hold when
-// the engine runs the grid as a 2-way shard split and merges, and when it
-// resumes from the oracle's ledger cut mid-cell past a lane boundary. The
-// grid holds trials that drew no fault, whose decode the engine skips, and
-// trials that drew one.
+// mce.*, master.*, decoder.* and mc.* alike. The grid holds trials that drew
+// no fault, whose decode the engine skips, and trials that drew one.
 func TestMachineMemoryBatchedMatchesScalar(t *testing.T) {
 	const trials = 130
 	var clean, faulty int
@@ -108,7 +98,7 @@ func TestMachineMemoryBatchedMatchesScalar(t *testing.T) {
 	if clean == 0 || faulty == 0 {
 		t.Errorf("the grid holds %d fault-free and %d faulty trials; it must hold both", clean, faulty)
 	}
-	want := memorySweep(t, false, trials, 1, ledger.ShardInfo{}, nil)
+	want := memorySweep(t, false, trials, 1)
 	if len(want.rows) != len(memoryGridRates)*len(memoryGridRounds) {
 		t.Fatalf("oracle emitted %d rows", len(want.rows))
 	}
@@ -118,7 +108,7 @@ func TestMachineMemoryBatchedMatchesScalar(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 8} {
-		got := memorySweep(t, true, trials, workers, ledger.ShardInfo{}, nil)
+		got := memorySweep(t, true, trials, workers)
 		for i := range want.rows {
 			if i >= len(got.rows) || got.rows[i] != want.rows[i] {
 				t.Errorf("workers=%d: row %d differs:\nbatched: %+v\nscalar:  %+v", workers, i, got.rows, want.rows)
@@ -148,47 +138,6 @@ func TestMachineMemoryBatchedMatchesScalar(t *testing.T) {
 	if _, err := ledger.Validate(want.ledger); err != nil {
 		t.Fatalf("questcheck rejects the oracle ledger: %v", err)
 	}
-
-	t.Run("shard-split", func(t *testing.T) {
-		var shards []*ledger.Ledger
-		for i := 0; i < 2; i++ {
-			out := memorySweep(t, true, trials, 3, ledger.ShardInfo{Index: i, Count: 2}, nil)
-			sh, err := ledger.Read(out.ledger)
-			if err != nil {
-				t.Fatalf("Read(%d/2): %v", i, err)
-			}
-			shards = append(shards, sh)
-		}
-		merged, err := ledger.Merge(shards)
-		if err != nil {
-			t.Fatalf("Merge: %v", err)
-		}
-		if !bytes.Equal(merged, want.ledger) {
-			t.Error("merged shard ledgers differ from the scalar oracle's bytes")
-		}
-	})
-	t.Run("resume", func(t *testing.T) {
-		// Keep the header, the first three cells (130 trials + summary
-		// each) and 70 trials of the fourth, so the resumed cell's first
-		// lane starts past a 64-trial boundary; then a torn fragment.
-		lines := bytes.Split(bytes.TrimSuffix(want.ledger, []byte("\n")), []byte("\n"))
-		cut := append(bytes.Join(lines[:1+3*(trials+1)+70], []byte("\n")), '\n')
-		cut = append(cut, []byte(`{"record":"trial","cell":"mem`)...)
-		res, err := ledger.NewResume(cut)
-		if err != nil {
-			t.Fatalf("NewResume: %v", err)
-		}
-		got := memorySweep(t, true, trials, 8, ledger.ShardInfo{}, res)
-		if !bytes.Equal(got.ledger, want.ledger) {
-			t.Error("resumed ledger differs from the scalar oracle's bytes")
-		}
-		for i := range want.rows {
-			if i >= len(got.rows) || got.rows[i] != want.rows[i] {
-				t.Errorf("resumed row %d differs:\nresumed: %+v\nscalar:  %+v", i, got.rows, want.rows)
-				break
-			}
-		}
-	})
 }
 
 // TestMachineMemoryPublishesNoMCEGauge pins that a memory cell registers
@@ -198,7 +147,7 @@ func TestMachineMemoryBatchedMatchesScalar(t *testing.T) {
 // worker shard would publish that gauge at 0.
 func TestMachineMemoryPublishesNoMCEGauge(t *testing.T) {
 	reg := metrics.New()
-	if _, _, err := MachineMemory(reg, nil, 1e-3, 2, 130, 2, SweepObs{}); err != nil {
+	if _, err := MachineMemory(reg, nil, 1e-3, 2, 130, 2, SweepObs{}); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()

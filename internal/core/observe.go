@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"quest/internal/bwprofile"
@@ -11,42 +10,6 @@ import (
 	"quest/internal/metrics"
 	"quest/internal/tracing"
 )
-
-// Shard deterministically partitions a sweep's cells across Count
-// cooperating processes: the k-th cell the sweep reaches (counting in sweep
-// order, across every entry point sharing this Shard) belongs to shard
-// Index iff k ≡ Index (mod Count). The claim cursor advances on every cell
-// — owned or not — so N processes running the same binary with the same
-// arguments agree on the assignment with no coordination, and
-// tools/ledgermerge can splice their ledgers back together round-robin.
-type Shard struct {
-	index, count int
-	next         int
-}
-
-// NewShard builds the claim cursor for shard index of count. count < 2
-// returns nil — the unsharded cursor that claims every cell — so callers
-// can pass the parsed -shard flag through unconditionally.
-func NewShard(index, count int) (*Shard, error) {
-	if count < 2 {
-		return nil, nil
-	}
-	if index < 0 || index >= count {
-		return nil, fmt.Errorf("core: shard index %d outside [0, %d)", index, count)
-	}
-	return &Shard{index: index, count: count}, nil
-}
-
-// claim advances the cell cursor and reports whether this process owns the
-// cell. A nil Shard owns everything.
-func (s *Shard) claim() bool {
-	if s == nil {
-		return true
-	}
-	k := s.next
-	s.next++
-	return k%s.count == s.index
-}
 
 // SweepObs bundles the experiment-observability hooks a sweep driver wires
 // through the Monte-Carlo engine: a run ledger, spatial heat collection,
@@ -73,118 +36,16 @@ type SweepObs struct {
 	// independent like the ledger and heatmaps.
 	BW *bwprofile.Recorder
 	// CIWidth > 0 stops each cell at the first trial-ordered prefix whose
-	// 95% Wilson interval is narrower than this (see mc.Observers.CIWidth);
-	// MinTrials floors the rule (0 = the engine default).
-	CIWidth   float64
-	MinTrials int
+	// 95% Wilson interval is narrower than this (see mc.Observers.CIWidth).
+	CIWidth float64
 	// Progress receives throttled per-cell progress snapshots. Nil
 	// disables the stream.
 	Progress func(cell string, p mc.Progress)
-	// Shard restricts the sweep to the cells this process owns (nil = all
-	// cells); see Shard and cmd/questbench -shard i/N. Skipped cells emit
-	// nothing — no ledger records, no rows — leaving each shard's ledger a
-	// complete, self-describing file tools/ledgermerge can recombine into
-	// the single-process bytes.
-	Shard *Shard
-	// Resume replays a partial ledger checkpoint from a crashed or
-	// interrupted run: cells it records completely are emitted verbatim
-	// without executing a trial, and a partially-recorded cell's leading
-	// trials feed the engine as prior outcomes (mc.Observers.Prior). Nil
-	// runs everything. The resumed ledger converges to the uninterrupted
-	// run's exact bytes; recorded seeds are checked against the sweep's
-	// own derivations so a checkpoint from a different config is refused,
-	// not spliced in.
-	Resume *ledger.Resume
-}
-
-// cellPlan is beginCell's verdict for one sweep cell.
-type cellPlan struct {
-	// skip: another shard owns the cell; emit nothing.
-	skip bool
-	// replayed: the resume checkpoint recorded the whole cell; its records
-	// are already re-emitted and this is its Result — do not execute.
-	replayed *mc.Result
-	// prior: leading trial outcomes replayed from a partial record, to run
-	// through mc.Observers.Prior. Empty means run the cell from scratch.
-	prior []mc.Outcome
-}
-
-// beginCell resolves sharding and resume for the named cell. It must be
-// called exactly once per cell, in sweep order, by every sweep entry point
-// — the shard cursor and the resume bookkeeping both count on it.
-func (s SweepObs) beginCell(name string, cellSeed uint64, budget int) (cellPlan, error) {
-	if !s.Shard.claim() {
-		return cellPlan{skip: true}, nil
-	}
-	if s.Resume == nil {
-		return cellPlan{}, nil
-	}
-	cc, partial, err := s.Resume.Take(name)
-	if err != nil {
-		return cellPlan{}, err
-	}
-	if cc != nil {
-		if got, want := cc.Summary.Seed, ledger.SeedString(cellSeed); got != want {
-			return cellPlan{}, fmt.Errorf("core: resume cell %q was recorded with seed %s but this sweep derives %s — refusing to splice a different experiment", name, got, want)
-		}
-		if cc.Summary.Budget != budget {
-			return cellPlan{}, fmt.Errorf("core: resume cell %q was recorded with a %d-trial budget but this sweep runs %d — rerun with the original flags", name, cc.Summary.Budget, budget)
-		}
-		for i, tr := range cc.Trials {
-			if got, want := tr.Seed, ledger.SeedString(mc.TrialSeed(cellSeed, i)); got != want {
-				return cellPlan{}, fmt.Errorf("core: resume cell %q trial %d seed %s, want %s — checkpoint does not match this configuration", name, i, got, want)
-			}
-		}
-		if s.Ledger != nil {
-			for _, tr := range cc.Trials {
-				if err := s.Ledger.WriteTrial(tr); err != nil {
-					return cellPlan{}, err
-				}
-			}
-			if err := s.Ledger.WriteCell(cc.Summary); err != nil {
-				return cellPlan{}, err
-			}
-		}
-		res := mc.Result{
-			Trials: cc.Summary.Trials, Failures: cc.Summary.Failures,
-			Rate: cc.Summary.Rate, WilsonLo: cc.Summary.WilsonLo, WilsonHi: cc.Summary.WilsonHi,
-		}
-		if cc.Summary.Err != "" {
-			res.Err = errors.New(cc.Summary.Err)
-		}
-		// A replayed cell never reaches the engine, so emit its terminal
-		// progress snapshot here — a live display should show resumed cells
-		// as done, not absent. Display-only, like every Progress emission.
-		if s.Progress != nil {
-			s.Progress(name, mc.Progress{
-				Completed: res.Trials, Failures: res.Failures,
-				WilsonLo: res.WilsonLo, WilsonHi: res.WilsonHi, Done: true,
-			})
-		}
-		return cellPlan{replayed: &res}, nil
-	}
-	if len(partial) == 0 {
-		return cellPlan{}, nil
-	}
-	if len(partial) > budget {
-		return cellPlan{}, fmt.Errorf("core: resume cell %q records %d trials, beyond this sweep's %d-trial budget — rerun with the original flags", name, len(partial), budget)
-	}
-	prior := make([]mc.Outcome, len(partial))
-	for i, tr := range partial {
-		if got, want := tr.Seed, ledger.SeedString(mc.TrialSeed(cellSeed, i)); got != want {
-			return cellPlan{}, fmt.Errorf("core: resume cell %q trial %d seed %s, want %s — checkpoint does not match this configuration", name, i, got, want)
-		}
-		prior[i] = mc.Outcome{Fail: tr.Fail}
-		if tr.Err != "" {
-			prior[i].Err = errors.New(tr.Err)
-		}
-	}
-	return cellPlan{prior: prior}, nil
 }
 
 // observers assembles the engine-level hooks for one named sweep cell.
 func (s SweepObs) observers(cell string, heat *heatmap.Collector) mc.Observers {
-	obs := mc.Observers{CIWidth: s.CIWidth, MinTrials: s.MinTrials, Heat: heat, BW: s.BW}
+	obs := mc.Observers{CIWidth: s.CIWidth, Heat: heat, BW: s.BW}
 	if s.Progress != nil {
 		progress := s.Progress
 		obs.Progress = func(p mc.Progress) { progress(cell, p) }
@@ -253,21 +114,17 @@ func errString(err error) string {
 // without observation. Trial instrumentation is aggregated into reg and tr
 // (nil skips either); obs adds per-cell ledger records, defect/matched-chain
 // heatmaps, optional CI early stop (rows then report the effective trial
-// count), live progress, cell sharding and checkpoint resume. Under a Shard
-// only the owned cells produce rows, in sweep order. The error reports a
-// sharding or resume mismatch — never a trial-level failure, which stays in
-// its row — so a zero SweepObs never returns one.
+// count) and live progress. The error reports a failed ledger write — never
+// a trial-level failure, which stays in its row — so a SweepObs without a
+// Ledger never returns one.
 func Threshold(reg *metrics.Registry, tr *tracing.Tracer, rates []float64, distances []int,
 	trials, workers int, obs SweepObs) ([]ThresholdRow, error) {
 	var rows []ThresholdRow
 	for _, p := range rates {
 		for _, d := range distances {
-			res, ran, err := logicalFailRateBatched(reg, tr, d, p, trials, workers, obs)
+			res, err := logicalFailRateBatched(reg, tr, d, p, trials, workers, obs)
 			if err != nil {
 				return rows, err
-			}
-			if !ran {
-				continue
 			}
 			rows = append(rows, ThresholdRow{
 				PhysRate: p,
@@ -293,39 +150,22 @@ func Threshold(reg *metrics.Registry, tr *tracing.Tracer, rates []float64, dista
 // land in per-worker shards merged into reg, its window-decoder spans in
 // tracer shards merged into tr (nil skips either), and the SweepObs hooks
 // see the machine's defect births, matched chains and bus traffic in
-// trial-private shards merged in trial order. ran=false means the cell
-// belongs to another shard and nothing was emitted; a zero SweepObs always
-// runs the cell.
+// trial-private shards merged in trial order. The error is a failed ledger
+// write or else the first trial-level error, in trial order.
 func MachineMemory(reg *metrics.Registry, tr *tracing.Tracer, physRate float64,
-	rounds, trials, workers int, obs SweepObs) (row MemoryRow, ran bool, err error) {
+	rounds, trials, workers int, obs SweepObs) (MemoryRow, error) {
 	cell := mc.Seed(ExperimentSeed, mc.F64(physRate), uint64(rounds), 0x3e3)
 	name := fmt.Sprintf("memory p=%g rounds=%d", physRate, rounds)
-	plan, err := obs.beginCell(name, cell, trials)
-	if err != nil {
-		return MemoryRow{}, true, err
-	}
-	if plan.skip {
-		return MemoryRow{}, false, nil
-	}
-	if r := plan.replayed; r != nil {
-		return MemoryRow{
-			PhysRate: physRate, Rounds: rounds,
-			Failures: r.Failures, WilsonLo: r.WilsonLo, WilsonHi: r.WilsonHi,
-			Trials: r.Trials,
-		}, true, r.Err
-	}
 	mp := memoryProgramFor(rounds)
 	heat := obs.collector(mp.lay.Lat.Rows, mp.lay.Lat.Cols)
-	mobs := obs.observers(name, heat)
-	mobs.Prior = plan.prior
-	res := mc.RunBatch(trials, workers, cell, reg, tr, mobs,
+	res := mc.RunBatch(trials, workers, cell, reg, tr, obs.observers(name, heat),
 		func(_ int, seeds []uint64, ctx mc.BatchCtx, out []mc.Outcome) {
 			mp.runLane(physRate, seeds, ctx, out)
 		})
 	if err := obs.closeCell(name, map[string]float64{"p": physRate, "rounds": float64(rounds)}, cell, trials, res); err != nil {
-		return MemoryRow{}, true, err
+		return MemoryRow{}, err
 	}
-	row = MemoryRow{
+	row := MemoryRow{
 		PhysRate: physRate,
 		Rounds:   rounds,
 		Failures: res.Failures,
@@ -333,5 +173,5 @@ func MachineMemory(reg *metrics.Registry, tr *tracing.Tracer, physRate float64,
 		WilsonHi: res.WilsonHi,
 		Trials:   res.Trials,
 	}
-	return row, true, res.Err
+	return row, res.Err
 }

@@ -17,7 +17,7 @@ import (
 func observedThreshold(t *testing.T, workers int, ciWidth float64, trials int) ([]ThresholdRow, []byte, []byte) {
 	t.Helper()
 	var buf bytes.Buffer
-	lw, err := ledger.NewWriter(&buf, "threshold-test", map[string]string{"suite": "observe_test"}, ledger.ShardInfo{})
+	lw, err := ledger.NewWriter(&buf, "threshold-test", map[string]string{"suite": "observe_test"})
 	if err != nil {
 		t.Fatalf("NewWriter: %v", err)
 	}
@@ -146,18 +146,15 @@ const memoryPinTrials = 130
 func TestMachineMemoryObservedDeterminism(t *testing.T) {
 	runAt := func(workers int, ciWidth float64) (MemoryRow, []byte, []byte) {
 		var buf bytes.Buffer
-		lw, err := ledger.NewWriter(&buf, "memory-test", nil, ledger.ShardInfo{})
+		lw, err := ledger.NewWriter(&buf, "memory-test", nil)
 		if err != nil {
 			t.Fatalf("NewWriter: %v", err)
 		}
 		heat := heatmap.NewSet()
-		row, ran, err := MachineMemory(nil, nil, 2e-3, 6, memoryPinTrials, workers,
+		row, err := MachineMemory(nil, nil, 2e-3, 6, memoryPinTrials, workers,
 			SweepObs{Ledger: lw, Heat: heat, CIWidth: ciWidth})
 		if err != nil {
 			t.Fatalf("MachineMemory: %v", err)
-		}
-		if !ran {
-			t.Fatal("MachineMemory skipped its cell without a Shard")
 		}
 		if err := lw.Flush(); err != nil {
 			t.Fatalf("Flush: %v", err)
@@ -200,7 +197,7 @@ func TestThresholdObservedProgressPureSideband(t *testing.T) {
 	run := func(workers int, progress func(string, mc.Progress)) ([]ThresholdRow, []byte, []byte) {
 		t.Helper()
 		var buf bytes.Buffer
-		lw, err := ledger.NewWriter(&buf, "threshold-test", map[string]string{"suite": "observe_test"}, ledger.ShardInfo{})
+		lw, err := ledger.NewWriter(&buf, "threshold-test", map[string]string{"suite": "observe_test"})
 		if err != nil {
 			t.Fatalf("NewWriter: %v", err)
 		}
@@ -250,57 +247,6 @@ func TestThresholdObservedProgressPureSideband(t *testing.T) {
 	}
 }
 
-// TestBeginCellReplayEmitsDoneProgress pins that a resume-replayed cell
-// still surfaces on the progress stream as a terminal Done snapshot carrying
-// the recorded counts.
-func TestBeginCellReplayEmitsDoneProgress(t *testing.T) {
-	// Record a complete 2-cell sweep, then resume from it with a progress
-	// sink attached: both cells replay without executing a trial, and both
-	// must emit exactly one Done snapshot.
-	var buf bytes.Buffer
-	lw, err := ledger.NewWriter(&buf, "threshold-test", map[string]string{"suite": "observe_test"}, ledger.ShardInfo{})
-	if err != nil {
-		t.Fatalf("NewWriter: %v", err)
-	}
-	if _, err := Threshold(nil, nil, []float64{2e-3, 4e-3}, []int{3}, 30, 4,
-		SweepObs{Ledger: lw}); err != nil {
-		t.Fatalf("Threshold: %v", err)
-	}
-	if err := lw.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	res, err := ledger.NewResume(buf.Bytes())
-	if err != nil {
-		t.Fatalf("NewResume: %v", err)
-	}
-	type snap struct {
-		cell string
-		p    mc.Progress
-	}
-	var got []snap
-	rows, err := Threshold(nil, nil, []float64{2e-3, 4e-3}, []int{3}, 30, 4, SweepObs{
-		Resume:   res,
-		Progress: func(cell string, p mc.Progress) { got = append(got, snap{cell, p}) },
-	})
-	if err != nil {
-		t.Fatalf("resumed Threshold: %v", err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("got %d progress snapshots, want 2 (one per replayed cell): %+v", len(got), got)
-	}
-	for i, s := range got {
-		r := rows[i]
-		if !s.p.Done || s.p.Completed != r.Trials {
-			t.Errorf("snapshot %d = %+v, want Done with trials=%d", i, s.p, r.Trials)
-		}
-		lo, hi := mc.Wilson(s.p.Failures, s.p.Completed, 1.96)
-		if s.p.WilsonLo != lo || s.p.WilsonHi != hi || s.p.WilsonLo != r.WilsonLo {
-			t.Errorf("snapshot %d interval [%v, %v] inconsistent with recorded cell [%v, %v]",
-				i, s.p.WilsonLo, s.p.WilsonHi, r.WilsonLo, r.WilsonHi)
-		}
-	}
-}
-
 // TestMachineMemoryBWPureSideband pins the bandwidth profiler's acceptance
 // criteria in one sweep: with a recorder wired through the machine, the row,
 // ledger bytes and heatmap JSON are byte-identical to the profiler-off run
@@ -311,7 +257,7 @@ func TestMachineMemoryBWPureSideband(t *testing.T) {
 	run := func(workers int, withBW bool) (MemoryRow, []byte, []byte, []byte) {
 		t.Helper()
 		var buf bytes.Buffer
-		lw, err := ledger.NewWriter(&buf, "memory-test", nil, ledger.ShardInfo{})
+		lw, err := ledger.NewWriter(&buf, "memory-test", nil)
 		if err != nil {
 			t.Fatalf("NewWriter: %v", err)
 		}
@@ -322,12 +268,9 @@ func TestMachineMemoryBWPureSideband(t *testing.T) {
 			bw = bwprofile.New(8)
 			obs.BW = bw
 		}
-		row, ran, err := MachineMemory(nil, nil, 2e-3, 6, memoryPinTrials, workers, obs)
+		row, err := MachineMemory(nil, nil, 2e-3, 6, memoryPinTrials, workers, obs)
 		if err != nil {
 			t.Fatalf("MachineMemory: %v", err)
-		}
-		if !ran {
-			t.Fatal("MachineMemory skipped its cell without a Shard")
 		}
 		if err := lw.Flush(); err != nil {
 			t.Fatalf("Flush: %v", err)

@@ -114,14 +114,14 @@ func MarkdownReport(statTrials, workers int) string {
 	if statTrials > 0 {
 		section("Validation — logical failure rates (statistical)")
 		header("phys rate", "distance", "fail rate", "95% CI", "trials")
-		// An empty SweepObs never shards or resumes, so no error is possible.
+		// An empty SweepObs writes no ledger, so no error is possible.
 		rows, _ := Threshold(nil, nil, []float64{1e-3, 5e-4}, []int{3, 5}, statTrials, workers, SweepObs{})
 		for _, r := range rows {
 			row(fmt.Sprintf("%.0e", r.PhysRate), itoa(r.Distance),
 				fmt.Sprintf("%.4f", r.FailRate),
 				fmt.Sprintf("[%.4f, %.4f]", r.WilsonLo, r.WilsonHi), itoa(r.Trials))
 		}
-		if mem, _, err := MachineMemory(nil, nil, 1e-4, 6, statTrials, workers, SweepObs{}); err == nil {
+		if mem, err := MachineMemory(nil, nil, 1e-4, 6, statTrials, workers, SweepObs{}); err == nil {
 			fmt.Fprintf(&b, "\nMachine-level memory at p=1e-4 over %d rounds: %.3f failure rate "+
 				"(95%% CI [%.3f, %.3f], %d trials).\n",
 				mem.Rounds, mem.FailRate(), mem.WilsonLo, mem.WilsonHi, mem.Trials)

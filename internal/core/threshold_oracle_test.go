@@ -18,19 +18,16 @@ import (
 // trial re-simulates the full stabilizer tableau through the AWG unit with a
 // live noise injector, then decodes and measures the logical observable. It
 // is the ground truth the batched Pauli-frame engine is pinned against
-// (TestThresholdBatchedMatchesScalar): same cells, seeds, observers, sharding
-// and resume, so rows, ledger bytes and heat JSON must agree exactly.
+// (TestThresholdBatchedMatchesScalar): same cells, seeds and observers, so
+// rows, ledger bytes and heat JSON must agree exactly.
 func thresholdScalar(reg *metrics.Registry, tr *tracing.Tracer, rates []float64, distances []int,
 	trials, workers int, obs SweepObs) ([]ThresholdRow, error) {
 	var rows []ThresholdRow
 	for _, p := range rates {
 		for _, d := range distances {
-			res, ran, err := logicalFailRateScalar(reg, tr, d, p, trials, workers, obs)
+			res, err := logicalFailRateScalar(reg, tr, d, p, trials, workers, obs)
 			if err != nil {
 				return rows, err
-			}
-			if !ran {
-				continue
 			}
 			rows = append(rows, ThresholdRow{
 				PhysRate: p,
@@ -48,25 +45,13 @@ func thresholdScalar(reg *metrics.Registry, tr *tracing.Tracer, rates []float64,
 // logicalFailRateScalar is one oracle cell: the windowed-decode memory
 // experiment on the tableau, with every observation hook nil-gated.
 func logicalFailRateScalar(reg *metrics.Registry, tr *tracing.Tracer, d int, p float64,
-	trials, workers int, obs SweepObs) (mc.Result, bool, error) {
+	trials, workers int, obs SweepObs) (mc.Result, error) {
 	cell := mc.Seed(ExperimentSeed, mc.F64(p), uint64(d))
 	name := fmt.Sprintf("threshold p=%g d=%d", p, d)
-	plan, err := obs.beginCell(name, cell, trials)
-	if err != nil {
-		return mc.Result{}, true, err
-	}
-	if plan.skip {
-		return mc.Result{}, false, nil
-	}
-	if plan.replayed != nil {
-		return *plan.replayed, true, nil
-	}
 	lat := surface.NewPlanar(d)
 	words := surface.CompileCycle(lat, surface.Steane, nil)
 	heat := obs.collector(lat.Rows, lat.Cols)
-	mobs := obs.observers(name, heat)
-	mobs.Prior = plan.prior
-	res := mc.RunBatch(trials, workers, cell, reg, tr, mobs,
+	res := mc.RunBatch(trials, workers, cell, reg, tr, obs.observers(name, heat),
 		func(start int, seeds []uint64, ctx mc.BatchCtx, out []mc.Outcome) {
 			for i, seed := range seeds {
 				tb := clifford.New(lat.NumQubits(), rand.New(rand.NewSource(int64(mc.Derive(seed, 0)))))
@@ -111,8 +96,5 @@ func logicalFailRateScalar(reg *metrics.Registry, tr *tracing.Tracer, d int, p f
 				out[i] = mc.Outcome{Fail: raw != 0 && raw != want}
 			}
 		})
-	if err := obs.closeCell(name, map[string]float64{"p": p, "d": float64(d)}, cell, trials, res); err != nil {
-		return res, true, err
-	}
-	return res, true, nil
+	return res, obs.closeCell(name, map[string]float64{"p": p, "d": float64(d)}, cell, trials, res)
 }

@@ -24,8 +24,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
-	"strconv"
-	"strings"
 )
 
 // Schema identifies the JSONL layout; bump on incompatible change.
@@ -42,65 +40,16 @@ const (
 // needed to judge comparability and replay the run. It deliberately omits
 // the worker count — parallelism must not change the ledger's bytes.
 type Header struct {
-	Record     string `json:"record"`
-	Schema     string `json:"schema"`
-	Experiment string `json:"experiment"`
-	GoVersion  string `json:"go_version"`
-	GOOS       string `json:"goos"`
-	GOARCH     string `json:"goarch"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	Host       string `json:"host"`
-	GitSHA     string `json:"git_sha"`
-	// ShardIndex and ShardCount stamp a sharded sweep's ledger with which
-	// shard produced it: shard ShardIndex of ShardCount owns the sweep cells
-	// whose global index ≡ ShardIndex (mod ShardCount). Both are omitted for
-	// single-process runs, so sharding never perturbs the unsharded
-	// quest-ledger/1 layout, and tools/ledgermerge strips them when it
-	// reconstructs the single-process ledger from a complete shard set.
-	ShardIndex int               `json:"shard_index,omitempty"`
-	ShardCount int               `json:"shard_count,omitempty"`
+	Record     string            `json:"record"`
+	Schema     string            `json:"schema"`
+	Experiment string            `json:"experiment"`
+	GoVersion  string            `json:"go_version"`
+	GOOS       string            `json:"goos"`
+	GOARCH     string            `json:"goarch"`
+	GOMAXPROCS int               `json:"gomaxprocs"`
+	Host       string            `json:"host"`
+	GitSHA     string            `json:"git_sha"`
 	Config     map[string]string `json:"config,omitempty"`
-}
-
-// ShardInfo names one shard of a Count-way sharded sweep. The zero value
-// (and any Count < 2) means unsharded.
-type ShardInfo struct {
-	Index, Count int
-}
-
-// Sharded reports whether the info names a real shard (Count ≥ 2).
-func (s ShardInfo) Sharded() bool { return s.Count >= 2 }
-
-// String renders the flag/header syntax "i/N" ("" when unsharded).
-func (s ShardInfo) String() string {
-	if !s.Sharded() {
-		return ""
-	}
-	return fmt.Sprintf("%d/%d", s.Index, s.Count)
-}
-
-// ParseShardSpec parses the -shard flag syntax "i/N" (shard i of N, with
-// 0 ≤ i < N). "" and "0/1" both mean unsharded.
-func ParseShardSpec(spec string) (ShardInfo, error) {
-	if spec == "" {
-		return ShardInfo{}, nil
-	}
-	idx, cnt, ok := strings.Cut(spec, "/")
-	if !ok {
-		return ShardInfo{}, fmt.Errorf("shard spec %q: want 'i/N' (e.g. 0/4)", spec)
-	}
-	i, err1 := strconv.Atoi(idx)
-	n, err2 := strconv.Atoi(cnt)
-	if err1 != nil || err2 != nil {
-		return ShardInfo{}, fmt.Errorf("shard spec %q: want two integers 'i/N'", spec)
-	}
-	if n < 1 || i < 0 || i >= n {
-		return ShardInfo{}, fmt.Errorf("shard spec %q: want 0 <= i < N", spec)
-	}
-	if n == 1 {
-		return ShardInfo{}, nil
-	}
-	return ShardInfo{Index: i, Count: n}, nil
 }
 
 // Trial is one trial record. Seed is the trial's full derived seed
@@ -151,16 +100,8 @@ type Writer struct {
 
 // NewWriter writes the header line and returns a streaming writer. config
 // is the caller's flag/parameter provenance, copied into the header
-// verbatim. A sharded info lands in the header too, so a shard's ledger is
-// self-describing and tools/ledgermerge can verify it merges a complete,
-// consistent shard set; an unsharded info (Count < 2) writes no shard
-// fields.
-func NewWriter(w io.Writer, experiment string, config map[string]string, shard ShardInfo) (*Writer, error) {
-	if !shard.Sharded() {
-		shard = ShardInfo{}
-	} else if shard.Index < 0 || shard.Index >= shard.Count {
-		return nil, fmt.Errorf("ledger: shard index %d outside [0, %d)", shard.Index, shard.Count)
-	}
+// verbatim.
+func NewWriter(w io.Writer, experiment string, config map[string]string) (*Writer, error) {
 	lw := &Writer{bw: bufio.NewWriter(w)}
 	host, _ := os.Hostname()
 	h := Header{
@@ -173,8 +114,6 @@ func NewWriter(w io.Writer, experiment string, config map[string]string, shard S
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Host:       host,
 		GitSHA:     gitSHA(),
-		ShardIndex: shard.Index,
-		ShardCount: shard.Count,
 		Config:     config,
 	}
 	if err := lw.line(h); err != nil {

@@ -11,7 +11,7 @@ import (
 func writeSample(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf, "threshold", map[string]string{"trials": "6", "distances": "3"}, ShardInfo{})
+	w, err := NewWriter(&buf, "threshold", map[string]string{"trials": "6", "distances": "3"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestValidateRejections(t *testing.T) {
 
 func TestValidateCountsEarlyStops(t *testing.T) {
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf, "sweep", nil, ShardInfo{})
+	w, err := NewWriter(&buf, "sweep", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

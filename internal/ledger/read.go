@@ -1,10 +1,7 @@
 package ledger
 
-// This file is the ledger's one reader. Validate, NewResume and
-// tools/ledgermerge all parse through read and enforce the same rules; they
-// differ only in what they accept at the end of the file, where a crash
-// leaves its marks: a cell with trial records but no summary yet, and a torn
-// final line. Only a resume accepts either.
+// This file is the ledger's one reader: Read parses a ledger and enforces
+// its rules, and Validate (tools/questcheck) summarizes what Read accepts.
 
 import (
 	"bufio"
@@ -16,20 +13,11 @@ import (
 	"strconv"
 )
 
-// ErrCorrupt marks ledger bytes that cannot be parsed at all: garbled or
-// truncated JSON, or an overlong line. tools/ledgermerge maps it to exit 2
-// (the check could not run); every other failure is a finding (exit 1): the
-// input was readable, and what it said was wrong.
-var ErrCorrupt = errors.New("corrupt ledger")
-
 // CellBlock is one sweep cell's contiguous run of records: its trial
-// records in trial order, then its summary. Lines holds the same records
-// verbatim, without newlines, so a merge re-interleaves bytes and never
-// re-marshals.
+// records in trial order, then its summary.
 type CellBlock struct {
 	Summary Cell
 	Trials  []Trial
-	Lines   [][]byte
 }
 
 // Ledger is one parsed quest-ledger/1 file.
@@ -37,14 +25,6 @@ type Ledger struct {
 	Header Header
 	// Cells are the summarized cell blocks in file order.
 	Cells []CellBlock
-	// headerLine is the raw header line, kept for single-ledger identity
-	// merges.
-	headerLine []byte
-	// open holds the trailing cell's trial records when no summary follows
-	// them, and torn the error of an unparseable final line: what a crash
-	// mid-cell leaves behind.
-	open []Trial
-	torn error
 }
 
 // ValidateReport summarizes a validated ledger.
@@ -84,54 +64,36 @@ func Validate(data []byte) (ValidateReport, error) {
 //     the rate inside its Wilson interval, exactly trials trial records,
 //     and as many failing records as failures.
 //
-// A cell with no summary or an unparseable final line is refused here; only
-// NewResume accepts them. JSON damage wraps ErrCorrupt.
+// A cell with trial records but no summary, which is what a run stopped
+// mid-cell leaves, is refused, and so is an unparseable line anywhere.
 func Read(data []byte) (*Ledger, error) {
-	l, err := read(data)
-	switch {
-	case err != nil:
-		return nil, err
-	case l.torn != nil:
-		return nil, l.torn
-	case len(l.open) > 0:
-		return nil, fmt.Errorf("cell %q has %d trial record(s) but no cell summary: the ledger is incomplete (finish it with -resume)",
-			l.open[0].Cell, len(l.open))
-	}
-	return l, nil
-}
-
-// read is Read without the end-of-file checks.
-func read(data []byte) (*Ledger, error) {
 	r := reader{l: &Ledger{}, summarized: map[string]bool{}}
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	n := 0
 	for sc.Scan() {
 		n++
-		if r.l.torn != nil {
-			return nil, r.l.torn // the unparseable line was not the last
-		}
-		if err := r.line(append([]byte(nil), sc.Bytes()...)); err != nil {
-			err = fmt.Errorf("line %d: %w", n, err)
-			if n == 1 || !errors.Is(err, ErrCorrupt) {
-				return nil, err
-			}
-			r.l.torn = err
+		if err := r.line(sc.Bytes()); err != nil {
+			return nil, fmt.Errorf("line %d: %w", n, err)
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("line %d: %w: %v", n+1, ErrCorrupt, err)
+		return nil, fmt.Errorf("line %d: corrupt ledger: %v", n+1, err)
 	}
 	if n == 0 {
 		return nil, errors.New("ledger is empty")
 	}
-	r.l.open = r.block.Trials
+	if open := r.block.Trials; len(open) > 0 {
+		return nil, fmt.Errorf("cell %q has %d trial record(s) but no cell summary: the ledger is incomplete",
+			open[0].Cell, len(open))
+	}
 	return r.l, nil
 }
 
-// reader is read's state between lines.
+// reader is Read's state between lines.
 type reader struct {
 	l          *Ledger
+	seenHeader bool      // the header line has been read
 	block      CellBlock // the cell whose trial records are being read
 	summarized map[string]bool
 }
@@ -144,9 +106,9 @@ func (r *reader) line(raw []byte) error {
 		Record string `json:"record"`
 	}
 	if err := json.Unmarshal(raw, &kind); err != nil {
-		return fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return fmt.Errorf("corrupt ledger: %v", err)
 	}
-	if r.l.headerLine == nil && kind.Record != KindHeader {
+	if !r.seenHeader && kind.Record != KindHeader {
 		return fmt.Errorf("first record is %q, want %q", kind.Record, KindHeader)
 	}
 	switch kind.Record {
@@ -155,26 +117,26 @@ func (r *reader) line(raw []byte) error {
 	case KindTrial:
 		var t Trial
 		if err := json.Unmarshal(raw, &t); err != nil {
-			return fmt.Errorf("%w: trial: %v", ErrCorrupt, err)
+			return fmt.Errorf("corrupt ledger: trial: %v", err)
 		}
-		return r.trial(t, raw)
+		return r.trial(t)
 	case KindCell:
 		var c Cell
 		if err := json.Unmarshal(raw, &c); err != nil {
-			return fmt.Errorf("%w: cell: %v", ErrCorrupt, err)
+			return fmt.Errorf("corrupt ledger: cell: %v", err)
 		}
-		return r.cell(c, raw)
+		return r.cell(c)
 	}
 	return fmt.Errorf("unknown record kind %q", kind.Record)
 }
 
 func (r *reader) header(raw []byte) error {
 	h := &r.l.Header
-	if r.l.headerLine != nil {
+	if r.seenHeader {
 		return errors.New("duplicate header")
 	}
 	if err := json.Unmarshal(raw, h); err != nil {
-		return fmt.Errorf("%w: header: %v", ErrCorrupt, err)
+		return fmt.Errorf("corrupt ledger: header: %v", err)
 	}
 	if h.Schema != Schema {
 		return fmt.Errorf("schema %q, want %q", h.Schema, Schema)
@@ -182,11 +144,11 @@ func (r *reader) header(raw []byte) error {
 	if h.Experiment == "" {
 		return errors.New("header missing experiment name")
 	}
-	r.l.headerLine = raw
+	r.seenHeader = true
 	return nil
 }
 
-func (r *reader) trial(t Trial, raw []byte) error {
+func (r *reader) trial(t Trial) error {
 	open := r.block.Trials
 	switch {
 	case t.Cell == "":
@@ -202,11 +164,10 @@ func (r *reader) trial(t Trial, raw []byte) error {
 		return err
 	}
 	r.block.Trials = append(open, t)
-	r.block.Lines = append(r.block.Lines, raw)
 	return nil
 }
 
-func (r *reader) cell(c Cell, raw []byte) error {
+func (r *reader) cell(c Cell) error {
 	trials := r.block.Trials
 	switch {
 	case c.Cell == "":
@@ -247,7 +208,6 @@ func (r *reader) cell(c Cell, raw []byte) error {
 		return fmt.Errorf("cell %q: %d trial record(s) fail but the summary counts %d failures", c.Cell, fails, c.Failures)
 	}
 	r.block.Summary = c
-	r.block.Lines = append(r.block.Lines, raw)
 	r.l.Cells = append(r.l.Cells, r.block)
 	r.block = CellBlock{}
 	r.summarized[c.Cell] = true

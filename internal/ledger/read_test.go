@@ -1,18 +1,16 @@
 package ledger
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"testing"
 )
 
-// TestReadersAgree runs hostile ledgers through the three readers a ledger
-// meets: Validate (tools/questcheck), Read (tools/ledgermerge, per shard)
-// and NewResume (questbench -resume). All three share one parse, so they
-// refuse the same inputs for the same reason. The one difference is at the
-// end of the file, where a crash leaves an open last cell or a torn final
-// line: a resume takes those up, and the other two refuse them.
+// TestReadersAgree runs hostile ledgers through both readers a ledger
+// meets: Read and Validate (tools/questcheck). Validate parses through Read,
+// so the two refuse the same inputs for the same reason, including what a
+// run stopped mid-cell leaves at the end of the file: an open last cell or
+// a torn final line.
 func TestReadersAgree(t *testing.T) {
 	header := strings.SplitN(string(writeSample(t)), "\n", 2)[0]
 	trial := func(cell string, i int, fail bool) string {
@@ -30,34 +28,32 @@ func TestReadersAgree(t *testing.T) {
 		name  string
 		lines []string
 		want  string
-		// resumable marks what a crash leaves, which only NewResume accepts.
-		resumable bool
 	}{
 		{"interleaved cell blocks", []string{header, trial("a", 0, false), trial("b", 0, false), trial("a", 1, false),
-			summary("a", 2, 0), summary("b", 1, 0)}, `trial for cell "b" interleaved into cell "a"'s block`, false},
+			summary("a", 2, 0), summary("b", 1, 0)}, `trial for cell "b" interleaved into cell "a"'s block`},
 		{"failures above trials", []string{header, trial("a", 0, true),
 			`{"record":"cell","cell":"a","seed":"0x1","budget":1,"trials":1,"failures":2,"rate":2,"wilson_lo":0,"wilson_hi":2}`},
-			"failures 2 outside [0, 1]", false},
+			"failures 2 outside [0, 1]"},
 		{"bad seed", []string{header, `{"record":"trial","cell":"a","trial":0,"seed":"12"}`, summary("a", 1, 0)},
-			"not a hex literal", false},
+			"not a hex literal"},
 		{"fail bits differ from failures", []string{header, trial("a", 0, false), trial("a", 1, false), summary("a", 2, 1)},
-			"0 trial record(s) fail but the summary counts 1 failures", false},
+			"0 trial record(s) fail but the summary counts 1 failures"},
 		{"index gap", []string{header, trial("a", 0, false), trial("a", 2, false), summary("a", 2, 0)},
-			"trial index 2, want 1", false},
+			"trial index 2, want 1"},
 		{"negative index", []string{header, trial("a", -1, false), summary("a", 1, 0)},
-			"trial index -1, want 0", false},
+			"trial index -1, want 0"},
 		{"fewer records than trials", []string{header, trial("a", 0, false), summary("a", 2, 0)},
-			"has 1 trial record(s) but summarizes 2", false},
+			"has 1 trial record(s) but summarizes 2"},
 		{"summary with no records", []string{header, summary("a", 2, 0)},
-			"has 0 trial record(s) but summarizes 2", false},
+			"has 0 trial record(s) but summarizes 2"},
 		{"empty experiment", []string{`{"record":"header","schema":"quest-ledger/1","experiment":""}`},
-			"missing experiment", false},
+			"missing experiment"},
 		{"blank line", []string{header, trial("a", 0, false), "", summary("a", 1, 0)},
-			"line 3: empty line", false},
+			"line 3: empty line"},
 		{"dangling trials", []string{header, trial("a", 0, false), summary("a", 1, 0), trial("b", 0, true), trial("b", 1, false)},
-			`cell "b" has 2 trial record(s) but no cell summary`, true},
+			`cell "b" has 2 trial record(s) but no cell summary`},
 		{"torn tail", []string{header, trial("a", 0, false), summary("a", 1, 0), `{"record":"trial","cell":"b","tri`},
-			"line 4: corrupt ledger", true},
+			"line 4: corrupt ledger"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -71,20 +67,6 @@ func TestReadersAgree(t *testing.T) {
 				if r.err == nil || !strings.Contains(r.err.Error(), tc.want) {
 					t.Errorf("%s = %v, want an error containing %q", r.reader, r.err, tc.want)
 				}
-			}
-			if tc.name == "torn tail" && !errors.Is(rerr, ErrCorrupt) {
-				t.Errorf("Read = %v, want ErrCorrupt so ledgermerge exits 2", rerr)
-			}
-			res, err := NewResume(data)
-			switch {
-			case tc.resumable && err != nil:
-				t.Errorf("NewResume = %v, want the crash leftovers accepted", err)
-			case tc.resumable:
-				if _, partial := res.Counts(); partial != 1 && !res.Truncated() {
-					t.Error("NewResume reports neither an open cell nor a torn line")
-				}
-			case err == nil || !strings.Contains(err.Error(), tc.want):
-				t.Errorf("NewResume = %v, want an error containing %q", err, tc.want)
 			}
 		})
 	}

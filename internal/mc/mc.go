@@ -177,19 +177,6 @@ type Observers struct {
 	// trial order after the pool drains — the ledger writer's feed. It
 	// runs on the caller's goroutine.
 	Sink func(trial int, seed uint64, out Outcome)
-
-	// Prior replays previously-recorded outcomes for the run's leading
-	// trials — the checkpoint/resume hook. Trial t < len(Prior) is never
-	// executed: its outcome is taken verbatim from Prior[t] and fed to the
-	// reduction, the CI-stop frontier and the Sink exactly as if it had
-	// just run. Because outcomes are pure functions of (cellSeed, trial),
-	// a Prior prefix recorded by an earlier run leaves the Result and the
-	// ledger bytes identical to a full re-run — it only skips the work.
-	// Prefixes longer than the trial budget are truncated. Replayed trials
-	// are invisible to the wall-clock instruments (mc.trials counts only
-	// executed trials) and contribute empty heat shards. Workers claim
-	// their first lane at len(Prior).
-	Prior []Outcome
 }
 
 // defaultMinStopTrials floors the CI-stop rule: Wilson intervals over a
@@ -355,9 +342,9 @@ type BatchFn func(start int, seeds []uint64, ctx BatchCtx, out []Outcome)
 
 // RunBatch executes trials over a worker pool and reduces the outcomes.
 // Workers claim lanes of up to LaneWidth consecutive trials tiling
-// [len(Prior), trials) — lane l starts at len(Prior) + l·LaneWidth and only
-// the final lane may be short — so fn can amortize per-trial setup (schedule
-// compiles, decoder scratch) and bit-slice per-trial state across a lane.
+// [0, trials) — lane l starts at l·LaneWidth and only the final lane may be
+// short — so fn can amortize per-trial setup (schedule compiles, decoder
+// scratch) and bit-slice per-trial state across a lane.
 // workers <= 0 uses GOMAXPROCS; the pool never exceeds the lane count.
 //
 // fn must take all randomness from its lane's seeds and must not share
@@ -375,13 +362,11 @@ type BatchFn func(start int, seeds []uint64, ctx BatchCtx, out []Outcome)
 // run: the "mc.trials_per_sec" and "mc.worker_utilization" gauges, and the
 // mc.trial.ns histogram, which observes each lane's duration amortized per
 // trial. obs adds live progress, CI early stop, per-trial heat and bandwidth
-// shards, the trial-order outcome Sink and resume from Prior. Under CI
-// early stop whole in-flight lanes (up to LaneWidth-1 overrun trials per
-// worker) may execute past the stop point before workers observe it; the
-// overrun is discarded from the Result. Prior is honoured at trial
-// granularity, so a resumed cell executes exactly its unrecorded trials
-// even when len(Prior) is not a LaneWidth multiple. Instruments observe the
-// computation; they never feed back into it.
+// shards and the trial-order outcome Sink. Under CI early stop whole
+// in-flight lanes (up to LaneWidth-1 overrun trials per worker) may execute
+// past the stop point before workers observe it; the overrun is discarded
+// from the Result. Instruments observe the computation; they never feed
+// back into it.
 //
 // With nil reg and tr and a zero obs, fn sees a zero BatchCtx. Every local
 // the worker closure captures is assigned exactly once, and observer state
@@ -393,12 +378,7 @@ func RunBatch(trials, workers int, cellSeed uint64, reg *metrics.Registry, tr *t
 	if trials <= 0 {
 		return Result{}
 	}
-	// Replayed prior outcomes occupy the leading trial slots without being
-	// executed: lanes start at the first live trial, and the CI-stop
-	// frontier consumes the replayed prefix first so a resumed run stops
-	// exactly where the uninterrupted run would have.
-	prior := min(len(obs.Prior), trials)
-	lanes := (trials - prior + LaneWidth - 1) / LaneWidth
+	lanes := (trials + LaneWidth - 1) / LaneWidth
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -406,19 +386,11 @@ func RunBatch(trials, workers int, cellSeed uint64, reg *metrics.Registry, tr *t
 		workers = lanes
 	}
 	outcomes := make([]Outcome, trials)
-	copy(outcomes, obs.Prior[:prior])
 	var nextLane atomic.Int64
 	var wg sync.WaitGroup
 	shards := make([]*metrics.Registry, workers)
 	traces := makeTraceShards(tr, workers)
 	st := newStopState(obs.CIWidth, obs.MinTrials, trials)
-	if st != nil {
-		// A converged prior prefix drops stopAt below the first live trial
-		// before any worker starts, so no lane is claimed.
-		for t := 0; t < prior; t++ {
-			st.observe(t, outcomes[t].Fail)
-		}
-	}
 	prog := newProgressState(obs.Progress, obs.ProgressEvery, trials, st)
 	heatParent := obs.Heat
 	heatShards := makeHeatShards(heatParent, trials)
@@ -453,7 +425,7 @@ func RunBatch(trials, workers int, cellSeed uint64, reg *metrics.Registry, tr *t
 				if l >= lanes {
 					return
 				}
-				lo := prior + l*LaneWidth
+				lo := l * LaneWidth
 				if st != nil && lo >= int(st.stopAt.Load()) {
 					return
 				}
@@ -540,9 +512,7 @@ func RunBatch(trials, workers int, cellSeed uint64, reg *metrics.Registry, tr *t
 			busy += b
 		}
 		reg.Gauge("mc.worker_busy_ns").Set(float64(busy))
-		// A prior covering the whole budget leaves no worker, and 0/0
-		// utilization would poison the JSON export with NaN.
-		if elapsed > 0 && workers > 0 {
+		if elapsed > 0 {
 			reg.Gauge("mc.trials_per_sec").Set(float64(effective) / elapsed.Seconds())
 			reg.Gauge("mc.worker_utilization").Set(
 				float64(busy) / (float64(elapsed) * float64(workers)))

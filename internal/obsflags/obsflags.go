@@ -2,8 +2,8 @@
 // repository's binaries. cmd/questsim and cmd/questbench both expose the
 // flags Register installs, and this package keeps their semantics identical
 // instead of letting two hand-rolled copies drift. RegisterSweep adds the
-// three flags only a Monte-Carlo sweep can honour (-ci-stop, -shard,
-// -resume); only cmd/questbench installs them.
+// one flag only a Monte-Carlo sweep can honour (-ci-stop); only
+// cmd/questbench installs it.
 //
 //	-metrics text|json   dump the default metrics registry to stderr at exit
 //	-pprof ADDR          serve net/http/pprof on ADDR
@@ -19,15 +19,6 @@
 //	                     deterministic for any worker count
 //	-heatmap FILE        accumulate spatial defect/matching heatmaps and write
 //	                     them as JSON (plus ASCII renders on Log) at exit
-//	-shard i/N           (sweeps only) run only the sweep cells owned by
-//	                     shard i of N; each shard writes a complete ledger,
-//	                     and tools/ledgermerge recombines N of them into the
-//	                     1-process bytes
-//	-resume FILE         (sweeps only) resume from a partial run ledger:
-//	                     completed cells are replayed verbatim, a
-//	                     partially-recorded cell's leading trials are fed to
-//	                     the engine as prior outcomes, and the rest executes
-//	                     normally
 //	-bw FILE             record a cycle-windowed instruction-bandwidth profile
 //	                     of every master/MCE bus and write it as a
 //	                     quest-bw/1 JSONL artifact ('-' = stdout), plus an
@@ -45,7 +36,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"maps"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -72,14 +62,8 @@ type Obs struct {
 	progress   *bool
 	ciStop     *float64
 	heatPath   *string
-	shardSpec  *string
-	resumePath *string
 	bwPath     *string
 	bwWindow   *int
-
-	// shard and resume are the validated flag values, resolved by Start.
-	shard  ledger.ShardInfo
-	resume *ledger.Resume
 
 	ln  net.Listener
 	srv *http.Server
@@ -100,8 +84,8 @@ type Obs struct {
 }
 
 // Register installs the shared flags on fs (flag.CommandLine in the
-// binaries; a private FlagSet in tests). The sweep-only values read as unset:
-// CIStop 0, Shard unsharded, Resume nil.
+// binaries; a private FlagSet in tests). The sweep-only -ci-stop reads as
+// unset: CIStop 0.
 func Register(fs *flag.FlagSet) *Obs {
 	return &Obs{
 		metricsFmt: fs.String("metrics", "", "dump the metrics registry at exit: 'text' or 'json'"),
@@ -118,8 +102,6 @@ func Register(fs *flag.FlagSet) *Obs {
 		ciStop: new(float64),
 		heatPath: fs.String("heatmap", "",
 			"write spatial defect/matching heatmaps as JSON to this file at exit"),
-		shardSpec:  new(string),
-		resumePath: new(string),
 		bwPath: fs.String("bw", "",
 			"record a cycle-windowed instruction-bandwidth profile and write it as quest-bw/1 JSONL to this file ('-' = stdout); compare with tools/bwreport"),
 		bwWindow: fs.Int("bw-window", 0,
@@ -128,16 +110,12 @@ func Register(fs *flag.FlagSet) *Obs {
 	}
 }
 
-// RegisterSweep installs the shared flags plus the sweep-only -ci-stop,
-// -shard and -resume on fs, for binaries that run Monte-Carlo sweeps.
+// RegisterSweep installs the shared flags plus the sweep-only -ci-stop on
+// fs, for binaries that run Monte-Carlo sweeps.
 func RegisterSweep(fs *flag.FlagSet) *Obs {
 	o := Register(fs)
 	o.ciStop = fs.Float64("ci-stop", 0,
 		"stop each sweep cell once its 95% Wilson interval is narrower than this width (0 = fixed budget)")
-	o.shardSpec = fs.String("shard", "",
-		"run shard i of N ('i/N', e.g. 0/2): only the sweep cells with global index ≡ i (mod N); merge the shard ledgers with tools/ledgermerge")
-	o.resumePath = fs.String("resume", "",
-		"resume from this partial run ledger: replay its completed cells and trials, execute only the rest")
 	return o
 }
 
@@ -194,16 +172,6 @@ func (o *Obs) OpenBW(experiment string, config map[string]string) error {
 	return nil
 }
 
-// Shard returns the validated -shard value (the zero ShardInfo when
-// unsharded). Valid after Start.
-func (o *Obs) Shard() ledger.ShardInfo { return o.shard }
-
-// Resume returns the parsed -resume checkpoint (nil when off). Valid after
-// Start, which reads the whole file into memory — so -resume and -ledger may
-// name the same path: the checkpoint is consumed before OpenLedger truncates
-// it.
-func (o *Obs) Resume() *ledger.Resume { return o.resume }
-
 // OpenLedger creates the -ledger file and writes its provenance header; it
 // returns (nil, nil) when -ledger is off. Call once, after Start and before
 // the sweep; Finish flushes and closes the file. The experiment name and
@@ -215,23 +183,11 @@ func (o *Obs) OpenLedger(experiment string, config map[string]string) (*ledger.W
 	if o.ledgerW != nil {
 		return nil, fmt.Errorf("ledger: OpenLedger called twice")
 	}
-	if o.resume != nil {
-		// The checkpoint must describe the run being resumed: same experiment,
-		// same flag provenance. Cell-level seed checks (core.SweepObs.Resume)
-		// catch deeper mismatches; this catches the obvious ones up front.
-		h := o.resume.Header()
-		if h.Experiment != experiment {
-			return nil, fmt.Errorf("ledger: -resume checkpoint is from experiment %q, this run is %q", h.Experiment, experiment)
-		}
-		if !maps.Equal(h.Config, config) {
-			return nil, fmt.Errorf("ledger: -resume checkpoint config %v does not match this run's %v — rerun with the original flags", h.Config, config)
-		}
-	}
 	f, err := os.Create(*o.ledgerPath)
 	if err != nil {
 		return nil, fmt.Errorf("ledger: %w", err)
 	}
-	lw, err := ledger.NewWriter(f, experiment, config, o.shard)
+	lw, err := ledger.NewWriter(f, experiment, config)
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("ledger: %w", err)
@@ -305,39 +261,6 @@ func (o *Obs) Start() error {
 	if *o.bwWindow < 0 {
 		return fmt.Errorf("-bw-window %d out of range: want a window width in machine cycles, or 0 for the default %d", *o.bwWindow, bwprofile.DefaultWindow)
 	}
-	shard, err := ledger.ParseShardSpec(*o.shardSpec)
-	if err != nil {
-		return fmt.Errorf("-shard: %w", err)
-	}
-	o.shard = shard
-	if *o.resumePath != "" {
-		if *o.heatPath != "" {
-			// Heat statistics are not recorded in the ledger, so a resumed
-			// run cannot reconstruct the skipped trials' contributions — the
-			// heatmap would silently undercount.
-			return fmt.Errorf("-resume cannot be combined with -heatmap: the ledger does not record heat, so replayed cells would be missing from it")
-		}
-		data, err := os.ReadFile(*o.resumePath)
-		if err != nil {
-			return fmt.Errorf("-resume: %w", err)
-		}
-		res, err := ledger.NewResume(data)
-		if err != nil {
-			return fmt.Errorf("-resume %s: %w", *o.resumePath, err)
-		}
-		h := res.Header()
-		if got := (ledger.ShardInfo{Index: h.ShardIndex, Count: h.ShardCount}); got != o.shard {
-			return fmt.Errorf("-resume %s: checkpoint is shard %q but this run is shard %q — resume each shard's ledger under its own -shard flag",
-				*o.resumePath, specOrUnsharded(got), specOrUnsharded(o.shard))
-		}
-		complete, partial := res.Counts()
-		fmt.Fprintf(o.Log, "resume: %s holds %d completed cell(s) and %d partial cell(s)", *o.resumePath, complete, partial)
-		if res.Truncated() {
-			fmt.Fprint(o.Log, " (torn final line dropped)")
-		}
-		fmt.Fprintln(o.Log)
-		o.resume = res
-	}
 	if *o.tracePath != "" {
 		tracing.Default = tracing.New(*o.traceBuf)
 	}
@@ -377,12 +300,6 @@ func (o *Obs) Start() error {
 // server shutdown. Safe to call when nothing was enabled.
 func (o *Obs) Finish() error {
 	var firstErr error
-	if o.resume != nil {
-		if left := o.resume.Unconsumed(); len(left) > 0 {
-			fmt.Fprintf(o.Log, "resume: warning: %d recorded cell(s) were never reached by this run (%q) — the checkpoint is from a different invocation and they were not carried forward\n",
-				len(left), left)
-		}
-	}
 	if *o.tracePath != "" && tracing.Default != nil {
 		if err := o.writeTrace(); err != nil {
 			if firstErr == nil {
@@ -396,7 +313,7 @@ func (o *Obs) Finish() error {
 			if firstErr == nil {
 				firstErr = err
 			}
-			fmt.Fprintln(o.Log, "ledger:", err)
+			fmt.Fprintln(o.Log, err) // already "ledger: ...", like ledger.Writer's errors
 		}
 	}
 	if o.heat != nil {
@@ -443,7 +360,7 @@ func (o *Obs) closeLedger() error {
 		return err
 	}
 	if err := f.Close(); err != nil {
-		return err
+		return fmt.Errorf("ledger: %w", err)
 	}
 	fmt.Fprintf(o.Log, "ledger: %d cell(s), %d trial record(s) written to %s (validate with questcheck)\n",
 		lw.Cells(), lw.Trials(), *o.ledgerPath)
@@ -518,15 +435,6 @@ func (o *Obs) writeBW() error {
 	}
 	fmt.Fprintln(o.Log, render)
 	return nil
-}
-
-// specOrUnsharded renders a ShardInfo for error messages ("unsharded"
-// instead of the empty string).
-func specOrUnsharded(s ledger.ShardInfo) string {
-	if !s.Sharded() {
-		return "unsharded"
-	}
-	return s.String()
 }
 
 func (o *Obs) writeTrace() error {

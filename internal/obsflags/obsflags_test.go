@@ -164,29 +164,26 @@ func TestStartRejectsBadCIStop(t *testing.T) {
 }
 
 // TestSweepFlagsOnlyOnSweepRegistration pins which binaries may take the
-// sweep-only flags: a single simulation (questsim's Register) cannot honour
-// -ci-stop, -shard or -resume, so its flag set rejects them at parse time,
-// while a sweep driver (questbench's RegisterSweep) accepts all three. The
-// plain registration reads them as unset.
+// sweep-only flag: a single simulation (questsim's Register) cannot honour
+// -ci-stop, so its flag set rejects it at parse time, while a sweep driver
+// (questbench's RegisterSweep) accepts it. The plain registration reads it
+// as unset.
 func TestSweepFlagsOnlyOnSweepRegistration(t *testing.T) {
 	defer resetDefaults()
-	resume := filepath.Join(t.TempDir(), "partial.jsonl")
-	sweepArgs := [][]string{{"-ci-stop", "0.1"}, {"-shard", "0/2"}, {"-resume", resume}}
-	for _, args := range sweepArgs {
-		fs := flag.NewFlagSet("questsim", flag.ContinueOnError)
-		fs.SetOutput(io.Discard)
-		Register(fs)
-		if err := fs.Parse(args); err == nil {
-			t.Errorf("questsim's flag set accepted %v", args)
-		}
-		fs = flag.NewFlagSet("questbench", flag.ContinueOnError)
-		RegisterSweep(fs)
-		if err := fs.Parse(args); err != nil {
-			t.Errorf("questbench's flag set rejected %v: %v", args, err)
-		}
+	args := []string{"-ci-stop", "0.1"}
+	fs := flag.NewFlagSet("questsim", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	Register(fs)
+	if err := fs.Parse(args); err == nil {
+		t.Errorf("questsim's flag set accepted %v", args)
+	}
+	fs = flag.NewFlagSet("questbench", flag.ContinueOnError)
+	RegisterSweep(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Errorf("questbench's flag set rejected %v: %v", args, err)
 	}
 
-	fs := flag.NewFlagSet("questsim", flag.ContinueOnError)
+	fs = flag.NewFlagSet("questsim", flag.ContinueOnError)
 	o := Register(fs)
 	o.Log = io.Discard
 	if err := fs.Parse(nil); err != nil {
@@ -195,14 +192,14 @@ func TestSweepFlagsOnlyOnSweepRegistration(t *testing.T) {
 	if err := o.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if o.CIStop() != 0 || o.Shard().Sharded() || o.Resume() != nil {
-		t.Errorf("plain registration: CIStop %v, Shard %+v, Resume %v; want all unset", o.CIStop(), o.Shard(), o.Resume())
+	if o.CIStop() != 0 {
+		t.Errorf("plain registration: CIStop %v, want unset", o.CIStop())
 	}
 	if err := o.Finish(); err != nil {
 		t.Fatal(err)
 	}
 
-	// RegisterSweep adds exactly the three sweep flags to Register's set.
+	// RegisterSweep adds exactly the sweep flag to Register's set.
 	names := func(fs *flag.FlagSet) map[string]bool {
 		m := map[string]bool{}
 		fs.VisitAll(func(f *flag.Flag) { m[f.Name] = true })
@@ -217,13 +214,11 @@ func TestSweepFlagsOnlyOnSweepRegistration(t *testing.T) {
 			t.Errorf("RegisterSweep lacks shared flag -%s", name)
 		}
 	}
-	for _, name := range []string{"ci-stop", "shard", "resume"} {
-		if p[name] || !s[name] {
-			t.Errorf("-%s: on plain set %v, on sweep set %v; want sweep only", name, p[name], s[name])
-		}
+	if p["ci-stop"] || !s["ci-stop"] {
+		t.Errorf("-ci-stop: on plain set %v, on sweep set %v; want sweep only", p["ci-stop"], s["ci-stop"])
 	}
-	if len(s) != len(p)+3 {
-		t.Errorf("sweep set has %d flags, plain set %d; want exactly 3 more", len(s), len(p))
+	if len(s) != len(p)+1 {
+		t.Errorf("sweep set has %d flags, plain set %d; want exactly 1 more", len(s), len(p))
 	}
 }
 

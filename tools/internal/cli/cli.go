@@ -1,11 +1,11 @@
 // Package cli is the shared skeleton of the repository's checker commands
-// (tools/bwreport, tools/ledgermerge, tools/questcheck, tools/questvet):
+// (tools/bwreport, tools/questcheck, tools/questvet):
 // flag parsing, positional-argument validation, and a uniform exit-code
 // contract that CI and the Makefile smoke targets rely on:
 //
 //	0 — the check ran and found nothing wrong
-//	1 — the check ran and found findings (validation failure, shard-set
-//	    mismatch, lint diagnostics)
+//	1 — the check ran and found findings (validation failure, lint
+//	    diagnostics)
 //	2 — the command could not run the check at all (bad usage, unreadable
 //	    input, malformed flags)
 //

@@ -2,13 +2,14 @@
 // an experiment ledger (-ledger, quest-ledger/1 JSONL) or a Chrome
 // trace-event JSON file (-trace). A ledger must pass ledger.Validate: one
 // schema-versioned header first, contiguous per-cell blocks of in-order
-// trial records, and per-cell summaries consistent with their records. A
+// trial records, and per-cell summaries consistent with their records; a
+// ledger cut short (a last cell with no summary, a torn last line) fails. A
 // trace must pass tracing.Validate: well-formed JSON-object format, every
 // event carrying ph/name/pid/tid/ts, non-negative span durations, and a
 // non-decreasing ts sequence within every (pid, tid) track. CI's
-// trace-smoke and shard-smoke steps run it over fresh artifacts, so a
-// schema regression fails the build instead of silently producing files
-// nothing can replay or Perfetto rejects.
+// trace-smoke job runs it over fresh artifacts, so a schema regression fails
+// the build instead of silently producing files nothing can replay or
+// Perfetto rejects.
 //
 // Usage:
 //

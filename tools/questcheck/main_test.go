@@ -28,7 +28,7 @@ func writeFile(t *testing.T, dir, name string, data []byte) string {
 func validLedger(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w, err := ledger.NewWriter(&buf, "questcheck-test", map[string]string{"trials": "3"}, ledger.ShardInfo{})
+	w, err := ledger.NewWriter(&buf, "questcheck-test", map[string]string{"trials": "3"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,16 +106,24 @@ func runExitCases(t *testing.T, cases []exitCase) {
 }
 
 // TestQuestcheckLedgerExitCodeContract pins the exit codes around a valid
-// ledger and its floors.
+// ledger and its floors, and around what a run stopped mid-write leaves:
+// the last cell's trial records with no summary, and a last line torn
+// mid-record.
 func TestQuestcheckLedgerExitCodeContract(t *testing.T) {
 	dir := t.TempDir()
-	good := writeFile(t, dir, "good.jsonl", validLedger(t))
+	data := validLedger(t)
+	good := writeFile(t, dir, "good.jsonl", data)
+	last := bytes.LastIndexByte(data[:len(data)-1], '\n') + 1 // start of the last cell's summary
+	open := writeFile(t, dir, "open.jsonl", data[:last])
+	torn := writeFile(t, dir, "torn.jsonl", data[:last+(len(data)-last)/2])
 	empty, stream, profile := otherArtifacts(t, dir)
 	runExitCases(t, []exitCase{
 		{"valid ledger", []string{good}, 0},
 		{"floors met", []string{"-min-cells", "2", "-min-trials", "6", good}, 0},
 		{"min-cells above count", []string{"-min-cells", "3", good}, 1},
 		{"min-trials above count", []string{"-min-trials", "7", good}, 1},
+		{"last cell without summary", []string{open}, 1},
+		{"torn last line", []string{torn}, 1},
 		{"empty file", []string{empty}, 1},
 		{"quest-events/1 stream", []string{stream}, 1},
 		{"quest-bw/1 profile", []string{profile}, 1},
