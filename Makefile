@@ -1,7 +1,9 @@
 # Convenience targets for the QuEST reproduction.
 #
 # Observability / CI targets:
-#   make trace-smoke  run a tiny traced sim and validate the Perfetto JSON
+#   make trace-smoke  run a tiny traced sim and validate the Perfetto JSON,
+#                     then CPU-profile a small sweep and read the profile
+#                     back with go tool pprof
 #   make ledger-smoke run a small ledgered+heatmapped sweep and validate the
 #                     JSONL with questcheck
 #   make bw-smoke     run profiled sweeps and sims, validate the quest-bw/1
@@ -71,11 +73,16 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem ./...
 
-# Run a tiny traced simulation and validate the emitted Perfetto JSON —
-# the same check CI's trace-smoke job runs.
+# Run a tiny traced simulation and validate the emitted Perfetto JSON, then
+# CPU-profile a small threshold sweep (-cpuprofile) and read the profile
+# back with go tool pprof, the one reader of that format — the same checks
+# CI's trace-smoke job runs. cpu.pprof is covered by .gitignore and
+# `make clean`.
 trace-smoke:
 	$(GO) run ./cmd/questsim -program distill -replays 5 -trace /tmp/quest_trace_smoke.json
 	$(GO) run ./tools/questcheck -min-procs 4 /tmp/quest_trace_smoke.json
+	$(GO) run ./cmd/questbench -cpuprofile cpu.pprof -trials 200 threshold
+	$(GO) tool pprof -top cpu.pprof
 
 # Run a small traced + ledgered threshold sweep with CI early-stop and
 # heatmaps, then validate the ledger — the same check CI's trace-smoke job
@@ -162,5 +169,5 @@ fuzz:
 # corpora; TestCleanTargetPreservesTrackedTestdata pins the fix.
 clean:
 	git clean -fdx internal/qasm/testdata internal/qexe/testdata internal/core/testdata
-	rm -f bw-smoke-*.jsonl perf-smoke.*
+	rm -f bw-smoke-*.jsonl perf-smoke.* cpu.pprof
 	$(GO) clean ./...

@@ -288,7 +288,7 @@ func BenchmarkAblationCacheOnOff(b *testing.B) {
 					}
 				}
 			}
-			if _, ok := mm.RunUntilDrained(100000); !ok {
+			if _, ok := mm.Drain(100000); !ok {
 				b.Fatal("did not drain")
 			}
 			bytes = mm.InstructionBusBytes()
@@ -562,11 +562,11 @@ func BenchmarkAblationBufferCapacity(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				reps, ok := mm.RunUntilDrained(500)
+				d, ok := mm.Drain(500)
 				if !ok {
 					b.Fatal("did not drain")
 				}
-				cycles = len(reps)
+				cycles = d.Cycles
 			}
 			b.ReportMetric(float64(cycles), "cycles-to-drain")
 		})

@@ -10,7 +10,8 @@
 // wall-clock, crank trials for confidence.
 //
 // Observability (shared with questsim via internal/obsflags, except the
-// sweep-only -ci-stop): -metrics, -pprof, -trace, -trace-buf, plus the
+// sweep-only -ci-stop): -metrics, -cpuprofile FILE (a CPU profile of the
+// whole run, read with go tool pprof), -trace, -trace-buf, plus the
 // experiment-ledger bundle — -ledger FILE streams a JSONL run ledger
 // (validate with tools/questcheck), -progress renders live per-cell Wilson
 // intervals on stderr, -ci-stop W stops each cell once its 95% interval is
@@ -23,6 +24,11 @@
 // (-bw-window N sets the window width; validate and compare runs with
 // tools/bwreport). Like the ledger, the profile is worker-count independent
 // and a pure side-band of the sweep.
+//
+// The -md report runs its sweeps without that bundle, so -md refuses
+// -ledger, -heatmap, -bw, -ci-stop and -progress. Exit status: 0 on
+// success; 1 when an experiment fails or an artifact cannot be written; 2
+// on a bad flag value or an unknown experiment, before anything runs.
 package main
 
 import (
@@ -42,7 +48,7 @@ var (
 	flagMD      = flag.Bool("md", false, "emit the full evaluation as a Markdown report")
 	flagTrials  = flag.Int("trials", 0, "Monte-Carlo trials per statistical cell (0 = per-experiment default)")
 	flagWorkers = flag.Int("workers", 0, "Monte-Carlo worker goroutines (0 = GOMAXPROCS)")
-	// obs wires the shared observability flags (-metrics, -pprof, -trace,
+	// obs wires the shared observability flags (-metrics, -cpuprofile, -trace,
 	// -trace-buf, -ledger, -progress, -heatmap, -bw, -bw-window)
 	// identically to cmd/questsim, plus the sweep-only -ci-stop.
 	obs = obsflags.RegisterSweep(flag.CommandLine)
@@ -84,16 +90,21 @@ var experiments = []struct {
 
 func main() {
 	flag.Parse()
-	if err := checkFlags(*flagTrials, *flagWorkers); err != nil {
+	given := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { given[f.Name] = true })
+	if err := checkFlags(*flagTrials, *flagWorkers, *flagMD, given); err != nil {
 		fmt.Fprintln(os.Stderr, "questbench:", err)
 		os.Exit(2)
 	}
 	args := flag.Args()
-	if err := obs.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
+	selected, ok := selectExperiments(args)
+	if !ok {
 		os.Exit(2)
 	}
-	defer obs.Finish()
+	if err := obs.Start(); err != nil {
+		fmt.Fprintln(os.Stderr, "questbench:", err)
+		os.Exit(2)
+	}
 	// Deliberately no -workers here: the ledger is byte-identical for any
 	// worker count, and recording the pool size would break that.
 	lw, err := obs.OpenLedger("questbench", map[string]string{
@@ -103,7 +114,7 @@ func main() {
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		obs.Exit(2)
 	}
 	// Same provenance for the bandwidth profile: the artifact must identify
 	// the run it measured, and -workers stays out so the waveform bytes keep
@@ -114,7 +125,7 @@ func main() {
 		"ci-stop": strconv.FormatFloat(obs.CIStop(), 'g', -1, 64),
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		obs.Exit(2)
 	}
 	sweep = core.SweepObs{
 		Ledger:   lw,
@@ -126,13 +137,54 @@ func main() {
 	if *flagMD {
 		// Full evaluation as a self-contained Markdown report.
 		fmt.Print(core.MarkdownReport(trialsOr(150), *flagWorkers))
-		return
 	}
-	if len(args) == 0 {
-		for _, e := range experiments {
-			runOne(e.name, e.desc, e.run)
+	for _, i := range selected {
+		e := experiments[i]
+		runOne(e.name, e.desc, e.run)
+	}
+	obs.Exit(0)
+}
+
+// mdIgnoredFlags are the sweep-artifact flags a -md run cannot honour: the
+// report runs its sweeps without the observation bundle they feed, so it
+// would leave a header-only ledger and an empty heatmap or profile.
+var mdIgnoredFlags = []string{"ledger", "heatmap", "bw", "ci-stop", "progress"}
+
+// checkFlags rejects negative -trials and -workers, which would otherwise
+// run the defaults while the ledger header records the negative value, and,
+// with -md, any of mdIgnoredFlags that was given; main reports the error on
+// one stderr line and exits 2, the usage class of the 0/1/2 exit contract.
+func checkFlags(trials, workers int, md bool, given map[string]bool) error {
+	switch {
+	case trials < 0:
+		return fmt.Errorf("-trials %d: need a non-negative trial count (0 = per-experiment default)", trials)
+	case workers < 0:
+		return fmt.Errorf("-workers %d: need a non-negative worker count (0 = GOMAXPROCS)", workers)
+	}
+	if md {
+		for _, name := range mdIgnoredFlags {
+			if given[name] {
+				return fmt.Errorf("-%s: the -md report writes no sweep artifacts; name the experiments instead (e.g. threshold memory)", name)
+			}
 		}
-		return
+	}
+	return nil
+}
+
+// selectExperiments resolves the experiment names on the command line, in
+// order, to indices into experiments: every experiment when none is named,
+// none under -md. On an unknown name it prints the available list to stderr
+// and reports false, before anything runs.
+func selectExperiments(args []string) ([]int, bool) {
+	if *flagMD {
+		return nil, true
+	}
+	var sel []int
+	if len(args) == 0 {
+		for i := range experiments {
+			sel = append(sel, i)
+		}
+		return sel, true
 	}
 	byName := map[string]int{}
 	for i, e := range experiments {
@@ -145,24 +197,11 @@ func main() {
 			for _, e := range experiments {
 				fmt.Fprintf(os.Stderr, "  %-8s %s\n", e.name, e.desc)
 			}
-			os.Exit(2)
+			return nil, false
 		}
-		runOne(experiments[i].name, experiments[i].desc, experiments[i].run)
+		sel = append(sel, i)
 	}
-}
-
-// checkFlags rejects negative -trials and -workers, which would otherwise
-// run the defaults while the ledger header records the negative value; main
-// reports the error on one stderr line and exits 2, the usage class of the
-// 0/1/2 exit contract.
-func checkFlags(trials, workers int) error {
-	switch {
-	case trials < 0:
-		return fmt.Errorf("-trials %d: need a non-negative trial count (0 = per-experiment default)", trials)
-	case workers < 0:
-		return fmt.Errorf("-workers %d: need a non-negative worker count (0 = GOMAXPROCS)", workers)
-	}
-	return nil
+	return sel, true
 }
 
 func runOne(name, desc string, f func()) {
@@ -325,8 +364,7 @@ func threshold() {
 		[]float64{2e-3, 1e-3, 5e-4}, []int{3, 5}, trialsOr(200), *flagWorkers, sweep)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "threshold experiment failed:", err)
-		obs.Finish()
-		os.Exit(1)
+		obs.Exit(1)
 	}
 	var rows [][]string
 	for _, r := range trows {
@@ -345,8 +383,7 @@ func memory() {
 		r, err := core.MachineMemory(obs.ShardReg(), obs.Tracer(), p, 8, trialsOr(40), *flagWorkers, sweep)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "memory experiment failed:", err)
-			obs.Finish()
-			os.Exit(1)
+			obs.Exit(1)
 		}
 		rows = append(rows, []string{
 			fmt.Sprintf("%.0e", r.PhysRate), strconv.Itoa(r.Rounds),
@@ -372,7 +409,7 @@ func machine() {
 	res, err := core.MachineDemo(50)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "machine demo failed:", err)
-		os.Exit(1)
+		obs.Exit(1)
 	}
 	fmt.Printf("distillation body: %d logical instructions, replayed 50x from the MCE cache\n", core.RoundInstrs())
 	fmt.Printf("cycles: %d   logical retired: %d\n", res.Cycles, res.LogicalRetired)

@@ -5,33 +5,46 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// TestCheckFlags pins which -trials and -workers values questbench refuses:
-// negative counts fail with an error naming the flag; zero (the default)
-// and positive counts pass.
+// TestCheckFlags pins which flag combinations questbench refuses: negative
+// -trials and -workers counts, and with -md each sweep-artifact flag the
+// report cannot honour, fail with an error naming the flag; zero (the
+// default) and positive counts, and -md alone or with -trials, pass.
 func TestCheckFlags(t *testing.T) {
 	for _, tc := range []struct {
 		trials, workers int
+		md              bool
+		given           string // one flag given besides these, "" = none
 		flag            string // "" = accepted
 	}{
-		{0, 0, ""},
-		{1, 1, ""},
-		{3000, 8, ""},
-		{-3, 0, "-trials"},
-		{-1, 2, "-trials"},
-		{100, -1, "-workers"},
+		{0, 0, false, "", ""},
+		{1, 1, false, "", ""},
+		{3000, 8, false, "", ""},
+		{-3, 0, false, "", "-trials"},
+		{-1, 2, false, "", "-trials"},
+		{100, -1, false, "", "-workers"},
+		{20, 0, true, "", ""},
+		{20, 0, true, "trials", ""},
+		{20, 0, true, "metrics", ""},
+		{0, 0, false, "ledger", ""},
+		{20, 0, true, "ledger", "-ledger"},
+		{20, 0, true, "heatmap", "-heatmap"},
+		{20, 0, true, "bw", "-bw"},
+		{20, 0, true, "ci-stop", "-ci-stop"},
+		{20, 0, true, "progress", "-progress"},
 	} {
-		err := checkFlags(tc.trials, tc.workers)
+		err := checkFlags(tc.trials, tc.workers, tc.md, map[string]bool{tc.given: tc.given != ""})
 		switch {
 		case tc.flag == "" && err != nil:
-			t.Errorf("trials=%d workers=%d rejected: %v", tc.trials, tc.workers, err)
+			t.Errorf("%+v rejected: %v", tc, err)
 		case tc.flag != "" && err == nil:
-			t.Errorf("trials=%d workers=%d accepted; want an error naming %s", tc.trials, tc.workers, tc.flag)
-		case tc.flag != "" && !strings.HasPrefix(err.Error(), tc.flag+" "):
-			t.Errorf("trials=%d workers=%d: error %q does not lead with %s", tc.trials, tc.workers, err, tc.flag)
+			t.Errorf("%+v accepted; want an error naming %s", tc, tc.flag)
+		case tc.flag != "" && !strings.HasPrefix(err.Error(), tc.flag+" ") && !strings.HasPrefix(err.Error(), tc.flag+":"):
+			t.Errorf("%+v: error %q does not lead with %s", tc, err, tc.flag)
 		}
 	}
 }
@@ -83,6 +96,48 @@ func TestLedgerWriteFailureExitsOne(t *testing.T) {
 		}
 		if strings.Contains(stderr, "ledger: ledger:") {
 			t.Errorf("%s: stderr %q doubles the ledger prefix", exp, stderr)
+		}
+	}
+}
+
+// TestArtifactWriteFailureExitsOne pins that a run whose -trace, -heatmap
+// or -bw artifact cannot be written fails: exit 1, with the artifact's
+// write error on stderr. Finish writes these at exit, after the tables.
+func TestArtifactWriteFailureExitsOne(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	for _, tc := range []struct{ flag, prefix string }{
+		{"-trace", "trace: "},
+		{"-heatmap", "heatmap: "},
+		{"-bw", "bw: "},
+	} {
+		code, stderr := runQuestbench(t, "-trials", "20", "-workers", "1", tc.flag, "/dev/full", "memory")
+		if code != 1 {
+			t.Errorf("%s /dev/full: exit %d, want 1 (stderr: %s)", tc.flag, code, stderr)
+		}
+		if !strings.Contains("\n"+stderr, "\n"+tc.prefix) || !strings.Contains(stderr, "write /dev/full") {
+			t.Errorf("%s /dev/full: stderr %q has no %q line naming the write", tc.flag, stderr, tc.prefix)
+		}
+	}
+}
+
+// TestUsageErrorsExitTwo pins the usage class of the exit contract beyond
+// checkFlags' numbers: a bad observability value, an unknown experiment,
+// -md with a sweep-artifact flag and the retired -pprof flag each exit 2.
+func TestUsageErrorsExitTwo(t *testing.T) {
+	for _, args := range [][]string{
+		{"-metrics", "bogus", "fig10"},
+		{"-trace-buf", "-1", "fig10"},
+		{"-bw-window", "-1", "fig10"},
+		{"-cpuprofile", filepath.Join(t.TempDir(), "missing", "cpu.pprof"), "fig10"},
+		{"fig10", "bogus"},
+		{"-md", "-trials", "20", "-ledger", filepath.Join(t.TempDir(), "md.jsonl")},
+		{"-pprof", "localhost:6060", "fig10"},
+	} {
+		code, stderr := runQuestbench(t, args...)
+		if code != 2 {
+			t.Errorf("%v: exit %d, want 2 (stderr: %s)", args, code, stderr)
 		}
 	}
 }

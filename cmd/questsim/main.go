@@ -21,7 +21,8 @@
 // sweep-only -ci-stop is questbench's alone):
 //
 //	-metrics text|json   dump the metrics registry to stderr at exit
-//	-pprof ADDR          serve net/http/pprof on ADDR
+//	-cpuprofile FILE     write a CPU profile of the whole run to FILE (read
+//	                     it with go tool pprof)
 //	-trace FILE          write a cycle-correlated Perfetto trace (Chrome
 //	                     trace-event JSON) of the run
 //	-trace-buf N         trace ring capacity in events
@@ -34,18 +35,20 @@
 //	                     to the machine cycle clock and write a quest-bw/1
 //	                     profile (validate and compare with tools/bwreport)
 //	-bw-window N         profile window width in cycles (default 8)
+//
+// Exit status: 0 on success; 1 when the run fails or an artifact above
+// cannot be written; 2 on a bad flag value, reported on one "questsim: ..."
+// line before anything runs.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"log"
 	"os"
 	"strings"
 
 	"quest"
 	"quest/internal/awg"
-	"quest/internal/core"
 	"quest/internal/ledger"
 	"quest/internal/mc"
 	"quest/internal/microcode"
@@ -68,70 +71,68 @@ func main() {
 	)
 	obs := obsflags.Register(flag.CommandLine)
 	flag.Parse()
-	if err := checkFlags(*tiles, *patches, *dist, *cycles, *replays, *noiseP); err != nil {
+	// Every value is checked before anything runs; a bad one exits 2 with
+	// one stderr line, the usage class of the 0/1/2 exit contract.
+	usage := func(err error) {
 		fmt.Fprintln(os.Stderr, "questsim:", err)
 		os.Exit(2)
+	}
+	if err := checkFlags(*tiles, *patches, *dist, *cycles, *replays, *noiseP); err != nil {
+		usage(err)
+	}
+	cfg := quest.DefaultMachineConfig()
+	cfg.Tiles = *tiles
+	cfg.PatchesPerTile = *patches
+	cfg.Distance = *dist
+	cfg.Seed = *seed
+	var err error
+	if cfg.Design, err = parseDesign(*design); err != nil {
+		usage(err)
+	}
+	if cfg.Timing, err = parseTech(*tech); err != nil {
+		usage(err)
+	}
+	var prog *quest.Program
+	if *program != "distill" {
+		if prog, err = buildProgram(*program, *patches); err != nil {
+			usage(err)
+		}
+	}
+	if *noiseP > 0 {
+		nm := quest.UniformNoise(*noiseP)
+		cfg.Noise = &nm
 	}
 	// Start before the machine is built: components resolve tracing.Default
 	// at construction time.
 	if err := obs.Start(); err != nil {
-		log.Fatal(err)
+		usage(err)
 	}
-	defer obs.Finish()
+	// From here on every exit goes through obs.Exit, which writes the
+	// artifacts and exits 1 when one of them could not be written.
+	runtimeErr := func(err error) {
+		fmt.Fprintln(os.Stderr, "questsim:", err)
+		obs.Exit(1)
+	}
 	// The bandwidth artifact carries the design so bwreport can key its
 	// comparison table on it (ram vs fifo vs unitcell microcode stores).
 	if err := obs.OpenBW("questsim", map[string]string{
 		"program": *program,
 		"design":  strings.ToLower(*design),
 	}); err != nil {
-		log.Fatal(err)
-	}
-
-	cfg := quest.DefaultMachineConfig()
-	cfg.Tiles = *tiles
-	cfg.PatchesPerTile = *patches
-	cfg.Distance = *dist
-	cfg.Seed = *seed
-	switch strings.ToLower(*design) {
-	case "ram":
-		cfg.Design = microcode.DesignRAM
-	case "fifo":
-		cfg.Design = microcode.DesignFIFO
-	case "unitcell":
-		cfg.Design = microcode.DesignUnitCell
-	default:
-		log.Fatalf("unknown design %q", *design)
-	}
-	if *noiseP > 0 {
-		nm := quest.UniformNoise(*noiseP)
-		cfg.Noise = &nm
-	}
-	switch strings.ToLower(*tech) {
-	case "none":
-	case "exps", "projf", "projd":
-		t := map[string]workload.Tech{
-			"exps": workload.ExperimentalS, "projf": workload.ProjectedF, "projd": workload.ProjectedD,
-		}[strings.ToLower(*tech)]
-		cfg.Timing = &awg.Timing{
-			PrepNs: t.TPrep, Gate1Ns: t.T1, MeasNs: t.TMeas, CNOTNs: t.TCNOT, IdleNs: t.T1,
-		}
-	default:
-		log.Fatalf("unknown tech %q", *tech)
+		runtimeErr(err)
 	}
 	cfg.Heat = obs.HeatSet()
 	cfg.BW = obs.BW()
 	m := quest.NewMachine(cfg)
 
 	var rep quest.RunReport
-	var err error
-	if *program == "distill" {
+	if prog == nil {
 		rep, err = m.RunDistillationCached(*replays, 0)
 	} else {
-		p := buildProgram(*program, *patches)
-		rep, err = m.RunProgram(p, 0)
+		rep, err = m.RunProgram(prog, 0)
 	}
 	if err != nil {
-		log.Fatal(err)
+		runtimeErr(err)
 	}
 	tick := *cycles / 10
 	if tick < 1 {
@@ -147,7 +148,7 @@ func main() {
 		fmt.Fprintln(obs.Log)
 	}
 	if err := writeRunLedger(obs, rep, cfg, *noiseP, *cycles, *program); err != nil {
-		log.Fatal(err)
+		runtimeErr(err)
 	}
 
 	fmt.Printf("questsim: %d tile(s) × %d patch(es), d=%d, %s microcode, noise=%g, program=%s\n",
@@ -173,7 +174,7 @@ func main() {
 			fmt.Printf("  tile %d wall clock:    %.3f µs (%s gate latencies)\n", i, ns/1e3, *tech)
 		}
 	}
-	_ = core.RoundInstrs
+	obs.Exit(0)
 }
 
 // checkFlags rejects the numeric flag values no machine runs with; main
@@ -231,7 +232,39 @@ func writeRunLedger(obs *obsflags.Obs, rep quest.RunReport, cfg quest.MachineCon
 	})
 }
 
-func buildProgram(name string, patches int) *quest.Program {
+// parseDesign maps -design to its microcode design.
+func parseDesign(name string) (microcode.Design, error) {
+	switch strings.ToLower(name) {
+	case "ram":
+		return microcode.DesignRAM, nil
+	case "fifo":
+		return microcode.DesignFIFO, nil
+	case "unitcell":
+		return microcode.DesignUnitCell, nil
+	}
+	return 0, fmt.Errorf("-design %q: want ram, fifo or unitcell", name)
+}
+
+// parseTech maps -tech to the AWG gate timing of that technology (nil for
+// none: untimed).
+func parseTech(name string) (*awg.Timing, error) {
+	var t workload.Tech
+	switch strings.ToLower(name) {
+	case "none":
+		return nil, nil
+	case "exps":
+		t = workload.ExperimentalS
+	case "projf":
+		t = workload.ProjectedF
+	case "projd":
+		t = workload.ProjectedD
+	default:
+		return nil, fmt.Errorf("-tech %q: want exps, projf, projd or none", name)
+	}
+	return &awg.Timing{PrepNs: t.TPrep, Gate1Ns: t.T1, MeasNs: t.TMeas, CNOTNs: t.TCNOT, IdleNs: t.T1}, nil
+}
+
+func buildProgram(name string, patches int) (*quest.Program, error) {
 	p := quest.NewProgram(max(2, patches))
 	switch strings.ToLower(name) {
 	case "bell":
@@ -254,14 +287,7 @@ func buildProgram(name string, patches int) *quest.Program {
 		}
 		p.MeasZ(0)
 	default:
-		log.Fatalf("unknown program %q (want bell, ghz, distill, paulis)", name)
+		return nil, fmt.Errorf("-program %q: want bell, ghz, distill or paulis", name)
 	}
-	return p
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return p, nil
 }

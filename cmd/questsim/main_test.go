@@ -1,7 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"math"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -52,5 +57,94 @@ func TestCheckFlags(t *testing.T) {
 				t.Errorf("error %q does not lead with %s", err, tc.flag)
 			}
 		})
+	}
+}
+
+// TestMain lets a test re-run this binary as questsim itself (see
+// runQuestsim), so exit codes are observed the way a shell sees them.
+func TestMain(m *testing.M) {
+	if os.Getenv("QUESTSIM_TEST_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runQuestsim runs questsim with args in a child process and returns its
+// exit code and stderr.
+func runQuestsim(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "QUESTSIM_TEST_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var ee *exec.ExitError
+	switch {
+	case err == nil:
+		return 0, stderr.String()
+	case errors.As(err, &ee):
+		return ee.ExitCode(), stderr.String()
+	}
+	t.Fatal(err)
+	return 0, ""
+}
+
+// TestBadValuesExitTwo pins the usage class of the exit contract: a bad
+// observability value or an unknown name exits 2 with one "questsim: "
+// line naming the flag, as questbench does, and the retired -pprof flag
+// fails flag parsing.
+func TestBadValuesExitTwo(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string // named on the one stderr line; "" = flag package usage
+	}{
+		{[]string{"-metrics", "bogus"}, "-metrics"},
+		{[]string{"-trace-buf", "-1"}, "-trace-buf"},
+		{[]string{"-bw-window", "-1"}, "-bw-window"},
+		{[]string{"-cpuprofile", filepath.Join(t.TempDir(), "missing", "cpu.pprof")}, "cpuprofile"},
+		{[]string{"-design", "sram"}, "-design"},
+		{[]string{"-tech", "cmos"}, "-tech"},
+		{[]string{"-program", "qft"}, "-program"},
+		{[]string{"-pprof", "localhost:6060"}, ""},
+	} {
+		code, stderr := runQuestsim(t, append(tc.args, "-cycles", "0")...)
+		if code != 2 {
+			t.Errorf("%v: exit %d, want 2 (stderr: %s)", tc.args, code, stderr)
+			continue
+		}
+		if tc.flag == "" {
+			continue
+		}
+		if !strings.HasPrefix(stderr, "questsim: ") || strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, tc.flag) {
+			t.Errorf("%v: stderr %q, want one \"questsim: \" line naming %s", tc.args, stderr, tc.flag)
+		}
+	}
+}
+
+// TestArtifactWriteFailureExitsOne pins that a run whose -trace, -heatmap
+// or -bw artifact cannot be written fails: exit 1, with the artifact's
+// write error on stderr.
+func TestArtifactWriteFailureExitsOne(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	for _, tc := range []struct{ flag, prefix string }{
+		{"-trace", "trace: "},
+		{"-heatmap", "heatmap: "},
+		{"-bw", "bw: "},
+	} {
+		code, stderr := runQuestsim(t, "-cycles", "0", tc.flag, "/dev/full")
+		if code != 1 {
+			t.Errorf("%s /dev/full: exit %d, want 1 (stderr: %s)", tc.flag, code, stderr)
+		}
+		if !strings.Contains("\n"+stderr, "\n"+tc.prefix) || !strings.Contains(stderr, "write /dev/full") {
+			t.Errorf("%s /dev/full: stderr %q has no %q line naming the write", tc.flag, stderr, tc.prefix)
+		}
+	}
+	// A heatmap path that cannot be created fails the same way.
+	code, stderr := runQuestsim(t, "-cycles", "0", "-heatmap", filepath.Join(t.TempDir(), "missing", "h.json"))
+	if code != 1 || !strings.Contains(stderr, "heatmap: open ") {
+		t.Errorf("-heatmap in a missing directory: exit %d, stderr %q; want 1 and the open error", code, stderr)
 	}
 }

@@ -43,7 +43,7 @@ func TestOuterECGadgetReplaysFromCache(t *testing.T) {
 	if err := mm.RunCached(0, 1, replays); err != nil {
 		t.Fatal(err)
 	}
-	_, drained := mm.RunUntilDrained(20_000)
+	_, drained := mm.Drain(20_000)
 	if !drained {
 		t.Fatal("outer EC replay did not drain")
 	}
@@ -79,7 +79,7 @@ func TestOuterECGadgetUncachedCostsFullStream(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, drained := mm.RunUntilDrained(5000); !drained {
+	if _, drained := mm.Drain(5000); !drained {
 		t.Fatal("uncached gadget did not drain")
 	}
 	want := uint64(len(body) * isa.LogicalInstrBytes)

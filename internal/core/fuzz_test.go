@@ -93,7 +93,7 @@ func TestRunProgramCacheRunEveryTile(t *testing.T) {
 				t.Fatalf("RunProgram error %v, want one containing %q", err, tc.wantErr)
 			}
 			// Deliver whatever was dispatched before reading the counters.
-			m.Master().RunUntilDrained(64)
+			m.Master().Drain(64)
 			for tile, tm := range m.Master().Tiles() {
 				if _, _, hits, _, _ := tm.Stats(); hits != tc.wantHits[tile] {
 					t.Errorf("tile %d: %d cache hit(s), want %d", tile, hits, tc.wantHits[tile])

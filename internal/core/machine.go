@@ -249,14 +249,13 @@ func (ma *Machine) RunProgram(p *compiler.Program, maxCycles int) (RunReport, er
 			return RunReport{}, err
 		}
 	}
-	reps, drained := ma.m.RunUntilDrained(maxCycles)
-	var rep RunReport
-	rep.Drained = drained
-	for _, r := range reps {
-		rep.Cycles++
-		rep.LogicalRetired += r.LogicalRetired
-		rep.BaselineBusBytes += uint64(r.MicroOps) // 1 byte per physical µop
-		rep.Results = append(rep.Results, r.Results...)
+	d, drained := ma.m.Drain(maxCycles)
+	rep := RunReport{
+		Cycles:           d.Cycles,
+		LogicalRetired:   d.LogicalRetired,
+		BaselineBusBytes: uint64(d.MicroOps), // 1 byte per physical µop
+		Results:          d.Results,
+		Drained:          drained,
 	}
 	rep.QuESTBusBytes = ma.m.InstructionBusBytes()
 	rep.SyndromeBytes = ma.m.Syndrome.Bytes()
@@ -314,13 +313,12 @@ func (ma *Machine) RunDistillationCached(times, maxCycles int) (RunReport, error
 	if maxCycles <= 0 {
 		maxCycles = 200_000
 	}
-	reps, drained := ma.m.RunUntilDrained(maxCycles)
-	var rep RunReport
-	rep.Drained = drained
-	for _, r := range reps {
-		rep.Cycles++
-		rep.LogicalRetired += r.LogicalRetired
-		rep.BaselineBusBytes += uint64(r.MicroOps)
+	d, drained := ma.m.Drain(maxCycles)
+	rep := RunReport{
+		Cycles:           d.Cycles,
+		LogicalRetired:   d.LogicalRetired,
+		BaselineBusBytes: uint64(d.MicroOps),
+		Drained:          drained,
 	}
 	rep.QuESTBusBytes = ma.m.InstructionBusBytes()
 	rep.SyndromeBytes = ma.m.Syndrome.Bytes()

@@ -119,15 +119,13 @@ func memoryTrial(m *Machine, rounds int) (int, error) {
 	if err := mm.Dispatch(0, isa.LogicalInstr{Op: isa.LMeasZ, Target: 0}); err != nil {
 		return 0, err
 	}
-	reps, ok := mm.RunUntilDrained(rounds + 50)
+	d, ok := mm.Drain(rounds + 50)
 	if !ok {
 		return 0, fmt.Errorf("did not drain")
 	}
 	got := -1
-	for _, r := range reps {
-		for _, res := range r.Results {
-			got = res.Bit
-		}
+	if n := len(d.Results); n > 0 {
+		got = d.Results[n-1].Bit
 	}
 	return got, nil
 }

@@ -548,32 +548,69 @@ func (m *Master) FlushDecodeWindows() {
 	}
 }
 
-// RunUntilDrained steps cycles until every tile's logical backlog is empty,
-// up to maxCycles. It returns the reports and whether the drain completed.
-// Open decode windows are flushed on successful drain.
+// DrainReport totals the cycles one Drain call stepped.
+type DrainReport struct {
+	Cycles         int
+	MicroOps       int
+	LogicalRetired int
+	Escalated      int
+	GlobalMatches  int
+	MagicProduced  int
+	Results        []mce.LogicalResult // in cycle order
+}
+
+// Drain steps cycles until every tile's logical backlog is empty, up to
+// maxCycles. It returns the totals over the cycles it stepped and whether
+// the drain completed. Open decode windows are flushed on successful drain.
+func (m *Master) Drain(maxCycles int) (DrainReport, bool) {
+	var d DrainReport
+	for d.Cycles < maxCycles {
+		r := m.StepCycle()
+		d.Cycles++
+		d.MicroOps += r.MicroOps
+		d.LogicalRetired += r.LogicalRetired
+		d.Escalated += r.Escalated
+		d.GlobalMatches += r.GlobalMatches
+		d.MagicProduced += r.MagicProduced
+		d.Results = append(d.Results, r.Results...)
+		if m.drained() {
+			m.FlushDecodeWindows()
+			return d, true
+		}
+	}
+	return d, false
+}
+
+// RunUntilDrained is Drain keeping every cycle's report instead of their
+// totals. The benchmark's machine replica (bench/questperf) calls it; the
+// simulator and the tests call Drain.
 func (m *Master) RunUntilDrained(maxCycles int) ([]CycleReport, bool) {
 	var reps []CycleReport
-	for c := 0; c < maxCycles; c++ {
+	for len(reps) < maxCycles {
 		reps = append(reps, m.StepCycle())
-		done := m.mesh == nil || m.mesh.Pending() == 0
-		if done {
-			for tile, q := range m.queues {
-				if len(q) > 0 || m.tiles[tile].PendingLogical() > 0 {
-					done = false
-					break
-				}
-				if m.overflow != nil && len(m.overflow[tile]) > 0 {
-					done = false
-					break
-				}
-			}
-		}
-		if done {
+		if m.drained() {
 			m.FlushDecodeWindows()
 			return reps, true
 		}
 	}
 	return reps, false
+}
+
+// drained reports whether the network has delivered every packet and every
+// tile's logical backlog, queued, overflowed or buffered, is empty.
+func (m *Master) drained() bool {
+	if m.mesh != nil && m.mesh.Pending() != 0 {
+		return false
+	}
+	for tile, q := range m.queues {
+		if len(q) > 0 || m.tiles[tile].PendingLogical() > 0 {
+			return false
+		}
+		if m.overflow != nil && len(m.overflow[tile]) > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // InstructionBusBytes returns the downstream instruction traffic (logical +

@@ -1,6 +1,7 @@
 package master
 
 import (
+	"reflect"
 	"testing"
 
 	"quest/internal/awg"
@@ -37,16 +38,12 @@ func TestDispatchAndRetire(t *testing.T) {
 	if err := m.Dispatch(1, isa.LogicalInstr{Op: isa.LPrep0, Target: 1}); err != nil {
 		t.Fatal(err)
 	}
-	reps, drained := m.RunUntilDrained(20)
+	d, drained := m.Drain(20)
 	if !drained {
 		t.Fatal("machine did not drain")
 	}
-	total := 0
-	for _, r := range reps {
-		total += r.LogicalRetired
-	}
-	if total != 2 {
-		t.Errorf("retired %d, want 2", total)
+	if d.LogicalRetired != 2 {
+		t.Errorf("retired %d, want 2", d.LogicalRetired)
 	}
 	if m.Logical.Bytes() != 4 {
 		t.Errorf("logical bus bytes = %d, want 4 (2 instrs × 2B)", m.Logical.Bytes())
@@ -79,7 +76,7 @@ func TestNetworkThrottlesDeliveries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, drained := m.RunUntilDrained(40)
+	_, drained := m.Drain(40)
 	if !drained {
 		t.Fatal("did not drain")
 	}
@@ -122,7 +119,7 @@ func TestCacheLoadCountsOnceReplaysAreFree(t *testing.T) {
 	if err := m.RunCached(0, 0, 10); err != nil {
 		t.Fatal(err)
 	}
-	_, drained := m.RunUntilDrained(200)
+	_, drained := m.Drain(200)
 	if !drained {
 		t.Fatal("did not drain")
 	}
@@ -148,15 +145,11 @@ func TestFactoriesFeedMagicStates(t *testing.T) {
 	if err := m.Dispatch(0, isa.LogicalInstr{Op: isa.LT, Target: 0}); err != nil {
 		t.Fatal(err)
 	}
-	reps, drained := m.RunUntilDrained(30)
+	d, drained := m.Drain(30)
 	if !drained {
 		t.Fatal("T gate never satisfied")
 	}
-	produced := 0
-	for _, r := range reps {
-		produced += r.MagicProduced
-	}
-	if produced == 0 {
+	if d.MagicProduced == 0 {
 		t.Error("factories produced nothing")
 	}
 }
@@ -250,21 +243,15 @@ func TestMoveLogicalCrossTile(t *testing.T) {
 	if got := m.InstructionBusBytes() - before; got != 12 {
 		t.Errorf("move traffic = %d bytes, want 12", got)
 	}
-	reps, drained := m.RunUntilDrained(30)
+	d, drained := m.Drain(30)
 	if !drained {
 		t.Fatal("move did not drain")
 	}
-	retired := 0
-	measured := 0
-	for _, r := range reps {
-		retired += r.LogicalRetired
-		measured += len(r.Results)
+	if d.LogicalRetired != 4 {
+		t.Errorf("retired %d instructions, want 4", d.LogicalRetired)
 	}
-	if retired != 4 {
-		t.Errorf("retired %d instructions, want 4", retired)
-	}
-	if measured != 1 {
-		t.Errorf("source measure-out results = %d, want 1", measured)
+	if len(d.Results) != 1 {
+		t.Errorf("source measure-out results = %d, want 1", len(d.Results))
 	}
 	if err := m.MoveLogical(0, 0, 0, 1, 1); err == nil {
 		t.Error("same-tile move accepted")
@@ -317,16 +304,12 @@ func TestNoCDeliveryMode(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	reps, drained := m.RunUntilDrained(50)
+	d, drained := m.Drain(50)
 	if !drained {
 		t.Fatal("NoC machine did not drain")
 	}
-	retired := 0
-	for _, r := range reps {
-		retired += r.LogicalRetired
-	}
-	if retired != 4 {
-		t.Errorf("retired %d, want 4", retired)
+	if d.LogicalRetired != 4 {
+		t.Errorf("retired %d, want 4", d.LogicalRetired)
 	}
 	if m.InstructionBusBytes() != 16 {
 		t.Errorf("bus bytes = %d, want 16 (8 packets × 2B)", m.InstructionBusBytes())
@@ -358,7 +341,7 @@ func TestFlowControlRespectsSmallBuffers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, drained := m.RunUntilDrained(200)
+	_, drained := m.Drain(200)
 	if !drained {
 		t.Fatal("backpressured machine did not drain")
 	}
@@ -401,12 +384,60 @@ func TestNoCWithBoundedBuffersDrains(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, drained := m.RunUntilDrained(300)
+	_, drained := m.Drain(300)
 	if !drained {
 		t.Fatal("NoC + bounded buffer did not drain")
 	}
 	_, retired, _, _, _ := eng.Stats()
 	if retired != 25 {
 		t.Errorf("retired %d, want 25", retired)
+	}
+}
+
+// TestDrainTotalsRunUntilDrained pins Drain's totals to the per-cycle
+// reports RunUntilDrained keeps: two machines built alike and given the
+// same noisy program agree on the cycle count, every summed count, the
+// results in cycle order and the drained flag.
+func TestDrainTotalsRunUntilDrained(t *testing.T) {
+	nm := noise.Uniform(2e-3)
+	load := func(m *Master) {
+		m.StepCycle()
+		for _, in := range []isa.LogicalInstr{
+			{Op: isa.LPrep0, Target: 0}, {Op: isa.LPrep0, Target: 1}, {Op: isa.LT, Target: 0},
+			{Op: isa.LX, Target: 1}, {Op: isa.LMeasZ, Target: 0}, {Op: isa.LMeasZ, Target: 1},
+		} {
+			if err := m.Dispatch(0, in); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for c := 0; c < 40; c++ {
+			if err := m.Dispatch(1, isa.LogicalInstr{Op: isa.LX, Target: uint8(c % 2)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	a, b := newMachine(t, 2, 2, &nm), newMachine(t, 2, 2, &nm)
+	load(a)
+	load(b)
+	d, dDrained := a.Drain(200)
+	reps, rDrained := b.RunUntilDrained(200)
+	var want DrainReport
+	for _, r := range reps {
+		want.Cycles++
+		want.MicroOps += r.MicroOps
+		want.LogicalRetired += r.LogicalRetired
+		want.Escalated += r.Escalated
+		want.GlobalMatches += r.GlobalMatches
+		want.MagicProduced += r.MagicProduced
+		want.Results = append(want.Results, r.Results...)
+	}
+	if !dDrained || !rDrained {
+		t.Fatalf("drained: Drain %v, RunUntilDrained %v; want both", dDrained, rDrained)
+	}
+	if !reflect.DeepEqual(d, want) {
+		t.Errorf("Drain totals %+v\nper-cycle sums %+v", d, want)
+	}
+	if d.Escalated == 0 || d.MagicProduced == 0 || len(d.Results) != 2 {
+		t.Errorf("totals %+v: want escalations, magic states and 2 results, so every field is exercised", d)
 	}
 }

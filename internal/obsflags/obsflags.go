@@ -6,7 +6,8 @@
 // cmd/questbench installs it.
 //
 //	-metrics text|json   dump the default metrics registry to stderr at exit
-//	-pprof ADDR          serve net/http/pprof on ADDR
+//	-cpuprofile FILE     write a CPU profile of the whole run to FILE
+//	                     (read it with go tool pprof)
 //	-trace FILE          record a cycle-correlated event trace and write it
 //	                     as Perfetto-loadable Chrome trace-event JSON
 //	-trace-buf N         trace ring capacity in events (0 = default 256k)
@@ -29,17 +30,20 @@
 //
 // Lifecycle: Register the flags before flag.Parse, Start after it (and before
 // the machine is built, so components resolving tracing.Default see the
-// enabled tracer), Finish on the way out.
+// enabled tracer), and leave through Exit, which runs Finish and exits 1
+// when an artifact was not written.
+//
+// Nothing here opens a socket: the package stays off net and net/http, so
+// the binaries do not link or initialise Go's network, TLS and crypto stack
+// (TestCLIsLinkNoNetworkStack in the module root).
 package obsflags
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
+	"runtime/pprof"
 	"strings"
 	"unicode/utf8"
 
@@ -52,10 +56,10 @@ import (
 	"quest/internal/tracing"
 )
 
-// Obs holds the registered flag values and the running server state.
+// Obs holds the registered flag values and the open artifact state.
 type Obs struct {
 	metricsFmt *string
-	pprofAddr  *string
+	cpuPath    *string
 	tracePath  *string
 	traceBuf   *int
 	ledgerPath *string
@@ -65,8 +69,9 @@ type Obs struct {
 	bwPath     *string
 	bwWindow   *int
 
-	ln  net.Listener
-	srv *http.Server
+	// cpuFile is the -cpuprofile file while the profile runs (Start to
+	// Finish).
+	cpuFile *os.File
 
 	ledgerFile *os.File
 	ledgerW    *ledger.Writer
@@ -89,8 +94,8 @@ type Obs struct {
 func Register(fs *flag.FlagSet) *Obs {
 	return &Obs{
 		metricsFmt: fs.String("metrics", "", "dump the metrics registry at exit: 'text' or 'json'"),
-		pprofAddr: fs.String("pprof", "",
-			"serve net/http/pprof on this address (e.g. localhost:6060)"),
+		cpuPath: fs.String("cpuprofile", "",
+			"write a CPU profile of the whole run to this file (read it with go tool pprof)"),
 		tracePath: fs.String("trace", "",
 			"write a cycle-correlated Perfetto trace (Chrome trace-event JSON) to this file"),
 		traceBuf: fs.Int("trace-buf", 0,
@@ -235,17 +240,8 @@ func (o *Obs) SweepProgress() func(cell string, p mc.Progress) {
 	}
 }
 
-// Addr returns the observability server's listen address ("" when -pprof is
-// off). Useful in tests, which pass -pprof 127.0.0.1:0.
-func (o *Obs) Addr() string {
-	if o.ln == nil {
-		return ""
-	}
-	return o.ln.Addr().String()
-}
-
 // Start validates the flag values, enables tracing.Default when -trace was
-// given, and starts the pprof HTTP server when -pprof was given.
+// given, and starts the CPU profile when -cpuprofile was given.
 func (o *Obs) Start() error {
 	switch *o.metricsFmt {
 	case "", "text", "json":
@@ -270,36 +266,35 @@ func (o *Obs) Start() error {
 	if *o.bwPath != "" {
 		o.bw = bwprofile.New(*o.bwWindow)
 	}
-	if *o.pprofAddr != "" {
-		ln, err := net.Listen("tcp", *o.pprofAddr)
+	if *o.cpuPath != "" {
+		f, err := os.Create(*o.cpuPath)
 		if err != nil {
-			return fmt.Errorf("pprof server: %w", err)
+			return fmt.Errorf("cpuprofile: %w", err)
 		}
-		mux := http.NewServeMux()
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		o.ln = ln
-		o.srv = &http.Server{Handler: mux}
-		go func() {
-			if err := o.srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintln(o.Log, "pprof server:", err)
-			}
-		}()
-		fmt.Fprintf(o.Log, "observability: serving pprof on http://%s/debug/pprof/\n", o.Addr())
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return fmt.Errorf("cpuprofile: %w", err)
+		}
+		o.cpuFile = f
 	}
 	return nil
 }
 
-// Finish flushes everything the flags asked for: the trace file (plus a
+// Finish flushes everything the flags asked for: the CPU profile (stopped
+// first, so the writes below stay out of it), the trace file (plus a
 // per-track busy/stall/idle summary on Log), the ledger, the heatmap JSON
 // (plus ASCII defect-density renders on Log), the quest-bw/1 bandwidth
-// profile (plus an ASCII waveform on Log), the metrics dump, and the HTTP
-// server shutdown. Safe to call when nothing was enabled.
+// profile (plus an ASCII waveform on Log) and the metrics dump. Every stage
+// runs; the first failure is returned. Safe to call when nothing was
+// enabled.
 func (o *Obs) Finish() error {
 	var firstErr error
+	if o.cpuFile != nil {
+		if err := o.stopCPUProfile(); err != nil {
+			firstErr = err
+			fmt.Fprintln(o.Log, "cpuprofile:", err)
+		}
+	}
 	if *o.tracePath != "" && tracing.Default != nil {
 		if err := o.writeTrace(); err != nil {
 			if firstErr == nil {
@@ -343,13 +338,29 @@ func (o *Obs) Finish() error {
 			firstErr = err
 		}
 	}
-	if o.srv != nil {
-		if err := o.srv.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		o.srv, o.ln = nil, nil
-	}
 	return firstErr
+}
+
+// Exit runs Finish and ends the process with code, or with 1 when code is 0
+// and Finish failed: a run whose artifact was not written has failed (the
+// runtime class of the 0/1/2 exit contract). Finish has already logged
+// which artifact and why.
+func (o *Obs) Exit(code int) {
+	if err := o.Finish(); err != nil && code == 0 {
+		code = 1
+	}
+	os.Exit(code)
+}
+
+func (o *Obs) stopCPUProfile() error {
+	pprof.StopCPUProfile()
+	f := o.cpuFile
+	o.cpuFile = nil
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(o.Log, "cpuprofile: written to %s (read with go tool pprof)\n", *o.cpuPath)
+	return nil
 }
 
 func (o *Obs) closeLedger() error {

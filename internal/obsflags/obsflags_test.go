@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"flag"
 	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -76,36 +75,49 @@ func TestTraceLifecycle(t *testing.T) {
 	}
 }
 
-// TestPprofServerServesPprof pins what -pprof serves: net/http/pprof and
-// nothing else. It aggregates no metrics on its own, so ShardReg stays nil.
-func TestPprofServerServesPprof(t *testing.T) {
+// TestCPUProfileLifecycle pins what -cpuprofile does: Start begins a CPU
+// profile into the file, Finish stops it and leaves a non-empty profile
+// behind. It aggregates no metrics on its own, so ShardReg stays nil, and a
+// path that cannot be created fails Start.
+func TestCPUProfileLifecycle(t *testing.T) {
 	defer resetDefaults()
+	dir := t.TempDir()
+	path := filepath.Join(dir, "cpu.pprof")
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	o := Register(fs)
-	o.Log = io.Discard
-	if err := fs.Parse([]string{"-pprof", "127.0.0.1:0"}); err != nil {
+	var log bytes.Buffer
+	o.Log = &log
+	if err := fs.Parse([]string{"-cpuprofile", path}); err != nil {
 		t.Fatal(err)
 	}
 	if err := o.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer o.Finish()
 	if o.ShardReg() != nil {
-		t.Error("ShardReg should be nil when -pprof is the only flag")
+		t.Error("ShardReg should be nil when -cpuprofile is the only flag")
 	}
-	get := func(path string) int {
-		resp, err := http.Get("http://" + o.Addr() + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		resp.Body.Close()
-		return resp.StatusCode
+	if err := o.Finish(); err != nil {
+		t.Fatal(err)
 	}
-	if code := get("/debug/pprof/"); code != http.StatusOK {
-		t.Errorf("/debug/pprof/ status %d", code)
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if code := get("/metrics"); code != http.StatusNotFound {
-		t.Errorf("/metrics status %d, want %d", code, http.StatusNotFound)
+	if info.Size() == 0 {
+		t.Error("Finish left an empty profile")
+	}
+	if !strings.Contains(log.String(), "cpuprofile: written to "+path) {
+		t.Errorf("Finish did not log the profile line:\n%s", log.String())
+	}
+
+	fs = flag.NewFlagSet("t", flag.ContinueOnError)
+	o = Register(fs)
+	o.Log = io.Discard
+	if err := fs.Parse([]string{"-cpuprofile", filepath.Join(dir, "missing", "cpu.pprof")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Start(); err == nil || !strings.HasPrefix(err.Error(), "cpuprofile: ") {
+		t.Fatalf("Start on an uncreatable path: %v, want a cpuprofile error", err)
 	}
 }
 
