@@ -45,11 +45,10 @@ fmt:
 lint: vet questvet
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# Custom analyzer suite (internal/lint): detrange, seedsrc, schemaver,
-# errsink, plus gateflow over the whole-module call graph. The run is
-# diffed against the committed baseline: only new findings, stale baseline
-# entries, or //quest:allow count drift fail. The summary line counts the
-# suppressions in force.
+# Custom analyzer suite (internal/lint): detrange, seedsrc and errsink,
+# each run package by package. The run is diffed against the committed
+# baseline: only new findings, stale baseline entries, or //quest:allow
+# count drift fail. The summary line counts the suppressions in force.
 questvet:
 	$(GO) run ./tools/questvet -baseline questvet-baseline.json ./...
 

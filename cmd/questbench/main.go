@@ -113,8 +113,10 @@ func main() {
 		"ci-stop": strconv.FormatFloat(obs.CIStop(), 'g', -1, 64),
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		obs.Exit(2)
+		// A ledger that cannot be created is an artifact write failure,
+		// the runtime class of the exit contract, as in questsim.
+		fmt.Fprintln(os.Stderr, "questbench:", err)
+		obs.Exit(1)
 	}
 	// Same provenance for the bandwidth profile: the artifact must identify
 	// the run it measured, and -workers stays out so the waveform bytes keep

@@ -100,24 +100,28 @@ func TestLedgerWriteFailureExitsOne(t *testing.T) {
 	}
 }
 
-// TestArtifactWriteFailureExitsOne pins that a run whose -trace, -heatmap
-// or -bw artifact cannot be written fails: exit 1, with the artifact's
-// write error on stderr. Finish writes these at exit, after the tables.
+// TestArtifactWriteFailureExitsOne pins that a run whose -trace, -heatmap,
+// -bw or -ledger artifact cannot be written fails: exit 1, with the write
+// error on a stderr line that names the artifact once. Finish writes the
+// first three at exit, after the tables; a -ledger file that cannot be
+// created stops the run before any experiment.
 func TestArtifactWriteFailureExitsOne(t *testing.T) {
 	if _, err := os.Stat("/dev/full"); err != nil {
 		t.Skip("no /dev/full on this system")
 	}
-	for _, tc := range []struct{ flag, prefix string }{
-		{"-trace", "trace: "},
-		{"-heatmap", "heatmap: "},
-		{"-bw", "bw: "},
+	missing := filepath.Join(t.TempDir(), "missing", "x.jsonl")
+	for _, tc := range []struct{ flag, path, line string }{
+		{"-trace", "/dev/full", "trace: write /dev/full"},
+		{"-heatmap", "/dev/full", "heatmap: write /dev/full"},
+		{"-bw", "/dev/full", "bw: write /dev/full"},
+		{"-ledger", missing, "questbench: ledger: open " + missing},
 	} {
-		code, stderr := runQuestbench(t, "-trials", "20", "-workers", "1", tc.flag, "/dev/full", "memory")
+		code, stderr := runQuestbench(t, "-trials", "20", "-workers", "1", tc.flag, tc.path, "memory")
 		if code != 1 {
-			t.Errorf("%s /dev/full: exit %d, want 1 (stderr: %s)", tc.flag, code, stderr)
+			t.Errorf("%s %s: exit %d, want 1 (stderr: %s)", tc.flag, tc.path, code, stderr)
 		}
-		if !strings.Contains("\n"+stderr, "\n"+tc.prefix) || !strings.Contains(stderr, "write /dev/full") {
-			t.Errorf("%s /dev/full: stderr %q has no %q line naming the write", tc.flag, stderr, tc.prefix)
+		if !strings.Contains("\n"+stderr, "\n"+tc.line) {
+			t.Errorf("%s %s: stderr %q has no line starting %q", tc.flag, tc.path, stderr, tc.line)
 		}
 	}
 }

@@ -122,29 +122,29 @@ func TestBadValuesExitTwo(t *testing.T) {
 	}
 }
 
-// TestArtifactWriteFailureExitsOne pins that a run whose -trace, -heatmap
-// or -bw artifact cannot be written fails: exit 1, with the artifact's
-// write error on stderr.
+// TestArtifactWriteFailureExitsOne pins that a run whose -trace, -heatmap,
+// -bw or -ledger artifact cannot be written fails: exit 1, with the write
+// error on a stderr line that names the artifact once.
 func TestArtifactWriteFailureExitsOne(t *testing.T) {
 	if _, err := os.Stat("/dev/full"); err != nil {
 		t.Skip("no /dev/full on this system")
 	}
-	for _, tc := range []struct{ flag, prefix string }{
-		{"-trace", "trace: "},
-		{"-heatmap", "heatmap: "},
-		{"-bw", "bw: "},
+	dir := t.TempDir()
+	missingHeat := filepath.Join(dir, "missing", "h.json")
+	missingLedger := filepath.Join(dir, "missing", "x.jsonl")
+	for _, tc := range []struct{ flag, path, line string }{
+		{"-trace", "/dev/full", "trace: write /dev/full"},
+		{"-heatmap", "/dev/full", "heatmap: write /dev/full"},
+		{"-bw", "/dev/full", "bw: write /dev/full"},
+		{"-heatmap", missingHeat, "heatmap: open " + missingHeat},
+		{"-ledger", missingLedger, "questsim: ledger: open " + missingLedger},
 	} {
-		code, stderr := runQuestsim(t, "-cycles", "0", tc.flag, "/dev/full")
+		code, stderr := runQuestsim(t, "-cycles", "0", tc.flag, tc.path)
 		if code != 1 {
-			t.Errorf("%s /dev/full: exit %d, want 1 (stderr: %s)", tc.flag, code, stderr)
+			t.Errorf("%s %s: exit %d, want 1 (stderr: %s)", tc.flag, tc.path, code, stderr)
 		}
-		if !strings.Contains("\n"+stderr, "\n"+tc.prefix) || !strings.Contains(stderr, "write /dev/full") {
-			t.Errorf("%s /dev/full: stderr %q has no %q line naming the write", tc.flag, stderr, tc.prefix)
+		if !strings.Contains("\n"+stderr, "\n"+tc.line) {
+			t.Errorf("%s %s: stderr %q has no line starting %q", tc.flag, tc.path, stderr, tc.line)
 		}
-	}
-	// A heatmap path that cannot be created fails the same way.
-	code, stderr := runQuestsim(t, "-cycles", "0", "-heatmap", filepath.Join(t.TempDir(), "missing", "h.json"))
-	if code != 1 || !strings.Contains(stderr, "heatmap: open ") {
-		t.Errorf("-heatmap in a missing directory: exit %d, stderr %q; want 1 and the open error", code, stderr)
 	}
 }

@@ -19,10 +19,12 @@
 // core's TestMachineMemoryBWPureSideband and CI's bw-smoke cmp).
 //
 // Profiling is a pure side-band. A nil *Recorder is the -bw-off mode: every
-// method is a nil-gated no-op, so call sites stay unconditional and the off
-// path adds zero allocations (pinned by TestObserveNilAllocs; enforced
-// structurally by the gateflow analyzer, which lists Recorder as a tracked
-// observer type).
+// method is a nil-safe no-op, so an ungated call is correct and allocates
+// nothing itself (pinned by TestObserveNilAllocs and TestNilGatedMethods).
+// The hot-path call sites still gate on the receiver, because a call's
+// arguments are built before the nil check inside it runs; the runtime
+// allocation pins (TestRunAllocs, TestLaneKernelAllocs, TestIdleCycleAllocs,
+// TestNoisyCycleAllocs) hold the off path to its count.
 package bwprofile
 
 import (

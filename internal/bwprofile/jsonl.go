@@ -117,15 +117,16 @@ func (r *Recorder) WriteJSONL(w io.Writer, experiment string, config map[string]
 	return writeLine(w, SummaryRecord{Record: KindSummary, Summary: r.Summary()})
 }
 
+// writeLine writes v as one JSON line. A write error comes back as the
+// writer returned it: the caller names the artifact (obsflags prints
+// "bw: write FILE: ..."), so a prefix here would double it.
 func writeLine(w io.Writer, v any) error {
 	b, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("bwprofile: %w", err)
 	}
-	if _, err := w.Write(append(b, '\n')); err != nil {
-		return fmt.Errorf("bwprofile: %w", err)
-	}
-	return nil
+	_, err = w.Write(append(b, '\n'))
+	return err
 }
 
 // Stream is a parsed quest-bw/1 file.

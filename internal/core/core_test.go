@@ -88,6 +88,28 @@ func TestIdleCycleAllocs(t *testing.T) {
 	}
 }
 
+// TestNoisyCycleAllocs pins the allocations of a warm noisy machine cycle,
+// BenchmarkStepCycle/d5x4's shape: four d=5 tiles at p=1e-3, past the
+// cycles the MCEs fire directly or record. The decoder's scratch
+// (SplitByType, absorbBit, LocalDecoder.Decode, the global matcher)
+// accounts for the count; the bound keeps a new allocation on the noisy
+// path from landing unnoticed, such as an ungated observer call that
+// builds its arguments on cycles with defects.
+func TestNoisyCycleAllocs(t *testing.T) {
+	const maxAllocs = 35
+	cfg := DefaultMachineConfig()
+	cfg.Distance, cfg.Tiles = 5, 4
+	nm := noise.Uniform(1e-3)
+	cfg.Noise = &nm
+	m := NewMachine(cfg)
+	for c := 0; c < 4; c++ {
+		m.Master().StepCycle()
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { m.Master().StepCycle() }); allocs > maxAllocs {
+		t.Errorf("%v allocs per noisy d=5×4 cycle, want <= %d", allocs, maxAllocs)
+	}
+}
+
 // BenchmarkStepCycle times one noisy idle machine cycle: the default d=3
 // tile, and the questsim ghz shape of four d=5 tiles. Each machine first
 // steps past the cycles its MCEs fire directly or record, so the timed

@@ -90,6 +90,7 @@ func TestMachineUntracedRecordsNothing(t *testing.T) {
 	}
 	// Nothing to assert beyond "no panic": recording methods are nil no-ops.
 	// The zero-alloc property is pinned by tracing.TestNilTracerIsFreeAndSafe
-	// and decoder.TestMatchHeatOffAllocs, and the gateflow analyzer keeps
-	// every hot-path observer call behind its nil gate.
+	// and decoder.TestMatchHeatOffAllocs, and the machine cycle's own count
+	// by TestIdleCycleAllocs and TestNoisyCycleAllocs, which an ungated
+	// observer call that builds its arguments would fail.
 }

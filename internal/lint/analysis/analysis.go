@@ -7,7 +7,7 @@
 // themselves — a suppression must name a known analyzer, carry a reason,
 // and actually suppress something, or it becomes a diagnostic in its own
 // right. CI counts the surviving suppressions, so every escape hatch from
-// the repo's determinism, nil-gating, and seed-discipline invariants is
+// the repo's determinism, seed-discipline and error-checking invariants is
 // visible and justified in one grep: `//quest:allow`.
 package analysis
 
@@ -19,7 +19,6 @@ import (
 	"sort"
 	"strings"
 
-	"quest/internal/lint/callgraph"
 	"quest/internal/lint/loader"
 )
 
@@ -43,11 +42,6 @@ type Pass struct {
 	Fset     *token.FileSet
 	Files    []*ast.File
 	Pkg      *loader.Package
-	// Graph is the whole-module call graph, present when the driver ran
-	// CheckGraph (questvet always does; analysistest.Run passes nil unless
-	// the fixture uses RunTree with a Config). Interprocedural analyzers
-	// must tolerate a nil Graph by reporting nothing.
-	Graph *callgraph.Graph
 
 	diags *[]Diagnostic
 }
@@ -115,15 +109,9 @@ type Result struct {
 // so directives for out-of-scope analyzers are tolerated while misspelled
 // ones are flagged.
 func Check(pkg *loader.Package, fset *token.FileSet, analyzers []*Analyzer, known []string) (Result, error) {
-	return CheckGraph(pkg, fset, nil, analyzers, known)
-}
-
-// CheckGraph is Check with a whole-module call graph attached to every
-// Pass, enabling the interprocedural analyzer (gateflow).
-func CheckGraph(pkg *loader.Package, fset *token.FileSet, g *callgraph.Graph, analyzers []*Analyzer, known []string) (Result, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
-		pass := &Pass{Analyzer: a, Fset: fset, Files: pkg.Files, Pkg: pkg, Graph: g, diags: &diags}
+		pass := &Pass{Analyzer: a, Fset: fset, Files: pkg.Files, Pkg: pkg, diags: &diags}
 		if err := a.Run(pass); err != nil {
 			return Result{}, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
 		}

@@ -22,7 +22,6 @@ import (
 	"testing"
 
 	"quest/internal/lint/analysis"
-	"quest/internal/lint/callgraph"
 	"quest/internal/lint/loader"
 )
 
@@ -70,17 +69,12 @@ func Run(t *testing.T, dir string, analyzers ...*analysis.Analyzer) {
 }
 
 // RunTree loads dir as its own module — the fixture carries a go.mod, and
-// its packages import each other through the fixture module path — builds
-// the whole-fixture call graph when cfg is non-nil, runs the analyzers
-// over every package through analysis.CheckGraph, and matches the combined
-// result against want/suppressed comments across all packages. This is the
-// harness for interprocedural analyzers, where the caller sits in package
-// a and the callee (and its expectation comment) in package b.
-//
-// cfg's Roots/ClosureRoots/ObserverPkgs are suffix-matched, so fixture
-// packages named like the real ones ("fix/internal/tracing") satisfy the
-// production specs.
-func RunTree(t *testing.T, dir string, cfg *callgraph.Config, analyzers ...*analysis.Analyzer) {
+// its packages import each other through the fixture module path — runs
+// the analyzers over every package through analysis.Check, and matches the
+// combined result against want/suppressed comments across all packages.
+// This is the harness for analyzers keyed on import paths, where the
+// caller sits in package a and the callee it names in package b.
+func RunTree(t *testing.T, dir string, analyzers ...*analysis.Analyzer) {
 	t.Helper()
 	prog, err := loader.NewProgram(dir)
 	if err != nil {
@@ -90,13 +84,6 @@ func RunTree(t *testing.T, dir string, cfg *callgraph.Config, analyzers ...*anal
 	if err != nil {
 		t.Fatal(err)
 	}
-	var g *callgraph.Graph
-	if cfg != nil {
-		g = callgraph.Build(prog, pkgs, *cfg)
-		for _, spec := range g.UnresolvedRoots() {
-			t.Errorf("fixture %s: root %q matches no function", dir, spec)
-		}
-	}
 	known := make([]string, 0, len(analyzers))
 	for _, a := range analyzers {
 		known = append(known, a.Name)
@@ -104,7 +91,7 @@ func RunTree(t *testing.T, dir string, cfg *callgraph.Config, analyzers ...*anal
 	var combined analysis.Result
 	var expects []*expectation
 	for _, pkg := range pkgs {
-		res, err := analysis.CheckGraph(pkg, prog.Fset, g, analyzers, known)
+		res, err := analysis.Check(pkg, prog.Fset, analyzers, known)
 		if err != nil {
 			t.Fatal(err)
 		}

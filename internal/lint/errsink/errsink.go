@@ -1,6 +1,6 @@
 // Package errsink defines the errsink analyzer: ignored error results on
-// the artifact-writing paths. The byte-identity contract (ledgers merge
-// and resume to identical bytes; bandwidth profiles validate against their
+// the artifact-writing paths. The byte-identity contract (ledgers are
+// identical for any worker count; bandwidth profiles validate against their
 // schema) only holds if a failed write fails the run — an error dropped on
 // the floor turns a full disk or closed pipe into a silently-truncated
 // artifact that downstream checkers then "validate".

@@ -8,6 +8,5 @@ import (
 )
 
 func TestErrsink(t *testing.T) {
-	// errsink is intraprocedural: no call graph, so cfg is nil.
-	analysistest.RunTree(t, "testdata/sink", nil, errsink.Analyzer)
+	analysistest.RunTree(t, "testdata/sink", errsink.Analyzer)
 }

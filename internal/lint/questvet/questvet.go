@@ -1,7 +1,7 @@
 // Package questvet assembles the repository's analyzer suite — the
 // machine-checked invariants behind the paper reproduction's determinism
-// and zero-overhead-observability claims — and scopes each analyzer to the
-// packages where its invariant is load-bearing:
+// claims — and scopes each analyzer to the packages where its invariant is
+// load-bearing:
 //
 //   - detrange (determinism-critical packages, checker tools, commands): no
 //     map iteration whose order can reach results, ledgers, traces,
@@ -9,25 +9,13 @@
 //   - seedsrc (simulation/MC packages): no wall clock, pid, or global
 //     math/rand source; all entropy flows from the experiment seed through
 //     the SplitMix64 mixers.
-//   - schemaver (everywhere): serialized-artifact schema strings
-//     ("quest-ledger/1", ...) defined once, as exported constants.
-//   - gateflow (interprocedural; functions a hot root reaches, plus every
-//     function of the hot-path packages): every observer method call
-//     nil-gated on its receiver, and in the hot-path packages every
-//     metrics argument allocation-free, protecting the runtime allocation
-//     pins (TestRunAllocs: mc.RunBatch 8 allocs/call;
-//     TestMatchHeatOffAllocs: decoder exact-match ≤ 6 allocs/op, observers
-//     off).
 //   - errsink (everywhere): error results from ledger/bwprofile/cli calls
 //     are never discarded.
 //
-// gateflow reasons over one whole-module call graph
-// (internal/lint/callgraph) built per run; its hot roots, declared in
-// GraphConfig, are the Monte-Carlo engines' entry points and trial
-// closures, the global decoder's match path, and the MCE/master cycle
-// loops. A hot root or scope directory that matches nothing in the module
-// is itself a finding, so a rename cannot silently drop code out of an
-// audit.
+// Each analyzer inspects one package at a time. A scope directory that
+// matches no package in the module is itself a finding, so a rename cannot
+// silently drop code out of an audit. The nil-gating and schema-constant
+// invariants are held by runtime tests, not here (see CONTRIBUTING.md).
 //
 // The tools/questvet binary drives this suite over the module; the Run
 // helper here is shared with its tests.
@@ -41,12 +29,9 @@ import (
 	"strings"
 
 	"quest/internal/lint/analysis"
-	"quest/internal/lint/callgraph"
 	"quest/internal/lint/detrange"
 	"quest/internal/lint/errsink"
-	"quest/internal/lint/gateflow"
 	"quest/internal/lint/loader"
-	"quest/internal/lint/schemaver"
 	"quest/internal/lint/seedsrc"
 )
 
@@ -56,22 +41,6 @@ import (
 type ScopedAnalyzer struct {
 	Analyzer *analysis.Analyzer
 	Dirs     []string
-}
-
-// hotDirs are the hot-path packages, where gateflow checks every function:
-// that covers the instruction-delivery entry points no hot root reaches
-// (master.(*Master).Dispatch, SendSync, LoadCache,
-// mce.(*MCE).LoadCacheSlot).
-var hotDirs = []string{
-	"internal/mce", "internal/master", "internal/decoder",
-	"internal/noc", "internal/dram",
-}
-
-// observerDirs are the observer packages themselves: their methods run
-// past the nil boundary by design, so gateflow has nothing to check there.
-var observerDirs = []string{
-	"internal/tracing", "internal/heatmap", "internal/metrics",
-	"internal/bwprofile",
 }
 
 // Suite returns the analyzers with their package scopes.
@@ -94,10 +63,6 @@ func Suite() []ScopedAnalyzer {
 			"internal/noise", "internal/clifford", "internal/surface",
 			"internal/distill", "internal/concat",
 		}},
-		// Schema constants are a whole-module concern.
-		{schemaver.Analyzer, nil},
-		// Interprocedural hot-path contract: gate flow.
-		{gateflow.New(hotDirs, observerDirs), nil},
 		// Dropped writer errors break byte identity wherever they happen.
 		{errsink.Analyzer, nil},
 	}
@@ -111,32 +76,6 @@ func Names() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// GraphConfig declares the hot roots and observer vocabulary of the
-// module's call graph: the Monte-Carlo engines (and the per-trial closures
-// handed to them), the global decoder's match path, and the MCE/master
-// cycle loops.
-func GraphConfig() callgraph.Config {
-	const mcEntry = "internal/mc.RunBatch"
-	return callgraph.Config{
-		Roots: []string{
-			mcEntry,
-			"internal/decoder.(*GlobalDecoder).Match",
-			"internal/mce.(*MCE).StepCycle",
-			"internal/master.(*Master).StepCycle",
-		},
-		ClosureRoots: []string{mcEntry},
-		ObserverPkgs: []string{
-			"internal/tracing", "internal/heatmap",
-			"internal/bwprofile", "internal/metrics", "internal/ledger",
-		},
-		TrackedTypes: map[string][]string{
-			"internal/tracing":   {"Tracer"},
-			"internal/heatmap":   {"Collector", "Set"},
-			"internal/bwprofile": {"Recorder"},
-		},
-	}
 }
 
 // Applies reports whether the scoped analyzer runs on importPath within
@@ -180,11 +119,9 @@ type Report struct {
 	Suppressed []analysis.Suppressed
 }
 
-// Run checks every package in pkgs with its applicable analyzers over a
-// whole-module call graph, then runs the cross-package schema-duplication
-// check. pkgs is typically the result of prog.LoadModule(); the graph is
-// always built over the full module so interprocedural reachability does
-// not depend on the package selection.
+// Run checks every package in pkgs with its applicable analyzers. pkgs is
+// typically the result of prog.LoadModule(); the scope check always runs
+// over the full module, so it does not depend on the package selection.
 func Run(prog *loader.Program, pkgs []*loader.Package) (Report, error) {
 	rep := Report{Root: prog.Root, Module: prog.Module}
 	suite := Suite()
@@ -192,31 +129,18 @@ func Run(prog *loader.Program, pkgs []*loader.Package) (Report, error) {
 
 	all, err := prog.LoadModule()
 	if err != nil {
-		return Report{}, fmt.Errorf("loading module for call graph: %w", err)
+		return Report{}, fmt.Errorf("loading module for scope check: %w", err)
 	}
-	g := callgraph.Build(prog, all, GraphConfig())
-	// A renamed entry point must fail loudly: a spec that resolves to
-	// nothing silently disables its audit.
-	for _, spec := range g.UnresolvedRoots() {
-		rep.Active = append(rep.Active, analysis.Diagnostic{
-			Analyzer: "gateflow",
-			Message:  fmt.Sprintf("hot-path root %q matches no function; update questvet.GraphConfig", spec),
-		})
-	}
-	// So must a renamed package: a scope directory that matches nothing
-	// silently drops out of its analyzer's reach.
-	missing := func(analyzer string, dirs []string) {
-		for _, d := range unresolvedDirs(prog.Module, all, dirs) {
+	// A renamed package must fail loudly: a scope directory that matches
+	// nothing silently drops out of its analyzer's reach.
+	for _, sa := range suite {
+		for _, d := range unresolvedDirs(prog.Module, all, sa.Dirs) {
 			rep.Active = append(rep.Active, analysis.Diagnostic{
-				Analyzer: analyzer,
+				Analyzer: sa.Analyzer.Name,
 				Message:  fmt.Sprintf("scope directory %q matches no package; update questvet.Suite", d),
 			})
 		}
 	}
-	for _, sa := range suite {
-		missing(sa.Analyzer.Name, sa.Dirs)
-	}
-	missing("gateflow", slices.Concat(hotDirs, observerDirs))
 
 	for _, pkg := range pkgs {
 		var sel []*analysis.Analyzer
@@ -225,14 +149,13 @@ func Run(prog *loader.Program, pkgs []*loader.Package) (Report, error) {
 				sel = append(sel, sa.Analyzer)
 			}
 		}
-		res, err := analysis.CheckGraph(pkg, prog.Fset, g, sel, known)
+		res, err := analysis.Check(pkg, prog.Fset, sel, known)
 		if err != nil {
 			return Report{}, err
 		}
 		rep.Active = append(rep.Active, res.Active...)
 		rep.Suppressed = append(rep.Suppressed, res.Suppressed...)
 	}
-	rep.Active = append(rep.Active, schemaver.Duplicates(prog.Fset, pkgs)...)
 	return rep, nil
 }
 

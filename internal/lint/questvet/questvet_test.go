@@ -14,11 +14,11 @@ import (
 
 func TestSuiteNamesAndScopes(t *testing.T) {
 	suite := Suite()
-	if len(suite) != 5 {
-		t.Fatalf("suite has %d analyzers, want 5", len(suite))
+	if len(suite) != 3 {
+		t.Fatalf("suite has %d analyzers, want 3", len(suite))
 	}
 	got := strings.Join(Names(), ",")
-	if got != "detrange,errsink,gateflow,schemaver,seedsrc" {
+	if got != "detrange,errsink,seedsrc" {
 		t.Fatalf("Names() = %s", got)
 	}
 	for _, sa := range suite {
@@ -51,10 +51,9 @@ func TestAppliesScoping(t *testing.T) {
 		// Subpackages inherit their parent directory's scope.
 		{"seedsrc", "quest/internal/decoder/sub", true},
 		// Whole-module analyzers apply everywhere, tools included.
-		{"schemaver", "quest/tools/questcheck", true},
-		{"schemaver", "quest", true},
+		{"errsink", "quest/tools/questcheck", true},
+		{"errsink", "quest", true},
 		{"errsink", "quest/internal/core", true},
-		{"gateflow", "quest/internal/mc", true},
 	}
 	for _, c := range cases {
 		sa, ok := byName[c.analyzer]
@@ -129,7 +128,7 @@ func TestBaselineDiff(t *testing.T) {
 	// one still matches.
 	grown := rep
 	grown.Active = append(grown.Active, analysis.Diagnostic{
-		Analyzer: "gateflow", Pos: token.Position{Filename: "/mod/b/b.go", Line: 3}, Message: "ungated",
+		Analyzer: "detrange", Pos: token.Position{Filename: "/mod/b/b.go", Line: 3}, Message: "range over map",
 	})
 	probs := grown.Diff(base)
 	if len(probs) != 1 || !strings.Contains(probs[0], "new finding") {

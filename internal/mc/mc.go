@@ -434,8 +434,8 @@ func RunBatch(trials, workers int, cellSeed uint64, reg *metrics.Registry, tr *t
 					seeds[i] = TrialSeed(cellSeed, lo+i)
 				}
 				// Gate on the parents, not the shard slices: they are non-nil
-				// together, and the receiver gate is the form the nil-gating
-				// contract (gateflow) can prove.
+				// together, and a gate on the receiver itself keeps the off
+				// path one branch, as TestRunAllocs pins.
 				if heatParent != nil {
 					if heats == nil {
 						heats = make([]*heatmap.Collector, LaneWidth)

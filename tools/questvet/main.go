@@ -1,12 +1,10 @@
 // Command questvet runs the repository's custom analyzer suite
 // (internal/lint/questvet) over the module: detrange (deterministic map
-// iteration), seedsrc (no ambient entropy in simulations), schemaver
-// (single-sourced schema constants), gateflow (nil-gated observability on
-// hot paths, interprocedural), and errsink (no discarded writer errors).
-// `make lint` and CI's lint job fail on any unbaselined diagnostic, and on
-// a hot root or scope directory that matches nothing; the final summary
-// line reports how many //quest:allow suppressions are in force so the
-// escape hatches stay visible.
+// iteration), seedsrc (no ambient entropy in simulations) and errsink (no
+// discarded writer errors). `make lint` and CI's lint job fail on any
+// unbaselined diagnostic, and on a scope directory that matches nothing;
+// the final summary line reports how many //quest:allow suppressions are
+// in force so the escape hatches stay visible.
 //
 // Usage:
 //
@@ -15,9 +13,8 @@
 // With no patterns (or "./..."), the whole module is checked. Other
 // patterns select packages whose import path equals the pattern, or falls
 // under it when the pattern ends in "/..." — mirroring go-tool package
-// patterns for paths inside this module. The call graph behind the
-// interprocedural analyzers always covers the full module regardless of
-// the pattern selection.
+// patterns for paths inside this module. The scope check always covers the
+// full module regardless of the pattern selection.
 //
 // With -baseline, findings accepted by the committed baseline do not fail
 // the run; only new findings, stale baseline entries, and //quest:allow
