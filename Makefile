@@ -75,22 +75,23 @@ bench:
 # Run a tiny traced simulation and validate the emitted Perfetto JSON, then
 # CPU-profile a small threshold sweep (-cpuprofile) and read the profile
 # back with go tool pprof, the one reader of that format — the same checks
-# CI's trace-smoke job runs. cpu.pprof is covered by .gitignore and
-# `make clean`.
+# CI's trace-smoke job runs. trace.json and cpu.pprof are covered by
+# .gitignore and `make clean`.
 trace-smoke:
-	$(GO) run ./cmd/questsim -program distill -replays 5 -trace /tmp/quest_trace_smoke.json
-	$(GO) run ./tools/questcheck -min-procs 4 /tmp/quest_trace_smoke.json
+	$(GO) run ./cmd/questsim -program distill -replays 5 -trace trace.json
+	$(GO) run ./tools/questcheck -min-procs 4 trace.json
 	$(GO) run ./cmd/questbench -cpuprofile cpu.pprof -trials 200 threshold
 	$(GO) tool pprof -top cpu.pprof
 
 # Run a small traced + ledgered threshold sweep with CI early-stop and
 # heatmaps, then validate the ledger — the same check CI's trace-smoke job
 # runs. The experiment ledger and heatmap are worker-count independent.
+# Its three outputs are covered by .gitignore and `make clean`.
 ledger-smoke:
 	$(GO) run ./cmd/questbench -trials 40 -workers 4 -ci-stop 0.2 \
-		-ledger /tmp/quest_ledger_smoke.jsonl -heatmap /tmp/quest_heatmap_smoke.json \
-		-trace /tmp/quest_sweep_trace.json threshold
-	$(GO) run ./tools/questcheck -min-cells 6 -min-trials 60 /tmp/quest_ledger_smoke.jsonl
+		-ledger ledger.jsonl -heatmap heatmap.json \
+		-trace sweep_trace.json threshold
+	$(GO) run ./tools/questcheck -min-cells 6 -min-trials 60 ledger.jsonl
 
 # Bandwidth-profiler smoke — the same checks CI's bw-smoke job runs. The
 # memory experiment drives the full machine decode path (threshold cells
@@ -168,5 +169,5 @@ fuzz:
 # corpora; TestCleanTargetPreservesTrackedTestdata pins the fix.
 clean:
 	git clean -fdx internal/qasm/testdata internal/qexe/testdata internal/core/testdata
-	rm -f bw-smoke-*.jsonl perf-smoke.* cpu.pprof
+	rm -f bw-smoke-*.jsonl perf-smoke.* cpu.pprof trace.json ledger.jsonl heatmap.json sweep_trace.json
 	$(GO) clean ./...

@@ -397,36 +397,6 @@ func pauliInstr(j int) isa.LogicalInstr {
 	return isa.LogicalInstr{Op: op, Target: uint8(j % 2)}
 }
 
-// BenchmarkAblationUnionFindVsMWPM compares the exact matcher against the
-// near-linear union-find decoder on identical defect batches: decode time
-// versus matching-weight optimality.
-func BenchmarkAblationUnionFindVsMWPM(b *testing.B) {
-	lat := surface.NewPlanar(9)
-	g := decoder.NewGlobalDecoder(lat)
-	uf := decoder.NewUnionFindDecoder(lat)
-	zs := lat.Qubits(surface.RoleAncillaZ)
-	var defects []decoder.Defect
-	for i := 0; i < 12; i++ {
-		q := zs[(i*7)%len(zs)]
-		r, c := lat.Coord(q)
-		defects = append(defects, decoder.Defect{Round: i % 3, Qubit: q, R: r, C: c})
-	}
-	b.Run("mwpm-exact", func(b *testing.B) {
-		var w int
-		for i := 0; i < b.N; i++ {
-			w = g.Match(defects).Weight
-		}
-		b.ReportMetric(float64(w), "match-weight")
-	})
-	b.Run("union-find", func(b *testing.B) {
-		var w int
-		for i := 0; i < b.N; i++ {
-			w = uf.Match(defects).Weight
-		}
-		b.ReportMetric(float64(w), "match-weight")
-	})
-}
-
 // BenchmarkExtensionConcatenatedCodes evaluates the §9 extension: hybrid
 // microcode-inner/software-outer concatenation versus full software
 // management, across outer levels.
@@ -463,15 +433,13 @@ func BenchmarkStabilizerSubstrate(b *testing.B) {
 	b.ReportMetric(float64(lat.NumQubits()), "qubits")
 }
 
-// BenchmarkDecoderScaling sweeps defect-batch sizes across the three global
-// matchers (exact DP is exponential, greedy quadratic, union-find
-// near-linear) — the latency trade that picks the master's decoder at scale.
-// Match takes the greedy fallback only past MaxExact defects, so greedy
-// has its own, larger batch.
+// BenchmarkDecoderScaling sweeps defect-batch sizes across the two global
+// matchers (exact DP is exponential, greedy quadratic) — the latency trade
+// that picks the master's decoder at scale. Match takes the greedy fallback
+// only past MaxExact defects, so greedy has its own, larger batch.
 func BenchmarkDecoderScaling(b *testing.B) {
 	lat := surface.NewPlanar(11)
 	g := decoder.NewGlobalDecoder(lat)
-	uf := decoder.NewUnionFindDecoder(lat)
 	zs := lat.Qubits(surface.RoleAncillaZ)
 	mk := func(k int) []decoder.Defect {
 		var out []decoder.Defect
@@ -487,11 +455,6 @@ func BenchmarkDecoderScaling(b *testing.B) {
 		b.Run(fmt.Sprintf("exact-%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				g.Match(defects)
-			}
-		})
-		b.Run(fmt.Sprintf("unionfind-%d", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				uf.Match(defects)
 			}
 		})
 	}

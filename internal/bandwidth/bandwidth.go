@@ -92,14 +92,3 @@ func (c *Counter) Reset() {
 	c.instructions.Store(0)
 	c.bytes.Store(0)
 }
-
-// Rate converts the byte count into a bandwidth over the given duration.
-// A non-positive duration returns 0 rather than Inf/NaN: callers derive
-// seconds from cycle counts or wall-clock deltas, and a zero-length run has
-// no meaningful rate — it must not leak non-finite values into reports.
-func (c *Counter) Rate(seconds float64) BytesPerSec {
-	if seconds <= 0 {
-		return 0
-	}
-	return BytesPerSec(float64(c.Bytes()) / seconds)
-}

@@ -43,10 +43,12 @@ const Schema = "quest-bw/1"
 // windows.
 const DefaultWindow = 8
 
-// Bus identifies one metered link in the master/MCE fabric. The first four
-// mirror the bandwidth.Counter quartet in internal/master; BusReplay is the
-// MCE-local cache replay path, whose instructions never cross the global bus
-// (it is metered with zero bytes — the traffic the cache *saved*).
+// Bus identifies one metered link in the master/MCE fabric. BusLogical,
+// BusCache and BusSyndrome mirror the bandwidth.Counter meters in
+// internal/master. BusSync is the paper's sync-token link: no master path
+// sends on it, so its quest-bw/1 fields (omitempty) stay absent. BusReplay is
+// the MCE-local cache replay path, whose instructions never cross the global
+// bus (it is metered with zero bytes — the traffic the cache *saved*).
 type Bus uint8
 
 const (
@@ -78,7 +80,7 @@ const (
 	ClassClifford              // LH, LS
 	ClassT                     // LT
 	ClassBraid                 // LCNOT and the mask instructions it expands to
-	ClassSync                  // LSYNC tokens on the sync bus
+	ClassSync                  // LSYNC tokens
 	ClassCache                 // LCLOAD bodies and LCRUN trigger tokens
 	ClassSyndrome              // escalated defects on the syndrome bus
 	ClassReplay                // cache-replayed body instructions (zero bus bytes)

@@ -17,11 +17,8 @@ import (
 // quietInstruments are the registered instruments the runs below never make
 // fire, each with the reason.
 var quietInstruments = map[string]string{
-	"decoder.match.greedy":  "greedy matching takes over only past decoder.MaxExact defects: these runs never get there, though 4 of the 15,323 matches in questbench -trials 2000 threshold do",
-	"master.syncs":          "Master.SendSync and its one caller, MoveLogical, have no caller outside tests",
-	"master.bus.sync.instr": "the sync bus carries only SendSync tokens",
-	"master.bus.sync.bytes": "the sync bus carries only SendSync tokens",
-	"mce.stalled.t":         "only a logical T gate waits on a magic state; the cached distillation body turns its Ts into Paulis",
+	"decoder.match.greedy": "greedy matching takes over only past decoder.MaxExact defects: these runs never get there, though 4 of the 15,323 matches in questbench -trials 2000 threshold do",
+	"mce.stalled.t":        "only a logical T gate waits on a magic state; the cached distillation body turns its Ts into Paulis",
 }
 
 // sidebands holds one run's private registry and every side-band the

@@ -143,7 +143,6 @@ func TestMachineResetBusMetricsMatchFresh(t *testing.T) {
 		fresh, pool *bandwidth.Counter
 	}{
 		{"logical", &fm.Logical, &pm.Logical},
-		{"sync", &fm.Sync, &pm.Sync},
 		{"cache", &fm.Cache, &pm.Cache},
 		{"syndrome", &fm.Syndrome, &pm.Syndrome},
 	}
@@ -167,7 +166,6 @@ func TestMachineResetBusMetricsMatchFresh(t *testing.T) {
 	sf, sr := regFresh.Snapshot(), regReset.Snapshot()
 	for _, name := range []string{
 		"master.bus.logical.instr", "master.bus.logical.bytes",
-		"master.bus.sync.instr", "master.bus.sync.bytes",
 		"master.bus.cache.instr", "master.bus.cache.bytes",
 		"master.bus.syndrome.records", "master.bus.syndrome.bytes",
 	} {

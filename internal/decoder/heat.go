@@ -16,11 +16,6 @@ func (h *SyndromeHistory) SetHeat(heat *heatmap.Collector) { h.heat = heat }
 // boundary matches. Nil disables recording (the default).
 func (g *GlobalDecoder) SetHeat(heat *heatmap.Collector) { g.heat = heat }
 
-// SetHeat binds a spatial heat collector to the union-find decoder,
-// recording the same per-matching footprint as the MWPM decoder so ablation
-// runs stay comparable. Nil disables recording (the default).
-func (d *UnionFindDecoder) SetHeat(heat *heatmap.Collector) { d.heat = heat }
-
 // SetHeat forwards a heat collector to the wrapped decoder. The window
 // itself stays untouched: defect births are recorded by the
 // SyndromeHistory, chain statistics by the decoder.

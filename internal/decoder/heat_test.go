@@ -34,8 +34,7 @@ func TestHeatRecordsDefectBirths(t *testing.T) {
 
 // TestHeatRecordsMatching pins the matcher hook: a two-defect match records
 // both endpoints, the unweighted space-time chain length, and boundary
-// matches go to the boundary counter — for both the exact and union-find
-// matchers.
+// matches go to the boundary counter.
 func TestHeatRecordsMatching(t *testing.T) {
 	lat := surface.NewPlanar(5)
 	zs := lat.Qubits(surface.RoleAncillaZ)
@@ -44,44 +43,36 @@ func TestHeatRecordsMatching(t *testing.T) {
 		return Defect{Round: round, Qubit: q, R: r, C: c, IsX: false}
 	}
 	defects := []Defect{mk(zs[0], 0), mk(zs[1], 0)}
-	matchers := map[string]interface {
-		Match([]Defect) Matching
-		SetHeat(*heatmap.Collector)
-	}{
-		"exact":     NewGlobalDecoder(lat),
-		"unionfind": NewUnionFindDecoder(lat),
-	}
-	for name, m := range matchers {
-		t.Run(name, func(t *testing.T) {
-			heat := heatmap.New(lat.Rows, lat.Cols)
-			m.SetHeat(heat)
-			match := m.Match(defects)
-			if got := heat.Pairs() + heat.Boundary(); got < 1 {
-				t.Fatalf("matching %+v recorded nothing", match)
+	t.Run("exact", func(t *testing.T) {
+		g := NewGlobalDecoder(lat)
+		heat := heatmap.New(lat.Rows, lat.Cols)
+		g.SetHeat(heat)
+		match := g.Match(defects)
+		if got := heat.Pairs() + heat.Boundary(); got < 1 {
+			t.Fatalf("matching %+v recorded nothing", match)
+		}
+		// Endpoint count must equal 2 per pair + 1 per boundary match.
+		var endpoints int64
+		for _, row := range heat.Matched() {
+			for _, v := range row {
+				endpoints += v
 			}
-			// Endpoint count must equal 2 per pair + 1 per boundary match.
-			var endpoints int64
-			for _, row := range heat.Matched() {
-				for _, v := range row {
-					endpoints += v
-				}
-			}
-			if want := 2*heat.Pairs() + heat.Boundary(); endpoints != want {
-				t.Errorf("%d matched endpoints, want %d", endpoints, want)
-			}
-			// Chain-length histogram counts one entry per match.
-			var chains int64
-			for _, v := range heat.ChainLengths() {
-				chains += v
-			}
-			if want := heat.Pairs() + heat.Boundary(); chains != want {
-				t.Errorf("%d chain lengths recorded, want %d", chains, want)
-			}
-			if match.Weight < 0 {
-				t.Errorf("negative matching weight %d", match.Weight)
-			}
-		})
-	}
+		}
+		if want := 2*heat.Pairs() + heat.Boundary(); endpoints != want {
+			t.Errorf("%d matched endpoints, want %d", endpoints, want)
+		}
+		// Chain-length histogram counts one entry per match.
+		var chains int64
+		for _, v := range heat.ChainLengths() {
+			chains += v
+		}
+		if want := heat.Pairs() + heat.Boundary(); chains != want {
+			t.Errorf("%d chain lengths recorded, want %d", chains, want)
+		}
+		if match.Weight < 0 {
+			t.Errorf("negative matching weight %d", match.Weight)
+		}
+	})
 }
 
 // TestWindowForwardsHeat pins the forwarding: SetHeat on a window reaches

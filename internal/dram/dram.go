@@ -10,15 +10,11 @@
 //
 // The model is intentionally simple and calibrated: a capacity, a sustained
 // bandwidth (cold DRAM is ordinary DRAM — the paper cites Henkels et al.'s
-// 12ns low-temperature DRAM; we default to a DDR-class channel), and a
-// streaming reader with meters.
+// 12ns low-temperature DRAM; we default to a DDR-class channel), and a feed
+// analysis of a demand stream against that bandwidth.
 package dram
 
-import (
-	"fmt"
-
-	"quest/internal/tracing"
-)
+import "fmt"
 
 // Config describes one cryo-DRAM channel.
 type Config struct {
@@ -44,16 +40,10 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Store is a loaded instruction working set plus stream accounting.
+// Store is a loaded instruction working set on one channel.
 type Store struct {
 	cfg      Config
 	resident uint64
-	streamed uint64
-
-	tr *tracing.Tracer
-	// ops orders trace events: the store has no cycle clock, so each
-	// Load/Stream advances a logical timestamp of its own.
-	ops int64
 }
 
 // New returns an empty store.
@@ -64,10 +54,6 @@ func New(cfg Config) (*Store, error) {
 	return &Store{cfg: cfg}, nil
 }
 
-// SetTracer binds a tracer; Load and Stream then emit dram-track events
-// ordered by a per-store operation counter. Nil disables emission.
-func (s *Store) SetTracer(tr *tracing.Tracer) { s.tr = tr }
-
 // Load places an executable image of the given size, failing if it exceeds
 // capacity.
 func (s *Store) Load(bytes uint64) error {
@@ -76,38 +62,11 @@ func (s *Store) Load(bytes uint64) error {
 			s.resident, bytes, s.cfg.CapacityBytes)
 	}
 	s.resident += bytes
-	if s.tr != nil {
-		s.tr.InstantArg("dram", 0, "load", s.ops, "bytes", int64(bytes))
-		s.ops++
-	}
 	return nil
 }
 
 // Resident returns the loaded working-set size.
 func (s *Store) Resident() uint64 { return s.resident }
-
-// Stream records reading n bytes out toward the control processor and
-// returns the seconds the channel needs for it.
-func (s *Store) Stream(n uint64) float64 {
-	s.streamed += n
-	if s.tr != nil {
-		s.tr.SpanArg("dram", 0, "stream", s.ops, 1, "bytes", int64(n))
-		s.ops++
-	}
-	return float64(n) / s.cfg.BandwidthBytesPerSec
-}
-
-// Streamed returns total bytes streamed.
-func (s *Store) Streamed() uint64 { return s.streamed }
-
-// SustainableInstructionRate returns the instructions/second the channel can
-// feed at a given instruction size.
-func (s *Store) SustainableInstructionRate(instrBytes int) float64 {
-	if instrBytes <= 0 {
-		panic(fmt.Sprintf("dram: non-positive instruction size %d", instrBytes))
-	}
-	return s.cfg.BandwidthBytesPerSec / float64(instrBytes)
-}
 
 // FeedReport compares a demand stream against the channel.
 type FeedReport struct {

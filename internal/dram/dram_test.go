@@ -37,26 +37,6 @@ func TestLoadCapacity(t *testing.T) {
 	}
 }
 
-func TestStreamAccounting(t *testing.T) {
-	s, _ := New(Config{CapacityBytes: 1 << 30, BandwidthBytesPerSec: 100})
-	secs := s.Stream(250)
-	if secs != 2.5 {
-		t.Errorf("stream time = %v", secs)
-	}
-	if s.Streamed() != 250 {
-		t.Errorf("streamed = %d", s.Streamed())
-	}
-	if got := s.SustainableInstructionRate(2); got != 50 {
-		t.Errorf("instruction rate = %v", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("zero instr size accepted")
-		}
-	}()
-	s.SustainableInstructionRate(0)
-}
-
 func TestFeedChannelsNeeded(t *testing.T) {
 	s, _ := New(Config{CapacityBytes: 1 << 30, BandwidthBytesPerSec: 1e9})
 	r := s.Feed(2.5e9)

@@ -52,8 +52,8 @@ type Artifact struct {
 	// per slot times the factory latency in slots.
 	FactoriesSuggested int
 	// Placement is the qubit→tile assignment when placement ran (nil
-	// otherwise); Placement.CutCNOTs counts braids needing the cross-MCE
-	// protocol.
+	// otherwise); Placement.CutCNOTs counts the CNOTs left across tiles,
+	// which the machine refuses to run.
 	Placement *place.Assignment
 }
 

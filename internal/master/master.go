@@ -1,13 +1,13 @@
 // Package master implements the master controller of §4.2: the CMOS-domain
 // (77K) orchestrator that dispatches logical instructions to MCEs over a
 // packet-switched network, runs the global error decoder on defect patterns
-// the MCEs' local lookup tables cannot resolve, issues synchronization
-// tokens, stages logical-instruction cache loads, and feeds distilled magic
-// states from the T-factory tiles to the compute tiles.
+// the MCEs' local lookup tables cannot resolve, stages logical-instruction
+// cache loads, and feeds distilled magic states from the T-factory tiles to
+// the compute tiles.
 //
 // All global-bus traffic is metered here, split by class (logical
-// instructions, sync tokens, cache loads, syndrome returns), which is what
-// the Figure 14/15 experiments read out.
+// instructions, cache loads, syndrome returns), which is what the Figure
+// 14/15 experiments read out.
 package master
 
 import (
@@ -54,7 +54,7 @@ type Config struct {
 	// Metrics selects the registry the controller's instruments, bus
 	// meters and global/window decoders record into (nil = metrics.Default).
 	Metrics *metrics.Registry
-	// Tracer, when non-nil, records cycle-correlated dispatch/sync/cache
+	// Tracer, when non-nil, records cycle-correlated dispatch/cache
 	// instants, global-decode spans and NoC delivery events for Perfetto
 	// export; it is also handed to the per-tile window decoders and the mesh.
 	// Nil falls back to tracing.Default (nil = tracing off).
@@ -73,7 +73,6 @@ type Config struct {
 // masterInstr bundles the controller's instruments.
 type masterInstr struct {
 	dispatched    *metrics.Counter
-	syncsSent     *metrics.Counter
 	cacheBodies   *metrics.Counter
 	cycles        *metrics.Counter
 	escalated     *metrics.Counter
@@ -84,7 +83,6 @@ type masterInstr struct {
 func newMasterInstr(r *metrics.Registry) *masterInstr {
 	return &masterInstr{
 		dispatched:    r.Counter("master.dispatched"),
-		syncsSent:     r.Counter("master.syncs"),
 		cacheBodies:   r.Counter("master.cache.bodies"),
 		cycles:        r.Counter("master.cycles"),
 		escalated:     r.Counter("master.escalated"),
@@ -110,7 +108,6 @@ type Master struct {
 
 	// Traffic meters by class.
 	Logical  bandwidth.Counter
-	Sync     bandwidth.Counter
 	Cache    bandwidth.Counter
 	Syndrome bandwidth.Counter
 
@@ -149,7 +146,7 @@ func New(cfg Config, tiles []*mce.MCE) *Master {
 	}
 	// Mirror the per-class bus meters into the registry so -metrics reports
 	// bus traffic alongside latencies without a second accounting path.
-	bridgeBus(reg, &m.Logical, &m.Sync, &m.Cache, &m.Syndrome)
+	bridgeBus(reg, &m.Logical, &m.Cache, &m.Syndrome)
 	di := decoder.NewInstr(reg)
 	for _, t := range tiles {
 		g := decoder.NewGlobalDecoder(t.Layout().Lat)
@@ -184,11 +181,10 @@ func New(cfg Config, tiles []*mce.MCE) *Master {
 	return m
 }
 
-// bridgeBus mirrors the four per-class bus meters into reg's master.bus.*
+// bridgeBus mirrors the three per-class bus meters into reg's master.bus.*
 // counters.
-func bridgeBus(reg *metrics.Registry, logical, sync, cache, syndrome *bandwidth.Counter) {
+func bridgeBus(reg *metrics.Registry, logical, cache, syndrome *bandwidth.Counter) {
 	logical.Bridge(reg.Counter("master.bus.logical.instr"), reg.Counter("master.bus.logical.bytes"))
-	sync.Bridge(reg.Counter("master.bus.sync.instr"), reg.Counter("master.bus.sync.bytes"))
 	cache.Bridge(reg.Counter("master.bus.cache.instr"), reg.Counter("master.bus.cache.bytes"))
 	syndrome.Bridge(reg.Counter("master.bus.syndrome.records"), reg.Counter("master.bus.syndrome.bytes"))
 }
@@ -214,8 +210,8 @@ func (t Tally) Record(reg *metrics.Registry) {
 	in.dispatched.Add(t.Dispatched)
 	in.escalated.Add(t.Escalated)
 	in.globalDecodes.Add(t.GlobalDecodes)
-	var logical, sync, cache, syndrome bandwidth.Counter
-	bridgeBus(reg, &logical, &sync, &cache, &syndrome)
+	var logical, cache, syndrome bandwidth.Counter
+	bridgeBus(reg, &logical, &cache, &syndrome)
 	logical.Add(t.Dispatched, t.Dispatched*isa.LogicalInstrBytes)
 	syndrome.Add(t.Escalated, t.Escalated)
 }
@@ -248,10 +244,9 @@ func (m *Master) Reset(reg *metrics.Registry, tr *tracing.Tracer, heat *heatmap.
 		f.Reset()
 	}
 	m.Logical.Reset()
-	m.Sync.Reset()
 	m.Cache.Reset()
 	m.Syndrome.Reset()
-	bridgeBus(reg, &m.Logical, &m.Sync, &m.Cache, &m.Syndrome)
+	bridgeBus(reg, &m.Logical, &m.Cache, &m.Syndrome)
 	di := decoder.NewInstr(reg)
 	for i, g := range m.global {
 		g.SetInstr(di)
@@ -301,31 +296,6 @@ func (m *Master) Dispatch(tile int, in isa.LogicalInstr) error {
 	return nil
 }
 
-// SendSync broadcasts a synchronization token to a tile (sequencing for
-// cache refills and cross-MCE operations).
-func (m *Master) SendSync(tile int, id uint16) error {
-	in := isa.LogicalInstr{Op: isa.LSyncToken, Target: uint8(id >> 8), Arg: uint8(id & 0x3f)}
-	if tile < 0 || tile >= len(m.tiles) {
-		return fmt.Errorf("master: tile %d outside [0,%d)", tile, len(m.tiles))
-	}
-	if m.mesh != nil {
-		if err := m.mesh.Inject(noc.Packet{Dst: tile, Payload: in.Encode()}); err != nil {
-			return err
-		}
-	} else {
-		m.queues[tile] = append(m.queues[tile], packet{tile: tile, instr: in})
-	}
-	m.Sync.Add(1, isa.LogicalInstrBytes)
-	if m.bw != nil {
-		m.bw.Observe(m.cycle, bwprofile.BusSync, bwprofile.ClassSync, 1, isa.LogicalInstrBytes)
-	}
-	m.in.syncsSent.Inc()
-	if m.tr != nil {
-		m.tr.InstantArg("master", 0, "sync", int64(m.cycle), "tile", int64(tile))
-	}
-	return nil
-}
-
 // LoadCache ships a loop body to a tile's instruction cache, metering its
 // bytes once — afterwards LCacheRun tokens replay it for free.
 func (m *Master) LoadCache(tile, slot int, body []isa.LogicalInstr) error {
@@ -353,42 +323,6 @@ func (m *Master) RunCached(tile, slot, times int) error {
 		return fmt.Errorf("master: cache replay count %d outside [1,63]", times)
 	}
 	return m.Dispatch(tile, isa.LogicalInstr{Op: isa.LCacheRun, Target: uint8(slot), Arg: uint8(times)})
-}
-
-// MoveLogical coordinates a logical-qubit move between two MCE tiles — the
-// "logical qubit movement ... across MCEs" that the paper's synchronization
-// tokens exist for (§7, footnote 9: the paper defines but does not evaluate
-// cross-MCE logical operations; we implement the token protocol and its
-// instruction traffic). The sequence: a paired sync token fences both tiles,
-// the destination patch is prepared, both tiles step their masks
-// (LMaskMove), and the source patch is measured out. Traffic: 2 sync tokens
-// + 4 logical instructions = 12 bytes per move, independent of code
-// distance.
-func (m *Master) MoveLogical(srcTile, srcPatch, dstTile, dstPatch int, token uint16) error {
-	if srcTile == dstTile {
-		return fmt.Errorf("master: MoveLogical within tile %d (use a braid instead)", srcTile)
-	}
-	if err := m.SendSync(srcTile, token); err != nil {
-		return err
-	}
-	if err := m.SendSync(dstTile, token); err != nil {
-		return err
-	}
-	steps := []struct {
-		tile int
-		in   isa.LogicalInstr
-	}{
-		{dstTile, isa.LogicalInstr{Op: isa.LPrep0, Target: uint8(dstPatch)}},
-		{srcTile, isa.LogicalInstr{Op: isa.LMaskMove, Target: uint8(srcPatch)}},
-		{dstTile, isa.LogicalInstr{Op: isa.LMaskMove, Target: uint8(dstPatch)}},
-		{srcTile, isa.LogicalInstr{Op: isa.LMeasX, Target: uint8(srcPatch)}},
-	}
-	for _, s := range steps {
-		if err := m.Dispatch(s.tile, s.in); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // CycleReport aggregates one machine cycle.
@@ -614,9 +548,9 @@ func (m *Master) drained() bool {
 }
 
 // InstructionBusBytes returns the downstream instruction traffic (logical +
-// sync + cache loads) — the quantity QuEST is designed to minimize.
+// cache loads) — the quantity QuEST is designed to minimize.
 func (m *Master) InstructionBusBytes() uint64 {
-	return m.Logical.Bytes() + m.Sync.Bytes() + m.Cache.Bytes()
+	return m.Logical.Bytes() + m.Cache.Bytes()
 }
 
 // Stats returns (total escalated defects, global decode invocations).

@@ -55,9 +55,6 @@ func TestDispatchValidation(t *testing.T) {
 	if err := m.Dispatch(5, isa.LogicalInstr{Op: isa.LH}); err == nil {
 		t.Error("bad tile accepted")
 	}
-	if err := m.SendSync(9, 1); err == nil {
-		t.Error("bad sync tile accepted")
-	}
 	if err := m.LoadCache(9, 0, []isa.LogicalInstr{{Op: isa.LH}}); err == nil {
 		t.Error("bad cache tile accepted")
 	}
@@ -85,20 +82,6 @@ func TestNetworkThrottlesDeliveries(t *testing.T) {
 	_, retired, _, _, _ := m.Tiles()[0].Stats()
 	if retired != 12 {
 		t.Errorf("retired %d, want 12", retired)
-	}
-}
-
-func TestSyncTokensAreMeteredSeparately(t *testing.T) {
-	m := newMachine(t, 1, 2, nil)
-	if err := m.SendSync(0, 7); err != nil {
-		t.Fatal(err)
-	}
-	if m.Sync.Bytes() != 2 || m.Logical.Bytes() != 0 {
-		t.Errorf("sync/logical bytes = %d/%d", m.Sync.Bytes(), m.Logical.Bytes())
-	}
-	m.StepCycle()
-	if m.InstructionBusBytes() != 2 {
-		t.Errorf("instruction bus = %d", m.InstructionBusBytes())
 	}
 }
 
@@ -232,35 +215,6 @@ func TestWindowedDecodeMode(t *testing.T) {
 	}
 }
 
-func TestMoveLogicalCrossTile(t *testing.T) {
-	m := newMachine(t, 2, 2, nil)
-	m.StepCycle()
-	before := m.InstructionBusBytes()
-	if err := m.MoveLogical(0, 1, 1, 0, 42); err != nil {
-		t.Fatal(err)
-	}
-	// 2 sync tokens + 4 instructions = 12 bytes.
-	if got := m.InstructionBusBytes() - before; got != 12 {
-		t.Errorf("move traffic = %d bytes, want 12", got)
-	}
-	d, drained := m.Drain(30)
-	if !drained {
-		t.Fatal("move did not drain")
-	}
-	if d.LogicalRetired != 4 {
-		t.Errorf("retired %d instructions, want 4", d.LogicalRetired)
-	}
-	if len(d.Results) != 1 {
-		t.Errorf("source measure-out results = %d, want 1", len(d.Results))
-	}
-	if err := m.MoveLogical(0, 0, 0, 1, 1); err == nil {
-		t.Error("same-tile move accepted")
-	}
-	if err := m.MoveLogical(0, 0, 9, 0, 1); err == nil {
-		t.Error("bad destination tile accepted")
-	}
-}
-
 func TestTimingAccountsRuntime(t *testing.T) {
 	tm := awg.Timing{PrepNs: 40, Gate1Ns: 5, MeasNs: 35, CNOTNs: 20, IdleNs: 5}
 	eng := mce.New(mce.Config{
@@ -300,7 +254,7 @@ func TestNoCDeliveryMode(t *testing.T) {
 		if err := m.Dispatch(tile, isa.LogicalInstr{Op: isa.LX, Target: 0}); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.SendSync(tile, uint16(tile)); err != nil {
+		if err := m.Dispatch(tile, isa.LogicalInstr{Op: isa.LZ, Target: 0}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -308,8 +262,8 @@ func TestNoCDeliveryMode(t *testing.T) {
 	if !drained {
 		t.Fatal("NoC machine did not drain")
 	}
-	if d.LogicalRetired != 4 {
-		t.Errorf("retired %d, want 4", d.LogicalRetired)
+	if d.LogicalRetired != 8 {
+		t.Errorf("retired %d, want 8", d.LogicalRetired)
 	}
 	if m.InstructionBusBytes() != 16 {
 		t.Errorf("bus bytes = %d, want 16 (8 packets × 2B)", m.InstructionBusBytes())

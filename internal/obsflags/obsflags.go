@@ -124,12 +124,6 @@ func RegisterSweep(fs *flag.FlagSet) *Obs {
 	return o
 }
 
-// TraceEnabled reports whether -trace was given.
-func (o *Obs) TraceEnabled() bool { return *o.tracePath != "" }
-
-// MetricsFormat returns the -metrics value ("", "text" or "json").
-func (o *Obs) MetricsFormat() string { return *o.metricsFmt }
-
 // ShardReg returns the registry Monte-Carlo drivers should aggregate
 // per-worker shards into: metrics.Default when -metrics is requested, nil
 // otherwise so the metrics-off path stays allocation-free.

@@ -131,9 +131,6 @@ func TestShardRegNilWhenObservabilityOff(t *testing.T) {
 	if o.ShardReg() != nil {
 		t.Error("ShardReg should be nil with no -metrics")
 	}
-	if o.TraceEnabled() {
-		t.Error("TraceEnabled with no -trace")
-	}
 	if err := o.Start(); err != nil {
 		t.Fatal(err)
 	}

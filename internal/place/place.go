@@ -1,9 +1,8 @@
 // Package place implements the host's qubit-placement pass: assigning a
 // program's logical qubits to MCE tiles so that braided CNOTs stay within a
 // tile wherever possible. Braids are tile-local operations (a mask walk
-// between two patches of one MCE); a CNOT whose operands land on different
-// tiles needs the §7 cross-MCE protocol — legal but slower and
-// sync-token-hungry — so the placer minimizes cut CNOTs with a greedy
+// between two patches of one MCE); the machine refuses a CNOT whose operands
+// land on different tiles, so the placer minimizes cut CNOTs with a greedy
 // heaviest-edge clustering over the program's interaction graph.
 package place
 
@@ -175,8 +174,8 @@ func (a *Assignment) GlobalQubit(q int) int {
 
 // Remap rewrites the program's qubit operands per the assignment so that the
 // machine's striped tile mapping lands each qubit on its placed tile/patch.
-// Cross-tile CNOTs (CutCNOTs > 0) remain in the program; the caller decides
-// whether to run them via the cross-MCE move protocol or reject.
+// Cross-tile CNOTs (CutCNOTs > 0) remain in the program; the machine
+// refuses to run them.
 func (a *Assignment) Remap(p *compiler.Program) (*compiler.Program, error) {
 	if len(a.TileOf) < p.NumLogical {
 		return nil, fmt.Errorf("place: assignment covers %d qubits, program uses %d", len(a.TileOf), p.NumLogical)

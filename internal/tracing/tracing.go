@@ -1,8 +1,8 @@
 // Package tracing is the repository's cycle-correlated event tracer: a
 // low-overhead, concurrency-safe recorder of begin/end spans and instant
 // events keyed by *simulated QECC cycle* and component track (master
-// controller, per-tile MCE, decoder windows, NoC hops, DRAM streams), with a
-// Chrome trace-event JSON exporter loadable in Perfetto or chrome://tracing.
+// controller, per-tile MCE, decoder windows, NoC hops), with a Chrome
+// trace-event JSON exporter loadable in Perfetto or chrome://tracing.
 //
 // The metrics registry (internal/metrics) answers "how much, how fast, on
 // average"; this package answers "when, and in what order": which cycle an
@@ -42,7 +42,7 @@ const (
 )
 
 // Event is one recorded trace event. Proc/Tid name the track: Proc groups a
-// component class ("master", "mce", "decoder", "noc", "dram") and Tid its
+// component class ("master", "mce", "decoder", "noc") and Tid its
 // instance (tile index, window id, 0). Ts and Dur are in simulated cycles.
 // ArgKey/Arg carry one optional numeric payload (µops issued, defects
 // matched, packet latency) rendered into the event's args map on export.
@@ -95,11 +95,6 @@ func (t *Tracer) Capacity() int {
 	}
 	return t.cap
 }
-
-// Enabled reports whether recording is live. The canonical call-site gate is
-// simply `if t != nil`; Enabled exists for callers holding an interface-ish
-// optional field.
-func (t *Tracer) Enabled() bool { return t != nil }
 
 func (t *Tracer) record(ev Event) {
 	t.mu.Lock()
@@ -213,17 +208,4 @@ func (t *Tracer) Merge(src *Tracer) {
 		t.dropped += dropped
 		t.mu.Unlock()
 	}
-}
-
-// Reset discards all buffered events and the drop count (capacity is kept).
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.buf = t.buf[:0]
-	t.head = 0
-	t.full = false
-	t.dropped = 0
-	t.mu.Unlock()
 }

@@ -18,12 +18,11 @@ func TestNilTracerIsFreeAndSafe(t *testing.T) {
 		tr.Instant("master", 0, "dispatch", 2)
 		tr.InstantArg("master", 0, "dispatch", 2, "tile", 3)
 		tr.Merge(nil)
-		tr.Reset()
 	})
 	if allocs != 0 {
 		t.Fatalf("nil tracer allocated %v per run, want 0", allocs)
 	}
-	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Capacity() != 0 || tr.Enabled() {
+	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Capacity() != 0 {
 		t.Fatal("nil tracer reports non-zero state")
 	}
 	if tr.Events() != nil || tr.Summaries() != nil {
