@@ -4,7 +4,8 @@
 #   make trace-smoke  run a tiny traced sim and validate the Perfetto JSON,
 #                     then CPU-profile a small sweep and read the profile
 #                     back with go tool pprof
-#   make ledger-smoke run a small ledgered+heatmapped sweep and validate the
+#   make ledger-smoke run a small ledgered+heatmapped sweep at -workers 1
+#                     and 4, cmp the ledgers and heatmaps, and validate the
 #                     JSONL with questcheck
 #   make bw-smoke     run profiled sweeps and sims, validate the quest-bw/1
 #                     artifacts with bwreport, prove the waveform and the
@@ -83,15 +84,21 @@ trace-smoke:
 	$(GO) run ./cmd/questbench -cpuprofile cpu.pprof -trials 200 threshold
 	$(GO) tool pprof -top cpu.pprof
 
-# Run a small traced + ledgered threshold sweep with CI early-stop and
-# heatmaps, then validate the ledger — the same check CI's trace-smoke job
-# runs. The experiment ledger and heatmap are worker-count independent.
-# Its three outputs are covered by .gitignore and `make clean`.
+# Run a small traced + ledgered threshold sweep with heatmaps at -workers 1
+# and again at -workers 4, cmp the two ledgers and the two heatmap JSONs,
+# then validate the ledger — the same check CI's trace-smoke job runs. At
+# 130 trials each cell is three 64-trial lanes, so 4 workers really split
+# it. questcheck's floors are exact: 6 cells of 130 trial records. Its five
+# outputs are covered by .gitignore and `make clean`.
 ledger-smoke:
-	$(GO) run ./cmd/questbench -trials 40 -workers 4 -ci-stop 0.2 \
+	$(GO) run ./cmd/questbench -trials 130 -workers 1 \
 		-ledger ledger.jsonl -heatmap heatmap.json \
 		-trace sweep_trace.json threshold
-	$(GO) run ./tools/questcheck -min-cells 6 -min-trials 60 ledger.jsonl
+	$(GO) run ./cmd/questbench -trials 130 -workers 4 \
+		-ledger ledger-w4.jsonl -heatmap heatmap-w4.json threshold
+	cmp ledger.jsonl ledger-w4.jsonl
+	cmp heatmap.json heatmap-w4.json
+	$(GO) run ./tools/questcheck -min-cells 6 -min-trials 780 ledger.jsonl
 
 # Bandwidth-profiler smoke — the same checks CI's bw-smoke job runs. The
 # memory experiment drives the full machine decode path (threshold cells
@@ -169,5 +176,5 @@ fuzz:
 # corpora; TestCleanTargetPreservesTrackedTestdata pins the fix.
 clean:
 	git clean -fdx internal/qasm/testdata internal/qexe/testdata internal/core/testdata
-	rm -f bw-smoke-*.jsonl perf-smoke.* cpu.pprof trace.json ledger.jsonl heatmap.json sweep_trace.json
+	rm -f bw-smoke-*.jsonl perf-smoke.* cpu.pprof trace.json ledger.jsonl ledger-w4.jsonl heatmap.json heatmap-w4.json sweep_trace.json
 	$(GO) clean ./...

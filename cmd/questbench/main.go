@@ -9,15 +9,14 @@
 // rates are bit-identical for every -workers value — crank workers for
 // wall-clock, crank trials for confidence.
 //
-// Observability (shared with questsim via internal/obsflags, except the
-// sweep-only -ci-stop): -metrics, -cpuprofile FILE (a CPU profile of the
-// whole run, read with go tool pprof), -trace, -trace-buf, plus the
-// experiment-ledger bundle — -ledger FILE streams a JSONL run ledger
-// (validate with tools/questcheck), -progress renders live per-cell Wilson
-// intervals on stderr, -ci-stop W stops each cell once its 95% interval is
-// narrower than W, and -heatmap FILE writes spatial defect/matching heatmaps
-// as JSON (ASCII renders go to stderr). All of it is worker-count
-// independent.
+// Observability (shared with questsim via internal/obsflags): -metrics,
+// -cpuprofile FILE (a CPU profile of the whole run, read with go tool
+// pprof), -trace, -trace-buf, plus the experiment-ledger bundle — -ledger
+// FILE streams a JSONL run ledger (validate with tools/questcheck),
+// -progress renders live per-cell Wilson intervals on stderr, and -heatmap
+// FILE writes spatial defect/matching heatmaps as JSON (ASCII renders go to
+// stderr). All of it is worker-count independent. Every cell runs its full
+// -trials budget.
 //
 // Bandwidth profiling: -bw FILE records per-bus traffic in fixed windows of
 // the machine cycle clock and writes a quest-bw/1 profile at exit
@@ -26,7 +25,7 @@
 // and a pure side-band of the sweep.
 //
 // The -md report runs its sweeps without that bundle, so -md refuses
-// -ledger, -heatmap, -bw, -ci-stop and -progress; it covers every
+// -ledger, -heatmap, -bw and -progress; it covers every
 // experiment, so it refuses experiment names too. Exit status: 0 on
 // success; 1 when an experiment fails or an artifact cannot be written; 2
 // on a bad flag value or an unknown experiment, before anything runs.
@@ -51,8 +50,8 @@ var (
 	flagWorkers = flag.Int("workers", 0, "Monte-Carlo worker goroutines (0 = GOMAXPROCS)")
 	// obs wires the shared observability flags (-metrics, -cpuprofile, -trace,
 	// -trace-buf, -ledger, -progress, -heatmap, -bw, -bw-window)
-	// identically to cmd/questsim, plus the sweep-only -ci-stop.
-	obs = obsflags.RegisterSweep(flag.CommandLine)
+	// identically to cmd/questsim.
+	obs = obsflags.Register(flag.CommandLine)
 	// sweep carries the observation bundle into the statistical experiment
 	// drivers; assembled in main after obs.Start.
 	sweep core.SweepObs
@@ -109,9 +108,8 @@ func main() {
 	// Deliberately no -workers here: the ledger is byte-identical for any
 	// worker count, and recording the pool size would break that.
 	lw, err := obs.OpenLedger("questbench", map[string]string{
-		"args":    strings.Join(args, " "),
-		"trials":  strconv.Itoa(*flagTrials),
-		"ci-stop": strconv.FormatFloat(obs.CIStop(), 'g', -1, 64),
+		"args":   strings.Join(args, " "),
+		"trials": strconv.Itoa(*flagTrials),
 	})
 	if err != nil {
 		// A ledger that cannot be created is an artifact write failure,
@@ -123,9 +121,8 @@ func main() {
 	// the run it measured, and -workers stays out so the waveform bytes keep
 	// their worker-count independence.
 	if err := obs.OpenBW("questbench", map[string]string{
-		"args":    strings.Join(args, " "),
-		"trials":  strconv.Itoa(*flagTrials),
-		"ci-stop": strconv.FormatFloat(obs.CIStop(), 'g', -1, 64),
+		"args":   strings.Join(args, " "),
+		"trials": strconv.Itoa(*flagTrials),
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		obs.Exit(2)
@@ -134,7 +131,6 @@ func main() {
 		Ledger:   lw,
 		Heat:     obs.HeatSet(),
 		BW:       obs.BW(),
-		CIWidth:  obs.CIStop(),
 		Progress: obs.SweepProgress(),
 	}
 	if *flagMD {
@@ -151,7 +147,7 @@ func main() {
 // mdIgnoredFlags are the sweep-artifact flags a -md run cannot honour: the
 // report runs its sweeps without the observation bundle they feed, so it
 // would leave a header-only ledger and an empty heatmap or profile.
-var mdIgnoredFlags = []string{"ledger", "heatmap", "bw", "ci-stop", "progress"}
+var mdIgnoredFlags = []string{"ledger", "heatmap", "bw", "progress"}
 
 // checkFlags rejects negative -trials and -workers, which would otherwise
 // run the defaults while the ledger header records the negative value, and,

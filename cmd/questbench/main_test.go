@@ -35,7 +35,6 @@ func TestCheckFlags(t *testing.T) {
 		{20, 0, true, "ledger", "", "-ledger"},
 		{20, 0, true, "heatmap", "", "-heatmap"},
 		{20, 0, true, "bw", "", "-bw"},
-		{20, 0, true, "ci-stop", "", "-ci-stop"},
 		{20, 0, true, "progress", "", "-progress"},
 		{20, 0, false, "", "threshold", ""},
 		{20, 0, true, "", "threshold", "-md"},
@@ -132,7 +131,7 @@ func TestArtifactWriteFailureExitsOne(t *testing.T) {
 // TestUsageErrorsExitTwo pins the usage class of the exit contract beyond
 // checkFlags' numbers: a bad observability value, an unknown experiment,
 // -md with a sweep-artifact flag or an experiment name, known or not, and
-// the retired -pprof flag each exit 2.
+// the retired -pprof and -ci-stop flags each exit 2.
 func TestUsageErrorsExitTwo(t *testing.T) {
 	for _, args := range [][]string{
 		{"-metrics", "bogus", "fig10"},
@@ -144,6 +143,7 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"-md", "bogus"},
 		{"-md", "threshold"},
 		{"-pprof", "localhost:6060", "fig10"},
+		{"-ci-stop", "0.1", "threshold"},
 	} {
 		code, stderr := runQuestbench(t, args...)
 		if code != 2 {

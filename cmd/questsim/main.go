@@ -18,8 +18,7 @@
 //	-replays N      cache replays for -program distill (default 20)
 //	-tech NAME      timing model: exps, projf, projd, none (default projd)
 //
-// Observability (shared with questbench via internal/obsflags; the
-// sweep-only -ci-stop is questbench's alone):
+// Observability (shared with questbench via internal/obsflags):
 //
 //	-metrics text|json   dump the metrics registry to stderr at exit
 //	-cpuprofile FILE     write a CPU profile of the whole run to FILE (read

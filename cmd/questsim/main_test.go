@@ -92,8 +92,8 @@ func runQuestsim(t *testing.T, args ...string) (int, string) {
 
 // TestBadValuesExitTwo pins the usage class of the exit contract: a bad
 // observability value or an unknown name exits 2 with one "questsim: "
-// line naming the flag, as questbench does, and the retired -pprof flag
-// fails flag parsing.
+// line naming the flag, as questbench does, and the retired -pprof and
+// -ci-stop flags fail flag parsing.
 func TestBadValuesExitTwo(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -107,6 +107,7 @@ func TestBadValuesExitTwo(t *testing.T) {
 		{[]string{"-tech", "cmos"}, "-tech"},
 		{[]string{"-program", "qft"}, "-program"},
 		{[]string{"-pprof", "localhost:6060"}, ""},
+		{[]string{"-ci-stop", "0.1"}, ""},
 	} {
 		code, stderr := runQuestsim(t, append(tc.args, "-cycles", "0")...)
 		if code != 2 {

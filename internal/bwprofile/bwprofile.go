@@ -12,9 +12,9 @@
 // constraint on the host→control-processor link.
 //
 // Determinism follows the same discipline as the ledger, heatmap and event
-// layers: windows are indexed by machine cycle, per-trial shards are created
-// with NewShard and merged in trial order by the Monte-Carlo engine, and the
-// quest-bw/1 artifact (jsonl.go) carries no wall-clock or worker-count
+// layers: windows are indexed by machine cycle, the Monte-Carlo engine gives
+// each worker a shard made with NewShard and merges the shards (sums, plus a
+// max of the cycle count) after the pool drains, and the quest-bw/1 artifact (jsonl.go) carries no wall-clock or worker-count
 // fields, so its bytes are identical for any worker count (pinned by
 // core's TestMachineMemoryBWPureSideband and CI's bw-smoke cmp).
 //
@@ -146,8 +146,8 @@ func (w *winAcc) total() uint64 {
 //
 // Concurrency: Observe/Merge/Summary/WriteJSONL are mutex-guarded, so a
 // recorder is safe to share between goroutines. The Monte-Carlo engine
-// avoids the contention entirely: each trial records into its own shard,
-// merged in trial order after the pool drains.
+// avoids the contention entirely: each worker records into its own shard,
+// merged after the pool drains.
 type Recorder struct {
 	mu         sync.Mutex
 	window     int
@@ -204,7 +204,7 @@ func (r *Recorder) Observe(cycle int, bus Bus, class Class, instrs, byteCount ui
 }
 
 // NewShard returns a fresh recorder with the same window width, for one
-// trial's private accumulation; merge it back with Merge. Returns nil on a
+// worker's private accumulation; merge it back with Merge. Returns nil on a
 // nil recorder so the off path propagates without branches.
 func (r *Recorder) NewShard() *Recorder {
 	if r == nil {
@@ -214,9 +214,9 @@ func (r *Recorder) NewShard() *Recorder {
 }
 
 // Merge folds a shard's windows and class totals into r. Merging is
-// addition, so the result is independent of merge order — but the engine
-// still merges in trial order, matching the heat/ledger reduction
-// discipline. No-op when either side is nil.
+// addition (and a max of the cycle count), so the result is independent of
+// merge order and of how trials were split among shards. No-op when either
+// side is nil.
 func (r *Recorder) Merge(shard *Recorder) {
 	if r == nil || shard == nil {
 		return

@@ -6,7 +6,6 @@ import (
 
 	"quest/internal/clifford"
 	"quest/internal/decoder"
-	"quest/internal/heatmap"
 	"quest/internal/mc"
 	"quest/internal/metrics"
 	"quest/internal/noise"
@@ -347,6 +346,7 @@ func (tp *thresholdProgram) runLane(p float64, seeds []uint64, ctx mc.BatchCtx, 
 	}
 	s.win.SetInstr(instr) // nil restores the default, like the scalar unwired path
 	s.win.SetTracer(ctx.Trace, 0)
+	s.win.SetHeat(ctx.Heat)
 	for i := range seeds {
 		bit := uint64(1) << uint(i)
 		s.win.Reset()
@@ -358,20 +358,15 @@ func (tp *thresholdProgram) runLane(p float64, seeds []uint64, ctx mc.BatchCtx, 
 			out[i] = mc.Outcome{}
 			continue
 		}
-		var heat *heatmap.Collector
-		if ctx.Heat != nil {
-			heat = ctx.Heat[i]
-		}
 		s.frame.Reset()
-		s.win.SetHeat(heat)
 		for r := 1; r <= d+1; r++ {
 			defs := s.defects[:0]
 			row, prev := r*n, (r-1)*n
 			for _, a := range tp.anc {
 				if (flips[row+a.q]^flips[prev+a.q])&bit != 0 {
 					defs = append(defs, decoder.Defect{Round: r, Qubit: a.q, R: a.r, C: a.c, IsX: a.isX})
-					if heat != nil {
-						heat.Defect(a.r, a.c)
+					if ctx.Heat != nil {
+						ctx.Heat.Defect(a.r, a.c)
 					}
 				}
 			}

@@ -15,7 +15,7 @@ import (
 // thresholdSweep runs one sweep through the batched engine or the scalar
 // oracle and returns the rows, the raw ledger bytes, the heatmap JSON and
 // the non-zero decoder.* counters and mc.trials of a private registry.
-func thresholdSweep(t *testing.T, batched bool, workers, trials int, ciWidth float64,
+func thresholdSweep(t *testing.T, batched bool, workers, trials int,
 	rates []float64, distances []int) ([]ThresholdRow, []byte, []byte, map[string]uint64) {
 	t.Helper()
 	reg := metrics.New()
@@ -25,7 +25,7 @@ func thresholdSweep(t *testing.T, batched bool, workers, trials int, ciWidth flo
 		t.Fatalf("NewWriter: %v", err)
 	}
 	heat := heatmap.NewSet()
-	obs := SweepObs{Ledger: lw, Heat: heat, CIWidth: ciWidth}
+	obs := SweepObs{Ledger: lw, Heat: heat}
 	var rows []ThresholdRow
 	var serr error
 	if batched {
@@ -53,32 +53,29 @@ func thresholdSweep(t *testing.T, batched bool, workers, trials int, ciWidth flo
 }
 
 // TestThresholdBatchedMatchesScalar pins the batched engine's whole contract:
-// for every cell, Result rows, ledger bytes and heat JSON are byte-identical
-// to the scalar tableau oracle, and so are the non-zero decoder.* counters
-// and mc.trials (under CI early stop, on one worker), across worker counts
-// (including lane-count mismatches), trial counts that leave a ragged final
-// 64-trial lane, CI early stop, and the exact grid `questbench threshold`
-// ships. The scalar oracle runs at workers=1 as the reference. The grid
-// holds trials that drew no fault, whose decode the engine skips, and
-// trials that drew one.
+// for every cell, Result rows, ledger bytes, heat JSON, the non-zero
+// decoder.* counters and mc.trials are identical to the scalar tableau
+// oracle's, across worker counts (including lane-count mismatches), trial
+// counts that leave a ragged final 64-trial lane, and the exact grid
+// `questbench threshold` ships. The scalar oracle runs at workers=1 as the
+// reference. The grid holds trials that drew no fault, whose decode the
+// engine skips, and trials that drew one.
 func TestThresholdBatchedMatchesScalar(t *testing.T) {
 	rates := []float64{2e-3, 4e-3}
 	var clean, faulty int
 	for _, tc := range []struct {
-		name    string
-		trials  int
-		ciWidth float64
-		rates   []float64
-		dists   []int
+		name   string
+		trials int
+		rates  []float64
+		dists  []int
 	}{
-		{"single-trial", 1, 0, rates, []int{3}},
-		{"sub-lane", 7, 0, rates, []int{3}},
-		{"full-lane", 64, 0, rates, []int{3}},
-		{"ragged", 100, 0, rates, []int{3}},
-		{"two-lanes-ragged", 130, 0, rates, []int{3}},
-		{"ci-stop", 120, 0.15, rates, []int{3}},
-		{"d5-ragged", 30, 0, rates, []int{5}},
-		{"cli-grid", 70, 0, []float64{2e-3, 1e-3, 5e-4}, []int{3, 5}},
+		{"single-trial", 1, rates, []int{3}},
+		{"sub-lane", 7, rates, []int{3}},
+		{"full-lane", 64, rates, []int{3}},
+		{"ragged", 100, rates, []int{3}},
+		{"two-lanes-ragged", 130, rates, []int{3}},
+		{"d5-ragged", 30, rates, []int{5}},
+		{"cli-grid", 70, []float64{2e-3, 1e-3, 5e-4}, []int{3, 5}},
 	} {
 		for _, p := range tc.rates {
 			for _, d := range tc.dists {
@@ -88,9 +85,9 @@ func TestThresholdBatchedMatchesScalar(t *testing.T) {
 			}
 		}
 		t.Run(tc.name, func(t *testing.T) {
-			wantRows, wantLed, wantHeat, wantCounters := thresholdSweep(t, false, 1, tc.trials, tc.ciWidth, tc.rates, tc.dists)
+			wantRows, wantLed, wantHeat, wantCounters := thresholdSweep(t, false, 1, tc.trials, tc.rates, tc.dists)
 			for _, workers := range []int{1, 8} {
-				rows, led, heat, counters := thresholdSweep(t, true, workers, tc.trials, tc.ciWidth, tc.rates, tc.dists)
+				rows, led, heat, counters := thresholdSweep(t, true, workers, tc.trials, tc.rates, tc.dists)
 				if !reflect.DeepEqual(rows, wantRows) {
 					t.Errorf("workers=%d: batched rows differ from scalar oracle:\nbatched: %+v\nscalar:  %+v",
 						workers, rows, wantRows)
@@ -101,10 +98,7 @@ func TestThresholdBatchedMatchesScalar(t *testing.T) {
 				if !bytes.Equal(heat, wantHeat) {
 					t.Errorf("workers=%d: batched heat JSON differs from scalar oracle", workers)
 				}
-				// Counters count every trial a worker ran, lanes past an
-				// early stop included, so with a stop they match only on
-				// one worker.
-				if (tc.ciWidth == 0 || workers == 1) && !reflect.DeepEqual(counters, wantCounters) {
+				if !reflect.DeepEqual(counters, wantCounters) {
 					t.Errorf("workers=%d: batched counters differ from scalar oracle:\nbatched: %v\nscalar:  %v",
 						workers, counters, wantCounters)
 				}

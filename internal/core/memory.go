@@ -7,7 +7,6 @@ import (
 	"quest/internal/bwprofile"
 	"quest/internal/compiler"
 	"quest/internal/decoder"
-	"quest/internal/heatmap"
 	"quest/internal/isa"
 	"quest/internal/master"
 	"quest/internal/mc"
@@ -209,14 +208,12 @@ func (mp *memoryProgram) runLane(p float64, seeds []uint64, ctx mc.BatchCtx, out
 	ctl := master.Tally{Cycles: trials * uint64(cycles), Dispatched: instrs * trials}
 	s.win.SetInstr(instr) // nil restores the default, like the machine's unwired path
 	s.win.SetTracer(ctx.Trace, 0)
+	s.win.SetHeat(ctx.Heat)
+	s.hist.SetHeat(ctx.Heat)
 	for i := range seeds {
-		var bw *bwprofile.Recorder
 		if ctx.BW != nil {
-			bw = ctx.BW[i]
-		}
-		if bw != nil {
-			bw.Observe(1, bwprofile.BusLogical, bwprofile.ClassOf(isa.LPrep0), 1, isa.LogicalInstrBytes)
-			bw.Observe(mp.measAt, bwprofile.BusLogical, bwprofile.ClassOf(isa.LMeasZ), 1, isa.LogicalInstrBytes)
+			ctx.BW.Observe(1, bwprofile.BusLogical, bwprofile.ClassOf(isa.LPrep0), 1, isa.LogicalInstrBytes)
+			ctx.BW.Observe(mp.measAt, bwprofile.BusLogical, bwprofile.ClassOf(isa.LMeasZ), 1, isa.LogicalInstrBytes)
 		}
 		s.win.Reset()
 		if s.lanes.hits>>uint(i)&1 == 0 {
@@ -227,14 +224,8 @@ func (mp *memoryProgram) runLane(p float64, seeds []uint64, ctx mc.BatchCtx, out
 			out[i] = mc.Outcome{}
 			continue
 		}
-		var heat *heatmap.Collector
-		if ctx.Heat != nil {
-			heat = ctx.Heat[i]
-		}
 		s.hist.Reset()
-		s.hist.SetHeat(heat)
 		s.frame.Reset()
-		s.win.SetHeat(heat)
 		got := -1
 		for c := 0; c < cycles; c++ {
 			// Issue: a fresh or measured patch owes nothing to past
@@ -272,8 +263,8 @@ func (mp *memoryProgram) runLane(p float64, seeds []uint64, ctx mc.BatchCtx, out
 			if k := uint64(len(residual)); k > 0 {
 				tile.DefectsEscalated += k
 				ctl.Escalated += k
-				if bw != nil {
-					bw.Observe(c, bwprofile.BusSyndrome, bwprofile.ClassSyndrome, k, k)
+				if ctx.BW != nil {
+					ctx.BW.Observe(c, bwprofile.BusSyndrome, bwprofile.ClassSyndrome, k, k)
 				}
 			}
 			if s.win.Absorb(residual, s.frame) > 0 {

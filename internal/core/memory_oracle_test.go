@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"quest/internal/bwprofile"
 	"quest/internal/compiler"
 	"quest/internal/heatmap"
 	"quest/internal/isa"
@@ -38,28 +37,27 @@ func machineMemoryScalar(reg *metrics.Registry, tr *tracing.Tracer, physRate flo
 	// Reset rewinds the rest. Reset-vs-fresh equality is pinned by
 	// TestMachineResetMatchesFresh.
 	var pool sync.Pool
-	trial := func(t int, seed uint64, shard *metrics.Registry, trace *tracing.Tracer,
-		heat *heatmap.Collector, bw *bwprofile.Recorder) mc.Outcome {
+	trial := func(t int, seed uint64, ctx mc.BatchCtx) mc.Outcome {
 		// The machine records into a trial-private set; its (single) grid is
-		// folded into the trial's engine shard at the end, so the merged
+		// folded into the worker's engine shard at the end, so the merged
 		// heatmap stays worker-count independent.
 		var hs *heatmap.Set
-		if heat != nil {
+		if ctx.Heat != nil {
 			hs = heatmap.NewSet()
 		}
 		var m *Machine
 		if v := pool.Get(); v != nil {
 			m = v.(*Machine)
-			m.Reset(int64(seed), shard, trace, hs, bw)
+			m.Reset(int64(seed), ctx.Shard, ctx.Trace, hs, ctx.BW)
 		} else {
 			cfg := DefaultMachineConfig()
 			cfg.PatchesPerTile = 1
 			cfg.Seed = int64(seed)
 			cfg.DecodeWindow = cfg.Distance
-			cfg.Metrics = shard
-			cfg.Tracer = trace
+			cfg.Metrics = ctx.Shard
+			cfg.Tracer = ctx.Trace
 			cfg.Heat = hs
-			cfg.BW = bw
+			cfg.BW = ctx.BW
 			if physRate > 0 {
 				nm := noise.Uniform(physRate)
 				cfg.Noise = &nm
@@ -71,23 +69,15 @@ func machineMemoryScalar(reg *metrics.Registry, tr *tracing.Tracer, physRate flo
 		if err != nil {
 			return mc.Outcome{Err: fmt.Errorf("core: memory trial %d: %w", t, err)}
 		}
-		if hs != nil && heat != nil {
-			heat.Merge(hs.Collector(heatmap.GridName(lat.Rows, lat.Cols), lat.Rows, lat.Cols))
+		if hs != nil {
+			ctx.Heat.Merge(hs.Collector(heatmap.GridName(lat.Rows, lat.Cols), lat.Rows, lat.Cols))
 		}
 		return mc.Outcome{Fail: got != 0}
 	}
 	res := mc.RunBatch(trials, workers, cell, reg, tr, obs.observers(name, heat),
 		func(start int, seeds []uint64, ctx mc.BatchCtx, out []mc.Outcome) {
 			for i, seed := range seeds {
-				var heat *heatmap.Collector
-				if ctx.Heat != nil {
-					heat = ctx.Heat[i]
-				}
-				var bw *bwprofile.Recorder
-				if ctx.BW != nil {
-					bw = ctx.BW[i]
-				}
-				out[i] = trial(start+i, seed, ctx.Shard, ctx.Trace, heat, bw)
+				out[i] = trial(start+i, seed, ctx)
 			}
 		})
 	if err := obs.closeCell(name, map[string]float64{"p": physRate, "rounds": float64(rounds)}, cell, trials, res); err != nil {

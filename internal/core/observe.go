@@ -13,12 +13,12 @@ import (
 
 // SweepObs bundles the experiment-observability hooks a sweep driver wires
 // through the Monte-Carlo engine: a run ledger, spatial heat collection,
-// adaptive CI early stop, and a live progress sink. The zero value observes
+// bandwidth profiling and a live progress sink. The zero value observes
 // nothing.
 //
 // Everything written through these hooks is worker-count independent: the
-// ledger and the CI-stop decision are pure functions of trial-ordered
-// outcomes, and heat shards are per-trial and merged in trial order (pinned
+// ledger is a pure function of trial-ordered outcomes, and heat and
+// bandwidth shards are per-worker sums merged after the pool drains (pinned
 // by TestThresholdObservedLedgerDeterminism and friends). Only the Progress
 // stream reflects live completion order — it is display, not data.
 type SweepObs struct {
@@ -31,13 +31,10 @@ type SweepObs struct {
 	Heat *heatmap.Set
 	// BW accumulates cycle-windowed instruction-bandwidth samples from every
 	// trial machine's master/MCE buses. Nil disables profiling (and keeps
-	// the dispatch paths allocation-free). Shards are per-trial and merged
-	// in trial order, so the quest-bw/1 waveform is worker-count
-	// independent like the ledger and heatmaps.
+	// the dispatch paths allocation-free). Shards are per-worker sums, so
+	// the quest-bw/1 waveform is worker-count independent like the ledger
+	// and heatmaps.
 	BW *bwprofile.Recorder
-	// CIWidth > 0 stops each cell at the first trial-ordered prefix whose
-	// 95% Wilson interval is narrower than this (see mc.Observers.CIWidth).
-	CIWidth float64
 	// Progress receives throttled per-cell progress snapshots. Nil
 	// disables the stream.
 	Progress func(cell string, p mc.Progress)
@@ -45,7 +42,7 @@ type SweepObs struct {
 
 // observers assembles the engine-level hooks for one named sweep cell.
 func (s SweepObs) observers(cell string, heat *heatmap.Collector) mc.Observers {
-	obs := mc.Observers{CIWidth: s.CIWidth, Heat: heat, BW: s.BW}
+	obs := mc.Observers{Heat: heat, BW: s.BW}
 	if s.Progress != nil {
 		progress := s.Progress
 		obs.Progress = func(p mc.Progress) { progress(cell, p) }
@@ -80,9 +77,7 @@ func (s SweepObs) closeCell(cell string, params map[string]float64, cellSeed uin
 		Seed:   ledger.SeedString(cellSeed),
 		Budget: budget, Trials: res.Trials, Failures: res.Failures,
 		Rate: res.Rate, WilsonLo: res.WilsonLo, WilsonHi: res.WilsonHi,
-		CIStop:       s.CIWidth,
-		StoppedEarly: res.Trials < budget,
-		Err:          errString(res.Err),
+		Err: errString(res.Err),
 	}); err != nil {
 		return err
 	}
@@ -113,8 +108,8 @@ func errString(err error) string {
 // trial) alone, so rows are bit-identical for any worker count, with or
 // without observation. Trial instrumentation is aggregated into reg and tr
 // (nil skips either); obs adds per-cell ledger records, defect/matched-chain
-// heatmaps, optional CI early stop (rows then report the effective trial
-// count) and live progress. The error reports a failed ledger write — never
+// heatmaps and live progress. Every cell runs all of its trials. The error
+// reports a failed ledger write — never
 // a trial-level failure, which stays in its row — so a SweepObs without a
 // Ledger never returns one.
 func Threshold(reg *metrics.Registry, tr *tracing.Tracer, rates []float64, distances []int,
@@ -150,8 +145,8 @@ func Threshold(reg *metrics.Registry, tr *tracing.Tracer, rates []float64, dista
 // land in per-worker shards merged into reg, its window-decoder spans in
 // tracer shards merged into tr (nil skips either), and the SweepObs hooks
 // see the machine's defect births, matched chains and bus traffic in
-// trial-private shards merged in trial order. The error is a failed ledger
-// write or else the first trial-level error, in trial order.
+// worker-private shards. The cell runs all of its trials. The error is a
+// failed ledger write or else the first trial-level error, in trial order.
 func MachineMemory(reg *metrics.Registry, tr *tracing.Tracer, physRate float64,
 	rounds, trials, workers int, obs SweepObs) (MemoryRow, error) {
 	cell := mc.Seed(ExperimentSeed, mc.F64(physRate), uint64(rounds), 0x3e3)

@@ -14,7 +14,7 @@ import (
 // observedThreshold runs a small observed threshold sweep and returns the
 // rows, the raw ledger bytes and the heatmap JSON, all produced with the
 // given worker count.
-func observedThreshold(t *testing.T, workers int, ciWidth float64, trials int) ([]ThresholdRow, []byte, []byte) {
+func observedThreshold(t *testing.T, workers, trials int) ([]ThresholdRow, []byte, []byte) {
 	t.Helper()
 	var buf bytes.Buffer
 	lw, err := ledger.NewWriter(&buf, "threshold-test", map[string]string{"suite": "observe_test"})
@@ -23,7 +23,7 @@ func observedThreshold(t *testing.T, workers int, ciWidth float64, trials int) (
 	}
 	heat := heatmap.NewSet()
 	rows, err := Threshold(nil, nil, []float64{2e-3, 4e-3}, []int{3}, trials, workers,
-		SweepObs{Ledger: lw, Heat: heat, CIWidth: ciWidth})
+		SweepObs{Ledger: lw, Heat: heat})
 	if err != nil {
 		t.Fatalf("Threshold: %v", err)
 	}
@@ -39,53 +39,26 @@ func observedThreshold(t *testing.T, workers int, ciWidth float64, trials int) (
 
 // TestThresholdObservedLedgerDeterminism pins the headline acceptance
 // criterion: the ledger (and the heatmaps, and the rows) are byte-identical
-// for workers=1 and workers=8, with and without CI early stop.
+// for workers=1 and workers=8. 120 trials make two lanes per cell, so eight
+// workers record them into different heat shards.
 func TestThresholdObservedLedgerDeterminism(t *testing.T) {
-	for _, ciWidth := range []float64{0, 0.15} {
-		rows1, led1, heat1 := observedThreshold(t, 1, ciWidth, 120)
-		rows8, led8, heat8 := observedThreshold(t, 8, ciWidth, 120)
-		if !reflect.DeepEqual(rows1, rows8) {
-			t.Errorf("ciWidth=%v: rows differ across worker counts:\n1: %+v\n8: %+v", ciWidth, rows1, rows8)
-		}
-		if !bytes.Equal(led1, led8) {
-			t.Errorf("ciWidth=%v: ledger bytes differ across worker counts", ciWidth)
-		}
-		if !bytes.Equal(heat1, heat8) {
-			t.Errorf("ciWidth=%v: heatmap JSON differs across worker counts", ciWidth)
-		}
-		rep, err := ledger.Validate(led1)
-		if err != nil {
-			t.Fatalf("ciWidth=%v: questcheck rejects the sweep ledger: %v", ciWidth, err)
-		}
-		if rep.Cells != 2 {
-			t.Errorf("ciWidth=%v: ledger has %d cells, want 2", ciWidth, rep.Cells)
-		}
+	rows1, led1, heat1 := observedThreshold(t, 1, 120)
+	rows8, led8, heat8 := observedThreshold(t, 8, 120)
+	if !reflect.DeepEqual(rows1, rows8) {
+		t.Errorf("rows differ across worker counts:\n1: %+v\n8: %+v", rows1, rows8)
 	}
-}
-
-// TestThresholdObservedCIStopSavesTrials pins the point of adaptive stopping:
-// with a loose width at least one cell converges well before the budget, the
-// reported interval meets the requested width, and the estimate agrees with
-// the fixed-budget run on the trials both executed (they share per-trial
-// seeds, so the early-stop row is a strict prefix of the fixed run).
-func TestThresholdObservedCIStopSavesTrials(t *testing.T) {
-	const budget = 400
-	const width = 0.15
-	fixed, _ := Threshold(nil, nil, []float64{2e-3}, []int{3}, budget, 4, SweepObs{})
-	stopped, _ := Threshold(nil, nil, []float64{2e-3}, []int{3}, budget, 4, SweepObs{CIWidth: width})
-	f, s := fixed[0], stopped[0]
-	if s.Trials >= budget {
-		t.Fatalf("ci-stop ran the whole budget (%d trials); widen the test margin", s.Trials)
+	if !bytes.Equal(led1, led8) {
+		t.Error("ledger bytes differ across worker counts")
 	}
-	if got := s.WilsonHi - s.WilsonLo; got > width {
-		t.Errorf("stopped cell interval width %.4f exceeds requested %.4f", got, width)
+	if !bytes.Equal(heat1, heat8) {
+		t.Error("heatmap JSON differs across worker counts")
 	}
-	if s.FailRate < f.WilsonLo-width || s.FailRate > f.WilsonHi+width {
-		t.Errorf("early-stop estimate %.4f far from fixed-budget %.4f [%.4f, %.4f]",
-			s.FailRate, f.FailRate, f.WilsonLo, f.WilsonHi)
+	rep, err := ledger.Validate(led1)
+	if err != nil {
+		t.Fatalf("questcheck rejects the sweep ledger: %v", err)
 	}
-	if f.Trials != budget {
-		t.Errorf("fixed run reports %d trials, want the full budget %d", f.Trials, budget)
+	if rep.Cells != 2 {
+		t.Errorf("ledger has %d cells, want 2", rep.Cells)
 	}
 }
 
@@ -139,12 +112,9 @@ const memoryPinTrials = 130
 
 // TestMachineMemoryObservedDeterminism runs the machine-level experiment with
 // the full observer bundle and pins worker-count independence of the row,
-// ledger and heat, with and without CI early stop. The CI width stops the
-// cell inside its second lane, so whole in-flight lanes run past the stop
-// point and their overrun must be discarded identically at every worker
-// count.
+// ledger and heat across three lanes split over 3 and 8 workers.
 func TestMachineMemoryObservedDeterminism(t *testing.T) {
-	runAt := func(workers int, ciWidth float64) (MemoryRow, []byte, []byte) {
+	runAt := func(workers int) (MemoryRow, []byte, []byte) {
 		var buf bytes.Buffer
 		lw, err := ledger.NewWriter(&buf, "memory-test", nil)
 		if err != nil {
@@ -152,7 +122,7 @@ func TestMachineMemoryObservedDeterminism(t *testing.T) {
 		}
 		heat := heatmap.NewSet()
 		row, err := MachineMemory(nil, nil, 2e-3, 6, memoryPinTrials, workers,
-			SweepObs{Ledger: lw, Heat: heat, CIWidth: ciWidth})
+			SweepObs{Ledger: lw, Heat: heat})
 		if err != nil {
 			t.Fatalf("MachineMemory: %v", err)
 		}
@@ -165,26 +135,21 @@ func TestMachineMemoryObservedDeterminism(t *testing.T) {
 		}
 		return row, buf.Bytes(), hj.Bytes()
 	}
-	for _, ciWidth := range []float64{0, 0.12} {
-		row1, led1, heat1 := runAt(1, ciWidth)
-		if ciWidth > 0 && (row1.Trials <= 64 || row1.Trials >= memoryPinTrials) {
-			t.Errorf("ci=%v: cell stopped at %d trials, want inside the second lane", ciWidth, row1.Trials)
+	row1, led1, heat1 := runAt(1)
+	for _, workers := range []int{3, 8} {
+		row, led, heat := runAt(workers)
+		if row1 != row {
+			t.Errorf("rows differ across worker counts:\n1: %+v\n%d: %+v", row1, workers, row)
 		}
-		for _, workers := range []int{3, 8} {
-			row, led, heat := runAt(workers, ciWidth)
-			if row1 != row {
-				t.Errorf("ci=%v: rows differ across worker counts:\n1: %+v\n%d: %+v", ciWidth, row1, workers, row)
-			}
-			if !bytes.Equal(led1, led) {
-				t.Errorf("ci=%v: ledger bytes differ between 1 and %d workers", ciWidth, workers)
-			}
-			if !bytes.Equal(heat1, heat) {
-				t.Errorf("ci=%v: heatmap JSON differs between 1 and %d workers", ciWidth, workers)
-			}
+		if !bytes.Equal(led1, led) {
+			t.Errorf("ledger bytes differ between 1 and %d workers", workers)
 		}
-		if _, err := ledger.Validate(led1); err != nil {
-			t.Errorf("ci=%v: questcheck rejects the memory ledger: %v", ciWidth, err)
+		if !bytes.Equal(heat1, heat) {
+			t.Errorf("heatmap JSON differs between 1 and %d workers", workers)
 		}
+	}
+	if _, err := ledger.Validate(led1); err != nil {
+		t.Errorf("questcheck rejects the memory ledger: %v", err)
 	}
 }
 
@@ -202,7 +167,7 @@ func TestThresholdObservedProgressPureSideband(t *testing.T) {
 			t.Fatalf("NewWriter: %v", err)
 		}
 		heat := heatmap.NewSet()
-		obs := SweepObs{Ledger: lw, Heat: heat, CIWidth: 0.15, Progress: progress}
+		obs := SweepObs{Ledger: lw, Heat: heat, Progress: progress}
 		rows, err := Threshold(nil, nil, []float64{2e-3, 4e-3}, []int{3}, 120, workers, obs)
 		if err != nil {
 			t.Fatalf("Threshold: %v", err)
@@ -251,8 +216,8 @@ func TestThresholdObservedProgressPureSideband(t *testing.T) {
 // criteria in one sweep: with a recorder wired through the machine, the row,
 // ledger bytes and heatmap JSON are byte-identical to the profiler-off run
 // (the recorder observes, it never perturbs), and the quest-bw/1 artifact's
-// own bytes are identical for 1, 3 and 8 workers (per-trial shards merged in
-// trial order, like the ledger).
+// own bytes are identical for 1, 3 and 8 workers (per-worker shards whose
+// merge is a sum).
 func TestMachineMemoryBWPureSideband(t *testing.T) {
 	run := func(workers int, withBW bool) (MemoryRow, []byte, []byte, []byte) {
 		t.Helper()

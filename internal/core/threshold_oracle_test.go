@@ -75,10 +75,8 @@ func logicalFailRateScalar(reg *metrics.Registry, tr *tracing.Tracer, d int, p f
 				if ctx.Trace != nil {
 					win.SetTracer(ctx.Trace, 0)
 				}
-				if ctx.Heat != nil {
-					hist.SetHeat(ctx.Heat[i])
-					win.SetHeat(ctx.Heat[i])
-				}
+				hist.SetHeat(ctx.Heat)
+				win.SetHeat(ctx.Heat)
 				run(clean)
 				hist.Absorb(run(clean))
 				// The noisy-round count tracks the code distance: the window

@@ -8,9 +8,9 @@
 //
 // A Collector is deliberately dumb: fixed-size integer grids plus a
 // fixed-bucket chain-length histogram, all merged by addition, so merging
-// per-trial shards in trial order yields exactly the same totals as any
-// other order (the worker-count-independence invariant every observer in
-// this repository obeys). Collection follows the nil-gated pattern of
+// per-worker shards yields the same totals however the trials were split
+// among the workers (the worker-count-independence invariant every observer
+// in this repository obeys). Collection follows the nil-gated pattern of
 // internal/tracing: every recording method on a nil *Collector is a no-op
 // and allocation-free, which is the state the decode hot paths run in when
 // -heatmap is off (pinned by TestNilCollectorIsFreeAndSafe and the
@@ -34,9 +34,8 @@ const Schema = "quest-heatmap/1"
 const MaxChainLen = 32
 
 // Collector accumulates spatial decode statistics for one lattice shape.
-// Methods are not concurrency-safe: each Monte-Carlo trial records into a
-// private shard (see mc.Observers.Heat), merged in trial order after the
-// pool drains.
+// Methods are not concurrency-safe: each Monte-Carlo worker records into a
+// private shard (see mc.Observers.Heat), merged after the pool drains.
 type Collector struct {
 	rows, cols int
 	defects    []int64 // per-site defect occurrences (row-major)
@@ -59,7 +58,7 @@ func New(rows, cols int) *Collector {
 	}
 }
 
-// NewShard returns an empty collector of the same shape — the per-trial
+// NewShard returns an empty collector of the same shape — the per-worker
 // shard constructor the Monte-Carlo engine calls. Nil-safe: a nil receiver
 // returns nil, so a disabled heatmap propagates as a disabled shard.
 func (c *Collector) NewShard() *Collector {

@@ -67,8 +67,8 @@ func TestCollectorAccumulates(t *testing.T) {
 	}
 }
 
-// TestMergeOrderIndependent pins the determinism contract: per-trial shards
-// merged in any order produce identical totals, so the exported heatmap is
+// TestMergeOrderIndependent pins the determinism contract: shards merged in
+// any order produce identical totals, so the exported heatmap is
 // worker-count independent.
 func TestMergeOrderIndependent(t *testing.T) {
 	mkShards := func() []*Collector {

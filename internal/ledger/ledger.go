@@ -64,7 +64,9 @@ type Trial struct {
 }
 
 // Cell summarizes one sweep cell after its trials drain. Budget is the
-// requested trial count; Trials is what actually ran (fewer under -ci-stop).
+// requested trial count and Trials what ran; the commands run every trial,
+// so the two are equal, but Read accepts Trials below Budget, which
+// ledgers from an early-stopping sweep recorded.
 type Cell struct {
 	Record   string             `json:"record"`
 	Cell     string             `json:"cell"`
@@ -76,11 +78,7 @@ type Cell struct {
 	Rate     float64            `json:"rate"`
 	WilsonLo float64            `json:"wilson_lo"`
 	WilsonHi float64            `json:"wilson_hi"`
-	// CIStop is the requested Wilson-width stop target (0 = fixed budget);
-	// StoppedEarly reports whether the cell converged before its budget.
-	CIStop       float64 `json:"ci_stop,omitempty"`
-	StoppedEarly bool    `json:"stopped_early,omitempty"`
-	Err          string  `json:"err,omitempty"`
+	Err      string             `json:"err,omitempty"`
 }
 
 // SeedString renders a seed the way the ledger stores it.

@@ -32,8 +32,6 @@ type ValidateReport struct {
 	Experiment string
 	Cells      int
 	Trials     int
-	// StoppedEarly counts cells that converged before their trial budget.
-	StoppedEarly int
 }
 
 // Validate reads a complete ledger (see Read) and summarizes it. CI's
@@ -47,9 +45,6 @@ func Validate(data []byte) (ValidateReport, error) {
 	rep := ValidateReport{Experiment: l.Header.Experiment, Cells: len(l.Cells)}
 	for _, c := range l.Cells {
 		rep.Trials += len(c.Trials)
-		if c.Summary.StoppedEarly {
-			rep.StoppedEarly++
-		}
 	}
 	return rep, nil
 }

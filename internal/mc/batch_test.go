@@ -61,47 +61,3 @@ func TestTrialNsSumMatchesBusyGauge(t *testing.T) {
 		t.Errorf("mc.trial.ns sum = %v vs mc.worker_busy_ns %v (rel err %v); the engine read the clock twice", sum, busy, rel)
 	}
 }
-
-// TestProgressMonotonicUnderCIStop is the regression test for the overrun
-// progress bug: with CI early stop and many workers, in-flight trials past
-// the stop point used to inflate the completion-ordered counts, so a
-// mid-run snapshot could exceed the final Done snapshot and the stream ran
-// backwards. Snapshots must now report the trial-ordered frontier: strictly
-// nondecreasing and never above the effective trial count.
-func TestProgressMonotonicUnderCIStop(t *testing.T) {
-	var mu sync.Mutex
-	var snaps []Progress
-	res := RunBatch(5000, 8, Seed(61, F64(0.4)), nil, nil, Observers{
-		CIWidth:       0.2,
-		ProgressEvery: 1, // maximal pressure: every completion emits
-		Progress: func(p Progress) {
-			mu.Lock()
-			snaps = append(snaps, p)
-			mu.Unlock()
-		},
-	}, observedRate(0.4))
-	if res.Trials >= 5000 {
-		t.Fatalf("CI stop never fired (trials = %d); the test needs overrun pressure", res.Trials)
-	}
-	if len(snaps) == 0 {
-		t.Fatal("no progress snapshots")
-	}
-	last := snaps[len(snaps)-1]
-	if !last.Done || last.Completed != res.Trials {
-		t.Fatalf("final snapshot %+v does not carry the Result count %d", last, res.Trials)
-	}
-	prev := 0
-	for i, p := range snaps[:len(snaps)-1] {
-		if p.Done {
-			t.Errorf("snapshot %d marked Done mid-run", i)
-		}
-		if p.Completed < prev {
-			t.Errorf("progress ran backwards: snapshot %d reports %d after %d", i, p.Completed, prev)
-		}
-		prev = p.Completed
-		if p.Completed > res.Trials {
-			t.Errorf("snapshot %d reports %d completed trials, beyond the effective %d",
-				i, p.Completed, res.Trials)
-		}
-	}
-}

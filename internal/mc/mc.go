@@ -126,10 +126,7 @@ func Wilson(failures, trials int, z float64) (lo, hi float64) {
 // Progress is a snapshot handed to a progress sink while a run is in
 // flight. Completed and Failures count in completion order (display only —
 // they may differ between runs with different worker counts until the pool
-// drains); the Wilson interval is computed over exactly those counts. Under
-// CI early stop the snapshots instead report the trial-ordered frontier of
-// consecutive completed trials, so Completed never exceeds the effective
-// trial count even when in-flight workers execute overrun trials. The
+// drains); the Wilson interval is computed over exactly those counts. The
 // final call of a run carries Done=true and the trial-order-exact Result
 // numbers.
 type Progress struct {
@@ -142,122 +139,26 @@ type Progress struct {
 // Observers bundles the optional observation hooks of RunBatch. The zero
 // value observes nothing and adds nothing to the hot path.
 type Observers struct {
-	// Progress, when non-nil, is called every ProgressEvery completed
-	// trials (default trials/100, min 1) and once more with Done=true
-	// after the pool drains. Calls are serialized but may come from worker
-	// goroutines; keep the sink fast.
-	Progress      func(Progress)
-	ProgressEvery int
+	// Progress, when non-nil, is called every trials/100 completed trials
+	// (at least every trial) and once more with Done=true after the pool
+	// drains. Calls are serialized but may come from worker goroutines;
+	// keep the sink fast.
+	Progress func(Progress)
 
-	// CIWidth > 0 enables adaptive early stop: the run ends at the first
-	// trial count n ≥ MinTrials (default 10) whose prefix of trial-ordered
-	// outcomes has a 95% Wilson interval no wider than CIWidth. The stop
-	// decision is a pure function of trial-ordered outcomes — a frontier
-	// over consecutive completed trials, never completion order — so the
-	// effective trial count, Result and ledger are identical for any
-	// worker count. Workers may execute a few trials beyond the stop
-	// point before observing it; those outcomes are discarded from the
-	// Result (but metrics/tracing shards, which observe execution, still
-	// see them).
-	CIWidth   float64
-	MinTrials int
-
-	// Heat, when non-nil, gives every trial a private shard (Heat.NewShard)
-	// via BatchCtx; shards of the effective trials are merged into Heat in
-	// trial order after the pool drains.
+	// Heat, when non-nil, gives every worker a private shard
+	// (Heat.NewShard) via BatchCtx, merged into Heat in worker order after
+	// the pool drains.
 	Heat *heatmap.Collector
 
-	// BW, when non-nil, gives every trial a private bandwidth-profile shard
-	// (BW.NewShard) via BatchCtx; shards of the effective trials are merged
-	// into BW in trial order after the pool drains, so the quest-bw/1
-	// waveform bytes are identical for any worker count.
+	// BW, when non-nil, gives every worker a private bandwidth-profile
+	// shard (BW.NewShard) via BatchCtx, merged into BW in worker order
+	// after the pool drains.
 	BW *bwprofile.Recorder
 
-	// Sink, when non-nil, receives every effective trial's outcome in
-	// trial order after the pool drains — the ledger writer's feed. It
-	// runs on the caller's goroutine.
+	// Sink, when non-nil, receives every trial's outcome in trial order
+	// after the pool drains — the ledger writer's feed. It runs on the
+	// caller's goroutine.
 	Sink func(trial int, seed uint64, out Outcome)
-}
-
-// defaultMinStopTrials floors the CI-stop rule: Wilson intervals over a
-// handful of trials are wide but not infinitely so, and stopping a cell on
-// three lucky trials would be statistics malpractice.
-const defaultMinStopTrials = 10
-
-// stopState is the CI-convergence early-stop tracker. Workers report each
-// finished trial; under the mutex a frontier advances over *consecutive*
-// completed trials in trial order, maintaining the prefix failure count, and
-// the stop rule fires at the first frontier position n ≥ minTrials whose
-// Wilson interval is narrower than width. Because the frontier only ever
-// consumes trial-ordered prefixes, the decision is a pure function of
-// trial-ordered outcomes — completion order and worker count cannot change
-// it.
-type stopState struct {
-	// stopAt bounds trial claiming: the trial budget until the frontier
-	// fires, then the effective trial count. Read lock-free by workers.
-	stopAt      atomic.Int64
-	mu          sync.Mutex
-	width       float64
-	minTrials   int
-	done        []bool
-	fails       []bool
-	frontier    int
-	prefixFails int
-	stopped     bool
-	stopN       int
-}
-
-// newStopState builds the tracker, or returns nil when CI-stop is off.
-func newStopState(width float64, minTrials, trials int) *stopState {
-	if width <= 0 {
-		return nil
-	}
-	if minTrials <= 0 {
-		minTrials = defaultMinStopTrials
-	}
-	st := &stopState{
-		width: width, minTrials: minTrials,
-		done: make([]bool, trials), fails: make([]bool, trials),
-	}
-	st.stopAt.Store(int64(trials))
-	return st
-}
-
-// observe records trial t's outcome and advances the frontier; on stop it
-// publishes the bound through stopAt so workers cease claiming new trials.
-func (st *stopState) observe(t int, fail bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.stopped {
-		return
-	}
-	st.done[t] = true
-	st.fails[t] = fail
-	for st.frontier < len(st.done) && st.done[st.frontier] {
-		if st.fails[st.frontier] {
-			st.prefixFails++
-		}
-		st.frontier++
-		if n := st.frontier; n >= st.minTrials {
-			lo, hi := Wilson(st.prefixFails, n, 1.96)
-			if hi-lo <= st.width {
-				st.stopped = true
-				st.stopN = n
-				st.stopAt.Store(int64(n))
-				return
-			}
-		}
-	}
-}
-
-// snapshot returns the trial-ordered frontier and its prefix failure count.
-// The frontier is monotone and, once the stop rule fires, frozen at the
-// effective trial count — which is what makes it safe to publish as live
-// progress: it can never exceed the final Done snapshot.
-func (st *stopState) snapshot() (completed, failures int) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.frontier, st.prefixFails
 }
 
 // progressState throttles and serializes the live-progress sink.
@@ -267,27 +168,14 @@ type progressState struct {
 	every     int
 	completed int
 	failures  int
-	// st is the CI-stop tracker when early stop is active, nil otherwise.
-	// With it set, emitted snapshots report the trial-ordered frontier
-	// instead of raw completion counts: workers keep executing a few
-	// overrun trials after the stop point, and counting those would let an
-	// intermediate Completed exceed the final Done count (the stream would
-	// run backwards).
-	st *stopState
 }
 
 // newProgressState builds the throttle, or returns nil when the sink is off.
-func newProgressState(fn func(Progress), every, trials int, st *stopState) *progressState {
+func newProgressState(fn func(Progress), trials int) *progressState {
 	if fn == nil {
 		return nil
 	}
-	if every <= 0 {
-		every = trials / 100
-		if every < 1 {
-			every = 1
-		}
-	}
-	return &progressState{fn: fn, every: every, st: st}
+	return &progressState{fn: fn, every: max(trials/100, 1)}
 }
 
 func (ps *progressState) observe(fail bool) {
@@ -300,15 +188,8 @@ func (ps *progressState) observe(fail bool) {
 	if ps.completed%ps.every != 0 {
 		return
 	}
-	completed, failures := ps.completed, ps.failures
-	if ps.st != nil {
-		completed, failures = ps.st.snapshot()
-		if completed == 0 {
-			return // nothing trial-ordered to report yet
-		}
-	}
-	lo, hi := Wilson(failures, completed, 1.96)
-	ps.fn(Progress{Completed: completed, Failures: failures, WilsonLo: lo, WilsonHi: hi})
+	lo, hi := Wilson(ps.failures, ps.completed, 1.96)
+	ps.fn(Progress{Completed: ps.completed, Failures: ps.failures, WilsonLo: lo, WilsonHi: hi})
 }
 
 // LaneWidth is the number of trials a lane packs — one trial per bit of a
@@ -316,23 +197,22 @@ func (ps *progressState) observe(fail bool) {
 // single word ops.
 const LaneWidth = 64
 
-// BatchCtx carries the per-lane observation hooks into a trial function.
-// Shard and Trace are worker-private; Heat and BW hold one trial-private
-// shard per trial in the lane, indexed like the lane's seeds, so the merged
-// heatmap and bandwidth profile stay worker-count independent even under CI
-// early stop, where different worker counts execute different overrun
-// trials.
+// BatchCtx carries one worker's private observation hooks into a trial
+// function; each is nil when its hook is off. A worker hands the same
+// BatchCtx to every lane it runs, and RunBatch merges each hook into its
+// parent in worker order after the pool drains. Every merge is a sum (the
+// bandwidth profile also keeps a max), so the merged registry, trace,
+// heatmap and bandwidth profile do not depend on which worker ran which
+// lane.
 type BatchCtx struct {
-	// Shard is the worker-private metrics registry (nil when metrics off).
+	// Shard is the worker-private metrics registry.
 	Shard *metrics.Registry
-	// Trace is the worker-private tracer shard (nil when tracing off).
+	// Trace is the worker-private tracer, sized like the merge target.
 	Trace *tracing.Tracer
-	// Heat is nil when heatmaps are off; otherwise Heat[i] is the private
-	// shard of trial start+i.
-	Heat []*heatmap.Collector
-	// BW is nil when bandwidth profiling is off; otherwise BW[i] is the
-	// private shard of trial start+i.
-	BW []*bwprofile.Recorder
+	// Heat is the worker-private heat collector.
+	Heat *heatmap.Collector
+	// BW is the worker-private bandwidth-profile recorder.
+	BW *bwprofile.Recorder
 }
 
 // BatchFn executes one lane of up to LaneWidth consecutive trials. start is
@@ -354,19 +234,15 @@ type BatchFn func(start int, seeds []uint64, ctx BatchCtx, out []Outcome)
 // and the first error are reduced over the trial-indexed outcome store in
 // trial order after the pool drains, never in completion order.
 //
-// reg and tr, when non-nil, give every worker a private metrics registry
-// (ctx.Shard) and tracer (ctx.Trace, sized like tr), merged into them in
-// worker order after the pool drains. Counters, fixed-bucket histograms and
-// the canonically sorted trace export are independent of how lanes were
-// distributed, so only the wall-clock instruments reflect this particular
-// run: the "mc.trials_per_sec" and "mc.worker_utilization" gauges, and the
-// mc.trial.ns histogram, which observes each lane's duration amortized per
-// trial. obs adds live progress, CI early stop, per-trial heat and bandwidth
-// shards and the trial-order outcome Sink. Under CI early stop whole
-// in-flight lanes (up to LaneWidth-1 overrun trials per worker) may execute
-// past the stop point before workers observe it; the overrun is discarded
-// from the Result. Instruments observe the computation; they never feed
-// back into it.
+// reg, tr, obs.Heat and obs.BW, when non-nil, give every worker a private
+// shard of each (see BatchCtx). Counters, fixed-bucket histograms, the
+// canonically sorted trace export, heat grids and bandwidth windows are
+// independent of how lanes were distributed, so only the wall-clock
+// instruments reflect this particular run: the "mc.trials_per_sec" and
+// "mc.worker_utilization" gauges, and the mc.trial.ns histogram, which
+// observes each lane's duration amortized per trial. obs also adds live
+// progress and the trial-order outcome Sink. Instruments observe the
+// computation; they never feed back into it.
 //
 // With nil reg and tr and a zero obs, fn sees a zero BatchCtx. Every local
 // the worker closure captures is assigned exactly once, and observer state
@@ -388,28 +264,25 @@ func RunBatch(trials, workers int, cellSeed uint64, reg *metrics.Registry, tr *t
 	outcomes := make([]Outcome, trials)
 	var nextLane atomic.Int64
 	var wg sync.WaitGroup
-	shards := make([]*metrics.Registry, workers)
-	traces := makeTraceShards(tr, workers)
-	st := newStopState(obs.CIWidth, obs.MinTrials, trials)
-	prog := newProgressState(obs.Progress, obs.ProgressEvery, trials, st)
-	heatParent := obs.Heat
-	heatShards := makeHeatShards(heatParent, trials)
-	bwParent := obs.BW
-	bwShards := makeBWShards(bwParent, trials)
+	ctxs := make([]BatchCtx, workers)
+	prog := newProgressState(obs.Progress, trials)
 	busyNs := make([]int64, workers) // per-worker time spent inside fn
 	start := wallClock()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	for w := range ctxs {
+		// One shard of each parent that is on; NewShard is nil on a nil
+		// parent.
+		ctxs[w] = BatchCtx{Heat: obs.Heat.NewShard(), BW: obs.BW.NewShard()}
 		if reg != nil {
-			shards[w] = metrics.New()
+			ctxs[w].Shard = metrics.New()
 		}
+		if tr != nil {
+			ctxs[w].Trace = tracing.New(tr.Capacity())
+		}
+		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			shard := shards[w]
-			var trace *tracing.Tracer
-			if traces != nil {
-				trace = traces[w]
-			}
+			ctx := ctxs[w]
+			shard := ctx.Shard
 			var trialNs *metrics.Histogram
 			var nTrials, nFails *metrics.Counter
 			if shard != nil {
@@ -418,47 +291,19 @@ func RunBatch(trials, workers int, cellSeed uint64, reg *metrics.Registry, tr *t
 				nFails = shard.Counter("mc.failures")
 			}
 			seeds := make([]uint64, LaneWidth)
-			var heats []*heatmap.Collector
-			var bws []*bwprofile.Recorder
 			for {
 				l := int(nextLane.Add(1)) - 1
 				if l >= lanes {
 					return
 				}
 				lo := l * LaneWidth
-				if st != nil && lo >= int(st.stopAt.Load()) {
-					return
-				}
 				n := min(LaneWidth, trials-lo)
 				for i := 0; i < n; i++ {
 					seeds[i] = TrialSeed(cellSeed, lo+i)
 				}
-				// Gate on the parents, not the shard slices: they are non-nil
-				// together, and a gate on the receiver itself keeps the off
-				// path one branch, as TestRunAllocs pins.
-				if heatParent != nil {
-					if heats == nil {
-						heats = make([]*heatmap.Collector, LaneWidth)
-					}
-					heats = heats[:n]
-					for i := range heats {
-						heats[i] = heatParent.NewShard()
-						heatShards[lo+i] = heats[i]
-					}
-				}
-				if bwParent != nil {
-					if bws == nil {
-						bws = make([]*bwprofile.Recorder, LaneWidth)
-					}
-					bws = bws[:n]
-					for i := range bws {
-						bws[i] = bwParent.NewShard()
-						bwShards[lo+i] = bws[i]
-					}
-				}
 				out := outcomes[lo : lo+n]
 				t0 := wallClock()
-				fn(lo, seeds[:n], BatchCtx{Shard: shard, Trace: trace, Heat: heats, BW: bws}, out)
+				fn(lo, seeds[:n], ctx, out)
 				// Capture the duration once: busyNs (worker utilization) and
 				// the mc.trial.ns histogram must observe the same value, or
 				// the two can never reconcile.
@@ -471,12 +316,9 @@ func RunBatch(trials, workers int, cellSeed uint64, reg *metrics.Registry, tr *t
 					}
 					nTrials.Add(uint64(n))
 				}
-				for i, o := range out {
+				for _, o := range out {
 					if shard != nil && o.Fail {
 						nFails.Inc()
-					}
-					if st != nil {
-						st.observe(lo+i, o.Fail)
 					}
 					if prog != nil {
 						prog.observe(o.Fail)
@@ -487,40 +329,27 @@ func RunBatch(trials, workers int, cellSeed uint64, reg *metrics.Registry, tr *t
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	if tr != nil {
-		for _, shard := range traces {
-			tr.Merge(shard)
-		}
-	}
-	// effective is the trial-order prefix the Result covers: the whole
-	// budget, or the CI-stop point. The frontier only fires once every trial
-	// before it is done, so every outcome and shard below the cut was
-	// executed even though lanes complete out of order. Trials executed past
-	// the stop point by in-flight workers are discarded from the Result (and
-	// from the shard merges and sink below), which is what keeps everything
-	// derived from outcomes worker-count independent.
-	effective := trials
-	if st != nil && st.stopped {
-		effective = st.stopN
+	for _, ctx := range ctxs {
+		tr.Merge(ctx.Trace)
+		obs.Heat.Merge(ctx.Heat)
+		obs.BW.Merge(ctx.BW)
 	}
 	if reg != nil {
-		for _, shard := range shards {
-			reg.Merge(shard)
-		}
 		var busy int64
-		for _, b := range busyNs {
-			busy += b
+		for w, ctx := range ctxs {
+			reg.Merge(ctx.Shard)
+			busy += busyNs[w]
 		}
 		reg.Gauge("mc.worker_busy_ns").Set(float64(busy))
 		if elapsed > 0 {
-			reg.Gauge("mc.trials_per_sec").Set(float64(effective) / elapsed.Seconds())
+			reg.Gauge("mc.trials_per_sec").Set(float64(trials) / elapsed.Seconds())
 			reg.Gauge("mc.worker_utilization").Set(
 				float64(busy) / (float64(elapsed) * float64(workers)))
 		}
 		reg.Gauge("mc.workers").Set(float64(workers))
 	}
-	res := Result{Trials: effective}
-	for _, out := range outcomes[:effective] {
+	res := Result{Trials: trials}
+	for _, out := range outcomes {
 		if out.Fail {
 			res.Failures++
 		}
@@ -528,63 +357,18 @@ func RunBatch(trials, workers int, cellSeed uint64, reg *metrics.Registry, tr *t
 			res.Err = out.Err
 		}
 	}
-	res.Rate = float64(res.Failures) / float64(effective)
-	res.WilsonLo, res.WilsonHi = Wilson(res.Failures, effective, 1.96)
-	if heatParent != nil {
-		for _, hs := range heatShards[:effective] {
-			heatParent.Merge(hs)
-		}
-	}
-	if bwParent != nil {
-		for _, bs := range bwShards[:effective] {
-			bwParent.Merge(bs)
-		}
-	}
+	res.Rate = float64(res.Failures) / float64(trials)
+	res.WilsonLo, res.WilsonHi = Wilson(res.Failures, trials, 1.96)
 	if obs.Sink != nil {
-		for t, out := range outcomes[:effective] {
+		for t, out := range outcomes {
 			obs.Sink(t, TrialSeed(cellSeed, t), out)
 		}
 	}
 	if prog != nil {
 		prog.mu.Lock() // pairs with worker emits; also makes -race happy
-		prog.fn(Progress{Completed: effective, Failures: res.Failures,
+		prog.fn(Progress{Completed: trials, Failures: res.Failures,
 			WilsonLo: res.WilsonLo, WilsonHi: res.WilsonHi, Done: true})
 		prog.mu.Unlock()
 	}
 	return res
-}
-
-// makeHeatShards builds the per-trial heat shard store, or returns nil when
-// heatmaps are off. Shards are per *trial*, not per worker: under CI early
-// stop different worker counts execute different overrun trials, and only a
-// trial-indexed store lets the merge discard exactly the overrun.
-func makeHeatShards(heat *heatmap.Collector, trials int) []*heatmap.Collector {
-	if heat == nil {
-		return nil
-	}
-	return make([]*heatmap.Collector, trials)
-}
-
-// makeBWShards builds the per-trial bandwidth-profile shard store, or
-// returns nil when profiling is off. Per-trial for the same CI-early-stop
-// reason as makeHeatShards: the merge must discard exactly the overrun
-// trials.
-func makeBWShards(bw *bwprofile.Recorder, trials int) []*bwprofile.Recorder {
-	if bw == nil {
-		return nil
-	}
-	return make([]*bwprofile.Recorder, trials)
-}
-
-// makeTraceShards builds one private Tracer per worker, each sized like the
-// merge target, or returns nil when tracing is off.
-func makeTraceShards(tr *tracing.Tracer, workers int) []*tracing.Tracer {
-	if tr == nil {
-		return nil
-	}
-	traces := make([]*tracing.Tracer, workers)
-	for w := range traces {
-		traces[w] = tracing.New(tr.Capacity())
-	}
-	return traces
 }

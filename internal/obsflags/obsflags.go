@@ -1,9 +1,7 @@
 // Package obsflags is the shared observability flag wiring for the
 // repository's binaries. cmd/questsim and cmd/questbench both expose the
 // flags Register installs, and this package keeps their semantics identical
-// instead of letting two hand-rolled copies drift. RegisterSweep adds the
-// one flag only a Monte-Carlo sweep can honour (-ci-stop); only
-// cmd/questbench installs it.
+// instead of letting two hand-rolled copies drift.
 //
 //	-metrics text|json   dump the default metrics registry to stderr at exit
 //	-cpuprofile FILE     write a CPU profile of the whole run to FILE
@@ -15,9 +13,6 @@
 //	                     provenance header, one record per trial, one summary
 //	                     per sweep cell (validate with tools/questcheck)
 //	-progress            render live sweep progress (Wilson CI) on Log
-//	-ci-stop W           (sweeps only) stop each sweep cell once its 95%
-//	                     Wilson interval is narrower than W (0 < W < 1);
-//	                     deterministic for any worker count
 //	-heatmap FILE        accumulate spatial defect/matching heatmaps and write
 //	                     them as JSON (plus ASCII renders on Log) at exit
 //	-bw FILE             record a cycle-windowed instruction-bandwidth profile
@@ -64,7 +59,6 @@ type Obs struct {
 	traceBuf   *int
 	ledgerPath *string
 	progress   *bool
-	ciStop     *float64
 	heatPath   *string
 	bwPath     *string
 	bwWindow   *int
@@ -89,8 +83,7 @@ type Obs struct {
 }
 
 // Register installs the shared flags on fs (flag.CommandLine in the
-// binaries; a private FlagSet in tests). The sweep-only -ci-stop reads as
-// unset: CIStop 0.
+// binaries; a private FlagSet in tests).
 func Register(fs *flag.FlagSet) *Obs {
 	return &Obs{
 		metricsFmt: fs.String("metrics", "", "dump the metrics registry at exit: 'text' or 'json'"),
@@ -104,7 +97,6 @@ func Register(fs *flag.FlagSet) *Obs {
 			"stream a run ledger (JSONL: header, per-trial, per-cell records) to this file"),
 		progress: fs.Bool("progress", false,
 			"render live sweep progress with Wilson confidence intervals on stderr"),
-		ciStop: new(float64),
 		heatPath: fs.String("heatmap", "",
 			"write spatial defect/matching heatmaps as JSON to this file at exit"),
 		bwPath: fs.String("bw", "",
@@ -113,15 +105,6 @@ func Register(fs *flag.FlagSet) *Obs {
 			fmt.Sprintf("bandwidth profile window width in machine cycles (0 = %d)", bwprofile.DefaultWindow)),
 		Log: os.Stderr,
 	}
-}
-
-// RegisterSweep installs the shared flags plus the sweep-only -ci-stop on
-// fs, for binaries that run Monte-Carlo sweeps.
-func RegisterSweep(fs *flag.FlagSet) *Obs {
-	o := Register(fs)
-	o.ciStop = fs.Float64("ci-stop", 0,
-		"stop each sweep cell once its 95% Wilson interval is narrower than this width (0 = fixed budget)")
-	return o
 }
 
 // ShardReg returns the registry Monte-Carlo drivers should aggregate
@@ -137,10 +120,6 @@ func (o *Obs) ShardReg() *metrics.Registry {
 // Tracer returns the process tracer (nil when tracing is off). Valid after
 // Start.
 func (o *Obs) Tracer() *tracing.Tracer { return tracing.Default }
-
-// CIStop returns the -ci-stop width (0 = adaptive stopping off). Validated
-// by Start.
-func (o *Obs) CIStop() float64 { return *o.ciStop }
 
 // ProgressEnabled reports whether -progress was given (for binaries that
 // render their own non-sweep progress, e.g. questsim's idle cycles).
@@ -241,9 +220,6 @@ func (o *Obs) Start() error {
 	case "", "text", "json":
 	default:
 		return fmt.Errorf("unknown -metrics format %q (want 'text' or 'json')", *o.metricsFmt)
-	}
-	if *o.ciStop < 0 || *o.ciStop >= 1 {
-		return fmt.Errorf("-ci-stop %v out of range: want a Wilson interval width in (0, 1), or 0 to disable", *o.ciStop)
 	}
 	if *o.traceBuf < 0 {
 		return fmt.Errorf("-trace-buf %d out of range: want a ring capacity in events, or 0 for the default %d", *o.traceBuf, tracing.DefaultCapacity)

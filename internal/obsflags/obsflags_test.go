@@ -142,111 +142,19 @@ func TestShardRegNilWhenObservabilityOff(t *testing.T) {
 	}
 }
 
-func TestStartRejectsBadCIStop(t *testing.T) {
-	defer resetDefaults()
-	for _, bad := range []string{"-0.1", "1", "1.5"} {
-		fs := flag.NewFlagSet("t", flag.ContinueOnError)
-		o := RegisterSweep(fs)
-		if err := fs.Parse([]string{"-ci-stop", bad}); err != nil {
-			t.Fatal(err)
-		}
-		err := o.Start()
-		if err == nil {
-			t.Errorf("Start accepted -ci-stop %s", bad)
-			continue
-		}
-		if !strings.Contains(err.Error(), "ci-stop") {
-			t.Errorf("-ci-stop %s: error %q does not name the flag", bad, err)
-		}
-	}
-	// 0 (off) and in-range widths must pass.
-	for _, good := range []string{"0", "0.05", "0.999"} {
-		fs := flag.NewFlagSet("t", flag.ContinueOnError)
-		o := RegisterSweep(fs)
-		if err := fs.Parse([]string{"-ci-stop", good}); err != nil {
-			t.Fatal(err)
-		}
-		if err := o.Start(); err != nil {
-			t.Errorf("Start rejected -ci-stop %s: %v", good, err)
-		}
-	}
-}
-
-// TestSweepFlagsOnlyOnSweepRegistration pins which binaries may take the
-// sweep-only flag: a single simulation (questsim's Register) cannot honour
-// -ci-stop, so its flag set rejects it at parse time, while a sweep driver
-// (questbench's RegisterSweep) accepts it. The plain registration reads it
-// as unset.
-func TestSweepFlagsOnlyOnSweepRegistration(t *testing.T) {
-	defer resetDefaults()
-	args := []string{"-ci-stop", "0.1"}
-	fs := flag.NewFlagSet("questsim", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	Register(fs)
-	if err := fs.Parse(args); err == nil {
-		t.Errorf("questsim's flag set accepted %v", args)
-	}
-	fs = flag.NewFlagSet("questbench", flag.ContinueOnError)
-	RegisterSweep(fs)
-	if err := fs.Parse(args); err != nil {
-		t.Errorf("questbench's flag set rejected %v: %v", args, err)
-	}
-
-	fs = flag.NewFlagSet("questsim", flag.ContinueOnError)
-	o := Register(fs)
-	o.Log = io.Discard
-	if err := fs.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := o.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if o.CIStop() != 0 {
-		t.Errorf("plain registration: CIStop %v, want unset", o.CIStop())
-	}
-	if err := o.Finish(); err != nil {
-		t.Fatal(err)
-	}
-
-	// RegisterSweep adds exactly the sweep flag to Register's set.
-	names := func(fs *flag.FlagSet) map[string]bool {
-		m := map[string]bool{}
-		fs.VisitAll(func(f *flag.Flag) { m[f.Name] = true })
-		return m
-	}
-	plain, sweep := flag.NewFlagSet("p", flag.ContinueOnError), flag.NewFlagSet("s", flag.ContinueOnError)
-	Register(plain)
-	RegisterSweep(sweep)
-	p, s := names(plain), names(sweep)
-	for name := range p {
-		if !s[name] {
-			t.Errorf("RegisterSweep lacks shared flag -%s", name)
-		}
-	}
-	if p["ci-stop"] || !s["ci-stop"] {
-		t.Errorf("-ci-stop: on plain set %v, on sweep set %v; want sweep only", p["ci-stop"], s["ci-stop"])
-	}
-	if len(s) != len(p)+1 {
-		t.Errorf("sweep set has %d flags, plain set %d; want exactly 1 more", len(s), len(p))
-	}
-}
-
 func TestLedgerAndHeatmapLifecycle(t *testing.T) {
 	defer resetDefaults()
 	dir := t.TempDir()
 	lpath := filepath.Join(dir, "run.jsonl")
 	hpath := filepath.Join(dir, "heat.json")
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	o := RegisterSweep(fs)
+	o := Register(fs)
 	o.Log = io.Discard
-	if err := fs.Parse([]string{"-ledger", lpath, "-heatmap", hpath, "-ci-stop", "0.2", "-progress"}); err != nil {
+	if err := fs.Parse([]string{"-ledger", lpath, "-heatmap", hpath, "-progress"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := o.Start(); err != nil {
 		t.Fatal(err)
-	}
-	if o.CIStop() != 0.2 {
-		t.Errorf("CIStop() = %v, want 0.2", o.CIStop())
 	}
 	if o.SweepProgress() == nil {
 		t.Error("SweepProgress() = nil with -progress set")
@@ -285,7 +193,7 @@ func TestLedgerAndHeatmapLifecycle(t *testing.T) {
 	if _, err := heatmap.ReadFile(hdata); err != nil {
 		t.Errorf("heatmap file unreadable: %v", err)
 	}
-	for _, want := range []string{"ledger:", "heatmap:", "defect births"} {
+	for _, want := range []string{"ledger: 1 cell(s), 1 trial record(s)", "heatmap:", "defect births"} {
 		if !strings.Contains(log.String(), want) {
 			t.Errorf("Finish log missing %q:\n%s", want, log.String())
 		}

@@ -89,8 +89,8 @@ func command() *cli.Command {
 			case rep.Trials < *minTrials:
 				return cli.Failf("%s: %d trial record(s), want >= %d", path, rep.Trials, *minTrials)
 			}
-			fmt.Fprintf(stdout, "questcheck: %s OK — ledger of experiment %q, %d cell(s), %d trial record(s), %d stopped early\n",
-				path, rep.Experiment, rep.Cells, rep.Trials, rep.StoppedEarly)
+			fmt.Fprintf(stdout, "questcheck: %s OK — ledger of experiment %q, %d cell(s), %d trial record(s)\n",
+				path, rep.Experiment, rep.Cells, rep.Trials)
 			return nil
 		},
 	}
