@@ -2,12 +2,15 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"quest/internal/metrics"
 )
 
 // TestCheckFlags pins which flag combinations questbench refuses: negative
@@ -61,24 +64,24 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// runQuestbench runs questbench with args in a child process and returns
-// its exit code and stderr.
-func runQuestbench(t *testing.T, args ...string) (int, string) {
+// runQuestbench runs questbench with args in a child process and returns its
+// exit code, stdout and stderr.
+func runQuestbench(t *testing.T, args ...string) (int, string, string) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "QUESTBENCH_TEST_MAIN=1")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	err := cmd.Run()
 	var ee *exec.ExitError
 	switch {
 	case err == nil:
-		return 0, stderr.String()
+		return 0, stdout.String(), stderr.String()
 	case errors.As(err, &ee):
-		return ee.ExitCode(), stderr.String()
+		return ee.ExitCode(), stdout.String(), stderr.String()
 	}
 	t.Fatal(err)
-	return 0, ""
+	return 0, "", ""
 }
 
 // TestLedgerWriteFailureExitsOne pins that a failed ledger write fails the
@@ -89,7 +92,7 @@ func TestLedgerWriteFailureExitsOne(t *testing.T) {
 		t.Skip("no /dev/full on this system")
 	}
 	for _, exp := range []string{"threshold", "memory"} {
-		code, stderr := runQuestbench(t, "-trials", "20", "-workers", "1", "-ledger", "/dev/full", exp)
+		code, _, stderr := runQuestbench(t, "-trials", "20", "-workers", "1", "-ledger", "/dev/full", exp)
 		if code != 1 {
 			t.Errorf("%s: exit %d, want 1 (stderr: %s)", exp, code, stderr)
 		}
@@ -118,7 +121,7 @@ func TestArtifactWriteFailureExitsOne(t *testing.T) {
 		{"-bw", "/dev/full", "bw: write /dev/full"},
 		{"-ledger", missing, "questbench: ledger: open " + missing},
 	} {
-		code, stderr := runQuestbench(t, "-trials", "20", "-workers", "1", tc.flag, tc.path, "memory")
+		code, _, stderr := runQuestbench(t, "-trials", "20", "-workers", "1", tc.flag, tc.path, "memory")
 		if code != 1 {
 			t.Errorf("%s %s: exit %d, want 1 (stderr: %s)", tc.flag, tc.path, code, stderr)
 		}
@@ -145,9 +148,43 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"-pprof", "localhost:6060", "fig10"},
 		{"-ci-stop", "0.1", "threshold"},
 	} {
-		code, stderr := runQuestbench(t, args...)
+		code, _, stderr := runQuestbench(t, args...)
 		if code != 2 {
 			t.Errorf("%v: exit %d, want 2 (stderr: %s)", args, code, stderr)
+		}
+	}
+}
+
+// TestMetricsJSONReportsTimers pins that instruments, off by default, still
+// record under -metrics: each 64-trial sweep reports observations of the
+// match and window-flush timers in its -metrics json dump, and prints the
+// stdout the same sweep prints without the flag.
+func TestMetricsJSONReportsTimers(t *testing.T) {
+	for _, exp := range []string{"threshold", "memory"} {
+		args := []string{"-trials", "64", "-workers", "2"}
+		code, plain, stderr := runQuestbench(t, append(args, exp)...)
+		if code != 0 {
+			t.Fatalf("%s: exit %d (stderr: %s)", exp, code, stderr)
+		}
+		code, stdout, stderr := runQuestbench(t, append(args, "-metrics", "json", exp)...)
+		if code != 0 {
+			t.Fatalf("%s -metrics json: exit %d (stderr: %s)", exp, code, stderr)
+		}
+		if stdout != plain {
+			t.Errorf("%s: -metrics json changed stdout:\n%s\nwithout the flag:\n%s", exp, stdout, plain)
+		}
+		var snap metrics.Snapshot
+		if err := json.Unmarshal([]byte(stderr), &snap); err != nil {
+			t.Fatalf("%s: stderr is not one metrics snapshot: %v\n%s", exp, err, stderr)
+		}
+		counts := map[string]uint64{}
+		for _, h := range snap.Histograms {
+			counts[h.Name] = h.Summary.Count
+		}
+		for _, name := range []string{"decoder.match.ns", "decoder.window.flush.ns"} {
+			if counts[name] == 0 {
+				t.Errorf("%s: %s recorded no observation under -metrics json", exp, name)
+			}
 		}
 	}
 }

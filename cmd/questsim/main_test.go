@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
 	"os"
@@ -9,6 +10,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"quest/internal/metrics"
 )
 
 // TestCheckFlags pins which numeric flag values questsim refuses before it
@@ -71,23 +74,23 @@ func TestMain(m *testing.M) {
 }
 
 // runQuestsim runs questsim with args in a child process and returns its
-// exit code and stderr.
-func runQuestsim(t *testing.T, args ...string) (int, string) {
+// exit code, stdout and stderr.
+func runQuestsim(t *testing.T, args ...string) (int, string, string) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "QUESTSIM_TEST_MAIN=1")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	err := cmd.Run()
 	var ee *exec.ExitError
 	switch {
 	case err == nil:
-		return 0, stderr.String()
+		return 0, stdout.String(), stderr.String()
 	case errors.As(err, &ee):
-		return ee.ExitCode(), stderr.String()
+		return ee.ExitCode(), stdout.String(), stderr.String()
 	}
 	t.Fatal(err)
-	return 0, ""
+	return 0, "", ""
 }
 
 // TestBadValuesExitTwo pins the usage class of the exit contract: a bad
@@ -109,7 +112,7 @@ func TestBadValuesExitTwo(t *testing.T) {
 		{[]string{"-pprof", "localhost:6060"}, ""},
 		{[]string{"-ci-stop", "0.1"}, ""},
 	} {
-		code, stderr := runQuestsim(t, append(tc.args, "-cycles", "0")...)
+		code, _, stderr := runQuestsim(t, append(tc.args, "-cycles", "0")...)
 		if code != 2 {
 			t.Errorf("%v: exit %d, want 2 (stderr: %s)", tc.args, code, stderr)
 			continue
@@ -140,12 +143,45 @@ func TestArtifactWriteFailureExitsOne(t *testing.T) {
 		{"-heatmap", missingHeat, "heatmap: open " + missingHeat},
 		{"-ledger", missingLedger, "questsim: ledger: open " + missingLedger},
 	} {
-		code, stderr := runQuestsim(t, "-cycles", "0", tc.flag, tc.path)
+		code, _, stderr := runQuestsim(t, "-cycles", "0", tc.flag, tc.path)
 		if code != 1 {
 			t.Errorf("%s %s: exit %d, want 1 (stderr: %s)", tc.flag, tc.path, code, stderr)
 		}
 		if !strings.Contains("\n"+stderr, "\n"+tc.line) {
 			t.Errorf("%s %s: stderr %q has no line starting %q", tc.flag, tc.path, stderr, tc.line)
+		}
+	}
+}
+
+// TestMetricsJSONReportsTimers pins that instruments, off by default, still
+// record under -metrics: a noisy four-tile d=5 ghz run with a few idle
+// cycles reports observations of the MCE cycle, master decode and match
+// timers in its -metrics json dump, and prints the stdout the same run
+// prints without the flag.
+func TestMetricsJSONReportsTimers(t *testing.T) {
+	args := []string{"-program", "ghz", "-tiles", "4", "-d", "5", "-noise", "1e-3", "-cycles", "10"}
+	code, plain, stderr := runQuestsim(t, args...)
+	if code != 0 {
+		t.Fatalf("exit %d (stderr: %s)", code, stderr)
+	}
+	code, stdout, stderr := runQuestsim(t, append(args, "-metrics", "json")...)
+	if code != 0 {
+		t.Fatalf("-metrics json: exit %d (stderr: %s)", code, stderr)
+	}
+	if stdout != plain {
+		t.Errorf("-metrics json changed stdout:\n%s\nwithout the flag:\n%s", stdout, plain)
+	}
+	var snap metrics.Snapshot
+	if err := json.Unmarshal([]byte(stderr), &snap); err != nil {
+		t.Fatalf("stderr is not one metrics snapshot: %v\n%s", err, stderr)
+	}
+	counts := map[string]uint64{}
+	for _, h := range snap.Histograms {
+		counts[h.Name] = h.Summary.Count
+	}
+	for _, name := range []string{"mce.cycle.ns", "master.decode.ns", "decoder.match.ns"} {
+		if counts[name] == 0 {
+			t.Errorf("%s recorded no observation under -metrics json", name)
 		}
 	}
 }

@@ -344,7 +344,7 @@ func (tp *thresholdProgram) runLane(p float64, seeds []uint64, ctx mc.BatchCtx, 
 	if ctx.Shard != nil {
 		instr = decoder.NewInstr(ctx.Shard)
 	}
-	s.win.SetInstr(instr) // nil restores the default, like the scalar unwired path
+	s.win.SetInstr(instr) // nil leaves the window unobserved, like an unobserved scalar trial's
 	s.win.SetTracer(ctx.Trace, 0)
 	s.win.SetHeat(ctx.Heat)
 	for i := range seeds {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/bits"
 	"testing"
 
@@ -9,12 +10,15 @@ import (
 )
 
 // kernelCase is one lane-kernel workload: a compiled stream, the rate its
-// trials draw at and the injector seed rule of the engine that runs it.
+// trials draw at and the injector seed rule of the engine that runs it, and
+// that engine's whole lane — kernel, then each faulty trial's decode — with
+// no observer bound.
 type kernelCase struct {
 	name    string
 	stream  *laneStream
 	p       float64
 	injSeed func(uint64) int64
+	lane    func(seeds []uint64, out []mc.Outcome)
 }
 
 // The injector seed rules of the two engines: the scalar threshold trial
@@ -24,10 +28,17 @@ func thresholdInjSeed(seed uint64) int64 { return int64(mc.Derive(seed, 1)) }
 func memoryInjSeed(seed uint64) int64    { return int64(seed) + 1 }
 
 func kernelCases() []kernelCase {
+	threshold := func(d int, p float64) kernelCase {
+		tp := thresholdProgramFor(d)
+		return kernelCase{fmt.Sprintf("threshold-d%d", d), &tp.stream, p, thresholdInjSeed,
+			func(seeds []uint64, out []mc.Outcome) { tp.runLane(p, seeds, mc.BatchCtx{}, out) }}
+	}
+	mp := memoryProgramFor(8)
 	return []kernelCase{
-		{"threshold-d3", &thresholdProgramFor(3).stream, 1e-3, thresholdInjSeed},
-		{"threshold-d5", &thresholdProgramFor(5).stream, 2e-3, thresholdInjSeed},
-		{"memory-r8", &memoryProgramFor(8).stream, 5e-4, memoryInjSeed},
+		threshold(3, 1e-3),
+		threshold(5, 2e-3),
+		{"memory-r8", &mp.stream, 5e-4, memoryInjSeed,
+			func(seeds []uint64, out []mc.Outcome) { mp.runLane(5e-4, seeds, mc.BatchCtx{}, out) }},
 	}
 }
 
@@ -67,7 +78,9 @@ func laneSeeds() []uint64 {
 // allocations per noisy lane, on the threshold and the memory streams: the
 // flat site list is built once per compiled stream and the replayer is
 // bound before the kernel runs, so a warm lane only reseeds, scans and
-// propagates.
+// propagates. The engine's whole lane, which then decodes each trial that
+// drew a fault through the pooled history, LUT, window and matcher, is
+// pinned at zero too, except under -race, whose sync.Pool drops scratch.
 func TestLaneKernelAllocs(t *testing.T) {
 	seeds := laneSeeds()
 	for _, tc := range kernelCases() {
@@ -84,6 +97,14 @@ func TestLaneKernelAllocs(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(20, func() { s.run(tc.stream, rep, seeds, tc.injSeed) }); allocs != 0 {
 			t.Errorf("%s: %v allocs per warm lane, want 0", tc.name, allocs)
+		}
+		if raceEnabled {
+			continue
+		}
+		out := make([]mc.Outcome, len(seeds))
+		tc.lane(seeds, out) // warms the engine's pooled scratch
+		if allocs := testing.AllocsPerRun(20, func() { tc.lane(seeds, out) }); allocs != 0 {
+			t.Errorf("%s: %v allocs per warm lane with its decode, want 0", tc.name, allocs)
 		}
 	}
 }

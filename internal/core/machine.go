@@ -55,6 +55,8 @@ type MachineConfig struct {
 	// Metrics selects the registry every component of this machine records
 	// into (nil = metrics.Default). Monte-Carlo trials pass per-worker
 	// shards so parallel machines never contend on shared instruments.
+	// When both are nil — a binary run without -metrics — the instruments
+	// are off: nothing records, and no component reads the clock for them.
 	Metrics *metrics.Registry
 	// Tracer records cycle-correlated pipeline events across the master, the
 	// MCE tiles, the decoders and the network for Perfetto export (nil =

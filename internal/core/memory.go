@@ -161,6 +161,10 @@ type memoryScratch struct {
 	hist  *decoder.SyndromeHistory
 	frame *decoder.PauliFrame
 	win   *decoder.WindowDecoder
+	// resolved and residual are the local decode's output scratch, as the
+	// MCE keeps them.
+	resolved []decoder.Correction
+	residual []decoder.Defect
 }
 
 func newMemoryScratch(mp *memoryProgram) *memoryScratch {
@@ -206,7 +210,7 @@ func (mp *memoryProgram) runLane(p float64, seeds []uint64, ctx mc.BatchCtx, out
 		LogicalEnqueued: instrs * trials, LogicalRetired: instrs * trials,
 	}
 	ctl := master.Tally{Cycles: trials * uint64(cycles), Dispatched: instrs * trials}
-	s.win.SetInstr(instr) // nil restores the default, like the machine's unwired path
+	s.win.SetInstr(instr) // nil leaves the window unobserved, like an unobserved machine's
 	s.win.SetTracer(ctx.Trace, 0)
 	s.win.SetHeat(ctx.Heat)
 	s.hist.SetHeat(ctx.Heat)
@@ -255,19 +259,19 @@ func (mp *memoryProgram) runLane(p float64, seeds []uint64, ctx mc.BatchCtx, out
 			for _, q := range mp.synd[c] {
 				s.round[q] = -1
 			}
-			resolved, residual := mp.local.Decode(defects)
-			for _, corr := range resolved {
+			s.resolved, s.residual = mp.local.Decode(defects, s.resolved[:0], s.residual[:0])
+			for _, corr := range s.resolved {
 				s.frame.Apply(corr)
 			}
-			tile.DefectsLocal += uint64(len(resolved))
-			if k := uint64(len(residual)); k > 0 {
+			tile.DefectsLocal += uint64(len(s.resolved))
+			if k := uint64(len(s.residual)); k > 0 {
 				tile.DefectsEscalated += k
 				ctl.Escalated += k
 				if ctx.BW != nil {
 					ctx.BW.Observe(c, bwprofile.BusSyndrome, bwprofile.ClassSyndrome, k, k)
 				}
 			}
-			if s.win.Absorb(residual, s.frame) > 0 {
+			if s.win.Absorb(s.residual, s.frame) > 0 {
 				ctl.GlobalDecodes++
 			}
 		}

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 	"time"
 
 	"quest/internal/heatmap"
@@ -38,12 +37,14 @@ type Defect struct {
 // rather than a map, and a round arrives the same way (AbsorbRound): rounds
 // come every cycle, and dense slices turn the per-round map churn into
 // index stores. Both absorb forms scan qubits in index order, so the
-// returned defect slice has a deterministic order.
+// returned defect slice has a deterministic order. They return the
+// history's own defect scratch, valid until the next absorb.
 type SyndromeHistory struct {
-	lat   surface.Lattice
-	prev  []int8 // -1 = unknown, else last observed bit
-	round int
-	heat  *heatmap.Collector // nil unless SetHeat bound one
+	lat     surface.Lattice
+	prev    []int8 // -1 = unknown, else last observed bit
+	round   int
+	heat    *heatmap.Collector // nil unless SetHeat bound one
+	defects []Defect           // the last absorbed round's defects
 }
 
 // NewHistory returns an empty history for the lattice.
@@ -64,38 +65,39 @@ func (h *SyndromeHistory) Round() int { return h.round }
 // round. The first round establishes the reference frame and yields no
 // defects for ancillas whose initial random value is first observed
 // (X-syndromes start random; treating round 0 as reference is the standard
-// convention).
+// convention). The returned slice is the history's scratch: the next absorb
+// overwrites it.
 func (h *SyndromeHistory) AbsorbRound(bits []int8) []Defect {
-	var defects []Defect
+	h.defects = h.defects[:0]
 	for q := range h.prev {
 		if bit := bits[q]; bit >= 0 {
-			defects = h.absorbBit(defects, q, bit)
+			h.absorbBit(q, bit)
 		}
 	}
 	h.round++
-	return defects
+	return h.defects
 }
 
 // Absorb is AbsorbRound for a round given as a map (ancilla flat index →
 // bit). Keys outside the lattice are ignored.
 func (h *SyndromeHistory) Absorb(synd map[int]int) []Defect {
-	var defects []Defect
+	h.defects = h.defects[:0]
 	for q := range h.prev {
 		if bit, ok := synd[q]; ok {
-			defects = h.absorbBit(defects, q, int8(bit))
+			h.absorbBit(q, int8(bit))
 		}
 	}
 	h.round++
-	return defects
+	return h.defects
 }
 
 // absorbBit is the differencing step of one measured ancilla: a defect,
-// appended to defects, when its bit differs from a known reference in a
-// round past the first; the bit then becomes the reference.
-func (h *SyndromeHistory) absorbBit(defects []Defect, q int, bit int8) []Defect {
+// appended to the round's defects, when its bit differs from a known
+// reference in a round past the first; the bit then becomes the reference.
+func (h *SyndromeHistory) absorbBit(q int, bit int8) {
 	if prev := h.prev[q]; prev >= 0 && prev != bit && h.round > 0 {
 		r, c := h.lat.Coord(q)
-		defects = append(defects, Defect{
+		h.defects = append(h.defects, Defect{
 			Round: h.round,
 			Qubit: q,
 			R:     r,
@@ -107,7 +109,6 @@ func (h *SyndromeHistory) absorbBit(defects []Defect, q int, bit int8) []Defect 
 		}
 	}
 	h.prev[q] = bit
-	return defects
 }
 
 // Reset clears the history.
@@ -244,101 +245,151 @@ func (f *PauliFrame) ParityOn(support []int, flipX bool) int {
 // appear as one defect (boundary-adjacent error) or a pair of defects of the
 // same type in the same round whose ancillas share exactly one data qubit.
 // Anything else is left for the global decoder.
+//
+// Like the MCE's hardware table (§4.2), the tables are dense and sized once
+// per lattice: arrays indexed by ancilla, so a lookup is an index and a
+// short scan, never a hash. A decoder is read-only once built, so engines
+// may share one across goroutines.
 type LocalDecoder struct {
-	lat surface.Lattice
-	// lut maps a sorted ancilla pair (a<<32|b) to the shared data qubit.
-	lut map[uint64]int
-	// boundaryLUT maps a single boundary-row ancilla to the data qubit
-	// between it and the boundary.
-	boundaryLUT map[int]int
+	// lut[a] lists the pairs (a, b), a < b, of same-type ancillas that share
+	// a data qubit, with that qubit; unused ways have partner -1.
+	lut [][lutWays]lutPair
+	// boundaryLUT[a] is the data qubit between boundary ancilla a and the
+	// boundary, or -1 when a single defect at a is not decodable.
+	boundaryLUT []int32
+	// size counts the entries of both tables.
+	size int
 }
+
+// lutWays bounds the pairs one ancilla heads in the pair table: on the
+// planar lattice, the same-type ancillas one data qubit further along its
+// row and down its column.
+const lutWays = 2
+
+// lutPair is one way of a pair-table row.
+type lutPair struct{ partner, data int32 }
 
 // NewLocalDecoder builds the lookup tables for a lattice. Table construction
 // is the "programming" of the MCE's decode pipeline.
 func NewLocalDecoder(lat surface.Lattice) *LocalDecoder {
-	d := &LocalDecoder{lat: lat, lut: make(map[uint64]int), boundaryLUT: make(map[int]int)}
-	ancillas := append(lat.Qubits(surface.RoleAncillaX), lat.Qubits(surface.RoleAncillaZ)...)
-	// Pairs sharing one data qubit.
-	owner := make(map[int][]int) // data qubit -> adjacent same-type ancillas
-	for _, a := range ancillas {
-		for _, dq := range lat.StabilizerSupport(a) {
-			owner[dq] = append(owner[dq], a)
+	n := lat.NumQubits()
+	d := &LocalDecoder{lut: make([][lutWays]lutPair, n), boundaryLUT: make([]int32, n)}
+	for a := range d.lut {
+		for k := range d.lut[a] {
+			d.lut[a][k] = lutPair{partner: -1, data: -1}
+		}
+		d.boundaryLUT[a] = -1
+	}
+	// owner[dq] lists the ancillas adjacent to data qubit dq, X-type first.
+	owner := make([][]int, n)
+	for _, role := range [2]surface.Role{surface.RoleAncillaX, surface.RoleAncillaZ} {
+		for _, a := range lat.Qubits(role) {
+			for _, dq := range lat.StabilizerSupport(a) {
+				owner[dq] = append(owner[dq], a)
+			}
 		}
 	}
-	// Visit data qubits in index order, not map order: the boundaryLUT
-	// entries below are first-writer-wins, so randomized iteration let two
-	// runs of the same binary claim a boundary ancilla for different data
-	// qubits and decode the same syndrome to different (if homologically
-	// equivalent) corrections. TestLocalDecoderConstructionDeterministic
-	// pins this.
-	dqs := make([]int, 0, len(owner))
-	for dq := range owner {
-		dqs = append(dqs, dq)
-	}
-	sort.Ints(dqs)
-	for _, dq := range dqs {
-		as := owner[dq]
+	// Visit data qubits in index order: a boundary entry is claimed by the
+	// first data qubit that qualifies, and a pair entry by the last, so the
+	// tables are a function of the lattice alone.
+	// TestLocalDecoderConstructionDeterministic pins this.
+	for dq, as := range owner {
 		for i := 0; i < len(as); i++ {
 			for j := i + 1; j < len(as); j++ {
-				if lat.RoleOf(as[i]) != lat.RoleOf(as[j]) {
-					continue
+				if lat.RoleOf(as[i]) == lat.RoleOf(as[j]) {
+					d.setPair(as[i], as[j], dq)
 				}
-				k := pairKey(as[i], as[j])
-				d.lut[k] = dq
 			}
 		}
 		// A data qubit adjacent to exactly one ancilla of a type is a
 		// boundary qubit for that type: a single defect there is decodable.
-		byType := map[surface.Role][]int{}
-		for _, a := range as {
-			byType[lat.RoleOf(a)] = append(byType[lat.RoleOf(a)], a)
-		}
-		for _, role := range []surface.Role{surface.RoleAncillaX, surface.RoleAncillaZ} {
-			if group := byType[role]; len(group) == 1 {
-				a := group[0]
-				if _, dup := d.boundaryLUT[a]; !dup {
-					d.boundaryLUT[a] = dq
+		for _, role := range [2]surface.Role{surface.RoleAncillaX, surface.RoleAncillaZ} {
+			lone, count := -1, 0
+			for _, a := range as {
+				if lat.RoleOf(a) == role {
+					lone = a
+					count++
 				}
+			}
+			if count == 1 && d.boundaryLUT[lone] < 0 {
+				d.boundaryLUT[lone] = int32(dq)
+				d.size++
 			}
 		}
 	}
 	return d
 }
 
-func pairKey(a, b int) uint64 {
+// setPair records that ancillas a and b share data qubit dq, replacing the
+// qubit an earlier call recorded for the pair.
+func (d *LocalDecoder) setPair(a, b, dq int) {
 	if a > b {
 		a, b = b, a
 	}
-	return uint64(a)<<32 | uint64(b)
+	row := &d.lut[a]
+	for k := range row {
+		switch row[k].partner {
+		case int32(b):
+			row[k].data = int32(dq)
+			return
+		case -1:
+			row[k] = lutPair{partner: int32(b), data: int32(dq)}
+			d.size++
+			return
+		}
+	}
+	panic(fmt.Sprintf("decoder: ancilla %d heads more than %d LUT pairs", a, lutWays))
 }
 
-// Decode attempts to resolve the round's defects locally. It returns the
-// corrections it resolved and the residual defects it could not handle
-// (escalated to the global decoder). Defects of different types (X vs Z) are
-// decoded independently.
-func (d *LocalDecoder) Decode(defects []Defect) (resolved []Correction, residual []Defect) {
-	xs, zs := SplitByType(defects)
-	for _, group := range [2][]Defect{xs, zs} {
-		if len(group) == 0 {
+// pair returns the data qubit ancillas a and b share, or -1.
+func (d *LocalDecoder) pair(a, b int) int32 {
+	if a > b {
+		a, b = b, a
+	}
+	for _, e := range &d.lut[a] {
+		if e.partner == int32(b) {
+			return e.data
+		}
+	}
+	return -1
+}
+
+// Decode attempts to resolve the round's defects locally. It appends the
+// corrections it resolved to resolved and the residual defects it could not
+// handle (escalated to the global decoder) to residual, and returns both:
+// callers pass their own scratch, truncated, so a warm decode allocates
+// nothing. Defects of different types (X vs Z) are decoded independently,
+// X first; each type's residual keeps its input order.
+func (d *LocalDecoder) Decode(defects []Defect, resolved []Correction, residual []Defect) ([]Correction, []Defect) {
+	for _, isX := range [2]bool{true, false} {
+		n, first, second := 0, -1, -1
+		for i := range defects {
+			if defects[i].IsX == isX {
+				if n == 0 {
+					first = i
+				} else if n == 1 {
+					second = i
+				}
+				n++
+			}
+		}
+		dq := int32(-1)
+		switch n {
+		case 0:
+			continue
+		case 1:
+			dq = d.boundaryLUT[defects[first].Qubit]
+		case 2:
+			dq = d.pair(defects[first].Qubit, defects[second].Qubit)
+		}
+		if dq >= 0 {
+			resolved = append(resolved, Correction{Qubit: int(dq), FlipX: !isX})
 			continue
 		}
-		isX := group[0].IsX
-		switch len(group) {
-		case 1:
-			a := group[0].Qubit
-			if dq, ok := d.boundaryLUT[a]; ok {
-				resolved = append(resolved, Correction{Qubit: dq, FlipX: !isX})
-				continue
+		for i := range defects {
+			if defects[i].IsX == isX {
+				residual = append(residual, defects[i])
 			}
-			residual = append(residual, group...)
-		case 2:
-			if dq, ok := d.lut[pairKey(group[0].Qubit, group[1].Qubit)]; ok {
-				resolved = append(resolved, Correction{Qubit: dq, FlipX: !isX})
-				continue
-			}
-			residual = append(residual, group...)
-		default:
-			residual = append(residual, group...)
 		}
 	}
 	return resolved, residual
@@ -346,20 +397,34 @@ func (d *LocalDecoder) Decode(defects []Defect) (resolved []Correction, residual
 
 // LUTSize returns the number of entries across both lookup tables, the
 // quantity that sizes the MCE decode-pipeline memory.
-func (d *LocalDecoder) LUTSize() int { return len(d.lut) + len(d.boundaryLUT) }
+func (d *LocalDecoder) LUTSize() int { return d.size }
 
 // SplitByType partitions defects into X-type and Z-type groups, preserving
 // input order within each group (the map grouping it replaced iterated in
-// random order, which made tie-broken matchings nondeterministic).
-func SplitByType(defects []Defect) (xs, zs []Defect) {
+// random order, which made tie-broken matchings nondeterministic). Both
+// groups are written to buf, X first: buf's storage is reused when it holds
+// every defect and replaced otherwise, and xs[:0] keeps it for the next
+// call. buf must not overlap defects.
+func SplitByType(buf, defects []Defect) (xs, zs []Defect) {
+	if cap(buf) < len(defects) {
+		buf = make([]Defect, len(defects))
+	}
+	buf = buf[:len(defects)]
+	nx := 0
 	for _, d := range defects {
 		if d.IsX {
-			xs = append(xs, d)
-		} else {
-			zs = append(zs, d)
+			buf[nx] = d
+			nx++
 		}
 	}
-	return xs, zs
+	k := nx
+	for _, d := range defects {
+		if !d.IsX {
+			buf[k] = d
+			k++
+		}
+	}
+	return buf[:nx], buf[nx:]
 }
 
 // spaceTimeDistance is the matching weight between two defects: Manhattan
@@ -401,7 +466,8 @@ func minInt(a, b int) int {
 	return b
 }
 
-// Matching pairs defects with each other or with the boundary.
+// Matching pairs defects with each other or with the boundary. The one
+// Match returns lives in its decoder's scratch, valid until the next Match.
 type Matching struct {
 	// Pairs lists matched defect index pairs (into the input slice).
 	Pairs [][2]int
@@ -420,11 +486,12 @@ const MaxExact = 14
 // visits F(n+2) of the 2ⁿ subsets, 987 at n = 14) for up to MaxExact
 // defects per type, greedy-with-boundary beyond that.
 //
-// A GlobalDecoder reuses its cost tables, memo and marker scratch across
-// Match calls (the per-call allocations dominated the exact matcher's
-// profile), so a single instance must not run Match concurrently from
-// multiple goroutines. Every use site — one decoder per master tile, one
-// per Monte-Carlo trial — already owns its instance exclusively.
+// A GlobalDecoder reuses its cost tables, memo, marker, matching and
+// correction scratch across calls (the per-call allocations dominated the
+// exact matcher's profile), so a single instance must not run Match or
+// Corrections concurrently from multiple goroutines, and a caller reads
+// each result before the next call. Every use site — one decoder per master
+// tile, one per Monte-Carlo trial — already owns its instance exclusively.
 type GlobalDecoder struct {
 	lat surface.Lattice
 
@@ -442,6 +509,12 @@ type GlobalDecoder struct {
 	gen  uint16
 
 	usedBuf []bool // greedyMatch's markers
+
+	// pairs and toBoundary back the Matching a Match call returns, corr
+	// the corrections a Corrections call returns.
+	pairs      [][2]int
+	toBoundary []int
+	corr       []Correction
 }
 
 // matchState is one subset's exact-matcher solution: its minimum weight and
@@ -453,16 +526,18 @@ type matchState struct {
 	choice int8
 }
 
-// NewGlobalDecoder returns a decoder for the lattice with unit weights.
+// NewGlobalDecoder returns a decoder for the lattice with unit weights and
+// no instruments.
 func NewGlobalDecoder(lat surface.Lattice) *GlobalDecoder {
-	return &GlobalDecoder{lat: lat, instr: defaultInstr}
+	return &GlobalDecoder{lat: lat, instr: &noInstr}
 }
 
 // SetInstr rebinds the decoder's instruments (e.g. to a per-worker metrics
-// shard). A nil value restores the default registry.
+// shard). A nil value unbinds them: Match then records nothing and reads no
+// clock, as on a new decoder.
 func (g *GlobalDecoder) SetInstr(in *Instr) {
 	if in == nil {
-		in = defaultInstr
+		in = &noInstr
 	}
 	g.instr = in
 }
@@ -476,14 +551,19 @@ func pairCost(a, b Defect) int {
 }
 
 // Match computes a minimum-weight matching of same-type defects, allowing
-// boundary matches. All input defects must share a type.
+// boundary matches. All input defects must share a type. The matching's
+// slices are the decoder's scratch: the next Match overwrites them.
 func (g *GlobalDecoder) Match(defects []Defect) Matching {
 	for i := 1; i < len(defects); i++ {
 		if defects[i].IsX != defects[0].IsX {
 			panic("decoder: Match requires same-type defects")
 		}
 	}
-	start := time.Now() //quest:allow(seedsrc) wall-clock latency metric only; the value never reaches simulation state
+	timed := g.instr.matchNs
+	var start time.Time
+	if timed != nil {
+		start = time.Now() //quest:allow(seedsrc) wall-clock latency metric only; the value never reaches simulation state
+	}
 	var m Matching
 	if len(defects) <= MaxExact {
 		m = g.exactMatch(defects)
@@ -494,7 +574,9 @@ func (g *GlobalDecoder) Match(defects []Defect) Matching {
 	}
 	g.instr.matchCalls.Inc()
 	g.instr.matchDefects.Add(uint64(len(defects)))
-	g.instr.matchNs.Observe(float64(time.Since(start)))
+	if timed != nil {
+		timed.Observe(float64(time.Since(start)))
+	}
 	if g.heat != nil {
 		recordMatching(g.heat, g.lat, defects, m)
 	}
@@ -527,7 +609,7 @@ func (g *GlobalDecoder) exactMatch(defects []Defect) Matching {
 		clear(g.memo)
 		g.gen = 1
 	}
-	var m Matching
+	m := Matching{Pairs: g.pairs[:0], ToBoundary: g.toBoundary[:0]}
 	m.Weight = int(g.solve(full))
 	for s := full; s != 0; {
 		i := bits.TrailingZeros32(s)
@@ -539,6 +621,7 @@ func (g *GlobalDecoder) exactMatch(defects []Defect) Matching {
 			s &^= 1<<i | 1<<j
 		}
 	}
+	g.pairs, g.toBoundary = m.Pairs, m.ToBoundary
 	return m
 }
 
@@ -576,7 +659,7 @@ func (g *GlobalDecoder) greedyMatch(defects []Defect) Matching {
 	for i := range used {
 		used[i] = false
 	}
-	var m Matching
+	m := Matching{Pairs: g.pairs[:0], ToBoundary: g.toBoundary[:0]}
 	for {
 		bestW := math.MaxInt32
 		bestI, bestJ := -1, -1 // j == -1 means boundary
@@ -608,53 +691,55 @@ func (g *GlobalDecoder) greedyMatch(defects []Defect) Matching {
 		}
 		m.Weight += bestW
 	}
+	g.pairs, g.toBoundary = m.Pairs, m.ToBoundary
 	return m
 }
 
 // Corrections converts a matching into Pauli-frame corrections by walking
 // the correction chain between matched defects (or defect and boundary) and
-// toggling the data qubits along it.
+// toggling the data qubits along it. The returned slice is the decoder's
+// scratch: the next Corrections overwrites it.
 func (g *GlobalDecoder) Corrections(defects []Defect, m Matching) []Correction {
-	var out []Correction
-	emitChain := func(d Defect, r1, c1 int) {
-		// Walk rows then columns in steps of 2 (ancilla spacing), toggling
-		// the data qubit between consecutive ancilla positions.
-		r, c := d.R, d.C
-		for r != r1 {
-			step := sign(r1 - r)
-			mid := g.lat.Index(r+step, c)
-			out = append(out, Correction{Qubit: mid, FlipX: !d.IsX})
-			r += 2 * step
-		}
-		for c != c1 {
-			step := sign(c1 - c)
-			mid := g.lat.Index(r, c+step)
-			out = append(out, Correction{Qubit: mid, FlipX: !d.IsX})
-			c += 2 * step
-		}
-	}
+	g.corr = g.corr[:0]
 	for _, p := range m.Pairs {
 		a, b := defects[p[0]], defects[p[1]]
-		emitChain(a, b.R, b.C)
+		g.chain(a, b.R, b.C)
 	}
 	for _, i := range m.ToBoundary {
 		d := defects[i]
 		if d.IsX {
 			// Terminate on the nearer of west/east boundaries.
 			if (d.C+1)/2 <= (g.lat.Cols-d.C)/2 {
-				emitChain(d, d.R, -1)
+				g.chain(d, d.R, -1)
 			} else {
-				emitChain(d, d.R, g.lat.Cols)
+				g.chain(d, d.R, g.lat.Cols)
 			}
 		} else {
 			if (d.R+1)/2 <= (g.lat.Rows-d.R)/2 {
-				emitChain(d, -1, d.C)
+				g.chain(d, -1, d.C)
 			} else {
-				emitChain(d, g.lat.Rows, d.C)
+				g.chain(d, g.lat.Rows, d.C)
 			}
 		}
 	}
-	return out
+	return g.corr
+}
+
+// chain appends the correction chain from defect d to (r1, c1): it walks
+// rows then columns in steps of 2 (ancilla spacing), toggling the data
+// qubit between consecutive ancilla positions.
+func (g *GlobalDecoder) chain(d Defect, r1, c1 int) {
+	r, c := d.R, d.C
+	for r != r1 {
+		step := sign(r1 - r)
+		g.corr = append(g.corr, Correction{Qubit: g.lat.Index(r+step, c), FlipX: !d.IsX})
+		r += 2 * step
+	}
+	for c != c1 {
+		step := sign(c1 - c)
+		g.corr = append(g.corr, Correction{Qubit: g.lat.Index(r, c+step), FlipX: !d.IsX})
+		c += 2 * step
+	}
 }
 
 func sign(x int) int {

@@ -80,7 +80,7 @@ func TestLocalDecoderPairLUT(t *testing.T) {
 		mkDefect(lat, zPair[0], 1),
 		mkDefect(lat, zPair[1], 1),
 	}
-	corr, residual := ld.Decode(defects)
+	corr, residual := ld.Decode(defects, nil, nil)
 	if len(residual) != 0 {
 		t.Fatalf("LUT escalated a single-error pair: %+v", residual)
 	}
@@ -99,7 +99,7 @@ func TestLocalDecoderBoundarySingle(t *testing.T) {
 	ld := NewLocalDecoder(lat)
 	// Data qubit (0,0): an X error there flips only Z ancilla (1,0).
 	a := lat.Index(1, 0)
-	corr, residual := ld.Decode([]Defect{mkDefect(lat, a, 1)})
+	corr, residual := ld.Decode([]Defect{mkDefect(lat, a, 1)}, nil, nil)
 	if len(residual) != 0 || len(corr) != 1 {
 		t.Fatalf("boundary single not resolved: corr=%v residual=%v", corr, residual)
 	}
@@ -114,20 +114,20 @@ func TestLocalDecoderEscalatesComplexPatterns(t *testing.T) {
 	// Three same-type defects must escalate.
 	zs := lat.Qubits(surface.RoleAncillaZ)
 	defects := []Defect{mkDefect(lat, zs[0], 1), mkDefect(lat, zs[3], 1), mkDefect(lat, zs[5], 1)}
-	corr, residual := ld.Decode(defects)
+	corr, residual := ld.Decode(defects, nil, nil)
 	if len(corr) != 0 || len(residual) != 3 {
 		t.Errorf("3-defect group: corr=%d residual=%d, want 0/3", len(corr), len(residual))
 	}
 	// A far-apart pair (no shared data qubit) must escalate.
 	far := []Defect{mkDefect(lat, zs[0], 1), mkDefect(lat, zs[len(zs)-1], 1)}
-	corr, residual = ld.Decode(far)
+	corr, residual = ld.Decode(far, nil, nil)
 	if len(corr) != 0 || len(residual) != 2 {
 		t.Errorf("far pair: corr=%d residual=%d, want 0/2", len(corr), len(residual))
 	}
 	// Mixed X and Z singles decode independently.
 	xs := lat.Qubits(surface.RoleAncillaX)
 	mixed := []Defect{mkDefect(lat, lat.Index(1, 0), 1), mkDefect(lat, xs[0], 1)}
-	corr, _ = ld.Decode(mixed)
+	corr, _ = ld.Decode(mixed, nil, nil)
 	if len(corr) == 0 {
 		t.Error("mixed-type singles: nothing resolved")
 	}
@@ -255,7 +255,8 @@ func TestExactMatchMatchesFullTable(t *testing.T) {
 		g := NewGlobalDecoder(lat)
 		check := func(defects []Defect) {
 			t.Helper()
-			if got, want := g.exactMatch(defects), exactMatchFullTable(lat, defects); !reflect.DeepEqual(got, want) {
+			got, want := g.exactMatch(defects), exactMatchFullTable(lat, defects)
+			if got.Weight != want.Weight || !slices.Equal(got.Pairs, want.Pairs) || !slices.Equal(got.ToBoundary, want.ToBoundary) {
 				t.Fatalf("d=%d: memoized %+v, full table %+v\ndefects %+v", d, got, want, defects)
 			}
 		}
@@ -375,7 +376,7 @@ func TestMeasurementErrorPairNeedsNoDataCorrection(t *testing.T) {
 // LUT resolves what it can into the frame, and the residual goes straight
 // through a one-round window to the global matcher.
 func decodeRound(ld *LocalDecoder, win *WindowDecoder, frame *PauliFrame, defects []Defect) {
-	resolved, residual := ld.Decode(defects)
+	resolved, residual := ld.Decode(defects, nil, nil)
 	for _, c := range resolved {
 		frame.Apply(c)
 	}
@@ -545,16 +546,18 @@ func BenchmarkLUTWindow1(b *testing.B) {
 		resolved, residual int
 	}{{"hit", hit, 2, 0}, {"miss", zDefects(lat, 2), 0, 2}} {
 		b.Run(c.name, func(b *testing.B) {
-			if resolved, residual := ld.Decode(c.defects); len(resolved) != c.resolved || len(residual) != c.residual {
+			if resolved, residual := ld.Decode(c.defects, nil, nil); len(resolved) != c.resolved || len(residual) != c.residual {
 				b.Fatalf("the LUT resolves %d corrections and leaves %d defects, want %d and %d",
 					len(resolved), len(residual), c.resolved, c.residual)
 			}
 			win := NewWindowDecoder(NewGlobalDecoder(lat), 1)
 			frame := NewPauliFrame()
+			var resolved []Correction
+			var residual []Defect
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				resolved, residual := ld.Decode(c.defects)
+				resolved, residual = ld.Decode(c.defects, resolved[:0], residual[:0])
 				for _, corr := range resolved {
 					frame.Apply(corr)
 				}

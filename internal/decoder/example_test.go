@@ -17,7 +17,7 @@ func ExampleLocalDecoder() {
 	mk := func(r, c int) decoder.Defect {
 		return decoder.Defect{Round: 1, Qubit: lat.Index(r, c), R: r, C: c}
 	}
-	corr, residual := ld.Decode([]decoder.Defect{mk(3, 4), mk(5, 4)})
+	corr, residual := ld.Decode([]decoder.Defect{mk(3, 4), mk(5, 4)}, nil, nil)
 	fmt.Println("resolved locally:", len(corr), "correction(s)")
 	fmt.Println("escalated:", len(residual))
 	fmt.Println("corrects the right qubit:", corr[0].Qubit == lat.Index(4, 4))

@@ -29,7 +29,7 @@ func (w *WindowDecoder) SetHeat(heat *heatmap.Collector) { w.global.SetHeat(heat
 // weighted costs are a tuning artifact. Callers gate on heat != nil, but the
 // function guards again itself: the collector comes in as a parameter, so a
 // future un-gated caller must not turn the heat-off path allocating
-// (TestMatchHeatOffAllocs pins the ≤6 allocs/op budget this protects).
+// (TestMatchHeatOffAllocs pins it at zero).
 func recordMatching(heat *heatmap.Collector, lat surface.Lattice, defects []Defect, m Matching) {
 	if heat == nil {
 		return

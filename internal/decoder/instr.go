@@ -6,10 +6,11 @@ import (
 
 // Instr bundles the decoder package's instruments, resolved once against a
 // registry so the hot paths (Match inside a Monte-Carlo trial) never touch
-// the registry's lock. Decoders record against the process-wide default
-// registry unless rebound with SetInstr — worker pools hand each trial an
-// instrument bound to a per-worker shard (see mc.RunBatch) so
-// instrumentation adds no cross-worker cache-line contention.
+// the registry's lock. Decoders start with no instruments, recording nothing
+// and reading no clock, until SetInstr binds some — the master binds its
+// registry's, and worker pools hand each trial an instrument bound to a
+// per-worker shard (see mc.RunBatch) so instrumentation adds no
+// cross-worker cache-line contention.
 type Instr struct {
 	matchCalls   *metrics.Counter
 	matchExact   *metrics.Counter
@@ -21,7 +22,8 @@ type Instr struct {
 	windowFlushNs *metrics.Histogram
 }
 
-// NewInstr resolves the decoder instruments against r.
+// NewInstr resolves the decoder instruments against r. A nil r resolves
+// none.
 func NewInstr(r *metrics.Registry) *Instr {
 	return &Instr{
 		matchCalls:   r.Counter("decoder.match.calls"),
@@ -35,5 +37,11 @@ func NewInstr(r *metrics.Registry) *Instr {
 	}
 }
 
-// defaultInstr records into metrics.Default.
-var defaultInstr = NewInstr(metrics.Default)
+// noInstr is the instrument set of a decoder nobody observes: every
+// instrument nil.
+var noInstr Instr
+
+// Decoders start unbound, but their instruments are registered in
+// metrics.Default at start-up, so a -metrics dump lists every one of them,
+// fired or not, whichever decoders the run bound.
+func init() { NewInstr(metrics.Default) }

@@ -20,6 +20,7 @@ type WindowDecoder struct {
 	WindowRounds int
 
 	buf        []Defect
+	split      []Defect // SplitByType's scratch for Flush
 	sinceFlush int
 	instr      *Instr
 
@@ -37,15 +38,15 @@ func NewWindowDecoder(global *GlobalDecoder, windowRounds int) *WindowDecoder {
 	if windowRounds < 1 {
 		windowRounds = 1
 	}
-	return &WindowDecoder{global: global, WindowRounds: windowRounds, instr: defaultInstr}
+	return &WindowDecoder{global: global, WindowRounds: windowRounds, instr: &noInstr}
 }
 
 // SetInstr rebinds the window's instruments (e.g. to a per-worker metrics
-// shard) and the wrapped decoder's. A nil value restores the default
-// registry.
+// shard) and the wrapped decoder's. A nil value unbinds them: the window
+// then records nothing and reads no clock, as a new one does.
 func (w *WindowDecoder) SetInstr(in *Instr) {
 	if in == nil {
-		in = defaultInstr
+		in = &noInstr
 	}
 	w.instr = in
 	w.global.SetInstr(in)
@@ -98,9 +99,14 @@ func (w *WindowDecoder) Flush(frame *PauliFrame) int {
 	if len(w.buf) == 0 {
 		return 0
 	}
-	start := time.Now() //quest:allow(seedsrc) wall-clock latency metric only; the value never reaches simulation state
+	timed := w.instr.windowFlushNs
+	var start time.Time
+	if timed != nil {
+		start = time.Now() //quest:allow(seedsrc) wall-clock latency metric only; the value never reaches simulation state
+	}
 	applied := 0
-	xs, zs := SplitByType(w.buf)
+	xs, zs := SplitByType(w.split, w.buf)
+	w.split = xs[:0]
 	w.buf = w.buf[:0]
 	for _, group := range [2][]Defect{xs, zs} {
 		if len(group) == 0 {
@@ -112,7 +118,9 @@ func (w *WindowDecoder) Flush(frame *PauliFrame) int {
 			applied++
 		}
 	}
-	w.instr.windowFlushNs.Observe(float64(time.Since(start)))
+	if timed != nil {
+		timed.Observe(float64(time.Since(start)))
+	}
 	if w.tr != nil {
 		dur := w.round - w.openRound
 		if dur < 1 {

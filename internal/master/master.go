@@ -53,6 +53,8 @@ type Config struct {
 	UseNoC bool
 	// Metrics selects the registry the controller's instruments, bus
 	// meters and global/window decoders record into (nil = metrics.Default).
+	// When both are nil — a binary run without -metrics — the instruments
+	// are off: nothing records, and no decode reads the clock.
 	Metrics *metrics.Registry
 	// Tracer, when non-nil, records cycle-correlated dispatch/cache
 	// instants, global-decode spans and NoC delivery events for Perfetto
@@ -80,8 +82,8 @@ type masterInstr struct {
 	decodeNs      *metrics.Histogram
 }
 
-func newMasterInstr(r *metrics.Registry) *masterInstr {
-	return &masterInstr{
+func newMasterInstr(r *metrics.Registry) masterInstr {
+	return masterInstr{
 		dispatched:    r.Counter("master.dispatched"),
 		cacheBodies:   r.Counter("master.cache.bodies"),
 		cycles:        r.Counter("master.cycles"),
@@ -97,6 +99,8 @@ type Master struct {
 	tiles   []*mce.MCE
 	global  []*decoder.GlobalDecoder
 	windows []*decoder.WindowDecoder
+	// split is SplitByType's scratch for the per-round decode.
+	split []decoder.Defect
 
 	queues [][]packet
 	mesh   *noc.Mesh
@@ -111,7 +115,7 @@ type Master struct {
 	Cache    bandwidth.Counter
 	Syndrome bandwidth.Counter
 
-	in *masterInstr
+	in masterInstr
 	tr *tracing.Tracer
 	bw *bwprofile.Recorder
 
@@ -181,12 +185,21 @@ func New(cfg Config, tiles []*mce.MCE) *Master {
 	return m
 }
 
+// busCounters resolves reg's master.bus.* counters, an (instructions or
+// records, bytes) pair per bus class.
+func busCounters(reg *metrics.Registry) (logical, cache, syndrome [2]*metrics.Counter) {
+	return [2]*metrics.Counter{reg.Counter("master.bus.logical.instr"), reg.Counter("master.bus.logical.bytes")},
+		[2]*metrics.Counter{reg.Counter("master.bus.cache.instr"), reg.Counter("master.bus.cache.bytes")},
+		[2]*metrics.Counter{reg.Counter("master.bus.syndrome.records"), reg.Counter("master.bus.syndrome.bytes")}
+}
+
 // bridgeBus mirrors the three per-class bus meters into reg's master.bus.*
 // counters.
 func bridgeBus(reg *metrics.Registry, logical, cache, syndrome *bandwidth.Counter) {
-	logical.Bridge(reg.Counter("master.bus.logical.instr"), reg.Counter("master.bus.logical.bytes"))
-	cache.Bridge(reg.Counter("master.bus.cache.instr"), reg.Counter("master.bus.cache.bytes"))
-	syndrome.Bridge(reg.Counter("master.bus.syndrome.records"), reg.Counter("master.bus.syndrome.bytes"))
+	l, c, s := busCounters(reg)
+	logical.Bridge(l[0], l[1])
+	cache.Bridge(c[0], c[1])
+	syndrome.Bridge(s[0], s[1])
 }
 
 // Tally sums the counter contributions of many master cycles and
@@ -210,10 +223,11 @@ func (t Tally) Record(reg *metrics.Registry) {
 	in.dispatched.Add(t.Dispatched)
 	in.escalated.Add(t.Escalated)
 	in.globalDecodes.Add(t.GlobalDecodes)
-	var logical, cache, syndrome bandwidth.Counter
-	bridgeBus(reg, &logical, &cache, &syndrome)
-	logical.Add(t.Dispatched, t.Dispatched*isa.LogicalInstrBytes)
-	syndrome.Add(t.Escalated, t.Escalated)
+	logical, _, syndrome := busCounters(reg)
+	logical[0].Add(t.Dispatched)
+	logical[1].Add(t.Dispatched * isa.LogicalInstrBytes)
+	syndrome[0].Add(t.Escalated)
+	syndrome[1].Add(t.Escalated)
 }
 
 // Tiles returns the managed MCEs.
@@ -445,8 +459,13 @@ func (m *Master) StepCycle() CycleReport {
 			continue
 		}
 		if len(r.DefectsEscalated) > 0 {
-			decodeStart := time.Now() //quest:allow(seedsrc) wall-clock latency metric only; the value never reaches simulation state
-			xs, zs := decoder.SplitByType(r.DefectsEscalated)
+			timed := m.in.decodeNs
+			var decodeStart time.Time
+			if timed != nil {
+				decodeStart = time.Now() //quest:allow(seedsrc) wall-clock latency metric only; the value never reaches simulation state
+			}
+			xs, zs := decoder.SplitByType(m.split, r.DefectsEscalated)
+			m.split = xs[:0]
 			for _, group := range [2][]decoder.Defect{xs, zs} {
 				if len(group) == 0 {
 					continue
@@ -459,7 +478,9 @@ func (m *Master) StepCycle() CycleReport {
 				m.globalCorr++
 				m.in.globalDecodes.Inc()
 			}
-			m.in.decodeNs.Observe(float64(time.Since(decodeStart)))
+			if timed != nil {
+				timed.Observe(float64(time.Since(decodeStart)))
+			}
 			if m.tr != nil {
 				m.tr.SpanArg("decoder", i, "global", int64(m.cycle), 1, "defects", int64(len(r.DefectsEscalated)))
 			}

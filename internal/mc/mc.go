@@ -92,10 +92,11 @@ func Derive(seed uint64, lane uint64) uint64 {
 	return Seed(seed, lane)
 }
 
-// wallClock is the engine's single wall-clock read. It feeds only the
-// mc.worker_busy_ns gauge and the mc.trial.ns latency histogram; seeds and
-// simulated time derive from the experiment seed via the SplitMix64 mixers,
-// never from here.
+// wallClock is the engine's single wall-clock read, taken only when a
+// registry is on. It feeds only the mc.worker_busy_ns, mc.trials_per_sec and
+// mc.worker_utilization gauges and the mc.trial.ns latency histogram; seeds
+// and simulated time derive from the experiment seed via the SplitMix64
+// mixers, never from here.
 func wallClock() time.Time {
 	return time.Now() //quest:allow(seedsrc) wall-clock latency metric only; the value never reaches simulation state
 }
@@ -244,11 +245,12 @@ type BatchFn func(start int, seeds []uint64, ctx BatchCtx, out []Outcome)
 // progress and the trial-order outcome Sink. Instruments observe the
 // computation; they never feed back into it.
 //
-// With nil reg and tr and a zero obs, fn sees a zero BatchCtx. Every local
-// the worker closure captures is assigned exactly once, and observer state
-// is nil when its hook is off, so the closure captures plain values rather
-// than heap cells and the unobserved path allocates nothing per trial
-// (pinned by TestRunAllocs).
+// With nil reg and tr and a zero obs, fn sees a zero BatchCtx, and the
+// engine reads no clock: the wall-clock instruments are reg's alone. Every
+// local the worker closure captures is assigned exactly once, and observer
+// state is nil when its hook is off, so the closure captures plain values
+// rather than heap cells and the unobserved path allocates nothing per
+// trial (pinned by TestRunAllocs).
 func RunBatch(trials, workers int, cellSeed uint64, reg *metrics.Registry, tr *tracing.Tracer,
 	obs Observers, fn BatchFn) Result {
 	if trials <= 0 {
@@ -267,7 +269,10 @@ func RunBatch(trials, workers int, cellSeed uint64, reg *metrics.Registry, tr *t
 	ctxs := make([]BatchCtx, workers)
 	prog := newProgressState(obs.Progress, trials)
 	busyNs := make([]int64, workers) // per-worker time spent inside fn
-	start := wallClock()
+	var start time.Time
+	if reg != nil {
+		start = wallClock()
+	}
 	for w := range ctxs {
 		// One shard of each parent that is on; NewShard is nil on a nil
 		// parent.
@@ -302,14 +307,17 @@ func RunBatch(trials, workers int, cellSeed uint64, reg *metrics.Registry, tr *t
 					seeds[i] = TrialSeed(cellSeed, lo+i)
 				}
 				out := outcomes[lo : lo+n]
-				t0 := wallClock()
-				fn(lo, seeds[:n], ctx, out)
-				// Capture the duration once: busyNs (worker utilization) and
-				// the mc.trial.ns histogram must observe the same value, or
-				// the two can never reconcile.
-				dur := time.Since(t0)
-				busyNs[w] += int64(dur)
+				var t0 time.Time
 				if shard != nil {
+					t0 = wallClock()
+				}
+				fn(lo, seeds[:n], ctx, out)
+				if shard != nil {
+					// Capture the duration once: busyNs (worker utilization)
+					// and the mc.trial.ns histogram must observe the same
+					// value, or the two can never reconcile.
+					dur := time.Since(t0)
+					busyNs[w] += int64(dur)
 					perTrial := float64(dur) / float64(n)
 					for i := 0; i < n; i++ {
 						trialNs.Observe(perTrial)
@@ -328,13 +336,8 @@ func RunBatch(trials, workers int, cellSeed uint64, reg *metrics.Registry, tr *t
 		}(w)
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
-	for _, ctx := range ctxs {
-		tr.Merge(ctx.Trace)
-		obs.Heat.Merge(ctx.Heat)
-		obs.BW.Merge(ctx.BW)
-	}
 	if reg != nil {
+		elapsed := time.Since(start)
 		var busy int64
 		for w, ctx := range ctxs {
 			reg.Merge(ctx.Shard)
@@ -347,6 +350,11 @@ func RunBatch(trials, workers int, cellSeed uint64, reg *metrics.Registry, tr *t
 				float64(busy) / (float64(elapsed) * float64(workers)))
 		}
 		reg.Gauge("mc.workers").Set(float64(workers))
+	}
+	for _, ctx := range ctxs {
+		tr.Merge(ctx.Trace)
+		obs.Heat.Merge(ctx.Heat)
+		obs.BW.Merge(ctx.BW)
 	}
 	res := Result{Trials: trials}
 	for _, out := range outcomes {

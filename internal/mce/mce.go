@@ -100,7 +100,9 @@ type Config struct {
 	BufferCapacity int
 	// Metrics selects the registry the engine's instruments record into
 	// (nil = metrics.Default). Monte-Carlo workers pass per-worker shards so
-	// parallel trials never contend on shared counters.
+	// parallel trials never contend on shared counters. When both are nil —
+	// a binary run without -metrics — the instruments are off: nothing
+	// records, and StepCycle reads no clock.
 	Metrics *metrics.Registry
 	// Tracer, when non-nil, records cycle-correlated events (per-cycle
 	// busy/stall/idle spans, cache fills and replays, local decode activity)
@@ -124,11 +126,13 @@ type Config struct {
 
 // CycleReport summarizes one StepCycle.
 type CycleReport struct {
-	Cycle            int
-	MicroOpsIssued   int
-	LogicalRetired   int
-	Measurements     int
-	DefectsLocal     int // defects resolved by the LUT decoder
+	Cycle          int
+	MicroOpsIssued int
+	LogicalRetired int
+	Measurements   int
+	DefectsLocal   int // defects resolved by the LUT decoder
+	// DefectsEscalated is the engine's scratch, valid until its next
+	// StepCycle: the master decodes it within the machine cycle.
 	DefectsEscalated []decoder.Defect
 	LogicalResults   []LogicalResult
 }
@@ -192,6 +196,9 @@ type MCE struct {
 	hist  *decoder.SyndromeHistory
 	local *decoder.LocalDecoder
 	frame *decoder.PauliFrame
+	// resolved and residual are the local decode's output scratch.
+	resolved []decoder.Correction
+	residual []decoder.Defect
 
 	// Instruction pipeline: the buffer holds what the master sent, replayQ
 	// what the cache replays; both are keyed by the patches an instruction
@@ -649,12 +656,18 @@ const issueWidth = 4
 
 // StepCycle advances the machine by one QECC cycle and returns the report.
 func (m *MCE) StepCycle() CycleReport {
-	start := time.Now() //quest:allow(seedsrc) wall-clock latency metric only; the value never reaches simulation state
+	timed := m.in.cycleNs
+	var start time.Time
+	if timed != nil {
+		start = time.Now() //quest:allow(seedsrc) wall-clock latency metric only; the value never reaches simulation state
+	}
 	stallBefore := m.stalledT
 	rep := CycleReport{Cycle: m.cycle}
 	m.beginCycle(&rep)
 	m.runCycle(&rep, m.issueLogical(&rep), stallBefore)
-	m.in.cycleNs.Observe(float64(time.Since(start)))
+	if timed != nil {
+		timed.Observe(float64(time.Since(start)))
+	}
 	return rep
 }
 
@@ -721,12 +734,12 @@ func (m *MCE) runCycle(rep *CycleReport, overlay []isa.MicroOp, stallBefore uint
 	// 5. Difference syndromes into defects and decode locally; residuals
 	// escalate to the master controller.
 	defects := m.hist.AbsorbRound(m.pendingSynd)
-	resolved, residual := m.local.Decode(defects)
-	for _, c := range resolved {
+	m.resolved, m.residual = m.local.Decode(defects, m.resolved[:0], m.residual[:0])
+	for _, c := range m.resolved {
 		m.frame.Apply(c)
 	}
-	rep.DefectsLocal = len(resolved)
-	rep.DefectsEscalated = residual
+	rep.DefectsLocal = len(m.resolved)
+	rep.DefectsEscalated = m.residual
 
 	if m.tr != nil {
 		// One span per cycle, named by what the cycle achieved: "busy" when
@@ -757,7 +770,7 @@ func (m *MCE) runCycle(rep *CycleReport, overlay []isa.MicroOp, stallBefore uint
 	m.in.microOps.Add(uint64(rep.MicroOpsIssued))
 	m.in.logicalRetired.Add(uint64(rep.LogicalRetired))
 	m.in.defectsLocal.Add(uint64(rep.DefectsLocal))
-	m.in.defectsEscalated.Add(uint64(len(residual)))
+	m.in.defectsEscalated.Add(uint64(len(m.residual)))
 }
 
 func (m *MCE) stepBraids(rep *CycleReport) {

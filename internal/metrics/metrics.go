@@ -15,6 +15,10 @@
 //     can give each goroutine a private shard registry and Merge the shards
 //     after the pool drains — per-worker aggregation with zero cross-worker
 //     cache-line traffic (see mc.RunBatch).
+//   - Off means off: a nil *Registry hands out nil instruments, and every
+//     method of a nil instrument does nothing. The binaries set Default to
+//     nil unless -metrics asks for a dump, and the timed components read the
+//     wall clock only when their histogram is non-nil.
 //   - Histograms use fixed bucket boundaries, so merging shards is a plain
 //     per-bucket add, and quantile summaries (p50/p95/p99) are deterministic
 //     functions of the bucket counts.
@@ -38,25 +42,44 @@ type Counter struct {
 	n atomic.Uint64
 }
 
-// Add increments the counter by d.
-func (c *Counter) Add(d uint64) { c.n.Add(d) }
+// Add increments the counter by d. A nil counter ignores it.
+func (c *Counter) Add(d uint64) {
+	if c != nil {
+		c.n.Add(d)
+	}
+}
 
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.n.Add(1) }
+// Inc increments the counter by one. A nil counter ignores it.
+func (c *Counter) Inc() { c.Add(1) }
 
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n.Load() }
+// Value returns the current count (zero for a nil counter).
+func (c *Counter) Value() uint64 {
+	if c == nil {
+		return 0
+	}
+	return c.n.Load()
+}
 
 // Gauge is an instantaneous float64 value (occupancy, utilization, rate).
 type Gauge struct {
 	bits atomic.Uint64
 }
 
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
+// Set stores v. A nil gauge ignores it.
+func (g *Gauge) Set(v float64) {
+	if g != nil {
+		g.bits.Store(math.Float64bits(v))
+	}
+}
 
-// Value returns the last stored value (zero if never set).
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
+// Value returns the last stored value (zero if never set, and for a nil
+// gauge).
+func (g *Gauge) Value() float64 {
+	if g == nil {
+		return 0
+	}
+	return math.Float64frombits(g.bits.Load())
+}
 
 // atomicFloat accumulates float64 values with a CAS loop.
 type atomicFloat struct {
@@ -148,8 +171,13 @@ func LatencyBounds() []float64 {
 	return bounds
 }
 
-// Observe records one value.
+// Observe records one value. A nil histogram ignores it; callers that time
+// what they observe check for nil first, so an unobserved span reads no
+// clock.
 func (h *Histogram) Observe(v float64) {
+	if h == nil {
+		return
+	}
 	h.buckets[h.bucketIndex(v)].Add(1)
 	h.count.Add(1)
 	h.sum.add(v)
@@ -171,8 +199,13 @@ func (h *Histogram) bucketIndex(v float64) int {
 	return lo
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
+// Count returns the number of observations (zero for a nil histogram).
+func (h *Histogram) Count() uint64 {
+	if h == nil {
+		return 0
+	}
+	return h.count.Load()
+}
 
 // BucketCounts returns a copy of the per-bucket counts (one per bound plus
 // the last, overflow bucket).
@@ -239,9 +272,10 @@ type HistogramSummary struct {
 	P99   float64 `json:"p99"`
 }
 
-// Summary digests the histogram. An empty histogram reports all zeros.
+// Summary digests the histogram. An empty or nil histogram reports all
+// zeros.
 func (h *Histogram) Summary() HistogramSummary {
-	n := h.count.Load()
+	n := h.Count()
 	if n == 0 {
 		return HistogramSummary{}
 	}
@@ -259,7 +293,9 @@ func (h *Histogram) Summary() HistogramSummary {
 }
 
 // Registry is a named collection of instruments. The zero value is not
-// usable; construct with New. All methods are safe for concurrent use.
+// usable; construct with New. All methods are safe for concurrent use. A nil
+// *Registry is the registry that is off: its lookups return nil instruments,
+// which record nothing.
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
@@ -277,11 +313,17 @@ func New() *Registry {
 }
 
 // Default is the process-wide registry. Packages record here unless handed an
-// explicit instance (worker shards, tests that must not share state).
+// explicit instance (worker shards, tests that must not share state). The
+// binaries set it to nil, instruments off, unless -metrics asks for a dump
+// (obsflags.Start).
 var Default = New()
 
-// Counter returns the named counter, creating it on first use.
+// Counter returns the named counter, creating it on first use. A nil
+// registry returns nil.
 func (r *Registry) Counter(name string) *Counter {
+	if r == nil {
+		return nil
+	}
 	r.mu.RLock()
 	c := r.counters[name]
 	r.mu.RUnlock()
@@ -297,8 +339,12 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge returns the named gauge, creating it on first use.
+// Gauge returns the named gauge, creating it on first use. A nil registry
+// returns nil.
 func (r *Registry) Gauge(name string) *Gauge {
+	if r == nil {
+		return nil
+	}
 	r.mu.RLock()
 	g := r.gauges[name]
 	r.mu.RUnlock()
@@ -317,8 +363,12 @@ func (r *Registry) Gauge(name string) *Gauge {
 // Histogram returns the named histogram, creating it with the given bounds on
 // first use (nil bounds = LatencyBounds). Later callers get the existing
 // histogram regardless of the bounds they pass; mixing bounds under one name
-// is a programming error the first registration wins.
+// is a programming error the first registration wins. A nil registry returns
+// nil.
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
+	if r == nil {
+		return nil
+	}
 	r.mu.RLock()
 	h := r.hists[name]
 	r.mu.RUnlock()

@@ -124,6 +124,29 @@ func TestHistogramEmptySummary(t *testing.T) {
 // TestRegistryMerge is the per-worker shard contract: counters and histogram
 // buckets add, gauges take the source value, and the merged histogram digest
 // equals the digest of observing everything in one registry.
+// TestNilRegistryIsFreeAndSafe pins the off switch: a nil registry hands
+// out nil instruments, and every recording method of a nil instrument is a
+// zero-allocation no-op whose reads are zero.
+func TestNilRegistryIsFreeAndSafe(t *testing.T) {
+	var r *Registry
+	c, g, h := r.Counter("c"), r.Gauge("g"), r.Histogram("h", nil)
+	if c != nil || g != nil || h != nil {
+		t.Fatalf("nil registry handed out %p, %p, %p; want nil instruments", c, g, h)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		c.Add(2)
+		c.Inc()
+		g.Set(1.5)
+		h.Observe(42)
+	})
+	if allocs != 0 {
+		t.Errorf("nil instruments allocated %v per call set, want 0", allocs)
+	}
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Summary() != (HistogramSummary{}) {
+		t.Errorf("nil instruments read %d, %g, %d, %+v; want zeros", c.Value(), g.Value(), h.Count(), h.Summary())
+	}
+}
+
 func TestRegistryMerge(t *testing.T) {
 	bounds := []float64{1, 10, 100}
 	combined := New()

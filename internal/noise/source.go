@@ -1,6 +1,9 @@
 package noise
 
-import "math/rand"
+import (
+	"math/rand"
+	"sync"
+)
 
 // This file is a re-seedable rand.Source64 that produces exactly the stream
 // of math/rand's NewSource, but seeds in a fraction of the time. Replayer
@@ -16,10 +19,11 @@ import "math/rand"
 // register: Seed fills word i with three consecutive chain values XORed
 // with a fixed scramble word ("cooked" in the standard library), and each
 // output adds the register word 273 places behind into the current one.
-// The scramble words are recovered at init from NewSource(1)'s first 607
-// outputs by running that recurrence backwards, so the stream is derived
-// from the public API alone and stays the standard library's by
-// construction (TestFastSourceMatchesMathRand).
+// The scramble words are recovered from NewSource(1)'s first 607 outputs by
+// running that recurrence backwards, so the stream is derived from the
+// public API alone and stays the standard library's by construction
+// (TestFastSourceMatchesMathRand). Both tables are built on the first Seed,
+// not at package init: a run that draws no noise never pays for them.
 
 const (
 	lfgLen   = 607             // register length
@@ -37,9 +41,12 @@ var (
 	lehmerPow [lfgLen][3]uint64
 	// cooked[i] is the scramble word Seed XORs into register word i.
 	cooked [lfgLen]uint64
+	// tables builds lehmerPow and cooked once, on the first Seed.
+	tables sync.Once
 )
 
-func init() {
+// buildTables fills lehmerPow and cooked.
+func buildTables() {
 	p := uint64(1)
 	for k := 1; k <= lfgSteps; k++ {
 		p = p * lehmerA % lehmerM
@@ -111,6 +118,7 @@ func (s *fastSource) fill(x0 uint64, scramble *[lfgLen]uint64) {
 
 // Seed rewinds the source onto the stream rand.NewSource(seed) starts.
 func (s *fastSource) Seed(seed int64) {
+	tables.Do(buildTables)
 	seed %= lehmerM
 	if seed < 0 {
 		seed += lehmerM

@@ -3,7 +3,9 @@
 // flags Register installs, and this package keeps their semantics identical
 // instead of letting two hand-rolled copies drift.
 //
-//	-metrics text|json   dump the default metrics registry to stderr at exit
+//	-metrics text|json   dump the default metrics registry to stderr at exit;
+//	                     without it the instruments are off: nothing
+//	                     records and no component reads the clock for them
 //	-cpuprofile FILE     write a CPU profile of the whole run to FILE
 //	                     (read it with go tool pprof)
 //	-trace FILE          record a cycle-correlated event trace and write it
@@ -24,9 +26,10 @@
 //	                     (0 = default 8)
 //
 // Lifecycle: Register the flags before flag.Parse, Start after it (and before
-// the machine is built, so components resolving tracing.Default see the
-// enabled tracer), and leave through Exit, which runs Finish and exits 1
-// when an artifact was not written.
+// the machine is built, so components resolving tracing.Default and
+// metrics.Default see the tracer and registry the flags chose), and leave
+// through Exit, which runs Finish and exits 1 when an artifact was not
+// written.
 //
 // Nothing here opens a socket: the package stays off net and net/http, so
 // the binaries do not link or initialise Go's network, TLS and crypto stack
@@ -213,8 +216,9 @@ func (o *Obs) SweepProgress() func(cell string, p mc.Progress) {
 	}
 }
 
-// Start validates the flag values, enables tracing.Default when -trace was
-// given, and starts the CPU profile when -cpuprofile was given.
+// Start validates the flag values, switches metrics.Default off (nil)
+// unless -metrics was given, enables tracing.Default when -trace was given,
+// and starts the CPU profile when -cpuprofile was given.
 func (o *Obs) Start() error {
 	switch *o.metricsFmt {
 	case "", "text", "json":
@@ -226,6 +230,12 @@ func (o *Obs) Start() error {
 	}
 	if *o.bwWindow < 0 {
 		return fmt.Errorf("-bw-window %d out of range: want a window width in machine cycles, or 0 for the default %d", *o.bwWindow, bwprofile.DefaultWindow)
+	}
+	if *o.metricsFmt == "" {
+		// Nobody will read the registry: components that resolve
+		// metrics.Default get nil instruments, which record nothing, and
+		// skip the clock reads that would feed them.
+		metrics.Default = nil
 	}
 	if *o.tracePath != "" {
 		tracing.Default = tracing.New(*o.traceBuf)

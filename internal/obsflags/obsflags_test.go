@@ -142,6 +142,38 @@ func TestShardRegNilWhenObservabilityOff(t *testing.T) {
 	}
 }
 
+// TestStartSwitchesMetricsOff pins the instruments-off contract: without
+// -metrics, Start leaves metrics.Default nil, so every component that
+// resolves it records nothing; with -metrics it keeps the registry Finish
+// dumps.
+func TestStartSwitchesMetricsOff(t *testing.T) {
+	defer resetDefaults()
+	for _, tc := range []struct {
+		args []string
+		on   bool
+	}{{nil, false}, {[]string{"-metrics", "json"}, true}} {
+		metrics.Default = metrics.New()
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		o := Register(fs)
+		o.Log = io.Discard
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		if err := o.Start(); err != nil {
+			t.Fatal(err)
+		}
+		if on := metrics.Default != nil; on != tc.on {
+			t.Errorf("%v: metrics.Default on = %v after Start, want %v", tc.args, on, tc.on)
+		}
+		if got := o.ShardReg(); got != metrics.Default {
+			t.Errorf("%v: ShardReg %p, metrics.Default %p", tc.args, got, metrics.Default)
+		}
+		if err := o.Finish(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestLedgerAndHeatmapLifecycle(t *testing.T) {
 	defer resetDefaults()
 	dir := t.TempDir()
