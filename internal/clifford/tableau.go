@@ -43,8 +43,10 @@ import (
 
 // Tableau is the stabilizer state of n qubits. The zero value is not usable;
 // create one with New. Row q is the image of X_q and row n+q the image of
-// Z_q; row 2n is scratch space and row 2n+1 holds MeasureObservable's
-// operator.
+// Z_q. Rows 2n and 2n+1 are scratch space: MeasureObservable builds its
+// image in row 2n and holds its operator in row 2n+1, and a random
+// measurement keeps its CNOT targets in row 2n's X half and the rows it
+// may flip in both rows' Z halves.
 type Tableau struct {
 	n     int
 	words int // uint64 words per row half
@@ -221,14 +223,21 @@ func (t *Tableau) MeasureZ(q int) int {
 }
 
 // measureZ is MeasureZ that also reports whether the outcome was random.
+//
+// A collapse walks the rows as flat words. A row with no X at p only
+// picks up the parity of its Z bits at the CNOT targets, folded into one
+// popcount over the targets' non-zero words. The rows that had X at p are
+// the ones whose image the final H gives Z at p, so they are the ones a
+// drawn 1 flips; the walk marks them in the scratch rows' Z halves.
 func (t *Tableau) measureZ(q int) (out int, random bool) {
 	t.checkQubit(q)
+	w, rows := t.words, 2*t.n
 	zq := t.n + q
 	qx, qz := t.row(zq)
 	pw := -1
-	for w, v := range qx {
+	for i, v := range qx {
 		if v != 0 {
-			pw = w
+			pw = i
 			break
 		}
 	}
@@ -236,60 +245,79 @@ func (t *Tableau) measureZ(q int) (out int, random bool) {
 		return int(t.r[zq]), false
 	}
 	pm := qx[pw] & -qx[pw]
-	// The CNOT targets, kept in the scratch row while the rows change.
-	kx, _ := t.row(2 * t.n)
+	// The CNOT targets, kept in the scratch row while the rows change, and
+	// the span [lo, hi) of their non-zero words.
+	kx := t.x[rows*w : rows*w+w]
 	copy(kx, qx)
 	kx[pw] &^= pm
-	// Whether the image carries Y at p once the CNOTs have run.
-	y := qz[pw]&pm != 0
-	for w, k := range kx {
-		y = y != (bits.OnesCount64(qz[w]&k)&1 == 1)
+	lo, hi := w, 0
+	for i, k := range kx {
+		if k != 0 {
+			lo, hi = min(lo, i), i+1
+		}
 	}
+	// Whether the image carries Y at p once the CNOTs have run.
+	var par uint64
+	for i := lo; i < hi; i++ {
+		par ^= qz[i] & kx[i]
+	}
+	y := (qz[pw]&pm != 0) != (bits.OnesCount64(par)&1 == 1)
+	// flip marks the rows with X at p, 2n bits over both scratch rows' Z
+	// halves.
+	flip := t.z[rows*w:]
+	clear(flip)
 	// Prepending V conjugates every row by V: the updates below are CHP's
 	// column rules for CNOT(p,k), S† and H at p.
-	for i := 0; i < 2*t.n; i++ {
-		x, z := t.row(i)
-		xp, zp := x[pw]&pm != 0, z[pw]&pm != 0
-		s := t.r[i]
-		for w, k := range kx {
-			if !xp {
-				zp = zp != (bits.OnesCount64(z[w]&k)&1 == 1)
-				continue
+	for i, o := 0, 0; i < rows; i, o = i+1, o+w {
+		xp, zp := t.x[o+pw]&pm != 0, t.z[o+pw]&pm != 0
+		if !xp {
+			par = 0
+			for j := lo; j < hi; j++ {
+				par ^= t.z[o+j] & kx[j]
 			}
-			for m := k; m != 0; m &= m - 1 {
+			t.z[o+pw] &^= pm
+			if zp != (bits.OnesCount64(par)&1 == 1) {
+				t.x[o+pw] |= pm
+			} else {
+				t.x[o+pw] &^= pm
+			}
+			continue
+		}
+		flip[i>>6] |= bit(i)
+		s := t.r[i]
+		for j := lo; j < hi; j++ {
+			x, z := t.x[o+j], t.z[o+j]
+			for m := kx[j]; m != 0; m &= m - 1 {
 				km := m & -m
-				zk := z[w]&km != 0
-				if zk && (x[w]&km != 0) == zp {
+				zk := z&km != 0
+				if zk && (x&km != 0) == zp {
 					s ^= 1
 				}
-				x[w] ^= km
+				x ^= km
 				zp = zp != zk
 			}
+			t.x[o+j] = x
 		}
-		if y && xp {
+		if y {
 			if !zp {
 				s ^= 1
 			}
 			zp = !zp
 		}
-		if xp && zp {
-			s ^= 1
-		}
-		x[pw] &^= pm
-		z[pw] &^= pm
 		if zp {
-			x[pw] |= pm
+			s ^= 1
+			t.x[o+pw] |= pm
+		} else {
+			t.x[o+pw] &^= pm
 		}
-		if xp {
-			z[pw] |= pm
-		}
+		t.z[o+pw] |= pm
 		t.r[i] = s
 	}
 	drawn := uint8(t.rng.Intn(2))
 	if t.r[zq] != drawn {
-		for i := 0; i < 2*t.n; i++ {
-			if t.z[i*t.words+pw]&pm != 0 {
-				t.r[i] ^= 1
+		for j, m := range flip {
+			for ; m != 0; m &= m - 1 {
+				t.r[j<<6|bits.TrailingZeros64(m)] ^= 1
 			}
 		}
 	}

@@ -1,9 +1,9 @@
 // Package loader type-checks the module's packages using only the standard
 // library, so the questvet analyzers (internal/lint/...) can run without a
 // golang.org/x/tools dependency. It is a deliberately small subset of what
-// go/packages provides: non-test files only, no build tags (the tree has
-// none), no cgo — enough for whole-module static analysis with full type
-// information.
+// go/packages provides: non-test files only, those go/build matches for the
+// default build context (file-name suffixes and //go:build lines), no cgo —
+// enough for whole-module static analysis with full type information.
 //
 // Packages inside the module are resolved straight from the source tree and
 // type-checked on demand (imports recurse through Load, which doubles as the
@@ -15,6 +15,7 @@ package loader
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -224,7 +225,9 @@ func (pr *Program) loadDir(path, dir string) (*Package, error) {
 	return &Package{Path: path, Dir: dir, Files: files, Types: tpkg, Info: info}, nil
 }
 
-// goFiles lists the buildable non-test Go file names of dir, sorted.
+// goFiles lists the buildable non-test Go file names of dir, sorted: those
+// go/build's default context matches, so a file for another architecture
+// or excluded by its //go:build line is left out, as the go tool leaves it.
 func goFiles(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -233,12 +236,17 @@ func goFiles(dir string) ([]string, error) {
 	var names []string
 	for _, e := range ents {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-			strings.HasSuffix(name, "_test.go") ||
-			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		names = append(names, name)
+		// MatchFile also rejects names starting with "." or "_".
+		ok, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			names = append(names, name)
+		}
 	}
 	sort.Strings(names)
 	return names, nil

@@ -1,6 +1,9 @@
 package loader
 
 import (
+	"go/build"
+	"go/constant"
+	"go/types"
 	"os"
 	"path/filepath"
 	"strings"
@@ -95,6 +98,33 @@ func TestLoadModuleImportCycle(t *testing.T) {
 	_, err = prog.LoadModule()
 	if err == nil || !strings.Contains(err.Error(), "import cycle") {
 		t.Fatalf("LoadModule = %v, want import-cycle error", err)
+	}
+}
+
+// TestLoadModuleHonoursBuildConstraints loads a package whose two files
+// declare the same constant, one for amd64 by its file name and one for
+// every other architecture by its //go:build line: the loader keeps only the
+// file this build matches, as the go tool does, instead of failing on a
+// redeclaration.
+func TestLoadModuleHonoursBuildConstraints(t *testing.T) {
+	prog, err := NewProgram("testdata/tags")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := prog.LoadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 1 || pkgs[0].Path != "tags/word" || len(pkgs[0].Files) != 1 {
+		t.Fatalf("LoadModule = %+v, want tags/word with one file", pkgs)
+	}
+	want := "other"
+	if build.Default.GOARCH == "amd64" {
+		want = "amd64"
+	}
+	arch, ok := pkgs[0].Types.Scope().Lookup("Arch").(*types.Const)
+	if !ok || constant.StringVal(arch.Val()) != want {
+		t.Fatalf("Arch = %v, want %q", arch, want)
 	}
 }
 

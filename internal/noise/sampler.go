@@ -120,6 +120,8 @@ func (s *sampler) bind(m Model) {
 // writes: a draw writes its own feed word, and its tap word lies 273
 // places from it (334 the other way round the register), while the words
 // a block writes are adjacent, since a run ends before either index wraps.
+// On amd64 CPUs with AVX2 an assembly kernel draws the blocks
+// (scanBlocks); missBlocks is the path on every other CPU.
 func (s *sampler) next(chans []Channel, from int) int {
 	src := &s.src
 	top := s.any
@@ -139,7 +141,7 @@ func (s *sampler) next(chans []Channel, from int) int {
 		// as the draw that stopped the run: below top when it broke off, at
 		// or above top when every draw missed. It starts as a miss, for a
 		// run that ends on a block boundary.
-		j := missBlocks(feed, tap, top)
+		j := scanBlocks(feed, tap, top)
 		v := top
 		for j > 0 {
 			j--

@@ -24,6 +24,11 @@ import (
 // public API alone and stays the standard library's by construction
 // (TestFastSourceMatchesMathRand). Both tables are built on the first Seed,
 // not at package init: a run that draws no noise never pays for them.
+//
+// On amd64 CPUs with AVX2 the register words are computed four at a time
+// by an assembly kernel (simd_amd64.s), in about a quarter of the Go
+// loop's time (Replayer.Reseed); fillFrom below is the path on every other
+// CPU and the reference the kernel is tested against.
 
 const (
 	lfgLen   = 607             // register length
@@ -36,13 +41,18 @@ const (
 )
 
 var (
-	// lehmerPow[i][j] = 48271^(21+3i+j) mod (2³¹−1): the powers behind the
-	// three chain values Seed folds into register word i.
-	lehmerPow [lfgLen][3]uint64
+	// lehmerPow[j][i] = 48271^(21+3i+j) mod (2³¹−1): the powers behind the
+	// three chain values Seed folds into register word i, one column per
+	// chain value so that consecutive words' powers are adjacent.
+	lehmerPow [3][lfgLen]uint64
 	// cooked[i] is the scramble word Seed XORs into register word i.
 	cooked [lfgLen]uint64
 	// tables builds lehmerPow and cooked once, on the first Seed.
 	tables sync.Once
+	// useAVX2 reports whether fill and the sampler's scan run the AVX2
+	// kernels. It is set once, from the CPU, before any source exists;
+	// tests switch it off to run the Go loops.
+	useAVX2 = detectAVX2()
 )
 
 // buildTables fills lehmerPow and cooked.
@@ -51,7 +61,7 @@ func buildTables() {
 	for k := 1; k <= lfgSteps; k++ {
 		p = p * lehmerA % lehmerM
 		if j := k - 21; j >= 0 {
-			lehmerPow[j/3][j%3] = p
+			lehmerPow[j%3][j/3] = p
 		}
 	}
 	// Recover NewSource(1)'s initial register v from its outputs. Output k
@@ -103,16 +113,22 @@ var _ rand.Source64 = (*fastSource)(nil)
 func (s *fastSource) fill(x0 uint64, scramble *[lfgLen]uint64) {
 	s.tap = 0
 	s.feed = lfgLen - lfgTap
-	for i := range s.vec {
-		p := &lehmerPow[i]
-		a, b, c := p[0]*x0, p[1]*x0, p[2]*x0
+	fillVec(&s.vec, x0, scramble)
+}
+
+// fillFrom computes register words from to lfgLen−1 of fill, one word at a
+// time.
+func fillFrom(vec *[lfgLen]int64, x0 uint64, scramble *[lfgLen]uint64, from int) {
+	p0, p1, p2 := &lehmerPow[0], &lehmerPow[1], &lehmerPow[2]
+	for i := from; i < lfgLen; i++ {
+		a, b, c := p0[i]*x0, p1[i]*x0, p2[i]*x0
 		a = a&lehmerM + a>>31
 		b = b&lehmerM + b>>31
 		c = c&lehmerM + c>>31
 		a += a >> 31
 		b = (b + b>>31) & lehmerM
 		c = (c + c>>31) & lehmerM
-		s.vec[i] = int64(a<<40 ^ b<<20 ^ c ^ scramble[i])
+		vec[i] = int64(a<<40 ^ b<<20 ^ c ^ scramble[i])
 	}
 }
 

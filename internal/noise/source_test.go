@@ -47,15 +47,18 @@ func TestFastSourceMatchesMathRand(t *testing.T) {
 	}
 }
 
-// BenchmarkReseed compares one re-seed of the replayer's source against
-// math/rand's.
+// BenchmarkReseed compares one re-seed of the replayer's source, on each
+// sampler path, against math/rand's.
 func BenchmarkReseed(b *testing.B) {
-	b.Run("fast", func(b *testing.B) {
-		src := new(fastSource)
-		for i := 0; i < b.N; i++ {
-			src.Seed(int64(i))
-		}
-	})
+	for _, path := range samplerPaths() {
+		b.Run(path.name, func(b *testing.B) {
+			setAVX2(b, path.avx2)
+			src := new(fastSource)
+			for i := 0; i < b.N; i++ {
+				src.Seed(int64(i))
+			}
+		})
+	}
 	b.Run("math-rand", func(b *testing.B) {
 		src := rand.NewSource(1)
 		for i := 0; i < b.N; i++ {
@@ -64,21 +67,26 @@ func BenchmarkReseed(b *testing.B) {
 	})
 }
 
-// BenchmarkScan times Next alone over a 2,925-site stream, the length of
-// the d=5 threshold cell's noisy cycles, at p=5e-4: ns/draw divides by the
-// sites scanned, one draw each. The source runs on without a re-seed, and
-// a hit draws no Pauli, so only the scan is timed.
+// BenchmarkScan times Next alone, on each sampler path, over a 2,925-site
+// stream, the length of the d=5 threshold cell's noisy cycles, at p=5e-4:
+// ns/draw divides by the sites scanned, one draw each. The source runs on
+// without a re-seed, and a hit draws no Pauli, so only the scan is timed.
 func BenchmarkScan(b *testing.B) {
 	chans := make([]Channel, 2925)
 	for i := range chans {
 		chans[i] = Channel(i % int(numChannels))
 	}
-	rep := NewReplayer(Uniform(5e-4), 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for k := 0; k < len(chans); k++ {
-			k = rep.Next(chans, k)
-		}
+	for _, path := range samplerPaths() {
+		b.Run(path.name, func(b *testing.B) {
+			setAVX2(b, path.avx2)
+			rep := NewReplayer(Uniform(5e-4), 1)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for k := 0; k < len(chans); k++ {
+					k = rep.Next(chans, k)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(chans)), "ns/draw")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(chans)), "ns/draw")
 }
