@@ -10,45 +10,32 @@ import (
 	"strings"
 	"testing"
 
+	"quest/internal/core"
 	"quest/internal/metrics"
 )
 
-// TestCheckFlags pins which flag combinations questbench refuses: negative
-// -trials and -workers counts, and with -md each sweep-artifact flag the
-// report cannot honour, fail with an error naming the flag; zero (the
-// default) and positive counts, and -md alone or with -trials, pass.
+// TestCheckFlags pins which counts questbench refuses: negative -trials
+// and -workers fail with an error naming the flag; zero (the default) and
+// positive counts pass.
 func TestCheckFlags(t *testing.T) {
 	for _, tc := range []struct {
 		trials, workers int
-		md              bool
-		given           string // one flag given besides these, "" = none
-		name            string // one experiment named, "" = none
 		flag            string // "" = accepted
 	}{
-		{0, 0, false, "", "", ""},
-		{1, 1, false, "", "", ""},
-		{3000, 8, false, "", "", ""},
-		{-3, 0, false, "", "", "-trials"},
-		{-1, 2, false, "", "", "-trials"},
-		{100, -1, false, "", "", "-workers"},
-		{20, 0, true, "", "", ""},
-		{20, 0, true, "trials", "", ""},
-		{20, 0, true, "metrics", "", ""},
-		{0, 0, false, "ledger", "", ""},
-		{20, 0, true, "ledger", "", "-ledger"},
-		{20, 0, true, "heatmap", "", "-heatmap"},
-		{20, 0, true, "bw", "", "-bw"},
-		{20, 0, true, "progress", "", "-progress"},
-		{20, 0, false, "", "threshold", ""},
-		{20, 0, true, "", "threshold", "-md"},
+		{0, 0, ""},
+		{1, 1, ""},
+		{3000, 8, ""},
+		{-3, 0, "-trials"},
+		{-1, 2, "-trials"},
+		{100, -1, "-workers"},
 	} {
-		err := checkFlags(tc.trials, tc.workers, tc.md, map[string]bool{tc.given: tc.given != ""}, strings.Fields(tc.name))
+		err := checkFlags(tc.trials, tc.workers)
 		switch {
 		case tc.flag == "" && err != nil:
 			t.Errorf("%+v rejected: %v", tc, err)
 		case tc.flag != "" && err == nil:
 			t.Errorf("%+v accepted; want an error naming %s", tc, tc.flag)
-		case tc.flag != "" && !strings.HasPrefix(err.Error(), tc.flag+" ") && !strings.HasPrefix(err.Error(), tc.flag+":"):
+		case tc.flag != "" && !strings.HasPrefix(err.Error(), tc.flag+" "):
 			t.Errorf("%+v: error %q does not lead with %s", tc, err, tc.flag)
 		}
 	}
@@ -84,23 +71,65 @@ func runQuestbench(t *testing.T, args ...string) (int, string, string) {
 	return 0, "", ""
 }
 
+// TestDeterministicStdout pins the text tables of the deterministic
+// experiments, every one but the threshold and memory sweeps, byte for
+// byte to testdata/deterministic.txt. A change that moves one of their
+// cells on purpose regenerates the file with
+//
+//	go run ./cmd/questbench fig2 fig6 fig10 fig11 fig13 fig14 fig15 fig16 \
+//	  table1 table2 machine concat dram syndrome > cmd/questbench/testdata/deterministic.txt
+func TestDeterministicStdout(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "deterministic.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range core.Experiments {
+		if e.Name != "threshold" && e.Name != "memory" {
+			names = append(names, e.Name)
+		}
+	}
+	code, stdout, stderr := runQuestbench(t, names...)
+	if code != 0 {
+		t.Fatalf("exit %d (stderr: %s)", code, stderr)
+	}
+	if stdout == string(want) {
+		return
+	}
+	got, exp := strings.Split(stdout, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(got) || i < len(exp); i++ {
+		var g, e string
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(exp) {
+			e = exp[i]
+		}
+		if g != e {
+			t.Fatalf("stdout drifted from testdata/deterministic.txt at line %d:\n got: %q\nwant: %q", i+1, g, e)
+		}
+	}
+}
+
 // TestLedgerWriteFailureExitsOne pins that a failed ledger write fails the
-// run: with -ledger on a full device, threshold and memory each exit 1 and
-// name the write error once, with one "ledger:" prefix.
+// run, text or -md: with -ledger on a full device, threshold and memory
+// each exit 1 and name the write error once, with one "ledger:" prefix.
 func TestLedgerWriteFailureExitsOne(t *testing.T) {
 	if _, err := os.Stat("/dev/full"); err != nil {
 		t.Skip("no /dev/full on this system")
 	}
-	for _, exp := range []string{"threshold", "memory"} {
-		code, _, stderr := runQuestbench(t, "-trials", "20", "-workers", "1", "-ledger", "/dev/full", exp)
-		if code != 1 {
-			t.Errorf("%s: exit %d, want 1 (stderr: %s)", exp, code, stderr)
-		}
-		if want := exp + " experiment failed: ledger: write /dev/full"; !strings.Contains(stderr, want) {
-			t.Errorf("%s: stderr %q does not contain %q", exp, stderr, want)
-		}
-		if strings.Contains(stderr, "ledger: ledger:") {
-			t.Errorf("%s: stderr %q doubles the ledger prefix", exp, stderr)
+	for _, md := range []string{"-md=false", "-md"} {
+		for _, exp := range []string{"threshold", "memory"} {
+			code, _, stderr := runQuestbench(t, md, "-trials", "20", "-workers", "1", "-ledger", "/dev/full", exp)
+			if code != 1 {
+				t.Errorf("%s %s: exit %d, want 1 (stderr: %s)", md, exp, code, stderr)
+			}
+			if want := exp + " experiment failed: ledger: write /dev/full"; !strings.Contains(stderr, want) {
+				t.Errorf("%s %s: stderr %q does not contain %q", md, exp, stderr, want)
+			}
+			if strings.Contains(stderr, "ledger: ledger:") {
+				t.Errorf("%s %s: stderr %q doubles the ledger prefix", md, exp, stderr)
+			}
 		}
 	}
 }
@@ -133,8 +162,8 @@ func TestArtifactWriteFailureExitsOne(t *testing.T) {
 
 // TestUsageErrorsExitTwo pins the usage class of the exit contract beyond
 // checkFlags' numbers: a bad observability value, an unknown experiment,
-// -md with a sweep-artifact flag or an experiment name, known or not, and
-// the retired -pprof and -ci-stop flags each exit 2.
+// with or without -md, and the retired -pprof and -ci-stop flags each exit
+// 2.
 func TestUsageErrorsExitTwo(t *testing.T) {
 	for _, args := range [][]string{
 		{"-metrics", "bogus", "fig10"},
@@ -142,15 +171,61 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"-bw-window", "-1", "fig10"},
 		{"-cpuprofile", filepath.Join(t.TempDir(), "missing", "cpu.pprof"), "fig10"},
 		{"fig10", "bogus"},
-		{"-md", "-trials", "20", "-ledger", filepath.Join(t.TempDir(), "md.jsonl")},
 		{"-md", "bogus"},
-		{"-md", "threshold"},
 		{"-pprof", "localhost:6060", "fig10"},
 		{"-ci-stop", "0.1", "threshold"},
 	} {
 		code, _, stderr := runQuestbench(t, args...)
 		if code != 2 {
 			t.Errorf("%v: exit %d, want 2 (stderr: %s)", args, code, stderr)
+		}
+	}
+}
+
+// TestMarkdownRendersEveryExperiment pins the -md report: a run that names
+// no experiment renders every one under its own heading, with the cells
+// the text tables hold.
+func TestMarkdownRendersEveryExperiment(t *testing.T) {
+	code, md, stderr := runQuestbench(t, "-md", "-trials", "20")
+	if code != 0 {
+		t.Fatalf("exit %d (stderr: %s)", code, stderr)
+	}
+	want := []string{"| SHOR-1024 |", "4 Channel = 1Kb x 4", "2420ns", "measured savings"}
+	for _, e := range core.Experiments {
+		want = append(want, "\n## "+e.Name+": "+e.Desc+"\n\n")
+	}
+	for _, frag := range want {
+		if !strings.Contains(md, frag) {
+			t.Errorf("-md report missing %q", frag)
+		}
+	}
+}
+
+// TestMarkdownWritesPlainArtifacts pins that -md changes the rendering
+// only: a threshold sweep with -md writes the same ledger, heatmap and
+// bandwidth-profile bytes as the same sweep without it.
+func TestMarkdownWritesPlainArtifacts(t *testing.T) {
+	dir := t.TempDir()
+	artifacts := func(tag string, md ...string) []string {
+		paths := []string{filepath.Join(dir, tag+".ledger"), filepath.Join(dir, tag+".heat"), filepath.Join(dir, tag+".bw")}
+		args := append(md, "-trials", "64", "-ledger", paths[0], "-heatmap", paths[1], "-bw", paths[2], "threshold")
+		if code, _, stderr := runQuestbench(t, args...); code != 0 {
+			t.Fatalf("%v: exit %d (stderr: %s)", args, code, stderr)
+		}
+		return paths
+	}
+	plain, md := artifacts("plain"), artifacts("md", "-md")
+	for i := range plain {
+		a, err := os.ReadFile(plain[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(md[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s differs from %s", md[i], plain[i])
 		}
 	}
 }

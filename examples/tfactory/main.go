@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"log"
 
-	"quest"
 	"quest/internal/core"
 	"quest/internal/distill"
 )
@@ -33,14 +32,17 @@ func main() {
 	fmt.Printf("\none distillation round = %d logical instructions, deterministic control flow\n", len(body))
 	fmt.Printf("first instructions: %v %v %v ... last: %v\n", body[0], body[1], body[2], body[len(body)-1])
 
-	// Workload-level impact (Figure 13).
+	// Workload-level impact: questbench's Figure 13 table.
 	fmt.Println("\nT-factory overhead per workload (Figure 13):")
-	est := quest.NewEstimator()
-	for _, w := range quest.Workloads() {
-		e := est.Estimate(w)
-		fmt.Printf("  %-10s %d rounds, %2d factories, distill:logical = %8.3g\n",
-			w.Name, e.DistillRounds, e.Factories, e.TFactoryOverhead())
+	fig13, ok := core.ExperimentNamed("fig13")
+	if !ok {
+		log.Fatal("no fig13 experiment")
 	}
+	tab, err := fig13.Table(core.Run{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Print(tab.Text())
 
 	// Cycle-level: replay the loop from the cache and measure the bus.
 	fmt.Println("\ncycle-level cache replay on the simulated machine:")

@@ -1,65 +1,74 @@
 package quest_test
 
 import (
-	"fmt"
 	"os"
+	"sort"
 	"strings"
 	"testing"
 
 	"quest/internal/core"
 )
 
-// TestExperimentsValidationTable pins EXPERIMENTS.md's "Functional QECC
-// validation" table to the code. It reruns the sweep `questbench -trials
-// 400 threshold` prints, renders the table and compares it with the block
-// between the file's two marker comments; any drift fails, and the message
-// carries the fresh rendering. The last column names an ordering of d=5
-// against d=3 only when their Wilson intervals are disjoint.
-func TestExperimentsValidationTable(t *testing.T) {
-	const (
-		begin  = "<!-- begin generated: threshold-400 -->\n"
-		end    = "<!-- end generated: threshold-400 -->"
-		trials = 400
-	)
-	rates := []float64{2e-3, 1e-3, 5e-4}
-	rows, err := core.Threshold(nil, nil, rates, []int{3, 5}, trials, 2, core.SweepObs{})
-	if err != nil {
-		t.Fatal(err)
+// TestExperimentsGeneratedBlocks pins EXPERIMENTS.md's tables to the code.
+// Each block between `<!-- begin generated: NAME -->` and `<!-- end
+// generated: NAME -->` must equal the Markdown rendering of table NAME:
+// every questbench experiment but the two sweeps, whose default budgets are
+// too small to quote, and threshold-400, the validation table of the sweep
+// `questbench -trials 400 threshold` runs. A missing, unknown or drifted
+// block fails, and the message carries the fresh rendering; `questbench -md
+// NAME` prints the same block under its heading.
+func TestExperimentsGeneratedBlocks(t *testing.T) {
+	const begin, end = "<!-- begin generated: ", "<!-- end generated: "
+	tables := map[string]func() (core.Table, error){
+		"threshold-400": func() (core.Table, error) {
+			rows, err := core.Threshold(nil, nil, []float64{2e-3, 1e-3, 5e-4}, []int{3, 5}, 400, 2, core.SweepObs{})
+			if err != nil {
+				return core.Table{}, err
+			}
+			return core.ValidationTable(rows)
+		},
 	}
-	if len(rows) != 2*len(rates) {
-		t.Fatalf("threshold sweep returned %d rows, want %d", len(rows), 2*len(rates))
-	}
-	cell := func(r core.ThresholdRow) string {
-		return fmt.Sprintf("%.4f [%.4f, %.4f]", r.FailRate, r.WilsonLo, r.WilsonHi)
-	}
-	var b strings.Builder
-	b.WriteString("| p_phys | d=3 fail (95% CI) | d=5 fail (95% CI) | d=5 against d=3 |\n|---|---|---|---|\n")
-	for k := 0; k < len(rows); k += 2 {
-		d3, d5 := rows[k], rows[k+1]
-		if d3.Distance != 3 || d5.Distance != 5 || d3.PhysRate != d5.PhysRate {
-			t.Fatalf("rows %d and %d are not a d=3, d=5 pair at one rate: %+v, %+v", k, k+1, d3, d5)
+	for _, e := range core.Experiments {
+		if e.Name != "threshold" && e.Name != "memory" {
+			tables[e.Name] = func() (core.Table, error) { return e.Table(core.Run{}) }
 		}
-		order := fmt.Sprintf("not resolved at %d trials", trials)
-		switch {
-		case d5.WilsonHi < d3.WilsonLo:
-			order = "lower, intervals disjoint"
-		case d5.WilsonLo > d3.WilsonHi:
-			order = "higher, intervals disjoint"
-		}
-		fmt.Fprintf(&b, "| %.0e | %s | %s | %s |\n", d3.PhysRate, cell(d3), cell(d5), order)
 	}
-	want := b.String()
 
 	data, err := os.ReadFile("EXPERIMENTS.md")
 	if err != nil {
 		t.Fatal(err)
 	}
 	doc := string(data)
-	i, j := strings.Index(doc, begin), strings.Index(doc, end)
-	if i < 0 || j < i {
-		t.Fatalf("EXPERIMENTS.md has no %q ... %q block", strings.TrimSpace(begin), end)
+	for rest := doc; ; {
+		i := strings.Index(rest, begin)
+		if i < 0 {
+			break
+		}
+		rest = rest[i+len(begin):]
+		name, _, _ := strings.Cut(rest, " -->")
+		if tables[name] == nil {
+			t.Errorf("EXPERIMENTS.md has a block %q that no table generates", name)
+		}
 	}
-	if got := doc[i+len(begin) : j]; got != want {
-		t.Errorf("EXPERIMENTS.md's validation table drifted from the code; the sweep renders:\n%s", want)
+
+	names := make([]string, 0, len(tables))
+	for name := range tables {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		tab, err := tables[name]()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := tab.Markdown()
+		from, to := begin+name+" -->\n", end+name+" -->"
+		i, j := strings.Index(doc, from), strings.Index(doc, to)
+		switch {
+		case i < 0 || j < i:
+			t.Errorf("EXPERIMENTS.md has no %q ... %q block; it should hold:\n%s", strings.TrimSpace(from), to, want)
+		case doc[i+len(from):j] != want:
+			t.Errorf("EXPERIMENTS.md's %s block drifted from the code, which renders:\n%s", name, want)
+		}
 	}
 }

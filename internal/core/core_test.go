@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"quest/internal/awg"
@@ -244,8 +243,8 @@ func TestFig6Shape(t *testing.T) {
 		if r.Orders < 4 || r.Orders > 10 {
 			t.Errorf("%s: overhead 10^%.1f outside band", r.Workload, r.Orders)
 		}
-		if r.QECCFrac < 0.9999 {
-			t.Errorf("%s: QECC fraction %v", r.Workload, r.QECCFrac)
+		if !(r.LogicalFrac > 0 && r.LogicalFrac < 1e-4) {
+			t.Errorf("%s: logical share %v outside (0, 1e-4)", r.Workload, r.LogicalFrac)
 		}
 	}
 }
@@ -392,16 +391,10 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestFormatTable(t *testing.T) {
-	out := FormatTable([]string{"a", "long-header"}, [][]string{{"xx", "y"}, {"1", "2"}})
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("lines = %d", len(lines))
-	}
-	if !strings.HasPrefix(lines[1], "--") {
-		t.Error("no separator line")
-	}
-	if len(lines[0]) != len(lines[2]) && !strings.Contains(lines[0], "long-header") {
-		t.Error("misaligned table")
+	got := formatTable([]string{"a", "long-header"}, [][]string{{"xx", "y"}, {"1", "2"}})
+	want := "a   long-header\n--  -----------\nxx  y          \n1   2          \n"
+	if got != want {
+		t.Errorf("got\n%q\nwant\n%q", got, want)
 	}
 }
 
@@ -527,26 +520,5 @@ func TestSyndromeTrafficScalesWithNoise(t *testing.T) {
 	if !(rows[1].SyndromeBytes < rows[2].SyndromeBytes) {
 		t.Errorf("syndrome traffic not increasing with noise: %d vs %d",
 			rows[1].SyndromeBytes, rows[2].SyndromeBytes)
-	}
-}
-
-func TestMarkdownReport(t *testing.T) {
-	md := MarkdownReport(0, 0)
-	for _, frag := range []string{
-		"## Figure 2", "## Figure 6", "## Figure 10", "## Figure 11",
-		"## Figure 13", "## Figure 14", "## Figure 15", "## Figure 16",
-		"## Table 1", "## Table 2", "## Extensions", "measured savings",
-		"| SHOR-1024 |", "4 Channel = 1Kb x 4", "2420ns",
-	} {
-		if !strings.Contains(md, frag) {
-			t.Errorf("report missing %q", frag)
-		}
-	}
-	if strings.Contains(md, "Validation — logical failure") {
-		t.Error("statistical section present at statTrials=0")
-	}
-	withStats := MarkdownReport(20, 0)
-	if !strings.Contains(withStats, "Validation — logical failure") {
-		t.Error("statistical section missing at statTrials=20")
 	}
 }

@@ -3,11 +3,9 @@ package core
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"quest/internal/bandwidth"
 	"quest/internal/concat"
-	"quest/internal/distill"
 	"quest/internal/dram"
 	"quest/internal/jj"
 	"quest/internal/microcode"
@@ -17,8 +15,8 @@ import (
 )
 
 // This file regenerates every table and figure of the paper's evaluation.
-// Each ExpNN function returns structured rows; Format renders them as the
-// text tables cmd/questbench prints and EXPERIMENTS.md records.
+// Each function returns structured rows; table.go formats them into the
+// Tables cmd/questbench prints and EXPERIMENTS.md records.
 
 // Fig2Row is one point of Figure 2: baseline instruction bandwidth versus
 // machine size for Shor's algorithm.
@@ -49,11 +47,13 @@ func Fig2() []Fig2Row {
 }
 
 // Fig6Row is one bar of Figure 6: the QECC:regular instruction ratio.
+// LogicalFrac is the logical instructions' share of all instructions, QECC
+// µops of the data patches and T-factories included.
 type Fig6Row struct {
-	Workload string
-	Ratio    float64
-	Orders   float64
-	QECCFrac float64
+	Workload    string
+	Ratio       float64
+	Orders      float64
+	LogicalFrac float64
 }
 
 // Fig6 computes the QECC overhead for the seven workloads.
@@ -64,10 +64,10 @@ func Fig6() []Fig6Row {
 		e := est.Estimate(p)
 		r := e.QECCOverhead()
 		rows = append(rows, Fig6Row{
-			Workload: p.Name,
-			Ratio:    r,
-			Orders:   math.Log10(r),
-			QECCFrac: e.QECCInstrs / (e.QECCInstrs + e.LogicalInstrs),
+			Workload:    p.Name,
+			Ratio:       r,
+			Orders:      math.Log10(r),
+			LogicalFrac: e.LogicalInstrs / (e.QECCInstrs + e.LogicalInstrs),
 		})
 	}
 	return rows
@@ -335,48 +335,6 @@ func MachineDemo(times int) (MachineDemoResult, error) {
 		MeasuredSavings:  rep.Savings(),
 	}, nil
 }
-
-// ---- formatting ----
-
-// FormatTable renders rows of cells as an aligned text table.
-func FormatTable(header []string, rows [][]string) string {
-	widths := make([]int, len(header))
-	for i, h := range header {
-		widths[i] = len(h)
-	}
-	for _, r := range rows {
-		for i, c := range r {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(header)
-	for i, w := range widths {
-		if i > 0 {
-			b.WriteString("  ")
-		}
-		b.WriteString(strings.Repeat("-", w))
-	}
-	b.WriteByte('\n')
-	for _, r := range rows {
-		writeRow(r)
-	}
-	return b.String()
-}
-
-// RoundInstrs re-exports the distillation round length for reporting.
-func RoundInstrs() int { return distill.RoundInstructionCount }
 
 // ExtConcatRow is one row of the §9 concatenation extension study.
 type ExtConcatRow struct {
