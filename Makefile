@@ -1,28 +1,12 @@
-# Convenience targets for the QuEST reproduction.
+# Convenience targets for the QuEST reproduction. `make test` (go test ./...)
+# is the whole gate: besides the unit tests it runs the analyzer suite
+# (TestModuleClean) and the CLIs' end-to-end artifact checks.
 #
-# Observability / CI targets:
-#   make trace-smoke  run a tiny traced sim and validate the Perfetto JSON,
-#                     then CPU-profile a small sweep and read the profile
-#                     back with go tool pprof
-#   make ledger-smoke run a small ledgered+heatmapped sweep at -workers 1
-#                     and 4, cmp the ledgers and heatmaps, and validate the
-#                     JSONL with questcheck
-#   make bw-smoke     run profiled sweeps and sims, validate the quest-bw/1
-#                     artifacts with bwreport, prove the waveform and the
-#                     ledger are worker-count independent (cmp across
-#                     -workers 1 and 8) and the profile a pure side-band
-#                     (ledger bytes identical with -bw on/off), and render
-#                     the ram/fifo/unitcell comparison
+#   make lint         gofmt + go vet + TestModuleClean (CI also runs staticcheck)
 #   make perf-smoke   run questperf (bench/run.sh) briefly over every workload,
 #                     both phases, and fail unless it reports every run
 #                     correct (stdout and ledger digests match bench/golden.json)
 #                     and no trace replica diverged; no timing bound
-#   make lint         gofmt + vet + questvet (CI additionally runs staticcheck)
-#   make questvet     run only the custom analyzer suite (tools/questvet),
-#                     diffed against the committed questvet-baseline.json
-#   make questvet-baseline
-#                     regenerate questvet-baseline.json after a deliberate
-#                     change (new //quest:allow, accepted finding)
 
 GO ?= go
 
@@ -30,7 +14,7 @@ GO ?= go
 # fails if the two (or CI's version matrix) drift apart.
 GO_TOOLCHAIN := go1.24.0
 
-.PHONY: all build test test-short race bench trace-smoke ledger-smoke bw-smoke perf-smoke lint vet fmt questvet questvet-baseline experiments examples fuzz clean
+.PHONY: all build test test-short race bench perf-smoke lint vet fmt experiments examples fuzz clean
 
 all: build vet test race
 
@@ -43,21 +27,12 @@ vet:
 fmt:
 	gofmt -l -w .
 
-lint: vet questvet
+# The analyzer suite (internal/lint): detrange, seedsrc and errsink, each
+# run package by package over the module. TestModuleClean wants no finding
+# and pins the //quest:allow count; `go test ./...` runs it too.
+lint: vet
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
-
-# Custom analyzer suite (internal/lint): detrange, seedsrc and errsink,
-# each run package by package. The run is diffed against the committed
-# baseline: only new findings, stale baseline entries, or //quest:allow
-# count drift fail. The summary line counts the suppressions in force.
-questvet:
-	$(GO) run ./tools/questvet -baseline questvet-baseline.json ./...
-
-# Regenerate the committed questvet baseline after a *deliberate* change
-# (a new reasoned //quest:allow, an accepted finding). Explain the bump in
-# the PR; TestModuleCleanAgainstBaseline keeps the file honest.
-questvet-baseline:
-	$(GO) run ./tools/questvet -write-baseline questvet-baseline.json ./...
+	$(GO) test -run TestModuleClean ./internal/lint/questvet
 
 test:
 	$(GO) test ./...
@@ -72,65 +47,6 @@ race:
 
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem ./...
-
-# Run a tiny traced simulation and validate the emitted Perfetto JSON, then
-# CPU-profile a small threshold sweep (-cpuprofile) and read the profile
-# back with go tool pprof, the one reader of that format — the same checks
-# CI's trace-smoke job runs. trace.json and cpu.pprof are covered by
-# .gitignore and `make clean`.
-trace-smoke:
-	$(GO) run ./cmd/questsim -program distill -replays 5 -trace trace.json
-	$(GO) run ./tools/questcheck -min-procs 4 trace.json
-	$(GO) run ./cmd/questbench -cpuprofile cpu.pprof -trials 200 threshold
-	$(GO) tool pprof -top cpu.pprof
-
-# Run a small traced + ledgered threshold sweep with heatmaps at -workers 1
-# and again at -workers 4, cmp the two ledgers and the two heatmap JSONs,
-# then validate the ledger — the same check CI's trace-smoke job runs. At
-# 130 trials each cell is three 64-trial lanes, so 4 workers really split
-# it. questcheck's floors are exact: 6 cells of 130 trial records. Its five
-# outputs are covered by .gitignore and `make clean`.
-ledger-smoke:
-	$(GO) run ./cmd/questbench -trials 130 -workers 1 \
-		-ledger ledger.jsonl -heatmap heatmap.json \
-		-trace sweep_trace.json threshold
-	$(GO) run ./cmd/questbench -trials 130 -workers 4 \
-		-ledger ledger-w4.jsonl -heatmap heatmap-w4.json threshold
-	cmp ledger.jsonl ledger-w4.jsonl
-	cmp heatmap.json heatmap-w4.json
-	$(GO) run ./tools/questcheck -min-cells 6 -min-trials 780 ledger.jsonl
-
-# Bandwidth-profiler smoke — the same checks CI's bw-smoke job runs. The
-# memory experiment drives the full machine decode path (threshold cells
-# bypass the machine, so they put no traffic on the buses): the same
-# profiled sweep at -workers 1 and 8 must produce byte-identical quest-bw/1
-# waveforms and ledgers (cmp) — at 130 trials, three 64-trial lanes, so 8
-# workers really split each cell — and the -workers 1 ledger must be
-# byte-identical with -bw on and off (profiling is a pure side-band). The
-# ledger cmp across -workers 1 and 8 is the end-to-end check that ledger
-# bytes do not depend on the worker count. bwreport validates and renders
-# the -workers 1 artifact, then three questsim runs — one per microcode
-# design — feed the ram/fifo/unitcell comparison table. Artifacts match
-# bw-smoke-*.jsonl, covered by .gitignore and `make clean`.
-bw-smoke:
-	$(GO) run ./cmd/questbench -trials 130 -workers 1 \
-		-ledger bw-smoke-ledger-on.jsonl -bw bw-smoke-w1.jsonl memory
-	$(GO) run ./cmd/questbench -trials 130 -workers 8 \
-		-ledger bw-smoke-ledger-w8.jsonl -bw bw-smoke-w8.jsonl memory
-	cmp bw-smoke-w1.jsonl bw-smoke-w8.jsonl
-	cmp bw-smoke-ledger-w8.jsonl bw-smoke-ledger-on.jsonl
-	$(GO) run ./cmd/questbench -trials 130 -workers 1 \
-		-ledger bw-smoke-ledger-off.jsonl memory
-	cmp bw-smoke-ledger-off.jsonl bw-smoke-ledger-on.jsonl
-	$(GO) run ./tools/bwreport bw-smoke-w1.jsonl
-	$(GO) run ./cmd/questsim -program distill -replays 8 -design ram \
-		-bw bw-smoke-ram.jsonl
-	$(GO) run ./cmd/questsim -program distill -replays 8 -design fifo \
-		-bw bw-smoke-fifo.jsonl
-	$(GO) run ./cmd/questsim -program distill -replays 8 -design unitcell \
-		-bw bw-smoke-unitcell.jsonl
-	$(GO) run ./tools/bwreport bw-smoke-ram.jsonl bw-smoke-fifo.jsonl \
-		bw-smoke-unitcell.jsonl
 
 # Benchmark correctness smoke — the same check CI's perf-smoke job runs. One
 # short questperf pass (-seconds 1) over every workload and both phases:
@@ -176,5 +92,5 @@ fuzz:
 # corpora; TestCleanTargetPreservesTrackedTestdata pins the fix.
 clean:
 	git clean -fdx internal/qasm/testdata internal/qexe/testdata internal/core/testdata
-	rm -f bw-smoke-*.jsonl perf-smoke.* cpu.pprof trace.json ledger.jsonl ledger-w4.jsonl heatmap.json heatmap-w4.json sweep_trace.json
+	rm -f perf-smoke.*
 	$(GO) clean ./...

@@ -13,17 +13,20 @@
 // Observability (shared with questsim via internal/obsflags): -metrics,
 // -cpuprofile FILE (a CPU profile of the whole run, read with go tool
 // pprof), -trace, -trace-buf, plus the experiment-ledger bundle — -ledger
-// FILE streams a JSONL run ledger (validate with tools/questcheck),
-// -progress renders live per-cell Wilson intervals on stderr, and -heatmap
-// FILE writes spatial defect/matching heatmaps as JSON (ASCII renders go to
-// stderr). All of it is worker-count independent. Every cell runs its full
-// -trials budget.
+// FILE streams a JSONL run ledger, -progress renders live per-cell Wilson
+// intervals on stderr, and -heatmap FILE writes spatial defect/matching
+// heatmaps as JSON (ASCII renders go to stderr). All of it is worker-count
+// independent. Every cell runs its full -trials budget. Only the sweeps,
+// threshold and memory, write into -ledger and -heatmap: a run that gives
+// either, or -bw, without selecting a sweep exits 2.
 //
 // Bandwidth profiling: -bw FILE records per-bus traffic in fixed windows of
 // the machine cycle clock and writes a quest-bw/1 profile at exit
-// (-bw-window N sets the window width; validate and compare runs with
-// tools/bwreport). Like the ledger, the profile is worker-count independent
-// and a pure side-band of the sweep.
+// (-bw-window N sets the window width). Only the memory sweep drives the
+// machine's buses; the threshold sweep bypasses the machine, so its profile
+// has no window. Like the ledger, the profile is worker-count independent
+// and a pure side-band of the sweep. tools/questcheck validates each of
+// these artifacts but the CPU profile.
 //
 // -md renders the same experiments as Markdown instead of text: the same
 // names, trials, sweeps and artifacts. Under its heading, `questbench -md
@@ -64,6 +67,10 @@ func main() {
 	}
 	selected, ok := selectExperiments(args)
 	if !ok {
+		os.Exit(2)
+	}
+	if err := checkArtifacts(selected); err != nil {
+		fmt.Fprintln(os.Stderr, "questbench:", err)
 		os.Exit(2)
 	}
 	if err := obs.Start(); err != nil {
@@ -131,6 +138,24 @@ func checkFlags(trials, workers int) error {
 		return fmt.Errorf("-trials %d: need a non-negative trial count (0 = per-experiment default)", trials)
 	case workers < 0:
 		return fmt.Errorf("-workers %d: need a non-negative worker count (0 = GOMAXPROCS)", workers)
+	}
+	return nil
+}
+
+// checkArtifacts refuses -ledger, -heatmap and -bw when neither sweep,
+// threshold nor memory, is selected: no other experiment writes into them,
+// so each file would hold a header and nothing else. main reports the error
+// on one stderr line and exits 2, before anything runs.
+func checkArtifacts(selected []core.Experiment) error {
+	for _, e := range selected {
+		if e.Name == "threshold" || e.Name == "memory" {
+			return nil
+		}
+	}
+	for _, name := range []string{"ledger", "heatmap", "bw"} {
+		if flag.Lookup(name).Value.String() != "" {
+			return fmt.Errorf("-%s: no selected experiment writes it; select threshold or memory", name)
+		}
 	}
 	return nil
 }

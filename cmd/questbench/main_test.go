@@ -10,8 +10,12 @@ import (
 	"strings"
 	"testing"
 
+	"quest/internal/bwprofile"
 	"quest/internal/core"
+	"quest/internal/heatmap"
+	"quest/internal/ledger"
 	"quest/internal/metrics"
+	"quest/internal/tracing"
 )
 
 // TestCheckFlags pins which counts questbench refuses: negative -trials
@@ -162,9 +166,11 @@ func TestArtifactWriteFailureExitsOne(t *testing.T) {
 
 // TestUsageErrorsExitTwo pins the usage class of the exit contract beyond
 // checkFlags' numbers: a bad observability value, an unknown experiment,
-// with or without -md, and the retired -pprof and -ci-stop flags each exit
-// 2.
+// with or without -md, a sweep artifact with no sweep selected, and the
+// retired -pprof and -ci-stop flags each exit 2. A refused sweep artifact
+// is not created.
 func TestUsageErrorsExitTwo(t *testing.T) {
+	unfilled := filepath.Join(t.TempDir(), "unfilled")
 	for _, args := range [][]string{
 		{"-metrics", "bogus", "fig10"},
 		{"-trace-buf", "-1", "fig10"},
@@ -172,6 +178,10 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"-cpuprofile", filepath.Join(t.TempDir(), "missing", "cpu.pprof"), "fig10"},
 		{"fig10", "bogus"},
 		{"-md", "bogus"},
+		{"-ledger", unfilled, "fig2"},
+		{"-heatmap", unfilled, "fig10"},
+		{"-bw", unfilled, "fig2", "fig6"},
+		{"-md", "-ledger", unfilled, "syndrome"},
 		{"-pprof", "localhost:6060", "fig10"},
 		{"-ci-stop", "0.1", "threshold"},
 	} {
@@ -179,6 +189,9 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		if code != 2 {
 			t.Errorf("%v: exit %d, want 2 (stderr: %s)", args, code, stderr)
 		}
+	}
+	if _, err := os.Stat(unfilled); !os.IsNotExist(err) {
+		t.Errorf("a refused run created %s (stat: %v)", unfilled, err)
 	}
 }
 
@@ -261,5 +274,117 @@ func TestMetricsJSONReportsTimers(t *testing.T) {
 				t.Errorf("%s: %s recorded no observation under -metrics json", exp, name)
 			}
 		}
+	}
+}
+
+// runArtifacts runs questbench with args, which write artifacts under the
+// test's temporary directory, and fails the test unless it exits 0.
+func runArtifacts(t *testing.T, args ...string) {
+	t.Helper()
+	if code, _, stderr := runQuestbench(t, args...); code != 0 {
+		t.Fatalf("%v: exit %d (stderr: %s)", args, code, stderr)
+	}
+}
+
+// sameBytes fails the test unless the files at paths a and b hold the same
+// bytes, and returns those of a.
+func sameBytes(t *testing.T, a, b string) []byte {
+	t.Helper()
+	x, err := os.ReadFile(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	y, err := os.ReadFile(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(x, y) {
+		t.Errorf("%s and %s differ", filepath.Base(a), filepath.Base(b))
+	}
+	return x
+}
+
+// TestThresholdArtifactsAcrossWorkers runs a 130-trial threshold sweep at
+// -workers 1 with -ledger, -heatmap and -trace, and again at -workers 4 with
+// -ledger and -heatmap. At 130 trials each cell is three 64-trial lanes, so
+// four workers really split it. The two ledgers and the two heatmaps must be
+// byte-identical; the ledger must validate with six cells of 130 trial
+// records, the heatmap must read back, and the sweep's trace must validate.
+func TestThresholdArtifactsAcrossWorkers(t *testing.T) {
+	dir := t.TempDir()
+	path := func(name string) string { return filepath.Join(dir, name) }
+	runArtifacts(t, "-trials", "130", "-workers", "1", "-ledger", path("w1.ledger"),
+		"-heatmap", path("w1.heat"), "-trace", path("trace.json"), "threshold")
+	runArtifacts(t, "-trials", "130", "-workers", "4", "-ledger", path("w4.ledger"),
+		"-heatmap", path("w4.heat"), "threshold")
+
+	rep, err := ledger.Validate(sameBytes(t, path("w1.ledger"), path("w4.ledger")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Cells != 6 || rep.Trials != 6*130 {
+		t.Errorf("ledger holds %d cell(s) of %d trial record(s), want 6 of %d", rep.Cells, rep.Trials, 6*130)
+	}
+	heat, err := heatmap.ReadFile(sameBytes(t, path("w1.heat"), path("w4.heat")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(heat.Grids) == 0 {
+		t.Error("heatmap holds no grid")
+	}
+	trace, err := os.ReadFile(path("trace.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr, err := tracing.Validate(trace); err != nil {
+		t.Error(err)
+	} else if tr.Events == 0 {
+		t.Error("sweep trace holds no event")
+	}
+}
+
+// TestMemoryArtifactsAcrossWorkers runs a 130-trial memory sweep, which
+// drives the machine's buses, with -ledger and -bw at -workers 1 and 8, and
+// once more at -workers 1 with -ledger alone. The two bandwidth profiles
+// must be byte-identical and validate with at least one window; the three
+// ledgers must be byte-identical, across worker counts and with -bw on and
+// off (the profile is a side-band), and validate with three cells of 130
+// trial records.
+func TestMemoryArtifactsAcrossWorkers(t *testing.T) {
+	dir := t.TempDir()
+	path := func(name string) string { return filepath.Join(dir, name) }
+	runArtifacts(t, "-trials", "130", "-workers", "1", "-ledger", path("on.ledger"), "-bw", path("w1.bw"), "memory")
+	runArtifacts(t, "-trials", "130", "-workers", "8", "-ledger", path("w8.ledger"), "-bw", path("w8.bw"), "memory")
+	runArtifacts(t, "-trials", "130", "-workers", "1", "-ledger", path("off.ledger"), "memory")
+
+	bw, err := bwprofile.Validate(sameBytes(t, path("w1.bw"), path("w8.bw")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bw.Summary.Windows == 0 {
+		t.Error("memory sweep profile holds no window")
+	}
+	sameBytes(t, path("w8.ledger"), path("on.ledger"))
+	rep, err := ledger.Validate(sameBytes(t, path("off.ledger"), path("on.ledger")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Cells != 3 || rep.Trials != 3*130 {
+		t.Errorf("ledger holds %d cell(s) of %d trial record(s), want 3 of %d", rep.Cells, rep.Trials, 3*130)
+	}
+}
+
+// TestCPUProfileReadsBack pins -cpuprofile end to end: a profiled threshold
+// sweep writes a file that go tool pprof, the one reader of the format,
+// reads back.
+func TestCPUProfileReadsBack(t *testing.T) {
+	gocmd, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go command on PATH")
+	}
+	prof := filepath.Join(t.TempDir(), "cpu.pprof")
+	runArtifacts(t, "-cpuprofile", prof, "-trials", "200", "threshold")
+	if out, err := exec.Command(gocmd, "tool", "pprof", "-top", prof).CombinedOutput(); err != nil {
+		t.Errorf("go tool pprof -top: %v\n%s", err, out)
 	}
 }

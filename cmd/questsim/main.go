@@ -27,14 +27,16 @@
 //	                     trace-event JSON) of the run
 //	-trace-buf N         trace ring capacity in events
 //	-ledger FILE         write a provenance header plus a one-cell run
-//	                     summary as a JSONL ledger (tools/questcheck)
+//	                     summary as a JSONL ledger
 //	-heatmap FILE        collect machine-wide defect/matching heatmaps and
 //	                     write them as JSON (ASCII render on stderr)
 //	-progress            tick idle-cycle progress on stderr
 //	-bw FILE             record per-bus instruction-bandwidth waveforms keyed
 //	                     to the machine cycle clock and write a quest-bw/1
-//	                     profile (validate and compare with tools/bwreport)
+//	                     profile
 //	-bw-window N         profile window width in cycles (default 8)
+//
+// tools/questcheck validates every artifact above but the CPU profile.
 //
 // Exit status: 0 on success; 1 when the run fails or an artifact above
 // cannot be written; 2 on a bad flag value, reported on one "questsim: ..."
@@ -113,8 +115,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "questsim:", err)
 		obs.Exit(1)
 	}
-	// The bandwidth artifact carries the design so bwreport can key its
-	// comparison table on it (ram vs fifo vs unitcell microcode stores).
+	// The bandwidth artifact carries the design, so questcheck can name the
+	// microcode store (ram, fifo, unitcell) a profile measured.
 	if err := obs.OpenBW("questsim", map[string]string{
 		"program": *program,
 		"design":  strings.ToLower(*design),

@@ -11,7 +11,9 @@ import (
 	"strings"
 	"testing"
 
+	"quest/internal/bwprofile"
 	"quest/internal/metrics"
+	"quest/internal/tracing"
 )
 
 // TestCheckFlags pins which numeric flag values questsim refuses before it
@@ -182,6 +184,59 @@ func TestMetricsJSONReportsTimers(t *testing.T) {
 	for _, name := range []string{"mce.cycle.ns", "master.decode.ns", "decoder.match.ns"} {
 		if counts[name] == 0 {
 			t.Errorf("%s recorded no observation under -metrics json", name)
+		}
+	}
+}
+
+// TestTraceValidates pins -trace end to end: a traced distillation run
+// writes a Chrome trace that validates and carries at least the master,
+// mce, decoder and noc component tracks.
+func TestTraceValidates(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	if code, _, stderr := runQuestsim(t, "-program", "distill", "-replays", "5", "-trace", path); code != 0 {
+		t.Fatalf("exit %d (stderr: %s)", code, stderr)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := tracing.Validate(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Procs < 4 {
+		t.Errorf("trace has %d process(es), want >= 4 (master, mce, decoder, noc)", rep.Procs)
+	}
+}
+
+// TestDesignProfilesValidate runs the cached distillation once per
+// microcode design with -bw. Each profile must validate and name its
+// design, and below the header the three must be byte-identical: every
+// design issues the same schedule, so the buses carry the same traffic.
+func TestDesignProfilesValidate(t *testing.T) {
+	dir := t.TempDir()
+	var body []byte
+	for _, design := range []string{"ram", "fifo", "unitcell"} {
+		path := filepath.Join(dir, design+".jsonl")
+		if code, _, stderr := runQuestsim(t, "-program", "distill", "-replays", "8", "-design", design, "-bw", path); code != 0 {
+			t.Fatalf("%s: exit %d (stderr: %s)", design, code, stderr)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := bwprofile.Validate(data)
+		if err != nil {
+			t.Fatalf("%s: %v", design, err)
+		}
+		if rep.Design != design || rep.Summary.Windows == 0 {
+			t.Errorf("%s: profile names design %q with %d window(s)", design, rep.Design, rep.Summary.Windows)
+		}
+		_, rest, _ := bytes.Cut(data, []byte("\n"))
+		if body == nil {
+			body = rest
+		} else if !bytes.Equal(rest, body) {
+			t.Errorf("%s: profile records differ from ram's", design)
 		}
 	}
 }

@@ -16,7 +16,8 @@
 // each worker a shard made with NewShard and merges the shards (sums, plus a
 // max of the cycle count) after the pool drains, and the quest-bw/1 artifact (jsonl.go) carries no wall-clock or worker-count
 // fields, so its bytes are identical for any worker count (pinned by
-// core's TestMachineMemoryBWPureSideband and CI's bw-smoke cmp).
+// core's TestMachineMemoryBWPureSideband and cmd/questbench's
+// TestMemoryArtifactsAcrossWorkers).
 //
 // Profiling is a pure side-band. A nil *Recorder is the -bw-off mode: every
 // method is a nil-safe no-op, so an ungated call is correct and allocates
@@ -34,7 +35,7 @@ import (
 )
 
 // Schema identifies the quest-bw/1 JSONL layout; bump on incompatible change
-// so tools/bwreport can refuse to compare across layouts.
+// so Validate, and tools/questcheck through it, refuse the old layout.
 const Schema = "quest-bw/1"
 
 // DefaultWindow is the window width in machine cycles when the caller does

@@ -224,7 +224,7 @@ func TestWriteParseValidateRoundTrip(t *testing.T) {
 }
 
 // TestValidateRejectsCorruption walks the validator through the corruption
-// classes bwreport must catch.
+// classes questcheck must catch.
 func TestValidateRejectsCorruption(t *testing.T) {
 	r := New(8)
 	r.Observe(0, BusLogical, ClassPauli, 1, 2)
@@ -267,8 +267,8 @@ func TestValidateRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestBusAndClassNames pins the wire vocabulary other layers (bwreport
-// tables) key on.
+// TestBusAndClassNames pins the wire vocabulary other layers (questcheck's
+// replay count) key on.
 func TestBusAndClassNames(t *testing.T) {
 	if got := fmt.Sprint(BusLogical, BusSync, BusCache, BusSyndrome, BusReplay); got != "logical sync cache syndrome replay" {
 		t.Errorf("bus names = %q", got)

@@ -20,7 +20,7 @@ const (
 // Header is the first line of a quest-bw/1 file: schema plus run provenance.
 // Like the ledger header, it deliberately carries no wall-clock, PID, or
 // worker-count fields: the same run at any worker count must produce
-// byte-identical profiles (CI's bw-smoke cmp).
+// byte-identical profiles (cmd/questbench's TestMemoryArtifactsAcrossWorkers).
 type Header struct {
 	Record       string            `json:"record"`
 	Schema       string            `json:"schema"`
@@ -207,11 +207,11 @@ func ParseStream(data []byte) (Stream, error) {
 	return st, nil
 }
 
-// ValidateReport summarizes a validated quest-bw/1 file for tools/bwreport.
+// ValidateReport summarizes a validated quest-bw/1 file for tools/questcheck.
 type ValidateReport struct {
 	Experiment string
 	// Design is the µcode design from the header config ("" when the run
-	// was not design-labelled) — the comparison key bwreport tables use.
+	// was not design-labelled) — the key questcheck names a profile by.
 	Design  string
 	Summary Summary
 }
@@ -220,8 +220,8 @@ type ValidateReport struct {
 // first, windows contiguous from index 0 with self-consistent byte totals,
 // and a summary whose every statistic reproduces from the window records —
 // recomputed through the same summarize code path the writer used, so even
-// the float fields must match exactly. CI's bw-smoke job runs it (via
-// bwreport) over freshly profiled runs.
+// the float fields must match exactly. tools/questcheck runs it on a
+// profile file, and the cmd tests on freshly profiled runs.
 func Validate(data []byte) (ValidateReport, error) {
 	var rep ValidateReport
 	st, err := ParseStream(data)

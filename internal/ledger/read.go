@@ -34,9 +34,9 @@ type ValidateReport struct {
 	Trials     int
 }
 
-// Validate reads a complete ledger (see Read) and summarizes it. CI's
-// ledger-smoke step runs it, through tools/questcheck, over a freshly
-// generated ledger so a schema regression fails the build.
+// Validate reads a complete ledger (see Read) and summarizes it.
+// tools/questcheck runs it on a ledger file, and the cmd tests on the
+// ledgers real sweeps write, so a schema regression fails tier-1.
 func Validate(data []byte) (ValidateReport, error) {
 	l, err := Read(data)
 	if err != nil {

@@ -1,14 +1,15 @@
-// Package analysis is the minimal analyzer framework behind questvet
-// (tools/questvet): a stdlib-only stand-in for the parts of
+// Package analysis is the minimal analyzer framework behind the questvet
+// suite (internal/lint/questvet): a stdlib-only stand-in for the parts of
 // golang.org/x/tools/go/analysis this repository needs. An Analyzer
 // inspects one type-checked package through a Pass and reports
 // Diagnostics; the driver (Check) matches diagnostics against
 // //quest:allow suppression directives and polices the directives
 // themselves — a suppression must name a known analyzer, carry a reason,
 // and actually suppress something, or it becomes a diagnostic in its own
-// right. CI counts the surviving suppressions, so every escape hatch from
-// the repo's determinism, seed-discipline and error-checking invariants is
-// visible and justified in one grep: `//quest:allow`.
+// right. TestModuleClean pins the count of surviving suppressions, so every
+// escape hatch from the repo's determinism, seed-discipline and
+// error-checking invariants is visible and justified in one grep:
+// `//quest:allow`.
 package analysis
 
 import (
@@ -30,7 +31,7 @@ type Analyzer struct {
 	// Doc is a one-paragraph description of the invariant enforced.
 	Doc string
 	// Run inspects the package behind pass and reports findings via
-	// pass.Reportf. A returned error aborts the whole questvet run
+	// pass.Reportf. A returned error aborts the whole suite run
 	// (reserved for internal failures, not findings).
 	Run func(pass *Pass) error
 }
@@ -92,7 +93,8 @@ type allow struct {
 	used     bool
 }
 
-// Result is the outcome of running a set of analyzers over one package.
+// Result is the outcome of running a set of analyzers over one package (or,
+// summed by questvet.Run, over a module).
 type Result struct {
 	// Active are the findings that must be fixed (or suppressed with a
 	// reason): unsuppressed analyzer diagnostics plus directive problems.

@@ -19,7 +19,7 @@
 //
 // Anything else — including genuinely commutative folds the analyzer
 // cannot prove commutative — needs a //quest:allow(detrange) directive
-// with a reason, which CI counts.
+// with a reason, which TestModuleClean (internal/lint/questvet) counts.
 package detrange
 
 import (

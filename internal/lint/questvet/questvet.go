@@ -17,13 +17,14 @@
 // silently drop code out of an audit. The nil-gating and schema-constant
 // invariants are held by runtime tests, not here (see CONTRIBUTING.md).
 //
-// The tools/questvet binary drives this suite over the module; the Run
-// helper here is shared with its tests.
+// TestModuleClean runs the suite over the module under `go test ./...`: it
+// wants zero findings and pins the //quest:allow count, logging each
+// suppression with its reason (`go test -v -run TestModuleClean
+// ./internal/lint/questvet` lists them).
 package questvet
 
 import (
 	"fmt"
-	"io"
 	"slices"
 	"sort"
 	"strings"
@@ -47,8 +48,8 @@ type ScopedAnalyzer struct {
 func Suite() []ScopedAnalyzer {
 	return []ScopedAnalyzer{
 		// Packages whose map-iteration order can reach serialized output or
-		// report rows — including every checker tool and command, whose
-		// stdout is diffed by CI smoke jobs.
+		// report rows — including the checker tool and every command, whose
+		// stdout and artifacts the cmd tests compare byte for byte.
 		{detrange.Analyzer, []string{
 			"internal/mc", "internal/core", "internal/decoder", "internal/noc",
 			"internal/ledger", "internal/heatmap", "internal/tracing",
@@ -108,33 +109,22 @@ func unresolvedDirs(module string, pkgs []*loader.Package, dirs []string) []stri
 	return out
 }
 
-// Report aggregates a run over many packages.
-type Report struct {
-	// Root is the module root directory; baselines relativize file paths
-	// against it.
-	Root string
-	// Module is the module import path.
-	Module     string
-	Active     []analysis.Diagnostic
-	Suppressed []analysis.Suppressed
-}
-
-// Run checks every package in pkgs with its applicable analyzers. pkgs is
-// typically the result of prog.LoadModule(); the scope check always runs
-// over the full module, so it does not depend on the package selection.
-func Run(prog *loader.Program, pkgs []*loader.Package) (Report, error) {
-	rep := Report{Root: prog.Root, Module: prog.Module}
+// Run loads every package of prog's module, checks each with its
+// applicable analyzers, and returns the findings and suppressions of all of
+// them.
+func Run(prog *loader.Program) (analysis.Result, error) {
+	var rep analysis.Result
 	suite := Suite()
 	known := Names()
 
-	all, err := prog.LoadModule()
+	pkgs, err := prog.LoadModule()
 	if err != nil {
-		return Report{}, fmt.Errorf("loading module for scope check: %w", err)
+		return analysis.Result{}, fmt.Errorf("loading module: %w", err)
 	}
 	// A renamed package must fail loudly: a scope directory that matches
 	// nothing silently drops out of its analyzer's reach.
 	for _, sa := range suite {
-		for _, d := range unresolvedDirs(prog.Module, all, sa.Dirs) {
+		for _, d := range unresolvedDirs(prog.Module, pkgs, sa.Dirs) {
 			rep.Active = append(rep.Active, analysis.Diagnostic{
 				Analyzer: sa.Analyzer.Name,
 				Message:  fmt.Sprintf("scope directory %q matches no package; update questvet.Suite", d),
@@ -151,26 +141,10 @@ func Run(prog *loader.Program, pkgs []*loader.Package) (Report, error) {
 		}
 		res, err := analysis.Check(pkg, prog.Fset, sel, known)
 		if err != nil {
-			return Report{}, err
+			return analysis.Result{}, err
 		}
 		rep.Active = append(rep.Active, res.Active...)
 		rep.Suppressed = append(rep.Suppressed, res.Suppressed...)
 	}
 	return rep, nil
-}
-
-// Write prints the report: active diagnostics (if any), then a one-line
-// suppression summary; with verbose, each suppression and its reason.
-// It returns the number of active diagnostics.
-func (r Report) Write(w io.Writer, verbose bool) int {
-	for _, d := range r.Active {
-		fmt.Fprintln(w, d)
-	}
-	if verbose {
-		for _, s := range r.Suppressed {
-			fmt.Fprintf(w, "%s: [%s] suppressed: %s (reason: %s)\n", s.Pos, s.Analyzer, s.Message, s.Reason)
-		}
-	}
-	fmt.Fprintf(w, "questvet: %d diagnostic(s), %d suppression(s) in force\n", len(r.Active), len(r.Suppressed))
-	return len(r.Active)
 }

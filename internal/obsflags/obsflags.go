@@ -13,17 +13,19 @@
 //	-trace-buf N         trace ring capacity in events (0 = default 256k)
 //	-ledger FILE         stream a schema-versioned run ledger (JSONL): one
 //	                     provenance header, one record per trial, one summary
-//	                     per sweep cell (validate with tools/questcheck)
+//	                     per sweep cell
 //	-progress            render live sweep progress (Wilson CI) on Log
 //	-heatmap FILE        accumulate spatial defect/matching heatmaps and write
 //	                     them as JSON (plus ASCII renders on Log) at exit
 //	-bw FILE             record a cycle-windowed instruction-bandwidth profile
 //	                     of every master/MCE bus and write it as a
 //	                     quest-bw/1 JSONL artifact ('-' = stdout), plus an
-//	                     ASCII waveform on Log; compare runs with
-//	                     tools/bwreport
+//	                     ASCII waveform on Log; of questbench's experiments
+//	                     only memory drives the buses
 //	-bw-window N         bandwidth profile window width in machine cycles
 //	                     (0 = default 8)
+//
+// tools/questcheck validates each of these artifacts but the CPU profile.
 //
 // Lifecycle: Register the flags before flag.Parse, Start after it (and before
 // the machine is built, so components resolving tracing.Default and
@@ -103,7 +105,7 @@ func Register(fs *flag.FlagSet) *Obs {
 		heatPath: fs.String("heatmap", "",
 			"write spatial defect/matching heatmaps as JSON to this file at exit"),
 		bwPath: fs.String("bw", "",
-			"record a cycle-windowed instruction-bandwidth profile and write it as quest-bw/1 JSONL to this file ('-' = stdout); compare with tools/bwreport"),
+			"record a cycle-windowed instruction-bandwidth profile and write it as quest-bw/1 JSONL to this file ('-' = stdout); of questbench's experiments only memory drives the buses"),
 		bwWindow: fs.Int("bw-window", 0,
 			fmt.Sprintf("bandwidth profile window width in machine cycles (0 = %d)", bwprofile.DefaultWindow)),
 		Log: os.Stderr,
@@ -406,8 +408,12 @@ func (o *Obs) writeBW() error {
 		}
 	}
 	s := bw.Summary()
-	fmt.Fprintf(o.Log, "bw: %d window(s) over %d cycle(s) written to %s (compare with bwreport)\n",
-		s.Windows, s.Cycles, *o.bwPath)
+	hint := "validate with questcheck"
+	if s.Windows == 0 {
+		hint += "; no bus traffic: of questbench's experiments only memory drives the buses"
+	}
+	fmt.Fprintf(o.Log, "bw: %d window(s) over %d cycle(s) written to %s (%s)\n",
+		s.Windows, s.Cycles, *o.bwPath, hint)
 	wins := bw.WindowBytes()
 	if len(wins) == 0 {
 		return nil

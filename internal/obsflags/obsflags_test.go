@@ -440,7 +440,7 @@ func TestBWLifecycle(t *testing.T) {
 	if rep.Experiment != "memory" || rep.Summary.Windows != 2 || rep.Summary.WindowCycles != 4 {
 		t.Errorf("report = %+v, want experiment memory, 2 windows of 4 cycles", rep)
 	}
-	if !strings.Contains(log.String(), "bwreport") || !strings.Contains(log.String(), "window") {
+	if !strings.Contains(log.String(), "bw: 2 window(s) over") || !strings.Contains(log.String(), "(validate with questcheck)") {
 		t.Errorf("Finish did not log the bw summary line:\n%s", log.String())
 	}
 	if !strings.Contains(log.String(), "┤") {

@@ -31,8 +31,8 @@ type jsonEvent struct {
 // traceEvents array; every event carries ph and name; every non-metadata
 // event carries pid, tid and a non-negative ts; span durations are
 // non-negative; and within each (pid, tid) track the ts sequence is
-// non-decreasing in file order. CI's trace-smoke step runs this (via
-// tools/questcheck) over a real questsim trace.
+// non-decreasing in file order. tools/questcheck runs it on a trace file,
+// and cmd/questsim's TestTraceValidates on a real traced run.
 func Validate(data []byte) (ValidateReport, error) {
 	var rep ValidateReport
 	var file struct {

@@ -1,11 +1,10 @@
-// Package cli is the shared skeleton of the repository's checker commands
-// (tools/bwreport, tools/questcheck, tools/questvet):
-// flag parsing, positional-argument validation, and a uniform exit-code
-// contract that CI and the Makefile smoke targets rely on:
+// Package cli is the skeleton of the repository's artifact checker,
+// tools/questcheck: flag parsing, positional-argument validation, and the
+// exit-code contract that scripts and tests rely on:
 //
 //	0 — the check ran and found nothing wrong
-//	1 — the check ran and found findings (validation failure, lint
-//	    diagnostics)
+//	1 — the check ran and found findings (a validation failure, a floor
+//	    not met)
 //	2 — the command could not run the check at all (bad usage, unreadable
 //	    input, malformed flags)
 //

@@ -13,8 +13,8 @@ func cmd(run func(args []string, stdout io.Writer) error) *Command {
 	return &Command{Name: "x", Usage: "[-n N] arg", NArgs: 1, Run: run}
 }
 
-// TestExitCodeContract pins the 0/1/2 contract CI and the Makefile smoke
-// targets rely on: 0 clean, 1 findings, 2 the check could not run.
+// TestExitCodeContract pins the 0/1/2 contract scripts and tests rely on: 0
+// clean, 1 findings, 2 the check could not run.
 func TestExitCodeContract(t *testing.T) {
 	ok := func(args []string, stdout io.Writer) error { return nil }
 	finding := func(args []string, stdout io.Writer) error { return Failf("regression in %s", args[0]) }
