@@ -18,7 +18,9 @@
 // heatmaps as JSON (ASCII renders go to stderr). All of it is worker-count
 // independent. Every cell runs its full -trials budget. Only the sweeps,
 // threshold and memory, write into -ledger and -heatmap: a run that gives
-// either, or -bw, without selecting a sweep exits 2.
+// either, or -bw, without selecting a sweep exits 2. Only the sweeps,
+// machine and syndrome record trace spans: a run that gives -trace without
+// selecting one of them exits 2 too.
 //
 // Bandwidth profiling: -bw FILE records per-bus traffic in fixed windows of
 // the machine cycle clock and writes a quest-bw/1 profile at exit
@@ -142,20 +144,30 @@ func checkFlags(trials, workers int) error {
 	return nil
 }
 
+// traced names the experiments that record trace spans: the two sweeps,
+// and the two that step the machine. TestTracedExperimentsRecordSpans pins
+// the set.
+var traced = map[string]bool{"threshold": true, "memory": true, "machine": true, "syndrome": true}
+
 // checkArtifacts refuses -ledger, -heatmap and -bw when neither sweep,
-// threshold nor memory, is selected: no other experiment writes into them,
-// so each file would hold a header and nothing else. main reports the error
-// on one stderr line and exits 2, before anything runs.
+// threshold nor memory, is selected, and -trace when no experiment that
+// records spans is: nothing else writes into them, so each file would hold
+// a header, or no event, and nothing else (questcheck rejects an empty
+// trace). main reports the error on one stderr line and exits 2, before
+// anything runs.
 func checkArtifacts(selected []core.Experiment) error {
+	sweep, spans := false, false
 	for _, e := range selected {
-		if e.Name == "threshold" || e.Name == "memory" {
-			return nil
-		}
+		sweep = sweep || e.Name == "threshold" || e.Name == "memory"
+		spans = spans || traced[e.Name]
 	}
 	for _, name := range []string{"ledger", "heatmap", "bw"} {
-		if flag.Lookup(name).Value.String() != "" {
+		if !sweep && flag.Lookup(name).Value.String() != "" {
 			return fmt.Errorf("-%s: no selected experiment writes it; select threshold or memory", name)
 		}
+	}
+	if !spans && flag.Lookup("trace").Value.String() != "" {
+		return fmt.Errorf("-trace: no selected experiment records spans; select threshold, memory, machine or syndrome")
 	}
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -166,9 +167,9 @@ func TestArtifactWriteFailureExitsOne(t *testing.T) {
 
 // TestUsageErrorsExitTwo pins the usage class of the exit contract beyond
 // checkFlags' numbers: a bad observability value, an unknown experiment,
-// with or without -md, a sweep artifact with no sweep selected, and the
-// retired -pprof and -ci-stop flags each exit 2. A refused sweep artifact
-// is not created.
+// with or without -md, a sweep artifact with no sweep selected, a trace
+// with no experiment that records spans, and the retired -pprof and
+// -ci-stop flags each exit 2. A refused artifact is not created.
 func TestUsageErrorsExitTwo(t *testing.T) {
 	unfilled := filepath.Join(t.TempDir(), "unfilled")
 	for _, args := range [][]string{
@@ -182,6 +183,7 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"-heatmap", unfilled, "fig10"},
 		{"-bw", unfilled, "fig2", "fig6"},
 		{"-md", "-ledger", unfilled, "syndrome"},
+		{"-trace", unfilled, "fig10"},
 		{"-pprof", "localhost:6060", "fig10"},
 		{"-ci-stop", "0.1", "threshold"},
 	} {
@@ -376,15 +378,54 @@ func TestMemoryArtifactsAcrossWorkers(t *testing.T) {
 
 // TestCPUProfileReadsBack pins -cpuprofile end to end: a profiled threshold
 // sweep writes a file that go tool pprof, the one reader of the format,
-// reads back.
+// reads back with samples in the module's code. The sweep is sized to
+// about 0.3 s of CPU on one worker, past the profiler's first 10-ms
+// sample.
 func TestCPUProfileReadsBack(t *testing.T) {
 	gocmd, err := exec.LookPath("go")
 	if err != nil {
 		t.Skip("no go command on PATH")
 	}
 	prof := filepath.Join(t.TempDir(), "cpu.pprof")
-	runArtifacts(t, "-cpuprofile", prof, "-trials", "200", "threshold")
-	if out, err := exec.Command(gocmd, "tool", "pprof", "-top", prof).CombinedOutput(); err != nil {
-		t.Errorf("go tool pprof -top: %v\n%s", err, out)
+	runArtifacts(t, "-cpuprofile", prof, "-trials", "20000", "-workers", "1", "threshold")
+	out, err := exec.Command(gocmd, "tool", "pprof", "-top", prof).CombinedOutput()
+	if err != nil {
+		t.Fatalf("go tool pprof -top: %v\n%s", err, out)
+	}
+	total := regexp.MustCompile(`Total samples = (\S+)`).FindSubmatch(out)
+	if total == nil || string(total[1]) == "0" {
+		t.Errorf("go tool pprof -top reads no sample:\n%s", out)
+	}
+	if !bytes.Contains(out, []byte("quest/internal/")) {
+		t.Errorf("go tool pprof -top names no quest/internal/ frame:\n%s", out)
+	}
+}
+
+// TestTracedExperimentsRecordSpans pins traced, the set checkArtifacts
+// accepts -trace with: run in process with a tracer, exactly its
+// experiments record events. Through the CLI, -trace with syndrome, one of
+// the machine experiments, writes a trace tracing.Validate accepts.
+func TestTracedExperimentsRecordSpans(t *testing.T) {
+	saved := tracing.Default
+	defer func() { tracing.Default = saved }()
+	for _, e := range core.Experiments {
+		tracing.Default = tracing.New(0)
+		if _, err := e.Table(core.Run{Trials: 20, Workers: 1, Tracer: tracing.Default}); err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		if n := tracing.Default.Len(); (n > 0) != traced[e.Name] {
+			t.Errorf("%s records %d trace event(s); traced lists it: %v", e.Name, n, traced[e.Name])
+		}
+	}
+	path := filepath.Join(t.TempDir(), "syndrome.json")
+	runArtifacts(t, "-trace", path, "syndrome")
+	trace, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr, err := tracing.Validate(trace); err != nil {
+		t.Error(err)
+	} else if tr.Events == 0 {
+		t.Error("syndrome trace holds no event")
 	}
 }

@@ -22,15 +22,22 @@
 // same word compiles it once and fires it with FireWord.
 //
 // A caller that fires the same words again from the same X/Z planes can fire
-// them as sign updates (see package clifford): RecordWord fires a word and
-// keeps the constant of each acting µop's sign update, and ReplayWord fires
-// the word again from those constants, drawing and delivering exactly as
-// FireWord does.
+// them as sign updates (see package clifford). LoadCycle lays a sequence of
+// compiled words out as a Cycle: every word's noise channels in one list,
+// word after word, and each word's measured qubits as a mask. RecordCycle fires
+// the cycle word by word, as FireWord does, and compiles each word with the
+// constants of its sign updates into a Recording. ReplayCycle fires it again
+// from a recording in one call: each word is a few masked operations on the
+// packed signs, one injector scan draws the whole cycle's noise, each hit
+// lands after its own word's gates, and the outcomes stay in the cycle as
+// one bitset per measuring word for the caller to read (Outcomes) instead
+// of going to MeasSink. It draws exactly what firing the words would.
 package awg
 
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"quest/internal/clifford"
 	"quest/internal/isa"
@@ -58,7 +65,7 @@ type ExecutionUnit struct {
 	pending int // switches latched since the last fire
 
 	// scratch is the compiled form of the word ExecuteWord or Fire runs,
-	// consts the sign constants of a word fired without a recording, and
+	// consts the sign constants of the word last fired, in act order, and
 	// bits the measurement outcomes of the word being fired, by qubit.
 	scratch *Word
 	consts  []uint8
@@ -141,7 +148,7 @@ func (u *ExecutionUnit) Fire() {
 	u.compile(u.selects, u.pairs, u.scratch)
 	clear(u.latched)
 	u.pending = 0
-	u.fire(u.scratch, u.consts)
+	u.fire(u.scratch)
 }
 
 // ExecuteWord latches and fires a complete VLIW word — one lock-step
@@ -296,27 +303,150 @@ func checkPair(ops []isa.Opcode, pairs []int, q, p int, want isa.Opcode) {
 // FireWord latches and fires a compiled word: one lock-step sub-cycle, as
 // ExecuteWord of the word it was compiled from. It panics on a word
 // compiled for another width, or while a switch is latched.
-func (u *ExecutionUnit) FireWord(cw *Word) { u.RecordWord(cw, u.consts) }
-
-// RecordWord fires cw as FireWord does and writes into consts, which must
-// hold an entry per acting µop (a word has at most N), the constant of each
-// one's sign update, in act order. It reports whether the recording may be
-// replayed: false when a preparation or measurement drew a random outcome.
-func (u *ExecutionUnit) RecordWord(cw *Word, consts []uint8) bool {
+func (u *ExecutionUnit) FireWord(cw *Word) {
 	u.latch(cw)
-	return !u.fire(cw, consts)
+	u.fire(cw)
 }
 
-// ReplayWord fires cw from the constants a RecordWord of it wrote: the sign
-// updates alone, then the noise and the measurement delivery as FireWord
-// does. The tableau's X/Z planes must be those RecordWord started from, and
-// ReplayWord leaves them there: after replaying a segment of words the
-// caller restores the planes the recorded segment ended on.
-func (u *ExecutionUnit) ReplayWord(cw *Word, consts []uint8) {
-	u.latch(cw)
-	u.clock(cw)
-	u.tableau.Replay(cw.acts, consts, u.bits)
-	u.noiseAndDeliver(cw)
+// Cycle is a sequence of compiled words laid out for ReplayCycle by
+// LoadCycle. It keeps the words it was loaded from and reads them on every
+// replay, so they must not be recompiled while it is in use.
+type Cycle struct {
+	n     int
+	words []*Word
+	// chans is every word's channel list, word after word: the whole
+	// cycle's noise sites in draw order, for one scan. ends[w] is the end
+	// of word w's; a hit's operands stay in its word's sites.
+	chans []noise.Channel
+	ends  []int
+	// slot[w] is word w's place among the measuring words, or -1. Measuring
+	// word k's measured qubits are the bitset meas[k*width:(k+1)*width],
+	// and the last replay's outcomes lie at the same place in out.
+	slot      []int
+	meas, out []uint64
+	width     int    // uint64 words per bitset
+	nmeas     uint64 // measurements per cycle
+	// ns[w] is word w's duration under the unit's timing at load; empty
+	// without one.
+	ns []float64
+}
+
+// Recording is a Cycle recorded from one X/Z state by RecordCycle: each
+// word's sign updates, compiled. Its storage is reused by the next record.
+type Recording struct {
+	signs []clifford.SignWord
+}
+
+// LoadCycle lays words out in c for this unit, replacing what c held and
+// reusing its storage. The cycle keeps each word's duration under the
+// unit's timing as it stands, so SetTiming comes first.
+func (u *ExecutionUnit) LoadCycle(words []*Word, c *Cycle) {
+	w64 := (u.n + 63) / 64
+	sites, measuring := 0, 0
+	for _, cw := range words {
+		if cw.n != u.n {
+			panic(fmt.Sprintf("awg: %d-switch unit loading a %d-wide word", u.n, cw.n))
+		}
+		sites += len(cw.chans)
+		if len(cw.meas) > 0 {
+			measuring++
+		}
+	}
+	c.n, c.width, c.nmeas = u.n, w64, 0
+	c.words = append(c.words[:0], words...)
+	c.chans = slices.Grow(c.chans[:0], sites)
+	c.ends = slices.Grow(c.ends[:0], len(words))
+	c.slot = slices.Grow(c.slot[:0], len(words))
+	c.meas = append(c.meas[:0], make([]uint64, measuring*w64)...)
+	c.out = append(c.out[:0], make([]uint64, measuring*w64)...)
+	c.ns = c.ns[:0]
+	k := 0
+	for _, cw := range words {
+		if u.timing != nil {
+			c.ns = append(c.ns, u.wordNs(cw))
+		}
+		c.chans = append(c.chans, cw.chans...)
+		c.ends = append(c.ends, len(c.chans))
+		if len(cw.meas) == 0 {
+			c.slot = append(c.slot, -1)
+			continue
+		}
+		c.slot = append(c.slot, k)
+		for _, q := range cw.meas {
+			c.meas[k*w64+q>>6] |= 1 << (uint(q) & 63)
+		}
+		c.nmeas += uint64(len(cw.meas))
+		k++
+	}
+}
+
+// Outcomes returns the measuring words' measured qubits and the last
+// replay's outcomes, in word order, each word's a bitset of width uint64s
+// (bit q of the whole is qubit q). They are the cycle's storage: the next
+// replay overwrites the outcomes.
+func (c *Cycle) Outcomes() (measured, bits []uint64, width int) {
+	return c.meas, c.out, c.width
+}
+
+// RecordCycle fires c's words in order, as FireWord does, and compiles
+// each one's sign updates into r. It reports whether r may be replayed:
+// false when a preparation or measurement drew a random outcome.
+func (u *ExecutionUnit) RecordCycle(c *Cycle, r *Recording) bool {
+	if len(r.signs) < len(c.words) {
+		r.signs = make([]clifford.SignWord, len(c.words))
+	}
+	replayable := true
+	for w, cw := range c.words {
+		u.latch(cw)
+		if u.fire(cw) {
+			replayable = false
+		}
+		if replayable {
+			u.tableau.CompileSigns(cw.acts, u.consts, &r.signs[w])
+		}
+	}
+	return replayable
+}
+
+// ReplayCycle fires c again from a recording of it: each word's sign
+// updates, then its noise, with one injector scan over the whole cycle's
+// sites, drawing exactly what firing the words in turn would. A measuring
+// word's outcomes, with their noise flips, stay in c (Outcomes); MeasSink
+// is not called. The tableau's X/Z planes must be those the recording
+// started from, and ReplayCycle leaves them there: the caller restores the
+// planes the recorded cycle ended on before anything reads them.
+func (u *ExecutionUnit) ReplayCycle(c *Cycle, r *Recording) {
+	if c.n != u.n || u.pending != 0 {
+		panic(fmt.Sprintf("awg: replay of a %d-wide cycle on %d switches with %d latched", c.n, u.n, u.pending))
+	}
+	u.latchCount += uint64(u.n * len(c.words))
+	u.fireCount += uint64(len(c.words))
+	for _, ns := range c.ns {
+		u.elapsedNs += ns // word by word: a sum per cycle would round otherwise
+	}
+	t, w64 := u.tableau, c.width
+	hit := len(c.chans)
+	if u.inj != nil {
+		hit = u.inj.Next(c.chans, 0)
+	}
+	begin := 0
+	for w, cw := range c.words {
+		var out []uint64
+		if k := c.slot[w]; k >= 0 {
+			out = c.out[k*w64 : (k+1)*w64]
+		}
+		t.ReplaySigns(&r.signs[w], out)
+		end := c.ends[w]
+		for ; hit < end; hit = u.inj.Next(c.chans, hit+1) {
+			s, ch := &cw.sites[hit-begin], c.chans[hit]
+			if ch == noise.ChanMeas {
+				out[s.q>>6] ^= 1 << (uint(s.q) & 63)
+			}
+			u.inj.Inject(t, ch, s.q, s.p, s.basisX)
+		}
+		begin = end
+	}
+	u.measCount += c.nmeas
 }
 
 // latch counts a compiled word's latches, panicking on a word compiled for
@@ -333,32 +463,38 @@ func (u *ExecutionUnit) latch(cw *Word) {
 func (u *ExecutionUnit) clock(cw *Word) {
 	u.fireCount++
 	if u.timing != nil {
-		max := u.timing.IdleNs
-		for set := cw.ops; set != 0; set &= set - 1 {
-			if l := u.latencyNs[bits.TrailingZeros16(set)]; l > max {
-				max = l
-			}
-		}
-		u.elapsedNs += max
+		u.elapsedNs += u.wordNs(cw)
 	}
 }
 
+// wordNs returns a word's duration under the unit's timing: its slowest
+// waveform, floored at IdleNs.
+func (u *ExecutionUnit) wordNs(cw *Word) float64 {
+	max := u.timing.IdleNs
+	for set := cw.ops; set != 0; set &= set - 1 {
+		if l := u.latencyNs[bits.TrailingZeros16(set)]; l > max {
+			max = l
+		}
+	}
+	return max
+}
+
 // fire executes a compiled word in three steps, writing each acting µop's
-// sign constant into consts and reporting whether an outcome was random.
+// sign constant into u.consts and reporting whether an outcome was random.
 // The acting µops run in qubit order, so random outcomes draw the tableau's
 // randomness in the per-switch order. The word's noise is drawn in one scan
 // of its sites and each hit applied after the gates: every qubit carries one
 // µop, so no gate of the word acts on a qubit another site's fault hit, and
 // a Pauli commutes with the sign updates of the others. Measurements are
 // then delivered in qubit order, with their flips.
-func (u *ExecutionUnit) fire(cw *Word, consts []uint8) (random bool) {
+func (u *ExecutionUnit) fire(cw *Word) (random bool) {
 	u.clock(cw)
 	t := u.tableau
 	for i, g := range cw.acts {
 		// out is 0 for the µops that do not measure, whose bits nothing
 		// delivers.
 		k, out, rnd := t.Apply(g.Op, g.A, g.B)
-		consts[i], u.bits[g.A] = k, uint8(out)
+		u.consts[i], u.bits[g.A] = k, uint8(out)
 		random = random || rnd
 	}
 	u.noiseAndDeliver(cw)

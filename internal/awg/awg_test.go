@@ -3,6 +3,7 @@ package awg
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"quest/internal/clifford"
@@ -487,6 +488,115 @@ func TestCompiledSitesMatchExtractionProgram(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestReplayCycleMatchesFire pins the cycle replay to firing the same words
+// directly. Two units of one seed, with gate timing and p=2e-2 noise, run a
+// tile's extraction cycle at d=3 and d=5 for every design. After three
+// cycles fired directly, rec records the cycle from each of the two X/Z
+// states it alternates between, then replays the recording of the state it
+// is in, restoring the planes the recording ended on, while ref keeps
+// firing word by word. After every cycle the outcome words must hold
+// exactly the bits ref delivered, and the tableaux (once restored), fault
+// logs, counters and wall clocks must be identical.
+func TestReplayCycleMatchesFire(t *testing.T) {
+	model := noise.Uniform(2e-2)
+	timing := Timing{PrepNs: 20, Gate1Ns: 10, MeasNs: 140, CNOTNs: 40, IdleNs: 10}
+	for _, d := range []int{3, 5} {
+		lay := compiler.NewLayout(d, 2)
+		n := lay.Lat.NumQubits()
+		width := (n + 63) / 64
+		for _, design := range microcode.Designs() {
+			vliw := microcode.NewStore(design, surface.Steane, lay.Lat).ReplayCycle(restMask(lay))
+			rec, ref := newUnit(n, 5, &model), newUnit(n, 5, &model)
+			rec.SetTiming(timing)
+			ref.SetTiming(timing)
+			compile := func(u *ExecutionUnit) []*Word {
+				words := make([]*Word, len(vliw))
+				for s, w := range vliw {
+					words[s] = NewWord(n)
+					u.Compile(w, words[s])
+				}
+				return words
+			}
+			recWords, refWords := compile(rec), compile(ref)
+			// wantMeas and wantOut gather ref's deliveries by measuring word.
+			var wantMeas, wantOut []uint64
+			slot := -1
+			ref.MeasSink = func(q, bit int) {
+				wantMeas[slot*width+q>>6] |= 1 << (q & 63)
+				wantOut[slot*width+q>>6] |= uint64(bit) << (q & 63)
+			}
+			rec.MeasSink = func(int, int) {}
+			fireRef := func() {
+				wantMeas, wantOut, slot = nil, nil, -1
+				for _, cw := range refWords {
+					if len(cw.meas) > 0 {
+						slot++
+						wantMeas = append(wantMeas, make([]uint64, width)...)
+						wantOut = append(wantOut, make([]uint64, width)...)
+					}
+					ref.FireWord(cw)
+				}
+			}
+			same := func(cycle int) {
+				t.Helper()
+				l1, f1, m1 := rec.Stats()
+				l2, f2, m2 := ref.Stats()
+				switch {
+				case !reflect.DeepEqual(rec.Tableau(), ref.Tableau()):
+					t.Fatalf("d=%d %s cycle %d: tableaux differ", d, design, cycle)
+				case !reflect.DeepEqual(rec.inj.Log(), ref.inj.Log()):
+					t.Fatalf("d=%d %s cycle %d: fault logs differ", d, design, cycle)
+				case l1 != l2 || f1 != f2 || m1 != m2 || rec.ElapsedNs() != ref.ElapsedNs():
+					t.Fatalf("d=%d %s cycle %d: counters %d/%d/%d and clock %v, want %d/%d/%d and %v",
+						d, design, cycle, l1, f1, m1, rec.ElapsedNs(), l2, f2, m2, ref.ElapsedNs())
+				}
+			}
+			cycle := 0
+			for ; cycle < 3; cycle++ {
+				for _, cw := range recWords {
+					rec.FireWord(cw)
+				}
+				fireRef()
+				same(cycle)
+			}
+			var c Cycle
+			rec.LoadCycle(recWords, &c)
+			tb := rec.Tableau()
+			var recs [2]Recording
+			planes := [2]clifford.Planes{tb.NewPlanes(), tb.NewPlanes()}
+			for s := range recs {
+				tb.SavePlanes(planes[s])
+				if !rec.RecordCycle(&c, &recs[s]) {
+					t.Fatalf("d=%d %s: the cycle from state %d drew an outcome at random", d, design, s)
+				}
+				fireRef()
+				same(cycle)
+				cycle++
+			}
+			if !tb.EqualPlanes(planes[0]) {
+				t.Fatalf("d=%d %s: the cycle's X/Z states do not alternate", d, design)
+			}
+			hits := 0
+			for s := 0; cycle < 40; cycle, s = cycle+1, 1-s {
+				rec.ReplayCycle(&c, &recs[s])
+				tb.RestorePlanes(planes[1-s])
+				fireRef()
+				meas, out, w := c.Outcomes()
+				if w != width || !slices.Equal(meas, wantMeas) || !slices.Equal(out, wantOut) {
+					t.Fatalf("d=%d %s cycle %d: outcome words differ from the bits fired directly", d, design, cycle)
+				}
+				same(cycle)
+				hits += len(ref.inj.Log())
+				rec.inj.ClearLog()
+				ref.inj.ClearLog()
+			}
+			if hits == 0 {
+				t.Fatalf("d=%d %s: no fault in the replayed cycles; the comparison exercises no noise", d, design)
 			}
 		}
 	}

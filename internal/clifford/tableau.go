@@ -27,12 +27,19 @@
 // So a segment of operations started from equal X/Z planes ends on equal
 // planes and gives the same determined outcomes, as the same functions of
 // the signs, whatever Paulis land between its operations. Apply runs an
-// operation and returns its constant; Replay applies a segment's sign
-// updates alone and leaves the planes as they are. A recorded segment may
-// be replayed on a tableau whose X/Z planes equal those its recording
-// started from (SavePlanes, EqualPlanes), provided no preparation or
-// measurement drew a random outcome while it was recorded. The planes it
-// ended on are then copied back with RestorePlanes.
+// operation and returns its constant. A recorded segment may be replayed on
+// a tableau whose X/Z planes equal those its recording started from
+// (SavePlanes, EqualPlanes), provided no preparation or measurement drew a
+// random outcome while it was recorded. The planes it ended on are then
+// copied back with RestorePlanes, before anything reads them.
+//
+// The signs are bit-packed, in two word-aligned halves: bit q of the first
+// holds the sign of X_q's image and bit q of the second that of Z_q's, so a
+// qubit's two signs share a bit position. Replay therefore works on words
+// (signs.go): a word of operations on distinct qubits, compiled with its
+// constants into a SignWord, updates the signs with a few masked word
+// operations per kind of operation, whatever the number of qubits it acts
+// on.
 package clifford
 
 import (
@@ -46,14 +53,18 @@ import (
 // Z_q. Rows 2n and 2n+1 are scratch space: MeasureObservable builds its
 // image in row 2n and holds its operator in row 2n+1, and a random
 // measurement keeps its CNOT targets in row 2n's X half and the rows it
-// may flip in both rows' Z halves.
+// may flip, laid out as the signs are, in both rows' Z halves. Scratch
+// rows carry no sign.
 type Tableau struct {
 	n     int
 	words int // uint64 words per row half
 	// x and z hold the rows back to back: row i's X/Z indicator bit vectors
 	// are x[i*words:(i+1)*words] and z[i*words:(i+1)*words].
 	x, z []uint64
-	r    []uint8 // sign bit per row (0 => +1, 1 => -1)
+	// r holds the 2n state rows' signs (a set bit is -1), packed in two
+	// halves of words words: row q's at bit q of r[:words] and row n+q's
+	// at bit q of r[words:].
+	r []uint64
 
 	rng *rand.Rand
 }
@@ -75,7 +86,7 @@ func New(n int, rng *rand.Rand) *Tableau {
 		words: words,
 		x:     make([]uint64, rows*words),
 		z:     make([]uint64, rows*words),
-		r:     make([]uint8, rows),
+		r:     make([]uint64, 2*words),
 		rng:   rng,
 	}
 	t.Reset()
@@ -110,6 +121,21 @@ func (t *Tableau) Reset() {
 }
 
 func bit(q int) uint64 { return 1 << (uint(q) & 63) }
+
+// signAt returns the index in r of row i's sign word and the sign's
+// position in it.
+func (t *Tableau) signAt(i int) (w int, s uint) {
+	if i >= t.n {
+		i += t.words<<6 - t.n
+	}
+	return i >> 6, uint(i) & 63
+}
+
+// sign returns row i's sign bit.
+func (t *Tableau) sign(i int) uint8 {
+	w, s := t.signAt(i)
+	return uint8(t.r[w] >> s & 1)
+}
 
 // row returns row i's X and Z indicator words.
 func (t *Tableau) row(i int) (x, z []uint64) {
@@ -148,7 +174,7 @@ func (t *Tableau) mul(h, i int) int {
 		c1 ^= anti
 		hx[k], hz[k] = x, z
 	}
-	return bits.OnesCount64(c1) + 2*bits.OnesCount64(c2) + 2*int(t.r[i])
+	return bits.OnesCount64(c1) + 2*bits.OnesCount64(c2) + 2*int(t.sign(i))
 }
 
 // mulRow sets row h to i^ph · h · i. The product must be Hermitian, so the
@@ -157,8 +183,9 @@ func (t *Tableau) mul(h, i int) int {
 // constant, half the power mul tallies from the X/Z planes.
 func (t *Tableau) mulRow(h, i, ph int) uint8 {
 	s := uint8((t.mul(h, i)+ph)>>1) & 1 // i's sign XOR the constant
-	t.r[h] ^= s
-	return s ^ t.r[i]
+	w, sh := t.signAt(h)
+	t.r[w] ^= uint64(s) << sh
+	return s ^ t.sign(i)
 }
 
 // H applies a Hadamard gate to qubit q: HX_qH = Z_q, so the two images of q
@@ -171,7 +198,10 @@ func (t *Tableau) H(q int) {
 		ax[w], bx[w] = bx[w], ax[w]
 		az[w], bz[w] = bz[w], az[w]
 	}
-	t.r[q], t.r[t.n+q] = t.r[t.n+q], t.r[q]
+	w, m := q>>6, bit(q)
+	d := (t.r[w] ^ t.r[t.words+w]) & m
+	t.r[w] ^= d
+	t.r[t.words+w] ^= d
 }
 
 // S applies the phase gate S to qubit q: S†X_qS = -iX_qZ_q.
@@ -183,20 +213,20 @@ func (t *Tableau) SDagger(q int) { t.Apply(OpSDagger, q, 0) }
 // X applies Pauli-X to qubit q (bit flip): XZ_qX = -Z_q.
 func (t *Tableau) X(q int) {
 	t.checkQubit(q)
-	t.r[t.n+q] ^= 1
+	t.r[t.words+q>>6] ^= bit(q)
 }
 
 // Z applies Pauli-Z to qubit q (phase flip): ZX_qZ = -X_q.
 func (t *Tableau) Z(q int) {
 	t.checkQubit(q)
-	t.r[q] ^= 1
+	t.r[q>>6] ^= bit(q)
 }
 
 // Y applies Pauli-Y to qubit q, which negates both X_q and Z_q.
 func (t *Tableau) Y(q int) {
 	t.checkQubit(q)
-	t.r[q] ^= 1
-	t.r[t.n+q] ^= 1
+	t.r[q>>6] ^= bit(q)
+	t.r[t.words+q>>6] ^= bit(q)
 }
 
 // CNOT applies a controlled-NOT with control c and target tq. It maps X_c to
@@ -228,7 +258,8 @@ func (t *Tableau) MeasureZ(q int) int {
 // picks up the parity of its Z bits at the CNOT targets, folded into one
 // popcount over the targets' non-zero words. The rows that had X at p are
 // the ones whose image the final H gives Z at p, so they are the ones a
-// drawn 1 flips; the walk marks them in the scratch rows' Z halves.
+// drawn 1 flips; the walk marks them in the scratch rows' Z halves, laid
+// out as the signs are, and a flip is one XOR per sign word.
 func (t *Tableau) measureZ(q int) (out int, random bool) {
 	t.checkQubit(q)
 	w, rows := t.words, 2*t.n
@@ -242,7 +273,7 @@ func (t *Tableau) measureZ(q int) (out int, random bool) {
 		}
 	}
 	if pw < 0 {
-		return int(t.r[zq]), false
+		return int(t.sign(zq)), false
 	}
 	pm := qx[pw] & -qx[pw]
 	// The CNOT targets, kept in the scratch row while the rows change, and
@@ -262,9 +293,9 @@ func (t *Tableau) measureZ(q int) (out int, random bool) {
 		par ^= qz[i] & kx[i]
 	}
 	y := (qz[pw]&pm != 0) != (bits.OnesCount64(par)&1 == 1)
-	// flip marks the rows with X at p, 2n bits over both scratch rows' Z
-	// halves.
-	flip := t.z[rows*w:]
+	// flip marks the rows with X at p, in r's layout over both scratch
+	// rows' Z halves.
+	flip := t.z[rows*w : rows*w+2*w]
 	clear(flip)
 	// Prepending V conjugates every row by V: the updates below are CHP's
 	// column rules for CNOT(p,k), S† and H at p.
@@ -283,15 +314,17 @@ func (t *Tableau) measureZ(q int) (out int, random bool) {
 			}
 			continue
 		}
-		flip[i>>6] |= bit(i)
-		s := t.r[i]
+		sw, sh := t.signAt(i)
+		sm := uint64(1) << sh
+		flip[sw] |= sm
+		s := t.r[sw]&sm != 0
 		for j := lo; j < hi; j++ {
 			x, z := t.x[o+j], t.z[o+j]
 			for m := kx[j]; m != 0; m &= m - 1 {
 				km := m & -m
 				zk := z&km != 0
 				if zk && (x&km != 0) == zp {
-					s ^= 1
+					s = !s
 				}
 				x ^= km
 				zp = zp != zk
@@ -300,25 +333,27 @@ func (t *Tableau) measureZ(q int) (out int, random bool) {
 		}
 		if y {
 			if !zp {
-				s ^= 1
+				s = !s
 			}
 			zp = !zp
 		}
 		if zp {
-			s ^= 1
+			s = !s
 			t.x[o+pw] |= pm
 		} else {
 			t.x[o+pw] &^= pm
 		}
 		t.z[o+pw] |= pm
-		t.r[i] = s
+		if s {
+			t.r[sw] |= sm
+		} else {
+			t.r[sw] &^= sm
+		}
 	}
 	drawn := uint8(t.rng.Intn(2))
-	if t.r[zq] != drawn {
+	if t.sign(zq) != drawn {
 		for j, m := range flip {
-			for ; m != 0; m &= m - 1 {
-				t.r[j<<6|bits.TrailingZeros64(m)] ^= 1
-			}
+			t.r[j] ^= m
 		}
 	}
 	return int(drawn), true
@@ -349,7 +384,7 @@ func (t *Tableau) ExpectationZ(q int) int {
 			return 0
 		}
 	}
-	return 1 - 2*int(t.r[t.n+q])
+	return 1 - 2*int(t.sign(t.n+q))
 }
 
 // Pauli is a single-qubit Pauli error used for noise injection.
@@ -446,6 +481,6 @@ func (t *Tableau) Clone() *Tableau {
 	c := *t
 	c.x = append([]uint64(nil), t.x...)
 	c.z = append([]uint64(nil), t.z...)
-	c.r = append([]uint8(nil), t.r...)
+	c.r = append([]uint64(nil), t.r...)
 	return &c
 }

@@ -470,8 +470,9 @@ func TestMulPhaseMatchesSixTerms(t *testing.T) {
 				tb.z[k] |= rng.Uint64()
 			}
 		}
-		for r := range tb.r {
-			tb.r[r] = uint8(rng.Intn(2))
+		for r := 0; r < 2*n; r++ {
+			w, sh := tb.signAt(r)
+			tb.r[w] |= uint64(rng.Intn(2)) << sh
 		}
 		h, i := rng.Intn(2*n), rng.Intn(2*n)
 		if h == i {
@@ -479,7 +480,7 @@ func TestMulPhaseMatchesSixTerms(t *testing.T) {
 		}
 		hx, hz := tb.row(h)
 		ix, iz := tb.row(i)
-		want := sixTermPhase(hx, hz, ix, iz, tb.r[i])
+		want := sixTermPhase(hx, hz, ix, iz, tb.sign(i))
 		wantX, wantZ := make([]uint64, words), make([]uint64, words)
 		for w := range wantX {
 			wantX[w], wantZ[w] = hx[w]^ix[w], hz[w]^iz[w]

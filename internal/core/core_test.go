@@ -115,18 +115,21 @@ func TestNoisyCycleAllocs(t *testing.T) {
 // BenchmarkStepCycle times one noisy idle machine cycle: the default d=3
 // tile, and the questsim ghz shape of four d=5 tiles. Each machine first
 // steps past the cycles its MCEs fire directly or record, so the timed
-// cycles replay from the memo, as questsim's idle tail does.
+// cycles replay from the memo, as questsim's idle tail does. As in
+// BenchmarkDistillReplay, instruments-off is the cycle a CLI run without
+// -metrics steps, metrics.Default nil, and instruments-on records into a
+// private registry, reading the clock for mce.cycle.ns every cycle.
 func BenchmarkStepCycle(b *testing.B) {
 	for _, shape := range []struct {
 		name     string
 		d, tiles int
 		p        float64
 	}{{"d3x1", 3, 1, 1e-4}, {"d5x4", 5, 4, 1e-3}} {
-		b.Run(shape.name, func(b *testing.B) {
+		run := func(b *testing.B, reg *metrics.Registry) {
 			cfg := DefaultMachineConfig()
 			cfg.Distance, cfg.Tiles = shape.d, shape.tiles
 			nm := noise.Uniform(shape.p)
-			cfg.Noise = &nm
+			cfg.Noise, cfg.Metrics = &nm, reg
 			m := NewMachine(cfg)
 			for c := 0; c < 4; c++ {
 				m.Master().StepCycle()
@@ -136,7 +139,14 @@ func BenchmarkStepCycle(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				m.Master().StepCycle()
 			}
+		}
+		b.Run(shape.name+"/instruments-off", func(b *testing.B) {
+			saved := metrics.Default
+			metrics.Default = nil
+			defer func() { metrics.Default = saved }()
+			run(b, nil)
 		})
+		b.Run(shape.name+"/instruments-on", func(b *testing.B) { run(b, metrics.New()) })
 	}
 }
 

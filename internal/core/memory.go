@@ -53,8 +53,9 @@ type memoryProgram struct {
 	// measAt is the cycle LMeasZ is dispatched in.
 	prep, meas, measAt int
 	// synd[c] lists the ancillas cycle c measures, the syndrome the MCE
-	// routes to its history.
-	synd [][]int
+	// routes to its history, and syndMask[c] marks them, 64 a word.
+	synd     [][]int
+	syndMask [][]uint64
 	// anc, patch and logZ are patch 0's ancillas (forgotten at prep and
 	// measure), qubits (cleared from the frame at prep) and logical-Z
 	// support (read out at measure).
@@ -136,14 +137,17 @@ func memoryProgramFor(rounds int) *memoryProgram {
 	}
 	for _, prog := range cycles {
 		var synd []int
+		mask := make([]uint64, (lat.NumQubits()+63)/64)
 		for _, w := range prog.Words {
 			for _, m := range w.Meas {
 				if lat.RoleOf(m.Qubit) != surface.RoleData {
 					synd = append(synd, m.Qubit)
+					mask[m.Qubit>>6] |= 1 << (m.Qubit & 63)
 				}
 			}
 		}
 		mp.synd = append(mp.synd, synd)
+		mp.syndMask = append(mp.syndMask, mask)
 	}
 	mp.pool.New = func() any { return newMemoryScratch(mp) }
 	v, _ := memoryPrograms.LoadOrStore(rounds, mp)
@@ -155,12 +159,12 @@ func memoryProgramFor(rounds int) *memoryProgram {
 // frame, the master's window decoder over tile 0's global matcher.
 type memoryScratch struct {
 	lanes laneScratch
-	// round is the cycle's syndrome round, one entry per qubit: the bit of
-	// each ancilla the cycle measures, -1 elsewhere.
-	round []int8
-	hist  *decoder.SyndromeHistory
-	frame *decoder.PauliFrame
-	win   *decoder.WindowDecoder
+	// outcomes is the cycle's syndrome round, 64 qubits a word: the bit of
+	// each ancilla the cycle measures (syndMask), stale elsewhere.
+	outcomes []uint64
+	hist     *decoder.SyndromeHistory
+	frame    *decoder.PauliFrame
+	win      *decoder.WindowDecoder
 	// resolved and residual are the local decode's output scratch, as the
 	// MCE keeps them.
 	resolved []decoder.Correction
@@ -168,16 +172,12 @@ type memoryScratch struct {
 }
 
 func newMemoryScratch(mp *memoryProgram) *memoryScratch {
-	round := make([]int8, mp.stream.n)
-	for q := range round {
-		round[q] = -1
-	}
 	return &memoryScratch{
-		lanes: newLaneScratch(&mp.stream),
-		round: round,
-		hist:  decoder.NewHistory(mp.lay.Lat),
-		frame: decoder.NewPauliFrame(),
-		win:   decoder.NewWindowDecoder(decoder.NewGlobalDecoder(mp.lay.Lat), mp.window),
+		lanes:    newLaneScratch(&mp.stream),
+		outcomes: make([]uint64, (mp.stream.n+63)/64),
+		hist:     decoder.NewHistory(mp.lay.Lat),
+		frame:    decoder.NewPauliFrame(),
+		win:      decoder.NewWindowDecoder(decoder.NewGlobalDecoder(mp.lay.Lat), mp.window),
 	}
 }
 
@@ -253,12 +253,10 @@ func (mp *memoryProgram) runLane(p float64, seeds []uint64, ctx mc.BatchCtx, out
 				got = parity ^ s.frame.ParityOn(mp.logZ, true)
 			}
 			for _, q := range mp.synd[c] {
-				s.round[q] = int8(row[q] >> uint(i) & 1)
+				w, b := q>>6, uint(q)&63
+				s.outcomes[w] = s.outcomes[w]&^(1<<b) | (row[q]>>uint(i)&1)<<b
 			}
-			defects := s.hist.AbsorbRound(s.round)
-			for _, q := range mp.synd[c] {
-				s.round[q] = -1
-			}
+			defects := s.hist.AbsorbRound(mp.syndMask[c], s.outcomes)
 			s.resolved, s.residual = mp.local.Decode(defects, s.resolved[:0], s.residual[:0])
 			for _, corr := range s.resolved {
 				s.frame.Apply(corr)

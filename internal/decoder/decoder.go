@@ -33,46 +33,56 @@ type Defect struct {
 // SyndromeHistory differences consecutive syndrome rounds into defects. The
 // zero value is not usable; construct with NewHistory.
 //
-// The reference frame is a flat slice indexed by qubit (-1 = no reference)
-// rather than a map, and a round arrives the same way (AbsorbRound): rounds
-// come every cycle, and dense slices turn the per-round map churn into
-// index stores. Both absorb forms scan qubits in index order, so the
-// returned defect slice has a deterministic order. They return the
-// history's own defect scratch, valid until the next absorb.
+// The reference frame is a pair of bitsets over the lattice's qubits, 64 a
+// word, rather than a map, and a round arrives the same way (AbsorbRound):
+// rounds come every cycle, and a round's differencing is a few word
+// operations per 64 qubits, whatever it measured. Both absorb forms visit
+// qubits in index order, so the returned defect slice has a deterministic
+// order. They return the history's own defect scratch, valid until the next
+// absorb.
 type SyndromeHistory struct {
-	lat     surface.Lattice
-	prev    []int8 // -1 = unknown, else last observed bit
-	round   int
-	heat    *heatmap.Collector // nil unless SetHeat bound one
-	defects []Defect           // the last absorbed round's defects
+	lat surface.Lattice
+	// known marks the qubits with a reference bit, and prev holds those
+	// bits.
+	known, prev []uint64
+	round       int
+	heat        *heatmap.Collector // nil unless SetHeat bound one
+	defects     []Defect           // the last absorbed round's defects
 }
 
 // NewHistory returns an empty history for the lattice.
 func NewHistory(lat surface.Lattice) *SyndromeHistory {
-	h := &SyndromeHistory{lat: lat, prev: make([]int8, lat.NumQubits())}
-	for i := range h.prev {
-		h.prev[i] = -1
-	}
-	return h
+	w := (lat.NumQubits() + 63) / 64
+	return &SyndromeHistory{lat: lat, known: make([]uint64, w), prev: make([]uint64, w)}
 }
 
 // Round returns the number of rounds absorbed so far.
 func (h *SyndromeHistory) Round() int { return h.round }
 
-// AbsorbRound ingests one round of syndrome bits, one entry per lattice
-// qubit: bits[q] is ancilla q's bit, or -1 when the round did not measure
-// q. It returns the defects: ancillas whose bit changed since the previous
-// round. The first round establishes the reference frame and yields no
-// defects for ancillas whose initial random value is first observed
-// (X-syndromes start random; treating round 0 as reference is the standard
-// convention). The returned slice is the history's scratch: the next absorb
-// overwrites it.
-func (h *SyndromeHistory) AbsorbRound(bits []int8) []Defect {
+// AbsorbRound ingests one round of syndrome bits as bitsets over the
+// lattice's qubits, 64 a word (bit q of the whole is qubit q): measured
+// marks the qubits the round measured, and outcomes holds their bits (bits
+// of unmeasured qubits are ignored). Both are at least a word per 64
+// lattice qubits. It returns the defects: qubits whose bit changed since
+// their previous measured round. The first round establishes the reference
+// frame and yields no defects for ancillas whose initial random value is
+// first observed (X-syndromes start random; treating round 0 as reference
+// is the standard convention). The returned slice is the history's
+// scratch: the next absorb overwrites it.
+func (h *SyndromeHistory) AbsorbRound(measured, outcomes []uint64) []Defect {
 	h.defects = h.defects[:0]
-	for q := range h.prev {
-		if bit := bits[q]; bit >= 0 {
-			h.absorbBit(q, bit)
+	outcomes = outcomes[:len(h.known)]
+	for j, m := range measured[:len(h.known)] {
+		if m == 0 {
+			continue
 		}
+		if h.round > 0 {
+			for d := m & h.known[j] & (h.prev[j] ^ outcomes[j]); d != 0; d &= d - 1 {
+				h.defect(j<<6 | bits.TrailingZeros64(d))
+			}
+		}
+		h.prev[j] = h.prev[j]&^m | outcomes[j]&m
+		h.known[j] |= m
 	}
 	h.round++
 	return h.defects
@@ -82,40 +92,43 @@ func (h *SyndromeHistory) AbsorbRound(bits []int8) []Defect {
 // bit). Keys outside the lattice are ignored.
 func (h *SyndromeHistory) Absorb(synd map[int]int) []Defect {
 	h.defects = h.defects[:0]
-	for q := range h.prev {
-		if bit, ok := synd[q]; ok {
-			h.absorbBit(q, int8(bit))
+	for q := 0; q < h.lat.NumQubits(); q++ {
+		bit, ok := synd[q]
+		if !ok {
+			continue
 		}
+		w, m := q>>6, uint64(1)<<(uint(q)&63)
+		if h.known[w]&m != 0 && (h.prev[w]&m != 0) != (bit != 0) && h.round > 0 {
+			h.defect(q)
+		}
+		h.prev[w] &^= m
+		if bit != 0 {
+			h.prev[w] |= m
+		}
+		h.known[w] |= m
 	}
 	h.round++
 	return h.defects
 }
 
-// absorbBit is the differencing step of one measured ancilla: a defect,
-// appended to the round's defects, when its bit differs from a known
-// reference in a round past the first; the bit then becomes the reference.
-func (h *SyndromeHistory) absorbBit(q int, bit int8) {
-	if prev := h.prev[q]; prev >= 0 && prev != bit && h.round > 0 {
-		r, c := h.lat.Coord(q)
-		h.defects = append(h.defects, Defect{
-			Round: h.round,
-			Qubit: q,
-			R:     r,
-			C:     c,
-			IsX:   h.lat.RoleOf(q) == surface.RoleAncillaX,
-		})
-		if h.heat != nil {
-			h.heat.Defect(r, c)
-		}
+// defect appends a defect at qubit q in this round, recording its heat.
+func (h *SyndromeHistory) defect(q int) {
+	r, c := h.lat.Coord(q)
+	h.defects = append(h.defects, Defect{
+		Round: h.round,
+		Qubit: q,
+		R:     r,
+		C:     c,
+		IsX:   h.lat.RoleOf(q) == surface.RoleAncillaX,
+	})
+	if h.heat != nil {
+		h.heat.Defect(r, c)
 	}
-	h.prev[q] = bit
 }
 
 // Reset clears the history.
 func (h *SyndromeHistory) Reset() {
-	for i := range h.prev {
-		h.prev[i] = -1
-	}
+	clear(h.known)
 	h.round = 0
 }
 
@@ -125,7 +138,7 @@ func (h *SyndromeHistory) Reset() {
 // no longer describes the state.
 func (h *SyndromeHistory) Forget(qubits []int) {
 	for _, q := range qubits {
-		h.prev[q] = -1
+		h.known[q>>6] &^= 1 << (uint(q) & 63)
 	}
 }
 

@@ -603,17 +603,16 @@ func BenchmarkWindowFlush(b *testing.B) {
 func BenchmarkHistoryAbsorbRound(b *testing.B) {
 	lat := surface.NewPlanar(7)
 	hist := NewHistory(lat)
-	bits := make([]int8, lat.NumQubits())
-	for q := range bits {
-		bits[q] = -1
-	}
+	words := (lat.NumQubits() + 63) / 64
+	measured, outcomes := make([]uint64, words), make([]uint64, words)
 	for i, q := range lat.Qubits(surface.RoleAncillaZ) {
-		bits[q] = int8(i & 1)
+		measured[q>>6] |= 1 << (q & 63)
+		outcomes[q>>6] |= uint64(i&1) << (q & 63)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		hist.AbsorbRound(bits)
+		hist.AbsorbRound(measured, outcomes)
 	}
 }
 

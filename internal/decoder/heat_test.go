@@ -115,10 +115,11 @@ func TestMatchHeatOffAllocs(t *testing.T) {
 
 // TestAbsorbFormsAgree pins the two round forms to one differencing step:
 // fed the same random rounds — ancillas and data qubits measured or not,
-// references forgotten mid-stream — a history absorbing dense rounds and
-// one absorbing the same rounds as maps return identical defects, count
-// the same rounds and record identical heat. The map rounds also carry
-// keys outside the lattice, which are ignored.
+// references forgotten mid-stream — a history absorbing rounds as bitsets
+// and one absorbing the same rounds as maps return identical defects, count
+// the same rounds and record identical heat. The bitset rounds carry
+// random bits at unmeasured qubits and past the lattice, and the map rounds
+// keys outside the lattice; both are ignored.
 func TestAbsorbFormsAgree(t *testing.T) {
 	lat := surface.NewPlanar(5)
 	n := lat.NumQubits()
@@ -127,15 +128,18 @@ func TestAbsorbFormsAgree(t *testing.T) {
 	dense.SetHeat(denseHeat)
 	sparse.SetHeat(sparseHeat)
 	rng := rand.New(rand.NewSource(5))
-	bits := make([]int8, n)
+	words := (n + 63) / 64
+	measured, outcomes := make([]uint64, words), make([]uint64, words)
 	var defects int
 	for round := 0; round < 400; round++ {
 		synd := map[int]int{-1: 1, n: 0, n + 7: 1}
-		for q := range bits {
-			bits[q] = -1
+		for j := range outcomes {
+			measured[j], outcomes[j] = 0, rng.Uint64()
+		}
+		for q := 0; q < n; q++ {
 			if rng.Intn(4) != 0 {
-				bits[q] = int8(rng.Intn(2))
-				synd[q] = int(bits[q])
+				measured[q>>6] |= 1 << (q & 63)
+				synd[q] = int(outcomes[q>>6] >> (q & 63) & 1)
 			}
 		}
 		if round%37 == 5 {
@@ -143,7 +147,7 @@ func TestAbsorbFormsAgree(t *testing.T) {
 			dense.Forget(forget)
 			sparse.Forget(forget)
 		}
-		got, want := dense.AbsorbRound(bits), sparse.Absorb(synd)
+		got, want := dense.AbsorbRound(measured, outcomes), sparse.Absorb(synd)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: AbsorbRound defects %+v, Absorb %+v", round, got, want)
 		}

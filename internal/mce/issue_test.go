@@ -55,25 +55,39 @@ func naiveIssue(m *MCE, rep *CycleReport) []isa.MicroOp {
 }
 
 // flat returns a queue's waiting instructions in arrival order, merging its
-// lanes by arrival number.
+// lanes by arrival number. It walks a copy of each lane's head entry, so a
+// run's cursor stays where it is.
 func flat(q *queue) []isa.LogicalInstr {
+	type walk struct {
+		head entry   // the lane's next entry, a copy
+		rest []entry // the entries behind it
+	}
 	var out []isa.LogicalInstr
-	at := make([]int, len(q.active))
-	for i, l := range q.active {
-		at[i] = l.head
+	lanes := make([]walk, 0, len(q.active))
+	for _, l := range q.active {
+		lanes = append(lanes, walk{l.entries[l.head], l.entries[l.head+1:]})
 	}
 	for {
-		next := -1
-		for i, l := range q.active {
-			if at[i] < len(l.entries) && (next < 0 || l.entries[at[i]].seq < q.active[next].entries[at[next]].seq) {
-				next = i
+		next, nextSeq := -1, uint64(0)
+		for i := range lanes {
+			if _, s := lanes[i].head.head(); next < 0 || s < nextSeq {
+				next, nextSeq = i, s
 			}
 		}
 		if next < 0 {
 			return out
 		}
-		out = append(out, q.active[next].entries[at[next]].in)
-		at[next]++
+		w := &lanes[next]
+		in, _ := w.head.head()
+		out = append(out, in)
+		if w.head.advance() {
+			if len(w.rest) == 0 {
+				lanes[next] = lanes[len(lanes)-1]
+				lanes = lanes[:len(lanes)-1]
+				continue
+			}
+			w.head, w.rest = w.rest[0], w.rest[1:]
+		}
 	}
 }
 
@@ -149,7 +163,7 @@ func (p *issuePair) enqueue(m *MCE, ins ...isa.LogicalInstr) {
 			p.t.Fatal(err)
 		}
 		if in.Op == isa.LCacheRun {
-			p.sent[m] += max(1, int(in.Arg)) * len(m.cache[int(in.Target)])
+			p.sent[m] += max(1, int(in.Arg)) * len(m.cache[int(in.Target)].body)
 		} else {
 			p.sent[m]++
 		}
@@ -309,6 +323,109 @@ func TestIssueLogicalMatchesFullScan(t *testing.T) {
 			return cycle < 300
 		})
 	})
+}
+
+// expandRun is the replay queue's reference for a cache run: what Enqueue
+// did before runs waited as lane cursors, pushing every repetition of the
+// body instruction by instruction, with the same cache-hit accounting.
+func expandRun(m *MCE, slot, reps int) {
+	for r := 0; r < reps; r++ {
+		for _, b := range m.cache[slot].body {
+			m.replayQ.push(b)
+		}
+	}
+	m.cacheHits += uint64(reps)
+	m.in.cacheHits.Add(uint64(reps))
+}
+
+// TestCacheRunMatchesExpansion pins cache runs queued as lane cursors to
+// the instruction-by-instruction expansion. Two noisy three-patch engines
+// load the same two bodies, each mixing one-patch instructions with braided
+// CNOTs, and queue a run of each back to back: one through Enqueue, the
+// other through expandRun. At 1, 2 and 7 repetitions every cycle's report,
+// backlog and replay queue in arrival order must agree until both drain,
+// and so must their counters at the end.
+func TestCacheRunMatchesExpansion(t *testing.T) {
+	bodies := [][]isa.LogicalInstr{distillBody(3), {
+		{Op: isa.LCNOT, Target: 0, Arg: 2},
+		{Op: isa.LX, Target: 1},
+		{Op: isa.LCNOT, Target: 2, Arg: 0},
+		{Op: isa.LZ, Target: 0},
+		{Op: isa.LPrep0, Target: 1},
+		{Op: isa.LCNOT, Target: 0, Arg: 2},
+		{Op: isa.LMeasZ, Target: 1},
+	}}
+	nm := noise.Uniform(1e-3)
+	for _, reps := range []int{1, 2, 7} {
+		t.Run(fmt.Sprintf("reps-%d", reps), func(t *testing.T) {
+			opt := func(c *Config) { c.Noise, c.Metrics = &nm, metrics.New() }
+			fast, ref := newMCE(t, 3, opt), newMCE(t, 3, opt)
+			for _, m := range []*MCE{fast, ref} {
+				m.StepCycle()
+				for slot, body := range bodies {
+					if err := m.LoadCacheSlot(slot, body); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for slot := range bodies {
+				if err := fast.Enqueue(isa.LogicalInstr{Op: isa.LCacheRun, Target: uint8(slot), Arg: uint8(reps)}); err != nil {
+					t.Fatal(err)
+				}
+				expandRun(ref, slot, reps)
+			}
+			want := reps * (len(bodies[0]) + len(bodies[1]))
+			if fast.PendingLogical() != want || ref.PendingLogical() != want {
+				t.Fatalf("backlog %d and %d, want %d", fast.PendingLogical(), ref.PendingLogical(), want)
+			}
+			for cycle := 0; fast.PendingLogical()+ref.PendingLogical() > 0; cycle++ {
+				if cycle > 5000 {
+					t.Fatalf("not drained after %d cycles", cycle)
+				}
+				if cycle%5 == 0 {
+					fast.SupplyMagicStates(1)
+					ref.SupplyMagicStates(1)
+				}
+				got, want := fast.StepCycle(), ref.StepCycle()
+				switch {
+				case !reflect.DeepEqual(got, want):
+					t.Fatalf("cycle %d: report\n%+v\nwant\n%+v", cycle, got, want)
+				case fast.PendingLogical() != ref.PendingLogical():
+					t.Fatalf("cycle %d: backlog %d, want %d", cycle, fast.PendingLogical(), ref.PendingLogical())
+				case !slices.Equal(flat(&fast.replayQ), flat(&ref.replayQ)):
+					t.Fatalf("cycle %d: replay queues diverged", cycle)
+				}
+			}
+			a, b := [5]uint64{}, [5]uint64{}
+			a[0], a[1], a[2], a[3], a[4] = fast.Stats()
+			b[0], b[1], b[2], b[3], b[4] = ref.Stats()
+			if a != b || a[1] < uint64(want) {
+				t.Errorf("stats %v, want %v with at least %d retired", a, b, want)
+			}
+		})
+	}
+}
+
+// TestCacheRunAllocsFollowBody pins a cache run's queue cost to its body:
+// an Enqueue of an LCacheRun allocates the same at 1, 7 and 255
+// repetitions.
+func TestCacheRunAllocsFollowBody(t *testing.T) {
+	var allocs []float64
+	for _, reps := range []int{1, 7, 255} {
+		m := newMCE(t, 2)
+		if err := m.LoadCacheSlot(0, distillBody(2)); err != nil {
+			t.Fatal(err)
+		}
+		run := isa.LogicalInstr{Op: isa.LCacheRun, Target: 0, Arg: uint8(reps)}
+		allocs = append(allocs, testing.AllocsPerRun(100, func() {
+			if err := m.Enqueue(run); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	if allocs[0] != allocs[1] || allocs[0] != allocs[2] {
+		t.Errorf("allocs per cache run at 1, 7 and 255 repetitions: %v; want them equal", allocs)
+	}
 }
 
 // BenchmarkIssueBacklog steps a noiseless two-patch engine replaying the

@@ -18,6 +18,7 @@ package mce
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"time"
 
@@ -150,6 +151,12 @@ type patchSets struct {
 	logicalX, logicalZ []int // its logical operator supports
 }
 
+// cacheSlot is a loaded cache body and its split by replay-queue lane.
+type cacheSlot struct {
+	body  []isa.LogicalInstr
+	lanes []bodyLane
+}
+
 // braid tracks an in-flight logical CNOT: its mask steps, shared with
 // MCE.braidPaths, the index of the next one, and the patches it occupies.
 type braid struct {
@@ -186,9 +193,9 @@ type MCE struct {
 	memo memo
 
 	patches []patchSets
-	// isData marks the lattice's data qubits, whose measurements belong to
-	// the data round.
-	isData []bool
+	// dataMask marks the lattice's data qubits, 64 a word: their
+	// measurements belong to the data round, the others' to the syndrome.
+	dataMask []uint64
 	// braidPaths[c*NumPatches+t] is the mask walk of a braided CNOT from
 	// patch c to patch t, built once: the layout is fixed.
 	braidPaths [][]surface.BraidStep
@@ -204,7 +211,7 @@ type MCE struct {
 	// what the cache replays; both are keyed by the patches an instruction
 	// names.
 	buffer    queue
-	cache     map[int][]isa.LogicalInstr
+	cache     map[int]cacheSlot
 	replayQ   queue
 	braids    []braid
 	busyPatch map[int]bool
@@ -227,12 +234,11 @@ type MCE struct {
 	cacheLoads     uint64
 	stalledT       uint64
 
-	// pendingSynd and pendingData are the in-flight cycle's measurement
-	// bits, one entry per lattice qubit (-1 = not measured this cycle):
-	// ancillas in the syndrome round, data qubits in the other. measured
-	// counts the qubits measured so far this cycle.
-	pendingSynd, pendingData []int8
-	measured                 int
+	// measured marks the qubits the in-flight cycle measured and outcomes
+	// holds their bits, 64 qubits a word: the syndrome round is measured
+	// outside dataMask, the data round inside it. synd is the syndrome
+	// round's mask, the history's input.
+	measured, outcomes, synd []uint64
 	// patches with an outstanding transverse measurement this cycle; the
 	// value records the basis (true = X).
 	measuring map[int]bool
@@ -256,6 +262,7 @@ func New(cfg Config) *MCE {
 		tr = tracing.Default
 	}
 	lat := cfg.Layout.Lat
+	words := (lat.NumQubits() + 63) / 64
 	m := &MCE{
 		cfg:      cfg,
 		store:    microcode.NewStore(cfg.Design, cfg.Schedule, lat),
@@ -265,14 +272,14 @@ func New(cfg Config) *MCE {
 		overlaid: isa.NewVLIW(lat.NumQubits()),
 		compiled: make([]*awg.Word, cfg.Schedule.Depth),
 		patches:  newPatchSets(cfg.Layout),
-		isData:   make([]bool, lat.NumQubits()),
+		dataMask: make([]uint64, words),
 
 		hist:  decoder.NewHistory(lat),
 		local: decoder.NewLocalDecoder(lat),
 		frame: decoder.NewPauliFrame(),
 
 		buffer:    newQueue(),
-		cache:     make(map[int][]isa.LogicalInstr),
+		cache:     make(map[int]cacheSlot),
 		replayQ:   newQueue(),
 		busyPatch: make(map[int]bool),
 
@@ -281,16 +288,19 @@ func New(cfg Config) *MCE {
 		bw:  cfg.BW,
 		tid: cfg.TileID,
 
-		pendingSynd: make([]int8, lat.NumQubits()),
-		pendingData: make([]int8, lat.NumQubits()),
-		measuring:   make(map[int]bool),
+		measured:  make([]uint64, words),
+		outcomes:  make([]uint64, words),
+		synd:      make([]uint64, words),
+		measuring: make(map[int]bool),
 	}
 	for s := range m.compiled {
 		m.compiled[s] = awg.NewWord(lat.NumQubits())
 	}
-	m.memo = newMemo(m.tableau, cfg.Schedule.Depth)
-	for q := range m.isData {
-		m.isData[q] = lat.RoleOf(q) == surface.RoleData
+	m.memo = newMemo(m.tableau)
+	for q := 0; q < lat.NumQubits(); q++ {
+		if lat.RoleOf(q) == surface.RoleData {
+			m.dataMask[q>>6] |= 1 << (q & 63)
+		}
 	}
 	np := cfg.Layout.NumPatches()
 	m.braidPaths = make([][]surface.BraidStep, np*np)
@@ -303,7 +313,6 @@ func New(cfg Config) *MCE {
 	}
 	// A braid keeps both its patches busy, so at most np/2 are in flight.
 	m.braids = make([]braid, 0, np/2)
-	m.clearPending()
 	if cfg.Noise != nil {
 		m.inj = noise.NewInjector(*cfg.Noise, cfg.Seed+1)
 	}
@@ -409,8 +418,9 @@ func (m *MCE) Reset(seed int64, reg *metrics.Registry, tr *tracing.Tracer, heat 
 
 	m.tableau.SetRNG(rand.New(rand.NewSource(seed)))
 	m.tableau.Reset()
+	m.memo.clear()
 	m.mask = m.baseMask.Clone()
-	m.compiledFrom = nil // the next cycle recompiles, which clears the memo
+	m.compiledFrom = nil // the next cycle recompiles
 	m.inj = nil
 	if m.cfg.Noise != nil {
 		m.inj = noise.NewInjector(*m.cfg.Noise, seed+1)
@@ -486,16 +496,13 @@ func (m *MCE) Enqueue(in isa.LogicalInstr) error {
 	}
 	switch in.Op {
 	case isa.LCacheRun:
-		body := m.cache[int(in.Target)]
+		slot := m.cache[int(in.Target)]
+		body := slot.body
 		reps := int(in.Arg)
 		if reps == 0 {
 			reps = 1
 		}
-		for r := 0; r < reps; r++ {
-			for _, b := range body {
-				m.replayQ.push(b)
-			}
-		}
+		m.replayQ.pushRun(body, slot.lanes, reps)
 		m.cacheHits += uint64(reps)
 		m.in.cacheHits.Add(uint64(reps))
 		if m.bw != nil {
@@ -532,11 +539,11 @@ func (m *MCE) Enqueue(in isa.LogicalInstr) error {
 func (m *MCE) Check(in isa.LogicalInstr) error {
 	switch in.Op {
 	case isa.LCacheRun:
-		body, ok := m.cache[int(in.Target)]
+		slot, ok := m.cache[int(in.Target)]
 		if !ok {
 			return fmt.Errorf("mce: cache run on empty slot %d", in.Target)
 		}
-		for _, b := range body {
+		for _, b := range slot.body {
 			if err := m.checkQueued(b); err != nil {
 				return err
 			}
@@ -610,7 +617,8 @@ func (m *MCE) LoadCacheSlot(slot int, body []isa.LogicalInstr) error {
 	if len(body) == 0 {
 		return fmt.Errorf("mce: empty cache body")
 	}
-	m.cache[slot] = append([]isa.LogicalInstr(nil), body...)
+	body = append([]isa.LogicalInstr(nil), body...)
+	m.cache[slot] = cacheSlot{body: body, lanes: bodyLanes(body)}
 	m.cacheLoads++
 	m.in.cacheLoads.Inc()
 	if m.tr != nil {
@@ -630,24 +638,17 @@ func (m *MCE) Stats() (microOps, logicalRetired, cacheHits, cacheLoads, stalledT
 	return m.microOps, m.logicalRetired, m.cacheHits, m.cacheLoads, m.stalledT
 }
 
+// sinkMeasurement records one delivered measurement in the cycle's rounds.
 func (m *MCE) sinkMeasurement(q, bit int) {
-	round := m.pendingSynd
-	if m.isData[q] {
-		round = m.pendingData
-	}
-	if round[q] < 0 {
-		m.measured++
-	}
-	round[q] = int8(bit)
+	w, b := q>>6, uint(q)&63
+	m.measured[w] |= 1 << b
+	m.outcomes[w] = m.outcomes[w]&^(1<<b) | uint64(bit&1)<<b
 }
 
 // clearPending marks every qubit unmeasured for the next cycle.
 func (m *MCE) clearPending() {
-	for q := range m.pendingSynd {
-		m.pendingSynd[q] = -1
-		m.pendingData[q] = -1
-	}
-	m.measured = 0
+	clear(m.measured)
+	clear(m.outcomes)
 }
 
 // issueWidth bounds how many logical instructions start per cycle,
@@ -698,6 +699,9 @@ func (m *MCE) runCycle(rep *CycleReport, overlay []isa.MicroOp, stallBefore uint
 	// the first cycle after New or Reset draws random outcomes.
 	words := m.store.ReplayCycle(m.mask)
 	fresh := len(words) != len(m.compiledFrom) || &words[0] != &m.compiledFrom[0]
+	if fresh || len(overlay) > 0 {
+		m.memo.sync(m.tableau) // fired directly below, from the planes
+	}
 	if fresh {
 		for s, w := range words {
 			m.unit.Compile(w, m.compiled[s])
@@ -725,7 +729,10 @@ func (m *MCE) runCycle(rep *CycleReport, overlay []isa.MicroOp, stallBefore uint
 	}
 	rep.MicroOpsIssued = len(words) * m.unit.N()
 	m.microOps += uint64(rep.MicroOpsIssued)
-	rep.Measurements = m.measured
+	for j, mw := range m.measured {
+		rep.Measurements += bits.OnesCount64(mw)
+		m.synd[j] = mw &^ m.dataMask[j]
+	}
 
 	// 4. Complete transverse measurements: majority over the patch's
 	// logical-Z (or X) support with frame parity applied.
@@ -733,7 +740,7 @@ func (m *MCE) runCycle(rep *CycleReport, overlay []isa.MicroOp, stallBefore uint
 
 	// 5. Difference syndromes into defects and decode locally; residuals
 	// escalate to the master controller.
-	defects := m.hist.AbsorbRound(m.pendingSynd)
+	defects := m.hist.AbsorbRound(m.synd, m.outcomes)
 	m.resolved, m.residual = m.local.Decode(defects, m.resolved[:0], m.residual[:0])
 	for _, c := range m.resolved {
 		m.frame.Apply(c)
@@ -820,7 +827,8 @@ func (m *MCE) issueLogical(rep *CycleReport) []isa.MicroOp {
 				break
 			}
 			l := q.active[i]
-			ok, ops := m.tryIssue(l.entries[l.head].in, rep)
+			in, _ := l.entries[l.head].head()
+			ok, ops := m.tryIssue(in, rep)
 			m.usedPatch[l.p1] = true // on failure too: nothing later may jump it
 			if !ok {
 				continue
@@ -952,12 +960,12 @@ func (m *MCE) completeMeasurements(rep *CycleReport) {
 		parity := 0
 		complete := true
 		for _, q := range support {
-			bit := m.pendingData[q]
-			if bit < 0 {
+			w, b := q>>6, uint(q)&63
+			if m.measured[w]>>b&1 == 0 {
 				complete = false
 				break
 			}
-			parity ^= int(bit)
+			parity ^= int(m.outcomes[w] >> b & 1)
 		}
 		if !complete {
 			continue

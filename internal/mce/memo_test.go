@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"quest/internal/clifford"
 	"quest/internal/compiler"
 	"quest/internal/isa"
 	"quest/internal/microcode"
@@ -52,7 +53,10 @@ func stepOverlay(m *MCE, overlay []isa.MicroOp) CycleReport {
 
 // step runs one cycle on both engines and requires the same report, the
 // same delivered bits, the same tableau (X/Z planes, signs and rng state)
-// and the same injector.
+// and the same injector. A replay leaves fast's planes stale until
+// something reads them, so its tableau is compared through a copy with the
+// planes its memo names restored; fast itself is left as it is, so the
+// stale planes carry on into the next cycle as they would in a run.
 func (p *memoPair) step(overlay []isa.MicroOp) {
 	p.t.Helper()
 	m := p.fast
@@ -70,14 +74,25 @@ func (p *memoPair) step(overlay []isa.MicroOp) {
 	switch {
 	case !reflect.DeepEqual(got, want):
 		p.t.Fatalf("cycle %d: report\n%+v\nwant\n%+v", p.cycle, got, want)
-	case !slices.Equal(m.pendingSynd, p.ref.pendingSynd) || !slices.Equal(m.pendingData, p.ref.pendingData):
+	case !slices.Equal(m.measured, p.ref.measured) || !slices.Equal(m.outcomes, p.ref.outcomes):
 		p.t.Fatalf("cycle %d: delivered measurement bits differ", p.cycle)
-	case !reflect.DeepEqual(m.tableau, p.ref.tableau):
+	case !reflect.DeepEqual(current(m), p.ref.tableau):
 		p.t.Fatalf("cycle %d: tableaus differ", p.cycle)
 	case !reflect.DeepEqual(m.inj, p.ref.inj):
 		p.t.Fatalf("cycle %d: injectors differ", p.cycle)
 	}
 	p.cycle++
+}
+
+// current returns m's tableau as it stands once its planes are synced: a
+// copy when the memo holds them stale, sharing the rng.
+func current(m *MCE) *clifford.Tableau {
+	if !m.memo.stale {
+		return m.tableau
+	}
+	c := m.tableau.Clone()
+	c.RestorePlanes(m.memo.planes[m.memo.cur])
+	return c
 }
 
 func (p *memoPair) idle(n int) {
@@ -115,6 +130,7 @@ func (p *memoPair) finish() {
 	p.t.Helper()
 	var outs [2][]int
 	for i, m := range []*MCE{p.fast, p.ref} {
+		m.memo.sync(m.tableau)
 		for q := 0; q < m.tableau.N(); q++ {
 			m.tableau.H(q)
 			outs[i] = append(outs[i], m.tableau.MeasureZ(q))
@@ -137,7 +153,8 @@ func (p *memoPair) finish() {
 // TestMemoReplayMatchesDirect pins replayed cycles to direct execution. For
 // every design, noiseless and at p=1e-2, an engine replaying through its
 // memo must match, cycle for cycle, one of the same seed whose memo is
-// dropped before every cycle: idle runs at d=3 and d=5, then a 3-patch tile
+// dropped before every cycle: idle runs at d=3, d=5 and d=7 (351 qubits,
+// six sign words a bitset), then a 3-patch tile
 // taking transversal preparations and measurements, a braid across the
 // middle patch, a patch masked for several cycles, an overlay that leaves
 // the mask alone and a Reset mid-run.
@@ -145,7 +162,7 @@ func TestMemoReplayMatchesDirect(t *testing.T) {
 	for _, design := range microcode.Designs() {
 		for _, pn := range []float64{0, 1e-2} {
 			t.Run(fmt.Sprintf("%s/p=%g", design, pn), func(t *testing.T) {
-				for _, d := range []int{3, 5} {
+				for _, d := range []int{3, 5, 7} {
 					p := newMemoPair(t, d, 2, design, pn)
 					p.idle(40)
 					p.finish()
@@ -183,7 +200,7 @@ func TestMemoReplayMatchesDirect(t *testing.T) {
 				// checks that anticommute: every cycle draws outcomes.
 				var data []int
 				for _, q := range p.fast.patches[0].qubits {
-					if p.fast.isData[q] {
+					if p.fast.dataMask[q>>6]>>(q&63)&1 != 0 {
 						data = append(data, q)
 					}
 				}

@@ -5,8 +5,10 @@ import "quest/internal/isa"
 // queue holds one source of waiting logical instructions, the master's
 // buffer or the cache's replays, split into lanes by the patches each
 // instruction names: its target and, for a CNOT, its partner. A lane keeps
-// its entries in arrival order, and each entry carries its arrival number,
-// so the queue's order is the merge of its lanes by that number.
+// its entries in arrival order, and each instruction carries its arrival
+// number, so the queue's order is the merge of its lanes by that number. A
+// cache run waits as one entry per lane it names, which walks the body
+// (entry), so the queue's memory follows the body, not the repetitions.
 //
 // issueLogical needs only the lane heads. An entry queued behind another
 // that names the same patches can never start in the same cycle: the
@@ -19,8 +21,8 @@ import "quest/internal/isa"
 type queue struct {
 	lanes  map[int]*lane // every lane the queue has used, by key
 	active []*lane       // the lanes holding entries, in no particular order
-	n      int           // entries waiting
-	seq    uint64        // the next entry's arrival number
+	n      int           // instructions waiting
+	seq    uint64        // the next instruction's arrival number
 }
 
 func newQueue() queue { return queue{lanes: make(map[int]*lane)} }
@@ -33,18 +35,102 @@ type lane struct {
 	head    int
 }
 
-// entry is one waiting instruction and its arrival number in its queue.
+// entry is one waiting instruction, or the part of a cache run that waits
+// in one lane: the body's instructions that name the lane's patches, in
+// body order, repeated. A run is queued as one entry per lane its body
+// names, whatever its repetitions, and its instruction at body position p
+// of repetition r arrives as number base + r·len(body) + p, the number it
+// would carry had each repetition been queued instruction by instruction.
 type entry struct {
-	in  isa.LogicalInstr
+	in isa.LogicalInstr // the instruction, for an entry of one
+	// body is a cache run's body, nil for an entry of one; pos lists the
+	// body positions of the lane's instructions, ascending, and next is
+	// the head's index in pos.
+	body []isa.LogicalInstr
+	pos  []int
+	next int
+	reps int // a run's repetitions left, the head's included
+	// seq is the instruction's arrival number, or a run's number of body
+	// position 0 in the head's repetition.
 	seq uint64
 }
 
-// push queues in behind every waiting entry.
-func (q *queue) push(in isa.LogicalInstr) {
-	p1, p2 := int(in.Target), -1
+// head returns the entry's first waiting instruction and its arrival
+// number.
+func (e *entry) head() (isa.LogicalInstr, uint64) {
+	if e.body == nil {
+		return e.in, e.seq
+	}
+	p := e.pos[e.next]
+	return e.body[p], e.seq + uint64(p)
+}
+
+// advance drops the entry's head and reports whether nothing of it waits.
+func (e *entry) advance() bool {
+	if e.body == nil {
+		return true
+	}
+	if e.next++; e.next == len(e.pos) {
+		e.next, e.seq, e.reps = 0, e.seq+uint64(len(e.body)), e.reps-1
+	}
+	return e.reps == 0
+}
+
+// laneKey returns the patches in names: its target and, for a CNOT, its
+// partner (-1 otherwise).
+func laneKey(in isa.LogicalInstr) (p1, p2 int) {
+	p1, p2 = int(in.Target), -1
 	if in.Op == isa.LCNOT {
 		p2 = int(in.Arg)
 	}
+	return p1, p2
+}
+
+// bodyLane is the part of a cache body one lane holds: the patches it
+// names and its positions in the body.
+type bodyLane struct {
+	p1, p2 int
+	pos    []int
+}
+
+// bodyLanes splits a cache body by lane, lanes in order of first use.
+func bodyLanes(body []isa.LogicalInstr) []bodyLane {
+	var lanes []bodyLane
+	for p, in := range body {
+		p1, p2 := laneKey(in)
+		i := 0
+		for i < len(lanes) && (lanes[i].p1 != p1 || lanes[i].p2 != p2) {
+			i++
+		}
+		if i == len(lanes) {
+			lanes = append(lanes, bodyLane{p1: p1, p2: p2})
+		}
+		lanes[i].pos = append(lanes[i].pos, p)
+	}
+	return lanes
+}
+
+// push queues in behind every waiting instruction.
+func (q *queue) push(in isa.LogicalInstr) {
+	p1, p2 := laneKey(in)
+	q.lane(p1, p2).push(entry{in: in, seq: q.seq})
+	q.seq++
+	q.n++
+}
+
+// pushRun queues reps repetitions of a cache body, split by bodyLanes,
+// behind every waiting instruction.
+func (q *queue) pushRun(body []isa.LogicalInstr, lanes []bodyLane, reps int) {
+	for _, bl := range lanes {
+		q.lane(bl.p1, bl.p2).push(entry{body: body, pos: bl.pos, reps: reps, seq: q.seq})
+	}
+	q.seq += uint64(reps * len(body))
+	q.n += reps * len(body)
+}
+
+// lane returns the lane of (p1, p2), active since the caller is about to
+// push to it.
+func (q *queue) lane(p1, p2 int) *lane {
 	key := p1<<9 | (p2 + 1)
 	l := q.lanes[key]
 	if l == nil {
@@ -54,9 +140,7 @@ func (q *queue) push(in isa.LogicalInstr) {
 	if len(l.entries) == 0 {
 		q.active = append(q.active, l)
 	}
-	l.push(entry{in: in, seq: q.seq})
-	q.seq++
-	q.n++
+	return l
 }
 
 // push appends e. When the backing array is full and at least half of it
@@ -77,7 +161,7 @@ func (q *queue) next(used *[256]bool) int {
 		if used[l.p1] || (l.p2 >= 0 && used[l.p2]) {
 			continue
 		}
-		if s := l.entries[l.head].seq; best < 0 || s < bestSeq {
+		if _, s := l.entries[l.head].head(); best < 0 || s < bestSeq {
 			best, bestSeq = i, s
 		}
 	}
@@ -87,7 +171,9 @@ func (q *queue) next(used *[256]bool) int {
 // pop removes the head of active lane i; an emptied lane leaves active.
 func (q *queue) pop(i int) {
 	l := q.active[i]
-	l.head++
+	if l.entries[l.head].advance() {
+		l.head++
+	}
 	if l.head == len(l.entries) {
 		l.entries, l.head = l.entries[:0], 0
 		last := len(q.active) - 1
