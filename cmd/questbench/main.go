@@ -5,7 +5,8 @@
 // from core.Experiments, the one place their cells are formatted.
 //
 // The statistical experiments (threshold, memory) accept -trials and
-// -workers. Trials fan out across a worker pool with per-trial seeds mixed
+// -workers; -trials 0, the default, runs core.DefaultTrials (20,000) per
+// cell in both. Trials fan out across a worker pool with per-trial seeds mixed
 // from a fixed experiment seed, so the printed rates are bit-identical for
 // every -workers value — crank workers for wall-clock, crank trials for
 // confidence.
@@ -52,7 +53,7 @@ import (
 
 var (
 	flagMD      = flag.Bool("md", false, "render the experiments as Markdown")
-	flagTrials  = flag.Int("trials", 0, "Monte-Carlo trials per statistical cell (0 = per-experiment default)")
+	flagTrials  = flag.Int("trials", 0, "Monte-Carlo trials per statistical cell (0 = "+strconv.Itoa(core.DefaultTrials)+")")
 	flagWorkers = flag.Int("workers", 0, "Monte-Carlo worker goroutines (0 = GOMAXPROCS)")
 	// obs wires the shared observability flags (-metrics, -cpuprofile, -trace,
 	// -trace-buf, -ledger, -progress, -heatmap, -bw, -bw-window)
@@ -137,7 +138,7 @@ func main() {
 func checkFlags(trials, workers int) error {
 	switch {
 	case trials < 0:
-		return fmt.Errorf("-trials %d: need a non-negative trial count (0 = per-experiment default)", trials)
+		return fmt.Errorf("-trials %d: need a non-negative trial count (0 = %d)", trials, core.DefaultTrials)
 	case workers < 0:
 		return fmt.Errorf("-workers %d: need a non-negative worker count (0 = GOMAXPROCS)", workers)
 	}

@@ -119,21 +119,29 @@ func TestDeterministicStdout(t *testing.T) {
 // TestLedgerWriteFailureExitsOne pins that a failed ledger write fails the
 // run, text or -md: with -ledger on a full device, threshold and memory
 // each exit 1 and name the write error once, with one "ledger:" prefix.
+// Twenty trials overflow the ledger writer's buffer, so a record's write
+// fails the experiment; one trial's ledger fits it, so only the final
+// flush at exit fails.
 func TestLedgerWriteFailureExitsOne(t *testing.T) {
 	if _, err := os.Stat("/dev/full"); err != nil {
 		t.Skip("no /dev/full on this system")
 	}
 	for _, md := range []string{"-md=false", "-md"} {
 		for _, exp := range []string{"threshold", "memory"} {
-			code, _, stderr := runQuestbench(t, md, "-trials", "20", "-workers", "1", "-ledger", "/dev/full", exp)
-			if code != 1 {
-				t.Errorf("%s %s: exit %d, want 1 (stderr: %s)", md, exp, code, stderr)
-			}
-			if want := exp + " experiment failed: ledger: write /dev/full"; !strings.Contains(stderr, want) {
-				t.Errorf("%s %s: stderr %q does not contain %q", md, exp, stderr, want)
-			}
-			if strings.Contains(stderr, "ledger: ledger:") {
-				t.Errorf("%s %s: stderr %q doubles the ledger prefix", md, exp, stderr)
+			for _, tc := range []struct{ trials, want string }{
+				{"20", exp + " experiment failed: ledger: write /dev/full"},
+				{"1", "\nledger: write /dev/full"},
+			} {
+				code, _, stderr := runQuestbench(t, md, "-trials", tc.trials, "-workers", "1", "-ledger", "/dev/full", exp)
+				if code != 1 {
+					t.Errorf("%s -trials %s %s: exit %d, want 1 (stderr: %s)", md, tc.trials, exp, code, stderr)
+				}
+				if !strings.Contains("\n"+stderr, tc.want) {
+					t.Errorf("%s -trials %s %s: stderr %q does not contain %q", md, tc.trials, exp, stderr, tc.want)
+				}
+				if strings.Contains(stderr, "ledger: ledger:") {
+					t.Errorf("%s -trials %s %s: stderr %q doubles the ledger prefix", md, tc.trials, exp, stderr)
+				}
 			}
 		}
 	}

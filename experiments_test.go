@@ -12,8 +12,8 @@ import (
 // TestExperimentsGeneratedBlocks pins EXPERIMENTS.md's tables to the code.
 // Each block between `<!-- begin generated: NAME -->` and `<!-- end
 // generated: NAME -->` must equal the Markdown rendering of table NAME:
-// every questbench experiment but the two sweeps, whose default budgets are
-// too small to quote, and threshold-400, the validation table of the sweep
+// every questbench experiment but the two sweeps, whose default tables have
+// no block yet, and threshold-400, the validation table of the sweep
 // `questbench -trials 400 threshold` runs. A missing, unknown or drifted
 // block fails, and the message carries the fresh rendering; `questbench -md
 // NAME` prints the same block under its heading.

@@ -17,9 +17,12 @@
 // A word executes in compiled form (Word): the operations that act, each
 // naming the qubits it acts on, and the word's noise sites, the way
 // single-operation-multiple-qubit encodings name a gate once rather than a
-// slot per qubit. Every word fires through that one form: ExecuteWord and
-// Fire compile into the unit's scratch word, and a caller that replays the
-// same word compiles it once and fires it with FireWord.
+// slot per qubit. Compile belongs to Word, and it is the module's one
+// translation of a VLIW word into acting gates and draw-ordered noise
+// sites: ExecuteWord and Fire compile into the unit's scratch word, a caller
+// that replays the same word compiles it once and fires it with FireWord,
+// and the sweeps' Pauli-frame lane kernel reads a compiled word's Acts and
+// Sites.
 //
 // A caller that fires the same words again from the same X/Z planes can fire
 // them as sign updates (see package clifford). LoadCycle lays a sequence of
@@ -145,7 +148,7 @@ func (u *ExecutionUnit) Fire() {
 	if !u.Ready() {
 		panic("awg: fire with unlatched switches (lock-step violation)")
 	}
-	u.compile(u.selects, u.pairs, u.scratch)
+	u.scratch.compile(u.selects, u.pairs)
 	clear(u.latched)
 	u.pending = 0
 	u.fire(u.scratch)
@@ -156,7 +159,7 @@ func (u *ExecutionUnit) Fire() {
 // unit's scratch word and fired from there: one word latches every switch
 // exactly once.
 func (u *ExecutionUnit) ExecuteWord(w isa.VLIW) {
-	u.Compile(w, u.scratch)
+	u.scratch.Compile(w)
 	u.FireWord(u.scratch)
 }
 
@@ -164,7 +167,7 @@ func (u *ExecutionUnit) ExecuteWord(w isa.VLIW) {
 // sub-cycle does, named by operation and operand instead of by switch.
 // Compile fills it and FireWord executes it, as often as the caller likes;
 // it keeps no reference to the VLIW it came from. Its storage is sized for
-// the unit's width once, by NewWord, and compiling writes it by index.
+// a unit's width once, by NewWord, and compiling writes it by index.
 type Word struct {
 	n int
 	// acts are the µops that act on the substrate, as tableau gates in
@@ -178,7 +181,7 @@ type Word struct {
 	// is the channel list the injector's scan reads; sites[i] are site i's
 	// operands.
 	chans []noise.Channel
-	sites []site
+	sites []Site
 	// meas lists the measured qubits, ascending: the order outcomes are
 	// delivered in.
 	meas []int
@@ -204,12 +207,12 @@ var substrateOp = [isa.NumOpcodes]clifford.Op{
 	isa.OpCZ:          clifford.OpCZ,
 }
 
-// site is one noise site's operands: the qubit a fault lands on, the
+// Site is one noise site's operands: the qubit a fault lands on, the
 // partner a two-qubit fault's second Pauli lands on (-1 for the others)
 // and a preparation's basis.
-type site struct {
-	q, p   int
-	basisX bool
+type Site struct {
+	Qubit, Pair int
+	BasisX      bool
 }
 
 // NewWord returns storage for one compiled word of an n-switch unit: a
@@ -219,28 +222,34 @@ func NewWord(n int) *Word {
 		n:     n,
 		acts:  make([]clifford.Gate, n),
 		chans: make([]noise.Channel, n),
-		sites: make([]site, n),
+		sites: make([]Site, n),
 		meas:  make([]int, n),
 	}
 }
 
-// Compile checks w for this unit and compiles it into cw, replacing what
-// cw held. It panics on a word of the wrong width, an undefined opcode or
-// an inconsistent two-qubit pairing: every word the unit fires passes
-// these checks once, here.
-func (u *ExecutionUnit) Compile(w isa.VLIW, cw *Word) {
-	if w.Len() != u.n || len(w.Pairs) != u.n {
-		panic(fmt.Sprintf("awg: word width %d != matrix width %d", w.Len(), u.n))
+// Compile checks w and compiles it into cw, replacing what cw held. It
+// panics on a word of another width, an undefined opcode or an inconsistent
+// two-qubit pairing: every word a unit fires passes these checks once, here.
+func (cw *Word) Compile(w isa.VLIW) {
+	if w.Len() != cw.n || len(w.Pairs) != cw.n {
+		panic(fmt.Sprintf("awg: word width %d != compiled width %d", w.Len(), cw.n))
 	}
-	u.compile(w.Ops, w.Pairs, cw)
+	cw.compile(w.Ops, w.Pairs)
 }
 
+// Acts returns the word's acting µops as tableau gates, in qubit order. The
+// slice is the word's storage: read it, do not modify it.
+func (cw *Word) Acts() []clifford.Gate { return cw.acts }
+
+// Sites returns the word's noise sites in draw order: site i's channel is
+// chans[i] and its operands sites[i]. Both slices are the word's storage:
+// read them, do not modify them.
+func (cw *Word) Sites() (chans []noise.Channel, sites []Site) { return cw.chans, cw.sites }
+
 // compile translates one select register per switch into cw.
-func (u *ExecutionUnit) compile(ops []isa.Opcode, pairs []int, cw *Word) {
-	if cw.n != u.n {
-		panic(fmt.Sprintf("awg: %d-switch unit compiling into a %d-wide word", u.n, cw.n))
-	}
-	acts, chans, sites, meas := cw.acts[:u.n], cw.chans[:u.n], cw.sites[:u.n], cw.meas[:u.n]
+func (cw *Word) compile(ops []isa.Opcode, pairs []int) {
+	n := cw.n
+	acts, chans, sites, meas := cw.acts[:n], cw.chans[:n], cw.sites[:n], cw.meas[:n]
 	na, ns, nm := 0, 0, 0
 	var set uint16
 	for q, op := range ops {
@@ -285,7 +294,7 @@ func (u *ExecutionUnit) compile(ops []isa.Opcode, pairs []int, cw *Word) {
 			acts[na] = clifford.Gate{Op: substrateOp[op], A: q, B: p}
 			na++
 		}
-		chans[ns], sites[ns] = ch, site{q: q, p: p, basisX: basisX}
+		chans[ns], sites[ns] = ch, Site{Qubit: q, Pair: p, BasisX: basisX}
 		ns++
 	}
 	cw.acts, cw.chans, cw.sites, cw.meas = acts[:na], chans[:ns], sites[:ns], meas[:nm]
@@ -440,9 +449,9 @@ func (u *ExecutionUnit) ReplayCycle(c *Cycle, r *Recording) {
 		for ; hit < end; hit = u.inj.Next(c.chans, hit+1) {
 			s, ch := &cw.sites[hit-begin], c.chans[hit]
 			if ch == noise.ChanMeas {
-				out[s.q>>6] ^= 1 << (uint(s.q) & 63)
+				out[s.Qubit>>6] ^= 1 << (uint(s.Qubit) & 63)
 			}
-			u.inj.Inject(t, ch, s.q, s.p, s.basisX)
+			u.inj.Inject(t, ch, s.Qubit, s.Pair, s.BasisX)
 		}
 		begin = end
 	}
@@ -509,9 +518,9 @@ func (u *ExecutionUnit) noiseAndDeliver(cw *Word) {
 		for i := u.inj.Next(chans, 0); i < len(chans); i = u.inj.Next(chans, i+1) {
 			s := &cw.sites[i]
 			if chans[i] == noise.ChanMeas {
-				u.bits[s.q] ^= 1
+				u.bits[s.Qubit] ^= 1
 			}
-			u.inj.Inject(u.tableau, chans[i], s.q, s.p, s.basisX)
+			u.inj.Inject(u.tableau, chans[i], s.Qubit, s.Pair, s.BasisX)
 		}
 	}
 	u.measCount += uint64(len(cw.meas))

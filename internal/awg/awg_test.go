@@ -410,7 +410,7 @@ func TestCompiledWordsMatchPerSwitchOracle(t *testing.T) {
 			case 0:
 				u.ExecuteWord(w)
 			case 1:
-				u.Compile(w, cw)
+				cw.Compile(w)
 				u.FireWord(cw)
 			case 2:
 				u.LatchWord(w)
@@ -450,49 +450,6 @@ func restMask(lay compiler.Layout) *surface.Mask {
 	return mask
 }
 
-// TestCompiledSitesMatchExtractionProgram ties the two draw orders together:
-// for every extraction word each microcode design replays at d=3 and d=5,
-// under the rest mask and random masks, the compiled word's noise sites
-// must be surface.BuildProgram's Sites, the list the batched kernel scans.
-func TestCompiledSitesMatchExtractionProgram(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for _, d := range []int{3, 5} {
-		lay := compiler.NewLayout(d, 2)
-		lat := lay.Lat
-		u := newUnit(lat.NumQubits(), 1, nil)
-		cw := NewWord(lat.NumQubits())
-		masks := []*surface.Mask{restMask(lay)}
-		for i := 0; i < 12; i++ {
-			m := restMask(lay)
-			for q := 0; q < lat.NumQubits(); q++ {
-				if rng.Intn(5) == 0 {
-					m.SetDisabled(q, true)
-				}
-			}
-			masks = append(masks, m)
-		}
-		for _, design := range microcode.Designs() {
-			for mi, mask := range masks {
-				words := microcode.NewStore(design, surface.Steane, lat).ReplayCycle(mask)
-				prog := surface.BuildProgram(lat, words)
-				for s, w := range words {
-					u.Compile(w, cw)
-					want := prog.Words[s].Sites
-					if len(cw.sites) != len(want) || len(cw.chans) != len(want) {
-						t.Fatalf("d=%d %s mask %d word %d: %d compiled sites, program has %d", d, design, mi, s, len(cw.sites), len(want))
-					}
-					for i, ws := range want {
-						got := surface.NoiseSite{Kind: cw.chans[i], Qubit: cw.sites[i].q, Pair: cw.sites[i].p, BasisX: cw.sites[i].basisX}
-						if got != ws {
-							t.Fatalf("d=%d %s mask %d word %d site %d: compiled %+v, program %+v", d, design, mi, s, i, got, ws)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestReplayCycleMatchesFire pins the cycle replay to firing the same words
 // directly. Two units of one seed, with gate timing and p=2e-2 noise, run a
 // tile's extraction cycle at d=3 and d=5 for every design. After three
@@ -514,15 +471,15 @@ func TestReplayCycleMatchesFire(t *testing.T) {
 			rec, ref := newUnit(n, 5, &model), newUnit(n, 5, &model)
 			rec.SetTiming(timing)
 			ref.SetTiming(timing)
-			compile := func(u *ExecutionUnit) []*Word {
+			compile := func() []*Word {
 				words := make([]*Word, len(vliw))
 				for s, w := range vliw {
 					words[s] = NewWord(n)
-					u.Compile(w, words[s])
+					words[s].Compile(w)
 				}
 				return words
 			}
-			recWords, refWords := compile(rec), compile(ref)
+			recWords, refWords := compile(), compile()
 			// wantMeas and wantOut gather ref's deliveries by measuring word.
 			var wantMeas, wantOut []uint64
 			slot := -1

@@ -262,6 +262,13 @@ func TestValidateRejectsCorruption(t *testing.T) {
 			}
 		})
 	}
+	// Two unknown classes: every call names the same one, the first by name.
+	twoUnknown := strings.NewReplacer(`"pauli"`, `"warp"`, `"cache"`, `"weft"`).Replace(good)
+	for i := 0; i < 200; i++ {
+		if _, err := Validate([]byte(twoUnknown)); err == nil || !strings.Contains(err.Error(), `unknown class "warp"`) {
+			t.Fatalf("call %d on two unknown classes: error %v, want unknown class \"warp\" on every call", i, err)
+		}
+	}
 	if _, err := Validate([]byte(good)); err != nil {
 		t.Fatalf("control: pristine file rejected: %v", err)
 	}

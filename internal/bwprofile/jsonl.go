@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"sort"
 )
 
 // Record kinds, carried in every quest-bw/1 line's "record" field.
@@ -272,12 +273,19 @@ func Validate(data []byte) (ValidateReport, error) {
 		(s.Windows > 0 && (s.Cycles < (s.Windows-1)*s.WindowCycles+1 || s.Cycles > s.Windows*s.WindowCycles)) {
 		return rep, fmt.Errorf("bwprofile: summary cycles %d inconsistent with %d window(s) of %d cycle(s)", s.Cycles, s.Windows, s.WindowCycles)
 	}
-	for name, ct := range s.Classes { //quest:allow(detrange) accumulation over a set is order-independent
+	// In name order, so a summary with several unknown classes names the
+	// same one on every call.
+	names := make([]string, 0, len(s.Classes))
+	for name := range s.Classes {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
 		if !knownClass(name) {
 			return rep, fmt.Errorf("bwprofile: summary names unknown class %q", name)
 		}
-		classInstrs += ct.Instrs
-		classBytes += ct.Bytes
+		classInstrs += s.Classes[name].Instrs
+		classBytes += s.Classes[name].Bytes
 	}
 	if classInstrs != s.TotalInstrs || classBytes != s.TotalBytes {
 		return rep, fmt.Errorf("bwprofile: class totals (%d instrs, %d bytes) do not sum to the run totals (%d instrs, %d bytes)",

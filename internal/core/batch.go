@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"sync"
 
+	"quest/internal/awg"
 	"quest/internal/clifford"
 	"quest/internal/decoder"
+	"quest/internal/isa"
 	"quest/internal/mc"
 	"quest/internal/metrics"
 	"quest/internal/noise"
@@ -32,19 +34,19 @@ import (
 // injector's fault stream: Fail iff the X-fault parity on the logical-Z
 // support disagrees with the decoder frame's X-parity there. That lets the
 // batched engine replace the tableau with Pauli-frame fault propagation
-// through the precompiled extraction program — replaying the scalar
+// through the cycle's compiled words (awg.Word) — replaying the scalar
 // injector's RNG draws site by site (noise.Replayer) so the fault pattern,
 // defect stream, decode, ledger bytes and heat JSON stay byte-identical to
 // the scalar oracle (pinned by TestThresholdBatchedMatchesScalar).
 
 // laneStream is the kernel's input: a fixed sequence of compiled QECC
-// cycles that every trial of a cell executes, as one tile's execution unit
-// would fire it. The first `noisy` cycles draw from the trial's injector; the
-// rest run clean. Cycles may share a program.
+// cycles (compileCycle) that every trial of a cell executes, as one tile's
+// execution unit would fire it. The first cycles, as many as newLaneStream's
+// noisy argument, draw from the trial's injector; the rest run clean.
+// Cycles may share their words.
 type laneStream struct {
 	n      int
-	cycles []*surface.ExtractionProgram
-	noisy  int
+	cycles [][]*awg.Word
 	// off[c] numbers cycle c's first word in the stream's flat word index.
 	off   []int
 	words int
@@ -64,24 +66,27 @@ type laneSite struct {
 	basisX               bool
 }
 
-func newLaneStream(cycles []*surface.ExtractionProgram, noisy int) laneStream {
-	ls := laneStream{n: cycles[0].NumQubits, cycles: cycles, noisy: noisy, off: make([]int, len(cycles))}
-	for c, prog := range cycles {
+// newLaneStream lays out a stream of n-qubit cycles.
+func newLaneStream(n int, cycles [][]*awg.Word, noisy int) laneStream {
+	ls := laneStream{n: n, cycles: cycles, off: make([]int, len(cycles))}
+	for c, cycle := range cycles {
 		ls.off[c] = ls.words
-		ls.words += len(prog.Words)
+		ls.words += len(cycle)
 	}
 	count := 0
-	for _, prog := range cycles[:noisy] {
-		for w := range prog.Words {
-			count += len(prog.Words[w].Sites)
+	for _, cycle := range cycles[:noisy] {
+		for _, cw := range cycle {
+			chans, _ := cw.Sites()
+			count += len(chans)
 		}
 	}
 	ls.chans = make([]noise.Channel, 0, count)
 	ls.sites = make([]laneSite, 0, count)
-	for c, prog := range cycles[:noisy] {
-		for w := range prog.Words {
-			for _, site := range prog.Words[w].Sites {
-				ls.chans = append(ls.chans, site.Kind)
+	for c, cycle := range cycles[:noisy] {
+		for w, cw := range cycle {
+			chans, sites := cw.Sites()
+			ls.chans = append(ls.chans, chans...)
+			for _, site := range sites {
 				ls.sites = append(ls.sites, laneSite{
 					q: int32(site.Qubit), pair: int32(site.Pair),
 					word: int32(ls.off[c] + w), cycle: int32(c), basisX: site.BasisX,
@@ -90,6 +95,38 @@ func newLaneStream(cycles []*surface.ExtractionProgram, noisy int) laneStream {
 		}
 	}
 	return ls
+}
+
+// compileCycle compiles a QECC cycle's words for the lane kernel. Its Pauli
+// frame propagates preparations, measurements, CNOTs and idles only, so
+// compileCycle panics, naming the µop, on a word holding any other: run as
+// an identity, it would desynchronize the fault replay. A T acts on
+// nothing; only its one-qubit gate site shows it.
+func compileCycle(words []isa.VLIW) []*awg.Word {
+	cycle := make([]*awg.Word, len(words))
+	for s, w := range words {
+		cw := awg.NewWord(w.Len())
+		cw.Compile(w)
+		refuse := func(q int) {
+			panic(fmt.Sprintf("core: µop %s at qubit %d of word %d has no Pauli-frame propagation", w.Ops[q], q, s))
+		}
+		for _, g := range cw.Acts() {
+			switch g.Op {
+			case clifford.OpPrep0, clifford.OpPrep1, clifford.OpPrepPlus,
+				clifford.OpMeasureZ, clifford.OpMeasureX, clifford.OpCNOT:
+			default:
+				refuse(g.A)
+			}
+		}
+		chans, sites := cw.Sites()
+		for i, ch := range chans {
+			if ch == noise.ChanGate1 {
+				refuse(sites[i].Qubit)
+			}
+		}
+		cycle[s] = cw
+	}
+	return cycle
 }
 
 // laneScratch is the kernel's pooled lane state: dense fault lanes indexed
@@ -185,9 +222,7 @@ func (s *laneScratch) hit(ls *laneStream, rep *noise.Replayer, k int, bit uint64
 // depends on the previous draws), but it touches no tableau: rep.Next scans
 // the flattened sites at one integer compare each and stops only at the
 // few that fire, and a fault is a single XOR into the trial's bit lane. The
-// propagation is bit-sliced: within a word the phase order (measure, prep,
-// propagate, inject) is equivalent to per-qubit execution because each
-// qubit carries exactly one µop per word — see ProgramWord.
+// propagation is bit-sliced, one word's acts at a time.
 func (s *laneScratch) run(ls *laneStream, rep *noise.Replayer, seeds []uint64, injSeed func(uint64) int64) {
 	n := ls.n
 	for w, d := range s.dirty {
@@ -209,33 +244,35 @@ func (s *laneScratch) run(ls *laneStream, rep *noise.Replayer, seeds []uint64, i
 		}
 	}
 
-	clear(s.fx)
-	clear(s.fz)
-	for c, prog := range ls.cycles {
+	fx, fz := s.fx, s.fz
+	clear(fx)
+	clear(fz)
+	for c, cycle := range ls.cycles {
 		row := s.flips[(c+1)*n : (c+2)*n]
 		mrow := s.measFlip[c*n : (c+1)*n]
-		for w := range prog.Words {
-			word := &prog.Words[w]
-			for _, m := range word.Meas {
-				flip := s.fx[m.Qubit]
-				if m.IsX {
-					flip = s.fz[m.Qubit]
+		for w, cw := range cycle {
+			// Each qubit carries one µop per word, so no act touches a
+			// qubit another act of the word reads or writes: running the
+			// acts in qubit order, then landing the word's faults, is the
+			// per-qubit execution the execution unit fires.
+			for _, g := range cw.Acts() {
+				switch g.Op {
+				case clifford.OpMeasureZ:
+					row[g.A] = fx[g.A] ^ mrow[g.A]
+				case clifford.OpMeasureX:
+					row[g.A] = fz[g.A] ^ mrow[g.A]
+				case clifford.OpCNOT:
+					fx[g.B] ^= fx[g.A]
+					fz[g.A] ^= fz[g.B]
+				default: // a preparation; compileCycle refuses the rest
+					fx[g.A], fz[g.A] = 0, 0
 				}
-				row[m.Qubit] = flip ^ mrow[m.Qubit]
-			}
-			for _, pr := range word.Preps {
-				s.fx[pr.Qubit] = 0
-				s.fz[pr.Qubit] = 0
-			}
-			for _, g := range word.CNOTs {
-				s.fx[g.Target] ^= s.fx[g.Control]
-				s.fz[g.Control] ^= s.fz[g.Target]
 			}
 			if sw := ls.off[c] + w; s.dirty[sw] {
 				base := sw * n
 				for q := 0; q < n; q++ {
-					s.fx[q] ^= s.faultX[base+q]
-					s.fz[q] ^= s.faultZ[base+q]
+					fx[q] ^= s.faultX[base+q]
+					fz[q] ^= s.faultZ[base+q]
 				}
 			}
 		}
@@ -271,19 +308,19 @@ func thresholdProgramFor(d int) *thresholdProgram {
 		return v.(*thresholdProgram)
 	}
 	lat := surface.NewPlanar(d)
-	prog := surface.BuildProgram(lat, surface.CompileCycle(lat, surface.Steane, nil))
+	cycle := compileCycle(surface.CompileCycle(lat, surface.Steane, nil))
 	// The scalar trial's injector draws only during its d noisy cycles: the
 	// clean reference cycle before them draws nothing (and is the all-zero
 	// flip reference), the final clean cycle after them flushes late data
 	// faults into the syndrome.
-	cycles := make([]*surface.ExtractionProgram, d+1)
+	cycles := make([][]*awg.Word, d+1)
 	for c := range cycles {
-		cycles[c] = prog
+		cycles[c] = cycle
 	}
 	tp := &thresholdProgram{
 		lat:    lat,
 		d:      d,
-		stream: newLaneStream(cycles, d),
+		stream: newLaneStream(lat.NumQubits(), cycles, d),
 		logZ:   lat.LogicalZ(),
 	}
 	for q := 0; q < lat.NumQubits(); q++ {

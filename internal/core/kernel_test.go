@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"strings"
 	"testing"
 
+	"quest/internal/isa"
 	"quest/internal/mc"
 	"quest/internal/noise"
 )
@@ -125,6 +127,46 @@ func BenchmarkLaneKernel(b *testing.B) {
 				s.run(tc.stream, rep, seeds, tc.injSeed)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(seeds)), "ns/trial")
+		})
+	}
+}
+
+// TestCompileCycleRefusesOtherGates pins the stream build's refusal: the
+// lane kernel's Pauli frame propagates preparations, measurements, CNOTs
+// and idles only, so a word holding any other µop panics, naming it. A T
+// acts on nothing, and only its one-qubit gate site gives it away.
+func TestCompileCycleRefusesOtherGates(t *testing.T) {
+	word := func(op isa.Opcode) []isa.VLIW {
+		w := isa.NewVLIW(6)
+		w.Set(0, isa.OpPrep0)
+		w.Set(1, isa.OpPrepPlus)
+		w.SetPair(2, isa.OpCNOTControl, 3)
+		w.SetPair(3, isa.OpCNOTTarget, 2)
+		w.Set(4, isa.OpMeasX)
+		switch op {
+		case isa.OpCZ:
+			w.SetPair(4, isa.OpCZ, 5)
+			w.SetPair(5, isa.OpCZ, 4)
+		default:
+			w.Set(5, op)
+		}
+		return []isa.VLIW{w}
+	}
+	if got := len(compileCycle(word(isa.OpIdle))); got != 1 {
+		t.Fatalf("control: %d compiled words, want 1", got)
+	}
+	for _, op := range []isa.Opcode{isa.OpH, isa.OpS, isa.OpX, isa.OpT, isa.OpCZ} {
+		t.Run(op.String(), func(t *testing.T) {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("a word holding %s compiled for the lane kernel", op)
+				}
+				if msg := fmt.Sprint(r); !strings.Contains(msg, "µop "+op.String()+" at qubit ") {
+					t.Errorf("panic %q does not name the µop %s", msg, op)
+				}
+			}()
+			compileCycle(word(op))
 		})
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"slices"
 	"sync"
 
+	"quest/internal/awg"
 	"quest/internal/bwprofile"
+	"quest/internal/clifford"
 	"quest/internal/compiler"
 	"quest/internal/decoder"
 	"quest/internal/isa"
@@ -28,9 +30,9 @@ import (
 // But the µop stream the MCE replays is the same in every trial: the
 // dispatch schedule is fixed, and mask changes follow the dispatches alone.
 // The stream is compiled once per rounds value, from the same calls the MCE
-// makes (microcode replay under the mask, the transverse overlay), and the
-// lane kernel (batch.go) propagates 64 trials' faults through it as bit
-// lanes. The trial outcome depends only on the tile injector's fault
+// makes (microcode replay under the mask, the transverse overlay, awg's Word
+// compile), and the lane kernel (batch.go) propagates 64 trials' faults
+// through it as bit lanes. The trial outcome depends only on the tile injector's fault
 // stream: the tableau's measurement randomness only sets the first value
 // each syndrome history takes as its reference after a Forget, which no
 // defect sees, and the readout is a parity over the logical-Z support that
@@ -94,7 +96,7 @@ func memoryProgramFor(rounds int) *memoryProgram {
 		return ops
 	}
 	var uops uint64
-	compile := func(mask *surface.Mask, overlay []isa.MicroOp, times int) *surface.ExtractionProgram {
+	compile := func(mask *surface.Mask, overlay []isa.MicroOp, times int) []*awg.Word {
 		// The replay's words are shared with the store: overlay a copy.
 		words := slices.Clone(store.ReplayCycle(mask))
 		words[0] = words[0].Clone()
@@ -104,7 +106,7 @@ func memoryProgramFor(rounds int) *memoryProgram {
 		for _, w := range words {
 			uops += uint64(times * w.Len())
 		}
-		return surface.BuildProgram(lat, words)
+		return compileCycle(words)
 	}
 	// The trial's cycles: a settle cycle, then the rounds the trial steps
 	// after dispatching LPrep0 — the first issues it — then LMeasZ, issued
@@ -113,7 +115,7 @@ func memoryProgramFor(rounds int) *memoryProgram {
 	// patch: the same three cycles as one round.
 	plain := max(rounds-1, 0)
 	settle := compile(rest, nil, 1+plain)
-	cycles := []*surface.ExtractionProgram{settle, compile(held, transverse(isa.LPrep0), 1)}
+	cycles := [][]*awg.Word{settle, compile(held, transverse(isa.LPrep0), 1)}
 	for c := 0; c < plain; c++ {
 		cycles = append(cycles, settle)
 	}
@@ -121,7 +123,7 @@ func memoryProgramFor(rounds int) *memoryProgram {
 	mp := &memoryProgram{
 		lay:    lay,
 		window: cfg.DecodeWindow,
-		stream: newLaneStream(cycles, len(cycles)),
+		stream: newLaneStream(lat.NumQubits(), cycles, len(cycles)),
 		prep:   1,
 		meas:   len(cycles) - 1,
 		measAt: 1 + rounds,
@@ -135,14 +137,15 @@ func memoryProgramFor(rounds int) *memoryProgram {
 			mp.anc = append(mp.anc, q)
 		}
 	}
-	for _, prog := range cycles {
+	for _, cycle := range cycles {
 		var synd []int
 		mask := make([]uint64, (lat.NumQubits()+63)/64)
-		for _, w := range prog.Words {
-			for _, m := range w.Meas {
-				if lat.RoleOf(m.Qubit) != surface.RoleData {
-					synd = append(synd, m.Qubit)
-					mask[m.Qubit>>6] |= 1 << (m.Qubit & 63)
+		for _, cw := range cycle {
+			for _, g := range cw.Acts() {
+				measures := g.Op == clifford.OpMeasureZ || g.Op == clifford.OpMeasureX
+				if measures && lat.RoleOf(g.A) != surface.RoleData {
+					synd = append(synd, g.A)
+					mask[g.A>>6] |= 1 << (g.A & 63)
 				}
 			}
 		}

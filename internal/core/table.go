@@ -105,10 +105,16 @@ func formatTable(header []string, rows [][]string) string {
 	return b.String()
 }
 
+// DefaultTrials is the trial budget of every sweep cell, threshold and
+// memory alike, when Run.Trials is 0: enough for memory's p=1e-4 cell to
+// see about 200 failures, few enough for a bare questbench to finish in
+// well under a second.
+const DefaultTrials = 20000
+
 // Run is what an experiment takes from its command line. The two sweeps
 // read all of it; the other experiments ignore it.
 type Run struct {
-	// Trials per sweep cell; 0 runs the experiment's default.
+	// Trials per sweep cell; 0 runs DefaultTrials.
 	Trials int
 	// Workers sizes the Monte-Carlo pool; 0 means GOMAXPROCS.
 	Workers int
@@ -119,11 +125,11 @@ type Run struct {
 	Obs SweepObs
 }
 
-func (r Run) trials(def int) int {
+func (r Run) trials() int {
 	if r.Trials > 0 {
 		return r.Trials
 	}
-	return def
+	return DefaultTrials
 }
 
 // Experiment is one table of the evaluation, under the name questbench
@@ -319,7 +325,7 @@ func dramTable(Run) (Table, error) {
 
 func thresholdTable(run Run) (Table, error) {
 	rows, err := Threshold(run.Reg, run.Tracer, []float64{2e-3, 1e-3, 5e-4}, []int{3, 5},
-		run.trials(200), run.Workers, run.Obs)
+		run.trials(), run.Workers, run.Obs)
 	if err != nil {
 		return Table{}, err
 	}
@@ -337,7 +343,7 @@ func thresholdTable(run Run) (Table, error) {
 func memoryTable(run Run) (Table, error) {
 	t := Table{Columns: []string{"phys-rate", "rounds", "logical-fail", "95% CI", "trials"}}
 	for _, p := range []float64{0, 1e-4, 5e-4} {
-		r, err := MachineMemory(run.Reg, run.Tracer, p, 8, run.trials(40), run.Workers, run.Obs)
+		r, err := MachineMemory(run.Reg, run.Tracer, p, 8, run.trials(), run.Workers, run.Obs)
 		if err != nil {
 			return Table{}, err
 		}

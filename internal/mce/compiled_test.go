@@ -82,7 +82,7 @@ func TestCompiledCycleFollowsMask(t *testing.T) {
 				mask.SetRegion(r0, c0, r1, c1, true)
 			}
 			for s, w := range ref.ReplayCycle(mask) {
-				m.unit.Compile(w, fresh[s])
+				fresh[s].Compile(w)
 			}
 			if !reflect.DeepEqual(m.compiled, fresh) {
 				t.Fatalf("%s cycle %d: the compiled cycle differs from a fresh compile of the store's expansion", d, c)

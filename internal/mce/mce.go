@@ -704,7 +704,7 @@ func (m *MCE) runCycle(rep *CycleReport, overlay []isa.MicroOp, stallBefore uint
 	}
 	if fresh {
 		for s, w := range words {
-			m.unit.Compile(w, m.compiled[s])
+			m.compiled[s].Compile(w)
 		}
 		m.compiledFrom = words
 		m.memo.clear()
