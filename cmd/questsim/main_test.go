@@ -155,9 +155,41 @@ func TestArtifactWriteFailureExitsOne(t *testing.T) {
 	}
 }
 
+// TestDeterministicStdout pins the reports of the benchmark's two questsim
+// runs at seed 1 (bench/run.sh's distill-replay and ghz-d5-4tile) byte for
+// byte to testdata/NAME.txt: every line, the escalation and global-decode
+// counts included. A change that moves them on purpose regenerates both
+// files with
+//
+//	go run ./cmd/questsim -program distill -replays 100 -cycles 50 -noise 1e-3 > cmd/questsim/testdata/distill.txt
+//	go run ./cmd/questsim -program ghz -tiles 4 -d 5 -noise 1e-3 -cycles 400 > cmd/questsim/testdata/ghz.txt
+//
+// and bench/golden.json with questperf's -write-golden.
+func TestDeterministicStdout(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"distill", []string{"-program", "distill", "-replays", "100", "-cycles", "50", "-noise", "1e-3"}},
+		{"ghz", []string{"-program", "ghz", "-tiles", "4", "-d", "5", "-noise", "1e-3", "-cycles", "400"}},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", tc.name+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, stdout, stderr := runQuestsim(t, tc.args...)
+		if code != 0 {
+			t.Fatalf("%s: exit %d (stderr: %s)", tc.name, code, stderr)
+		}
+		if stdout != string(want) {
+			t.Errorf("%s: stdout drifted from testdata/%s.txt:\n got:\n%s\nwant:\n%s", tc.name, tc.name, stdout, want)
+		}
+	}
+}
+
 // TestMetricsJSONReportsTimers pins that instruments, off by default, still
 // record under -metrics: a noisy four-tile d=5 ghz run with a few idle
-// cycles reports observations of the MCE cycle, master decode and match
+// cycles reports observations of the MCE cycle, window flush and match
 // timers in its -metrics json dump, and prints the stdout the same run
 // prints without the flag.
 func TestMetricsJSONReportsTimers(t *testing.T) {
@@ -181,7 +213,7 @@ func TestMetricsJSONReportsTimers(t *testing.T) {
 	for _, h := range snap.Histograms {
 		counts[h.Name] = h.Summary.Count
 	}
-	for _, name := range []string{"mce.cycle.ns", "master.decode.ns", "decoder.match.ns"} {
+	for _, name := range []string{"mce.cycle.ns", "decoder.window.flush.ns", "decoder.match.ns"} {
 		if counts[name] == 0 {
 			t.Errorf("%s recorded no observation under -metrics json", name)
 		}

@@ -12,11 +12,11 @@ import (
 // TestExperimentsGeneratedBlocks pins EXPERIMENTS.md's tables to the code.
 // Each block between `<!-- begin generated: NAME -->` and `<!-- end
 // generated: NAME -->` must equal the Markdown rendering of table NAME:
-// every questbench experiment but the two sweeps, whose default tables have
-// no block yet, and threshold-400, the validation table of the sweep
-// `questbench -trials 400 threshold` runs. A missing, unknown or drifted
-// block fails, and the message carries the fresh rendering; `questbench -md
-// NAME` prints the same block under its heading.
+// every questbench experiment, the two sweeps at their default budget
+// (core.DefaultTrials), and threshold-400, the validation table of the
+// sweep `questbench -trials 400 threshold` runs. A missing, unknown or
+// drifted block fails, and the message carries the fresh rendering;
+// `questbench -md NAME` prints the same block under its heading.
 func TestExperimentsGeneratedBlocks(t *testing.T) {
 	const begin, end = "<!-- begin generated: ", "<!-- end generated: "
 	tables := map[string]func() (core.Table, error){
@@ -29,9 +29,7 @@ func TestExperimentsGeneratedBlocks(t *testing.T) {
 		},
 	}
 	for _, e := range core.Experiments {
-		if e.Name != "threshold" && e.Name != "memory" {
-			tables[e.Name] = func() (core.Table, error) { return e.Table(core.Run{}) }
-		}
+		tables[e.Name] = func() (core.Table, error) { return e.Table(core.Run{}) }
 	}
 
 	data, err := os.ReadFile("EXPERIMENTS.md")

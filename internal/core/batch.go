@@ -183,23 +183,23 @@ func (s *laneScratch) addFault(base, q int, p clifford.Pauli, bit uint64) {
 	}
 }
 
-// hit records trial bit's fault at flattened site k, which rep's scan
-// reported fired, drawing its Paulis.
-func (s *laneScratch) hit(ls *laneStream, rep *noise.Replayer, k int, bit uint64) {
+// hit records trial bit's fault at flattened site k: a measurement site's
+// classical flip, or Paulis pa on the site's qubit and pb on a CNOT's
+// target.
+func (s *laneScratch) hit(ls *laneStream, k int, pa, pb clifford.Pauli, bit uint64) {
 	s.hits |= bit
 	site := &ls.sites[k]
 	n := ls.n
-	if ch := ls.chans[k]; ch == noise.ChanMeas {
+	if ls.chans[k] == noise.ChanMeas {
 		s.measFlip[int(site.cycle)*n+int(site.q)] ^= bit
-	} else {
-		pa, pb := rep.Fault(ch, site.basisX)
-		base := int(site.word) * n
-		s.addFault(base, int(site.q), pa, bit)
-		if pb != clifford.PauliI {
-			s.addFault(base, int(site.pair), pb, bit)
-		}
-		s.dirty[site.word] = true
+		return
 	}
+	base := int(site.word) * n
+	s.addFault(base, int(site.q), pa, bit)
+	if pb != clifford.PauliI {
+		s.addFault(base, int(site.pair), pb, bit)
+	}
+	s.dirty[site.word] = true
 }
 
 // run is the lane kernel both engines call. It samples trial i's fault
@@ -208,7 +208,8 @@ func (s *laneScratch) hit(ls *laneStream, rep *noise.Replayer, k int, bit uint64
 // propagates all lanes through the stream at once, leaving the measurement
 // flip lanes in s.flips, the final fault frame in s.fx/s.fz and the trials
 // that drew a fault in s.hits. A nil rep is a noiseless tile — no
-// injector, so no draws.
+// injector, so no draws. The two halves are sample and propagate; a
+// caller that records chosen faults (hit) between them propagates those.
 //
 // Flip lanes are relative to the fault-free run, so a trial whose hits bit
 // is clear has a known outcome: no round yields a defect, the decoders see
@@ -224,6 +225,13 @@ func (s *laneScratch) hit(ls *laneStream, rep *noise.Replayer, k int, bit uint64
 // few that fire, and a fault is a single XOR into the trial's bit lane. The
 // propagation is bit-sliced, one word's acts at a time.
 func (s *laneScratch) run(ls *laneStream, rep *noise.Replayer, seeds []uint64, injSeed func(uint64) int64) {
+	s.sample(ls, rep, seeds, injSeed)
+	s.propagate(ls)
+}
+
+// sample clears the fault lanes and the hits, then records trial i's
+// faults, replayed from rep, in lane i.
+func (s *laneScratch) sample(ls *laneStream, rep *noise.Replayer, seeds []uint64, injSeed func(uint64) int64) {
 	n := ls.n
 	for w, d := range s.dirty {
 		if d {
@@ -239,11 +247,19 @@ func (s *laneScratch) run(ls *laneStream, rep *noise.Replayer, seeds []uint64, i
 			rep.Reseed(injSeed(seed))
 			bit := uint64(1) << uint(i)
 			for k := rep.Next(ls.chans, 0); k < len(ls.chans); k = rep.Next(ls.chans, k+1) {
-				s.hit(ls, rep, k, bit)
+				var pa, pb clifford.Pauli
+				if ch := ls.chans[k]; ch != noise.ChanMeas {
+					pa, pb = rep.Fault(ch, ls.sites[k].basisX)
+				}
+				s.hit(ls, k, pa, pb, bit)
 			}
 		}
 	}
+}
 
+// propagate runs the fault lanes through the stream from an empty frame.
+func (s *laneScratch) propagate(ls *laneStream) {
+	n := ls.n
 	fx, fz := s.fx, s.fz
 	clear(fx)
 	clear(fz)

@@ -173,7 +173,7 @@ func TestInvariantSeedsReproduceEverything(t *testing.T) {
 		ra := a.Master().StepCycle()
 		rb := b.Master().StepCycle()
 		if ra.MicroOps != rb.MicroOps || ra.LogicalRetired != rb.LogicalRetired ||
-			ra.Escalated != rb.Escalated || ra.GlobalMatches != rb.GlobalMatches {
+			ra.Escalated != rb.Escalated || ra.GlobalDecodes != rb.GlobalDecodes {
 			t.Fatalf("cycle %d: twin machines diverged: %+v vs %+v", c, ra, rb)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"quest/internal/clifford"
 	"quest/internal/isa"
 	"quest/internal/mc"
 	"quest/internal/noise"
@@ -168,5 +169,121 @@ func TestCompileCycleRefusesOtherGates(t *testing.T) {
 			}()
 			compileCycle(word(op))
 		})
+	}
+}
+
+// singleFault is one fault a noise site of a lane stream can draw: at
+// flattened site k, Paulis pa on the site's qubit and pb on a CNOT's target
+// (a measurement site's flip has neither).
+type singleFault struct {
+	k      int
+	pa, pb clifford.Pauli
+}
+
+// singleFaults lists every fault each of ls's noise sites can draw, as
+// noise.Replayer.Fault draws them: X, Y and Z at an idle site, the basis
+// flip at a preparation, the flip at a measurement and the 15 two-qubit
+// Paulis at a CNOT.
+func singleFaults(t *testing.T, ls *laneStream) []singleFault {
+	var fs []singleFault
+	for k, ch := range ls.chans {
+		switch ch {
+		case noise.ChanIdle:
+			for p := clifford.PauliX; p <= clifford.PauliZ; p++ {
+				fs = append(fs, singleFault{k: k, pa: p})
+			}
+		case noise.ChanPrep:
+			p := clifford.PauliX
+			if ls.sites[k].basisX {
+				p = clifford.PauliZ
+			}
+			fs = append(fs, singleFault{k: k, pa: p})
+		case noise.ChanMeas:
+			fs = append(fs, singleFault{k: k})
+		case noise.ChanGate2:
+			for j := 1; j < 16; j++ {
+				fs = append(fs, singleFault{k: k, pa: clifford.Pauli(j >> 2), pb: clifford.Pauli(j & 3)})
+			}
+		default:
+			t.Fatalf("site %d: channel %d has no enumeration", k, ch)
+		}
+	}
+	return fs
+}
+
+// TestThresholdSingleFaults certifies the threshold circuit against every
+// single fault, at d = 3, 5 and 7. Each fault of the cell's stream
+// (thresholdProgramFor) is recorded in its own lane and run through the
+// kernel's propagation, 64 a lane. Its detectors are the defects runLane
+// reads: ancilla a in round r, for r = 1..d+1. The properties:
+//   - no fault flips more than two Z-type (Z-ancilla) or two X-type
+//     detectors, so the Z detectors form a graph with no hyperedge;
+//   - no set of Z-type detectors occurs with both values of the logical-Z
+//     flip, the empty set (the fault-free run, no flip) included, so no
+//     undetected single fault flips the logical.
+//
+// It also pins the counts of faults and of distinct non-empty Z signatures,
+// so a change to the enumeration or the schedule shows here.
+func TestThresholdSingleFaults(t *testing.T) {
+	for _, tc := range []struct{ d, faults, zSigs int }{{3, 2961, 97}, {5, 16615, 561}, {7, 49245, 1681}} {
+		tp := thresholdProgramFor(tc.d)
+		ls := &tp.stream
+		n := ls.n
+		fs := singleFaults(t, ls)
+		s := newLaneScratch(ls)
+		flip := map[string]uint64{"": 0} // Z signature -> logical flip; "" is the fault-free run's
+		var zs, xs [mc.LaneWidth][]int   // detectors r*n+a, in round then ancilla order
+		describe := func(f singleFault) string {
+			site := ls.sites[f.k]
+			return fmt.Sprintf("channel %d at qubit %d (pair %d) of cycle %d, Paulis %v%v",
+				ls.chans[f.k], site.q, site.pair, site.cycle, f.pa, f.pb)
+		}
+		for lo := 0; lo < len(fs); lo += mc.LaneWidth {
+			lane := fs[lo:min(lo+mc.LaneWidth, len(fs))]
+			s.sample(ls, nil, nil, nil) // clears the lanes; a nil replayer draws nothing
+			for i, f := range lane {
+				s.hit(ls, f.k, f.pa, f.pb, 1<<uint(i))
+			}
+			s.propagate(ls)
+			var xp uint64
+			for _, q := range tp.logZ {
+				xp ^= s.fx[q]
+			}
+			for i := range lane {
+				zs[i], xs[i] = zs[i][:0], xs[i][:0]
+			}
+			for r := 1; r <= tc.d+1; r++ {
+				for _, a := range tp.anc {
+					for diff := s.flips[r*n+a.q] ^ s.flips[(r-1)*n+a.q]; diff != 0; diff &= diff - 1 {
+						i := bits.TrailingZeros64(diff)
+						if a.isX {
+							xs[i] = append(xs[i], r*n+a.q)
+						} else {
+							zs[i] = append(zs[i], r*n+a.q)
+						}
+					}
+				}
+			}
+			for i, f := range lane {
+				if len(zs[i]) > 2 || len(xs[i]) > 2 {
+					t.Fatalf("d=%d: %s flips %d Z-type and %d X-type detectors, want at most 2 each",
+						tc.d, describe(f), len(zs[i]), len(xs[i]))
+				}
+				key := ""
+				if len(zs[i]) > 0 {
+					key = fmt.Sprint(zs[i])
+				}
+				got := xp >> uint(i) & 1
+				if want, ok := flip[key]; ok && want != got {
+					t.Fatalf("d=%d: %s flips Z detectors %v with logical flip %d; another fault, or the fault-free run, flips them with %d",
+						tc.d, describe(f), zs[i], got, want)
+				}
+				flip[key] = got
+			}
+		}
+		if sigs := len(flip) - 1; len(fs) != tc.faults || sigs != tc.zSigs {
+			t.Errorf("d=%d: %d single faults with %d distinct non-empty Z signatures, want %d and %d",
+				tc.d, len(fs), sigs, tc.faults, tc.zSigs)
+		}
 	}
 }

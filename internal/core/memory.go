@@ -272,11 +272,10 @@ func (mp *memoryProgram) runLane(p float64, seeds []uint64, ctx mc.BatchCtx, out
 					ctx.BW.Observe(c, bwprofile.BusSyndrome, bwprofile.ClassSyndrome, k, k)
 				}
 			}
-			if s.win.Absorb(s.residual, s.frame) > 0 {
-				ctl.GlobalDecodes++
-			}
+			ctl.GlobalDecodes += uint64(s.win.Absorb(s.residual, s.frame))
 		}
-		s.win.Flush(s.frame)
+		// The drain's closing flush, as the master's FlushDecodeWindows.
+		ctl.GlobalDecodes += uint64(s.win.Flush(s.frame))
 		out[i] = mc.Outcome{Fail: got != 0}
 	}
 	tile.Record(ctx.Shard)

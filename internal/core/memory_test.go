@@ -10,6 +10,7 @@ import (
 	"quest/internal/ledger"
 	"quest/internal/mc"
 	"quest/internal/metrics"
+	"quest/internal/noise"
 )
 
 // The byte-identity grid: noiseless, sub-threshold and above-threshold
@@ -158,5 +159,40 @@ func TestMachineMemoryPublishesNoMCEGauge(t *testing.T) {
 	}
 	if got := reg.Counter("mce.cycles").Value(); got == 0 {
 		t.Error("mce.cycles = 0: the cell recorded no tally")
+	}
+}
+
+// TestGlobalDecodesMeanOneThing pins that the machine counts global decodes
+// one way at every window width: over 200 noisy memory trials of a
+// one-patch machine (ten cycles each), at a one-round window (DecodeWindow
+// 0) and at windows of 3 and 4 rounds, which leave one and two rounds to the
+// drain's flush, Master.Stats' global decodes equal master.global.decodes
+// and decoder.match.calls in every trial.
+func TestGlobalDecodesMeanOneThing(t *testing.T) {
+	for _, window := range []int{0, 3, 4} {
+		cfg := DefaultMachineConfig()
+		cfg.PatchesPerTile = 1
+		cfg.DecodeWindow = window
+		nm := noise.Uniform(1e-2)
+		cfg.Noise = &nm
+		m := NewMachine(cfg)
+		var total uint64
+		for seed := int64(1); seed <= 200; seed++ {
+			reg := metrics.New()
+			m.Reset(seed, reg, nil, nil, nil)
+			if _, err := memoryTrial(m, 8); err != nil {
+				t.Fatalf("window %d seed %d: %v", window, seed, err)
+			}
+			_, decodes := m.Master().Stats()
+			metric, calls := reg.Counter("master.global.decodes").Value(), reg.Counter("decoder.match.calls").Value()
+			if decodes != metric || decodes != calls {
+				t.Fatalf("window %d seed %d: Stats counts %d global decodes, master.global.decodes %d, decoder.match.calls %d",
+					window, seed, decodes, metric, calls)
+			}
+			total += decodes
+		}
+		if total == 0 {
+			t.Errorf("window %d: no trial decoded globally", window)
+		}
 	}
 }

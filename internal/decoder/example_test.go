@@ -39,10 +39,10 @@ func ExampleWindowDecoder() {
 	}
 	w.Absorb(mk(1), frame) // flipped measurement, round 1
 	w.Absorb(mk(2), frame) // re-flips back, round 2
-	applied := w.Absorb(nil, frame)
-	fmt.Println("corrections applied:", applied)
+	decodes := w.Absorb(nil, frame)
+	fmt.Println("global decodes:", decodes)
 	fmt.Println("frame untouched:", len(frame.XFlips())+len(frame.ZFlips()) == 0)
 	// Output:
-	// corrections applied: 0
+	// global decodes: 1
 	// frame untouched: true
 }

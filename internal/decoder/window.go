@@ -75,8 +75,9 @@ func (w *WindowDecoder) Reset() {
 }
 
 // Absorb buffers one round's defects and decodes into the frame when the
-// window fills. It returns the number of corrections applied (zero while the
-// window is still open).
+// window fills. It returns the number of global decodes that ran, as Flush
+// counts them (zero while the window is still open). A one-round window
+// decodes every round.
 func (w *WindowDecoder) Absorb(defects []Defect, frame *PauliFrame) int {
 	if w.sinceFlush == 0 {
 		w.openRound = w.round
@@ -93,7 +94,9 @@ func (w *WindowDecoder) Absorb(defects []Defect, frame *PauliFrame) int {
 
 // Flush decodes everything buffered regardless of window occupancy (used at
 // the end of a computation or before a logical measurement that must see a
-// settled frame).
+// settled frame). It returns the number of global decodes it ran: one Match
+// per defect type present, so 0 to 2. The flush's trace span carries the
+// corrections applied.
 func (w *WindowDecoder) Flush(frame *PauliFrame) int {
 	w.sinceFlush = 0
 	if len(w.buf) == 0 {
@@ -104,7 +107,7 @@ func (w *WindowDecoder) Flush(frame *PauliFrame) int {
 	if timed != nil {
 		start = time.Now() //quest:allow(seedsrc) wall-clock latency metric only; the value never reaches simulation state
 	}
-	applied := 0
+	decodes, applied := 0, 0
 	xs, zs := SplitByType(w.split, w.buf)
 	w.split = xs[:0]
 	w.buf = w.buf[:0]
@@ -112,6 +115,7 @@ func (w *WindowDecoder) Flush(frame *PauliFrame) int {
 		if len(group) == 0 {
 			continue
 		}
+		decodes++
 		m := w.global.Match(group)
 		for _, c := range w.global.Corrections(group, m) {
 			frame.Apply(c)
@@ -129,5 +133,5 @@ func (w *WindowDecoder) Flush(frame *PauliFrame) int {
 		w.tr.SpanArg("decoder", w.tid, "window", w.openRound, dur, "applied", int64(applied))
 	}
 	w.openRound = w.round
-	return applied
+	return decodes
 }

@@ -26,12 +26,12 @@ func TestWindowBuffersUntilFull(t *testing.T) {
 		t.Fatalf("pending = %d", w.Pending())
 	}
 	// Same ancilla next round: the measurement-error pair must cancel with
-	// zero corrections once the window closes.
+	// zero corrections once the window closes, in one decode.
 	d2 := mkDefect(lat, a, 2)
 	w.Absorb([]Defect{d2}, frame)
 	n := w.Absorb(nil, frame) // third round closes the window
-	if n != 0 {
-		t.Errorf("time-like pair produced %d corrections, want 0", n)
+	if n != 1 {
+		t.Errorf("closing the window ran %d decodes, want 1", n)
 	}
 	if len(frame.XFlips())+len(frame.ZFlips()) != 0 {
 		t.Error("frame disturbed by measurement error")
@@ -49,12 +49,26 @@ func TestWindowFlushAndClamp(t *testing.T) {
 	}
 	frame := NewPauliFrame()
 	if n := w.Flush(frame); n != 0 {
-		t.Errorf("empty flush produced %d corrections", n)
+		t.Errorf("empty flush ran %d decodes", n)
 	}
-	// Window 1 behaves like per-round decoding.
+	// Window 1 behaves like per-round decoding: each round's defects are
+	// decoded at once, one decode per defect type present.
 	d := mkDefect(lat, lat.Index(1, 0), 1)
-	if n := w.Absorb([]Defect{d}, frame); n == 0 {
-		t.Error("window-1 did not decode immediately")
+	if n := w.Absorb([]Defect{d}, frame); n != 1 {
+		t.Errorf("window-1 ran %d decodes on one defect, want 1", n)
+	}
+	if len(frame.XFlips())+len(frame.ZFlips()) == 0 {
+		t.Error("window-1 applied no correction")
+	}
+	x := 0
+	for lat.RoleOf(x) != surface.RoleAncillaX {
+		x++
+	}
+	if n := w.Absorb([]Defect{d, mkDefect(lat, x, 2)}, frame); n != 2 {
+		t.Errorf("window-1 ran %d decodes on an X and a Z defect, want 2", n)
+	}
+	if n := w.Absorb(nil, frame); n != 0 {
+		t.Errorf("an empty round ran %d decodes", n)
 	}
 }
 

@@ -12,7 +12,6 @@ package master
 
 import (
 	"fmt"
-	"time"
 
 	"quest/internal/bandwidth"
 	"quest/internal/bwprofile"
@@ -43,8 +42,9 @@ type Config struct {
 	// Factories is the number of T-factory pipelines feeding the tiles.
 	Factories int
 	// DecodeWindow batches escalated defects over this many rounds before
-	// global matching (Appendix A.2's space-time window). Values ≤ 1 decode
-	// every round.
+	// global matching (Appendix A.2's space-time window). Every tile decodes
+	// through its own window; values ≤ 1 make it one round wide, which
+	// decodes every round.
 	DecodeWindow int
 	// UseNoC routes packets through a 2-D mesh network-on-chip model (one
 	// hop per network cycle, dimension-ordered) instead of the ideal
@@ -57,8 +57,9 @@ type Config struct {
 	// are off: nothing records, and no decode reads the clock.
 	Metrics *metrics.Registry
 	// Tracer, when non-nil, records cycle-correlated dispatch/cache
-	// instants, global-decode spans and NoC delivery events for Perfetto
-	// export; it is also handed to the per-tile window decoders and the mesh.
+	// instants and NoC delivery events for Perfetto export; it is also
+	// handed to the mesh and to the per-tile window decoders, whose flushes
+	// are the decoder track's "window" spans, one-round spans included.
 	// Nil falls back to tracing.Default (nil = tracing off).
 	Tracer *tracing.Tracer
 	// Heat, when non-nil, records every global matching's spatial footprint
@@ -79,7 +80,6 @@ type masterInstr struct {
 	cycles        *metrics.Counter
 	escalated     *metrics.Counter
 	globalDecodes *metrics.Counter
-	decodeNs      *metrics.Histogram
 }
 
 func newMasterInstr(r *metrics.Registry) masterInstr {
@@ -89,18 +89,16 @@ func newMasterInstr(r *metrics.Registry) masterInstr {
 		cycles:        r.Counter("master.cycles"),
 		escalated:     r.Counter("master.escalated"),
 		globalDecodes: r.Counter("master.global.decodes"),
-		decodeNs:      r.Histogram("master.decode.ns", nil),
 	}
 }
 
 // Master is the controller instance.
 type Master struct {
-	cfg     Config
-	tiles   []*mce.MCE
-	global  []*decoder.GlobalDecoder
+	cfg   Config
+	tiles []*mce.MCE
+	// windows[i] decodes tile i's escalated defects: a DecodeWindow-round
+	// window over the tile's global matcher.
 	windows []*decoder.WindowDecoder
-	// split is SplitByType's scratch for the per-round decode.
-	split []decoder.Defect
 
 	queues [][]packet
 	mesh   *noc.Mesh
@@ -121,7 +119,7 @@ type Master struct {
 
 	cycle          int
 	escalatedTotal uint64
-	globalCorr     uint64
+	globalDecodes  uint64
 }
 
 // New builds a master over the given MCE tiles.
@@ -132,43 +130,15 @@ func New(cfg Config, tiles []*mce.MCE) *Master {
 	if cfg.PacketsPerCycle <= 0 {
 		cfg.PacketsPerCycle = 16
 	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.Default
-	}
-	tr := cfg.Tracer
-	if tr == nil {
-		tr = tracing.Default
-	}
 	m := &Master{
 		cfg:    cfg,
 		tiles:  tiles,
 		queues: make([][]packet, len(tiles)),
-		in:     newMasterInstr(reg),
-		tr:     tr,
-		bw:     cfg.BW,
 	}
-	// Mirror the per-class bus meters into the registry so -metrics reports
-	// bus traffic alongside latencies without a second accounting path.
-	bridgeBus(reg, &m.Logical, &m.Cache, &m.Syndrome)
-	di := decoder.NewInstr(reg)
 	for _, t := range tiles {
-		g := decoder.NewGlobalDecoder(t.Layout().Lat)
-		g.SetInstr(di)
-		if cfg.Heat != nil {
-			lat := t.Layout().Lat
-			g.SetHeat(cfg.Heat.Collector(heatmap.GridName(lat.Rows, lat.Cols), lat.Rows, lat.Cols))
-		}
-		m.global = append(m.global, g)
-		if cfg.DecodeWindow > 1 {
-			w := decoder.NewWindowDecoder(g, cfg.DecodeWindow)
-			w.SetInstr(di)
-			w.SetTracer(tr, len(m.windows))
-			m.windows = append(m.windows, w)
-		} else {
-			m.windows = append(m.windows, nil)
-		}
+		m.windows = append(m.windows, decoder.NewWindowDecoder(decoder.NewGlobalDecoder(t.Layout().Lat), cfg.DecodeWindow))
 	}
+	m.observe(cfg.Metrics, cfg.Tracer, cfg.Heat, cfg.BW)
 	for i := 0; i < cfg.Factories; i++ {
 		m.factories = append(m.factories, &distill.Factory{LatencyRounds: cfg.FactoryLatency})
 	}
@@ -180,9 +150,38 @@ func New(cfg Config, tiles []*mce.MCE) *Master {
 		}
 		h := (len(tiles) + w - 1) / w
 		m.mesh = noc.NewMesh(w, h)
-		m.mesh.SetTracer(tr)
+		m.mesh.SetTracer(m.tr)
 	}
 	return m
+}
+
+// observe binds the observation hooks: reg (nil = metrics.Default) receives
+// the controller's and the decoders' instruments and mirrors the per-class
+// bus meters, so -metrics reports bus traffic alongside latencies without a
+// second accounting path; tr (nil = tracing.Default), heat and bw as Config
+// describes them.
+func (m *Master) observe(reg *metrics.Registry, tr *tracing.Tracer, heat *heatmap.Set, bw *bwprofile.Recorder) {
+	if reg == nil {
+		reg = metrics.Default
+	}
+	if tr == nil {
+		tr = tracing.Default
+	}
+	bridgeBus(reg, &m.Logical, &m.Cache, &m.Syndrome)
+	di := decoder.NewInstr(reg)
+	for i, w := range m.windows {
+		w.SetInstr(di)
+		w.SetTracer(tr, i)
+		var c *heatmap.Collector
+		if heat != nil { // GridName formats a string: skip it when heat is off
+			lat := m.tiles[i].Layout().Lat
+			c = heat.Collector(heatmap.GridName(lat.Rows, lat.Cols), lat.Rows, lat.Cols)
+		}
+		w.SetHeat(c)
+	}
+	m.in = newMasterInstr(reg)
+	m.tr = tr
+	m.bw = bw
 }
 
 // busCounters resolves reg's master.bus.* counters, an (instructions or
@@ -244,12 +243,6 @@ func (m *Master) Reset(reg *metrics.Registry, tr *tracing.Tracer, heat *heatmap.
 	if m.mesh != nil {
 		panic("master: Reset with a NoC mesh is not supported; build a fresh machine")
 	}
-	if reg == nil {
-		reg = metrics.Default
-	}
-	if tr == nil {
-		tr = tracing.Default
-	}
 	for i := range m.queues {
 		m.queues[i] = m.queues[i][:0]
 	}
@@ -260,30 +253,13 @@ func (m *Master) Reset(reg *metrics.Registry, tr *tracing.Tracer, heat *heatmap.
 	m.Logical.Reset()
 	m.Cache.Reset()
 	m.Syndrome.Reset()
-	bridgeBus(reg, &m.Logical, &m.Cache, &m.Syndrome)
-	di := decoder.NewInstr(reg)
-	for i, g := range m.global {
-		g.SetInstr(di)
-		var c *heatmap.Collector
-		if heat != nil {
-			lat := m.tiles[i].Layout().Lat
-			c = heat.Collector(heatmap.GridName(lat.Rows, lat.Cols), lat.Rows, lat.Cols)
-		}
-		g.SetHeat(c)
+	for _, w := range m.windows {
+		w.Reset()
 	}
-	for i, w := range m.windows {
-		if w != nil {
-			w.Reset()
-			w.SetInstr(di)
-			w.SetTracer(tr, i)
-		}
-	}
-	m.in = newMasterInstr(reg)
-	m.tr = tr
-	m.bw = bw
+	m.observe(reg, tr, heat, bw)
 	m.cycle = 0
 	m.escalatedTotal = 0
-	m.globalCorr = 0
+	m.globalDecodes = 0
 }
 
 // Dispatch queues one logical instruction for a tile. Bus bytes are metered
@@ -345,14 +321,14 @@ type CycleReport struct {
 	MicroOps       int
 	LogicalRetired int
 	Escalated      int
-	GlobalMatches  int
+	GlobalDecodes  int
 	MagicProduced  int
 	Results        []mce.LogicalResult
 }
 
 // StepCycle advances the whole machine one QECC cycle: deliver queued
 // packets within the network budget, tick the factories, step every MCE, and
-// globally decode escalated defects.
+// hand each tile's escalated defects to its decode window.
 func (m *Master) StepCycle() CycleReport {
 	rep := CycleReport{Cycle: m.cycle}
 
@@ -450,40 +426,9 @@ func (m *Master) StepCycle() CycleReport {
 				m.tr.InstantArg("decoder", i, "escalate", int64(m.cycle), "defects", int64(len(r.DefectsEscalated)))
 			}
 		}
-		if w := m.windows[i]; w != nil {
-			if applied := w.Absorb(r.DefectsEscalated, t.Frame()); applied > 0 {
-				rep.GlobalMatches += applied
-				m.globalCorr++
-				m.in.globalDecodes.Inc()
-			}
-			continue
-		}
-		if len(r.DefectsEscalated) > 0 {
-			timed := m.in.decodeNs
-			var decodeStart time.Time
-			if timed != nil {
-				decodeStart = time.Now() //quest:allow(seedsrc) wall-clock latency metric only; the value never reaches simulation state
-			}
-			xs, zs := decoder.SplitByType(m.split, r.DefectsEscalated)
-			m.split = xs[:0]
-			for _, group := range [2][]decoder.Defect{xs, zs} {
-				if len(group) == 0 {
-					continue
-				}
-				match := m.global[i].Match(group)
-				rep.GlobalMatches += len(match.Pairs) + len(match.ToBoundary)
-				for _, c := range m.global[i].Corrections(group, match) {
-					t.Frame().Apply(c)
-				}
-				m.globalCorr++
-				m.in.globalDecodes.Inc()
-			}
-			if timed != nil {
-				timed.Observe(float64(time.Since(decodeStart)))
-			}
-			if m.tr != nil {
-				m.tr.SpanArg("decoder", i, "global", int64(m.cycle), 1, "defects", int64(len(r.DefectsEscalated)))
-			}
+		if n := m.windows[i].Absorb(r.DefectsEscalated, t.Frame()); n > 0 {
+			rep.GlobalDecodes += n
+			m.countDecodes(n)
 		}
 	}
 	m.cycle++
@@ -491,15 +436,18 @@ func (m *Master) StepCycle() CycleReport {
 	return rep
 }
 
+// countDecodes adds n global decodes to Stats and master.global.decodes.
+func (m *Master) countDecodes(n int) {
+	m.globalDecodes += uint64(n)
+	m.in.globalDecodes.Add(uint64(n))
+}
+
 // FlushDecodeWindows force-decodes any buffered window defects (call before
-// reading out final logical results when DecodeWindow > 1).
+// reading out final logical results when DecodeWindow > 1). Its decodes
+// count in Stats and master.global.decodes, not in any cycle's report.
 func (m *Master) FlushDecodeWindows() {
 	for i, w := range m.windows {
-		if w != nil {
-			if w.Flush(m.tiles[i].Frame()) > 0 {
-				m.globalCorr++
-			}
-		}
+		m.countDecodes(w.Flush(m.tiles[i].Frame()))
 	}
 }
 
@@ -509,7 +457,7 @@ type DrainReport struct {
 	MicroOps       int
 	LogicalRetired int
 	Escalated      int
-	GlobalMatches  int
+	GlobalDecodes  int
 	MagicProduced  int
 	Results        []mce.LogicalResult // in cycle order
 }
@@ -525,7 +473,7 @@ func (m *Master) Drain(maxCycles int) (DrainReport, bool) {
 		d.MicroOps += r.MicroOps
 		d.LogicalRetired += r.LogicalRetired
 		d.Escalated += r.Escalated
-		d.GlobalMatches += r.GlobalMatches
+		d.GlobalDecodes += r.GlobalDecodes
 		d.MagicProduced += r.MagicProduced
 		d.Results = append(d.Results, r.Results...)
 		if m.drained() {
@@ -574,7 +522,9 @@ func (m *Master) InstructionBusBytes() uint64 {
 	return m.Logical.Bytes() + m.Cache.Bytes()
 }
 
-// Stats returns (total escalated defects, global decode invocations).
+// Stats returns (total escalated defects, global decodes): the decodes are
+// the defect groups of one type the tiles' windows matched, flushes
+// included, the count master.global.decodes records.
 func (m *Master) Stats() (escalated, globalDecodes uint64) {
-	return m.escalatedTotal, m.globalCorr
+	return m.escalatedTotal, m.globalDecodes
 }

@@ -209,7 +209,7 @@ func TestWindowedDecodeMode(t *testing.T) {
 	// Flush clears any open windows.
 	m.FlushDecodeWindows()
 	for _, w := range m.windows {
-		if w != nil && w.Pending() != 0 {
+		if w.Pending() != 0 {
 			t.Error("window still pending after flush")
 		}
 	}
@@ -381,7 +381,7 @@ func TestDrainTotalsRunUntilDrained(t *testing.T) {
 		want.MicroOps += r.MicroOps
 		want.LogicalRetired += r.LogicalRetired
 		want.Escalated += r.Escalated
-		want.GlobalMatches += r.GlobalMatches
+		want.GlobalDecodes += r.GlobalDecodes
 		want.MagicProduced += r.MagicProduced
 		want.Results = append(want.Results, r.Results...)
 	}

@@ -75,7 +75,8 @@ func qubitsOf(in isa.LogicalInstr) []int {
 // Schedule list-schedules the program: each instruction issues at the
 // earliest slot after all prior instructions touching its qubits have
 // finished, subject to at most Width issues per slot. Program order is
-// preserved per qubit (the hardware's per-patch serialization).
+// preserved per qubit (the hardware's per-patch serialization). The same
+// walk, without the width limit, gives the critical path.
 func Schedule(p *compiler.Program, cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
@@ -86,16 +87,17 @@ func Schedule(p *compiler.Program, cfg Config) (Result, error) {
 	n := len(p.Instrs)
 	res := Result{Slot: make([]int, n)}
 	qubitFree := make(map[int]int) // qubit -> first free slot
+	depFree := make(map[int]int)   // qubit -> first free slot at infinite width
 	issued := make(map[int]int)    // slot -> issue count
 	work := 0
 	for i, in := range p.Instrs {
 		lat := cfg.latency(in)
 		work += lat
-		ready := 0
-		for _, q := range qubitsOf(in) {
-			if f := qubitFree[q]; f > ready {
-				ready = f
-			}
+		qs := qubitsOf(in)
+		ready, depReady := 0, 0
+		for _, q := range qs {
+			ready = max(ready, qubitFree[q])
+			depReady = max(depReady, depFree[q])
 		}
 		slot := ready
 		for issued[slot] >= cfg.Width {
@@ -103,41 +105,17 @@ func Schedule(p *compiler.Program, cfg Config) (Result, error) {
 		}
 		issued[slot]++
 		res.Slot[i] = slot
-		for _, q := range qubitsOf(in) {
+		for _, q := range qs {
 			qubitFree[q] = slot + lat
+			depFree[q] = depReady + lat
 		}
-		if end := slot + lat; end > res.Makespan {
-			res.Makespan = end
-		}
+		res.Makespan = max(res.Makespan, slot+lat)
+		res.CriticalPath = max(res.CriticalPath, depReady+lat)
 	}
-	res.CriticalPath = criticalPath(p, cfg)
 	if res.Makespan > 0 {
 		res.ILP = float64(work) / float64(res.Makespan)
 	}
 	return res, nil
-}
-
-// criticalPath computes the dependence-limited makespan (infinite width).
-func criticalPath(p *compiler.Program, cfg Config) int {
-	qubitFree := make(map[int]int)
-	cp := 0
-	for _, in := range p.Instrs {
-		lat := cfg.latency(in)
-		ready := 0
-		for _, q := range qubitsOf(in) {
-			if f := qubitFree[q]; f > ready {
-				ready = f
-			}
-		}
-		end := ready + lat
-		for _, q := range qubitsOf(in) {
-			qubitFree[q] = end
-		}
-		if end > cp {
-			cp = end
-		}
-	}
-	return cp
 }
 
 // Validate checks a computed schedule against the program: dependencies
