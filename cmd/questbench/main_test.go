@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -60,20 +61,28 @@ func TestMain(m *testing.M) {
 // exit code, stdout and stderr.
 func runQuestbench(t *testing.T, args ...string) (int, string, string) {
 	t.Helper()
+	var stdout bytes.Buffer
+	code, stderr := runQuestbenchTo(t, &stdout, args...)
+	return code, stdout.String(), stderr
+}
+
+// runQuestbenchTo is runQuestbench with the child's stdout on w.
+func runQuestbenchTo(t *testing.T, w io.Writer, args ...string) (int, string) {
+	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "QUESTBENCH_TEST_MAIN=1")
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	var stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = w, &stderr
 	err := cmd.Run()
 	var ee *exec.ExitError
 	switch {
 	case err == nil:
-		return 0, stdout.String(), stderr.String()
+		return 0, stderr.String()
 	case errors.As(err, &ee):
-		return ee.ExitCode(), stdout.String(), stderr.String()
+		return ee.ExitCode(), stderr.String()
 	}
 	t.Fatal(err)
-	return 0, "", ""
+	return 0, ""
 }
 
 // TestDeterministicStdout pins the text tables of the deterministic
@@ -151,19 +160,29 @@ func TestLedgerWriteFailureExitsOne(t *testing.T) {
 // -bw or -ledger artifact cannot be written fails: exit 1, with the write
 // error on a stderr line that names the artifact once. Finish writes the
 // first three at exit, after the tables; a -ledger file that cannot be
-// created stops the run before any experiment.
+// created stops the run before any experiment. `-bw -` writes the profile
+// to stdout, so that case runs with the child's stdout on /dev/full.
 func TestArtifactWriteFailureExitsOne(t *testing.T) {
 	if _, err := os.Stat("/dev/full"); err != nil {
 		t.Skip("no /dev/full on this system")
 	}
+	full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer full.Close()
 	missing := filepath.Join(t.TempDir(), "missing", "x.jsonl")
-	for _, tc := range []struct{ flag, path, line string }{
-		{"-trace", "/dev/full", "trace: write /dev/full"},
-		{"-heatmap", "/dev/full", "heatmap: write /dev/full"},
-		{"-bw", "/dev/full", "bw: write /dev/full"},
-		{"-ledger", missing, "questbench: ledger: open " + missing},
+	for _, tc := range []struct {
+		flag, path, line string
+		stdout           io.Writer
+	}{
+		{"-trace", "/dev/full", "trace: write /dev/full", io.Discard},
+		{"-heatmap", "/dev/full", "heatmap: write /dev/full", io.Discard},
+		{"-bw", "/dev/full", "bw: write /dev/full", io.Discard},
+		{"-bw", "-", "bw: write /dev/stdout", full},
+		{"-ledger", missing, "questbench: ledger: open " + missing, io.Discard},
 	} {
-		code, _, stderr := runQuestbench(t, "-trials", "20", "-workers", "1", tc.flag, tc.path, "memory")
+		code, stderr := runQuestbenchTo(t, tc.stdout, "-trials", "20", "-workers", "1", tc.flag, tc.path, "memory")
 		if code != 1 {
 			t.Errorf("%s %s: exit %d, want 1 (stderr: %s)", tc.flag, tc.path, code, stderr)
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"os"
 	"os/exec"
@@ -79,20 +80,28 @@ func TestMain(m *testing.M) {
 // exit code, stdout and stderr.
 func runQuestsim(t *testing.T, args ...string) (int, string, string) {
 	t.Helper()
+	var stdout bytes.Buffer
+	code, stderr := runQuestsimTo(t, &stdout, args...)
+	return code, stdout.String(), stderr
+}
+
+// runQuestsimTo is runQuestsim with the child's stdout on w.
+func runQuestsimTo(t *testing.T, w io.Writer, args ...string) (int, string) {
+	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "QUESTSIM_TEST_MAIN=1")
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	var stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = w, &stderr
 	err := cmd.Run()
 	var ee *exec.ExitError
 	switch {
 	case err == nil:
-		return 0, stdout.String(), stderr.String()
+		return 0, stderr.String()
 	case errors.As(err, &ee):
-		return ee.ExitCode(), stdout.String(), stderr.String()
+		return ee.ExitCode(), stderr.String()
 	}
 	t.Fatal(err)
-	return 0, "", ""
+	return 0, ""
 }
 
 // TestBadValuesExitTwo pins the usage class of the exit contract: a bad
@@ -130,22 +139,34 @@ func TestBadValuesExitTwo(t *testing.T) {
 
 // TestArtifactWriteFailureExitsOne pins that a run whose -trace, -heatmap,
 // -bw or -ledger artifact cannot be written fails: exit 1, with the write
-// error on a stderr line that names the artifact once.
+// error on a stderr line that names the artifact once. `-bw -` writes the
+// profile to stdout, so that case runs with the child's stdout on
+// /dev/full.
 func TestArtifactWriteFailureExitsOne(t *testing.T) {
 	if _, err := os.Stat("/dev/full"); err != nil {
 		t.Skip("no /dev/full on this system")
 	}
+	full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer full.Close()
 	dir := t.TempDir()
 	missingHeat := filepath.Join(dir, "missing", "h.json")
 	missingLedger := filepath.Join(dir, "missing", "x.jsonl")
-	for _, tc := range []struct{ flag, path, line string }{
-		{"-trace", "/dev/full", "trace: write /dev/full"},
-		{"-heatmap", "/dev/full", "heatmap: write /dev/full"},
-		{"-bw", "/dev/full", "bw: write /dev/full"},
-		{"-heatmap", missingHeat, "heatmap: open " + missingHeat},
-		{"-ledger", missingLedger, "questsim: ledger: open " + missingLedger},
+	for _, tc := range []struct {
+		flag, path, line string
+		stdout           io.Writer
+	}{
+		{"-trace", "/dev/full", "trace: write /dev/full", io.Discard},
+		{"-heatmap", "/dev/full", "heatmap: write /dev/full", io.Discard},
+		{"-bw", "/dev/full", "bw: write /dev/full", io.Discard},
+		{"-bw", "-", "bw: write /dev/stdout", full},
+		{"-ledger", "/dev/full", "ledger: write /dev/full", io.Discard},
+		{"-heatmap", missingHeat, "heatmap: open " + missingHeat, io.Discard},
+		{"-ledger", missingLedger, "questsim: ledger: open " + missingLedger, io.Discard},
 	} {
-		code, _, stderr := runQuestsim(t, "-cycles", "0", tc.flag, tc.path)
+		code, stderr := runQuestsimTo(t, tc.stdout, "-cycles", "0", tc.flag, tc.path)
 		if code != 1 {
 			t.Errorf("%s %s: exit %d, want 1 (stderr: %s)", tc.flag, tc.path, code, stderr)
 		}
@@ -183,6 +204,29 @@ func TestDeterministicStdout(t *testing.T) {
 		}
 		if stdout != string(want) {
 			t.Errorf("%s: stdout drifted from testdata/%s.txt:\n got:\n%s\nwant:\n%s", tc.name, tc.name, stdout, want)
+		}
+	}
+}
+
+// TestStdoutReplaysAcrossProcesses pins that a run's bytes depend on
+// (flags, seed) alone, not on the process that prints them. bell and ghz
+// measure outcomes the tableau draws at random, so their stdout follows the
+// tableau's seed; eight fresh children of each must print the same bytes. A
+// process id mixed into that seed splits them, which neither
+// TestDeterministicStdout's golden runs nor an in-process test shows.
+func TestStdoutReplaysAcrossProcesses(t *testing.T) {
+	for _, program := range []string{"bell", "ghz"} {
+		var first string
+		for i := 0; i < 8; i++ {
+			code, stdout, stderr := runQuestsim(t, "-program", program, "-seed", "1")
+			if code != 0 {
+				t.Fatalf("%s: exit %d (stderr: %s)", program, code, stderr)
+			}
+			if i == 0 {
+				first = stdout
+			} else if stdout != first {
+				t.Fatalf("%s: child %d printed\n%s\nchild 0 printed\n%s", program, i, stdout, first)
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"quest/internal/compiler"
 	"quest/internal/metrics"
 )
 
@@ -138,5 +139,42 @@ func TestMachineMemoryMetricsInvariant(t *testing.T) {
 				t.Errorf("workers=%d: merged %s = %d, workers=1 %d", workers, name, b, a)
 			}
 		}
+	}
+}
+
+// TestMagicFeedReplaysInProcess pins the factory feed's choice of tile.
+// Three tiles each prepare one qubit, apply five T gates and measure, so
+// every tile waits on T states and the hungriest pool is often a tie, which
+// no golden run has. Two runs in one process must agree on the report and
+// on each tile's T stalls; a tie broken by the global math/rand source
+// gives a different split almost every run. (Two tiles cannot show it:
+// their two factories deliver on the same tick, one state to each.)
+func TestMagicFeedReplaysInProcess(t *testing.T) {
+	run := func() (RunReport, []uint64) {
+		cfg := DefaultMachineConfig()
+		cfg.Tiles = 3
+		ma := NewMachine(cfg)
+		p := compiler.NewProgram(6)
+		for _, q := range []int{0, 2, 4} {
+			p.Prep0(q).T(q).T(q).T(q).T(q).T(q).MeasZ(q)
+		}
+		rep, err := ma.RunProgram(p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stalls []uint64
+		for _, tile := range ma.Master().Tiles() {
+			_, _, _, _, stalledT := tile.Stats()
+			stalls = append(stalls, stalledT)
+		}
+		return rep, stalls
+	}
+	rep0, stalls0 := run()
+	if !rep0.Drained || stalls0[0]+stalls0[1]+stalls0[2] == 0 {
+		t.Fatalf("run drained %v with T stalls %v; want a drained run that waits on T states", rep0.Drained, stalls0)
+	}
+	rep, stalls := run()
+	if !reflect.DeepEqual(rep, rep0) || !reflect.DeepEqual(stalls, stalls0) {
+		t.Errorf("second run: %d cycles, T stalls %v; first: %d cycles, T stalls %v", rep.Cycles, stalls, rep0.Cycles, stalls0)
 	}
 }

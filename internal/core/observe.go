@@ -53,7 +53,6 @@ func (s SweepObs) observers(cell string, heat *heatmap.Collector) mc.Observers {
 			// The Sink contract is void (the engine cannot abort a drained
 			// trial on an I/O error); the Writer latches the first error and
 			// closeCell surfaces it when the cell finishes.
-			//quest:allow(errsink) Sink is void by contract; Writer.Err latches the failure and closeCell returns it
 			lw.WriteTrial(ledger.Trial{
 				Cell: cell, Trial: trial, Seed: ledger.SeedString(seed),
 				Fail: out.Fail, Err: errString(out.Err),

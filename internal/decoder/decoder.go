@@ -575,7 +575,7 @@ func (g *GlobalDecoder) Match(defects []Defect) Matching {
 	timed := g.instr.matchNs
 	var start time.Time
 	if timed != nil {
-		start = time.Now() //quest:allow(seedsrc) wall-clock latency metric only; the value never reaches simulation state
+		start = time.Now()
 	}
 	var m Matching
 	if len(defects) <= MaxExact {

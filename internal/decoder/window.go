@@ -105,7 +105,7 @@ func (w *WindowDecoder) Flush(frame *PauliFrame) int {
 	timed := w.instr.windowFlushNs
 	var start time.Time
 	if timed != nil {
-		start = time.Now() //quest:allow(seedsrc) wall-clock latency metric only; the value never reaches simulation state
+		start = time.Now()
 	}
 	decodes, applied := 0, 0
 	xs, zs := SplitByType(w.split, w.buf)

@@ -3,6 +3,7 @@ package heatmap
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -118,28 +119,37 @@ func TestMergeShapeMismatchPanics(t *testing.T) {
 
 func TestSetDeterministicJSON(t *testing.T) {
 	s := NewSet()
-	// Register out of name order; export must be name-sorted.
+	// Register out of name order; every export must be name-sorted.
 	s.Collector("d=5", 9, 9).Defect(4, 4)
 	s.Collector("d=3", 5, 5).Defect(2, 2)
-	var buf bytes.Buffer
-	if err := s.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
+	s.Collector("d=7", 13, 13).Defect(6, 6)
+	var first []byte
+	for i := 0; i < 10; i++ {
+		var buf bytes.Buffer
+		if err := s.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = buf.Bytes()
+		} else if !bytes.Equal(buf.Bytes(), first) {
+			t.Fatalf("export %d differs from the first:\n%s\nvs\n%s", i, buf.Bytes(), first)
+		}
+		if got := s.Names(); !slices.Equal(got, []string{"d=3", "d=5", "d=7"}) {
+			t.Fatalf("call %d: Names() = %v", i, got)
+		}
 	}
-	f, err := ReadFile(buf.Bytes())
+	f, err := ReadFile(first)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f.Schema != Schema {
 		t.Errorf("schema = %q", f.Schema)
 	}
-	if len(f.Grids) != 2 || f.Grids[0].Name != "d=3" || f.Grids[1].Name != "d=5" {
+	if len(f.Grids) != 3 || f.Grids[0].Name != "d=3" || f.Grids[1].Name != "d=5" || f.Grids[2].Name != "d=7" {
 		t.Errorf("grids not name-sorted: %+v", f.Grids)
 	}
 	if f.Grids[1].Defects[4][4] != 1 {
 		t.Error("round-tripped defect count lost")
-	}
-	if got := s.Names(); len(got) != 2 || got[0] != "d=3" {
-		t.Errorf("Names() = %v", got)
 	}
 }
 

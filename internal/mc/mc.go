@@ -98,7 +98,7 @@ func Derive(seed uint64, lane uint64) uint64 {
 // and simulated time derive from the experiment seed via the SplitMix64
 // mixers, never from here.
 func wallClock() time.Time {
-	return time.Now() //quest:allow(seedsrc) wall-clock latency metric only; the value never reaches simulation state
+	return time.Now()
 }
 
 // Wilson returns the Wilson score interval for k failures in n trials at

@@ -660,7 +660,7 @@ func (m *MCE) StepCycle() CycleReport {
 	timed := m.in.cycleNs
 	var start time.Time
 	if timed != nil {
-		start = time.Now() //quest:allow(seedsrc) wall-clock latency metric only; the value never reaches simulation state
+		start = time.Now()
 	}
 	stallBefore := m.stalledT
 	rep := CycleReport{Cycle: m.cycle}

@@ -391,15 +391,15 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 func (r *Registry) Merge(src *Registry) {
 	src.mu.RLock()
 	defer src.mu.RUnlock()
-	for name, c := range src.counters { //quest:allow(detrange) destination writes are keyed by instrument name; order cannot escape
+	for name, c := range src.counters {
 		if v := c.Value(); v != 0 {
 			r.Counter(name).Add(v)
 		}
 	}
-	for name, g := range src.gauges { //quest:allow(detrange) destination writes are keyed by instrument name; order cannot escape
+	for name, g := range src.gauges {
 		r.Gauge(name).Set(g.Value())
 	}
-	for name, sh := range src.hists { //quest:allow(detrange) destination writes are keyed by instrument name; order cannot escape
+	for name, sh := range src.hists {
 		if sh.Count() == 0 {
 			continue
 		}
@@ -429,13 +429,13 @@ func (r *Registry) Merge(src *Registry) {
 func (r *Registry) Reset() {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	for _, c := range r.counters { //quest:allow(detrange) zeroing every instrument is order-independent
+	for _, c := range r.counters {
 		c.n.Store(0)
 	}
-	for _, g := range r.gauges { //quest:allow(detrange) zeroing every instrument is order-independent
+	for _, g := range r.gauges {
 		g.bits.Store(0)
 	}
-	for _, h := range r.hists { //quest:allow(detrange) zeroing every instrument is order-independent
+	for _, h := range r.hists {
 		for i := range h.buckets {
 			h.buckets[i].Store(0)
 		}
@@ -477,13 +477,13 @@ func (r *Registry) Snapshot() Snapshot {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	var s Snapshot
-	for name, c := range r.counters { //quest:allow(detrange) append order is normalized by s.sorted() before return
+	for name, c := range r.counters {
 		s.Counters = append(s.Counters, CounterSnapshot{Name: name, Value: c.Value()})
 	}
-	for name, g := range r.gauges { //quest:allow(detrange) append order is normalized by s.sorted() before return
+	for name, g := range r.gauges {
 		s.Gauges = append(s.Gauges, GaugeSnapshot{Name: name, Value: g.Value()})
 	}
-	for name, h := range r.hists { //quest:allow(detrange) append order is normalized by s.sorted() before return
+	for name, h := range r.hists {
 		s.Histograms = append(s.Histograms, HistogramSnapshot{Name: name, Summary: h.Summary()})
 	}
 	return s.sorted()

@@ -110,12 +110,13 @@ func (m *Mesh) nextHop(router, dst int) (next int, dir int) {
 // cycle, indexed by tile.
 //
 // The in-flight links are visited in sorted (router, dir) order, never map
-// order: link visitation decides the append order into each router queue,
-// and the FIFO arbiter under LinkCapacity then decides which packet wins a
-// contended link this cycle. Randomized map iteration here made delivery
-// cycles — and with them trace spans and latency stats — vary between runs
-// of the same (config, seed); TestStepDeterministicUnderCrossTraffic pins
-// the fix.
+// order. Packets enter at router 0 and route X then Y, so each router has
+// one upstream link and the visit order cannot move a packet: deliveries,
+// their cycles and the latency stats are the same in any order. The order
+// does decide which of one cycle's ejection spans reach the tracer first,
+// and a full trace ring keeps only the newest events, so map order would
+// change which spans a trace exports; TestStepDeterministicUnderCrossTraffic
+// pins it.
 func (m *Mesh) Step() [][]Packet {
 	out := make([][]Packet, m.Tiles())
 	// 1. Land in-flight packets at their next router (or eject).
@@ -214,7 +215,7 @@ func (m *Mesh) Pending() int {
 	for _, q := range m.routerQ {
 		n += len(q)
 	}
-	for _, pkts := range m.inFlight { //quest:allow(detrange) summing lengths is order-independent; no order escapes
+	for _, pkts := range m.inFlight {
 		n += len(pkts)
 	}
 	return n

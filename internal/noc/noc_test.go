@@ -1,8 +1,11 @@
 package noc
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
+
+	"quest/internal/tracing"
 )
 
 func TestZeroLoadLatencyEqualsHopDistance(t *testing.T) {
@@ -199,20 +202,24 @@ func TestLinkCapacityWidensThroughput(t *testing.T) {
 	}
 }
 
-// TestStepDeterministicUnderCrossTraffic pins the inFlight-iteration fix in
-// Step: with several links in flight at once, link visitation order decides
-// the append order into contended router queues, and the FIFO arbiter under
-// LinkCapacity=1 then decides which packet wins each cycle. The pre-fix code
-// ranged the inFlight map directly, so two identical meshes fed identical
-// traffic could deliver in different cycles (different latency stats, trace
-// spans, payload interleavings).
+// TestStepDeterministicUnderCrossTraffic pins Step's sorted link visit.
+// Packets enter at router 0 and route X then Y, so each router has one
+// upstream link and the visit order cannot move a packet: deliveries, their
+// cycles and the latency stats must hold in any order. What the order does
+// decide is the order in which one cycle's ejection spans reach the tracer,
+// and a full ring keeps only the newest events, so it decides which spans a
+// trace exports. With a ring of every size from one span to all of them,
+// repeated runs of the same traffic must export the same bytes; ranging the
+// inFlight map instead fails that.
 func TestStepDeterministicUnderCrossTraffic(t *testing.T) {
 	type delivery struct {
 		cycle, tile int
 		payload     [2]byte
 	}
-	run := func() ([]delivery, float64, int) {
+	run := func(ring int) ([]delivery, float64, int, string) {
 		m := NewMesh(4, 4)
+		tr := tracing.New(ring)
+		m.SetTracer(tr)
 		var got []delivery
 		cycle := 0
 		step := func() {
@@ -240,21 +247,35 @@ func TestStepDeterministicUnderCrossTraffic(t *testing.T) {
 		if m.Pending() > 0 {
 			t.Fatal("mesh did not drain")
 		}
+		var trace bytes.Buffer
+		if err := tr.WriteJSON(&trace); err != nil {
+			t.Fatal(err)
+		}
 		_, _, mean, max := m.Stats()
-		return got, mean, max
+		return got, mean, max, trace.String()
 	}
-	first, mean0, max0 := run()
-	for i := 1; i < 10; i++ {
-		got, mean, max := run()
-		if mean != mean0 || max != max0 {
-			t.Fatalf("run %d: latency stats %v/%v, want %v/%v", i, mean, max, mean0, max0)
-		}
-		if len(got) != len(first) {
-			t.Fatalf("run %d: %d deliveries, want %d", i, len(got), len(first))
-		}
-		for j := range got {
-			if got[j] != first[j] {
-				t.Fatalf("run %d: delivery %d = %+v, want %+v", i, j, got[j], first[j])
+	first, mean0, max0, _ := run(0)
+	// One span per delivery: ring sizes 1..len(first) cut the span stream
+	// at every point.
+	for ring := 1; ring <= len(first); ring++ {
+		var trace0 string
+		for i := 0; i < 10; i++ {
+			got, mean, max, trace := run(ring)
+			if mean != mean0 || max != max0 {
+				t.Fatalf("ring %d, run %d: latency stats %v/%v, want %v/%v", ring, i, mean, max, mean0, max0)
+			}
+			if len(got) != len(first) {
+				t.Fatalf("ring %d, run %d: %d deliveries, want %d", ring, i, len(got), len(first))
+			}
+			for j := range got {
+				if got[j] != first[j] {
+					t.Fatalf("ring %d, run %d: delivery %d = %+v, want %+v", ring, i, j, got[j], first[j])
+				}
+			}
+			if i == 0 {
+				trace0 = trace
+			} else if trace != trace0 {
+				t.Fatalf("ring %d, run %d: trace export differs from run 0:\n%s\nrun 0:\n%s", ring, i, trace, trace0)
 			}
 		}
 	}

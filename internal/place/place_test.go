@@ -2,6 +2,7 @@ package place
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -23,6 +24,32 @@ func TestInteractionGraph(t *testing.T) {
 	}
 	if g[1].Weight != 1 {
 		t.Errorf("edge 1 = %+v", g[1])
+	}
+}
+
+// TestPlaceIsDeterministic pins that placement depends on the program
+// alone. InteractionGraph and Place both gather from maps, so each sorts
+// what it gathered: edges by weight, heaviest first, then by qubits, and
+// clusters by size, largest first, then by root. The program ties at every
+// level, four disjoint pairs of equal weight on four two-patch tiles, and
+// twenty calls must return the sorted edges and the pairs on tiles 0-3 in
+// qubit order.
+func TestPlaceIsDeterministic(t *testing.T) {
+	p := compiler.NewProgram(8)
+	p.CNOT(6, 7).CNOT(4, 5).CNOT(2, 3).CNOT(0, 1)
+	wantEdges := []Interaction{{0, 1, 1}, {2, 3, 1}, {4, 5, 1}, {6, 7, 1}}
+	wantTiles := []int{0, 0, 1, 1, 2, 2, 3, 3}
+	for i := 0; i < 20; i++ {
+		if g := InteractionGraph(p); !reflect.DeepEqual(g, wantEdges) {
+			t.Fatalf("call %d: edges %v, want %v", i, g, wantEdges)
+		}
+		asg, err := Place(p, 4, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(asg.TileOf, wantTiles) {
+			t.Fatalf("call %d: tiles %v, want %v", i, asg.TileOf, wantTiles)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package tracing
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -74,7 +75,8 @@ func TestMergeAccumulatesEventsAndDrops(t *testing.T) {
 
 // TestWriteJSONDeterministicAcrossInsertionOrder is the canonical-sort
 // contract: tracers holding the same event multiset in different insertion
-// orders serialize byte-identically.
+// orders serialize byte-identically, on every export, with the processes
+// numbered and named in name order.
 func TestWriteJSONDeterministicAcrossInsertionOrder(t *testing.T) {
 	evs := []Event{
 		{Proc: "mce", Tid: 1, Name: "busy", Ph: PhaseSpan, Ts: 3, Dur: 1},
@@ -99,6 +101,23 @@ func TestWriteJSONDeterministicAcrossInsertionOrder(t *testing.T) {
 	}
 	if !bytes.Equal(bf.Bytes(), br.Bytes()) {
 		t.Fatalf("insertion order leaked into export:\n%s\nvs\n%s", bf.String(), br.String())
+	}
+	for i := 0; i < 10; i++ {
+		for _, tr := range []*Tracer{fwd, rev} {
+			var b bytes.Buffer
+			if err := tr.WriteJSON(&b); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(b.Bytes(), bf.Bytes()) {
+				t.Fatalf("export %d differs from the first:\n%s\nvs\n%s", i, b.String(), bf.String())
+			}
+		}
+	}
+	for pid, proc := range []string{"decoder", "master", "mce"} {
+		want := fmt.Sprintf(`{"ph":"M","pid":%d,"tid":0,"name":"process_name","args":{"name":%q}}`, pid+1, proc)
+		if !strings.Contains(bf.String(), want) {
+			t.Errorf("export has no %s", want)
+		}
 	}
 	rep, err := Validate(bf.Bytes())
 	if err != nil {

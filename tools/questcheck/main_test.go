@@ -72,6 +72,7 @@ type exitCase struct {
 	name string
 	argv []string
 	want int
+	text string // what stderr says on a non-zero exit; "" for exit 0
 }
 
 // validProfile writes a quest-bw/1 profile through the recorder: a prep
@@ -123,13 +124,22 @@ func otherArtifacts(t *testing.T, dir string) (empty, stream, profile string) {
 // binary: 0 valid (with an OK line), 1 findings (an invalid artifact, a
 // floor not met), 2 unusable input (missing file, no file, unknown flag, a
 // floor for a format no file has). A run that exits non-zero prints no OK
-// line, even for the files that passed.
+// line, even for the files that passed, and says why on stderr: each case
+// names the finding's text, so a finding that exits with the right code
+// for another reason (a torn ledger read as an empty one) fails. A run that
+// exits 0 writes nothing to stderr.
 func runExitCases(t *testing.T, cases []exitCase) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var out, errw strings.Builder
 			if got := command().Execute(tc.argv, &out, &errw); got != tc.want {
 				t.Fatalf("exit %d, want %d (stderr: %s)", got, tc.want, errw.String())
+			}
+			if tc.text == "" && errw.Len() != 0 {
+				t.Errorf("stderr %q, want none", errw.String())
+			}
+			if !strings.Contains(errw.String(), tc.text) {
+				t.Errorf("stderr %q does not say %q", errw.String(), tc.text)
 			}
 			if ok := strings.Contains(out.String(), " OK — "); ok != (tc.want == 0) {
 				t.Errorf("stdout %q: OK line printed = %v, want %v", out.String(), ok, tc.want == 0)
@@ -152,20 +162,20 @@ func TestQuestcheckLedgerExitCodeContract(t *testing.T) {
 	torn := writeFile(t, dir, "torn.jsonl", data[:last+(len(data)-last)/2])
 	empty, stream, profile := otherArtifacts(t, dir)
 	runExitCases(t, []exitCase{
-		{"valid ledger", []string{good}, 0},
-		{"floors met", []string{"-min-cells", "2", "-min-trials", "6", good}, 0},
-		{"min-cells above count", []string{"-min-cells", "3", good}, 1},
-		{"min-trials above count", []string{"-min-trials", "7", good}, 1},
-		{"last cell without summary", []string{open}, 1},
-		{"torn last line", []string{torn}, 1},
-		{"empty file", []string{empty}, 1},
-		{"quest-events/1 stream", []string{stream}, 1},
-		{"quest-bw/1 profile", []string{"-min-cells", "1", profile}, 2},
-		{"missing file", []string{filepath.Join(dir, "absent.jsonl")}, 2},
-		{"no arguments", nil, 2},
-		{"two arguments", []string{good, good}, 0},
-		{"unknown flag", []string{"-nope", good}, 2},
-		{"trace floor on a ledger", []string{"-min-procs", "1", good}, 2},
+		{"valid ledger", []string{good}, 0, ""},
+		{"floors met", []string{"-min-cells", "2", "-min-trials", "6", good}, 0, ""},
+		{"min-cells above count", []string{"-min-cells", "3", good}, 1, "good.jsonl: 2 cell(s), want >= 3"},
+		{"min-trials above count", []string{"-min-trials", "7", good}, 1, "good.jsonl: 6 trial record(s), want >= 7"},
+		{"last cell without summary", []string{open}, 1, `open.jsonl: cell "cell-1" has 3 trial record(s) but no cell summary`},
+		{"torn last line", []string{torn}, 1, "torn.jsonl: line 9: corrupt ledger: unexpected end of JSON input"},
+		{"empty file", []string{empty}, 1, "empty: tracing: not a JSON trace object"},
+		{"quest-events/1 stream", []string{stream}, 1, `events.jsonl: schema "quest-events/1" is none of`},
+		{"quest-bw/1 profile", []string{"-min-cells", "1", profile}, 2, "-min-cells is a ledger floor, but no file given is a ledger"},
+		{"missing file", []string{filepath.Join(dir, "absent.jsonl")}, 2, "absent.jsonl: no such file or directory"},
+		{"no arguments", nil, 2, "questcheck: no file given"},
+		{"two arguments", []string{good, good}, 0, ""},
+		{"unknown flag", []string{"-nope", good}, 2, "flag provided but not defined: -nope"},
+		{"trace floor on a ledger", []string{"-min-procs", "1", good}, 2, "-min-procs is a trace floor, but no file given is a trace"},
 	})
 }
 
@@ -177,18 +187,18 @@ func TestQuestcheckTraceExitCodeContract(t *testing.T) {
 	good := writeFile(t, dir, "good.json", validTrace(t))
 	empty, stream, profile := otherArtifacts(t, dir)
 	runExitCases(t, []exitCase{
-		{"valid trace", []string{good}, 0},
-		{"floors met", []string{"-min-procs", "2", "-min-events", "3", good}, 0},
-		{"min-procs above count", []string{"-min-procs", "3", good}, 1},
-		{"min-events above count", []string{"-min-events", "4", good}, 1},
-		{"empty file", []string{empty}, 1},
-		{"quest-events/1 stream", []string{stream}, 1},
-		{"quest-bw/1 profile", []string{"-min-events", "1", profile}, 2},
-		{"missing file", []string{filepath.Join(dir, "absent.json")}, 2},
-		{"no arguments", nil, 2},
-		{"two arguments", []string{good, good}, 0},
-		{"unknown flag", []string{"-nope", good}, 2},
-		{"ledger floor on a trace", []string{"-min-cells", "1", good}, 2},
+		{"valid trace", []string{good}, 0, ""},
+		{"floors met", []string{"-min-procs", "2", "-min-events", "3", good}, 0, ""},
+		{"min-procs above count", []string{"-min-procs", "3", good}, 1, "good.json: 2 process(es), want >= 3"},
+		{"min-events above count", []string{"-min-events", "4", good}, 1, "good.json: 3 event(s), want >= 4"},
+		{"empty file", []string{empty}, 1, "empty: tracing: not a JSON trace object"},
+		{"quest-events/1 stream", []string{stream}, 1, `events.jsonl: schema "quest-events/1" is none of`},
+		{"quest-bw/1 profile", []string{"-min-events", "1", profile}, 2, "-min-events is a trace floor, but no file given is a trace"},
+		{"missing file", []string{filepath.Join(dir, "absent.json")}, 2, "absent.json: no such file or directory"},
+		{"no arguments", nil, 2, "questcheck: no file given"},
+		{"two arguments", []string{good, good}, 0, ""},
+		{"unknown flag", []string{"-nope", good}, 2, "flag provided but not defined: -nope"},
+		{"ledger floor on a trace", []string{"-min-cells", "1", good}, 2, "-min-cells is a ledger floor, but no file given is a ledger"},
 	})
 }
 
@@ -203,12 +213,12 @@ func TestQuestcheckBWExitCodeContract(t *testing.T) {
 	last := bytes.LastIndexByte(data[:len(data)-1], '\n') + 1 // start of the summary
 	cut := writeFile(t, dir, "cut.jsonl", data[:last])
 	runExitCases(t, []exitCase{
-		{"valid profile", []string{good}, 0},
-		{"invalid schema", []string{corrupt}, 1},
-		{"no summary", []string{cut}, 1},
-		{"missing file", []string{filepath.Join(dir, "absent.jsonl")}, 2},
-		{"no arguments", nil, 2},
-		{"unknown flag", []string{"-nope", good}, 2},
+		{"valid profile", []string{good}, 0, ""},
+		{"invalid schema", []string{corrupt}, 1, `corrupt.jsonl: schema "quest-other/9" is none of`},
+		{"no summary", []string{cut}, 1, "cut.jsonl: bwprofile: missing summary record"},
+		{"missing file", []string{filepath.Join(dir, "absent.jsonl")}, 2, "absent.jsonl: no such file or directory"},
+		{"no arguments", nil, 2, "questcheck: no file given"},
+		{"unknown flag", []string{"-nope", good}, 2, "flag provided but not defined: -nope"},
 	})
 }
 
@@ -284,12 +294,27 @@ func TestQuestcheckHeatmapExitCodeContract(t *testing.T) {
 	}
 	good := writeFile(t, dir, "heat.json", data)
 	runExitCases(t, []exitCase{
-		{"valid heatmap", []string{good}, 0},
-		{"no grids", []string{writeFile(t, dir, "none.json", none.Bytes())}, 0},
-		{"other schema version", []string{writeFile(t, dir, "v9.json", []byte(`{"schema":"quest-heatmap/9","grids":[]}`))}, 1},
-		{"cut short", []string{writeFile(t, dir, "cut.json", data[:len(data)/2])}, 1},
-		{"ledger floor on a heatmap", []string{"-min-trials", "1", good}, 2},
+		{"valid heatmap", []string{good}, 0, ""},
+		{"no grids", []string{writeFile(t, dir, "none.json", none.Bytes())}, 0, ""},
+		{"other schema version", []string{writeFile(t, dir, "v9.json", []byte(`{"schema":"quest-heatmap/9","grids":[]}`))}, 1, `v9.json: schema "quest-heatmap/9" is none of`},
+		{"cut short", []string{writeFile(t, dir, "cut.json", data[:len(data)/2])}, 1, "cut.json: tracing: not a JSON trace object"},
+		{"ledger floor on a heatmap", []string{"-min-trials", "1", good}, 2, "-min-trials is a ledger floor, but no file given is a ledger"},
 	})
+}
+
+// TestQuestcheckAbsentFloorsNameTheFirst pins the usage error for several
+// floors whose formats no file has: it names the first of them in flag
+// name order, and the same one on every run.
+func TestQuestcheckAbsentFloorsNameTheFirst(t *testing.T) {
+	heat := writeFile(t, t.TempDir(), "heat.json", validHeatmap(t))
+	argv := []string{"-min-procs", "1", "-min-trials", "1", "-min-events", "1", "-min-cells", "1", heat}
+	const want = "questcheck: -min-cells is a ledger floor, but no file given is a ledger\n"
+	for i := 0; i < 10; i++ {
+		var out, errw strings.Builder
+		if code := command().Execute(argv, &out, &errw); code != 2 || errw.String() != want {
+			t.Fatalf("run %d: exit %d, stderr %q; want exit 2, stderr %q", i, code, errw.String(), want)
+		}
+	}
 }
 
 // TestQuestcheckManyFiles pins a run over one file of each kind: each is
@@ -304,11 +329,11 @@ func TestQuestcheckManyFiles(t *testing.T) {
 	empty, _, _ := otherArtifacts(t, dir)
 	all := []string{ledgerPath, trace, heat, profile}
 	runExitCases(t, []exitCase{
-		{"one of each", all, 0},
-		{"every floor met", append([]string{"-min-cells", "2", "-min-trials", "6", "-min-procs", "2", "-min-events", "3"}, all...), 0},
-		{"a ledger floor not met", append([]string{"-min-cells", "3"}, all...), 1},
-		{"one invalid file", append(all, empty), 1},
-		{"trace floor with no trace", []string{"-min-procs", "1", ledgerPath, heat, profile}, 2},
+		{"one of each", all, 0, ""},
+		{"every floor met", append([]string{"-min-cells", "2", "-min-trials", "6", "-min-procs", "2", "-min-events", "3"}, all...), 0, ""},
+		{"a ledger floor not met", append([]string{"-min-cells", "3"}, all...), 1, "run.jsonl: 2 cell(s), want >= 3"},
+		{"one invalid file", append(all, empty), 1, "empty: tracing: not a JSON trace object"},
+		{"trace floor with no trace", []string{"-min-procs", "1", ledgerPath, heat, profile}, 2, "-min-procs is a trace floor, but no file given is a trace"},
 	})
 	var out, errw strings.Builder
 	if code := command().Execute(all, &out, &errw); code != 0 {
